@@ -15,9 +15,11 @@ from pathlib import Path
 from .construct import (
     DecompositionError,
     StretchFactor,
+    StretchSearchError,
     StrictnessError,
     admissible_constructions,
     build_instance,
+    certify_stretch,
     choose_stretch,
     generate_2d_arc_instance,
     mu_of_q,
@@ -30,7 +32,7 @@ from .instance_io import (
     regenerate,
     write_instance,
 )
-from .qp import CertificateError, build_kkt_certificate, nu_from_mu
+from .qp import CertificateError, SolverStalledError, build_kkt_certificate, nu_from_mu
 from .report_io import (
     rational_json,
     sweep_report_csv,
@@ -59,6 +61,7 @@ def cmd_gen(args) -> int:
         stretch_factor = choose_stretch(params)
     else:
         stretch_factor = StretchFactor(parse_rational(args.stretch))
+        certify_stretch(params, stretch_factor)
     instance = build_instance(params, stretch_factor)
     write_instance(instance, args.out)
     count = 2 ** params.dim // 4
@@ -203,7 +206,14 @@ def main(argv=None) -> int:
     except (InstanceFormatError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CertificateError, SweepMismatchError) as exc:
+    except (
+        CertificateError,
+        SweepMismatchError,
+        StrictnessError,
+        DecompositionError,
+        StretchSearchError,
+        SolverStalledError,
+    ) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional
 
-from .geometry import SingularMatrixError, Vec, solve_linear_system
+from .geometry import SingularMatrixError, Vec, common_denominator, solve_linear_system
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
     admissible_sign_vectors,
     cube_vertex,
+    cube_vertex_table,
     dual_vertices,
     shadow_certificate,
     sign_vectors,
@@ -40,6 +42,10 @@ class CalibrationError(Exception):
 
 class StrictnessError(Exception):
     """A constructed point touches a facet other than its own."""
+
+
+class StretchSearchError(RuntimeError):
+    """The doubling search ran out of doublings without a certified stretch factor."""
 
 
 @dataclass(frozen=True)
@@ -188,15 +194,25 @@ def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> Cons
 
 
 def facet_strictness_check(p: Vec, params: GoldfarbParams, ell, sigma: SignVec) -> bool:
-    """True iff p is tight on the sigma-facet and strictly inside all others."""
-    ell = Fraction(ell)
+    """True iff p is tight on the sigma-facet and strictly inside all others.
+
+    Every tau is tested. Since stretch(v, ell) . p == v . stretch(p, ell), the
+    stretch moves onto p, whose entries are cleared to integers P over den_p.
+    With the vertex table (den_v, V), v_tau(ell) . p compares with 1 exactly
+    as the integer V_tau . P compares with den_v * den_p.
+    """
+    if len(p) != params.dim:
+        raise ValueError(f"point has {len(p)} coordinates, expected {params.dim}")
+    den_v, rows = cube_vertex_table(params)
+    den_p, (scaled,) = common_denominator([stretch(p, ell)])
+    one = den_v * den_p
     sigma = tuple(sigma)
-    for tau in sign_vectors(params.dim):
-        value = stretch(cube_vertex(params, tau).coords, ell).dot(p)
+    for tau, row in zip(sign_vectors(params.dim), rows):
+        value = sum(map(mul, row, scaled))
         if tau == sigma:
-            if value != 1:
+            if value != one:
                 return False
-        elif value >= 1:
+        elif value >= one:
             return False
     return True
 
@@ -217,18 +233,26 @@ def support_decomposition(
     try:
         alphas = solve_linear_system(matrix, p)
     except SingularMatrixError as exc:
-        raise DecompositionError(f"facet vertices degenerate for sigma={sigma}") from exc
+        raise DecompositionError(
+            f"facet vertices degenerate for sigma={sigma} at L={s.factor}"
+        ) from exc
     if sum(alphas) != 1:
-        raise DecompositionError(f"weights sum to {sum(alphas)} != 1 for sigma={sigma}")
+        raise DecompositionError(
+            f"weights sum to {sum(alphas)} != 1 for sigma={sigma} at L={s.factor}"
+        )
     if any(a <= 0 for a in alphas):
-        raise DecompositionError(f"nonpositive weight for sigma={sigma}: {alphas}")
+        raise DecompositionError(
+            f"nonpositive weight for sigma={sigma} at L={s.factor}: {alphas}"
+        )
     reconstructed = Vec.zero(d)
     for a, c in zip(alphas, cols):
         reconstructed = reconstructed + c * a
     assert reconstructed == p
     mu_sigma = max(alphas)
     if mu_sigma >= 1:
-        raise DecompositionError(f"largest weight {mu_sigma} >= 1 for sigma={sigma}")
+        raise DecompositionError(
+            f"largest weight {mu_sigma} >= 1 for sigma={sigma} at L={s.factor}"
+        )
     return SupportDecomposition(tuple(sigma), tuple(alphas), mu_sigma)
 
 
@@ -317,28 +341,46 @@ def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
     )
 
 
+def certify_stretch(params: GoldfarbParams, s: StretchFactor) -> None:
+    """Raise unless the construction goes through at s and every pair is certified.
+
+    Every admissible sigma must pass facet strictness, decompose with positive
+    weights, and carry a valid optimality certificate. Raises StrictnessError,
+    DecompositionError or CertificateError, each naming the failing sigma.
+    """
+    from .qp import build_kkt_certificate
+
+    for pair, _decomp in admissible_constructions(params, s):
+        build_kkt_certificate(pair, params, s.inverse)
+
+
 def choose_stretch(
     params: GoldfarbParams, start=20000, max_doublings: int = 64
 ) -> StretchFactor:
-    """Smallest certified stretch factor from a doubling search.
+    """First certified stretch factor among start * 2^k, k = 0..max_doublings.
 
-    Starts at `start` and doubles until every admissible sigma passes facet
-    strictness, decomposes with positive weights, and carries a valid
-    optimality certificate; the first passing factor is returned. The checks
-    are exhaustive and exact, so the result is certified rather than assumed.
+    Tries `start`, then doubles, and returns the first factor that passes
+    `certify_stretch`. That is the first passing power-of-two multiple of
+    `start`, not necessarily the smallest certified factor. The checks are
+    exhaustive and exact, so the result is certified rather than assumed.
+    Raises StretchSearchError, naming the last factor tried and its failure,
+    when no factor passes.
     """
-    from .qp import CertificateError, build_kkt_certificate
+    from .qp import CertificateError
 
     factor = Fraction(start)
     for _ in range(max_doublings + 1):
         s = StretchFactor(factor)
         try:
-            for pair, _decomp in admissible_constructions(params, s):
-                build_kkt_certificate(pair, params, s.inverse)
+            certify_stretch(params, s)
             return s
-        except (StrictnessError, DecompositionError, CertificateError):
+        except (StrictnessError, DecompositionError, CertificateError) as exc:
+            failure = exc
             factor *= 2
-    raise RuntimeError(f"no passing stretch factor after {max_doublings} doublings")
+    raise StretchSearchError(
+        f"no passing stretch factor after {max_doublings} doublings; "
+        f"last tried L={s.factor}: {failure}"
+    )
 
 
 def generate_2d_arc_instance(n_plus: int) -> SvmInstance:

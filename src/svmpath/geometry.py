@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 Rational = Fraction
@@ -210,6 +210,17 @@ def _integer_rows(A: Sequence[Sequence], b: Sequence) -> list:
             den = den * x.denominator // gcd(den, x.denominator)
         rows.append([int(x * den) for x in entries])
     return rows
+
+
+def common_denominator(rows: Iterable[Sequence]) -> tuple:
+    """(den, integer rows) with rows[i][j] == ints[i][j] / den exactly.
+
+    `den` is the least common multiple of every entry's denominator, shared by
+    all rows, so comparing dot products against multiples of `den` stays exact.
+    """
+    rows = [[Fraction(x) for x in row] for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
 
 
 def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:

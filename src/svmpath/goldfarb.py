@@ -20,6 +20,7 @@ from .geometry import (
     HPolytope,
     Polygon2,
     Vec,
+    common_denominator,
     convex_hull_2d,
     normalize_halfspace,
 )
@@ -165,6 +166,17 @@ def cube_vertices(params: GoldfarbParams) -> Iterator[CubeVertex]:
 
 
 @lru_cache(maxsize=None)
+def cube_vertex_table(params: GoldfarbParams) -> tuple:
+    """(den, rows): all 2^d vertices as integer rows over one common denominator.
+
+    Row i is den * v_tau for the i-th sign vector tau of `sign_vectors`, so
+    the exhaustive O(4^d) incidence checks compare integer dot products with
+    a fixed multiple of den instead of rebuilding Fraction vertices per call.
+    """
+    return common_denominator(v.coords for v in cube_vertices(params))
+
+
+@lru_cache(maxsize=None)
 def dual_vertices(params: GoldfarbParams) -> tuple:
     """The 2d vertices of the dual cube, one per facet, in canonical order.
 
@@ -238,18 +250,27 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertific
     d = params.dim
     vector = Vec([Fraction(0)] * (d - 2) + [n[0] / scale, n[1] / scale])
     cert = ShadowCertificate(sigma, vector)
-    _check_certificate(cert, pt, proj)
+    _check_certificate(cert, params)
     return cert
 
 
-def _check_certificate(cert: ShadowCertificate, pt: Vec, proj: dict) -> None:
-    n2 = Vec(cert.vector[-2:])
-    if n2.dot(pt) != 1:
+def _check_certificate(cert: ShadowCertificate, params: GoldfarbParams) -> None:
+    """Raise unless a . v_sigma == 1 and a . v_tau < 1 for every other tau.
+
+    Only the last two coordinates of a are nonzero, so the products run over
+    the last two columns of the integer vertex table: with a = (a1, a2) / den_a
+    the test a . v == 1 reads a1 * V[-2] + a2 * V[-1] == den * den_a.
+    """
+    den, rows = cube_vertex_table(params)
+    den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
+    one = den * den_a
+    own = int("".join("1" if s == 1 else "0" for s in cert.sigma), 2)  # row of sigma
+    if a1 * rows[own][-2] + a2 * rows[own][-1] != one:
         raise ShadowPropertyError("certificate is not tight at its own vertex")
-    for sigma, other in proj.items():
-        if sigma != cert.sigma and n2.dot(other) >= 1:
+    for i, (tau, row) in enumerate(zip(sign_vectors(params.dim), rows)):
+        if i != own and a1 * row[-2] + a2 * row[-1] >= one:
             raise ShadowPropertyError(
-                f"certificate for {cert.sigma} fails strictness at {sigma}"
+                f"certificate for {cert.sigma} fails strictness at {tau}"
             )
 
 

@@ -6,8 +6,9 @@ are individually capped by the regularization parameter mu. The solver is a
 primal active-set method run entirely in rational arithmetic: it maintains a
 working set of coefficients pinned at 0 or mu, solves each equality-constrained
 subproblem exactly, and moves bounds in and out by exact multiplier signs with
-lowest-index tie-breaking. Termination is certified by the general KKT check,
-never by tolerance.
+lowest-index tie-breaking. It stops only at an iterate whose exact multiplier
+signs satisfy the KKT conditions, never by tolerance; the solver does not run
+the independent checker `kkt_check_general` on its result (the tests do).
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     """Exact global optimum of the reduced-hull distance problem.
 
     `start` may carry coefficients from a neighbouring solve (warm start);
-    they are used only when exactly feasible for this mu. The result always
-    satisfies the full KKT conditions, checked by construction at the final
-    iterate.
+    they are used only when exactly feasible for this mu. The loop returns
+    only when the subproblem step is zero and no bound multiplier has the
+    wrong sign, decided exactly at that iterate: these are the KKT conditions.
+    `kkt_check_general` is not called here.
     """
     pts, signed, n_plus, classes = _signed_points(qp)
     n, d = len(pts), len(pts[0])

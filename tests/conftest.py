@@ -12,6 +12,12 @@ def default_params(dim: int) -> GoldfarbParams:
     return GoldfarbParams(dim, Fraction(1, 3), Fraction(1, 16))
 
 
+def spread(items) -> list:
+    """First, middle and last item, so the Fraction-oracle cross-checks stay cheap at d = 7."""
+    items = list(items)
+    return [items[0], items[len(items) // 2], items[-1]]
+
+
 @pytest.fixture(scope="session")
 def params4():
     return default_params(4)

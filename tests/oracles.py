@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's solution paths: the distance oracle
 enumerates every bound pattern of the dual and minimizes each subproblem from
-scratch, and hull extremeness is decided by exhaustive triangle membership.
-Both are exact.
+scratch, hull extremeness is decided by exhaustive triangle membership, and
+the two facet-incidence checks rebuild every cube vertex as Fractions instead
+of reading the library's integer vertex table. All are exact.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from svmpath.construct import stretch
 from svmpath.geometry import Vec, orient2d, solve_linear_system_general
+from svmpath.goldfarb import cube_vertex, project_shadow, sign_vectors
 
 
 def fourier_motzkin_feasible(ineqs) -> bool:
@@ -144,3 +147,31 @@ def is_extreme_point(p, others) -> bool:
     return not any(
         point_in_triangle(p, a, b, c) for a, b, c in combinations(others, 3)
     )
+
+
+def facet_strictness_oracle(p, params, ell, sigma) -> bool:
+    """Reference for construct.facet_strictness_check, one Fraction dot per vertex."""
+    ell = Fraction(ell)
+    sigma = tuple(sigma)
+    for tau in sign_vectors(params.dim):
+        value = stretch(cube_vertex(params, tau).coords, ell).dot(p)
+        if tau == sigma:
+            if value != 1:
+                return False
+        elif value >= 1:
+            return False
+    return True
+
+
+def shadow_certificate_oracle(cert, params) -> bool:
+    """Reference for goldfarb._check_certificate: tight at the certificate's own
+    projected vertex, strictly below 1 at every other projected vertex."""
+    n2 = Vec(cert.vector[-2:])
+    for tau in sign_vectors(params.dim):
+        value = n2.dot(project_shadow(cube_vertex(params, tau).coords))
+        if tau == cert.sigma:
+            if value != 1:
+                return False
+        elif value >= 1:
+            return False
+    return True

@@ -1,9 +1,12 @@
+import functools
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from svmpath import cli, construct, qp, sweep
 from svmpath.cli import main
+from svmpath.geometry import SingularMatrixError
 from svmpath.instance_io import (
     format_rational,
     parse_rational,
@@ -17,6 +20,15 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_failure(result, *names):
+    """Exit 1 with a single stderr line that mentions every name given."""
+    code, _, stderr = result
+    assert code == 1
+    assert stderr.count("\n") == 1 and "Traceback" not in stderr
+    for name in names:
+        assert name in stderr, (name, stderr)
 
 
 class TestGen:
@@ -55,6 +67,54 @@ class TestGen:
         assert read_instance(out).stretch.factor == 20000
 
 
+class TestGenRefuses:
+    # gen certifies the construction at the requested stretch or writes nothing
+    def test_default_stretch_too_small_at_d9(self, tmp_path, capsys):
+        out = tmp_path / "d9.inst"
+        result = run(["gen", "--d", "9", "--out", str(out)], capsys)
+        assert_one_line_failure(result, "facet strictness fails for sigma=", "L=20000")
+        assert not out.exists()
+
+    def test_unit_stretch(self, tmp_path, capsys):
+        out = tmp_path / "d5.inst"
+        result = run(["gen", "--d", "5", "--stretch", "1", "--out", str(out)], capsys)
+        assert_one_line_failure(result, "sigma=", "L=1")
+        assert not out.exists()
+
+    def test_decomposition_failure(self, tmp_path, capsys, monkeypatch):
+        def singular(*args):
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(construct, "solve_linear_system", singular)
+        out = tmp_path / "d3.inst"
+        # parameters no other test uses, so no cached construction hides the failure
+        result = run(
+            ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/19", "--out", str(out)], capsys
+        )
+        assert_one_line_failure(result, "facet vertices degenerate for sigma=", "L=20000")
+        assert not out.exists()
+
+    def test_certificate_failure_at_fixed_stretch(self, tmp_path, capsys, monkeypatch):
+        def refuse(pair, params, ell):
+            raise qp.CertificateError(f"forced for sigma={pair.sigma}")
+
+        monkeypatch.setattr(qp, "build_kkt_certificate", refuse)
+        out = tmp_path / "d3.inst"
+        result = run(["gen", "--d", "3", "--out", str(out)], capsys)
+        assert_one_line_failure(result, "forced for sigma=")
+        assert not out.exists()
+
+    def test_stretch_search_exhausted(self, tmp_path, capsys, monkeypatch):
+        short = functools.partial(
+            construct.choose_stretch, start=F(1, 10 ** 9), max_doublings=2
+        )
+        monkeypatch.setattr(cli, "choose_stretch", short)
+        out = tmp_path / "d4.inst"
+        result = run(["gen", "--d", "4", "--stretch", "auto", "--out", str(out)], capsys)
+        assert_one_line_failure(result, "no passing stretch factor", "L=1/250000000", "sigma=")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_fresh_instance_passes(self, tmp_path, capsys):
         out = tmp_path / "d4.inst"
@@ -78,6 +138,14 @@ class TestVerify:
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 1
         assert json.loads(stdout)["ok"] is False
+
+    def test_header_stretch_too_small(self, tmp_path, capsys):
+        out = tmp_path / "d3.inst"
+        run(["gen", "--d", "3", "--out", str(out)], capsys)
+        text = out.read_text()
+        assert "\nL 20000/1\n" in text
+        out.write_text(text.replace("\nL 20000/1\n", "\nL 1/1\n"))
+        assert_one_line_failure(run(["verify", str(out)], capsys), "sigma=", "L=1")
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, stderr = run(["verify", str(tmp_path / "nope.inst")], capsys)
@@ -125,6 +193,20 @@ class TestSweepCommand:
         doc = json.loads(report.read_text())
         assert doc["lower_bound"] == 2 * (8 - 3)
         assert doc["bend_count"] >= doc["lower_bound"]
+
+    def test_solver_stall_names_mu(self, tmp_path, capsys, monkeypatch):
+        def stall(qp_instance, start=None):
+            raise qp.SolverStalledError("no optimum after 0 iterations")
+
+        inst = tmp_path / "d3.inst"
+        run(["gen", "--d", "3", "--out", str(inst)], capsys)
+        monkeypatch.setattr(sweep, "solve_reduced_distance", stall)
+        result = run(
+            ["sweep", str(inst), "--mu-lo", "9/10", "--steps", "4", "--refine", "0",
+             "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert_one_line_failure(result, "no optimum", "mu = 9/10")
 
     def test_bad_range_is_input_error(self, tmp_path, capsys):
         inst = tmp_path / "d3.inst"

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_STRETCH, default_params
+from conftest import DEFAULT_STRETCH, default_params, spread
+from oracles import facet_strictness_oracle
 from svmpath.construct import (
     CalibrationError,
     Calibration,
@@ -35,6 +36,33 @@ from svmpath.goldfarb import (
 )
 
 small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=10)
+
+# the unstretched shadow plane, the paper's stretch 20000, and no stretch at all
+ORACLE_ELLS = (F(0), DEFAULT_STRETCH.inverse, F(1))
+
+
+def facet_test_points(params, ell, sigma) -> dict:
+    """The constructed p at ell, and perturbations aimed at each failing branch.
+
+    u lies in the sigma-facet hyperplane and points toward the facet of the
+    neighbour that flips sigma's first sign; walking from p along u first
+    meets another facet at t, found by ray shooting over every facet.
+    """
+    pair = build_pair(params, sigma, DEFAULT_STRETCH)
+    p = build_p_stretched(pair.q, cube_vertex(params, sigma).coords, ell)
+    normals = {v.sigma: stretch(v.coords, ell) for v in cube_vertices(params)}
+    own = normals[sigma]
+    toward = normals[(-sigma[0],) + sigma[1:]]
+    u = toward - own * (toward.dot(own) / own.norm_sq())
+    t = min(
+        (1 - n.dot(p)) / n.dot(u) for tau, n in normals.items() if tau != sigma and n.dot(u) > 0
+    )
+    return {
+        "constructed": p,
+        "not tight on sigma": p * (1 - F(1, 10 ** 6)),
+        "tight on another facet": p + u * t,
+        "outside another facet": p + u * (2 * t),
+    }
 
 
 class TestStretch:
@@ -135,6 +163,43 @@ class TestFacetStrictness:
     def test_constructed_pairs_pass_exhaustively(self, constructions4, params4):
         for pair, _ in constructions4:
             assert facet_strictness_check(pair.p, params4, DEFAULT_STRETCH.inverse, pair.sigma)
+
+    @pytest.mark.parametrize("ell", ORACLE_ELLS)
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_integer_check_equals_fraction_oracle(self, d, ell):
+        params = default_params(d)
+        for sigma in spread(admissible_sign_vectors(d)):
+            for what, p in facet_test_points(params, ell, sigma).items():
+                assert facet_strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
+                    p, params, ell, sigma
+                ), (sigma, what)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_perturbations_fail_by_their_own_branch_only(self, d):
+        # around a passing constructed point, each perturbation breaks exactly
+        # one condition, so every branch of the check is shown to fire
+        params = default_params(d)
+        ell = DEFAULT_STRETCH.inverse
+        for sigma in spread(admissible_sign_vectors(d)):
+            points = facet_test_points(params, ell, sigma)
+            assert facet_strictness_check(points["constructed"], params, ell, sigma)
+            branches = {}
+            for what, p in points.items():
+                values = {v.sigma: stretch(v.coords, ell).dot(p) for v in cube_vertices(params)}
+                others = max(v for tau, v in values.items() if tau != sigma)
+                branches[what] = (values[sigma] == 1, others < 1, others <= 1)
+                if what != "constructed":
+                    assert not facet_strictness_check(p, params, ell, sigma), (sigma, what)
+            assert branches == {
+                "constructed": (True, True, True),
+                "not tight on sigma": (False, True, True),
+                "tight on another facet": (True, False, True),
+                "outside another facet": (True, False, False),
+            }
+
+    def test_wrong_length_point_rejected(self, params4):
+        with pytest.raises(ValueError):
+            facet_strictness_check(Vec((0, 0, 1)), params4, 0, (1, 1, 1, 1))
 
     def test_point_on_two_facets_fails(self, params4):
         # the midpoint of two vertices sharing d-1 facets lies on both

@@ -3,11 +3,14 @@ from itertools import product
 
 import pytest
 
-from conftest import default_params
-from oracles import is_extreme_point
-from svmpath.geometry import Vec
+from conftest import default_params, spread
+from oracles import is_extreme_point, shadow_certificate_oracle
+from svmpath.geometry import Vec, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
+    ShadowCertificate,
+    ShadowPropertyError,
+    _check_certificate,
     build_goldfarb,
     cube_vertex,
     cube_vertices,
@@ -194,3 +197,64 @@ class TestShadow:
             point = shadow_certificate(params, sigma).vector
             assert all(point.dot(v.coords) <= 1 for v in cube_vertices(params))
             assert point[-2] <= 1
+
+
+def certificate_variants(params, sigma) -> dict:
+    """sigma's certificate, and tampered ones aimed at each failing branch.
+
+    The hull edge from sigma's vertex to the next one gives a line tight at
+    both; the next vertex's certificate, rescaled to be tight at sigma's
+    vertex, passes above the next vertex.
+    """
+    d = params.dim
+    owner = {project_shadow(v.coords): v.sigma for v in cube_vertices(params)}
+    vs = shadow_polygon(params).vertices
+    pt = project_shadow(cube_vertex(params, sigma).coords)
+    nxt = vs[(vs.index(pt) + 1) % len(vs)]
+    cert = shadow_certificate(params, sigma)
+    edge = solve_linear_system([pt, nxt], [1, 1])
+    beyond = project_shadow(shadow_certificate(params, owner[nxt]).vector)
+    assert beyond.dot(pt) > 0
+
+    def embed(a):
+        return ShadowCertificate(sigma, Vec([0] * (d - 2) + list(a[-2:])))
+
+    return {
+        "valid": cert,
+        "not tight at own vertex": embed(cert.vector * (1 - F(1, 10 ** 6))),
+        "tight at the next vertex": embed(edge),
+        "above the next vertex": embed(beyond * (1 / beyond.dot(pt))),
+    }
+
+
+def integer_check_passes(cert, params) -> bool:
+    try:
+        _check_certificate(cert, params)
+    except ShadowPropertyError:
+        return False
+    return True
+
+
+class TestShadowCertificateCheck:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_integer_check_equals_fraction_oracle(self, d):
+        params = default_params(d)
+        for sigma in spread(sign_vectors(d)):
+            variants = certificate_variants(params, sigma)
+            outcomes = {what: shadow_certificate_oracle(c, params) for what, c in variants.items()}
+            assert outcomes == {
+                "valid": True,
+                "not tight at own vertex": False,
+                "tight at the next vertex": False,
+                "above the next vertex": False,
+            }
+            for what, cert in variants.items():
+                assert integer_check_passes(cert, params) == outcomes[what], (sigma, what)
+
+    def test_tampered_certificate_raises(self, params4):
+        variants = certificate_variants(params4, (1, -1, 1, 1))
+        with pytest.raises(ShadowPropertyError, match="not tight at its own vertex"):
+            _check_certificate(variants["not tight at own vertex"], params4)
+        for what in ("tight at the next vertex", "above the next vertex"):
+            with pytest.raises(ShadowPropertyError, match="fails strictness"):
+                _check_certificate(variants[what], params4)
