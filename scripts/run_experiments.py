@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the exponential-path experiments end to end.
 
-For each dimension d the script certifies the stretch factor, verifies every
-constructed breakpoint (exact optimality certificates plus the constructed
-sweep), then runs the discrete grid sweep and reports bend counts against the
-2^d/4 lower bound. Everything runs in exact rational arithmetic; expect a few
+For each dimension d the script finds the stretch factor, certifies every
+constructed breakpoint as the unique optimum of the instance at its mu (exact
+KKT and uniqueness certificates, ordered into the constructed sweep), then
+runs the discrete grid sweep and reports bend counts against the 2^d/4 lower
+bound. Everything runs in exact rational arithmetic; expect a few
 minutes for the full range up to d = 8.
 
 Usage:
@@ -32,11 +33,12 @@ def run_dimension(d, args, out_dir):
     params = GoldfarbParams(d)
     t0 = time.time()
     s = choose_stretch(params)
-    cons = admissible_constructions(params, s)
-    for pair, _ in cons:
-        build_kkt_certificate(pair, params, s.inverse)
     instance = build_instance(params, s)
-    constructed = sweep_constructed(instance, [c[0] for c in cons], [c[1] for c in cons])
+    certificates = [
+        build_kkt_certificate(instance, pair, decomp)
+        for pair, decomp in admissible_constructions(params, s)
+    ]
+    constructed = sweep_constructed(instance, certificates)
     t1 = time.time()
     grid = sweep_refined(
         instance, Fraction(args.mu_lo), Fraction(args.mu_hi), args.steps, args.refine

@@ -33,8 +33,6 @@ from .geometry import (
     Vec,
     convex_hull_2d,
     normalize_halfspace,
-    project_to_unit_hyperplane,
-    rat,
     solve_linear_system,
 )
 from .goldfarb import (
@@ -63,12 +61,11 @@ from .qp import (
     nu_from_mu,
     solve_reduced_distance,
     support_set,
-    verify_relaxed_uniqueness,
+    unique_optimum,
 )
 from .sweep import (
     SweepRecord,
     SweepReport,
-    refine_between,
     sweep_constructed,
     sweep_grid,
     sweep_refined,

@@ -1,7 +1,6 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
-Parallelism for sweeps is capped by the SVMPATH_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from .construct import (
     StrictnessError,
     admissible_constructions,
     build_instance,
-    certify_stretch,
     choose_stretch,
     generate_2d_arc_instance,
-    mu_of_q,
 )
 from .goldfarb import GoldfarbParams
 from .instance_io import (
@@ -61,7 +58,6 @@ def cmd_gen(args) -> int:
         stretch_factor = choose_stretch(params)
     else:
         stretch_factor = StretchFactor(parse_rational(args.stretch))
-        certify_stretch(params, stretch_factor)
     instance = build_instance(params, stretch_factor)
     write_instance(instance, args.out)
     count = 2 ** params.dim // 4
@@ -88,25 +84,25 @@ def cmd_verify(args) -> int:
         print(json.dumps({"ok": False, "error": "instance differs from its header parameters"}))
         return EXIT_VERIFY
 
-    ell = instance.stretch.inverse
     summary = []
+    certificates = []
     try:
-        constructions = admissible_constructions(instance.params, instance.stretch)
-        for pair, decomp in constructions:
-            cert = build_kkt_certificate(pair, instance.params, ell)
+        for pair, decomp in admissible_constructions(instance.params, instance.stretch):
+            cert = build_kkt_certificate(instance, pair, decomp)
+            certificates.append(cert)
             summary.append(
                 {
                     "sigma": "".join("+" if s == 1 else "-" for s in pair.sigma),
-                    "mu": rational_json(mu_of_q(pair.q[-1], instance.calibration)),
-                    "facet_multiplier": rational_json(next(iter(cert.facet_multipliers.values()))),
-                    "objective": rational_json((pair.p - pair.q).norm_sq()),
+                    "mu": rational_json(cert.mu),
+                    "facet_multiplier": rational_json(cert.facet_multiplier),
+                    "objective": rational_json(cert.pair.objective),
                     "support": [[k, s] for k, s in sorted(
                         (k, pair.sigma[k - 1]) for k in range(1, instance.params.dim + 1)
                     )],
                     "max_weight": rational_json(decomp.mu_sigma),
                 }
             )
-        sweep_constructed(instance, [c[0] for c in constructions], [c[1] for c in constructions])
+        sweep_constructed(instance, certificates)
     except (CertificateError, SweepMismatchError, StrictnessError, DecompositionError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return EXIT_VERIFY
@@ -115,6 +111,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.precision < 0:
+        print(f"sweep: --precision must be >= 0, got {args.precision}", file=sys.stderr)
+        return EXIT_INPUT
     instance = read_instance(args.instance)
     report = sweep_refined(
         instance, parse_rational(args.mu_lo), parse_rational(args.mu_hi), args.steps, args.refine

@@ -45,7 +45,7 @@ class StrictnessError(Exception):
 
 
 class StretchSearchError(RuntimeError):
-    """The doubling search ran out of doublings without a certified stretch factor."""
+    """The doubling search ran out of doublings without an admissible stretch factor."""
 
 
 @dataclass(frozen=True)
@@ -341,40 +341,25 @@ def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
     )
 
 
-def certify_stretch(params: GoldfarbParams, s: StretchFactor) -> None:
-    """Raise unless the construction goes through at s and every pair is certified.
-
-    Every admissible sigma must pass facet strictness, decompose with positive
-    weights, and carry a valid optimality certificate. Raises StrictnessError,
-    DecompositionError or CertificateError, each naming the failing sigma.
-    """
-    from .qp import build_kkt_certificate
-
-    for pair, _decomp in admissible_constructions(params, s):
-        build_kkt_certificate(pair, params, s.inverse)
-
-
 def choose_stretch(
     params: GoldfarbParams, start=20000, max_doublings: int = 64
 ) -> StretchFactor:
-    """First certified stretch factor among start * 2^k, k = 0..max_doublings.
+    """First admissible stretch factor among start * 2^k, k = 0..max_doublings.
 
-    Tries `start`, then doubles, and returns the first factor that passes
-    `certify_stretch`. That is the first passing power-of-two multiple of
-    `start`, not necessarily the smallest certified factor. The checks are
-    exhaustive and exact, so the result is certified rather than assumed.
-    Raises StretchSearchError, naming the last factor tried and its failure,
-    when no factor passes.
+    Tries `start`, then doubles, and returns the first factor at which
+    `admissible_constructions` goes through: every constructed point strictly
+    inside all facets but its own, every decomposition weight positive. That
+    is the first passing power-of-two multiple of `start`, not necessarily the
+    smallest. Raises StretchSearchError, naming the last factor tried and its
+    failure, when no factor passes.
     """
-    from .qp import CertificateError
-
     factor = Fraction(start)
     for _ in range(max_doublings + 1):
         s = StretchFactor(factor)
         try:
-            certify_stretch(params, s)
+            admissible_constructions(params, s)
             return s
-        except (StrictnessError, DecompositionError, CertificateError) as exc:
+        except (StrictnessError, DecompositionError) as exc:
             failure = exc
             factor *= 2
     raise StretchSearchError(

@@ -10,16 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
-
-
-def rat(value, den=None) -> Fraction:
-    """Exact rational from an int, a 'num/den' string, or a pair of ints."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 class SingularMatrixError(Exception):
@@ -83,21 +76,10 @@ class HalfSpace:
         if not any(self.normal):
             raise ValueError("halfspace normal must be nonzero")
 
-    def value(self, x: Vec) -> Fraction:
-        return self.normal.dot(x)
-
-    def holds(self, x: Vec) -> bool:
-        return self.value(x) <= self.rhs
-
-
-class Membership(NamedTuple):
-    inside: bool
-    tight: tuple  # per-halfspace: value == rhs exactly
-
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Finite conjunction of halfspaces; membership is decided exactly."""
+    """Finite conjunction of halfspaces."""
 
     dim: int
     halfspaces: tuple
@@ -109,19 +91,6 @@ class HPolytope:
         for h in self.halfspaces:
             if len(h.normal) != self.dim:
                 raise ValueError("halfspace dimension mismatch")
-
-    def contains(self, x: Vec) -> Membership:
-        """Exact membership plus a per-halfspace tightness report."""
-        if len(x) != self.dim:
-            raise ValueError("point dimension mismatch")
-        inside = True
-        tight = []
-        for h in self.halfspaces:
-            v = h.value(x)
-            if v > h.rhs:
-                inside = False
-            tight.append(v == h.rhs)
-        return Membership(inside, tuple(tight))
 
 
 def orient2d(o: Sequence, a: Sequence, b: Sequence) -> Fraction:
@@ -185,19 +154,6 @@ def normalize_halfspace(h: HalfSpace) -> HalfSpace:
     if h.rhs <= 0:
         raise OriginNotInteriorError(f"cannot normalize rhs {h.rhs} <= 0")
     return HalfSpace(h.normal * (1 / h.rhs), Fraction(1))
-
-
-def project_to_unit_hyperplane(q: Vec, a: Vec) -> tuple:
-    """Orthogonal projection of q onto the hyperplane a . x = 1.
-
-    Returns (p, slack) with p = q + slack * a / ||a||^2 and slack = 1 - a . q,
-    so a . p = 1 exactly and p - q is a scalar multiple of a.
-    """
-    if not any(a):
-        raise ValueError("projection normal must be nonzero")
-    slack = 1 - a.dot(q)
-    p = q + a * (slack / a.norm_sq())
-    return p, slack
 
 
 def _integer_rows(A: Sequence[Sequence], b: Sequence) -> list:

@@ -272,8 +272,3 @@ def _check_certificate(cert: ShadowCertificate, params: GoldfarbParams) -> None:
             raise ShadowPropertyError(
                 f"certificate for {cert.sigma} fails strictness at {tau}"
             )
-
-
-def shadow_certificates(params: GoldfarbParams) -> dict:
-    """Certificates for every sigma, computed off a single hull pass."""
-    return {sigma: shadow_certificate(params, sigma) for sigma in sign_vectors(params.dim)}

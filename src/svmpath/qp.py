@@ -9,22 +9,26 @@ subproblem exactly, and moves bounds in and out by exact multiplier signs with
 lowest-index tie-breaking. It stops only at an iterate whose exact multiplier
 signs satisfy the KKT conditions, never by tolerance; the solver does not run
 the independent checker `kkt_check_general` on its result (the tests do).
+
+A constructed breakpoint is certified without solving: `build_kkt_certificate`
+checks the candidate built from the construction with `kkt_check_general` on
+the instance QP at the breakpoint's mu, and `unique_optimum` proves that no
+other coefficient vector is optimal there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .construct import ConstructedPair, stretch
+from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
 from .geometry import (
     SingularMatrixError,
     Vec,
     solve_linear_system,
     solve_linear_system_general,
 )
-from .goldfarb import GoldfarbParams, cube_vertex
 
 AT_LO, AT_HI = 0, 1
 
@@ -42,11 +46,7 @@ class FeasibilityError(Exception):
 
 
 class CertificateError(Exception):
-    """An optimality certificate equation fails; names the broken equation."""
-
-
-class UniquenessError(Exception):
-    """A perturbed candidate ties the constructed optimum."""
+    """A breakpoint is not the unique optimum at its mu; names sigma and mu."""
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,16 @@ class OptimalPair:
 
 @dataclass(frozen=True)
 class KktCertificate:
-    """Multipliers certifying a constructed pair against the facet system.
+    """A constructed pair proven the unique optimum of its instance at mu.
 
-    `facet_multipliers` holds the single nonzero facet multiplier (all others
-    are zero); `line_multipliers` is the multiplier vector of the line and ray
-    constraints on q, whose last entry must be <= 0.
+    `facet_multiplier` is minus the plus-class multiplier: the multiplier of
+    the sigma-facet when p is read as the projection of q onto that facet.
     """
 
-    facet_multipliers: dict
-    line_multipliers: Vec
+    sigma: tuple
+    mu: Fraction
+    pair: OptimalPair
+    facet_multiplier: Fraction
 
 
 def _signed_points(qp: ReducedHullQP):
@@ -284,112 +285,93 @@ def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
     if violations:
         raise FeasibilityError(violations)
 
+    ranges = _multiplier_ranges(qp, candidate)
+    return all(hi is None or lo <= hi for _signed, _grads, lo, hi in ranges)
+
+
+def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> list:
+    """Per class: signed points, gradients, and the range of the class multiplier.
+
+    The gradient of coefficient i is 2 s_i . (p - q) with s_i the point, negated
+    in the minus class. A class multiplier lam is valid iff every coefficient
+    above 0 sees gradient <= lam and every coefficient below mu sees gradient
+    >= lam, so the valid values form [lo, hi]: lo is the largest gradient
+    over positive coefficients, hi the smallest over coefficients below mu
+    (None when every coefficient sits at mu). KKT holds iff lo <= hi in each
+    class; a free coefficient pins lo == hi.
+    """
     w = candidate.p - candidate.q
+    out = []
     for sign, alphas, points in (
         (1, candidate.alpha_plus, qp.plus_points),
         (-1, candidate.alpha_minus, qp.minus_points),
     ):
-        grads = [2 * sign * pt.dot(w) for pt in points]
-        free = [g for g, a in zip(grads, alphas) if 0 < a < mu]
-        lows = [g for g, a in zip(grads, alphas) if a == 0]
-        highs = [g for g, a in zip(grads, alphas) if a == mu]
-        if free:
-            lam = free[0]
-            if any(g != lam for g in free[1:]):
-                return False
-            if any(g < lam for g in lows) or any(g > lam for g in highs):
-                return False
-        else:
-            floor = max(highs) if highs else None
-            ceil = min(lows) if lows else None
-            if floor is not None and ceil is not None and floor > ceil:
-                return False
+        signed = [pt * sign for pt in points]
+        grads = [2 * s.dot(w) for s in signed]
+        lo = max(g for g, a in zip(grads, alphas) if a > 0)
+        hi = min((g for g, a in zip(grads, alphas) if a < qp.mu), default=None)
+        out.append((signed, grads, lo, hi))
+    return out
+
+
+def unique_optimum(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
+    """Exact proof that an optimal candidate is the only optimum of qp.
+
+    Call it only on a candidate that `kkt_check_general` accepts. Every optimum
+    has the same w = p - q, hence the same gradients, and the candidate's
+    multipliers hold for it too. So a coefficient whose gradient differs from
+    its class multiplier lam has a nonzero bound multiplier and sits at the
+    same bound in every optimum. Where the valid lam form an interval, lam is
+    taken strictly inside it and no coefficient of that class can move. The
+    rest, the points whose gradient equals lam, could only move along a
+    direction that keeps every class sum and w; none exists iff their
+    differences to one reference point per class are linearly independent,
+    decided by a nonsingular Gram matrix. False means such a direction exists;
+    it leads to another optimum unless a point it moves sits at a bound.
+    """
+    diffs = []
+    for signed, grads, lo, hi in _multiplier_ranges(qp, candidate):
+        if lo != hi:
+            continue
+        movable = [s for s, g in zip(signed, grads) if g == lo]
+        diffs.extend(s - movable[0] for s in movable[1:])
+    gram = [[a.dot(b) for b in diffs] for a in diffs]
+    try:
+        solve_linear_system(gram, [0] * len(diffs))
+    except SingularMatrixError:
+        return False
     return True
 
 
-def build_kkt_certificate(pair: ConstructedPair, params: GoldfarbParams, ell) -> KktCertificate:
-    """Multipliers for a constructed pair, verified equation by equation.
+def build_kkt_certificate(
+    instance: SvmInstance, pair: ConstructedPair, decomp: SupportDecomposition
+) -> KktCertificate:
+    """Prove the constructed pair the unique optimum of the instance at its mu.
 
-    The single facet multiplier is -2 * slack / ||v_sigma(ell)||^2 > 0; the
-    line multiplier vector is 2(p - q). Raises CertificateError naming the
-    first equation that fails.
+    At mu = mu_of_q(q[-1]) the candidate puts the decomposition weights on
+    the plus points labeled (k, sigma_k) and (mu, 1 - mu) on (left, right). It
+    must be feasible and pass `kkt_check_general` and `unique_optimum` on the
+    instance QP; otherwise CertificateError names sigma and mu.
     """
-    ell = Fraction(ell)
-    if pair.sigma[-1] != 1:
-        raise ValueError("certificate construction needs the last sign to be +1")
-    v_ell = stretch(cube_vertex(params, pair.sigma).coords, ell)
-    lam = -2 * pair.slack / v_ell.norm_sq()
-    if lam <= 0:
-        raise CertificateError(f"facet multiplier {lam} is not positive")
-    line_multipliers = (pair.p - pair.q) * 2
-
-    residual = (pair.p - pair.q) * 2 + v_ell * lam
-    if any(residual):
-        raise CertificateError(f"stationarity in p fails for sigma={pair.sigma}")
-    if any((pair.q - pair.p) * 2 + line_multipliers):
-        raise CertificateError(f"stationarity in q fails for sigma={pair.sigma}")
-    if lam * (v_ell.dot(pair.p) - 1) != 0:
-        raise CertificateError(f"facet complementary slackness fails for sigma={pair.sigma}")
-    # ray complementary slackness: q is the ray endpoint itself
-    if line_multipliers[-1] * (pair.q[-1] - pair.q[-1]) != 0:
-        raise CertificateError(f"ray complementary slackness fails for sigma={pair.sigma}")
-    if line_multipliers[-1] > 0:
-        raise CertificateError(
-            f"ray multiplier {line_multipliers[-1]} must be <= 0 for sigma={pair.sigma}"
-        )
-    return KktCertificate({tuple(pair.sigma): lam}, line_multipliers)
-
-
-def _relaxed_objective(p: Vec, q: Vec) -> Fraction:
-    return (p - q).norm_sq()
-
-
-def verify_relaxed_uniqueness(
-    pair: ConstructedPair, params: GoldfarbParams, ell, trials: int = 6
-) -> bool:
-    """Falsification test of uniqueness on the single-facet relaxation.
-
-    Deterministic rational perturbations of the pair (q moved along the line,
-    p moved within the facet hyperplane, and both re-projections) must each be
-    infeasible or strictly worse. A tie raises UniquenessError.
-    """
-    ell = Fraction(ell)
-    d = params.dim
-    v_ell = stretch(cube_vertex(params, pair.sigma).coords, ell)
-    base = _relaxed_objective(pair.p, pair.q)
-
-    def check(p_cand: Vec, q_cand: Vec, what: str):
-        # feasibility for the relaxed problem: the facet inequality on p and
-        # the line/ray constraints on q
-        if v_ell.dot(p_cand) > 1:
-            return
-        if any(q_cand[i] != 0 for i in range(d - 2)) or q_cand[d - 2] != 2:
-            return
-        if q_cand[-1] < pair.q[-1]:
-            return
-        value = _relaxed_objective(p_cand, q_cand)
-        if value <= base and (p_cand, q_cand) != (pair.p, pair.q):
-            raise UniquenessError(f"{what} ties or beats the constructed pair")
-
-    check(pair.p, pair.q, "the pair itself")  # self-comparison stays allowed
-
-    step = Fraction(1)
-    for _ in range(trials):
-        up = Vec(list(pair.q[:-1]) + [pair.q[-1] + step])
-        check(pair.p, up, f"q raised by {step}")
-        slack = 1 - v_ell.dot(up)
-        reproj = up + v_ell * (slack / v_ell.norm_sq())
-        check(reproj, up, f"q raised by {step}, p re-projected")
-        down = Vec(list(pair.q[:-1]) + [pair.q[-1] - step])
-        check(pair.p, down, f"q lowered by {step}")  # infeasible: filtered out
-        step /= 2
-
-    scale = Fraction(1, 8)
-    for axis in range(d - 1):
-        shift = Vec.unit(d, axis) - Vec.unit(d, d - 1) * (v_ell[axis] / v_ell[-1])
-        for direction in (scale, -scale):
-            check(pair.p + shift * direction, pair.q, f"p shifted along axis {axis}")
-    return True
+    mu = mu_of_q(pair.q[-1], instance.calibration)
+    alpha_plus = [Fraction(0)] * len(instance.plus_points)
+    for k, (s, a) in enumerate(zip(pair.sigma, decomp.alphas), start=1):
+        alpha_plus[instance.plus_labels.index((k, s))] = a
+    candidate = OptimalPair(
+        pair.p, pair.q, tuple(alpha_plus), (mu, 1 - mu), (pair.p - pair.q).norm_sq()
+    )
+    qp = ReducedHullQP.from_instance(instance, mu)
+    where = f"sigma={pair.sigma} at mu={mu}"
+    try:
+        optimal = kkt_check_general(qp, candidate)
+    except FeasibilityError as exc:
+        raise CertificateError(f"infeasible candidate for {where}: {exc}") from exc
+    if not optimal:
+        raise CertificateError(f"KKT conditions fail for {where}")
+    if not unique_optimum(qp, candidate):
+        raise CertificateError(f"optimum is not unique for {where}")
+    _signed, _grads, lam_plus, _hi = _multiplier_ranges(qp, candidate)[0]
+    return KktCertificate(tuple(pair.sigma), mu, candidate, -lam_plus)
 
 
 def nu_from_mu(mu, n: int) -> Fraction:

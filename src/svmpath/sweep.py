@@ -7,13 +7,11 @@ Grid points are exact rationals, so every solve along a sweep stays exact.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .construct import MINUS_LABELS, SvmInstance, mu_of_q
+from .construct import MINUS_LABELS, SvmInstance
 from .qp import (
     OptimalPair,
     ReducedHullQP,
@@ -24,7 +22,7 @@ from .qp import (
 
 
 class SweepMismatchError(Exception):
-    """A constructed breakpoint did not reproduce its predicted optimum."""
+    """Two certified breakpoints share a mu or a support set."""
 
     def __init__(self, sigma, detail: str):
         self.sigma = tuple(sigma)
@@ -56,20 +54,16 @@ class SweepReport:
     lower_bound: int
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SVMPATH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _solve_record(instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair]) -> SweepRecord:
     qp = ReducedHullQP.from_instance(instance, mu)
     try:
         pair = solve_reduced_distance(qp, start=warm)
     except SolverStalledError as exc:
         raise SolverStalledError(f"at mu = {mu}: {exc}") from exc
+    return _record(instance, mu, pair)
+
+
+def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepRecord:
     plus_idx, minus_idx = support_set(pair)
     return SweepRecord(
         mu=Fraction(mu),
@@ -78,11 +72,6 @@ def _solve_record(instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPai
         objective=pair.objective,
         pair=pair,
     )
-
-
-def _solve_record_args(args) -> SweepRecord:
-    instance, mu = args
-    return _solve_record(instance, mu, None)
 
 
 def _report(records: Iterable[SweepRecord], lower_bound: int) -> SweepReport:
@@ -108,44 +97,21 @@ def grid_values(mu_lo: Fraction, mu_hi: Fraction, steps: int) -> list:
 def sweep_grid(instance: SvmInstance, mu_lo, mu_hi, steps: int) -> SweepReport:
     """Solve on a uniform rational grid of `steps` points over [mu_lo, mu_hi].
 
-    Serial sweeps ascend in mu so each solve warm-starts from its predecessor
-    (coefficients stay feasible when the cap grows); with SVMPATH_THREADS > 1
-    the solves run cold in a process pool instead.
+    The sweep ascends in mu so each solve warm-starts from its predecessor
+    (coefficients stay feasible when the cap grows).
     """
     mu_lo, mu_hi = Fraction(mu_lo), Fraction(mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         raise ValueError("need 1/2 <= mu_lo < mu_hi <= 1")
     if steps < 2:
         raise ValueError("need at least two grid points")
-    grid = grid_values(mu_lo, mu_hi, steps)
-    threads = _thread_count()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_solve_record_args, ((instance, mu) for mu in grid)))
-    else:
-        records = []
-        warm = None
-        for mu in grid:
-            rec = _solve_record(instance, mu, warm)
-            warm = rec.pair
-            records.append(rec)
+    records = []
+    warm = None
+    for mu in grid_values(mu_lo, mu_hi, steps):
+        rec = _solve_record(instance, mu, warm)
+        warm = rec.pair
+        records.append(rec)
     return _report(records, instance_lower_bound(instance))
-
-
-def refine_between(instance: SvmInstance, mu_a, mu_b, depth: int) -> list:
-    """Bisect [mu_a, mu_b] wherever endpoint support sets differ.
-
-    Returns every record probed, endpoints included, ordered by decreasing mu.
-    Depth 0 solves only the endpoints.
-    """
-    mu_a, mu_b = Fraction(mu_a), Fraction(mu_b)
-    if mu_a >= mu_b:
-        raise ValueError("need mu_a < mu_b")
-    rec_a = _solve_record(instance, mu_a, None)
-    rec_b = _solve_record(instance, mu_b, rec_a.pair)
-    found = [rec_a, rec_b]
-    _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, found)
-    return sorted(found, key=lambda r: r.mu, reverse=True)
 
 
 def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out) -> None:
@@ -169,38 +135,25 @@ def sweep_refined(instance: SvmInstance, mu_lo, mu_hi, steps: int, depth: int) -
     return _report(records + extra, base.lower_bound)
 
 
-def sweep_constructed(
-    instance: SvmInstance,
-    pairs: Sequence,
-    decomps: Sequence,
-) -> SweepReport:
-    """Solve at each constructed breakpoint value and verify the prediction.
+def sweep_constructed(instance: SvmInstance, certificates: Sequence) -> SweepReport:
+    """Order certified breakpoint optima by decreasing mu, without solving.
 
-    For every admissible sigma in decreasing mu(q_sigma) order the solver must
-    return exactly the constructed pair, with the positive-class support equal
-    to the d facet labels (k, sigma_k). Any deviation raises
-    SweepMismatchError naming the offending sigma.
+    Each KktCertificate proves its pair the unique optimum at its mu, so its
+    record is exact. Two certificates that share a mu or a support set
+    contradict each other; SweepMismatchError then names both sigmas.
     """
     if instance.calibration is None:
         raise ValueError("constructed sweep needs a calibrated instance")
-    calib = instance.calibration
-    by_mu = sorted(
-        zip(pairs, decomps), key=lambda pd: mu_of_q(pd[0].q[-1], calib), reverse=True
-    )
     records = []
-    for pair, _decomp in by_mu:
-        mu = mu_of_q(pair.q[-1], calib)
-        rec = _solve_record(instance, mu, None)
-        if rec.pair.p != pair.p or rec.pair.q != pair.q:
-            raise SweepMismatchError(pair.sigma, "solved pair differs from the constructed one")
-        expected = frozenset((k, pair.sigma[k - 1]) for k in range(1, len(pair.sigma) + 1))
-        if rec.support_plus != expected:
+    by_mu, by_support = {}, {}
+    for cert in certificates:
+        rec = _record(instance, cert.mu, cert.pair)
+        if rec.mu in by_mu:
+            raise SweepMismatchError(cert.sigma, f"shares its mu with sigma={by_mu[rec.mu]}")
+        if rec.support in by_support:
             raise SweepMismatchError(
-                pair.sigma, f"support {sorted(rec.support_plus)} != {sorted(expected)}"
+                cert.sigma, f"shares its support set with sigma={by_support[rec.support]}"
             )
+        by_mu[rec.mu] = by_support[rec.support] = cert.sigma
         records.append(rec)
-    report = _report(records, instance_lower_bound(instance))
-    expected_count = len(records)
-    if report.distinct_support_sets != expected_count:
-        raise SweepMismatchError((), f"only {report.distinct_support_sets} distinct sets")
-    return report
+    return _report(records, instance_lower_bound(instance))

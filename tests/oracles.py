@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's solution paths: the distance oracle
 enumerates every bound pattern of the dual and minimizes each subproblem from
-scratch, hull extremeness is decided by exhaustive triangle membership, and
-the two facet-incidence checks rebuild every cube vertex as Fractions instead
-of reading the library's integer vertex table. All are exact.
+scratch, uniqueness of an optimum is decided by Fourier-Motzkin over the
+directions of its optimal face, hull extremeness is decided by exhaustive
+triangle membership, the two facet-incidence checks rebuild every cube vertex
+as Fractions instead of reading the library's integer vertex table, and the
+facet multiplier of a breakpoint comes from the single-facet relaxation
+rather than the instance QP. All are exact.
 """
 
 from fractions import Fraction
@@ -175,3 +178,60 @@ def shadow_certificate_oracle(cert, params) -> bool:
         elif value >= 1:
             return False
     return True
+
+
+def membership(polytope, x) -> tuple:
+    """(inside, tight) for a point: all halfspaces hold, and which hold with equality."""
+    if len(x) != polytope.dim:
+        raise ValueError("point dimension mismatch")
+    values = [h.normal.dot(x) for h in polytope.halfspaces]
+    inside = all(v <= h.rhs for v, h in zip(values, polytope.halfspaces))
+    return inside, tuple(v == h.rhs for v, h in zip(values, polytope.halfspaces))
+
+
+def unique_optimum_oracle(qp, candidate) -> bool:
+    """Reference for qp.unique_optimum on an optimal candidate.
+
+    The optimal face is {x feasible : sum x_i s_i = p - q}, with s_i the points
+    and the minus class negated. It is the single point x iff no nonzero
+    direction keeps w and both class sums and stays feasible at the bounds x
+    sits on. Such directions are combinations N t of a nullspace basis; for
+    each coordinate and sign, Fourier-Motzkin decides whether one moves that
+    coordinate by at least 1.
+    """
+    x = list(candidate.alpha_plus) + list(candidate.alpha_minus)
+    n_plus, n = len(candidate.alpha_plus), len(x)
+    signed = list(qp.plus_points) + [-v for v in qp.minus_points]
+    rows = [[s[c] for s in signed] for c in range(len(signed[0]))]
+    rows.append([1 if i < n_plus else 0 for i in range(n)])
+    rows.append([0 if i < n_plus else 1 for i in range(n)])
+    _, basis = solve_linear_system_general(rows, [0] * len(rows))
+    if not basis:
+        return True
+    moves = [[vec[i] for vec in basis] for i in range(n)]  # direction_i = moves[i] . t
+    at_bounds = []
+    for i in range(n):
+        if x[i] == 0:
+            at_bounds.append(([-c for c in moves[i]], Fraction(0)))
+        elif x[i] == qp.mu:
+            at_bounds.append((list(moves[i]), Fraction(0)))
+    for i in range(n):
+        for sign in (1, -1):
+            if fourier_motzkin_feasible(at_bounds + [([-sign * c for c in moves[i]], Fraction(-1))]):
+                return False
+    return True
+
+
+def relaxed_facet_multiplier(pair, params, ell) -> Fraction:
+    """Multiplier of the sigma-facet in the single-facet relaxation of a breakpoint.
+
+    The relaxation keeps only the sigma-facet v . p <= 1 on p and the line on
+    q. Its multiplier is -2 slack / ||v||^2 with v the stretched facet normal;
+    the asserts are the relaxation's stationarity in p and its complementary
+    slackness.
+    """
+    v_ell = stretch(cube_vertex(params, pair.sigma).coords, ell)
+    lam = -2 * pair.slack / v_ell.norm_sq()
+    assert not any((pair.p - pair.q) * 2 + v_ell * lam)
+    assert v_ell.dot(pair.p) == 1
+    return lam

@@ -94,16 +94,6 @@ class TestGenRefuses:
         assert_one_line_failure(result, "facet vertices degenerate for sigma=", "L=20000")
         assert not out.exists()
 
-    def test_certificate_failure_at_fixed_stretch(self, tmp_path, capsys, monkeypatch):
-        def refuse(pair, params, ell):
-            raise qp.CertificateError(f"forced for sigma={pair.sigma}")
-
-        monkeypatch.setattr(qp, "build_kkt_certificate", refuse)
-        out = tmp_path / "d3.inst"
-        result = run(["gen", "--d", "3", "--out", str(out)], capsys)
-        assert_one_line_failure(result, "forced for sigma=")
-        assert not out.exists()
-
     def test_stretch_search_exhausted(self, tmp_path, capsys, monkeypatch):
         short = functools.partial(
             construct.choose_stretch, start=F(1, 10 ** 9), max_doublings=2
@@ -146,6 +136,16 @@ class TestVerify:
         assert "\nL 20000/1\n" in text
         out.write_text(text.replace("\nL 20000/1\n", "\nL 1/1\n"))
         assert_one_line_failure(run(["verify", str(out)], capsys), "sigma=", "L=1")
+
+    def test_uniqueness_failure_names_sigma_and_mu(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "d3.inst"
+        run(["gen", "--d", "3", "--out", str(out)], capsys)
+        monkeypatch.setattr(qp, "unique_optimum", lambda qp_instance, candidate: False)
+        code, stdout, _ = run(["verify", str(out)], capsys)
+        assert code == 1
+        doc = json.loads(stdout)
+        assert doc["ok"] is False
+        assert "optimum is not unique for sigma=(-1, 1, 1) at mu=1" == doc["error"]
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, stderr = run(["verify", str(tmp_path / "nope.inst")], capsys)
@@ -207,6 +207,22 @@ class TestSweepCommand:
             capsys,
         )
         assert_one_line_failure(result, "no optimum", "mu = 9/10")
+
+    def test_negative_precision_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept before checking --precision")
+
+        inst = tmp_path / "d3.inst"
+        run(["gen", "--d", "3", "--out", str(inst)], capsys)
+        monkeypatch.setattr(cli, "sweep_refined", refuse)
+        report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        code, _, stderr = run(
+            ["sweep", str(inst), "--out", str(report), "--csv", str(csv), "--precision", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert stderr.count("\n") == 1 and "--precision" in stderr
+        assert not report.exists() and not csv.exists()
 
     def test_bad_range_is_input_error(self, tmp_path, capsys):
         inst = tmp_path / "d3.inst"

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import membership
+from svmpath.construct import build_p_stretched, stretch
 from svmpath.geometry import (
     DegenerateHullError,
     HalfSpace,
@@ -14,7 +16,6 @@ from svmpath.geometry import (
     convex_hull_2d,
     normalize_halfspace,
     orient2d,
-    project_to_unit_hyperplane,
     solve_linear_system,
     solve_linear_system_general,
 )
@@ -105,45 +106,43 @@ class TestNormalizeHalfspace:
 
 
 class TestProjection:
+    # construct.build_p_stretched at ell = 1 projects q onto the hyperplane a . x = 1
+
     def test_unit_normal(self):
         d = 5
         a = Vec.unit(d, d - 2)
         q = Vec((0, 0, 0, 2, 0))
-        p, slack = project_to_unit_hyperplane(q, a)
-        assert p == Vec((0, 0, 0, 1, 0))
-        assert slack == -1
+        assert build_p_stretched(q, a, 1) == Vec((0, 0, 0, 1, 0))
 
     def test_reprojection_is_identity(self):
         a = Vec((0, 0, 1, 1))
-        q = Vec((0, 0, 2, 0))
-        p, _ = project_to_unit_hyperplane(q, a)
-        p2, slack2 = project_to_unit_hyperplane(p, a)
-        assert p2 == p and slack2 == 0
+        p = build_p_stretched(Vec((0, 0, 2, 0)), a, 1)
+        assert build_p_stretched(p, a, 1) == p
 
     def test_two_coordinate_normal(self):
         a = Vec((0, 0, 1, 1))
         q = Vec((0, 0, 2, 0))
-        p, slack = project_to_unit_hyperplane(q, a)
-        assert slack == -1
-        assert p == Vec((0, 0, F(3, 2), F(-1, 2)))
+        assert 1 - a.dot(q) == -1
+        assert build_p_stretched(q, a, 1) == Vec((0, 0, F(3, 2), F(-1, 2)))
 
     def test_zero_normal_rejected(self):
-        with pytest.raises(ValueError):
-            project_to_unit_hyperplane(Vec((1, 2)), Vec.zero(2))
+        with pytest.raises(ZeroDivisionError):
+            build_p_stretched(Vec((1, 2)), Vec.zero(2), 1)
 
     @settings(max_examples=80)
     @given(st.integers(2, 5), st.data())
     def test_projection_properties(self, dim, data):
-        a = data.draw(vec_strategy(dim).filter(lambda v: any(v)))
+        ell = data.draw(st.fractions(min_value=F(1, 100), max_value=4, max_denominator=100))
+        a = data.draw(vec_strategy(dim).filter(lambda v: any(stretch(v, ell))))
         q = data.draw(vec_strategy(dim))
-        p, slack = project_to_unit_hyperplane(q, a)
-        assert a.dot(p) == 1
-        assert slack == 1 - a.dot(q)
-        # p - q is a multiple of a: all 2x2 minors vanish
+        p = build_p_stretched(q, a, ell)
+        a_ell = stretch(a, ell)
+        assert a_ell.dot(p) == 1
+        # p - q is a multiple of a_ell: all 2x2 minors vanish
         diff = p - q
         for i in range(dim):
             for j in range(i + 1, dim):
-                assert diff[i] * a[j] == diff[j] * a[i]
+                assert diff[i] * a_ell[j] == diff[j] * a_ell[i]
 
 
 class TestConvexHull:
@@ -193,17 +192,17 @@ class TestContains:
             HalfSpace(Vec((0, 1)), F(1)),
             HalfSpace(Vec((0, -1)), F(1)),
         ))
-        inside, tight = box.contains(Vec((0, 0)))
+        inside, tight = membership(box, Vec((0, 0)))
         assert inside and not any(tight)
-        inside, tight = box.contains(Vec((1, 0)))
+        inside, tight = membership(box, Vec((1, 0)))
         assert inside and tight == (True, False, False, False)
-        inside, _ = box.contains(Vec((2, 0)))
+        inside, _ = membership(box, Vec((2, 0)))
         assert not inside
 
     def test_dimension_mismatch(self):
         box = HPolytope(2, (HalfSpace(Vec((1, 0)), F(1)),))
         with pytest.raises(ValueError):
-            box.contains(Vec((1, 2, 3)))
+            membership(box, Vec((1, 2, 3)))
 
 
 class TestRationalNormalForm:

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import default_params, spread
-from oracles import is_extreme_point, shadow_certificate_oracle
+from oracles import is_extreme_point, membership, shadow_certificate_oracle
 from svmpath.geometry import Vec, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
@@ -20,7 +20,6 @@ from svmpath.goldfarb import (
     facet_order,
     project_shadow,
     shadow_certificate,
-    shadow_certificates,
     shadow_polygon,
     sign_vectors,
 )
@@ -60,7 +59,7 @@ class TestCubeInequalities:
 
     def test_origin_strictly_interior_d8(self):
         cube = build_goldfarb(default_params(8))
-        inside, tight = cube.contains(Vec.zero(8))
+        inside, tight = membership(cube, Vec.zero(8))
         assert inside and not any(tight)
 
     def test_vertex_on_exactly_d_indexed_facets(self):
@@ -69,7 +68,7 @@ class TestCubeInequalities:
         order = facet_order(5)
         for sigma in sign_vectors(5):
             v = cube_vertex(params, sigma)
-            inside, tight = cube.contains(v.coords)
+            inside, tight = membership(cube, v.coords)
             assert inside
             tight_facets = {order[i] for i, t in enumerate(tight) if t}
             assert tight_facets == {(k, sigma[k - 1]) for k in range(1, 6)}
@@ -79,7 +78,7 @@ class TestCubeInequalities:
         cube = build_goldfarb(params)
         for sigma in sign_vectors(4):
             doubled = cube_vertex(params, sigma).coords * 2
-            assert not cube.contains(doubled).inside
+            assert not membership(cube, doubled)[0]
 
 
 class TestCubeVertices:
@@ -154,9 +153,9 @@ class TestDualVertices:
             return all(w.coords.dot(x) <= 1 for w in duals)
 
         for v in cube_vertices(params):
-            assert cube.contains(v.coords).inside and dual_side_contains(v.coords)
+            assert membership(cube, v.coords)[0] and dual_side_contains(v.coords)
             doubled = v.coords * 2
-            assert not cube.contains(doubled).inside
+            assert not membership(cube, doubled)[0]
             assert not dual_side_contains(doubled)
 
 
@@ -173,7 +172,8 @@ class TestShadow:
 
     def test_certificates_exhaustive_d4(self, params4):
         vertices = {v.sigma: v.coords for v in cube_vertices(params4)}
-        for sigma, cert in shadow_certificates(params4).items():
+        for sigma in sign_vectors(4):
+            cert = shadow_certificate(params4, sigma)
             assert cert.vector[0] == 0 and cert.vector[1] == 0
             assert cert.vector.dot(vertices[sigma]) == 1
             for tau, other in vertices.items():

@@ -1,33 +1,28 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_STRETCH, default_params
-from oracles import enumerate_min_objective
-from svmpath.construct import (
-    ConstructedPair,
-    generate_2d_arc_instance,
-    mu_of_q,
-    stretch,
-)
+from conftest import DEFAULT_STRETCH
+from oracles import enumerate_min_objective, relaxed_facet_multiplier, unique_optimum_oracle
+from svmpath.construct import generate_2d_arc_instance, mu_of_q
 from svmpath.geometry import Vec
-from svmpath.goldfarb import cube_vertex
 from svmpath.qp import (
     CertificateError,
     FeasibilityError,
     OptimalPair,
     ReducedHullQP,
-    UniquenessError,
     build_kkt_certificate,
     kkt_check_general,
     mu_from_nu,
     nu_from_mu,
     solve_reduced_distance,
     support_set,
-    verify_relaxed_uniqueness,
+    unique_optimum,
 )
 
 
@@ -224,51 +219,107 @@ class TestKktCheckGeneral:
 
 
 class TestCertificates:
-    def test_valid_for_all_admissible_sigmas(self, params4, constructions4):
-        ell = DEFAULT_STRETCH.inverse
-        for pair, _ in constructions4:
-            cert = build_kkt_certificate(pair, params4, ell)
-            lam = cert.facet_multipliers[pair.sigma]
-            # direct substitution into the stationarity equation
-            v_ell = stretch(cube_vertex(params4, pair.sigma).coords, ell)
-            assert (pair.p - pair.q) * 2 + v_ell * lam == Vec.zero(4)
-            assert cert.line_multipliers == (pair.p - pair.q) * 2
-            assert lam > 0
-            assert cert.line_multipliers[-1] <= 0
+    def test_valid_for_all_admissible_sigmas(self, params4, instance4, constructions4):
+        for pair, decomp in constructions4:
+            cert = build_kkt_certificate(instance4, pair, decomp)
+            mu = mu_of_q(pair.q[-1], instance4.calibration)
+            assert cert.sigma == pair.sigma and cert.mu == mu
+            assert cert.pair.p == pair.p and cert.pair.q == pair.q
+            assert cert.pair.alpha_minus == (mu, 1 - mu)
+            assert sorted(a for a in cert.pair.alpha_plus if a) == sorted(decomp.alphas)
+            assert cert.facet_multiplier == relaxed_facet_multiplier(
+                pair, params4, DEFAULT_STRETCH.inverse
+            ) > 0
 
-    def test_perturbed_point_breaks_stationarity(self, params4, constructions4):
-        pair, _ = constructions4[0]
-        moved = ConstructedPair(
-            pair.sigma,
-            pair.p_shadow,
-            pair.q,
-            pair.p + Vec.unit(4, 0) * F(1, 1000),
-            pair.slack,
+    def test_perturbed_point_breaks_stationarity(self, instance4, constructions4):
+        pair, decomp = constructions4[0]
+        moved = replace(pair, p=pair.p + Vec.unit(4, 0) * F(1, 1000))
+        with pytest.raises(CertificateError, match=rf"infeasible .*sigma={re.escape(str(pair.sigma))} at mu="):
+            build_kkt_certificate(instance4, moved, decomp)
+
+    def test_other_sigmas_decomposition_rejected(self, instance4, constructions4):
+        (pair, _), (_, other) = constructions4[:2]
+        with pytest.raises(CertificateError, match=rf"sigma={re.escape(str(pair.sigma))} at mu="):
+            build_kkt_certificate(instance4, pair, other)
+
+    def test_wrong_mu_rejected(self, instance4, constructions4):
+        pair, decomp = constructions4[1]
+        calib = instance4.calibration
+        shifted = replace(instance4, calibration=replace(calib, mu_bar=(1 + calib.mu_bar) / 2))
+        wrong_mu = mu_of_q(pair.q[-1], shifted.calibration)
+        assert wrong_mu != mu_of_q(pair.q[-1], calib)
+        with pytest.raises(CertificateError, match=rf"sigma=.* at mu={wrong_mu}"):
+            build_kkt_certificate(shifted, pair, decomp)
+
+    def test_closer_point_breaks_optimality(self, instance4, constructions4):
+        # a plus point at q itself is feasible with weight 0 but beats the pair
+        pair, decomp = constructions4[0]
+        extra = replace(
+            instance4,
+            plus_points=instance4.plus_points + (pair.q,),
+            plus_labels=instance4.plus_labels + ("extra",),
         )
-        with pytest.raises(CertificateError):
-            build_kkt_certificate(moved, params4, DEFAULT_STRETCH.inverse)
+        with pytest.raises(CertificateError, match="KKT conditions fail for sigma="):
+            build_kkt_certificate(extra, pair, decomp)
 
-    def test_ray_multiplier_sign(self, params4, constructions4):
-        ell = DEFAULT_STRETCH.inverse
-        for pair, _ in constructions4:
-            cert = build_kkt_certificate(pair, params4, ell)
-            assert cert.line_multipliers[-1] == 2 * (pair.p[-1] - pair.q[-1]) <= 0
-
-
-class TestRelaxedUniqueness:
-    def test_constructed_pairs_unique(self, params4, constructions4):
-        for pair, _ in constructions4:
-            assert verify_relaxed_uniqueness(pair, params4, DEFAULT_STRETCH.inverse)
-
-    def test_tampered_pair_detected(self, params4, constructions4):
-        pair, _ = constructions4[0]
-        # move q up the ray while keeping p: this feasible candidate is now
-        # strictly better than the (wrong) stored objective baseline
-        worse = ConstructedPair(
-            pair.sigma, pair.p_shadow, Vec(list(pair.q[:-1]) + [pair.q[-1] - 2]), pair.p, pair.slack
+    def test_duplicated_vertex_breaks_uniqueness(self, instance4, constructions4):
+        # a copy of a support point can take over part of its weight
+        pair, decomp = constructions4[0]
+        idx = instance4.plus_labels.index((1, pair.sigma[0]))
+        twin = replace(
+            instance4,
+            plus_points=instance4.plus_points + (instance4.plus_points[idx],),
+            plus_labels=instance4.plus_labels + ("twin",),
         )
-        with pytest.raises(UniquenessError):
-            verify_relaxed_uniqueness(worse, params4, DEFAULT_STRETCH.inverse)
+        with pytest.raises(CertificateError, match="not unique for sigma="):
+            build_kkt_certificate(twin, pair, decomp)
+
+
+FLAT_PLUS = [Vec((0, 1)), Vec((1, 1))]
+FLAT_MINUS = [Vec((0, 0)), Vec((1, 0))]
+
+
+class TestUniqueOptimum:
+    def test_constructed_breakpoints_unique(self, instance4, constructions4):
+        for pair, decomp in constructions4:
+            cert = build_kkt_certificate(instance4, pair, decomp)
+            qp = ReducedHullQP.from_instance(instance4, cert.mu)
+            assert unique_optimum(qp, cert.pair)
+            assert unique_optimum_oracle(qp, cert.pair)
+
+    @pytest.mark.parametrize(
+        "plus,minus,alpha_plus,alpha_minus,mu",
+        [
+            # the two segments are parallel: every matching pair is optimal
+            (FLAT_PLUS, FLAT_MINUS, (F(1), F(0)), (F(1), F(0)), F(1)),
+            (FLAT_PLUS, FLAT_MINUS, (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), F(1)),
+            # a far point at weight 0 listed first must not set the multiplier
+            ([Vec((5, 5))] + FLAT_PLUS, FLAT_MINUS, (F(0), F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)), F(1)),
+            # near points at the cap listed first must not set the multipliers
+            (
+                [Vec((F(1, 2), F(1, 2)))] + FLAT_PLUS,
+                [Vec((F(1, 2), F(1, 4)))] + FLAT_MINUS,
+                (F(1, 2), F(1, 4), F(1, 4)),
+                (F(1, 2), F(1, 4), F(1, 4)),
+                F(1, 2),
+            ),
+        ],
+        ids=["segment-ends", "segment-midpoints", "far-zero-point-first", "capped-points-first"],
+    )
+    def test_flat_face_not_unique(self, plus, minus, alpha_plus, alpha_minus, mu):
+        qp = ReducedHullQP(plus, minus, mu)
+        p = sum((v * a for v, a in zip(qp.plus_points, alpha_plus)), Vec.zero(2))
+        q = sum((v * a for v, a in zip(qp.minus_points, alpha_minus)), Vec.zero(2))
+        candidate = OptimalPair(p, q, alpha_plus, alpha_minus, (p - q).norm_sq())
+        assert kkt_check_general(qp, candidate)
+        assert solve_reduced_distance(qp).objective == candidate.objective
+        assert not unique_optimum_oracle(qp, candidate)
+        assert not unique_optimum(qp, candidate)
+
+    def test_agrees_with_oracle_on_small_instances(self):
+        for qp in small_instances(200):
+            sol = solve_reduced_distance(qp)
+            assert unique_optimum(qp, sol) == unique_optimum_oracle(qp, sol)
 
 
 class TestParameterConversion:

@@ -3,12 +3,17 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
-from svmpath.construct import admissible_constructions, generate_2d_arc_instance, mu_of_q
+from svmpath.construct import (
+    admissible_constructions,
+    build_instance,
+    generate_2d_arc_instance,
+    mu_of_q,
+)
+from svmpath.qp import build_kkt_certificate
 from svmpath.sweep import (
     SweepMismatchError,
     grid_values,
     instance_lower_bound,
-    refine_between,
     sweep_constructed,
     sweep_grid,
     sweep_refined,
@@ -58,12 +63,14 @@ class TestGrid:
 
 
 class TestRefine:
+    # a two-point grid refined between its ends: bisection of one interval
+
     def test_depth_zero_returns_endpoints_only(self, arc10):
-        records = refine_between(arc10, F(3, 5), F(4, 5), 0)
+        records = sweep_refined(arc10, F(3, 5), F(4, 5), 2, 0).records
         assert [r.mu for r in records] == [F(4, 5), F(3, 5)]
 
     def test_identical_endpoints_produce_nothing_new(self, arc10):
-        records = refine_between(arc10, F(11, 20), F(13, 20), 5)
+        records = sweep_refined(arc10, F(11, 20), F(13, 20), 2, 5).records
         assert len(records) == 2
 
     def test_straddled_breakpoint_found(self, instance3):
@@ -73,25 +80,27 @@ class TestRefine:
         mus = sorted(mu_of_q(pair.q[-1], calib) for pair, _ in cons)
         target = mus[0]
         lo, hi = target - F(1, 50), target + F(1, 50)
-        records = refine_between(instance3, lo, hi, 3)
+        records = sweep_refined(instance3, lo, hi, 2, 3).records
         assert len(records) > 2
         supports = [r.support for r in records]
         assert any(a != b for a, b in zip(supports, supports[1:]))
 
     def test_bad_interval_rejected(self, arc10):
         with pytest.raises(ValueError):
-            refine_between(arc10, F(4, 5), F(4, 5), 3)
+            sweep_refined(arc10, F(4, 5), F(4, 5), 2, 3)
+
+
+def certificates(instance, constructions) -> list:
+    return [build_kkt_certificate(instance, pair, decomp) for pair, decomp in constructions]
 
 
 class TestConstructedSweep:
     @pytest.mark.parametrize("d,expected", [(3, 2), (4, 4)])
     def test_distinct_support_count(self, d, expected):
-        from svmpath.construct import build_instance
-
         params = default_params(d)
         cons = admissible_constructions(params, DEFAULT_STRETCH)
         inst = build_instance(params, DEFAULT_STRETCH)
-        report = sweep_constructed(inst, [c[0] for c in cons], [c[1] for c in cons])
+        report = sweep_constructed(inst, certificates(inst, cons))
         assert report.distinct_support_sets == expected == 2 ** d // 4
         assert all(len(r.support_plus) == d for r in report.records)
         assert report.bend_count == expected - 1  # consecutive sets all differ
@@ -102,20 +111,25 @@ class TestConstructedSweep:
         mus = [mu_of_q(p.q[-1], calib) for p, _ in pairs]
         assert all(a > b for a, b in zip(mus, mus[1:]))
         assert all(calib.mu_bar <= m <= 1 for m in mus)
+        report = sweep_constructed(instance4, certificates(instance4, constructions4))
+        assert [r.mu for r in report.records] == mus
 
     def test_tampered_pair_raises_named_mismatch(self, instance4, constructions4):
         from dataclasses import replace
 
-        pairs = [c[0] for c in constructions4]
-        decomps = [c[1] for c in constructions4]
-        bad = replace(pairs[0], p=pairs[1].p, q=pairs[1].q)
-        with pytest.raises(SweepMismatchError) as info:
-            sweep_constructed(instance4, [bad] + pairs[1:], decomps)
-        assert info.value.sigma == pairs[0].sigma
+        certs = certificates(instance4, constructions4)
+        same_mu = replace(certs[0], mu=certs[1].mu)
+        with pytest.raises(SweepMismatchError, match="shares its mu") as info:
+            sweep_constructed(instance4, [certs[1], same_mu] + certs[2:])
+        assert info.value.sigma == certs[0].sigma
+        same_support = replace(certs[0], pair=certs[1].pair)
+        with pytest.raises(SweepMismatchError, match="shares its support set") as info:
+            sweep_constructed(instance4, [certs[1], same_support] + certs[2:])
+        assert info.value.sigma == certs[0].sigma
 
     def test_demo_instance_rejected(self, arc10):
         with pytest.raises(ValueError):
-            sweep_constructed(arc10, [], [])
+            sweep_constructed(arc10, [])
 
 
 class TestRefinedSweep:
@@ -127,13 +141,3 @@ class TestRefinedSweep:
 
     def test_lower_bound_for_demo(self, arc10):
         assert instance_lower_bound(arc10) == 2 * (10 - 3)
-
-
-class TestThreadedSweep:
-    def test_parallel_matches_serial(self, arc10, monkeypatch):
-        serial = sweep_grid(arc10, F(3, 4), F(1), 7)
-        monkeypatch.setenv("SVMPATH_THREADS", "2")
-        parallel = sweep_grid(arc10, F(3, 4), F(1), 7)
-        assert [r.mu for r in parallel.records] == [r.mu for r in serial.records]
-        assert [r.objective for r in parallel.records] == [r.objective for r in serial.records]
-        assert parallel.bend_count == serial.bend_count
