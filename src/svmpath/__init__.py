@@ -25,26 +25,15 @@ from .construct import (
     stretch,
     support_decomposition,
 )
-from .geometry import (
-    HalfSpace,
-    HPolytope,
-    Polygon2,
-    Rational,
-    Vec,
-    convex_hull_2d,
-    normalize_halfspace,
-    solve_linear_system,
-)
+from .geometry import Polygon2, Rational, Vec, convex_hull_2d, solve_linear_system
 from .goldfarb import (
     CubeVertex,
     DualVertex,
     GoldfarbParams,
     ShadowCertificate,
     admissible_sign_vectors,
-    build_goldfarb,
     cube_vertex,
     cube_vertices,
-    dual_vertex,
     dual_vertices,
     shadow_certificate,
     shadow_polygon,

@@ -21,7 +21,7 @@ from .construct import (
     choose_stretch,
     generate_2d_arc_instance,
 )
-from .goldfarb import GoldfarbParams
+from .goldfarb import GoldfarbParams, ShadowPropertyError
 from .instance_io import (
     InstanceFormatError,
     parse_rational,
@@ -114,6 +114,13 @@ def cmd_sweep(args) -> int:
     if args.precision < 0:
         print(f"sweep: --precision must be >= 0, got {args.precision}", file=sys.stderr)
         return EXIT_INPUT
+    for flag, path in (("--out", args.out), ("--csv", args.csv)):
+        if path is not None and Path(path).is_dir():
+            print(f"sweep: {flag} {path} is a directory", file=sys.stderr)
+            return EXIT_INPUT
+        if path is not None and not Path(path).parent.is_dir():
+            print(f"sweep: {flag} {path}: parent directory does not exist", file=sys.stderr)
+            return EXIT_INPUT
     instance = read_instance(args.instance)
     report = sweep_refined(
         instance, parse_rational(args.mu_lo), parse_rational(args.mu_hi), args.steps, args.refine
@@ -202,7 +209,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InstanceFormatError, FileNotFoundError, ValueError) as exc:
+    except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (
@@ -212,6 +219,7 @@ def main(argv=None) -> int:
         DecompositionError,
         StretchSearchError,
         SolverStalledError,
+        ShadowPropertyError,
     ) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -20,10 +20,11 @@ from .goldfarb import (
     GoldfarbParams,
     SignVec,
     admissible_sign_vectors,
-    cube_vertex,
     cube_vertex_table,
+    cube_vertices,
     dual_vertices,
     shadow_certificate,
+    sign_index,
     sign_vectors,
 )
 
@@ -187,7 +188,7 @@ def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> Cons
     if sigma[-2] != 1 or sigma[-1] != 1:
         raise ValueError("pair construction needs the last two signs to be +1")
     cert = shadow_certificate(params, sigma)
-    vertex = cube_vertex(params, sigma).coords
+    vertex = cube_vertices(params)[sign_index(sigma)].coords
     q, slack = build_q(cert.vector, vertex)
     p = build_p_stretched(q, vertex, s.inverse)
     return ConstructedPair(sigma, cert.vector, q, p, slack)

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra, hyperplane operations and 2D convex hulls.
+"""Exact rational vectors, linear systems and 2D convex hulls.
 
 Every quantity in this package is a `fractions.Fraction`: arbitrary-precision
 numerator, positive denominator, always in lowest terms. Nothing here ever
@@ -21,10 +21,6 @@ class SingularMatrixError(Exception):
 
 class DegenerateHullError(Exception):
     """Hull input is collinear or has fewer than three distinct points."""
-
-
-class OriginNotInteriorError(Exception):
-    """A halfspace with rhs <= 0 cannot be rescaled to rhs = 1."""
 
 
 class Vec(tuple):
@@ -61,36 +57,6 @@ class Vec(tuple):
     @staticmethod
     def unit(dim: int, axis: int) -> "Vec":
         return Vec(Fraction(1) if i == axis else Fraction(0) for i in range(dim))
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    """The inequality normal . x <= rhs."""
-
-    normal: Vec
-    rhs: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", Vec(self.normal))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-        if not any(self.normal):
-            raise ValueError("halfspace normal must be nonzero")
-
-
-@dataclass(frozen=True)
-class HPolytope:
-    """Finite conjunction of halfspaces."""
-
-    dim: int
-    halfspaces: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if not self.halfspaces:
-            raise ValueError("need at least one halfspace")
-        for h in self.halfspaces:
-            if len(h.normal) != self.dim:
-                raise ValueError("halfspace dimension mismatch")
 
 
 def orient2d(o: Sequence, a: Sequence, b: Sequence) -> Fraction:
@@ -147,13 +113,6 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon2:
     if len(hull) < 3:
         raise DegenerateHullError("all points are collinear")
     return Polygon2(tuple(hull))
-
-
-def normalize_halfspace(h: HalfSpace) -> HalfSpace:
-    """Rescale a . x <= b with b > 0 to (a/b) . x <= 1 (same solution set)."""
-    if h.rhs <= 0:
-        raise OriginNotInteriorError(f"cannot normalize rhs {h.rhs} <= 0")
-    return HalfSpace(h.normal * (1 / h.rhs), Fraction(1))
 
 
 def _integer_rows(A: Sequence[Sequence], b: Sequence) -> list:

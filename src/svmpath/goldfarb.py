@@ -1,29 +1,22 @@
 """The perturbed cube, its vertices, the polar-dual vertices, and shadow points.
 
 The cube is the solution set of 2d inequalities arranged in opposite pairs
-indexed by (k, s) for k = 1..d and s in {-1, +1}. Its 2^d vertices are indexed
-by sign vectors sigma in {-1, +1}^d; the recursion below computes them
-directly. Projecting to the last two coordinates keeps all 2^d vertices on the
-hull boundary, which is what the whole construction exploits.
+indexed by (k, s) for k = 1..d and s in {-1, +1}; each inequality divided by
+its right-hand side is a dual vertex. The 2^d vertices are indexed by sign
+vectors sigma in {-1, +1}^d; the recursion below computes them directly, once
+per parameter set. Projecting to the last two coordinates keeps all 2^d
+vertices on the hull boundary, which is what the whole construction exploits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .geometry import (
-    HalfSpace,
-    HPolytope,
-    Polygon2,
-    Vec,
-    common_denominator,
-    convex_hull_2d,
-    normalize_halfspace,
-)
+from .geometry import Polygon2, Vec, common_denominator, convex_hull_2d
 
 SignVec = tuple  # entries in {-1, +1}
 
@@ -108,11 +101,19 @@ def facet_order(dim: int) -> tuple:
     return tuple((k, s) for k in range(1, dim + 1) for s in (-1, 1))
 
 
-def facet_index(k: int, s: int) -> int:
-    return 2 * (k - 1) + (1 if s == 1 else 0)
+def sign_index(sigma: SignVec) -> int:
+    """Position of sigma in `sign_vectors` order: its signs read as bits, -1 as 0."""
+    return int("".join("1" if s == 1 else "0" for s in sigma), 2)
 
 
-def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> HalfSpace:
+def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> tuple:
+    """(normal, rhs) of the cube inequality normal . x <= rhs of facet (k, s).
+
+    Pair k bounds x_k by a recurrence in the two previous coordinates; the
+    right inequality of pair k >= 3 reads
+    x_k + eps*x_{k-1} - eps*gamma*x_{k-2} <= 1 - eps + eps*gamma,
+    and the left inequality is its reflection in x_k.
+    """
     d, eps, gamma = params.dim, params.eps, params.gamma
     normal = [Fraction(0)] * d
     normal[k - 1] = Fraction(s)
@@ -125,21 +126,7 @@ def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> HalfSpace:
         normal[k - 2] = eps
         normal[k - 3] = -eps * gamma
         rhs = 1 - eps + eps * gamma
-    return HalfSpace(Vec(normal), rhs)
-
-
-def build_goldfarb(params: GoldfarbParams) -> HPolytope:
-    """The cube as 2d halfspaces in canonical facet order.
-
-    Pair k bounds x_k by a recurrence in the two previous coordinates; the
-    right inequality of pair k >= 3 reads
-    x_k + eps*x_{k-1} - eps*gamma*x_{k-2} <= 1 - eps + eps*gamma,
-    and the left inequality is its reflection in x_k.
-    """
-    return HPolytope(
-        params.dim,
-        tuple(_pair_normal_rhs(params, k, s) for k, s in facet_order(params.dim)),
-    )
+    return Vec(normal), rhs
 
 
 def cube_vertex(params: GoldfarbParams, sigma: SignVec) -> CubeVertex:
@@ -159,10 +146,13 @@ def cube_vertex(params: GoldfarbParams, sigma: SignVec) -> CubeVertex:
     return CubeVertex(tuple(sigma), Vec(x))
 
 
-def cube_vertices(params: GoldfarbParams) -> Iterator[CubeVertex]:
-    """Lazy exhaustive enumeration of all 2^d vertices."""
-    for sigma in sign_vectors(params.dim):
-        yield cube_vertex(params, sigma)
+@lru_cache(maxsize=None)
+def cube_vertices(params: GoldfarbParams) -> tuple:
+    """All 2^d vertices in `sign_vectors` order, built once per parameter set.
+
+    The vertex of sigma sits at position `sign_index(sigma)`.
+    """
+    return tuple(cube_vertex(params, sigma) for sigma in sign_vectors(params.dim))
 
 
 @lru_cache(maxsize=None)
@@ -170,8 +160,8 @@ def cube_vertex_table(params: GoldfarbParams) -> tuple:
     """(den, rows): all 2^d vertices as integer rows over one common denominator.
 
     Row i is den * v_tau for the i-th sign vector tau of `sign_vectors`, so
-    the exhaustive O(4^d) incidence checks compare integer dot products with
-    a fixed multiple of den instead of rebuilding Fraction vertices per call.
+    the incidence checks compare integer dot products with a fixed multiple
+    of den instead of Fraction dot products.
     """
     return common_denominator(v.coords for v in cube_vertices(params))
 
@@ -180,18 +170,16 @@ def cube_vertex_table(params: GoldfarbParams) -> tuple:
 def dual_vertices(params: GoldfarbParams) -> tuple:
     """The 2d vertices of the dual cube, one per facet, in canonical order.
 
-    Each is the cube inequality of facet (k, s) rescaled to w . x <= 1; the
-    parameter constraints guarantee every rhs is strictly positive.
+    Each is the cube inequality normal . x <= rhs of facet (k, s) divided
+    through by its rhs, w = normal / rhs. Every rhs (1, 1 - eps or
+    1 - eps + eps*gamma) exceeds 1/2, since GoldfarbParams enforces
+    eps < 1/2 and gamma > 0.
     """
-    cube = build_goldfarb(params)
     out = []
-    for (k, s), h in zip(facet_order(params.dim), cube.halfspaces, strict=True):
-        out.append(DualVertex(k, s, normalize_halfspace(h).normal))
+    for k, s in facet_order(params.dim):
+        normal, rhs = _pair_normal_rhs(params, k, s)
+        out.append(DualVertex(k, s, normal * (1 / rhs)))
     return tuple(out)
-
-
-def dual_vertex(params: GoldfarbParams, k: int, s: int) -> DualVertex:
-    return dual_vertices(params)[facet_index(k, s)]
 
 
 def project_shadow(x: Vec) -> Vec:
@@ -201,20 +189,21 @@ def project_shadow(x: Vec) -> Vec:
 
 @lru_cache(maxsize=None)
 def _shadow_data(params: GoldfarbParams):
-    """(hull polygon, hull position by point, projected point by sigma)."""
+    """(hull polygon, hull position by sigma, sigma by hull position).
+
+    Sigmas whose projected vertex is not a hull vertex have no position.
+    """
     if params.dim < 2:
         raise ValueError("shadow projection needs dim >= 2")
-    proj = {}
-    seen = set()
+    owner = {}
     for v in cube_vertices(params):
         pt = project_shadow(v.coords)
-        if pt in seen:
+        if pt in owner:
             raise ShadowPropertyError(f"two vertices share the shadow point {pt}")
-        seen.add(pt)
-        proj[v.sigma] = pt
-    hull = convex_hull_2d(proj.values())
-    pos = {pt: i for i, pt in enumerate(hull.vertices)}
-    return hull, pos, proj
+        owner[pt] = v.sigma
+    hull = convex_hull_2d(owner.keys())
+    ring = tuple(owner[pt] for pt in hull.vertices)
+    return hull, {sigma: i for i, sigma in enumerate(ring)}, ring
 
 
 def shadow_polygon(params: GoldfarbParams) -> Polygon2:
@@ -230,14 +219,13 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertific
     embedded direction so a . v_sigma = 1. Summing two edge normals gives a
     direction whose supporting line touches the hull at that vertex only.
     """
-    hull, pos, proj = _shadow_data(params)
+    hull, pos, _ring = _shadow_data(params)
     sigma = tuple(sigma)
-    pt = proj[sigma]
-    if pt not in pos:
+    if sigma not in pos:
         raise ShadowPropertyError(f"projected vertex for sigma={sigma} is not a hull vertex")
-    i = pos[pt]
+    i = pos[sigma]
     vs = hull.vertices
-    prev_pt, next_pt = vs[i - 1], vs[(i + 1) % len(vs)]
+    prev_pt, pt, next_pt = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
     normals = []
     for a, b in ((prev_pt, pt), (pt, next_pt)):
         dx, dy = b[0] - a[0], b[1] - a[1]
@@ -257,18 +245,31 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertific
 def _check_certificate(cert: ShadowCertificate, params: GoldfarbParams) -> None:
     """Raise unless a . v_sigma == 1 and a . v_tau < 1 for every other tau.
 
+    It is enough to test v_sigma and the two vertices whose projections are
+    the hull neighbours prev and next of sigma's projection pt. The hull is
+    strictly convex (Polygon2) and holds all 2^d projections, which are
+    distinct (`_shadow_data`), and every hull point is
+    x = pt + s (prev - pt) + t (next - pt) with s, t >= 0. So once
+    a . pt == 1 and a . prev, a . next < 1, a . x < 1 at every other x.
+
     Only the last two coordinates of a are nonzero, so the products run over
     the last two columns of the integer vertex table: with a = (a1, a2) / den_a
     the test a . v == 1 reads a1 * V[-2] + a2 * V[-1] == den * den_a.
     """
+    _hull, pos, ring = _shadow_data(params)
     den, rows = cube_vertex_table(params)
     den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
     one = den * den_a
-    own = int("".join("1" if s == 1 else "0" for s in cert.sigma), 2)  # row of sigma
-    if a1 * rows[own][-2] + a2 * rows[own][-1] != one:
+
+    def value(tau):
+        row = rows[sign_index(tau)]
+        return a1 * row[-2] + a2 * row[-1]
+
+    i = pos[cert.sigma]
+    if value(cert.sigma) != one:
         raise ShadowPropertyError("certificate is not tight at its own vertex")
-    for i, (tau, row) in enumerate(zip(sign_vectors(params.dim), rows)):
-        if i != own and a1 * row[-2] + a2 * row[-1] >= one:
+    for tau in (ring[i - 1], ring[(i + 1) % len(ring)]):
+        if value(tau) >= one:
             raise ShadowPropertyError(
                 f"certificate for {cert.sigma} fails strictness at {tau}"
             )

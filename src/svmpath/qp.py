@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
@@ -289,7 +290,8 @@ def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
     return all(hi is None or lo <= hi for _signed, _grads, lo, hi in ranges)
 
 
-def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> list:
+@lru_cache(maxsize=1)
+def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> tuple:
     """Per class: signed points, gradients, and the range of the class multiplier.
 
     The gradient of coefficient i is 2 s_i . (p - q) with s_i the point, negated
@@ -299,6 +301,10 @@ def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> list:
     over positive coefficients, hi the smallest over coefficients below mu
     (None when every coefficient sits at mu). KKT holds iff lo <= hi in each
     class; a free coefficient pins lo == hi.
+
+    The ranges of the last (qp, candidate) are kept, so `build_kkt_certificate`
+    computes them once for `kkt_check_general`, `unique_optimum` and the
+    plus-class multiplier.
     """
     w = candidate.p - candidate.q
     out = []
@@ -306,12 +312,12 @@ def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> list:
         (1, candidate.alpha_plus, qp.plus_points),
         (-1, candidate.alpha_minus, qp.minus_points),
     ):
-        signed = [pt * sign for pt in points]
-        grads = [2 * s.dot(w) for s in signed]
+        signed = tuple(pt * sign for pt in points)
+        grads = tuple(2 * s.dot(w) for s in signed)
         lo = max(g for g, a in zip(grads, alphas) if a > 0)
         hi = min((g for g, a in zip(grads, alphas) if a < qp.mu), default=None)
         out.append((signed, grads, lo, hi))
-    return out
+    return tuple(out)
 
 
 def unique_optimum(qp: ReducedHullQP, candidate: OptimalPair) -> bool:

@@ -11,6 +11,7 @@ rather than the instance QP. All are exact.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from svmpath.construct import stretch
@@ -152,12 +153,18 @@ def is_extreme_point(p, others) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def fraction_vertices(params) -> tuple:
+    """(tau, v_tau) for every tau, each vertex rebuilt by the per-sigma recursion."""
+    return tuple((tau, cube_vertex(params, tau).coords) for tau in sign_vectors(params.dim))
+
+
 def facet_strictness_oracle(p, params, ell, sigma) -> bool:
     """Reference for construct.facet_strictness_check, one Fraction dot per vertex."""
     ell = Fraction(ell)
     sigma = tuple(sigma)
-    for tau in sign_vectors(params.dim):
-        value = stretch(cube_vertex(params, tau).coords, ell).dot(p)
+    for tau, vertex in fraction_vertices(params):
+        value = stretch(vertex, ell).dot(p)
         if tau == sigma:
             if value != 1:
                 return False
@@ -170,8 +177,8 @@ def shadow_certificate_oracle(cert, params) -> bool:
     """Reference for goldfarb._check_certificate: tight at the certificate's own
     projected vertex, strictly below 1 at every other projected vertex."""
     n2 = Vec(cert.vector[-2:])
-    for tau in sign_vectors(params.dim):
-        value = n2.dot(project_shadow(cube_vertex(params, tau).coords))
+    for tau, vertex in fraction_vertices(params):
+        value = n2.dot(project_shadow(vertex))
         if tau == cert.sigma:
             if value != 1:
                 return False
@@ -180,13 +187,13 @@ def shadow_certificate_oracle(cert, params) -> bool:
     return True
 
 
-def membership(polytope, x) -> tuple:
-    """(inside, tight) for a point: all halfspaces hold, and which hold with equality."""
-    if len(x) != polytope.dim:
+def membership(inequalities, x) -> tuple:
+    """(inside, tight) for a point against (normal, rhs) pairs read as normal . x <= rhs:
+    whether all of them hold, and which hold with equality."""
+    if any(len(normal) != len(x) for normal, _rhs in inequalities):
         raise ValueError("point dimension mismatch")
-    values = [h.normal.dot(x) for h in polytope.halfspaces]
-    inside = all(v <= h.rhs for v, h in zip(values, polytope.halfspaces))
-    return inside, tuple(v == h.rhs for v, h in zip(values, polytope.halfspaces))
+    values = [(Vec(normal).dot(x), rhs) for normal, rhs in inequalities]
+    return all(v <= rhs for v, rhs in values), tuple(v == rhs for v, rhs in values)
 
 
 def unique_optimum_oracle(qp, candidate) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from svmpath import cli, construct, qp, sweep
 from svmpath.cli import main
 from svmpath.geometry import SingularMatrixError
+from svmpath.goldfarb import ShadowPropertyError
 from svmpath.instance_io import (
     format_rational,
     parse_rational,
@@ -92,6 +93,19 @@ class TestGenRefuses:
             ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/19", "--out", str(out)], capsys
         )
         assert_one_line_failure(result, "facet vertices degenerate for sigma=", "L=20000")
+        assert not out.exists()
+
+    def test_shadow_property_failure(self, tmp_path, capsys, monkeypatch):
+        def off_hull(params, sigma):
+            raise ShadowPropertyError(f"projected vertex for sigma={sigma} is not a hull vertex")
+
+        monkeypatch.setattr(construct, "shadow_certificate", off_hull)
+        out = tmp_path / "d3.inst"
+        # parameters no other test uses, so no cached construction hides the failure
+        result = run(
+            ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/21", "--out", str(out)], capsys
+        )
+        assert_one_line_failure(result, "not a hull vertex", "sigma=(-1, 1, 1)")
         assert not out.exists()
 
     def test_stretch_search_exhausted(self, tmp_path, capsys, monkeypatch):
@@ -224,6 +238,25 @@ class TestSweepCommand:
         assert stderr.count("\n") == 1 and "--precision" in stderr
         assert not report.exists() and not csv.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_refused_before_reading(self, tmp_path, capsys, monkeypatch, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read or swept before checking the output paths")
+
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "6", "--out", str(inst)], capsys)
+        monkeypatch.setattr(cli, "read_instance", refuse)
+        monkeypatch.setattr(cli, "sweep_refined", refuse)
+        for bad in (tmp_path / "nodir" / "r", tmp_path):
+            paths = {"--out": tmp_path / "r.json", "--csv": tmp_path / "r.csv", flag: bad}
+            code, _, stderr = run(
+                ["sweep", str(inst), "--out", str(paths["--out"]), "--csv", str(paths["--csv"])],
+                capsys,
+            )
+            assert code == 2
+            assert stderr.count("\n") == 1 and f"{flag} {bad}" in stderr
+            assert list(tmp_path.iterdir()) == [inst]
+
     def test_bad_range_is_input_error(self, tmp_path, capsys):
         inst = tmp_path / "d3.inst"
         run(["gen", "--d", "3", "--out", str(inst)], capsys)
@@ -247,6 +280,23 @@ class TestShadowSvgCommand:
     def test_dim_cap(self, tmp_path, capsys):
         code, _, stderr = run(["shadow-svg", "--d", "13", "--out", str(tmp_path / "x.svg")], capsys)
         assert code == 2
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", ["gen", "verify", "sweep", "shadow-svg"])
+    def test_directory_path_is_input_error(self, tmp_path, capsys, command):
+        inst = tmp_path / "d3.inst"
+        run(["gen", "--d", "3", "--out", str(inst)], capsys)
+        argv = {
+            "gen": ["gen", "--d", "3", "--out", str(tmp_path)],
+            "verify": ["verify", str(tmp_path)],
+            "sweep": ["sweep", str(inst), "--steps", "4", "--refine", "0", "--out", str(tmp_path)],
+            "shadow-svg": ["shadow-svg", "--d", "3", "--out", str(tmp_path)],
+        }[command]
+        code, _, stderr = run(argv, capsys)
+        assert code == 2
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert str(tmp_path) in stderr
 
 
 class TestArgumentErrors:

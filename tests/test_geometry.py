@@ -8,13 +8,9 @@ from oracles import membership
 from svmpath.construct import build_p_stretched, stretch
 from svmpath.geometry import (
     DegenerateHullError,
-    HalfSpace,
-    HPolytope,
-    OriginNotInteriorError,
     SingularMatrixError,
     Vec,
     convex_hull_2d,
-    normalize_halfspace,
     orient2d,
     solve_linear_system,
     solve_linear_system_general,
@@ -86,23 +82,6 @@ class TestSolveGeneral:
         for vec in [particular] + [[p + nv for p, nv in zip(particular, nb)] for nb in basis]:
             for row, rhs in zip(A, b):
                 assert sum((a * v for a, v in zip(row, vec)), F(0)) == rhs
-
-
-class TestNormalizeHalfspace:
-    def test_already_normalized(self):
-        h = HalfSpace(Vec((1, 0, 0)), F(1))
-        assert normalize_halfspace(h) == h
-
-    def test_divides_through_by_rhs(self):
-        # x_2 + (1/3) x_1 <= 2/3 becomes (1/2, 3/2, 0) . x <= 1
-        h = HalfSpace(Vec((F(1, 3), 1, 0)), F(2, 3))
-        n = normalize_halfspace(h)
-        assert n.normal == Vec((F(1, 2), F(3, 2), 0))
-        assert n.rhs == 1
-
-    def test_zero_rhs_rejected(self):
-        with pytest.raises(OriginNotInteriorError):
-            normalize_halfspace(HalfSpace(Vec((-1,)), F(0)))
 
 
 class TestProjection:
@@ -186,12 +165,12 @@ class TestConvexHull:
 
 class TestContains:
     def test_membership_and_tightness(self):
-        box = HPolytope(2, (
-            HalfSpace(Vec((1, 0)), F(1)),
-            HalfSpace(Vec((-1, 0)), F(1)),
-            HalfSpace(Vec((0, 1)), F(1)),
-            HalfSpace(Vec((0, -1)), F(1)),
-        ))
+        box = [
+            (Vec((1, 0)), F(1)),
+            (Vec((-1, 0)), F(1)),
+            (Vec((0, 1)), F(1)),
+            (Vec((0, -1)), F(1)),
+        ]
         inside, tight = membership(box, Vec((0, 0)))
         assert inside and not any(tight)
         inside, tight = membership(box, Vec((1, 0)))
@@ -200,7 +179,7 @@ class TestContains:
         assert not inside
 
     def test_dimension_mismatch(self):
-        box = HPolytope(2, (HalfSpace(Vec((1, 0)), F(1)),))
+        box = [(Vec((1, 0)), F(1))]
         with pytest.raises(ValueError):
             membership(box, Vec((1, 2, 3)))
 

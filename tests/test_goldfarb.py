@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -11,18 +12,25 @@ from svmpath.goldfarb import (
     ShadowCertificate,
     ShadowPropertyError,
     _check_certificate,
-    build_goldfarb,
+    _pair_normal_rhs,
     cube_vertex,
     cube_vertices,
-    dual_vertex,
     dual_vertices,
-    facet_index,
     facet_order,
     project_shadow,
     shadow_certificate,
     shadow_polygon,
     sign_vectors,
 )
+
+
+def inequalities(params) -> list:
+    """The cube's (normal, rhs) pairs in canonical facet order."""
+    return [_pair_normal_rhs(params, k, s) for k, s in facet_order(params.dim)]
+
+
+def dual_vertex(params, k, s):
+    return dual_vertices(params)[facet_order(params.dim).index((k, s))]
 
 
 class TestParams:
@@ -45,26 +53,36 @@ class TestParams:
 
 class TestCubeInequalities:
     def test_one_dimensional_base_row(self):
-        cube = build_goldfarb(GoldfarbParams(1))
-        assert len(cube.halfspaces) == 2
-        left, right = cube.halfspaces
-        assert left.normal == Vec((-1,)) and left.rhs == 1
-        assert right.normal == Vec((1,)) and right.rhs == 1
+        assert inequalities(GoldfarbParams(1)) == [(Vec((-1,)), 1), (Vec((1,)), 1)]
 
     def test_second_pair_right_inequality(self):
-        cube = build_goldfarb(GoldfarbParams(2))
-        h = cube.halfspaces[facet_index(2, 1)]
-        assert h.normal == Vec((F(1, 3), 1))
-        assert h.rhs == F(2, 3)
+        normal, rhs = _pair_normal_rhs(GoldfarbParams(2), 2, 1)
+        assert normal == Vec((F(1, 3), 1))
+        assert rhs == F(2, 3)
+
+    @pytest.mark.parametrize(
+        "eps,gamma",
+        [
+            (F(1, 2) - F(1, 10**9), F(1, 10**12)),  # eps near 1/2, gamma near 0
+            (F(1, 2) - F(1, 10**9), F(1, 8) - F(1, 10**9)),  # 4*gamma near eps near 1/2
+            (F(1, 10**9), F(1, 10**10)),  # eps and gamma near 0
+        ],
+    )
+    def test_every_rhs_exceeds_one_half_at_parameter_edges(self, eps, gamma):
+        # the origin is strictly inside every facet, so each inequality
+        # divides through by its rhs to give a dual vertex
+        params = GoldfarbParams(6, eps, gamma)
+        for (normal, rhs), w in zip(inequalities(params), dual_vertices(params), strict=True):
+            assert rhs > F(1, 2)
+            assert w.coords * rhs == normal
 
     def test_origin_strictly_interior_d8(self):
-        cube = build_goldfarb(default_params(8))
-        inside, tight = membership(cube, Vec.zero(8))
+        inside, tight = membership(inequalities(default_params(8)), Vec.zero(8))
         assert inside and not any(tight)
 
     def test_vertex_on_exactly_d_indexed_facets(self):
         params = default_params(5)
-        cube = build_goldfarb(params)
+        cube = inequalities(params)
         order = facet_order(5)
         for sigma in sign_vectors(5):
             v = cube_vertex(params, sigma)
@@ -75,7 +93,7 @@ class TestCubeInequalities:
 
     def test_scaled_vertex_is_outside(self):
         params = default_params(4)
-        cube = build_goldfarb(params)
+        cube = inequalities(params)
         for sigma in sign_vectors(4):
             doubled = cube_vertex(params, sigma).coords * 2
             assert not membership(cube, doubled)[0]
@@ -146,7 +164,7 @@ class TestDualVertices:
         # the cube equals {x : w . x <= 1 for all dual vertices w}, checked by
         # membership agreement on vertices and on scaled-out vertices
         params = default_params(d)
-        cube = build_goldfarb(params)
+        cube = inequalities(params)
         duals = dual_vertices(params)
 
         def dual_side_contains(x):
@@ -199,21 +217,29 @@ class TestShadow:
             assert point[-2] <= 1
 
 
+def hull_neighbours(params, sigma) -> tuple:
+    """The sigmas whose projected vertices precede and follow sigma's on the hull."""
+    owner = {project_shadow(v.coords): v.sigma for v in cube_vertices(params)}
+    vs = shadow_polygon(params).vertices
+    i = vs.index(project_shadow(cube_vertex(params, sigma).coords))
+    return owner[vs[i - 1]], owner[vs[(i + 1) % len(vs)]]
+
+
 def certificate_variants(params, sigma) -> dict:
     """sigma's certificate, and tampered ones aimed at each failing branch.
 
-    The hull edge from sigma's vertex to the next one gives a line tight at
-    both; the next vertex's certificate, rescaled to be tight at sigma's
-    vertex, passes above the next vertex.
+    Scaling the certificate moves it off sigma's vertex either way; a hull
+    edge at sigma's vertex gives a line tight at both of its ends; the next
+    vertex's certificate, rescaled to be tight at sigma's vertex, passes above
+    the next vertex.
     """
     d = params.dim
-    owner = {project_shadow(v.coords): v.sigma for v in cube_vertices(params)}
-    vs = shadow_polygon(params).vertices
-    pt = project_shadow(cube_vertex(params, sigma).coords)
-    nxt = vs[(vs.index(pt) + 1) % len(vs)]
+    prv_sigma, nxt_sigma = hull_neighbours(params, sigma)
+    prv, pt, nxt = (
+        project_shadow(cube_vertex(params, tau).coords) for tau in (prv_sigma, sigma, nxt_sigma)
+    )
     cert = shadow_certificate(params, sigma)
-    edge = solve_linear_system([pt, nxt], [1, 1])
-    beyond = project_shadow(shadow_certificate(params, owner[nxt]).vector)
+    beyond = project_shadow(shadow_certificate(params, nxt_sigma).vector)
     assert beyond.dot(pt) > 0
 
     def embed(a):
@@ -221,8 +247,10 @@ def certificate_variants(params, sigma) -> dict:
 
     return {
         "valid": cert,
-        "not tight at own vertex": embed(cert.vector * (1 - F(1, 10 ** 6))),
-        "tight at the next vertex": embed(edge),
+        "below own vertex": embed(cert.vector * (1 - F(1, 10 ** 6))),
+        "above own vertex": embed(cert.vector * (1 + F(1, 10 ** 6))),
+        "tight at the previous vertex": embed(solve_linear_system([prv, pt], [1, 1])),
+        "tight at the next vertex": embed(solve_linear_system([pt, nxt], [1, 1])),
         "above the next vertex": embed(beyond * (1 / beyond.dot(pt))),
     }
 
@@ -244,17 +272,37 @@ class TestShadowCertificateCheck:
             outcomes = {what: shadow_certificate_oracle(c, params) for what, c in variants.items()}
             assert outcomes == {
                 "valid": True,
-                "not tight at own vertex": False,
+                "below own vertex": False,
+                "above own vertex": False,
+                "tight at the previous vertex": False,
                 "tight at the next vertex": False,
                 "above the next vertex": False,
             }
             for what, cert in variants.items():
                 assert integer_check_passes(cert, params) == outcomes[what], (sigma, what)
 
-    def test_tampered_certificate_raises(self, params4):
-        variants = certificate_variants(params4, (1, -1, 1, 1))
-        with pytest.raises(ShadowPropertyError, match="not tight at its own vertex"):
-            _check_certificate(variants["not tight at own vertex"], params4)
-        for what in ("tight at the next vertex", "above the next vertex"):
-            with pytest.raises(ShadowPropertyError, match="fails strictness"):
-                _check_certificate(variants[what], params4)
+    def test_tampered_certificate_raises(self):
+        # each tampered variant fails at the vertex it is aimed at, and the
+        # message names that hull neighbour
+        for d in (3, 4, 6):
+            params = default_params(d)
+            for sigma in spread(sign_vectors(d)):
+                variants = certificate_variants(params, sigma)
+                prv, nxt = hull_neighbours(params, sigma)
+                _check_certificate(variants["valid"], params)
+                for what in ("below own vertex", "above own vertex"):
+                    with pytest.raises(ShadowPropertyError, match="not tight at its own vertex"):
+                        _check_certificate(variants[what], params)
+                for what, tau in (
+                    ("tight at the previous vertex", prv),
+                    ("tight at the next vertex", nxt),
+                    ("above the next vertex", nxt),
+                ):
+                    with pytest.raises(ShadowPropertyError, match=re.escape(f"strictness at {tau}")):
+                        _check_certificate(variants[what], params)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_every_certificate_passes_the_exhaustive_oracle(self, d):
+        params = default_params(d)
+        for sigma in sign_vectors(d):
+            assert shadow_certificate_oracle(shadow_certificate(params, sigma), params), sigma
