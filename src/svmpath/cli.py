@@ -47,7 +47,28 @@ def _params_from_args(args) -> GoldfarbParams:
     return GoldfarbParams(args.d, parse_rational(args.eps), parse_rational(args.gamma))
 
 
+def _refuse_unwritable(command: str, *outputs) -> bool:
+    """True, after one stderr line naming the flag, if an output cannot be written.
+
+    `outputs` are (flag, path) pairs, a None path meaning the flag was not
+    given. Each command checks its outputs first, so a path that names a
+    directory or lies in a missing directory stops it before any work.
+    """
+    for flag, path in outputs:
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            print(f"{command}: {flag} {path} is a directory", file=sys.stderr)
+            return True
+        if not Path(path).parent.is_dir():
+            print(f"{command}: {flag} {path}: parent directory does not exist", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_gen(args) -> int:
+    if _refuse_unwritable("gen", ("--out", args.out)):
+        return EXIT_INPUT
     params = _params_from_args(args)
     if params.dim < 2:
         print("gen: need --d >= 2 to place the two-point class", file=sys.stderr)
@@ -67,6 +88,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gen_arc(args) -> int:
+    if _refuse_unwritable("gen-arc", ("--out", args.out)):
+        return EXIT_INPUT
     instance = generate_2d_arc_instance(args.n_plus)
     write_instance(instance, args.out)
     print(f"wrote {args.out}: n={instance.n_points} points (2D arc demo)")
@@ -114,13 +137,8 @@ def cmd_sweep(args) -> int:
     if args.precision < 0:
         print(f"sweep: --precision must be >= 0, got {args.precision}", file=sys.stderr)
         return EXIT_INPUT
-    for flag, path in (("--out", args.out), ("--csv", args.csv)):
-        if path is not None and Path(path).is_dir():
-            print(f"sweep: {flag} {path} is a directory", file=sys.stderr)
-            return EXIT_INPUT
-        if path is not None and not Path(path).parent.is_dir():
-            print(f"sweep: {flag} {path}: parent directory does not exist", file=sys.stderr)
-            return EXIT_INPUT
+    if _refuse_unwritable("sweep", ("--out", args.out), ("--csv", args.csv)):
+        return EXIT_INPUT
     instance = read_instance(args.instance)
     report = sweep_refined(
         instance, parse_rational(args.mu_lo), parse_rational(args.mu_hi), args.steps, args.refine
@@ -147,6 +165,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_shadow_svg(args) -> int:
+    if _refuse_unwritable("shadow-svg", ("--out", args.out)):
+        return EXIT_INPUT
     params = _params_from_args(args)
     if params.dim > 12:
         print("shadow-svg: hull size 2^d; --d is capped at 12", file=sys.stderr)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -27,7 +27,9 @@ class Vec(tuple):
     """Immutable vector of exact rationals with componentwise arithmetic."""
 
     def __new__(cls, coords: Iterable) -> "Vec":
-        return super().__new__(cls, (Fraction(c) for c in coords))
+        # a list: tuple() of a generator resizes a tuple, which CPython then keeps
+        # on its tuple free lists, one per call
+        return super().__new__(cls, [c if type(c) is Fraction else Fraction(c) for c in coords])
 
     def __add__(self, other):
         return Vec(a + b for a, b in zip(self, other, strict=True))
@@ -39,7 +41,7 @@ class Vec(tuple):
         return Vec(-a for a in self)
 
     def __mul__(self, factor):
-        f = Fraction(factor)
+        f = factor if type(factor) is Fraction else Fraction(factor)
         return Vec(f * a for a in self)
 
     __rmul__ = __mul__
@@ -119,11 +121,9 @@ def _integer_rows(A: Sequence[Sequence], b: Sequence) -> list:
     """Row-scale [A | b] to integers; scaling rows preserves the solution set."""
     rows = []
     for row, rhs in zip(A, b, strict=True):
-        entries = [Fraction(x) for x in row] + [Fraction(rhs)]
-        den = 1
-        for x in entries:
-            den = den * x.denominator // gcd(den, x.denominator)
-        rows.append([int(x * den) for x in entries])
+        entries = [x if type(x) is Fraction else Fraction(x) for x in (*row, rhs)]
+        den = lcm(*[x.denominator for x in entries])
+        rows.append([x.numerator * (den // x.denominator) for x in entries])
     return rows
 
 

@@ -10,6 +10,18 @@ lowest-index tie-breaking. It stops only at an iterate whose exact multiplier
 signs satisfy the KKT conditions, never by tolerance; the solver does not run
 the independent checker `kkt_check_general` on its result (the tests do).
 
+The loop reads one table per point set, built once and kept for the next
+solve: the Gram matrix G[i][j] = s_i . s_j of the signed points s (the minus
+class negated), and each s_i as integer numerators over its own denominator.
+Each entry of a step's normal equations is a sum of four entries of G rather
+than a d-term dot product of Fraction vectors. Each gradient s_k . w, with
+w = p - q, is one integer dot product of s_k's numerators with w cleared to
+integers, divided by the two denominators. These integer quantities are the
+exact ones times a positive constant, and the division restores the exact
+rational; the multiplier test compares s_k . w, half the true gradient
+2 s_k . w. A positive factor changes no sign and no comparison, so every
+step, pivot and tie-break is the one the exact gradients give.
+
 A constructed breakpoint is certified without solving: `build_kkt_certificate`
 checks the candidate built from the construction with `kkt_check_general` on
 the instance QP at the breakpoint's mu, and `unique_optimum` proves that no
@@ -21,12 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
 from .geometry import (
     SingularMatrixError,
     Vec,
+    common_denominator,
     solve_linear_system,
     solve_linear_system_general,
 )
@@ -59,9 +73,11 @@ class ReducedHullQP:
     mu: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "plus_points", tuple(Vec(p) for p in self.plus_points))
-        object.__setattr__(self, "minus_points", tuple(Vec(p) for p in self.minus_points))
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        for name in ("plus_points", "minus_points"):
+            points = tuple(p if type(p) is Vec else Vec(p) for p in getattr(self, name))
+            object.__setattr__(self, name, points)
+        if type(self.mu) is not Fraction:
+            object.__setattr__(self, "mu", Fraction(self.mu))
         for cls in (self.plus_points, self.minus_points):
             if not cls:
                 raise ValueError("each class needs at least one point")
@@ -100,12 +116,56 @@ class KktCertificate:
     facet_multiplier: Fraction
 
 
-def _signed_points(qp: ReducedHullQP):
-    pts = list(qp.plus_points) + list(qp.minus_points)
-    signed = list(qp.plus_points) + [-v for v in qp.minus_points]
-    n_plus = len(qp.plus_points)
-    classes = (tuple(range(n_plus)), tuple(range(n_plus, len(pts))))
-    return pts, signed, n_plus, classes
+_last_point_table = [None]  # [(key, table)] of the last point set solved
+
+
+def _point_table(plus_points: tuple, minus_points: tuple) -> tuple:
+    """(nums, dens, gram) of the signed points s_i, the minus class negated.
+
+    s_i == Vec(nums[i]) * Fraction(1, dens[i]) exactly, with integer nums[i]
+    over the point's own least denominator. One denominator shared by every
+    point would carry all of their factors (901 bits on the 60-point arc)
+    into each product. gram[i][j] = s_i . s_j; the two halves share entries.
+
+    The table of the last point set is kept, so a sweep builds it once. The
+    lookup compares the point tuples, which costs one identity test per point
+    when they hold the same Vec objects, as they do for every QP of one
+    instance; an lru_cache would hash every Fraction on each solve instead
+    (about 0.25 ms per solve on the 60-point arc, 2-core x86-64 VM).
+    """
+    key = (plus_points, minus_points)
+    last = _last_point_table[0]
+    if last is not None and last[0] == key:
+        return last[1]
+    signed = plus_points + tuple(-v for v in minus_points)
+    dens, nums = [], []
+    for s in signed:
+        den, (row,) = common_denominator([s])
+        dens.append(den)
+        nums.append(row)
+    n = len(signed)
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            dot = sum(a * b for a, b in zip(nums[i], nums[j]))
+            gram[i][j] = gram[j][i] = Fraction(dot, dens[i] * dens[j])
+    table = tuple(nums), tuple(dens), tuple(map(tuple, gram))
+    _last_point_table[0] = key, table
+    return table
+
+
+def _cleared_sum(x, nums, dens) -> tuple:
+    """(S, den) with sum_i x_i s_i == Vec(S) * Fraction(1, den) exactly, S integer."""
+    active = [(v.numerator, v.denominator * dens[i], nums[i]) for i, v in enumerate(x) if v]
+    # star-args from a list: from a generator, CPython parks one argument
+    # tuple per call on its tuple free lists, 0.3 MB over one sweep
+    den = lcm(*[vd for _vn, vd, _row in active])
+    S = [0] * len(nums[0])
+    for vn, vd, row in active:
+        f = vn * (den // vd)
+        for c, a in enumerate(row):
+            S[c] += f * a
+    return S, den
 
 
 def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPair]):
@@ -118,7 +178,7 @@ def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPa
             and sum(x[: len(classes[0])]) == 1
             and sum(x[len(classes[0]) :]) == 1
         ):
-            return [Fraction(v) for v in x]
+            return [v if type(v) is Fraction else Fraction(v) for v in x]
     x = [Fraction(0)] * n
     for cls in classes:
         k = int(1 / mu)
@@ -134,13 +194,25 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     """Exact global optimum of the reduced-hull distance problem.
 
     `start` may carry coefficients from a neighbouring solve (warm start);
-    they are used only when exactly feasible for this mu. The loop returns
-    only when the subproblem step is zero and no bound multiplier has the
-    wrong sign, decided exactly at that iterate: these are the KKT conditions.
-    `kkt_check_general` is not called here.
+    they are used only when exactly feasible for this mu. Each iteration
+    moves the free coefficients of a class against its first free one, along
+    the directions e_i - e_r. The normal equations of that step have entries
+    (s_i - s_r) . (s_j - s_t) = G[i][j] - G[i][t] - G[r][j] + G[r][t], read
+    from the cached Gram matrix G of the signed points s, and right-hand side
+    s_r . w - s_i . w with w = p - q, computed only for the points that move.
+    Every s_k . w is one integer dot product of the point's numerators with w
+    cleared to integers, divided by both denominators, so it is exact.
+
+    The loop returns only when the step is zero and no bound multiplier has
+    the wrong sign, decided exactly at that iterate: these are the KKT
+    conditions. The multiplier test reads the gradients s_k . w, half the
+    objective's 2 s_k . w; a positive factor changes no comparison, so the
+    class multiplier, every sign and the lowest-index tie-break are those of
+    the true gradients. `kkt_check_general` is not called here.
     """
-    pts, signed, n_plus, classes = _signed_points(qp)
-    n, d = len(pts), len(pts[0])
+    nums, dens, gram = _point_table(qp.plus_points, qp.minus_points)
+    n, n_plus = len(nums), len(qp.plus_points)
+    classes = (tuple(range(n_plus)), tuple(range(n_plus, n)))
     mu = qp.mu
     x = _initial_point(qp, classes, n, start)
 
@@ -153,12 +225,10 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
 
     cap = 1000 + 60 * n
     for _ in range(cap):
-        w = [Fraction(0)] * d
-        for i in range(n):
-            if x[i]:
-                si = signed[i]
-                for c in range(d):
-                    w[c] += x[i] * si[c]
+        W, den_w = _cleared_sum(x, nums, dens)
+
+        def s_dot_w(k):
+            return Fraction(sum(a * b for a, b in zip(nums[k], W)), dens[k] * den_w)
 
         directions = []
         for cls in classes:
@@ -169,14 +239,15 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
 
         step = None
         if directions:
-            cols = [
-                tuple(signed[i][c] - signed[r][c] for c in range(d)) for i, r in directions
-            ]
-            normal = [
-                [sum((a * b for a, b in zip(ci, cj)), Fraction(0)) for cj in cols]
-                for ci in cols
-            ]
-            rhs = [-sum((a * b for a, b in zip(ci, w)), Fraction(0)) for ci in cols]
+            normal = [[None] * len(directions) for _ in directions]
+            for a, (i, r) in enumerate(directions):
+                gi, gr = gram[i], gram[r]
+                for b in range(a, len(directions)):
+                    j, t = directions[b]
+                    normal[a][b] = normal[b][a] = gi[j] - gi[t] - gr[j] + gr[t]
+            moved = {k for pair in directions for k in pair}
+            sw = {k: s_dot_w(k) for k in moved}
+            rhs = [sw[r] - sw[i] for i, r in directions]
             try:
                 step = solve_linear_system(normal, rhs)
             except SingularMatrixError:
@@ -184,18 +255,19 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                 # particular solution with free parameters at zero
                 step = solve_linear_system_general(normal, rhs)[0]
 
-        delta = [Fraction(0)] * n
+        # only free coefficients move
+        delta = {}
         if step is not None:
+            delta = dict.fromkeys(moved, Fraction(0))
             for (i, r), t in zip(directions, step):
                 if t:
                     delta[i] += t
                     delta[r] -= t
 
-        if any(delta):
+        if any(delta.values()):
             length = Fraction(1)
             blocker = None
-            for i in range(n):
-                dv = delta[i]
+            for i, dv in delta.items():
                 if dv < 0 and x[i] + dv < 0:
                     limit = x[i] / -dv
                     if limit < length or (limit == length and blocker is not None and i < blocker[0]):
@@ -205,15 +277,15 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                     if limit < length or (limit == length and blocker is not None and i < blocker[0]):
                         length, blocker = limit, (i, AT_HI)
             if length > 0:
-                for i in range(n):
-                    if delta[i]:
-                        x[i] += length * delta[i]
+                for i, dv in delta.items():
+                    if dv:
+                        x[i] += length * dv
             if blocker is not None:
                 working[blocker[0]] = blocker[1]
             continue
 
         # subproblem optimum reached: check bound multipliers exactly
-        grad = [2 * sum((a * b for a, b in zip(signed[i], w)), Fraction(0)) for i in range(n)]
+        grad = [s_dot_w(k) for k in range(n)]
         drop = None
         for cls in classes:
             free = [i for i in cls if i not in working]
@@ -224,28 +296,29 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                 lam = max(highs) if highs else min(grad[i] for i in cls)
             for i in cls:
                 if i in working:
-                    slack = grad[i] - lam if working[i] == AT_LO else lam - grad[i]
-                    if slack < 0 and (drop is None or i < drop):
+                    wrong = grad[i] < lam if working[i] == AT_LO else lam < grad[i]
+                    if wrong and (drop is None or i < drop):
                         drop = i
         if drop is None:
-            return _finish(qp, pts, n_plus, x)
+            return _finish(qp, x, nums, dens)
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
 
 
-def _finish(qp: ReducedHullQP, pts, n_plus: int, x) -> OptimalPair:
-    d = len(pts[0])
-    p = Vec.zero(d)
-    q = Vec.zero(d)
-    for i in range(n_plus):
-        if x[i]:
-            p = p + pts[i] * x[i]
-    for i in range(n_plus, len(pts)):
-        if x[i]:
-            q = q + pts[i] * x[i]
-    diff = p - q
-    return OptimalPair(p, q, tuple(x[:n_plus]), tuple(x[n_plus:]), diff.norm_sq())
+def _finish(qp: ReducedHullQP, x, nums, dens) -> OptimalPair:
+    """The pair p, q and ||p - q||^2 at coefficients x, from the integer points."""
+    n_plus = len(qp.plus_points)
+    P, den_p = _cleared_sum(x[:n_plus], nums[:n_plus], dens[:n_plus])
+    Q, den_q = _cleared_sum(x[n_plus:], nums[n_plus:], dens[n_plus:])  # minus points negated
+    W, den_w = _cleared_sum(x, nums, dens)
+    return OptimalPair(
+        Vec(Fraction(c, den_p) for c in P),
+        Vec(Fraction(-c, den_q) for c in Q),
+        tuple(x[:n_plus]),
+        tuple(x[n_plus:]),
+        Fraction(sum(c * c for c in W), den_w * den_w),
+    )
 
 
 def support_set(pair: OptimalPair) -> tuple:

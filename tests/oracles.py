@@ -7,7 +7,10 @@ directions of its optimal face, hull extremeness is decided by exhaustive
 triangle membership, the two facet-incidence checks rebuild every cube vertex
 as Fractions instead of reading the library's integer vertex table, and the
 facet multiplier of a breakpoint comes from the single-facet relaxation
-rather than the instance QP. All are exact.
+rather than the instance QP, and the reference solver rebuilds its normal
+equations and gradients from Fraction point coordinates on every iteration
+instead of reading the library's cached Gram matrix and integer points. All
+are exact.
 """
 
 from fractions import Fraction
@@ -15,8 +18,15 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from svmpath.construct import stretch
-from svmpath.geometry import Vec, orient2d, solve_linear_system_general
+from svmpath.geometry import (
+    SingularMatrixError,
+    Vec,
+    orient2d,
+    solve_linear_system,
+    solve_linear_system_general,
+)
 from svmpath.goldfarb import cube_vertex, project_shadow, sign_vectors
+from svmpath.qp import AT_HI, AT_LO, OptimalPair, SolverStalledError
 
 
 def fourier_motzkin_feasible(ineqs) -> bool:
@@ -123,6 +133,160 @@ def enumerate_min_objective(plus_points, minus_points, mu) -> Fraction:
         if best is None or value < best:
             best = value
     return best
+
+
+def _signed_points(qp):
+    pts = list(qp.plus_points) + list(qp.minus_points)
+    signed = list(qp.plus_points) + [-v for v in qp.minus_points]
+    n_plus = len(qp.plus_points)
+    classes = (tuple(range(n_plus)), tuple(range(n_plus, len(pts))))
+    return pts, signed, n_plus, classes
+
+
+def _initial_point(qp, classes, n: int, start):
+    mu = qp.mu
+    if start is not None:
+        x = list(start.alpha_plus) + list(start.alpha_minus)
+        if (
+            len(x) == n
+            and all(0 <= v <= mu for v in x)
+            and sum(x[: len(classes[0])]) == 1
+            and sum(x[len(classes[0]) :]) == 1
+        ):
+            return [Fraction(v) for v in x]
+    x = [Fraction(0)] * n
+    for cls in classes:
+        k = int(1 / mu)
+        remainder = 1 - k * mu
+        for i in cls[:k]:
+            x[i] = mu
+        if remainder > 0:
+            x[cls[k]] = remainder
+    return x
+
+
+def solve_reduced_distance_oracle(qp, start=None) -> OptimalPair:
+    """Reference for qp.solve_reduced_distance: the point-space active-set loop.
+
+    It rebuilds the normal equations from d-dimensional Fraction columns and
+    every gradient from Fraction products on each iteration; the library's
+    core reads a cached Gram matrix and integer dot products instead, and
+    must reach the same iterates, pivots and tie-breaks.
+
+    `start` may carry coefficients from a neighbouring solve (warm start);
+    they are used only when exactly feasible for this mu. The loop returns
+    only when the subproblem step is zero and no bound multiplier has the
+    wrong sign, decided exactly at that iterate: these are the KKT conditions.
+    `kkt_check_general` is not called here.
+    """
+    pts, signed, n_plus, classes = _signed_points(qp)
+    n, d = len(pts), len(pts[0])
+    mu = qp.mu
+    x = _initial_point(qp, classes, n, start)
+
+    working = {}
+    for i in range(n):
+        if x[i] == 0:
+            working[i] = AT_LO
+        elif x[i] == mu:
+            working[i] = AT_HI
+
+    cap = 1000 + 60 * n
+    for _ in range(cap):
+        w = [Fraction(0)] * d
+        for i in range(n):
+            if x[i]:
+                si = signed[i]
+                for c in range(d):
+                    w[c] += x[i] * si[c]
+
+        directions = []
+        for cls in classes:
+            free = [i for i in cls if i not in working]
+            ref = free[0] if free else None
+            for i in free[1:]:
+                directions.append((i, ref))
+
+        step = None
+        if directions:
+            cols = [
+                tuple(signed[i][c] - signed[r][c] for c in range(d)) for i, r in directions
+            ]
+            normal = [
+                [sum((a * b for a, b in zip(ci, cj)), Fraction(0)) for cj in cols]
+                for ci in cols
+            ]
+            rhs = [-sum((a * b for a, b in zip(ci, w)), Fraction(0)) for ci in cols]
+            try:
+                step = solve_linear_system(normal, rhs)
+            except SingularMatrixError:
+                # flat subproblem: normal equations stay consistent; take the
+                # particular solution with free parameters at zero
+                step = solve_linear_system_general(normal, rhs)[0]
+
+        delta = [Fraction(0)] * n
+        if step is not None:
+            for (i, r), t in zip(directions, step):
+                if t:
+                    delta[i] += t
+                    delta[r] -= t
+
+        if any(delta):
+            length = Fraction(1)
+            blocker = None
+            for i in range(n):
+                dv = delta[i]
+                if dv < 0 and x[i] + dv < 0:
+                    limit = x[i] / -dv
+                    if limit < length or (limit == length and blocker is not None and i < blocker[0]):
+                        length, blocker = limit, (i, AT_LO)
+                elif dv > 0 and x[i] + dv > mu:
+                    limit = (mu - x[i]) / dv
+                    if limit < length or (limit == length and blocker is not None and i < blocker[0]):
+                        length, blocker = limit, (i, AT_HI)
+            if length > 0:
+                for i in range(n):
+                    if delta[i]:
+                        x[i] += length * delta[i]
+            if blocker is not None:
+                working[blocker[0]] = blocker[1]
+            continue
+
+        # subproblem optimum reached: check bound multipliers exactly
+        grad = [2 * sum((a * b for a, b in zip(signed[i], w)), Fraction(0)) for i in range(n)]
+        drop = None
+        for cls in classes:
+            free = [i for i in cls if i not in working]
+            if free:
+                lam = grad[free[0]]
+            else:
+                highs = [grad[i] for i in cls if working.get(i) == AT_HI]
+                lam = max(highs) if highs else min(grad[i] for i in cls)
+            for i in cls:
+                if i in working:
+                    slack = grad[i] - lam if working[i] == AT_LO else lam - grad[i]
+                    if slack < 0 and (drop is None or i < drop):
+                        drop = i
+        if drop is None:
+            return _finish(qp, pts, n_plus, x)
+        del working[drop]
+
+    raise SolverStalledError(f"no optimum after {cap} iterations")
+
+
+def _finish(qp, pts, n_plus: int, x) -> OptimalPair:
+    d = len(pts[0])
+    p = Vec.zero(d)
+    q = Vec.zero(d)
+    for i in range(n_plus):
+        if x[i]:
+            p = p + pts[i] * x[i]
+    for i in range(n_plus, len(pts)):
+        if x[i]:
+            q = q + pts[i] * x[i]
+    diff = p - q
+    return OptimalPair(p, q, tuple(x[:n_plus]), tuple(x[n_plus:]), diff.norm_sq())
+
 
 
 def point_in_triangle(p, a, b, c) -> bool:

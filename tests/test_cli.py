@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -268,6 +269,46 @@ class TestSweepCommand:
         assert code == 2
 
 
+def record_digest(report_path) -> tuple:
+    """sha256 of the records (mu, objective, support_plus, support_minus), with both counts."""
+    doc = json.loads(report_path.read_text())
+    rows = [
+        [str(F(int(r["mu"]["num"]), int(r["mu"]["den"]))),
+         str(F(int(r["objective"]["num"]), int(r["objective"]["den"]))),
+         r["support_plus"], r["support_minus"]]
+        for r in doc["records"]
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    return digest, doc["bend_count"], doc["distinct_support_sets"]
+
+
+class TestPinnedSweeps:
+    """Sweep records are exact, so a solver change must reproduce them bit for bit."""
+
+    def test_constructed_d4(self, tmp_path, capsys):
+        inst, report = tmp_path / "d4.inst", tmp_path / "d4.json"
+        assert run(["gen", "--d", "4", "--stretch", "auto", "--out", str(inst)], capsys)[0] == 0
+        code, _, _ = run(
+            ["sweep", str(inst), "--steps", "64", "--refine", "3", "--out", str(report)], capsys
+        )
+        assert code == 0
+        assert record_digest(report) == (
+            "559f0cfdc12e9d80b500b31dc9d87adf3d11c9fdb9ece17aded4eb34902dfd4c", 9, 8
+        )
+
+    def test_arc_12(self, tmp_path, capsys):
+        inst, report = tmp_path / "arc.inst", tmp_path / "arc.json"
+        assert run(["gen-arc", "--n-plus", "12", "--out", str(inst)], capsys)[0] == 0
+        code, _, _ = run(
+            ["sweep", str(inst), "--mu-lo", "51/100", "--steps", "64", "--out", str(report)],
+            capsys,
+        )
+        assert code == 0
+        assert record_digest(report) == (
+            "85ede4d820e6b1a38fdbc4d251e0635166542e9b94235f67bd0719a5a5e730eb", 21, 22
+        )
+
+
 class TestShadowSvgCommand:
     @pytest.mark.parametrize("d,count", [(2, 4), (3, 8)])
     def test_writes_svg(self, tmp_path, capsys, d, count):
@@ -297,6 +338,28 @@ class TestOutputErrors:
         assert code == 2
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert str(tmp_path) in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--d", "3", "--stretch", "auto"],
+            ["gen", "--d", "3"],
+            ["gen-arc"],
+            ["shadow-svg", "--d", "3"],
+        ],
+        ids=["gen-auto", "gen", "gen-arc", "shadow-svg"],
+    )
+    def test_unwritable_output_refused_before_construction(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("constructed before checking --out")
+
+        for name in ("choose_stretch", "build_instance", "generate_2d_arc_instance", "write_shadow_svg"):
+            monkeypatch.setattr(cli, name, refuse)
+        for bad in (tmp_path / "nodir" / "out", tmp_path):
+            code, stdout, stderr = run(argv + ["--out", str(bad)], capsys)
+            assert code == 2 and stdout == ""
+            assert stderr.count("\n") == 1 and f"{argv[0]}: --out {bad}" in stderr
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestArgumentErrors:

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_STRETCH
-from oracles import enumerate_min_objective, relaxed_facet_multiplier, unique_optimum_oracle
-from svmpath.construct import generate_2d_arc_instance, mu_of_q
+import oracles
+from conftest import DEFAULT_STRETCH, default_params
+from oracles import (
+    enumerate_min_objective,
+    relaxed_facet_multiplier,
+    solve_reduced_distance_oracle,
+    unique_optimum_oracle,
+)
+from svmpath import qp as qp_module
+from svmpath.construct import build_instance, generate_2d_arc_instance, mu_of_q
 from svmpath.geometry import Vec
 from svmpath.qp import (
     CertificateError,
@@ -24,6 +31,7 @@ from svmpath.qp import (
     support_set,
     unique_optimum,
 )
+from svmpath.sweep import grid_values
 
 
 def small_instances(count=200, seed=20260808):
@@ -116,6 +124,77 @@ class TestSolver:
             sol = solve_reduced_distance(qp)
             assert sol.p == pair.p and sol.q == pair.q
             assert sol.objective == (pair.p - pair.q).norm_sq()
+
+
+class TestSolverMatchesPointSpaceLoop:
+    """The Gram-matrix core against the old point-space loop in tests/oracles.py.
+
+    Both must return the same OptimalPair and make the same calls to each
+    linear solver, so they take the same steps and pivots.
+    """
+
+    @pytest.fixture
+    def both(self, monkeypatch):
+        counts = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                counts[module.__name__, name] = counts.get((module.__name__, name), 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (qp_module, oracles):
+            counted(module, "solve_linear_system")
+            counted(module, "solve_linear_system_general")
+
+        def solve(qp, start=None):
+            counts.clear()
+            sol = solve_reduced_distance(qp, start=start)
+            assert sol == solve_reduced_distance_oracle(qp, start=start)
+            for name in ("solve_linear_system", "solve_linear_system_general"):
+                assert counts.get(("svmpath.qp", name)) == counts.get(("oracles", name)), name
+            return sol, counts.get(("svmpath.qp", "solve_linear_system_general"), 0)
+
+        return solve
+
+    def test_small_instances_cold_and_warm(self, both):
+        mus = [F(1, 2), F(2, 3), F(1)]
+        warm = 0
+        for qp in small_instances(200):
+            cold, _ = both(qp)
+            k = mus.index(qp.mu)
+            # the next smaller mu gives a start feasible here; for mu = 1/2 the
+            # larger neighbour's start may not be, which tests the cold fallback
+            other = mus[k - 1] if k else mus[1]
+            if other < F(1, len(qp.plus_points)) or other < F(1, len(qp.minus_points)):
+                continue
+            start, _ = both(ReducedHullQP(qp.plus_points, qp.minus_points, other))
+            assert both(qp, start)[0].objective == cold.objective
+            warm += other < qp.mu
+        assert warm > 50
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_constructed_grid(self, both, d):
+        instance = build_instance(default_params(d), DEFAULT_STRETCH)
+        warm = None
+        for mu in grid_values(F(8, 10), F(1), 16):
+            qp = ReducedHullQP.from_instance(instance, mu)
+            both(qp)
+            warm, _ = both(qp, warm)
+
+    def test_arc_hits_the_singular_fallback(self, both):
+        instance = generate_2d_arc_instance(10)
+        fallbacks = 0
+        warm = None
+        for mu in grid_values(F(51, 100), F(1), 64):
+            qp = ReducedHullQP.from_instance(instance, mu)
+            both(qp)
+            warm, n_general = both(qp, warm)
+            fallbacks += n_general
+        assert fallbacks > 0
 
 
 class TestSupportSet:
