@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Time the command line over a ladder of dimensions and record it as JSON.
+
+For each d from 3 to --max-d the script runs, each in a fresh interpreter,
+`svmpath gen --d d --stretch auto`, `svmpath verify` of that instance and
+`svmpath sweep` of it at the CLI defaults. It records each command's wall
+time (interpreter start included), the sweep's bend count and distinct
+support sets, and the exit codes. A command that fails ends the ladder.
+
+The result is stored under --label in the JSON file --out, next to the
+entries other runs stored there under other labels, so two checkouts can be
+recorded side by side:
+
+    python scripts/bench.py --max-d 12 --src /path/to/other/src --label parent --out BENCH.json
+    python scripts/bench.py --max-d 12 --label change --out BENCH.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def timed(argv, src: Path, cwd: Path) -> tuple:
+    """(exit code, wall seconds) of one `svmpath` invocation in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "svmpath.cli", *argv],
+        cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    wall = time.perf_counter() - start
+    if proc.returncode:
+        print(f"{' '.join(argv)}: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
+    return proc.returncode, wall
+
+
+def rung(d: int, src: Path, wd: Path) -> dict:
+    """gen, verify and sweep at dimension d; stops at the first failing command."""
+    row = {"d": d}
+    inst, report = wd / f"d{d}.inst", wd / f"d{d}.json"
+    steps = (
+        ("gen", ["gen", "--d", str(d), "--stretch", "auto", "--out", str(inst)]),
+        ("verify", ["verify", str(inst)]),
+        ("sweep", ["sweep", str(inst), "--out", str(report)]),
+    )
+    for name, argv in steps:
+        code, wall = timed(argv, src, wd)
+        row[f"{name}_exit"] = code
+        row[f"{name}_s"] = round(wall, 3)
+        if code:
+            return row
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    row["bends"] = doc["bend_count"]
+    row["distinct_support_sets"] = doc["distinct_support_sets"]
+    row["lower_bound"] = doc["lower_bound"]
+    return row
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-d", type=int, default=12)
+    parser.add_argument("--src", default=str(SRC), help="package source directory to time")
+    parser.add_argument("--label", default="change")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    if args.max_d < 3:
+        parser.error("--max-d must be at least 3")
+
+    src = Path(args.src).resolve()
+    rows = []
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for d in range(3, args.max_d + 1):
+            row = rung(d, src, Path(tmp))
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+            failed = any(row[k] for k in row if k.endswith("_exit"))
+            if failed:
+                break
+
+    out = Path(args.out)
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc.setdefault("runs", {})[args.label] = {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "rows": rows,
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

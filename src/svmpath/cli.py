@@ -134,9 +134,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.precision < 0:
-        print(f"sweep: --precision must be >= 0, got {args.precision}", file=sys.stderr)
-        return EXIT_INPUT
+    for flag, value, least in (
+        ("--steps", args.steps, 2),
+        ("--refine", args.refine, 0),
+        ("--precision", args.precision, 0),
+    ):
+        if value < least:
+            print(f"sweep: {flag} must be >= {least}, got {value}", file=sys.stderr)
+            return EXIT_INPUT
     if _refuse_unwritable("sweep", ("--out", args.out), ("--csv", args.csv)):
         return EXIT_INPUT
     instance = read_instance(args.instance)

@@ -117,11 +117,11 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon2:
     return Polygon2(tuple(hull))
 
 
-def _integer_rows(A: Sequence[Sequence], b: Sequence) -> list:
-    """Row-scale [A | b] to integers; scaling rows preserves the solution set."""
+def _integer_rows(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
+    """Row-scale [A | B] to integers; scaling rows preserves the solution set."""
     rows = []
-    for row, rhs in zip(A, b, strict=True):
-        entries = [x if type(x) is Fraction else Fraction(x) for x in (*row, rhs)]
+    for row, rhs in zip(A, B, strict=True):
+        entries = [x if type(x) is Fraction else Fraction(x) for x in (*row, *rhs)]
         den = lcm(*[x.denominator for x in entries])
         rows.append([x.numerator * (den // x.denominator) for x in entries])
     return rows
@@ -145,12 +145,21 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
     exact rational back-substitution. Raises SingularMatrixError instead of
     ever returning an inexact or arbitrary vector.
     """
-    n = len(b)
-    if any(len(row) != n for row in A) or len(A) != n:
+    return solve_linear_systems(A, [b])[0]
+
+
+def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
+    """Exact solutions of Ax = b for each right-hand side b in `columns`.
+
+    One elimination serves every column, as in `solve_linear_system`.
+    """
+    n = len(A)
+    if any(len(row) != n for row in A) or any(len(b) != n for b in columns):
         raise ValueError("system must be square")
     if n == 0:
-        return Vec(())
-    M = _integer_rows(A, b)
+        return tuple(Vec(()) for _ in columns)
+    M = _integer_rows(A, list(zip(*columns)))
+    width = len(M[0])
     prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col]), None)
@@ -161,14 +170,17 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
         pv = M[col][col]
         for r in range(col + 1, n):
             mr, mc, f = M[r], M[col], M[r][col]
-            for c in range(col, n + 1):
+            for c in range(col, width):
                 mr[c] = (pv * mr[c] - f * mc[c]) // prev
         prev = pv
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = Fraction(s, M[r][r])
-    return Vec(x)
+    solutions = []
+    for k in range(n, width):
+        x = [Fraction(0)] * n
+        for r in range(n - 1, -1, -1):
+            s = M[r][k] - sum(M[r][c] * x[c] for c in range(r + 1, n))
+            x[r] = Fraction(s, M[r][r])
+        solutions.append(Vec(x))
+    return tuple(solutions)
 
 
 def solve_linear_system_general(

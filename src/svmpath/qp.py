@@ -22,6 +22,20 @@ rational; the multiplier test compares s_k . w, half the true gradient
 2 s_k . w. A positive factor changes no sign and no comparison, so every
 step, pivot and tie-break is the one the exact gradients give.
 
+Along a sweep most solves need no loop. With the working set fixed (the
+coefficients at 0, those at mu, and the free rest) the KKT conditions are a
+linear system whose right-hand side is affine in mu, so on that stretch of the
+path the optimum is affine in mu: a `Piece`. `solve_reduced_distance` first
+tries the pieces it is given, and a piece answers only where its free
+coefficients lie in [0, mu] and every bound coefficient's gradient is strictly
+on its side of the class multiplier. That pair satisfies the KKT conditions,
+and it is the only optimum: every optimum has the same w = p - q, so the
+strict gradients hold the bound coefficients at their bounds in all of them,
+and the nonsingular bordered system leaves the free ones no other solution.
+The loop returns an optimum, so it would return the same coefficients, and
+the same `_finish` builds the pair from them, bit for bit. Anywhere else the
+loop runs as before.
+
 A constructed breakpoint is certified without solving: `build_kkt_certificate`
 checks the candidate built from the construction with `kkt_check_general` on
 the instance QP at the breakpoint's mu, and `unique_optimum` proves that no
@@ -43,6 +57,7 @@ from .geometry import (
     common_denominator,
     solve_linear_system,
     solve_linear_system_general,
+    solve_linear_systems,
 )
 
 AT_LO, AT_HI = 0, 1
@@ -190,7 +205,9 @@ def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPa
     return x
 
 
-def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = None) -> OptimalPair:
+def solve_reduced_distance(
+    qp: ReducedHullQP, start: Optional[OptimalPair] = None, pieces=()
+) -> OptimalPair:
     """Exact global optimum of the reduced-hull distance problem.
 
     `start` may carry coefficients from a neighbouring solve (warm start);
@@ -209,7 +226,16 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     objective's 2 s_k . w; a positive factor changes no comparison, so the
     class multiplier, every sign and the lowest-index tie-break are those of
     the true gradients. `kkt_check_general` is not called here.
+
+    First, each of `pieces` is asked for its optimum at this mu, and the first
+    answer is returned. A piece answers only with the unique optimum (see
+    `Piece.optimum`), which is the pair the loop would return from any start;
+    when none answers, the loop runs from `start` exactly as without pieces.
     """
+    for piece in pieces:
+        pair = piece.optimum(qp)
+        if pair is not None:
+            return pair
     nums, dens, gram = _point_table(qp.plus_points, qp.minus_points)
     n, n_plus = len(nums), len(qp.plus_points)
     classes = (tuple(range(n_plus)), tuple(range(n_plus, n)))
@@ -319,6 +345,111 @@ def _finish(qp: ReducedHullQP, x, nums, dens) -> OptimalPair:
         tuple(x[n_plus:]),
         Fraction(sum(c * c for c in W), den_w * den_w),
     )
+
+
+def working_set(pair: OptimalPair, mu) -> tuple:
+    """(indices at 0, indices at mu) of the pair's coefficients, plus class first."""
+    at_lo, at_hi = [], []
+    for i, a in enumerate(pair.alpha_plus + pair.alpha_minus):
+        if not a:
+            at_lo.append(i)
+        elif a == mu:
+            at_hi.append(i)
+    return tuple(at_lo), tuple(at_hi)
+
+
+class Piece:
+    """The optimum on one working set of a point set, affine in mu.
+
+    With the coefficients in `at_lo` at 0 and those in `at_hi` at mu, the
+    free coefficients x_F and the class multipliers lam_+, lam_- solve the
+    bordered KKT system
+
+        [[G_FF, -E], [E^T, 0]] (x_F, lam_+, lam_-) = r0 + mu r1,
+
+    where G is the Gram matrix of the signed points, E the class indicator of
+    the free coefficients, r0 = (0, 1, 1) and r1 = (-G_FH 1, -|H_+|, -|H_-|)
+    over the capped set H. The first block says s_k . w = lam for every free k,
+    the second fixes the class sums. One elimination solves both right-hand
+    sides, so `base + mu * slope` gives (x_F, lam_+, lam_-) at every mu.
+    """
+
+    # not a dataclass: that would compile its generated methods on every
+    # import of the package, about 1 ms of each command's start-up
+    __slots__ = ("points", "at_lo", "at_hi", "free", "base", "slope")
+
+    def __init__(self, points: tuple, at_lo: tuple, at_hi: tuple, free: tuple, base: tuple, slope: tuple):
+        self.points, self.at_lo, self.at_hi = points, at_lo, at_hi
+        self.free, self.base, self.slope = free, base, slope
+
+    @classmethod
+    def build(cls, qp: ReducedHullQP, working: tuple) -> Optional["Piece"]:
+        """The piece of `working` = (at_lo, at_hi) on qp's points, or None.
+
+        There is none when a class has no free coefficient or the bordered
+        matrix is singular, that is when the differences of the free points
+        to one free point per class are linearly dependent.
+        """
+        nums, _dens, gram = _point_table(qp.plus_points, qp.minus_points)
+        n, n_plus = len(nums), len(qp.plus_points)
+        at_lo, at_hi = working
+        bound = set(at_lo) | set(at_hi)
+        free = tuple(i for i in range(n) if i not in bound)
+        free_plus = [i < n_plus for i in free]
+        if all(free_plus) or not any(free_plus):
+            return None
+        matrix = [
+            [gram[i][j] for j in free] + [-int(plus), -int(not plus)]
+            for i, plus in zip(free, free_plus)
+        ]
+        matrix.append([int(plus) for plus in free_plus] + [0, 0])
+        matrix.append([int(not plus) for plus in free_plus] + [0, 0])
+        r0 = [0] * len(free) + [1, 1]
+        r1 = [-sum(gram[i][h] for h in at_hi) for i in free]
+        r1 += [-sum(h < n_plus for h in at_hi), -sum(h >= n_plus for h in at_hi)]
+        try:
+            base, slope = solve_linear_systems(matrix, [r0, r1])
+        except SingularMatrixError:
+            return None
+        points = (qp.plus_points, qp.minus_points)
+        return cls(points, tuple(at_lo), tuple(at_hi), free, tuple(base), tuple(slope))
+
+    def optimum(self, qp: ReducedHullQP) -> Optional[OptimalPair]:
+        """The unique optimum of qp if it lies on this piece, else None.
+
+        Accepted only when every free coefficient lies in [0, mu], every
+        coefficient at 0 has a gradient s_k . w strictly above its class
+        multiplier and every coefficient at mu one strictly below it. These
+        are the KKT conditions, so the pair is optimal; the strict gradients
+        pin every bound coefficient in any optimum, and the nonsingular
+        bordered matrix leaves the free ones no direction that keeps w and
+        the class sums. So it is the only optimum, the one the loop returns.
+        """
+        if (qp.plus_points, qp.minus_points) != self.points:
+            raise ValueError("piece belongs to another point set")
+        nums, dens, _gram = _point_table(*self.points)
+        n, n_plus = len(nums), len(qp.plus_points)
+        mu = qp.mu
+        x = [Fraction(0)] * n
+        for h in self.at_hi:
+            x[h] = mu
+        for i, b, s in zip(self.free, self.base, self.slope):
+            v = b + mu * s
+            if v < 0 or v > mu:
+                return None
+            x[i] = v
+        m = len(self.free)
+        lams = [self.base[m + c] + mu * self.slope[m + c] for c in (0, 1)]
+        W, den_w = _cleared_sum(x, nums, dens)
+        # s_k . w = dot / (dens[k] den_w) against lam = a / b, all denominators positive
+        for indices, above in ((self.at_lo, True), (self.at_hi, False)):
+            for k in indices:
+                lam = lams[k >= n_plus]
+                lhs = sum(a * b for a, b in zip(nums[k], W)) * lam.denominator
+                rhs = lam.numerator * dens[k] * den_w
+                if (lhs <= rhs) if above else (lhs >= rhs):
+                    return None
+        return _finish(qp, x, nums, dens)
 
 
 def support_set(pair: OptimalPair) -> tuple:

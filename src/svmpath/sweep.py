@@ -3,6 +3,13 @@
 A bend is recorded exactly when the support set strictly changes between two
 consecutive solved values, which is the experimental proxy used throughout.
 Grid points are exact rationals, so every solve along a sweep stays exact.
+
+Between two bends the working set stays fixed and the optimum is affine in
+mu, so most records come from a `qp.Piece`: the piece of the previous grid
+record, or of either neighbour of a bisection midpoint, built once per working
+set. A piece answers only with the unique optimum; where none does, which is
+where the support changes, the active-set loop runs from the same warm start
+as without pieces. Either way each record is the one the loop alone gives.
 """
 
 from __future__ import annotations
@@ -14,10 +21,12 @@ from typing import Iterable, Optional, Sequence
 from .construct import MINUS_LABELS, SvmInstance
 from .qp import (
     OptimalPair,
+    Piece,
     ReducedHullQP,
     SolverStalledError,
     solve_reduced_distance,
     support_set,
+    working_set,
 )
 
 
@@ -54,13 +63,30 @@ class SweepReport:
     lower_bound: int
 
 
-def _solve_record(instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair]) -> SweepRecord:
+def _solve_record(
+    instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair], pieces: tuple
+) -> SweepRecord:
     qp = ReducedHullQP.from_instance(instance, mu)
     try:
-        pair = solve_reduced_distance(qp, start=warm)
+        pair = solve_reduced_distance(qp, start=warm, pieces=pieces)
     except SolverStalledError as exc:
         raise SolverStalledError(f"at mu = {mu}: {exc}") from exc
     return _record(instance, mu, pair)
+
+
+def _pieces_of(instance: SvmInstance, records, pieces: dict) -> tuple:
+    """The pieces of the records' working sets, each built on first sight.
+
+    `pieces` maps a working set to its Piece, or to None where it has none.
+    """
+    out = []
+    for rec in records:
+        working = working_set(rec.pair, rec.mu)
+        if working not in pieces:
+            pieces[working] = Piece.build(ReducedHullQP.from_instance(instance, rec.mu), working)
+        if pieces[working] is not None:
+            out.append(pieces[working])
+    return tuple(out)
 
 
 def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepRecord:
@@ -94,44 +120,54 @@ def grid_values(mu_lo: Fraction, mu_hi: Fraction, steps: int) -> list:
     return [mu_lo + (mu_hi - mu_lo) * i / (steps - 1) for i in range(steps)]
 
 
-def sweep_grid(instance: SvmInstance, mu_lo, mu_hi, steps: int) -> SweepReport:
+def sweep_grid(
+    instance: SvmInstance, mu_lo, mu_hi, steps: int, pieces: Optional[dict] = None
+) -> SweepReport:
     """Solve on a uniform rational grid of `steps` points over [mu_lo, mu_hi].
 
     The sweep ascends in mu so each solve warm-starts from its predecessor
-    (coefficients stay feasible when the cap grows).
+    (coefficients stay feasible when the cap grows) and first tries the
+    predecessor's piece. `pieces` is the working-set dict of `_pieces_of`,
+    shared with the refinement.
     """
     mu_lo, mu_hi = Fraction(mu_lo), Fraction(mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         raise ValueError("need 1/2 <= mu_lo < mu_hi <= 1")
     if steps < 2:
         raise ValueError("need at least two grid points")
+    pieces = {} if pieces is None else pieces
     records = []
-    warm = None
+    warm, near = None, ()
     for mu in grid_values(mu_lo, mu_hi, steps):
-        rec = _solve_record(instance, mu, warm)
-        warm = rec.pair
+        rec = _solve_record(instance, mu, warm, near)
+        warm, near = rec.pair, _pieces_of(instance, [rec], pieces)
         records.append(rec)
     return _report(records, instance_lower_bound(instance))
 
 
-def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out) -> None:
+def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, pieces) -> None:
     if depth <= 0 or rec_a.support == rec_b.support:
         return
     mid = (mu_a + mu_b) / 2
-    rec = _solve_record(instance, mid, rec_a.pair)
+    rec = _solve_record(instance, mid, rec_a.pair, _pieces_of(instance, [rec_a, rec_b], pieces))
     out.append(rec)
-    _refine(instance, mu_a, rec_a, mid, rec, depth - 1, out)
-    _refine(instance, mid, rec, mu_b, rec_b, depth - 1, out)
+    _refine(instance, mu_a, rec_a, mid, rec, depth - 1, out, pieces)
+    _refine(instance, mid, rec, mu_b, rec_b, depth - 1, out, pieces)
 
 
 def sweep_refined(instance: SvmInstance, mu_lo, mu_hi, steps: int, depth: int) -> SweepReport:
-    """Grid sweep plus recursive bisection between differing neighbours."""
-    base = sweep_grid(instance, mu_lo, mu_hi, steps)
+    """Grid sweep plus recursive bisection between differing neighbours.
+
+    Each midpoint warm-starts from its lower neighbour and first tries the
+    pieces of both neighbours; one working-set dict serves the whole call.
+    """
+    pieces = {}
+    base = sweep_grid(instance, mu_lo, mu_hi, steps, pieces)
     records = list(base.records)
     extra = []
     ascending = list(reversed(records))
     for rec_a, rec_b in zip(ascending, ascending[1:]):
-        _refine(instance, rec_a.mu, rec_a, rec_b.mu, rec_b, depth, extra)
+        _refine(instance, rec_a.mu, rec_a, rec_b.mu, rec_b, depth, extra, pieces)
     return _report(records + extra, base.lower_bound)
 
 

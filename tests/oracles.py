@@ -9,8 +9,9 @@ as Fractions instead of reading the library's integer vertex table, and the
 facet multiplier of a breakpoint comes from the single-facet relaxation
 rather than the instance QP, and the reference solver rebuilds its normal
 equations and gradients from Fraction point coordinates on every iteration
-instead of reading the library's cached Gram matrix and integer points. All
-are exact.
+instead of reading the library's cached Gram matrix and integer points. The
+reference sweep takes every record from the solver's loop, without the affine
+pieces the library sweep tries first. All are exact.
 """
 
 from fractions import Fraction
@@ -26,7 +27,15 @@ from svmpath.geometry import (
     solve_linear_system_general,
 )
 from svmpath.goldfarb import cube_vertex, project_shadow, sign_vectors
-from svmpath.qp import AT_HI, AT_LO, OptimalPair, SolverStalledError
+from svmpath.qp import (
+    AT_HI,
+    AT_LO,
+    OptimalPair,
+    ReducedHullQP,
+    SolverStalledError,
+    solve_reduced_distance,
+)
+from svmpath.sweep import _record, _report, grid_values, instance_lower_bound
 
 
 def fourier_motzkin_feasible(ineqs) -> bool:
@@ -287,6 +296,36 @@ def _finish(qp, pts, n_plus: int, x) -> OptimalPair:
     diff = p - q
     return OptimalPair(p, q, tuple(x[:n_plus]), tuple(x[n_plus:]), diff.norm_sq())
 
+
+
+def sweep_refined_oracle(instance, mu_lo, mu_hi, steps: int, depth: int):
+    """Reference for sweep.sweep_refined: every record from the active-set loop.
+
+    The grid ascends in mu, each solve warm-started from its predecessor, and
+    each bisection midpoint warm-starts from its lower neighbour, but no piece
+    is ever passed, so every record is `solve_reduced_distance(qp, start=warm)`.
+    """
+
+    def solve(mu, warm):
+        qp = ReducedHullQP.from_instance(instance, mu)
+        return _record(instance, mu, solve_reduced_distance(qp, start=warm))
+
+    grid = []
+    for mu in grid_values(Fraction(mu_lo), Fraction(mu_hi), steps):
+        grid.append(solve(mu, grid[-1].pair if grid else None))
+    extra = []
+
+    def refine(a, b, depth):
+        if depth <= 0 or a.support == b.support:
+            return
+        mid = solve((a.mu + b.mu) / 2, a.pair)
+        extra.append(mid)
+        refine(a, mid, depth - 1)
+        refine(mid, b, depth - 1)
+
+    for a, b in zip(grid, grid[1:]):
+        refine(a, b, depth)
+    return _report(grid + extra, instance_lower_bound(instance))
 
 
 def point_in_triangle(p, a, b, c) -> bool:

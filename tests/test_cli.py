@@ -210,7 +210,7 @@ class TestSweepCommand:
         assert doc["bend_count"] >= doc["lower_bound"]
 
     def test_solver_stall_names_mu(self, tmp_path, capsys, monkeypatch):
-        def stall(qp_instance, start=None):
+        def stall(qp_instance, start=None, pieces=()):
             raise qp.SolverStalledError("no optimum after 0 iterations")
 
         inst = tmp_path / "d3.inst"
@@ -238,6 +238,21 @@ class TestSweepCommand:
         assert code == 2
         assert stderr.count("\n") == 1 and "--precision" in stderr
         assert not report.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--refine", "-1"), ("--steps", "1"), ("--steps", "-3")])
+    def test_bad_count_refused_before_reading(self, tmp_path, capsys, monkeypatch, flag, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"read or swept before checking {flag}")
+
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "6", "--out", str(inst)], capsys)
+        monkeypatch.setattr(cli, "read_instance", refuse)
+        monkeypatch.setattr(cli, "sweep_refined", refuse)
+        report = tmp_path / "r.json"
+        code, _, stderr = run(["sweep", str(inst), "--out", str(report), flag, value], capsys)
+        assert code == 2
+        assert stderr.count("\n") == 1 and flag in stderr and value in stderr
+        assert not report.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_refused_before_reading(self, tmp_path, capsys, monkeypatch, flag):
@@ -306,6 +321,24 @@ class TestPinnedSweeps:
         assert code == 0
         assert record_digest(report) == (
             "85ede4d820e6b1a38fdbc4d251e0635166542e9b94235f67bd0719a5a5e730eb", 21, 22
+        )
+
+    # the benchmark's seed-0 sweeps, at full scale
+    def test_constructed_d6_defaults(self, tmp_path, capsys):
+        inst, report = tmp_path / "d6.inst", tmp_path / "d6.json"
+        assert run(["gen", "--d", "6", "--stretch", "auto", "--out", str(inst)], capsys)[0] == 0
+        assert run(["sweep", str(inst), "--out", str(report)], capsys)[0] == 0
+        assert record_digest(report) == (
+            "78e6abe0a535aa45ce1b9ae15b10abefc86502167c05b384556af5da534ca0a6", 48, 32
+        )
+
+    def test_arc_60(self, tmp_path, capsys):
+        inst, report = tmp_path / "arc.inst", tmp_path / "arc.json"
+        assert run(["gen-arc", "--n-plus", "60", "--out", str(inst)], capsys)[0] == 0
+        code, _, _ = run(["sweep", str(inst), "--mu-lo", "51/100", "--out", str(report)], capsys)
+        assert code == 0
+        assert record_digest(report) == (
+            "e79c540ab20b036d587040d1da9d961ae7e9f1c7ad6cd8aaf577935ed424a655", 117, 118
         )
 
 

@@ -14,6 +14,7 @@ from svmpath.geometry import (
     orient2d,
     solve_linear_system,
     solve_linear_system_general,
+    solve_linear_systems,
 )
 
 small_rational = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -57,6 +58,28 @@ class TestSolveLinearSystem:
         A[-1] = list(A[0])
         with pytest.raises(SingularMatrixError):
             solve_linear_system(A, [F(0)] * (n - 1) + [F(1)])
+
+
+class TestSolveLinearSystems:
+    @settings(max_examples=60)
+    @given(st.integers(1, 5), st.data())
+    def test_every_column_solved_exactly(self, n, data):
+        A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n))
+        columns = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=1, max_size=3))
+        try:
+            solutions = solve_linear_systems(A, columns)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError):
+                solve_linear_system(A, columns[0])
+            return
+        assert len(solutions) == len(columns)
+        for x, b in zip(solutions, columns):
+            for row, rhs in zip(A, b):
+                assert sum((a * v for a, v in zip(row, x)), F(0)) == rhs
+
+    def test_wrong_column_length_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_linear_systems([[1, 0], [0, 1]], [(1, 2), (1, 2, 3)])
 
 
 class TestSolveGeneral:

@@ -22,6 +22,7 @@ from svmpath.qp import (
     CertificateError,
     FeasibilityError,
     OptimalPair,
+    Piece,
     ReducedHullQP,
     build_kkt_certificate,
     kkt_check_general,
@@ -30,8 +31,9 @@ from svmpath.qp import (
     solve_reduced_distance,
     support_set,
     unique_optimum,
+    working_set,
 )
-from svmpath.sweep import grid_values
+from svmpath.sweep import grid_values, sweep_grid
 
 
 def small_instances(count=200, seed=20260808):
@@ -195,6 +197,134 @@ class TestSolverMatchesPointSpaceLoop:
             warm, n_general = both(qp, warm)
             fallbacks += n_general
         assert fallbacks > 0
+
+
+def piece_events(piece, qp) -> dict:
+    """mu in [1/2, 1] -> kinds of the constraints the piece's optimum meets there.
+
+    "free" where a free coefficient reaches 0 or mu; "lo" or "hi" where the
+    gradient of a coefficient at 0 or at mu meets its class multiplier. The
+    gradients come from Fraction points, and the multiplier of a class is the
+    gradient of one of its free coefficients, not the piece's own lam.
+    """
+    signed = list(qp.plus_points) + [-v for v in qp.minus_points]
+    n_plus = len(qp.plus_points)
+
+    def gaps(mu):
+        x = [F(0)] * len(signed)
+        for h in piece.at_hi:
+            x[h] = mu
+        for i, b, s in zip(piece.free, piece.base, piece.slope):
+            x[i] = b + mu * s
+        w = Vec.zero(len(signed[0]))
+        for a, s in zip(x, signed):
+            w = w + s * a
+        grads = [s.dot(w) for s in signed]
+        lam = [grads[min(i for i in piece.free if (i >= n_plus) == c)] for c in (False, True)]
+        return {k: grads[k] - lam[k >= n_plus] for k in piece.at_lo + piece.at_hi}
+
+    roots = []
+    for b, s in zip(piece.base, piece.slope):
+        if s:
+            roots.append((-b / s, "free"))
+        if s != 1:
+            roots.append((b / (1 - s), "free"))
+    at_0, at_1 = gaps(F(0)), gaps(F(1))
+    for k, g in at_0.items():
+        if at_1[k] != g:
+            roots.append((-g / (at_1[k] - g), "lo" if k in piece.at_lo else "hi"))
+    events = {}
+    for mu, kind in roots:
+        if F(1, 2) <= mu <= 1:
+            events.setdefault(mu, set()).add(kind)
+    return events
+
+
+class TestPiece:
+    """Piece.optimum on each side of the piece's interval, against the loop."""
+
+    @staticmethod
+    def valid_pieces(instance, steps):
+        """(mu, piece) for each working set of a grid sweep that has a piece."""
+        out = {}
+        for rec in sweep_grid(instance, F(1, 2), F(1), steps).records:
+            working = working_set(rec.pair, rec.mu)
+            if working not in out:
+                qp = ReducedHullQP.from_instance(instance, rec.mu)
+                piece = Piece.build(qp, working)
+                out[working] = piece and (rec.mu, piece)
+                if piece:
+                    assert piece.optimum(qp) == rec.pair
+        return [case for case in out.values() if case]
+
+    @pytest.fixture(scope="class")
+    def limits(self, instance4):
+        """Each piece's nearest event below and above its record, with the next stop beyond.
+
+        Both sides of every piece of a d=4 constructed sweep and of the 8-point
+        arc, each as (instance, piece, record mu, event mu, kinds, beyond).
+        """
+        out = []
+        for instance in (instance4, generate_2d_arc_instance(8)):
+            for mu_r, piece in self.valid_pieces(instance, 32):
+                events = piece_events(piece, ReducedHullQP.from_instance(instance, mu_r))
+                stops = sorted(set(events) | {F(1, 2), F(1)})
+                below = [m for m in stops if m < mu_r]
+                above = [m for m in stops if m > mu_r]
+                for side in (below[::-1], above):
+                    if side and side[0] in events:
+                        beyond = side[1] if len(side) > 1 else None
+                        out.append((instance, piece, mu_r, side[0], events[side[0]], beyond))
+        return out
+
+    @staticmethod
+    def at(instance, mu):
+        return ReducedHullQP.from_instance(instance, mu)
+
+    def test_free_coefficient_leaving_its_bounds_is_refused(self, limits):
+        seen = 0
+        for instance, piece, _mu_r, mu, kinds, beyond in limits:
+            if kinds != {"free"}:
+                continue
+            # at the breakpoint the coefficient touches 0 or mu: still the optimum
+            qp = self.at(instance, mu)
+            assert piece.optimum(qp) == solve_reduced_distance(qp)
+            if beyond is not None:
+                assert piece.optimum(self.at(instance, (mu + beyond) / 2)) is None
+                seen += 1
+        assert seen >= 5
+
+    @pytest.mark.parametrize("kind", ["lo", "hi"])
+    def test_breakpoint_where_a_bound_gradient_meets_its_multiplier_is_refused(
+        self, limits, kind
+    ):
+        seen = 0
+        for instance, piece, mu_r, mu, kinds, _beyond in limits:
+            if kind not in kinds:
+                continue
+            assert piece.optimum(self.at(instance, mu)) is None
+            inside = self.at(instance, (mu_r + mu) / 2)
+            assert piece.optimum(inside) == solve_reduced_distance(inside)
+            seen += 1
+        assert seen >= 2
+
+    def test_dependent_free_differences_get_no_piece(self):
+        qp = ReducedHullQP.from_instance(generate_2d_arc_instance(8), F(1, 2))
+        # arc points 0, 1, 2 and both line points free: three differences in the plane
+        assert Piece.build(qp, ((3, 4, 5, 6, 7), ())) is None
+        # arc points 0, 1 and both line points: two independent differences
+        assert Piece.build(qp, ((2, 3, 4, 5, 6, 7), ())) is not None
+
+    def test_class_without_free_coefficient_gets_no_piece(self):
+        qp = ReducedHullQP.from_instance(generate_2d_arc_instance(8), F(1, 2))
+        assert Piece.build(qp, ((2, 3, 4, 5, 6, 7, 9), (8,))) is None
+        assert Piece.build(qp, ((2, 3, 4, 5, 6, 7), (0, 1))) is None
+
+    def test_other_point_set_refused(self, instance4):
+        qp = ReducedHullQP.from_instance(generate_2d_arc_instance(8), F(1, 2))
+        piece = Piece.build(qp, ((2, 3, 4, 5, 6, 7), ()))
+        with pytest.raises(ValueError, match="another point set"):
+            piece.optimum(ReducedHullQP.from_instance(instance4, F(1, 2)))
 
 
 class TestSupportSet:

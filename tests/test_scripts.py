@@ -1,5 +1,6 @@
-"""Smoke test of the end-to-end reproduction script on a small range of d."""
+"""Smoke tests of the reproduction and bench-ladder scripts on a small range of d."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,24 @@ def test_run_experiments_up_to_d4():
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines[1:-1]] == ["d=3:", "d=4:"]
     assert lines[-1] == "all bend counts exceed the lower bound"
+
+
+BENCH = SCRIPT.parent / "bench.py"
+
+
+def test_bench_ladder_up_to_d4(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text('{"runs": {"other": {"rows": []}}}')
+    proc = subprocess.run(
+        [sys.executable, str(BENCH), "--max-d", "4", "--label", "here", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["runs"]
+    assert set(runs) == {"other", "here"}
+    rows = runs["here"]["rows"]
+    assert [row["d"] for row in rows] == [3, 4]
+    for row in rows:
+        assert all(row[f"{cmd}_exit"] == 0 and row[f"{cmd}_s"] > 0 for cmd in ("gen", "verify", "sweep"))
+        assert row["bends"] > row["lower_bound"] == 2 ** row["d"] // 4
+        assert row["distinct_support_sets"] >= row["lower_bound"]

@@ -3,13 +3,17 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
+from oracles import sweep_refined_oracle
+from test_qp import small_instances
 from svmpath.construct import (
+    SvmInstance,
     admissible_constructions,
     build_instance,
     generate_2d_arc_instance,
     mu_of_q,
 )
-from svmpath.qp import build_kkt_certificate
+from svmpath.goldfarb import GoldfarbParams
+from svmpath.qp import Piece, build_kkt_certificate
 from svmpath.sweep import (
     SweepMismatchError,
     grid_values,
@@ -141,3 +145,53 @@ class TestRefinedSweep:
 
     def test_lower_bound_for_demo(self, arc10):
         assert instance_lower_bound(arc10) == 2 * (10 - 3)
+
+
+class TestPiecesMatchTheLoop:
+    """sweep_refined, which tries affine pieces first, against the loop-only oracle."""
+
+    @pytest.fixture
+    def hits(self, monkeypatch):
+        tally = {"tried": 0, "hit": 0}
+        optimum = Piece.optimum
+
+        def counted(piece, qp):
+            pair = optimum(piece, qp)
+            tally["tried"] += 1
+            tally["hit"] += pair is not None
+            return pair
+
+        monkeypatch.setattr(Piece, "optimum", counted)
+        return tally
+
+    def check(self, instance, hits, steps, depth):
+        report = sweep_refined(instance, F(1, 2), F(1), steps, depth)
+        assert report == sweep_refined_oracle(instance, F(1, 2), F(1), steps, depth)
+        # both a piece hit and a loop solve occur
+        assert 0 < hits["hit"] < len(report.records)
+        assert hits["hit"] < hits["tried"]
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
+    def test_constructed(self, hits, d, eps, gamma):
+        instance = build_instance(GoldfarbParams(d, eps, gamma), DEFAULT_STRETCH)
+        self.check(instance, hits, 128, 6)
+
+    @pytest.mark.parametrize("n_plus", [8, 12])
+    def test_arc(self, hits, n_plus):
+        self.check(generate_2d_arc_instance(n_plus), hits, 128, 6)
+
+    def test_small_instances(self, hits):
+        # the 68 of the solver's 200 tiny instances that a sweep over [1/2, 1]
+        # accepts: two minus points and at least two plus points, in one to
+        # three dimensions, 14 of them with a repeated point
+        swept = 0
+        for qp in small_instances(200):
+            if len(qp.minus_points) != 2 or len(qp.plus_points) < 2:
+                continue
+            instance = SvmInstance(qp.plus_points, tuple(range(len(qp.plus_points))), qp.minus_points)
+            report = sweep_refined(instance, F(1, 2), F(1), 9, 3)
+            assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 9, 3)
+            swept += 1
+        assert swept == 68
+        assert 0 < hits["hit"] < hits["tried"]
