@@ -21,7 +21,6 @@ from .construct import (
     facet_strictness_check,
     generate_2d_arc_instance,
     mu_of_q,
-    reduced_hull_segment,
     stretch,
     support_decomposition,
 )
@@ -46,7 +45,6 @@ from .qp import (
     ReducedHullQP,
     build_kkt_certificate,
     kkt_check_general,
-    mu_from_nu,
     nu_from_mu,
     solve_reduced_distance,
     support_set,

@@ -142,16 +142,19 @@ def cmd_sweep(args) -> int:
         if value < least:
             print(f"sweep: {flag} must be >= {least}, got {value}", file=sys.stderr)
             return EXIT_INPUT
+    mu_lo, mu_hi = parse_rational(args.mu_lo), parse_rational(args.mu_hi)
+    if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
+        print(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "
+              f"--mu-hi {args.mu_hi}", file=sys.stderr)
+        return EXIT_INPUT
     if _refuse_unwritable("sweep", ("--out", args.out), ("--csv", args.csv)):
         return EXIT_INPUT
     instance = read_instance(args.instance)
-    report = sweep_refined(
-        instance, parse_rational(args.mu_lo), parse_rational(args.mu_hi), args.steps, args.refine
-    )
+    report = sweep_refined(instance, mu_lo, mu_hi, args.steps, args.refine)
     meta = {
         "instance": str(args.instance),
-        "mu_lo": rational_json(parse_rational(args.mu_lo)),
-        "mu_hi": rational_json(parse_rational(args.mu_hi)),
+        "mu_lo": rational_json(mu_lo),
+        "mu_hi": rational_json(mu_hi),
         "steps": args.steps,
         "refine_depth": args.refine,
     }
@@ -159,12 +162,10 @@ def cmd_sweep(args) -> int:
     if args.csv:
         Path(args.csv).write_text(sweep_report_csv(report, args.precision), encoding="utf-8")
     n = instance.n_points
-    nu_hi = nu_from_mu(parse_rational(args.mu_lo), n)
-    nu_lo = nu_from_mu(parse_rational(args.mu_hi), n)
     print(
         f"bends={report.bend_count} (lower bound {report.lower_bound}), "
         f"distinct support sets={report.distinct_support_sets}, "
-        f"nu range [{nu_lo}, {nu_hi}]"
+        f"nu range [{nu_from_mu(mu_hi, n)}, {nu_from_mu(mu_lo, n)}]"
     )
     return EXIT_OK
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Optional
 
-from .geometry import SingularMatrixError, Vec, common_denominator, solve_linear_system
+from .geometry import PointTable, SingularMatrixError, Vec, common_denominator, solve_linear_system
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
@@ -129,6 +129,9 @@ class SvmInstance:
     labeled by their facet pair (k, s), plus two points on the line labeled
     'left' and 'right'. The 2D demo instance stores plain integer labels and
     no construction metadata.
+
+    `table`, the instance's PointTable, is built on first use and is no
+    field: equality, hashing and the file format never see it.
     """
 
     plus_points: tuple
@@ -145,6 +148,10 @@ class SvmInstance:
     @property
     def n_points(self) -> int:
         return len(self.plus_points) + len(self.minus_points)
+
+    @cached_property
+    def table(self) -> PointTable:
+        return PointTable(self.plus_points, self.minus_points)
 
 
 MINUS_LABELS = ("left", "right")
@@ -223,9 +230,10 @@ def support_decomposition(
 ) -> SupportDecomposition:
     """Solve the d x d system sum_k alpha_k w_(k, sigma_k)(L) = p exactly.
 
-    The d stretched facet vertices are linearly independent, and tightness of
-    p on the sigma-facet forces sum alpha_k = 1 automatically; both facts are
-    asserted. All weights must come out strictly positive.
+    A singular system (dependent facet vertices), a weight sum other than 1
+    (p off the sigma-facet) and a nonpositive weight each raise
+    DecompositionError. Otherwise the d >= 2 weights are positive and sum to
+    1, so the largest, mu_sigma, is below 1.
     """
     d = params.dim
     duals = dual_vertices(params)
@@ -249,12 +257,7 @@ def support_decomposition(
     for a, c in zip(alphas, cols):
         reconstructed = reconstructed + c * a
     assert reconstructed == p
-    mu_sigma = max(alphas)
-    if mu_sigma >= 1:
-        raise DecompositionError(
-            f"largest weight {mu_sigma} >= 1 for sigma={sigma} at L={s.factor}"
-        )
-    return SupportDecomposition(tuple(sigma), tuple(alphas), mu_sigma)
+    return SupportDecomposition(tuple(sigma), tuple(alphas), max(alphas))
 
 
 def calibrate(pairs: Iterable[ConstructedPair], decomps: Iterable[SupportDecomposition]) -> Calibration:
@@ -291,20 +294,6 @@ def mu_of_q(q_last: Fraction, calib: Calibration) -> Fraction:
     if q_last == calib.q_min:
         return Fraction(1)
     return 1 - (q_last - calib.q_min) * (1 - calib.mu_bar) / (calib.q_max - calib.q_min)
-
-
-def reduced_hull_segment(u_left: Vec, u_right: Vec, mu) -> tuple:
-    """Reduced hull of a two-point class: the capped-coefficient segment.
-
-    [mu*u_left + (1-mu)*u_right, mu*u_right + (1-mu)*u_left]; the full segment
-    at mu = 1, its midpoint at mu = 1/2.
-    """
-    mu = Fraction(mu)
-    if not Fraction(1, 2) <= mu <= 1:
-        raise ValueError(f"mu {mu} outside [1/2, 1]")
-    left = u_left * mu + u_right * (1 - mu)
-    right = u_right * mu + u_left * (1 - mu)
-    return left, right
 
 
 @lru_cache(maxsize=None)

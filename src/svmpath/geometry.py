@@ -1,4 +1,4 @@
-"""Exact rational vectors, linear systems and 2D convex hulls.
+"""Exact rational vectors, point tables, linear systems and 2D convex hulls.
 
 Every quantity in this package is a `fractions.Fraction`: arbitrary-precision
 numerator, positive denominator, always in lowest terms. Nothing here ever
@@ -136,6 +136,77 @@ def common_denominator(rows: Iterable[Sequence]) -> tuple:
     rows = [[Fraction(x) for x in row] for row in rows]
     den = lcm(*(x.denominator for row in rows for x in row))
     return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+
+
+class PointTable:
+    """The signed points of a two-class point set, cleared to integers, and their Gram matrix.
+
+    The signed points s are the plus points followed by the minus points
+    negated, so sum_k x_k s_k = p - q for coefficients x. Each s_k equals
+    Vec(nums[k]) * Fraction(1, dens[k]) exactly, with integer nums[k] over the
+    point's own least denominator. One denominator shared by every point would
+    carry all of their factors (901 bits on the 60-point arc) into each
+    product. gram[i][j] = s_i . s_j; the two halves share entries.
+    """
+
+    # not a dataclass: that would compile its generated methods on every
+    # import of the package, about 1 ms of each command's start-up
+    __slots__ = ("plus_points", "minus_points", "nums", "dens", "gram")
+
+    def __init__(self, plus_points: Iterable, minus_points: Iterable):
+        self.plus_points = tuple(p if type(p) is Vec else Vec(p) for p in plus_points)
+        self.minus_points = tuple(p if type(p) is Vec else Vec(p) for p in minus_points)
+        if not self.plus_points or not self.minus_points:
+            raise ValueError("each class needs at least one point")
+        dens, nums = [], []
+        for s in self.plus_points + tuple(-v for v in self.minus_points):
+            den, (row,) = common_denominator([s])
+            dens.append(den)
+            nums.append(row)
+        n = len(nums)
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                dot = sum(a * b for a, b in zip(nums[i], nums[j]))
+                gram[i][j] = gram[j][i] = Fraction(dot, dens[i] * dens[j])
+        self.nums, self.dens, self.gram = tuple(nums), tuple(dens), tuple(map(tuple, gram))
+
+    def cleared_sum(self, terms: Iterable) -> tuple:
+        """(S, den) with sum of v s_k over (k, v) in terms == Vec(S) * Fraction(1, den), S integer."""
+        nums, dens = self.nums, self.dens
+        active = [(v.numerator, v.denominator * dens[k], nums[k]) for k, v in terms if v]
+        # star-args from a list: from a generator, CPython parks one argument
+        # tuple per call on its tuple free lists, 0.3 MB over one sweep
+        den = lcm(*[vd for _vn, vd, _row in active])
+        S = [0] * len(nums[0])
+        for vn, vd, row in active:
+            f = vn * (den // vd)
+            for c, a in enumerate(row):
+                S[c] += f * a
+        return S, den
+
+    def signed_dot(self, k: int, S: Sequence, den: int) -> tuple:
+        """(num, den_k) with s_k . (Vec(S) / den) == Fraction(num, den_k) and den_k > 0.
+
+        `S` and `den` are a `cleared_sum`; the dot product is over integers.
+        """
+        return sum(a * b for a, b in zip(self.nums[k], S)), self.dens[k] * den
+
+    def difference_gram(self, directions: Sequence) -> list:
+        """Gram matrix of the differences s_i - s_r for (i, r) in `directions`.
+
+        Entry (a, b) is (s_i - s_r) . (s_j - s_t) = G_ij - G_it - G_rj + G_rt,
+        four entries of the Gram matrix G, for directions[a] = (i, r) and
+        directions[b] = (j, t).
+        """
+        gram = self.gram
+        out = [[None] * len(directions) for _ in directions]
+        for a, (i, r) in enumerate(directions):
+            gi, gr = gram[i], gram[r]
+            for b in range(a, len(directions)):
+                j, t = directions[b]
+                out[a][b] = out[b][a] = gi[j] - gi[t] - gr[j] + gr[t]
+        return out
 
 
 def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:

@@ -10,17 +10,19 @@ lowest-index tie-breaking. It stops only at an iterate whose exact multiplier
 signs satisfy the KKT conditions, never by tolerance; the solver does not run
 the independent checker `kkt_check_general` on its result (the tests do).
 
-The loop reads one table per point set, built once and kept for the next
-solve: the Gram matrix G[i][j] = s_i . s_j of the signed points s (the minus
-class negated), and each s_i as integer numerators over its own denominator.
-Each entry of a step's normal equations is a sum of four entries of G rather
-than a d-term dot product of Fraction vectors. Each gradient s_k . w, with
-w = p - q, is one integer dot product of s_k's numerators with w cleared to
-integers, divided by the two denominators. These integer quantities are the
-exact ones times a positive constant, and the division restores the exact
-rational; the multiplier test compares s_k . w, half the true gradient
-2 s_k . w. A positive factor changes no sign and no comparison, so every
-step, pivot and tie-break is the one the exact gradients give.
+The solver, the pieces and the certificates read one `PointTable` per point
+set, which the problem carries: `ReducedHullQP` is the table and mu, and an
+`SvmInstance` builds its table on first use, so every QP of one instance
+shares it. The table holds the signed points s (the minus class negated) as
+integer numerators over per-point denominators, and their Gram matrix G.
+Each entry of a step's normal equations, and of the uniqueness test's
+matrix, is a sum of four entries of G (`difference_gram`) rather than a
+d-term dot product of Fraction vectors. Each gradient s_k . w, with
+w = p - q, is one integer dot product over a positive denominator
+(`signed_dot`), read there by the loop, `Piece` and the KKT check. The
+multiplier test compares s_k . w, half the true gradient 2 s_k . w. A
+positive factor changes no sign and no comparison, so every step, pivot and
+tie-break is the one the exact gradients give.
 
 Along a sweep most solves need no loop. With the working set fixed (the
 coefficients at 0, those at mu, and the free rest) the KKT conditions are a
@@ -46,15 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
 from .geometry import (
+    PointTable,
     SingularMatrixError,
     Vec,
-    common_denominator,
     solve_linear_system,
     solve_linear_system_general,
     solve_linear_systems,
@@ -81,29 +81,31 @@ class CertificateError(Exception):
 
 @dataclass(frozen=True)
 class ReducedHullQP:
-    """Distance problem between the mu-reduced hulls of two point classes."""
+    """Distance problem between the mu-reduced hulls of a point table's two classes."""
 
-    plus_points: tuple
-    minus_points: tuple
+    table: PointTable
     mu: Fraction
 
     def __post_init__(self):
-        for name in ("plus_points", "minus_points"):
-            points = tuple(p if type(p) is Vec else Vec(p) for p in getattr(self, name))
-            object.__setattr__(self, name, points)
         if type(self.mu) is not Fraction:
             object.__setattr__(self, "mu", Fraction(self.mu))
         for cls in (self.plus_points, self.minus_points):
-            if not cls:
-                raise ValueError("each class needs at least one point")
             if not Fraction(1, len(cls)) <= self.mu <= 1:
                 raise ValueError(
                     f"mu = {self.mu} outside [1/{len(cls)}, 1]; reduced hull empty or uncapped"
                 )
 
+    @property
+    def plus_points(self) -> tuple:
+        return self.table.plus_points
+
+    @property
+    def minus_points(self) -> tuple:
+        return self.table.minus_points
+
     @classmethod
     def from_instance(cls, instance, mu) -> "ReducedHullQP":
-        return cls(instance.plus_points, instance.minus_points, Fraction(mu))
+        return cls(instance.table, Fraction(mu))
 
 
 @dataclass(frozen=True)
@@ -129,58 +131,6 @@ class KktCertificate:
     mu: Fraction
     pair: OptimalPair
     facet_multiplier: Fraction
-
-
-_last_point_table = [None]  # [(key, table)] of the last point set solved
-
-
-def _point_table(plus_points: tuple, minus_points: tuple) -> tuple:
-    """(nums, dens, gram) of the signed points s_i, the minus class negated.
-
-    s_i == Vec(nums[i]) * Fraction(1, dens[i]) exactly, with integer nums[i]
-    over the point's own least denominator. One denominator shared by every
-    point would carry all of their factors (901 bits on the 60-point arc)
-    into each product. gram[i][j] = s_i . s_j; the two halves share entries.
-
-    The table of the last point set is kept, so a sweep builds it once. The
-    lookup compares the point tuples, which costs one identity test per point
-    when they hold the same Vec objects, as they do for every QP of one
-    instance; an lru_cache would hash every Fraction on each solve instead
-    (about 0.25 ms per solve on the 60-point arc, 2-core x86-64 VM).
-    """
-    key = (plus_points, minus_points)
-    last = _last_point_table[0]
-    if last is not None and last[0] == key:
-        return last[1]
-    signed = plus_points + tuple(-v for v in minus_points)
-    dens, nums = [], []
-    for s in signed:
-        den, (row,) = common_denominator([s])
-        dens.append(den)
-        nums.append(row)
-    n = len(signed)
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(a * b for a, b in zip(nums[i], nums[j]))
-            gram[i][j] = gram[j][i] = Fraction(dot, dens[i] * dens[j])
-    table = tuple(nums), tuple(dens), tuple(map(tuple, gram))
-    _last_point_table[0] = key, table
-    return table
-
-
-def _cleared_sum(x, nums, dens) -> tuple:
-    """(S, den) with sum_i x_i s_i == Vec(S) * Fraction(1, den) exactly, S integer."""
-    active = [(v.numerator, v.denominator * dens[i], nums[i]) for i, v in enumerate(x) if v]
-    # star-args from a list: from a generator, CPython parks one argument
-    # tuple per call on its tuple free lists, 0.3 MB over one sweep
-    den = lcm(*[vd for _vn, vd, _row in active])
-    S = [0] * len(nums[0])
-    for vn, vd, row in active:
-        f = vn * (den // vd)
-        for c, a in enumerate(row):
-            S[c] += f * a
-    return S, den
 
 
 def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPair]):
@@ -213,12 +163,11 @@ def solve_reduced_distance(
     `start` may carry coefficients from a neighbouring solve (warm start);
     they are used only when exactly feasible for this mu. Each iteration
     moves the free coefficients of a class against its first free one, along
-    the directions e_i - e_r. The normal equations of that step have entries
-    (s_i - s_r) . (s_j - s_t) = G[i][j] - G[i][t] - G[r][j] + G[r][t], read
-    from the cached Gram matrix G of the signed points s, and right-hand side
-    s_r . w - s_i . w with w = p - q, computed only for the points that move.
-    Every s_k . w is one integer dot product of the point's numerators with w
-    cleared to integers, divided by both denominators, so it is exact.
+    the directions e_i - e_r. The normal equations of that step are the
+    table's `difference_gram` of the directions, with right-hand side
+    s_r . w - s_i . w for w = p - q, computed only for the points that move.
+    Every s_k . w is the table's exact `signed_dot` of the point with w
+    cleared to integers.
 
     The loop returns only when the step is zero and no bound multiplier has
     the wrong sign, decided exactly at that iterate: these are the KKT
@@ -236,8 +185,8 @@ def solve_reduced_distance(
         pair = piece.optimum(qp)
         if pair is not None:
             return pair
-    nums, dens, gram = _point_table(qp.plus_points, qp.minus_points)
-    n, n_plus = len(nums), len(qp.plus_points)
+    table = qp.table
+    n, n_plus = len(table.nums), len(qp.plus_points)
     classes = (tuple(range(n_plus)), tuple(range(n_plus, n)))
     mu = qp.mu
     x = _initial_point(qp, classes, n, start)
@@ -251,10 +200,10 @@ def solve_reduced_distance(
 
     cap = 1000 + 60 * n
     for _ in range(cap):
-        W, den_w = _cleared_sum(x, nums, dens)
+        W, den_w = table.cleared_sum(enumerate(x))
 
         def s_dot_w(k):
-            return Fraction(sum(a * b for a, b in zip(nums[k], W)), dens[k] * den_w)
+            return Fraction(*table.signed_dot(k, W, den_w))
 
         directions = []
         for cls in classes:
@@ -265,12 +214,7 @@ def solve_reduced_distance(
 
         step = None
         if directions:
-            normal = [[None] * len(directions) for _ in directions]
-            for a, (i, r) in enumerate(directions):
-                gi, gr = gram[i], gram[r]
-                for b in range(a, len(directions)):
-                    j, t = directions[b]
-                    normal[a][b] = normal[b][a] = gi[j] - gi[t] - gr[j] + gr[t]
+            normal = table.difference_gram(directions)
             moved = {k for pair in directions for k in pair}
             sw = {k: s_dot_w(k) for k in moved}
             rhs = [sw[r] - sw[i] for i, r in directions]
@@ -326,18 +270,18 @@ def solve_reduced_distance(
                     if wrong and (drop is None or i < drop):
                         drop = i
         if drop is None:
-            return _finish(qp, x, nums, dens)
+            return _finish(table, x)
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
 
 
-def _finish(qp: ReducedHullQP, x, nums, dens) -> OptimalPair:
+def _finish(table: PointTable, x) -> OptimalPair:
     """The pair p, q and ||p - q||^2 at coefficients x, from the integer points."""
-    n_plus = len(qp.plus_points)
-    P, den_p = _cleared_sum(x[:n_plus], nums[:n_plus], dens[:n_plus])
-    Q, den_q = _cleared_sum(x[n_plus:], nums[n_plus:], dens[n_plus:])  # minus points negated
-    W, den_w = _cleared_sum(x, nums, dens)
+    n_plus = len(table.plus_points)
+    P, den_p = table.cleared_sum(enumerate(x[:n_plus]))
+    Q, den_q = table.cleared_sum(enumerate(x[n_plus:], n_plus))  # minus points negated
+    W, den_w = table.cleared_sum(enumerate(x))
     return OptimalPair(
         Vec(Fraction(c, den_p) for c in P),
         Vec(Fraction(-c, den_q) for c in Q),
@@ -376,22 +320,22 @@ class Piece:
 
     # not a dataclass: that would compile its generated methods on every
     # import of the package, about 1 ms of each command's start-up
-    __slots__ = ("points", "at_lo", "at_hi", "free", "base", "slope")
+    __slots__ = ("table", "at_lo", "at_hi", "free", "base", "slope")
 
-    def __init__(self, points: tuple, at_lo: tuple, at_hi: tuple, free: tuple, base: tuple, slope: tuple):
-        self.points, self.at_lo, self.at_hi = points, at_lo, at_hi
+    def __init__(self, table: PointTable, at_lo: tuple, at_hi: tuple, free: tuple, base: tuple, slope: tuple):
+        self.table, self.at_lo, self.at_hi = table, at_lo, at_hi
         self.free, self.base, self.slope = free, base, slope
 
     @classmethod
     def build(cls, qp: ReducedHullQP, working: tuple) -> Optional["Piece"]:
-        """The piece of `working` = (at_lo, at_hi) on qp's points, or None.
+        """The piece of `working` = (at_lo, at_hi) on qp's point table, or None.
 
         There is none when a class has no free coefficient or the bordered
         matrix is singular, that is when the differences of the free points
         to one free point per class are linearly dependent.
         """
-        nums, _dens, gram = _point_table(qp.plus_points, qp.minus_points)
-        n, n_plus = len(nums), len(qp.plus_points)
+        gram = qp.table.gram
+        n, n_plus = len(gram), len(qp.plus_points)
         at_lo, at_hi = working
         bound = set(at_lo) | set(at_hi)
         free = tuple(i for i in range(n) if i not in bound)
@@ -411,8 +355,7 @@ class Piece:
             base, slope = solve_linear_systems(matrix, [r0, r1])
         except SingularMatrixError:
             return None
-        points = (qp.plus_points, qp.minus_points)
-        return cls(points, tuple(at_lo), tuple(at_hi), free, tuple(base), tuple(slope))
+        return cls(qp.table, tuple(at_lo), tuple(at_hi), free, tuple(base), tuple(slope))
 
     def optimum(self, qp: ReducedHullQP) -> Optional[OptimalPair]:
         """The unique optimum of qp if it lies on this piece, else None.
@@ -425,10 +368,10 @@ class Piece:
         bordered matrix leaves the free ones no direction that keeps w and
         the class sums. So it is the only optimum, the one the loop returns.
         """
-        if (qp.plus_points, qp.minus_points) != self.points:
+        table = self.table
+        if qp.table is not table:
             raise ValueError("piece belongs to another point set")
-        nums, dens, _gram = _point_table(*self.points)
-        n, n_plus = len(nums), len(qp.plus_points)
+        n, n_plus = len(table.nums), len(qp.plus_points)
         mu = qp.mu
         x = [Fraction(0)] * n
         for h in self.at_hi:
@@ -440,16 +383,16 @@ class Piece:
             x[i] = v
         m = len(self.free)
         lams = [self.base[m + c] + mu * self.slope[m + c] for c in (0, 1)]
-        W, den_w = _cleared_sum(x, nums, dens)
-        # s_k . w = dot / (dens[k] den_w) against lam = a / b, all denominators positive
+        W, den_w = table.cleared_sum(enumerate(x))
+        # s_k . w = num / den against lam = a / b, both denominators positive
         for indices, above in ((self.at_lo, True), (self.at_hi, False)):
             for k in indices:
                 lam = lams[k >= n_plus]
-                lhs = sum(a * b for a, b in zip(nums[k], W)) * lam.denominator
-                rhs = lam.numerator * dens[k] * den_w
+                num, den = table.signed_dot(k, W, den_w)
+                lhs, rhs = num * lam.denominator, lam.numerator * den
                 if (lhs <= rhs) if above else (lhs >= rhs):
                     return None
-        return _finish(qp, x, nums, dens)
+        return _finish(table, x)
 
 
 def support_set(pair: OptimalPair) -> tuple:
@@ -463,16 +406,19 @@ def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
     """Necessary-and-sufficient optimality check for a feasible candidate.
 
     Verifies feasibility exactly (raising FeasibilityError with the violated
-    constraints otherwise), then decides whether per-class multipliers exist:
+    constraints otherwise): the coefficient counts, sums and bounds, and that
+    the stored p and q are the coefficient combinations, compared against the
+    table's cleared sums. Then decides whether per-class multipliers exist:
     within each class every free coefficient must see the same gradient value
     lam, coefficients at 0 must see gradient >= lam, and coefficients at mu
     must see gradient <= lam.
     """
     mu = qp.mu
+    table = qp.table
     violations = []
-    for label, alphas, points, ref in (
-        ("+", candidate.alpha_plus, qp.plus_points, candidate.p),
-        ("-", candidate.alpha_minus, qp.minus_points, candidate.q),
+    for label, alphas, points, offset, sign, ref in (
+        ("+", candidate.alpha_plus, qp.plus_points, 0, 1, candidate.p),
+        ("-", candidate.alpha_minus, qp.minus_points, len(qp.plus_points), -1, candidate.q),
     ):
         if len(alphas) != len(points):
             violations.append(f"class {label}: wrong coefficient count")
@@ -482,45 +428,38 @@ def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
         for i, a in enumerate(alphas):
             if not 0 <= a <= mu:
                 violations.append(f"class {label}: coefficient {i} = {a} outside [0, {mu}]")
-        combo = Vec.zero(len(points[0]))
-        for a, pt in zip(alphas, points):
-            combo = combo + pt * a
-        if combo != ref:
+        S, den = table.cleared_sum(enumerate(alphas, offset))  # minus points negated
+        if Vec(Fraction(sign * c, den) for c in S) != ref:
             violations.append(f"class {label}: stored point is not the coefficient combination")
     if violations:
         raise FeasibilityError(violations)
 
     ranges = _multiplier_ranges(qp, candidate)
-    return all(hi is None or lo <= hi for _signed, _grads, lo, hi in ranges)
+    return all(hi is None or lo <= hi for _indices, _grads, lo, hi in ranges)
 
 
-@lru_cache(maxsize=1)
 def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> tuple:
-    """Per class: signed points, gradients, and the range of the class multiplier.
+    """Per class: point indices, gradients, and the range of the class multiplier.
 
-    The gradient of coefficient i is 2 s_i . (p - q) with s_i the point, negated
-    in the minus class. A class multiplier lam is valid iff every coefficient
-    above 0 sees gradient <= lam and every coefficient below mu sees gradient
-    >= lam, so the valid values form [lo, hi]: lo is the largest gradient
-    over positive coefficients, hi the smallest over coefficients below mu
-    (None when every coefficient sits at mu). KKT holds iff lo <= hi in each
-    class; a free coefficient pins lo == hi.
-
-    The ranges of the last (qp, candidate) are kept, so `build_kkt_certificate`
-    computes them once for `kkt_check_general`, `unique_optimum` and the
-    plus-class multiplier.
+    The gradient of coefficient k is 2 s_k . w, with s_k the table's signed
+    point and w = sum_k x_k s_k the candidate's p - q, read from the table's
+    `signed_dot`. A class multiplier lam is valid iff every coefficient above
+    0 sees gradient <= lam and every coefficient below mu sees gradient >= lam,
+    so the valid values form [lo, hi]: lo is the largest gradient over
+    positive coefficients, hi the smallest over coefficients below mu (None
+    when every coefficient sits at mu). KKT holds iff lo <= hi in each class;
+    a free coefficient pins lo == hi. Call it only on a feasible candidate.
     """
-    w = candidate.p - candidate.q
+    table = qp.table
+    x = tuple(candidate.alpha_plus) + tuple(candidate.alpha_minus)
+    W, den_w = table.cleared_sum(enumerate(x))
+    n_plus = len(qp.plus_points)
     out = []
-    for sign, alphas, points in (
-        (1, candidate.alpha_plus, qp.plus_points),
-        (-1, candidate.alpha_minus, qp.minus_points),
-    ):
-        signed = tuple(pt * sign for pt in points)
-        grads = tuple(2 * s.dot(w) for s in signed)
-        lo = max(g for g, a in zip(grads, alphas) if a > 0)
-        hi = min((g for g, a in zip(grads, alphas) if a < qp.mu), default=None)
-        out.append((signed, grads, lo, hi))
+    for indices in (range(n_plus), range(n_plus, len(x))):
+        grads = tuple(2 * Fraction(*table.signed_dot(k, W, den_w)) for k in indices)
+        lo = max(g for g, k in zip(grads, indices) if x[k] > 0)
+        hi = min((g for g, k in zip(grads, indices) if x[k] < qp.mu), default=None)
+        out.append((indices, grads, lo, hi))
     return tuple(out)
 
 
@@ -536,18 +475,18 @@ def unique_optimum(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
     rest, the points whose gradient equals lam, could only move along a
     direction that keeps every class sum and w; none exists iff their
     differences to one reference point per class are linearly independent,
-    decided by a nonsingular Gram matrix. False means such a direction exists;
-    it leads to another optimum unless a point it moves sits at a bound.
+    decided by a nonsingular `difference_gram`. False means such a direction
+    exists; it leads to another optimum unless a point it moves sits at a
+    bound.
     """
-    diffs = []
-    for signed, grads, lo, hi in _multiplier_ranges(qp, candidate):
+    directions = []
+    for indices, grads, lo, hi in _multiplier_ranges(qp, candidate):
         if lo != hi:
             continue
-        movable = [s for s, g in zip(signed, grads) if g == lo]
-        diffs.extend(s - movable[0] for s in movable[1:])
-    gram = [[a.dot(b) for b in diffs] for a in diffs]
+        movable = [k for k, g in zip(indices, grads) if g == lo]
+        directions.extend((k, movable[0]) for k in movable[1:])
     try:
-        solve_linear_system(gram, [0] * len(diffs))
+        solve_linear_system(qp.table.difference_gram(directions), [0] * len(directions))
     except SingularMatrixError:
         return False
     return True
@@ -580,7 +519,7 @@ def build_kkt_certificate(
         raise CertificateError(f"KKT conditions fail for {where}")
     if not unique_optimum(qp, candidate):
         raise CertificateError(f"optimum is not unique for {where}")
-    _signed, _grads, lam_plus, _hi = _multiplier_ranges(qp, candidate)[0]
+    _indices, _grads, lam_plus, _hi = _multiplier_ranges(qp, candidate)[0]
     return KktCertificate(tuple(pair.sigma), mu, candidate, -lam_plus)
 
 
@@ -591,10 +530,3 @@ def nu_from_mu(mu, n: int) -> Fraction:
         raise ValueError("mu must be positive")
     return Fraction(2, 1) / (n * mu)
 
-
-def mu_from_nu(nu, n: int) -> Fraction:
-    """Inverse conversion; round-trips exactly with nu_from_mu."""
-    nu = Fraction(nu)
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    return Fraction(2, 1) / (n * nu)

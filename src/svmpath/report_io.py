@@ -20,10 +20,6 @@ def rational_json(x) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
-def rational_from_json(obj) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
-
-
 def _label_json(label):
     if isinstance(label, tuple):
         return list(label)

@@ -1,4 +1,4 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and test-only helpers for the test suite.
 
 These deliberately avoid the library's solution paths: the distance oracle
 enumerates every bound pattern of the dual and minimizes each subproblem from
@@ -7,11 +7,17 @@ directions of its optimal face, hull extremeness is decided by exhaustive
 triangle membership, the two facet-incidence checks rebuild every cube vertex
 as Fractions instead of reading the library's integer vertex table, and the
 facet multiplier of a breakpoint comes from the single-facet relaxation
-rather than the instance QP, and the reference solver rebuilds its normal
-equations and gradients from Fraction point coordinates on every iteration
-instead of reading the library's cached Gram matrix and integer points. The
-reference sweep takes every record from the solver's loop, without the affine
-pieces the library sweep tries first. All are exact.
+rather than the instance QP. The reference solver rebuilds its normal
+equations and gradients from Fraction point coordinates on every iteration,
+and the reference multiplier ranges and uniqueness test take Fraction vector
+dot products, instead of reading the instance's point table (its integer
+points and Gram matrix). The reference sweep takes every record from the
+solver's loop, without the affine pieces the library sweep tries first. All
+are exact.
+
+The last three functions are helpers that only tests need: the inverse
+parameter conversion, the two-point reduced hull and the JSON rational
+reader.
 """
 
 from fractions import Fraction
@@ -445,3 +451,84 @@ def relaxed_facet_multiplier(pair, params, ell) -> Fraction:
     assert not any((pair.p - pair.q) * 2 + v_ell * lam)
     assert v_ell.dot(pair.p) == 1
     return lam
+
+
+def multiplier_ranges_reference(qp, candidate) -> tuple:
+    """Reference for qp._multiplier_ranges: gradients from Fraction vector dot products.
+
+    Per class: signed points, gradients, and the range of the class multiplier.
+    The gradient of coefficient i is 2 s_i . (p - q) with s_i the point, negated
+    in the minus class. A class multiplier lam is valid iff every coefficient
+    above 0 sees gradient <= lam and every coefficient below mu sees gradient
+    >= lam, so the valid values form [lo, hi]: lo is the largest gradient
+    over positive coefficients, hi the smallest over coefficients below mu
+    (None when every coefficient sits at mu). KKT holds iff lo <= hi in each
+    class; a free coefficient pins lo == hi.
+    """
+    w = candidate.p - candidate.q
+    out = []
+    for sign, alphas, points in (
+        (1, candidate.alpha_plus, qp.plus_points),
+        (-1, candidate.alpha_minus, qp.minus_points),
+    ):
+        signed = tuple(pt * sign for pt in points)
+        grads = tuple(2 * s.dot(w) for s in signed)
+        lo = max(g for g, a in zip(grads, alphas) if a > 0)
+        hi = min((g for g, a in zip(grads, alphas) if a < qp.mu), default=None)
+        out.append((signed, grads, lo, hi))
+    return tuple(out)
+
+
+def unique_optimum_reference(qp, candidate) -> bool:
+    """Reference for qp.unique_optimum: the Gram matrix of Fraction vector differences.
+
+    Call it only on a candidate that `kkt_check_general` accepts. Every optimum
+    has the same w = p - q, hence the same gradients, and the candidate's
+    multipliers hold for it too. So a coefficient whose gradient differs from
+    its class multiplier lam has a nonzero bound multiplier and sits at the
+    same bound in every optimum. Where the valid lam form an interval, lam is
+    taken strictly inside it and no coefficient of that class can move. The
+    rest, the points whose gradient equals lam, could only move along a
+    direction that keeps every class sum and w; none exists iff their
+    differences to one reference point per class are linearly independent,
+    decided by a nonsingular Gram matrix.
+    """
+    diffs = []
+    for signed, grads, lo, hi in multiplier_ranges_reference(qp, candidate):
+        if lo != hi:
+            continue
+        movable = [s for s, g in zip(signed, grads) if g == lo]
+        diffs.extend(s - movable[0] for s in movable[1:])
+    gram = [[a.dot(b) for b in diffs] for a in diffs]
+    try:
+        solve_linear_system(gram, [0] * len(diffs))
+    except SingularMatrixError:
+        return False
+    return True
+
+
+def mu_from_nu(nu, n: int) -> Fraction:
+    """Inverse of qp.nu_from_mu; round-trips exactly with it."""
+    nu = Fraction(nu)
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    return Fraction(2, 1) / (n * nu)
+
+
+def reduced_hull_segment(u_left, u_right, mu) -> tuple:
+    """Reduced hull of a two-point class: the capped-coefficient segment.
+
+    [mu*u_left + (1-mu)*u_right, mu*u_right + (1-mu)*u_left]; the full segment
+    at mu = 1, its midpoint at mu = 1/2.
+    """
+    mu = Fraction(mu)
+    if not Fraction(1, 2) <= mu <= 1:
+        raise ValueError(f"mu {mu} outside [1/2, 1]")
+    left = u_left * mu + u_right * (1 - mu)
+    right = u_right * mu + u_left * (1 - mu)
+    return left, right
+
+
+def rational_from_json(obj) -> Fraction:
+    """The Fraction of a report_io.rational_json object."""
+    return Fraction(int(obj["num"]), int(obj["den"]))

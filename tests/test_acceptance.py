@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import enumerate_min_objective, relaxed_facet_multiplier
+from oracles import enumerate_min_objective, reduced_hull_segment, relaxed_facet_multiplier
 from test_qp import small_instances
 from svmpath.construct import (
     admissible_constructions,
@@ -18,7 +18,6 @@ from svmpath.construct import (
     choose_stretch,
     generate_2d_arc_instance,
     mu_of_q,
-    reduced_hull_segment,
 )
 from svmpath.goldfarb import (
     GoldfarbParams,
@@ -133,6 +132,8 @@ def test_criterion_6_construction_invariants(built):
             assert pair.slack < 0
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
+            # positive weights summing to 1, d >= 2 of them: none reaches 1
+            assert decomp.mu_sigma == max(decomp.alphas) < 1
             rebuilt = instance.plus_points[0] * 0
             for k in range(1, d + 1):
                 idx = instance.plus_labels.index((k, pair.sigma[k - 1]))

@@ -239,7 +239,18 @@ class TestSweepCommand:
         assert stderr.count("\n") == 1 and "--precision" in stderr
         assert not report.exists() and not csv.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--refine", "-1"), ("--steps", "1"), ("--steps", "-3")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--refine", "-1"),
+            ("--steps", "1"),
+            ("--steps", "-3"),
+            ("--mu-lo", "2/5"),
+            ("--mu-lo", "1"),
+            ("--mu-hi", "11/10"),
+            ("--mu-hi", "3/4"),
+        ],
+    )
     def test_bad_count_refused_before_reading(self, tmp_path, capsys, monkeypatch, flag, value):
         def refuse(*args, **kwargs):
             raise AssertionError(f"read or swept before checking {flag}")
@@ -252,6 +263,9 @@ class TestSweepCommand:
         code, _, stderr = run(["sweep", str(inst), "--out", str(report), flag, value], capsys)
         assert code == 2
         assert stderr.count("\n") == 1 and flag in stderr and value in stderr
+        if flag.startswith("--mu"):
+            # --mu-hi 3/4 falls below the default --mu-lo 8/10; both flags are named
+            assert f"{flag} {value}" in stderr and "--mu-lo" in stderr and "--mu-hi" in stderr
         assert not report.exists()
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])

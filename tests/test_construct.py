@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_STRETCH, default_params, spread
-from oracles import facet_strictness_oracle
+from oracles import facet_strictness_oracle, reduced_hull_segment
 from svmpath.construct import (
     CalibrationError,
     Calibration,
@@ -21,7 +21,6 @@ from svmpath.construct import (
     generate_2d_arc_instance,
     line_point,
     mu_of_q,
-    reduced_hull_segment,
     stretch,
     support_decomposition,
 )

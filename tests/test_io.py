@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
+from oracles import rational_from_json
 from svmpath.construct import build_instance, generate_2d_arc_instance
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.instance_io import (
@@ -18,7 +19,6 @@ from svmpath.instance_io import (
     write_instance,
 )
 from svmpath.report_io import (
-    rational_from_json,
     rational_json,
     shadow_svg,
     sweep_report_csv,

@@ -11,13 +11,21 @@ import oracles
 from conftest import DEFAULT_STRETCH, default_params
 from oracles import (
     enumerate_min_objective,
+    mu_from_nu,
+    multiplier_ranges_reference,
     relaxed_facet_multiplier,
     solve_reduced_distance_oracle,
     unique_optimum_oracle,
+    unique_optimum_reference,
 )
 from svmpath import qp as qp_module
-from svmpath.construct import build_instance, generate_2d_arc_instance, mu_of_q
-from svmpath.geometry import Vec
+from svmpath.construct import (
+    admissible_constructions,
+    build_instance,
+    generate_2d_arc_instance,
+    mu_of_q,
+)
+from svmpath.geometry import PointTable, Vec
 from svmpath.qp import (
     CertificateError,
     FeasibilityError,
@@ -26,7 +34,6 @@ from svmpath.qp import (
     ReducedHullQP,
     build_kkt_certificate,
     kkt_check_general,
-    mu_from_nu,
     nu_from_mu,
     solve_reduced_distance,
     support_set,
@@ -54,20 +61,20 @@ def small_instances(count=200, seed=20260808):
             Vec(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
             for _ in range(n_minus)
         ]
-        out.append(ReducedHullQP(plus, minus, mu))
+        out.append(ReducedHullQP(PointTable(plus, minus), mu))
     return out
 
 
 class TestSolver:
     def test_single_point_classes(self):
-        qp = ReducedHullQP([Vec((1, 2))], [Vec((0, 0))], F(1))
+        qp = ReducedHullQP(PointTable([Vec((1, 2))], [Vec((0, 0))]), F(1))
         sol = solve_reduced_distance(qp)
         assert sol.alpha_plus == (1,) and sol.alpha_minus == (1,)
         assert sol.objective == 5
 
     def test_parallel_segments(self):
         qp = ReducedHullQP(
-            [Vec((0, 1)), Vec((2, 1))], [Vec((0, 0)), Vec((2, 0))], F(1)
+            PointTable([Vec((0, 1)), Vec((2, 1))], [Vec((0, 0)), Vec((2, 0))]), F(1)
         )
         sol = solve_reduced_distance(qp)
         assert sol.objective == 1
@@ -92,7 +99,7 @@ class TestSolver:
         low = 1 if mu == 1 else 2  # class size must keep the reduced hull nonempty
         plus = data.draw(st.lists(point, min_size=low, max_size=3))
         minus = data.draw(st.lists(point, min_size=low, max_size=3))
-        qp = ReducedHullQP(plus, minus, mu)
+        qp = ReducedHullQP(PointTable(plus, minus), mu)
         sol = solve_reduced_distance(qp)
         assert kkt_check_general(qp, sol)
         assert sol.objective == enumerate_min_objective(plus, minus, mu)
@@ -107,9 +114,9 @@ class TestSolver:
 
     def test_mu_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ReducedHullQP([Vec((0,)), Vec((1,))], [Vec((2,))], F(1, 3))
+            ReducedHullQP(PointTable([Vec((0,)), Vec((1,))], [Vec((2,))]), F(1, 3))
         with pytest.raises(ValueError):
-            ReducedHullQP([Vec((0,))], [Vec((2,))], F(3, 2))
+            ReducedHullQP(PointTable([Vec((0,))], [Vec((2,))]), F(3, 2))
 
     def test_warm_start_matches_cold_start(self):
         inst = generate_2d_arc_instance(10)
@@ -173,7 +180,7 @@ class TestSolverMatchesPointSpaceLoop:
             other = mus[k - 1] if k else mus[1]
             if other < F(1, len(qp.plus_points)) or other < F(1, len(qp.minus_points)):
                 continue
-            start, _ = both(ReducedHullQP(qp.plus_points, qp.minus_points, other))
+            start, _ = both(ReducedHullQP(qp.table, other))
             assert both(qp, start)[0].objective == cold.objective
             warm += other < qp.mu
         assert warm > 50
@@ -325,6 +332,106 @@ class TestPiece:
         piece = Piece.build(qp, ((2, 3, 4, 5, 6, 7), ()))
         with pytest.raises(ValueError, match="another point set"):
             piece.optimum(ReducedHullQP.from_instance(instance4, F(1, 2)))
+        # equal points in another table are another point set too
+        with pytest.raises(ValueError, match="another point set"):
+            piece.optimum(ReducedHullQP(PointTable(qp.plus_points, qp.minus_points), F(1, 2)))
+
+
+def signed_vecs(table) -> list:
+    return list(table.plus_points) + [-v for v in table.minus_points]
+
+
+class TestPointTable:
+    """The instance's point table against Fraction vector arithmetic."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_2d_arc_instance(60),
+            lambda: build_instance(default_params(5), DEFAULT_STRETCH),
+        ],
+        ids=["arc60", "d5"],
+    )
+    def test_entries_are_fraction_dot_products(self, make):
+        table = make().table
+        signed = signed_vecs(table)
+        n = len(signed)
+        for k, s in enumerate(signed):
+            assert Vec(table.nums[k]) * F(1, table.dens[k]) == s
+        for i in range(n):
+            for j in range(n):
+                assert table.gram[i][j] == signed[i].dot(signed[j])
+        directions = [(i, (3 * i + 1) % n) for i in range(0, n, 3)]
+        diffs = [signed[i] - signed[r] for i, r in directions]
+        assert table.difference_gram(directions) == [[a.dot(b) for b in diffs] for a in diffs]
+        rng = random.Random(n)
+        x = [F(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(n)]
+        W, den = table.cleared_sum(enumerate(x))
+        w = sum((s * v for s, v in zip(signed, x)), Vec.zero(len(signed[0])))
+        assert Vec(F(c, den) for c in W) == w
+        for k, s in enumerate(signed):
+            num, den_k = table.signed_dot(k, W, den)
+            assert den_k > 0 and F(num, den_k) == s.dot(w)
+
+    def test_built_once_and_outside_equality(self, instance4):
+        assert instance4.table is instance4.table
+        assert ReducedHullQP.from_instance(instance4, F(1)).table is instance4.table
+        copy = replace(instance4)
+        assert copy == instance4 and hash(copy) == hash(instance4)
+        assert copy.table is not instance4.table
+
+    def test_interleaved_instances_match_fresh_solves(self, instance4):
+        """Solves and pieces of two instances alternate in one process.
+
+        Each record must equal a solve on a freshly built table, and each
+        piece's optimum that answer.
+        """
+        instances = (instance4, generate_2d_arc_instance(10))
+        warm, pieces = {}, {}
+        hits = 0
+        for mu in grid_values(F(1, 2), F(1), 24):
+            for inst in instances:
+                qp = ReducedHullQP.from_instance(inst, mu)
+                sol = solve_reduced_distance(
+                    qp, start=warm.get(id(inst)), pieces=pieces.get(id(inst), ())
+                )
+                own = PointTable(inst.plus_points, inst.minus_points)
+                fresh = solve_reduced_distance(ReducedHullQP(own, mu))
+                assert sol == fresh
+                piece = Piece.build(qp, working_set(sol, mu))
+                if piece is not None:
+                    assert piece.optimum(qp) == fresh
+                    hits += 1
+                warm[id(inst)], pieces[id(inst)] = sol, (piece,) if piece else ()
+        assert hits > 0
+
+
+class TestTableMatchesFractionReference:
+    """Multiplier ranges and uniqueness from the table against the Fraction-Vec references."""
+
+    @staticmethod
+    def check(qp, candidate):
+        table_ranges = qp_module._multiplier_ranges(qp, candidate)
+        reference = multiplier_ranges_reference(qp, candidate)
+        for (_indices, grads, lo, hi), (_signed, ref_grads, ref_lo, ref_hi) in zip(
+            table_ranges, reference, strict=True
+        ):
+            assert (grads, lo, hi) == (ref_grads, ref_lo, ref_hi)
+        verdict = unique_optimum(qp, candidate)
+        assert verdict == unique_optimum_reference(qp, candidate)
+        return verdict
+
+    def test_small_instances(self):
+        verdicts = {self.check(qp, solve_reduced_distance(qp)) for qp in small_instances(200)}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_every_certificate(self, d):
+        params = default_params(d)
+        instance = build_instance(params, DEFAULT_STRETCH)
+        for pair, decomp in admissible_constructions(params, DEFAULT_STRETCH):
+            cert = build_kkt_certificate(instance, pair, decomp)
+            assert self.check(ReducedHullQP.from_instance(instance, cert.mu), cert.pair)
 
 
 class TestSupportSet:
@@ -393,7 +500,7 @@ class TestKktCheckGeneral:
             assert kkt_check_general(qp, candidate)
 
     def test_infeasible_candidate_raises_with_violations(self):
-        qp = ReducedHullQP([Vec((0,)), Vec((2,))], [Vec((5,)), Vec((6,))], F(1, 2))
+        qp = ReducedHullQP(PointTable([Vec((0,)), Vec((2,))], [Vec((5,)), Vec((6,))]), F(1, 2))
         bad = OptimalPair(Vec((0,)), Vec((5,)), (F(1), F(0)), (F(1), F(0)), F(25))
         with pytest.raises(FeasibilityError) as info:
             kkt_check_general(qp, bad)
@@ -516,7 +623,7 @@ class TestUniqueOptimum:
         ids=["segment-ends", "segment-midpoints", "far-zero-point-first", "capped-points-first"],
     )
     def test_flat_face_not_unique(self, plus, minus, alpha_plus, alpha_minus, mu):
-        qp = ReducedHullQP(plus, minus, mu)
+        qp = ReducedHullQP(PointTable(plus, minus), mu)
         p = sum((v * a for v, a in zip(qp.plus_points, alpha_plus)), Vec.zero(2))
         q = sum((v * a for v, a in zip(qp.minus_points, alpha_minus)), Vec.zero(2))
         candidate = OptimalPair(p, q, alpha_plus, alpha_minus, (p - q).norm_sq())
