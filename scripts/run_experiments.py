@@ -6,7 +6,7 @@ constructed breakpoint as the unique optimum of the instance at its mu (exact
 KKT and uniqueness certificates, ordered into the constructed sweep), then
 runs the discrete grid sweep and reports bend counts against the 2^d/4 lower
 bound. Everything runs in exact rational arithmetic; the full range up to
-d = 8 takes 4.4 s (2-core x86-64 VM, Python 3.11.7).
+d = 8 takes 2.4 s (2-core x86-64 VM, Python 3.11.7).
 
 Usage:
     python scripts/run_experiments.py [--max-d 8] [--steps 512] [--refine 6]

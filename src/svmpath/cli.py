@@ -43,8 +43,16 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
 
+def _rational(flag: str, token: str) -> Fraction:
+    """The flag's value as a rational; a bad token is an input error naming the flag."""
+    try:
+        return parse_rational(token)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{flag}: {exc}") from None
+
+
 def _params_from_args(args) -> GoldfarbParams:
-    return GoldfarbParams(args.d, parse_rational(args.eps), parse_rational(args.gamma))
+    return GoldfarbParams(args.d, _rational("--eps", args.eps), _rational("--gamma", args.gamma))
 
 
 def _refuse_unwritable(command: str, *outputs) -> bool:
@@ -78,7 +86,7 @@ def cmd_gen(args) -> int:
     if args.stretch == "auto":
         stretch_factor = choose_stretch(params)
     else:
-        stretch_factor = StretchFactor(parse_rational(args.stretch))
+        stretch_factor = StretchFactor(_rational("--stretch", args.stretch))
     instance = build_instance(params, stretch_factor)
     write_instance(instance, args.out)
     count = 2 ** params.dim // 4
@@ -142,7 +150,7 @@ def cmd_sweep(args) -> int:
         if value < least:
             print(f"sweep: {flag} must be >= {least}, got {value}", file=sys.stderr)
             return EXIT_INPUT
-    mu_lo, mu_hi = parse_rational(args.mu_lo), parse_rational(args.mu_hi)
+    mu_lo, mu_hi = _rational("--mu-lo", args.mu_lo), _rational("--mu-hi", args.mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         print(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "
               f"--mu-hi {args.mu_hi}", file=sys.stderr)

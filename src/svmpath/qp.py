@@ -27,21 +27,26 @@ tie-break is the one the exact gradients give.
 Along a sweep most solves need no loop. With the working set fixed (the
 coefficients at 0, those at mu, and the free rest) the KKT conditions are a
 linear system whose right-hand side is affine in mu, so on that stretch of the
-path the optimum is affine in mu: a `Piece`. `solve_reduced_distance` first
-tries the pieces it is given, and a piece answers only where its free
-coefficients lie in [0, mu] and every bound coefficient's gradient is strictly
-on its side of the class multiplier. That pair satisfies the KKT conditions,
-and it is the only optimum: every optimum has the same w = p - q, so the
-strict gradients hold the bound coefficients at their bounds in all of them,
-and the nonsingular bordered system leaves the free ones no other solution.
-The loop returns an optimum, so it would return the same coefficients, and
-the same `_finish` builds the pair from them, bit for bit. Anywhere else the
-loop runs as before.
+path the optimum is affine in mu: a `Piece`. A piece answers only where its
+free coefficients lie in [0, mu] and every bound coefficient's gradient is
+strictly on its side of the class multiplier. Each of these conditions is
+affine in mu, so the piece computes once, in integers on the table, the exact
+interval where all of them hold, and the conditions that end it: its events.
+That pair satisfies the KKT conditions, and it is the only optimum: every
+optimum has the same w = p - q, so the strict gradients hold the bound
+coefficients at their bounds in all of them, and the nonsingular bordered
+system leaves the free ones no other solution. The loop returns an optimum,
+so it would return the same coefficients, and the same pair. At its upper
+event a piece pivots one coefficient and gives its `successor`, so the exact
+path is walked from piece to piece (Hastie, Rosset, Tibshirani & Zhu, JMLR 5,
+2004). `solve_reduced_distance` first tries the pieces it is given; where none
+answers the loop runs as before.
 
 A constructed breakpoint is certified without solving: `build_kkt_certificate`
-checks the candidate built from the construction with `kkt_check_general` on
-the instance QP at the breakpoint's mu, and `unique_optimum` proves that no
-other coefficient vector is optimal there.
+checks the candidate built from the construction with the checks of
+`kkt_check_general` on the instance QP at the breakpoint's mu, and those of
+`unique_optimum` prove that no other coefficient vector is optimal there; the
+multiplier ranges that both read are computed once per certificate.
 """
 
 from __future__ import annotations
@@ -303,7 +308,7 @@ def working_set(pair: OptimalPair, mu) -> tuple:
 
 
 class Piece:
-    """The optimum on one working set of a point set, affine in mu.
+    """The optimum on one working set of a point set, affine in mu, with its exact interval.
 
     With the coefficients in `at_lo` at 0 and those in `at_hi` at mu, the
     free coefficients x_F and the class multipliers lam_+, lam_- solve the
@@ -316,27 +321,38 @@ class Piece:
     over the capped set H. The first block says s_k . w = lam for every free k,
     the second fixes the class sums. One elimination solves both right-hand
     sides, so `base + mu * slope` gives (x_F, lam_+, lam_-) at every mu.
+
+    Then w = p - q, every gradient s_k . w and every gap between a bound
+    coefficient's gradient and its class multiplier are affine in mu too, so
+    each condition of `optimum` holds on one side of one root. Their
+    intersection is the piece's interval [lo, hi] (None for an infinite end):
+    a free coefficient's bounds 0 <= x_i <= mu are closed, a gradient's strict
+    side of its multiplier is open, and an end is closed (`lo_closed`,
+    `hi_closed`) when only free bounds bind there. `events` lists the
+    conditions that bind at hi, as (index, new state): a free coefficient
+    reaching 0 or mu becomes AT_LO or AT_HI, a bound coefficient whose
+    gradient meets its multiplier becomes free (None). p, q (affine) and the
+    objective (quadratic) are kept as integer coefficients of mu.
     """
 
     # not a dataclass: that would compile its generated methods on every
     # import of the package, about 1 ms of each command's start-up
-    __slots__ = ("table", "at_lo", "at_hi", "free", "base", "slope")
-
-    def __init__(self, table: PointTable, at_lo: tuple, at_hi: tuple, free: tuple, base: tuple, slope: tuple):
-        self.table, self.at_lo, self.at_hi = table, at_lo, at_hi
-        self.free, self.base, self.slope = free, base, slope
+    __slots__ = (
+        "table", "at_lo", "at_hi", "free", "base", "slope",
+        "lo", "hi", "lo_closed", "hi_closed", "events", "pq", "objective",
+    )
 
     @classmethod
-    def build(cls, qp: ReducedHullQP, working: tuple) -> Optional["Piece"]:
-        """The piece of `working` = (at_lo, at_hi) on qp's point table, or None.
+    def build(cls, table: PointTable, working: tuple) -> Optional["Piece"]:
+        """The piece of `working` = (at_lo, at_hi) on a point table, or None.
 
         There is none when a class has no free coefficient or the bordered
         matrix is singular, that is when the differences of the free points
         to one free point per class are linearly dependent.
         """
-        gram = qp.table.gram
-        n, n_plus = len(gram), len(qp.plus_points)
         at_lo, at_hi = working
+        gram = table.gram
+        n, n_plus = len(gram), len(table.plus_points)
         bound = set(at_lo) | set(at_hi)
         free = tuple(i for i in range(n) if i not in bound)
         free_plus = [i < n_plus for i in free]
@@ -355,50 +371,155 @@ class Piece:
             base, slope = solve_linear_systems(matrix, [r0, r1])
         except SingularMatrixError:
             return None
-        return cls(qp.table, tuple(at_lo), tuple(at_hi), free, tuple(base), tuple(slope))
+        piece = cls()
+        piece.table, piece.at_lo, piece.at_hi = table, tuple(at_lo), tuple(at_hi)
+        piece.free, piece.base, piece.slope = free, tuple(base), tuple(slope)
+        piece._measure()
+        return piece
+
+    def _measure(self) -> None:
+        """Set the interval, its upper events, and the coefficients of p, q and the objective."""
+        table, free, base, slope = self.table, self.free, self.base, self.slope
+        n_plus, m = len(table.plus_points), len(free)
+        # w(mu) = (S0 / den0) + mu (S1 / den1), the signed points cleared to integers
+        S0, den0 = table.cleared_sum(zip(free, base))
+        S1, den1 = table.cleared_sum([*zip(free, slope), *((h, 1) for h in self.at_hi)])
+        # each condition is a + b mu >= 0 (closed) or > 0 (open), a and b integers
+        conditions = []
+        for i, b, s in zip(free, base, slope):
+            t = 1 - s  # mu - x_i = -b + t mu
+            conditions.append(
+                (b.numerator * s.denominator, s.numerator * b.denominator, True, (i, AT_LO))
+            )
+            conditions.append(
+                (-b.numerator * t.denominator, t.numerator * b.denominator, True, (i, AT_HI))
+            )
+        # with lam = l0 + mu l1 and N = nums[k] . S, the gap s_k . w - lam times
+        # dens[k] is (N0 / den0 - dens[k] l0) + mu (N1 / den1 - dens[k] l1);
+        # times the positive den0 den1 and both denominators of lam it is a + b mu
+        lams = [(base[m + c], slope[m + c]) for c in (0, 1)]
+        for indices, sign in ((self.at_lo, 1), (self.at_hi, -1)):
+            for k in indices:
+                l0, l1 = lams[k >= n_plus]
+                dk = table.dens[k]
+                N0, _ = table.signed_dot(k, S0, 1)
+                N1, _ = table.signed_dot(k, S1, 1)
+                u0 = N0 * l0.denominator - dk * l0.numerator * den0
+                u1 = N1 * l1.denominator - dk * l1.numerator * den1
+                a, b = u0 * den1 * l1.denominator, u1 * den0 * l0.denominator
+                conditions.append((sign * a, sign * b, False, (k, None)))
+        lo = hi = None  # (numerator, positive denominator)
+        lo_closed = hi_closed = True
+        events = []
+        for a, b, closed, event in conditions:
+            if b > 0:  # mu >= -a / b
+                if lo is None or -a * lo[1] > lo[0] * b:
+                    lo, lo_closed = (-a, b), closed
+                elif -a * lo[1] == lo[0] * b:
+                    lo_closed = lo_closed and closed
+            elif b < 0:  # mu <= a / -b
+                if hi is None or a * hi[1] < hi[0] * -b:
+                    hi, hi_closed, events = (a, -b), closed, [event]
+                elif a * hi[1] == hi[0] * -b:
+                    hi_closed = hi_closed and closed
+                    events.append(event)
+            elif a < 0 or (a == 0 and not closed):
+                # fails at every mu: the empty interval [1, 0]
+                lo, hi, lo_closed, hi_closed, events = (1, 1), (0, 1), True, True, []
+                break
+        self.lo = None if lo is None else Fraction(*lo)
+        self.hi = None if hi is None else Fraction(*hi)
+        self.lo_closed, self.hi_closed, self.events = lo_closed, hi_closed, tuple(events)
+        # p and -q are the cleared sums C0 / d0 + mu C1 / d1 over the plus and
+        # the (negated) minus points, kept as integers (C0, d0, C1, d1)
+        pq = []
+        for cls in (range(n_plus), range(n_plus, len(table.nums))):
+            C0, d0 = table.cleared_sum([(i, b) for i, b in zip(free, base) if i in cls])
+            C1, d1 = table.cleared_sum(
+                [(i, s) for i, s in zip(free, slope) if i in cls]
+                + [(h, 1) for h in self.at_hi if h in cls]
+            )
+            pq.append((tuple(C0), d0, tuple(C1), d1))
+        self.pq = tuple(pq)
+        # ||w||^2 = (a den1^2 + b den0 den1 mu + c den0^2 mu^2) / (den0 den1)^2
+        self.objective = (
+            sum(c * c for c in S0),
+            2 * sum(c * e for c, e in zip(S0, S1)),
+            sum(e * e for e in S1),
+            den0,
+            den1,
+        )
+
+    def covers(self, mu) -> bool:
+        """Whether mu lies in the piece's interval, where `optimum` answers."""
+        lo, hi = self.lo, self.hi
+        if lo is not None and (mu < lo or (mu == lo and not self.lo_closed)):
+            return False
+        return hi is None or mu < hi or (mu == hi and self.hi_closed)
 
     def optimum(self, qp: ReducedHullQP) -> Optional[OptimalPair]:
         """The unique optimum of qp if it lies on this piece, else None.
 
         Accepted only when every free coefficient lies in [0, mu], every
         coefficient at 0 has a gradient s_k . w strictly above its class
-        multiplier and every coefficient at mu one strictly below it. These
-        are the KKT conditions, so the pair is optimal; the strict gradients
-        pin every bound coefficient in any optimum, and the nonsingular
-        bordered matrix leaves the free ones no direction that keeps w and
-        the class sums. So it is the only optimum, the one the loop returns.
+        multiplier and every coefficient at mu one strictly below it, which is
+        where qp.mu lies in the interval. These are the KKT conditions, so the
+        pair is optimal; the strict gradients pin every bound coefficient in
+        any optimum, and the nonsingular bordered matrix leaves the free ones
+        no direction that keeps w and the class sums. So it is the only
+        optimum, the one the loop returns.
         """
         table = self.table
         if qp.table is not table:
             raise ValueError("piece belongs to another point set")
-        n, n_plus = len(table.nums), len(qp.plus_points)
         mu = qp.mu
-        x = [Fraction(0)] * n
+        if not self.covers(mu):
+            return None
+        x = [Fraction(0)] * len(table.nums)
         for h in self.at_hi:
             x[h] = mu
         for i, b, s in zip(self.free, self.base, self.slope):
-            v = b + mu * s
-            if v < 0 or v > mu:
-                return None
-            x[i] = v
-        m = len(self.free)
-        lams = [self.base[m + c] + mu * self.slope[m + c] for c in (0, 1)]
-        W, den_w = table.cleared_sum(enumerate(x))
-        # s_k . w = num / den against lam = a / b, both denominators positive
-        for indices, above in ((self.at_lo, True), (self.at_hi, False)):
-            for k in indices:
-                lam = lams[k >= n_plus]
-                num, den = table.signed_dot(k, W, den_w)
-                lhs, rhs = num * lam.denominator, lam.numerator * den
-                if (lhs <= rhs) if above else (lhs >= rhs):
-                    return None
-        return _finish(table, x)
+            x[i] = b + mu * s
+        n_plus = len(table.plus_points)
+        m, e = mu.numerator, mu.denominator
+        # one Fraction per coordinate: C0 / d0 + mu C1 / d1 = (C0 d1 e + C1 d0 m) / (d0 d1 e)
+        p, q = [
+            [Fraction(a * d1 * e + b * d0 * m, sign * d0 * d1 * e) for a, b in zip(C0, C1)]
+            for (C0, d0, C1, d1), sign in zip(self.pq, (1, -1))
+        ]
+        a, b, c, d0, d1 = self.objective
+        objective = Fraction(
+            (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
+        )
+        return OptimalPair(Vec(p), Vec(q), tuple(x[:n_plus]), tuple(x[n_plus:]), objective)
+
+    def successor(self) -> Optional["Piece"]:
+        """The piece that follows this one past hi, or None where a walk must stop.
+
+        At hi a single event pivots the working set: a free coefficient that
+        reaches 0 or mu becomes bound there, a bound one whose gradient meets
+        its multiplier becomes free. None when hi is infinite, several
+        conditions bind at hi (a tie), the new working set has no piece, or
+        its interval does not start at hi and reach above it.
+        """
+        if self.hi is None or len(self.events) != 1:
+            return None
+        ((k, state),) = self.events
+        at_lo = [i for i in self.at_lo if i != k]
+        at_hi = [i for i in self.at_hi if i != k]
+        if state is not None:
+            (at_lo if state == AT_LO else at_hi).append(k)
+        nxt = Piece.build(self.table, (tuple(sorted(at_lo)), tuple(sorted(at_hi))))
+        if nxt is None or nxt.lo != self.hi or (nxt.hi is not None and nxt.hi <= self.hi):
+            return None
+        return nxt
 
 
 def support_set(pair: OptimalPair) -> tuple:
     """Indices with strictly positive coefficient, split by class."""
-    plus = frozenset(i for i, a in enumerate(pair.alpha_plus) if a > 0)
-    minus = frozenset(i for i, a in enumerate(pair.alpha_minus) if a > 0)
+    # a rational's sign is its numerator's: no Fraction comparison per coefficient
+    plus = frozenset(i for i, a in enumerate(pair.alpha_plus) if a.numerator > 0)
+    minus = frozenset(i for i, a in enumerate(pair.alpha_minus) if a.numerator > 0)
     return plus, minus
 
 
@@ -413,6 +534,11 @@ def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
     lam, coefficients at 0 must see gradient >= lam, and coefficients at mu
     must see gradient <= lam.
     """
+    return _kkt_holds(_feasible_ranges(qp, candidate))
+
+
+def _feasible_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> tuple:
+    """`_multiplier_ranges` of a candidate that passes `kkt_check_general`'s feasibility checks."""
     mu = qp.mu
     table = qp.table
     violations = []
@@ -433,8 +559,10 @@ def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
             violations.append(f"class {label}: stored point is not the coefficient combination")
     if violations:
         raise FeasibilityError(violations)
+    return _multiplier_ranges(qp, candidate)
 
-    ranges = _multiplier_ranges(qp, candidate)
+
+def _kkt_holds(ranges: tuple) -> bool:
     return all(hi is None or lo <= hi for _indices, _grads, lo, hi in ranges)
 
 
@@ -479,14 +607,19 @@ def unique_optimum(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
     exists; it leads to another optimum unless a point it moves sits at a
     bound.
     """
+    return _unique(qp.table, _multiplier_ranges(qp, candidate))
+
+
+def _unique(table: PointTable, ranges: tuple) -> bool:
+    """`unique_optimum` from the candidate's `_multiplier_ranges`."""
     directions = []
-    for indices, grads, lo, hi in _multiplier_ranges(qp, candidate):
+    for indices, grads, lo, hi in ranges:
         if lo != hi:
             continue
         movable = [k for k, g in zip(indices, grads) if g == lo]
         directions.extend((k, movable[0]) for k in movable[1:])
     try:
-        solve_linear_system(qp.table.difference_gram(directions), [0] * len(directions))
+        solve_linear_system(table.difference_gram(directions), [0] * len(directions))
     except SingularMatrixError:
         return False
     return True
@@ -500,7 +633,8 @@ def build_kkt_certificate(
     At mu = mu_of_q(q[-1]) the candidate puts the decomposition weights on
     the plus points labeled (k, sigma_k) and (mu, 1 - mu) on (left, right). It
     must be feasible and pass `kkt_check_general` and `unique_optimum` on the
-    instance QP; otherwise CertificateError names sigma and mu.
+    instance QP; otherwise CertificateError names sigma and mu. The multiplier
+    ranges that both checks and the facet multiplier read are computed once.
     """
     mu = mu_of_q(pair.q[-1], instance.calibration)
     alpha_plus = [Fraction(0)] * len(instance.plus_points)
@@ -512,14 +646,14 @@ def build_kkt_certificate(
     qp = ReducedHullQP.from_instance(instance, mu)
     where = f"sigma={pair.sigma} at mu={mu}"
     try:
-        optimal = kkt_check_general(qp, candidate)
+        ranges = _feasible_ranges(qp, candidate)
     except FeasibilityError as exc:
         raise CertificateError(f"infeasible candidate for {where}: {exc}") from exc
-    if not optimal:
+    if not _kkt_holds(ranges):
         raise CertificateError(f"KKT conditions fail for {where}")
-    if not unique_optimum(qp, candidate):
+    if not _unique(qp.table, ranges):
         raise CertificateError(f"optimum is not unique for {where}")
-    _indices, _grads, lam_plus, _hi = _multiplier_ranges(qp, candidate)[0]
+    _indices, _grads, lam_plus, _hi = ranges[0]
     return KktCertificate(tuple(pair.sigma), mu, candidate, -lam_plus)
 
 

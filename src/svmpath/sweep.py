@@ -4,16 +4,22 @@ A bend is recorded exactly when the support set strictly changes between two
 consecutive solved values, which is the experimental proxy used throughout.
 Grid points are exact rationals, so every solve along a sweep stays exact.
 
-Between two bends the working set stays fixed and the optimum is affine in
-mu, so most records come from a `qp.Piece`: the piece of the previous grid
-record, or of either neighbour of a bisection midpoint, built once per working
-set. A piece answers only with the unique optimum; where none does, which is
-where the support changes, the active-set loop runs from the same warm start
-as without pieces. Either way each record is the one the loop alone gives.
+Records are read off the exact path. Between two events the working set stays
+fixed and the optimum is a `qp.Piece`, affine in mu on an exact interval. The
+active-set loop solves the first grid point once; from its optimum the sweep
+walks up in mu, pivoting the working set at each piece's upper event, and
+finds each grid point's and each bisection midpoint's piece by bisection over
+the walked pieces. A piece answers only with the unique optimum. The walk
+stops at a tied event, at a working set without a piece, or where the next
+interval does not start at the event; the next record it does not cover runs
+the loop from the same warm start as without pieces and restarts the walk
+there, so at a non-unique optimum the record is still the loop's. Either way
+each record is the one the loop alone gives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -63,30 +69,77 @@ class SweepReport:
     lower_bound: int
 
 
+class _Path:
+    """The pieces walked so far, in increasing mu, each with the mu where the walk entered it.
+
+    Walks cover disjoint stretches of [lowest record, mu_hi]; a stretch ends
+    where its walk stopped, or where the next stretch begins. `tried` keeps
+    the piece (or None) of each working set a walk was started from, so the
+    records of a flat face, which all run the loop, build it once.
+    """
+
+    __slots__ = ("mu_hi", "starts", "pieces", "tried")
+
+    def __init__(self, mu_hi: Fraction):
+        self.mu_hi, self.starts, self.pieces, self.tried = mu_hi, [], [], {}
+
+    def piece_at(self, mu: Fraction) -> Optional[Piece]:
+        """A walked piece whose interval holds mu, or None."""
+        i = bisect_left(self.starts, mu)
+        # the last piece entered below mu, or the next one: a walk restarted
+        # at a record enters its first piece above that piece's lower end
+        for piece in self.pieces[max(i - 1, 0) : i + 1]:
+            if piece.covers(mu):
+                return piece
+        return None
+
+    def walk(self, qp: ReducedHullQP, pair: OptimalPair) -> None:
+        """Walk up from the loop's optimum at qp.mu until the next stretch or mu_hi.
+
+        Nothing is walked when that optimum lies on no piece of its working set.
+        """
+        mu = qp.mu
+        working = working_set(pair, mu)
+        if working not in self.tried:
+            self.tried[working] = Piece.build(qp.table, working)
+        piece = self.tried[working]
+        if piece is None or not piece.covers(mu):
+            return
+        i = bisect_left(self.starts, mu)
+        limit = self.starts[i] if i < len(self.starts) else self.mu_hi
+        while piece is not None:
+            self.starts.insert(i, mu)
+            self.pieces.insert(i, piece)
+            i += 1
+            hi = piece.hi
+            if hi is None or hi > limit or (hi == limit and piece.hi_closed):
+                return
+            mu, piece = hi, piece.successor()
+
+
 def _solve_record(
-    instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair], pieces: tuple
+    instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair], path: _Path
 ) -> SweepRecord:
     qp = ReducedHullQP.from_instance(instance, mu)
+    piece = path.piece_at(mu)
     try:
-        pair = solve_reduced_distance(qp, start=warm, pieces=pieces)
+        pair = solve_reduced_distance(qp, start=warm, pieces=() if piece is None else (piece,))
     except SolverStalledError as exc:
         raise SolverStalledError(f"at mu = {mu}: {exc}") from exc
+    if piece is None:
+        path.walk(qp, pair)
     return _record(instance, mu, pair)
 
 
-def _pieces_of(instance: SvmInstance, records, pieces: dict) -> tuple:
-    """The pieces of the records' working sets, each built on first sight.
+def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
+    """The pieces of one walk from the loop's optimum at mu_lo up to mu_hi, in increasing mu.
 
-    `pieces` maps a working set to its Piece, or to None where it has none.
+    They cover [mu_lo, mu_hi] unless the walk stopped (see `qp.Piece.successor`).
     """
-    out = []
-    for rec in records:
-        working = working_set(rec.pair, rec.mu)
-        if working not in pieces:
-            pieces[working] = Piece.build(ReducedHullQP.from_instance(instance, rec.mu), working)
-        if pieces[working] is not None:
-            out.append(pieces[working])
-    return tuple(out)
+    path = _Path(Fraction(mu_hi))
+    qp = ReducedHullQP.from_instance(instance, mu_lo)
+    path.walk(qp, solve_reduced_distance(qp))
+    return tuple(path.pieces)
 
 
 def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepRecord:
@@ -121,53 +174,53 @@ def grid_values(mu_lo: Fraction, mu_hi: Fraction, steps: int) -> list:
 
 
 def sweep_grid(
-    instance: SvmInstance, mu_lo, mu_hi, steps: int, pieces: Optional[dict] = None
+    instance: SvmInstance, mu_lo, mu_hi, steps: int, path: Optional[_Path] = None
 ) -> SweepReport:
     """Solve on a uniform rational grid of `steps` points over [mu_lo, mu_hi].
 
     The sweep ascends in mu so each solve warm-starts from its predecessor
     (coefficients stay feasible when the cap grows) and first tries the
-    predecessor's piece. `pieces` is the working-set dict of `_pieces_of`,
-    shared with the refinement.
+    walked piece that holds its mu. `path` holds the walked pieces, shared
+    with the refinement.
     """
     mu_lo, mu_hi = Fraction(mu_lo), Fraction(mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         raise ValueError("need 1/2 <= mu_lo < mu_hi <= 1")
     if steps < 2:
         raise ValueError("need at least two grid points")
-    pieces = {} if pieces is None else pieces
+    path = _Path(mu_hi) if path is None else path
     records = []
-    warm, near = None, ()
+    warm = None
     for mu in grid_values(mu_lo, mu_hi, steps):
-        rec = _solve_record(instance, mu, warm, near)
-        warm, near = rec.pair, _pieces_of(instance, [rec], pieces)
+        rec = _solve_record(instance, mu, warm, path)
+        warm = rec.pair
         records.append(rec)
     return _report(records, instance_lower_bound(instance))
 
 
-def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, pieces) -> None:
+def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, path) -> None:
     if depth <= 0 or rec_a.support == rec_b.support:
         return
     mid = (mu_a + mu_b) / 2
-    rec = _solve_record(instance, mid, rec_a.pair, _pieces_of(instance, [rec_a, rec_b], pieces))
+    rec = _solve_record(instance, mid, rec_a.pair, path)
     out.append(rec)
-    _refine(instance, mu_a, rec_a, mid, rec, depth - 1, out, pieces)
-    _refine(instance, mid, rec, mu_b, rec_b, depth - 1, out, pieces)
+    _refine(instance, mu_a, rec_a, mid, rec, depth - 1, out, path)
+    _refine(instance, mid, rec, mu_b, rec_b, depth - 1, out, path)
 
 
 def sweep_refined(instance: SvmInstance, mu_lo, mu_hi, steps: int, depth: int) -> SweepReport:
     """Grid sweep plus recursive bisection between differing neighbours.
 
     Each midpoint warm-starts from its lower neighbour and first tries the
-    pieces of both neighbours; one working-set dict serves the whole call.
+    walked piece that holds its mu; one path serves the whole call.
     """
-    pieces = {}
-    base = sweep_grid(instance, mu_lo, mu_hi, steps, pieces)
+    path = _Path(Fraction(mu_hi))
+    base = sweep_grid(instance, mu_lo, mu_hi, steps, path)
     records = list(base.records)
     extra = []
     ascending = list(reversed(records))
     for rec_a, rec_b in zip(ascending, ascending[1:]):
-        _refine(instance, rec_a.mu, rec_a, rec_b.mu, rec_b, depth, extra, pieces)
+        _refine(instance, rec_a.mu, rec_a, rec_b.mu, rec_b, depth, extra, path)
     return _report(records + extra, base.lower_bound)
 
 

@@ -25,8 +25,8 @@ from svmpath.goldfarb import (
     dual_vertices,
     shadow_polygon,
 )
-from svmpath.qp import ReducedHullQP, build_kkt_certificate, solve_reduced_distance
-from svmpath.sweep import sweep_constructed, sweep_refined
+from svmpath.qp import ReducedHullQP, build_kkt_certificate, solve_reduced_distance, support_set
+from svmpath.sweep import path_pieces, sweep_constructed, sweep_refined
 
 DIMS = range(3, 9)
 
@@ -155,3 +155,30 @@ def test_criterion_7_arc_demo_change_count():
     report = sweep_refined(instance, F(1, 2), F(1), 257, 8)
     assert report.bend_count >= 2 * (20 - 3) == 34
     print(f"\nACCEPTANCE 7 PASS: 2D demo records {report.bend_count} >= 34 support changes")
+
+
+def test_criterion_8_certified_breakpoints_on_the_walked_path(built):
+    pieces_by_d = {}
+    elapsed_d8 = None
+    for d in DIMS:
+        _params_, _s, instance, cons = built[d]
+        started = time.time()
+        pieces = path_pieces(instance, F(8, 10), F(1))
+        if d == 8:
+            elapsed_d8 = time.time() - started
+        assert pieces[0].covers(F(8, 10)) and pieces[-1].covers(F(1))
+        certs = [build_kkt_certificate(instance, pair, decomp) for pair, decomp in cons]
+        # down the path in decreasing mu: each certified pair is the optimum of
+        # a piece at or below the previous one's
+        position = len(pieces) - 1
+        for cert in sorted(certs, key=lambda c: c.mu, reverse=True):
+            while position >= 0 and not pieces[position].covers(cert.mu):
+                position -= 1
+            assert position >= 0, f"sigma={cert.sigma} at mu={cert.mu} is not on the path"
+            qp = ReducedHullQP.from_instance(instance, cert.mu)
+            assert pieces[position].optimum(qp) == cert.pair
+        assert len({support_set(cert.pair) for cert in certs}) == 2 ** d // 4
+        pieces_by_d[d] = len(pieces)
+    print(f"\nACCEPTANCE 8 PASS: all 2^d/4 certified breakpoints lie on the path walked "
+          f"over [8/10, 1], in decreasing mu, for d=3..8 (pieces {pieces_by_d}; "
+          f"d=8 walk {elapsed_d8:.2f}s)")

@@ -155,7 +155,7 @@ class TestVerify:
     def test_uniqueness_failure_names_sigma_and_mu(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "d3.inst"
         run(["gen", "--d", "3", "--out", str(out)], capsys)
-        monkeypatch.setattr(qp, "unique_optimum", lambda qp_instance, candidate: False)
+        monkeypatch.setattr(qp, "_unique", lambda table, ranges: False)
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 1
         doc = json.loads(stdout)
@@ -415,3 +415,30 @@ class TestArgumentErrors:
 
     def test_missing_required_flag(self, capsys):
         assert run(["gen", "--d", "3"], capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "INST", "--mu-lo", "abc"], "--mu-lo"),
+            (["sweep", "INST", "--mu-hi", "abc"], "--mu-hi"),
+            (["gen", "--d", "3", "--eps", "abc"], "--eps"),
+            (["gen", "--d", "3", "--gamma", "abc"], "--gamma"),
+            (["gen", "--d", "3", "--stretch", "abc"], "--stretch"),
+        ],
+        ids=["mu-lo", "mu-hi", "eps", "gamma", "stretch"],
+    )
+    def test_bad_rational_names_its_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"worked before parsing {flag}")
+
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "6", "--out", str(inst)], capsys)
+        for name in ("read_instance", "sweep_refined", "choose_stretch", "build_instance"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out"
+        argv = [str(inst) if a == "INST" else a for a in argv]
+        code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert f"{flag}: bad rational token 'abc'" in stderr
+        assert not out.exists()

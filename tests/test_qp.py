@@ -20,6 +20,7 @@ from oracles import (
 )
 from svmpath import qp as qp_module
 from svmpath.construct import (
+    SvmInstance,
     admissible_constructions,
     build_instance,
     generate_2d_arc_instance,
@@ -27,6 +28,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import PointTable, Vec
 from svmpath.qp import (
+    AT_LO,
     CertificateError,
     FeasibilityError,
     OptimalPair,
@@ -40,7 +42,7 @@ from svmpath.qp import (
     unique_optimum,
     working_set,
 )
-from svmpath.sweep import grid_values, sweep_grid
+from svmpath.sweep import grid_values, path_pieces, sweep_grid
 
 
 def small_instances(count=200, seed=20260808):
@@ -231,7 +233,7 @@ def piece_events(piece, qp) -> dict:
         return {k: grads[k] - lam[k >= n_plus] for k in piece.at_lo + piece.at_hi}
 
     roots = []
-    for b, s in zip(piece.base, piece.slope):
+    for b, s in zip(piece.base[: len(piece.free)], piece.slope):
         if s:
             roots.append((-b / s, "free"))
         if s != 1:
@@ -258,7 +260,7 @@ class TestPiece:
             working = working_set(rec.pair, rec.mu)
             if working not in out:
                 qp = ReducedHullQP.from_instance(instance, rec.mu)
-                piece = Piece.build(qp, working)
+                piece = Piece.build(qp.table, working)
                 out[working] = piece and (rec.mu, piece)
                 if piece:
                     assert piece.optimum(qp) == rec.pair
@@ -315,21 +317,100 @@ class TestPiece:
             seen += 1
         assert seen >= 2
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda d=d: build_instance(default_params(d), DEFAULT_STRETCH) for d in (3, 4, 5)]
+        + [lambda n=n: generate_2d_arc_instance(n) for n in (8, 12)],
+        ids=["d3", "d4", "d5", "arc8", "arc12"],
+    )
+    def test_interval_ends_are_the_nearest_events(self, make):
+        # every piece of a walk over [51/100, 1] against the Fraction-point oracle
+        instance = make()
+        qp = self.at(instance, F(1))
+        pieces = path_pieces(instance, F(51, 100), F(1))
+        assert pieces[0].covers(F(51, 100)) and pieces[-1].covers(F(1))
+        for piece, nxt in zip(pieces, pieces[1:]):
+            assert piece.hi == nxt.lo and (piece.hi_closed or nxt.lo_closed)
+            assert len(piece.events) == 1
+        for piece in pieces:
+            self.check_interval(piece, qp)
+        # the walk pivots at events of all three kinds
+        seen = {kind for piece in pieces[:-1] for kind in piece_events(piece, qp)[piece.hi]}
+        assert seen == {"free", "lo", "hi"}
+
+    def test_interval_ends_on_small_instances(self):
+        # walks on the solver's tiny instances stop often, many at tied events
+        swept = walked = ties = 0
+        for small in small_instances(200):
+            if len(small.plus_points) < 2 or len(small.minus_points) < 2:
+                continue
+            swept += 1
+            instance = SvmInstance(small.plus_points, (), small.minus_points)
+            qp = self.at(instance, F(1))
+            for piece in path_pieces(instance, F(51, 100), F(1)):
+                self.check_interval(piece, qp)
+                walked += 1
+                ties += len(piece.events) > 1
+        # 230 pieces on 148 walks: 70 reach mu = 1, 37 end at a tie below it,
+        # and 41 find no piece at 51/100; 48 pieces end at a tie
+        assert swept == 148 and walked > swept and ties > 0
+
+    @staticmethod
+    def check_interval(piece, qp):
+        events = piece_events(piece, qp)
+        lo, hi = piece.lo, piece.hi
+        assert lo is None or hi is None or lo < hi
+        # no condition changes sign inside the interval
+        assert not [mu for mu in events if (lo is None or lo < mu) and (hi is None or mu < hi)]
+        # each end inside [1/2, 1] is an event; free-coefficient ends are closed
+        for end, closed in ((lo, piece.lo_closed), (hi, piece.hi_closed)):
+            if end is not None and F(1, 2) <= end <= 1:
+                assert closed == (events[end] == {"free"})
+        if hi is not None and hi <= 1:
+            kinds = {
+                "free" if state is not None else "lo" if k in piece.at_lo else "hi"
+                for k, state in piece.events
+            }
+            assert kinds == events[hi]
+
+    def test_tied_events_stop_the_walk(self):
+        # at mu = 2/3 a plus coefficient reaches 0 while three bound gradients
+        # meet their multipliers
+        instance = SvmInstance(
+            (Vec((3, -1)), Vec((1, 1)), Vec((1, -3)), Vec((2, 2))), (), (Vec((-2, 2)), Vec((3, 1)))
+        )
+        (piece,) = path_pieces(instance, F(51, 100), F(1))
+        assert piece.hi == F(2, 3) and not piece.hi_closed
+        events = sorted(piece.events, key=lambda event: event[0])
+        assert events == [(0, None), (1, None), (2, AT_LO), (5, None)]
+        assert piece.successor() is None
+
+    def test_tie_at_the_lower_end_opens_it(self):
+        # at mu = 1/2 a free coefficient reaches mu as a capped coefficient's
+        # gradient meets its multiplier: the end is open
+        instance = SvmInstance((Vec((3, -3)), Vec((1, 1))), (), (Vec((0, -2)), Vec((0, 0))))
+        qp = self.at(instance, F(11, 20))
+        piece = Piece.build(qp.table, working_set(solve_reduced_distance(qp), qp.mu))
+        assert piece.lo == F(1, 2) and not piece.lo_closed
+        assert piece_events(piece, qp)[piece.lo] == {"free", "hi"}
+        self.check_interval(piece, qp)
+        assert piece.optimum(self.at(instance, F(1, 2))) is None
+
     def test_dependent_free_differences_get_no_piece(self):
         qp = ReducedHullQP.from_instance(generate_2d_arc_instance(8), F(1, 2))
         # arc points 0, 1, 2 and both line points free: three differences in the plane
-        assert Piece.build(qp, ((3, 4, 5, 6, 7), ())) is None
+        assert Piece.build(qp.table, ((3, 4, 5, 6, 7), ())) is None
         # arc points 0, 1 and both line points: two independent differences
-        assert Piece.build(qp, ((2, 3, 4, 5, 6, 7), ())) is not None
+        assert Piece.build(qp.table, ((2, 3, 4, 5, 6, 7), ())) is not None
 
     def test_class_without_free_coefficient_gets_no_piece(self):
         qp = ReducedHullQP.from_instance(generate_2d_arc_instance(8), F(1, 2))
-        assert Piece.build(qp, ((2, 3, 4, 5, 6, 7, 9), (8,))) is None
-        assert Piece.build(qp, ((2, 3, 4, 5, 6, 7), (0, 1))) is None
+        assert Piece.build(qp.table, ((2, 3, 4, 5, 6, 7, 9), (8,))) is None
+        assert Piece.build(qp.table, ((2, 3, 4, 5, 6, 7), (0, 1))) is None
 
     def test_other_point_set_refused(self, instance4):
         qp = ReducedHullQP.from_instance(generate_2d_arc_instance(8), F(1, 2))
-        piece = Piece.build(qp, ((2, 3, 4, 5, 6, 7), ()))
+        piece = Piece.build(qp.table, ((2, 3, 4, 5, 6, 7), ()))
         with pytest.raises(ValueError, match="another point set"):
             piece.optimum(ReducedHullQP.from_instance(instance4, F(1, 2)))
         # equal points in another table are another point set too
@@ -398,7 +479,7 @@ class TestPointTable:
                 own = PointTable(inst.plus_points, inst.minus_points)
                 fresh = solve_reduced_distance(ReducedHullQP(own, mu))
                 assert sol == fresh
-                piece = Piece.build(qp, working_set(sol, mu))
+                piece = Piece.build(qp.table, working_set(sol, mu))
                 if piece is not None:
                     assert piece.optimum(qp) == fresh
                     hits += 1
@@ -535,6 +616,20 @@ class TestKktCheckGeneral:
 
 
 class TestCertificates:
+    def test_multiplier_ranges_computed_once(self, instance4, constructions4, monkeypatch):
+        calls = []
+        ranges = qp_module._multiplier_ranges
+
+        def counted(qp, candidate):
+            calls.append(candidate)
+            return ranges(qp, candidate)
+
+        monkeypatch.setattr(qp_module, "_multiplier_ranges", counted)
+        for pair, decomp in constructions4:
+            cert = build_kkt_certificate(instance4, pair, decomp)
+            assert calls == [cert.pair]
+            calls.clear()
+
     def test_valid_for_all_admissible_sigmas(self, params4, instance4, constructions4):
         for pair, decomp in constructions4:
             cert = build_kkt_certificate(instance4, pair, decomp)

@@ -12,12 +12,14 @@ from svmpath.construct import (
     generate_2d_arc_instance,
     mu_of_q,
 )
+from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.qp import Piece, build_kkt_certificate
 from svmpath.sweep import (
     SweepMismatchError,
     grid_values,
     instance_lower_bound,
+    path_pieces,
     sweep_constructed,
     sweep_grid,
     sweep_refined,
@@ -152,24 +154,33 @@ class TestPiecesMatchTheLoop:
 
     @pytest.fixture
     def hits(self, monkeypatch):
-        tally = {"tried": 0, "hit": 0}
-        optimum = Piece.optimum
+        tally = {"hit": 0, "built": 0}
+        optimum, build = Piece.optimum, Piece.build.__func__
 
         def counted(piece, qp):
             pair = optimum(piece, qp)
-            tally["tried"] += 1
             tally["hit"] += pair is not None
             return pair
 
+        def built(cls, table, working):
+            tally["built"] += 1
+            return build(cls, table, working)
+
         monkeypatch.setattr(Piece, "optimum", counted)
+        monkeypatch.setattr(Piece, "build", classmethod(built))
         return tally
 
     def check(self, instance, hits, steps, depth):
+        walk = path_pieces(instance, grid_values(F(1, 2), F(1), steps)[1], F(1))
+        hits.update(hit=0, built=0)
         report = sweep_refined(instance, F(1, 2), F(1), steps, depth)
         assert report == sweep_refined_oracle(instance, F(1, 2), F(1), steps, depth)
-        # both a piece hit and a loop solve occur
-        assert 0 < hits["hit"] < len(report.records)
-        assert hits["hit"] < hits["tried"]
+        # the loop solves the two lowest grid points: at mu = 1/2 both minus
+        # coefficients sit at mu, so no piece exists there, and the walk starts
+        # from the second; every other record is read off the walked path,
+        # whose pieces are each built once
+        assert len(report.records) - hits["hit"] == 2
+        assert hits["built"] == 1 + len(walk)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
@@ -185,7 +196,7 @@ class TestPiecesMatchTheLoop:
         # the 68 of the solver's 200 tiny instances that a sweep over [1/2, 1]
         # accepts: two minus points and at least two plus points, in one to
         # three dimensions, 14 of them with a repeated point
-        swept = 0
+        swept = records = 0
         for qp in small_instances(200):
             if len(qp.minus_points) != 2 or len(qp.plus_points) < 2:
                 continue
@@ -193,5 +204,52 @@ class TestPiecesMatchTheLoop:
             report = sweep_refined(instance, F(1, 2), F(1), 9, 3)
             assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 9, 3)
             swept += 1
+            records += len(report.records)
         assert swept == 68
-        assert 0 < hits["hit"] < hits["tried"]
+        # repeated and dependent points stop walks, so the loop runs more often
+        # than twice per sweep: 309 of the 756 records, against 136 for two each
+        assert (records, records - hits["hit"]) == (756, 309)
+
+    def test_walk_restarts_above_a_tie(self, hits):
+        # the walk from the second grid point ends at a tie at mu = 2/3; above
+        # it the hulls meet (objective 0), the optimum is not unique, and every
+        # record there runs the loop from its warm start
+        instance = SvmInstance(
+            (Vec((3, -1)), Vec((1, 1)), Vec((1, -3)), Vec((2, 2))),
+            (0, 1, 2, 3),
+            (Vec((-2, 2)), Vec((3, 1))),
+        )
+        report = sweep_refined(instance, F(1, 2), F(1), 32, 4)
+        assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 32, 4)
+        loops = [r for r in report.records if r.mu > F(2, 3) or r.mu <= F(16, 31)]
+        assert len(report.records) - hits["hit"] == len(loops) == 25
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_2d_arc_instance(12),
+            lambda: build_instance(default_params(4), DEFAULT_STRETCH),
+        ],
+        ids=["arc12", "d4"],
+    )
+    def test_forced_walk_stop(self, hits, monkeypatch, make):
+        # the walk meets a working set without a piece halfway up, so the loop
+        # answers there and the walk restarts above it
+        instance = make()
+        walked = path_pieces(instance, F(51, 100), F(1))
+        middle = walked[len(walked) // 2]
+        blocked = (middle.at_lo, middle.at_hi)
+        build = Piece.build.__func__
+
+        def stub(cls, table, working):
+            return None if working == blocked else build(cls, table, working)
+
+        monkeypatch.setattr(Piece, "build", classmethod(stub))
+        stopped = path_pieces(instance, F(51, 100), F(1))
+        assert [(p.at_lo, p.at_hi) for p in stopped] == [
+            (p.at_lo, p.at_hi) for p in walked[: len(walked) // 2]
+        ]
+        report = sweep_refined(instance, F(1, 2), F(1), 128, 6)
+        assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 128, 6)
+        # more loop solves than the two lowest grid points of an unbroken walk
+        assert len(report.records) - hits["hit"] > 2
