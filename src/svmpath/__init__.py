@@ -24,7 +24,7 @@ from .construct import (
     stretch,
     support_decomposition,
 )
-from .geometry import Polygon2, Rational, Vec, convex_hull_2d, solve_linear_system
+from .geometry import Polygon2, Vec, convex_hull_2d, solve_linear_system
 from .goldfarb import (
     CubeVertex,
     DualVertex,
@@ -44,11 +44,9 @@ from .qp import (
     OptimalPair,
     ReducedHullQP,
     build_kkt_certificate,
-    kkt_check_general,
     nu_from_mu,
     solve_reduced_distance,
     support_set,
-    unique_optimum,
 )
 from .sweep import (
     SweepRecord,

@@ -253,10 +253,6 @@ def support_decomposition(
         raise DecompositionError(
             f"nonpositive weight for sigma={sigma} at L={s.factor}: {alphas}"
         )
-    reconstructed = Vec.zero(d)
-    for a, c in zip(alphas, cols):
-        reconstructed = reconstructed + c * a
-    assert reconstructed == p
     return SupportDecomposition(tuple(sigma), tuple(alphas), max(alphas))
 
 

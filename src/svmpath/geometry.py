@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 
 class SingularMatrixError(Exception):
     """The linear system has no unique solution."""

@@ -22,7 +22,7 @@ from .construct import (
     generate_2d_arc_instance,
 )
 from .geometry import Vec
-from .goldfarb import GoldfarbParams
+from .goldfarb import GoldfarbParams, facet_order
 
 
 class InstanceFormatError(Exception):
@@ -123,10 +123,9 @@ def parse_instance(text: str) -> SvmInstance:
         calibration = Calibration(mu_bar, q_min, q_max, minus_rows[0], minus_rows[1])
     except ValueError as exc:
         raise InstanceFormatError(f"inconsistent calibration header: {exc}") from exc
-    labels = tuple((k, s) for k in range(1, dim + 1) for s in (-1, 1))
     return SvmInstance(
         plus_points=tuple(plus_rows),
-        plus_labels=labels,
+        plus_labels=facet_order(dim),
         minus_points=tuple(minus_rows),
         params=params,
         stretch=stretch_factor,

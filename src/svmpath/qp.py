@@ -1,4 +1,4 @@
-"""Exact solver for the reduced-hull distance problem and its optimality checks.
+"""Exact solver for the reduced-hull distance problem and its optimality certificate.
 
 The dual SVM minimizes ||p - q||^2 over p, q in the reduced convex hulls of
 the two classes: per class the coefficients are nonnegative, sum to one, and
@@ -7,46 +7,44 @@ primal active-set method run entirely in rational arithmetic: it maintains a
 working set of coefficients pinned at 0 or mu, solves each equality-constrained
 subproblem exactly, and moves bounds in and out by exact multiplier signs with
 lowest-index tie-breaking. It stops only at an iterate whose exact multiplier
-signs satisfy the KKT conditions, never by tolerance; the solver does not run
-the independent checker `kkt_check_general` on its result (the tests do).
+signs satisfy the KKT conditions, never by tolerance.
 
 The solver, the pieces and the certificates read one `PointTable` per point
 set, which the problem carries: `ReducedHullQP` is the table and mu, and an
 `SvmInstance` builds its table on first use, so every QP of one instance
 shares it. The table holds the signed points s (the minus class negated) as
 integer numerators over per-point denominators, and their Gram matrix G.
-Each entry of a step's normal equations, and of the uniqueness test's
-matrix, is a sum of four entries of G (`difference_gram`) rather than a
-d-term dot product of Fraction vectors. Each gradient s_k . w, with
-w = p - q, is one integer dot product over a positive denominator
-(`signed_dot`), read there by the loop, `Piece` and the KKT check. The
+Each entry of a subproblem's normal equations is a sum of four entries of G
+(`difference_gram`) rather than a d-term dot product of Fraction vectors.
+Each gradient s_k . w, with w = p - q, is one integer dot product over a
+positive denominator (`signed_dot`), read there by the loop and `Piece`. The
 multiplier test compares s_k . w, half the true gradient 2 s_k . w. A
 positive factor changes no sign and no comparison, so every step, pivot and
 tie-break is the one the exact gradients give.
 
 Along a sweep most solves need no loop. With the working set fixed (the
-coefficients at 0, those at mu, and the free rest) the KKT conditions are a
-linear system whose right-hand side is affine in mu, so on that stretch of the
-path the optimum is affine in mu: a `Piece`. A piece answers only where its
-free coefficients lie in [0, mu] and every bound coefficient's gradient is
-strictly on its side of the class multiplier. Each of these conditions is
-affine in mu, so the piece computes once, in integers on the table, the exact
-interval where all of them hold, and the conditions that end it: its events.
-That pair satisfies the KKT conditions, and it is the only optimum: every
-optimum has the same w = p - q, so the strict gradients hold the bound
-coefficients at their bounds in all of them, and the nonsingular bordered
-system leaves the free ones no other solution. The loop returns an optimum,
-so it would return the same coefficients, and the same pair. At its upper
-event a piece pivots one coefficient and gives its `successor`, so the exact
-path is walked from piece to piece (Hastie, Rosset, Tibshirani & Zhu, JMLR 5,
-2004). `solve_reduced_distance` first tries the pieces it is given; where none
-answers the loop runs as before.
+coefficients at 0, those at mu, and the free rest) the subproblem's normal
+equations, the loop's, have a right-hand side affine in mu, so on that
+stretch of the path the optimum is affine in mu: a `Piece`. A piece answers
+only where its free coefficients lie in [0, mu] and every bound coefficient's
+gradient is strictly on its side of the class multiplier. Each of these
+conditions is affine in mu, so the piece computes once, in integers on the
+table, the exact interval where all of them hold, and the conditions that end
+it: its events. There its pair satisfies the KKT conditions, and it is the
+only optimum: every optimum has the same w = p - q, so the strict gradients
+hold the bound coefficients at their bounds in all of them, and the
+nonsingular normal equations leave the free ones no other solution. The loop
+returns an optimum, so it would return the same coefficients, and the same
+pair. At its upper event a piece pivots one coefficient and gives its
+`successor`, so the exact path is walked from piece to piece (Hastie, Rosset,
+Tibshirani & Zhu, JMLR 5, 2004). `solve_reduced_distance` first tries the
+pieces it is given; where none answers the loop runs as before.
 
-A constructed breakpoint is certified without solving: `build_kkt_certificate`
-checks the candidate built from the construction with the checks of
-`kkt_check_general` on the instance QP at the breakpoint's mu, and those of
-`unique_optimum` prove that no other coefficient vector is optimal there; the
-multiplier ranges that both read are computed once per certificate.
+The piece is also the one optimality certificate. A constructed breakpoint
+is certified without running the loop: `build_kkt_certificate` builds the
+piece of the construction's working set and accepts the candidate built from
+the construction only when that piece covers the breakpoint's mu and its
+optimum there is the candidate.
 """
 
 from __future__ import annotations
@@ -70,14 +68,6 @@ AT_LO, AT_HI = 0, 1
 
 class SolverStalledError(Exception):
     """Iteration cap exceeded; the solver never returns an unverified answer."""
-
-
-class FeasibilityError(Exception):
-    """Candidate violates the dual constraints; carries the violation list."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
 
 
 class CertificateError(Exception):
@@ -128,8 +118,9 @@ class OptimalPair:
 class KktCertificate:
     """A constructed pair proven the unique optimum of its instance at mu.
 
-    `facet_multiplier` is minus the plus-class multiplier: the multiplier of
-    the sigma-facet when p is read as the projection of q onto that facet.
+    `facet_multiplier` is -2 lam_+, with lam_+ the piece's plus-class
+    multiplier s_r . w (half the objective's gradient): the multiplier of the
+    sigma-facet when p is read as the projection of q onto that facet.
     """
 
     sigma: tuple
@@ -179,7 +170,7 @@ def solve_reduced_distance(
     conditions. The multiplier test reads the gradients s_k . w, half the
     objective's 2 s_k . w; a positive factor changes no comparison, so the
     class multiplier, every sign and the lowest-index tie-break are those of
-    the true gradients. `kkt_check_general` is not called here.
+    the true gradients.
 
     First, each of `pieces` is asked for its optimum at this mu, and the first
     answer is returned. A piece answers only with the unique optimum (see
@@ -311,18 +302,23 @@ class Piece:
     """The optimum on one working set of a point set, affine in mu, with its exact interval.
 
     With the coefficients in `at_lo` at 0 and those in `at_hi` at mu, the
-    free coefficients x_F and the class multipliers lam_+, lam_- solve the
-    bordered KKT system
+    free coefficients solve the loop's normal equations. In each class the
+    first free coefficient is the reference r, and every other free i moves
+    along e_i - e_r by t_i, the reference taking what the class sum leaves:
+    x_r = 1 - mu |H_c| - sum t_i, with H_c the capped coefficients of class
+    c. Then
+    w = p - q = c0 + mu c1 + sum t_i (s_i - s_r) with c0 = s_r+ + s_r- and
+    c1 = sum_H s_h - |H_+| s_r+ - |H_-| s_r-, and stationarity, s_i . w equal
+    to s_r . w for every free i, reads
 
-        [[G_FF, -E], [E^T, 0]] (x_F, lam_+, lam_-) = r0 + mu r1,
+        D t = (s_r - s_i) . c0 + mu (s_r - s_i) . c1,
 
-    where G is the Gram matrix of the signed points, E the class indicator of
-    the free coefficients, r0 = (0, 1, 1) and r1 = (-G_FH 1, -|H_+|, -|H_-|)
-    over the capped set H. The first block says s_k . w = lam for every free k,
-    the second fixes the class sums. One elimination solves both right-hand
-    sides, so `base + mu * slope` gives (x_F, lam_+, lam_-) at every mu.
+    with D the `difference_gram` of the directions (i, r). One elimination
+    solves both right-hand sides. Each class multiplier lam is its
+    reference's gradient s_r . w, so `base + mu * slope` gives
+    (x_F, lam_+, lam_-) at every mu.
 
-    Then w = p - q, every gradient s_k . w and every gap between a bound
+    Then w, every gradient s_k . w and every gap between a bound
     coefficient's gradient and its class multiplier are affine in mu too, so
     each condition of `optimum` holds on one side of one root. Their
     intersection is the piece's interval [lo, hi] (None for an infinite end):
@@ -346,31 +342,44 @@ class Piece:
     def build(cls, table: PointTable, working: tuple) -> Optional["Piece"]:
         """The piece of `working` = (at_lo, at_hi) on a point table, or None.
 
-        There is none when a class has no free coefficient or the bordered
-        matrix is singular, that is when the differences of the free points
-        to one free point per class are linearly dependent.
+        There is none when a class has no free coefficient or the normal
+        equations are singular, that is when the differences of the free
+        points to their class's reference are linearly dependent.
         """
         at_lo, at_hi = working
-        gram = table.gram
-        n, n_plus = len(gram), len(table.plus_points)
+        n, n_plus = len(table.nums), len(table.plus_points)
         bound = set(at_lo) | set(at_hi)
         free = tuple(i for i in range(n) if i not in bound)
-        free_plus = [i < n_plus for i in free]
-        if all(free_plus) or not any(free_plus):
+        classes = ([i for i in free if i < n_plus], [i for i in free if i >= n_plus])
+        if not all(classes):
             return None
-        matrix = [
-            [gram[i][j] for j in free] + [-int(plus), -int(not plus)]
-            for i, plus in zip(free, free_plus)
-        ]
-        matrix.append([int(plus) for plus in free_plus] + [0, 0])
-        matrix.append([int(not plus) for plus in free_plus] + [0, 0])
-        r0 = [0] * len(free) + [1, 1]
-        r1 = [-sum(gram[i][h] for h in at_hi) for i in free]
-        r1 += [-sum(h < n_plus for h in at_hi), -sum(h >= n_plus for h in at_hi)]
+        refs = [members[0] for members in classes]
+        directions = [(i, members[0]) for members in classes for i in members[1:]]
+        capped = [sum(h < n_plus for h in at_hi), sum(h >= n_plus for h in at_hi)]
+        # c0 and c1 of w = c0 + mu c1 + sum t_i (s_i - s_r), cleared to integers
+        C0, e0 = table.cleared_sum([(r, 1) for r in refs])
+        C1, e1 = table.cleared_sum(
+            [(h, 1) for h in at_hi] + [(r, -c) for r, c in zip(refs, capped)]
+        )
+        moved = {k for pair in directions for k in pair}
+        g0 = {k: Fraction(*table.signed_dot(k, C0, e0)) for k in moved}
+        g1 = {k: Fraction(*table.signed_dot(k, C1, e1)) for k in moved}
+        rhs0 = [g0[r] - g0[i] for i, r in directions]
+        rhs1 = [g1[r] - g1[i] for i, r in directions]
         try:
-            base, slope = solve_linear_systems(matrix, [r0, r1])
+            t0, t1 = solve_linear_systems(table.difference_gram(directions), [rhs0, rhs1])
         except SingularMatrixError:
             return None
+        x0 = {i: t for (i, _r), t in zip(directions, t0)}
+        x1 = {i: t for (i, _r), t in zip(directions, t1)}
+        for members, r, c in zip(classes, refs, capped):
+            x0[r] = 1 - sum((x0[i] for i in members[1:]), Fraction(0))
+            x1[r] = -c - sum((x1[i] for i in members[1:]), Fraction(0))
+        base, slope = [x0[i] for i in free], [x1[i] for i in free]
+        W0, d0 = table.cleared_sum(zip(free, base))
+        W1, d1 = table.cleared_sum([*zip(free, slope), *((h, 1) for h in at_hi)])
+        base += [Fraction(*table.signed_dot(r, W0, d0)) for r in refs]
+        slope += [Fraction(*table.signed_dot(r, W1, d1)) for r in refs]
         piece = cls()
         piece.table, piece.at_lo, piece.at_hi = table, tuple(at_lo), tuple(at_hi)
         piece.free, piece.base, piece.slope = free, tuple(base), tuple(slope)
@@ -465,7 +474,7 @@ class Piece:
         multiplier and every coefficient at mu one strictly below it, which is
         where qp.mu lies in the interval. These are the KKT conditions, so the
         pair is optimal; the strict gradients pin every bound coefficient in
-        any optimum, and the nonsingular bordered matrix leaves the free ones
+        any optimum, and the nonsingular normal equations leave the free ones
         no direction that keeps w and the class sums. So it is the only
         optimum, the one the loop returns.
         """
@@ -523,138 +532,40 @@ def support_set(pair: OptimalPair) -> tuple:
     return plus, minus
 
 
-def kkt_check_general(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
-    """Necessary-and-sufficient optimality check for a feasible candidate.
-
-    Verifies feasibility exactly (raising FeasibilityError with the violated
-    constraints otherwise): the coefficient counts, sums and bounds, and that
-    the stored p and q are the coefficient combinations, compared against the
-    table's cleared sums. Then decides whether per-class multipliers exist:
-    within each class every free coefficient must see the same gradient value
-    lam, coefficients at 0 must see gradient >= lam, and coefficients at mu
-    must see gradient <= lam.
-    """
-    return _kkt_holds(_feasible_ranges(qp, candidate))
-
-
-def _feasible_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> tuple:
-    """`_multiplier_ranges` of a candidate that passes `kkt_check_general`'s feasibility checks."""
-    mu = qp.mu
-    table = qp.table
-    violations = []
-    for label, alphas, points, offset, sign, ref in (
-        ("+", candidate.alpha_plus, qp.plus_points, 0, 1, candidate.p),
-        ("-", candidate.alpha_minus, qp.minus_points, len(qp.plus_points), -1, candidate.q),
-    ):
-        if len(alphas) != len(points):
-            violations.append(f"class {label}: wrong coefficient count")
-            continue
-        if sum(alphas) != 1:
-            violations.append(f"class {label}: coefficients sum to {sum(alphas)}")
-        for i, a in enumerate(alphas):
-            if not 0 <= a <= mu:
-                violations.append(f"class {label}: coefficient {i} = {a} outside [0, {mu}]")
-        S, den = table.cleared_sum(enumerate(alphas, offset))  # minus points negated
-        if Vec(Fraction(sign * c, den) for c in S) != ref:
-            violations.append(f"class {label}: stored point is not the coefficient combination")
-    if violations:
-        raise FeasibilityError(violations)
-    return _multiplier_ranges(qp, candidate)
-
-
-def _kkt_holds(ranges: tuple) -> bool:
-    return all(hi is None or lo <= hi for _indices, _grads, lo, hi in ranges)
-
-
-def _multiplier_ranges(qp: ReducedHullQP, candidate: OptimalPair) -> tuple:
-    """Per class: point indices, gradients, and the range of the class multiplier.
-
-    The gradient of coefficient k is 2 s_k . w, with s_k the table's signed
-    point and w = sum_k x_k s_k the candidate's p - q, read from the table's
-    `signed_dot`. A class multiplier lam is valid iff every coefficient above
-    0 sees gradient <= lam and every coefficient below mu sees gradient >= lam,
-    so the valid values form [lo, hi]: lo is the largest gradient over
-    positive coefficients, hi the smallest over coefficients below mu (None
-    when every coefficient sits at mu). KKT holds iff lo <= hi in each class;
-    a free coefficient pins lo == hi. Call it only on a feasible candidate.
-    """
-    table = qp.table
-    x = tuple(candidate.alpha_plus) + tuple(candidate.alpha_minus)
-    W, den_w = table.cleared_sum(enumerate(x))
-    n_plus = len(qp.plus_points)
-    out = []
-    for indices in (range(n_plus), range(n_plus, len(x))):
-        grads = tuple(2 * Fraction(*table.signed_dot(k, W, den_w)) for k in indices)
-        lo = max(g for g, k in zip(grads, indices) if x[k] > 0)
-        hi = min((g for g, k in zip(grads, indices) if x[k] < qp.mu), default=None)
-        out.append((indices, grads, lo, hi))
-    return tuple(out)
-
-
-def unique_optimum(qp: ReducedHullQP, candidate: OptimalPair) -> bool:
-    """Exact proof that an optimal candidate is the only optimum of qp.
-
-    Call it only on a candidate that `kkt_check_general` accepts. Every optimum
-    has the same w = p - q, hence the same gradients, and the candidate's
-    multipliers hold for it too. So a coefficient whose gradient differs from
-    its class multiplier lam has a nonzero bound multiplier and sits at the
-    same bound in every optimum. Where the valid lam form an interval, lam is
-    taken strictly inside it and no coefficient of that class can move. The
-    rest, the points whose gradient equals lam, could only move along a
-    direction that keeps every class sum and w; none exists iff their
-    differences to one reference point per class are linearly independent,
-    decided by a nonsingular `difference_gram`. False means such a direction
-    exists; it leads to another optimum unless a point it moves sits at a
-    bound.
-    """
-    return _unique(qp.table, _multiplier_ranges(qp, candidate))
-
-
-def _unique(table: PointTable, ranges: tuple) -> bool:
-    """`unique_optimum` from the candidate's `_multiplier_ranges`."""
-    directions = []
-    for indices, grads, lo, hi in ranges:
-        if lo != hi:
-            continue
-        movable = [k for k, g in zip(indices, grads) if g == lo]
-        directions.extend((k, movable[0]) for k in movable[1:])
-    try:
-        solve_linear_system(table.difference_gram(directions), [0] * len(directions))
-    except SingularMatrixError:
-        return False
-    return True
-
-
 def build_kkt_certificate(
     instance: SvmInstance, pair: ConstructedPair, decomp: SupportDecomposition
 ) -> KktCertificate:
     """Prove the constructed pair the unique optimum of the instance at its mu.
 
     At mu = mu_of_q(q[-1]) the candidate puts the decomposition weights on
-    the plus points labeled (k, sigma_k) and (mu, 1 - mu) on (left, right). It
-    must be feasible and pass `kkt_check_general` and `unique_optimum` on the
-    instance QP; otherwise CertificateError names sigma and mu. The multiplier
-    ranges that both checks and the facet multiplier read are computed once.
+    the plus points labeled (k, sigma_k) and (mu, 1 - mu) on (left, right).
+    Its piece is that of the construction's working set: the other plus
+    points at 0, left at mu, and the support points and right free. Right
+    stays free even at mu = 1, where its weight is 0, so that the minus class
+    keeps a free coefficient. The candidate is certified when the piece
+    exists, covers mu, and its optimum there, the unique optimum of the
+    instance QP (`Piece.optimum`), is the candidate. Otherwise
+    CertificateError names sigma and mu.
     """
     mu = mu_of_q(pair.q[-1], instance.calibration)
-    alpha_plus = [Fraction(0)] * len(instance.plus_points)
+    n_plus = len(instance.plus_points)
+    alpha_plus = [Fraction(0)] * n_plus
     for k, (s, a) in enumerate(zip(pair.sigma, decomp.alphas), start=1):
         alpha_plus[instance.plus_labels.index((k, s))] = a
-    candidate = OptimalPair(
-        pair.p, pair.q, tuple(alpha_plus), (mu, 1 - mu), (pair.p - pair.q).norm_sq()
-    )
-    qp = ReducedHullQP.from_instance(instance, mu)
+    candidate = (pair.p, pair.q, tuple(alpha_plus), (mu, 1 - mu))
     where = f"sigma={pair.sigma} at mu={mu}"
-    try:
-        ranges = _feasible_ranges(qp, candidate)
-    except FeasibilityError as exc:
-        raise CertificateError(f"infeasible candidate for {where}: {exc}") from exc
-    if not _kkt_holds(ranges):
-        raise CertificateError(f"KKT conditions fail for {where}")
-    if not _unique(qp.table, ranges):
-        raise CertificateError(f"optimum is not unique for {where}")
-    _indices, _grads, lam_plus, _hi = ranges[0]
-    return KktCertificate(tuple(pair.sigma), mu, candidate, -lam_plus)
+    at_lo = tuple(i for i, a in enumerate(alpha_plus) if not a)
+    piece = Piece.build(instance.table, (at_lo, (n_plus,)))
+    if piece is None:
+        raise CertificateError(f"no piece on the working set of {where}")
+    if not piece.covers(mu):
+        raise CertificateError(f"piece of the working set does not cover {where}")
+    optimum = piece.optimum(ReducedHullQP.from_instance(instance, mu))
+    if (optimum.p, optimum.q, optimum.alpha_plus, optimum.alpha_minus) != candidate:
+        raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
+    m = len(piece.free)
+    lam_plus = piece.base[m] + mu * piece.slope[m]
+    return KktCertificate(tuple(pair.sigma), mu, optimum, -2 * lam_plus)
 
 
 def nu_from_mu(mu, n: int) -> Fraction:

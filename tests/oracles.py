@@ -9,9 +9,9 @@ as Fractions instead of reading the library's integer vertex table, and the
 facet multiplier of a breakpoint comes from the single-facet relaxation
 rather than the instance QP. The reference solver rebuilds its normal
 equations and gradients from Fraction point coordinates on every iteration,
-and the reference multiplier ranges and uniqueness test take Fraction vector
-dot products, instead of reading the instance's point table (its integer
-points and Gram matrix). The reference sweep takes every record from the
+and the reference KKT check, multiplier ranges and uniqueness test take
+Fraction vector dot products, instead of reading the instance's point table
+(its integer points and Gram matrix). The reference sweep takes every record from the
 solver's loop, without the affine pieces the library sweep tries first. All
 are exact.
 
@@ -192,7 +192,6 @@ def solve_reduced_distance_oracle(qp, start=None) -> OptimalPair:
     they are used only when exactly feasible for this mu. The loop returns
     only when the subproblem step is zero and no bound multiplier has the
     wrong sign, decided exactly at that iterate: these are the KKT conditions.
-    `kkt_check_general` is not called here.
     """
     pts, signed, n_plus, classes = _signed_points(qp)
     n, d = len(pts), len(pts[0])
@@ -406,7 +405,7 @@ def membership(inequalities, x) -> tuple:
 
 
 def unique_optimum_oracle(qp, candidate) -> bool:
-    """Reference for qp.unique_optimum on an optimal candidate.
+    """Whether an optimal candidate is the only optimum of qp.
 
     The optimal face is {x feasible : sum x_i s_i = p - q}, with s_i the points
     and the minus class negated. It is the single point x iff no nonzero
@@ -453,8 +452,40 @@ def relaxed_facet_multiplier(pair, params, ell) -> Fraction:
     return lam
 
 
+def kkt_check_reference(qp, candidate) -> bool:
+    """Necessary-and-sufficient optimality check for a feasible candidate.
+
+    Verifies feasibility exactly, raising ValueError with the violated
+    constraints otherwise: the coefficient counts, sums and bounds, and that
+    the stored p and q are the Fraction coefficient combinations of the
+    points. Then decides whether per-class multipliers exist: within each
+    class every free coefficient must see the same gradient lam, coefficients
+    at 0 must see gradient >= lam, and coefficients at mu gradient <= lam.
+    """
+    violations = []
+    for label, alphas, points, stored in (
+        ("+", candidate.alpha_plus, qp.plus_points, candidate.p),
+        ("-", candidate.alpha_minus, qp.minus_points, candidate.q),
+    ):
+        if len(alphas) != len(points):
+            violations.append(f"class {label}: wrong coefficient count")
+            continue
+        if sum(alphas) != 1:
+            violations.append(f"class {label}: coefficients sum to {sum(alphas)}")
+        for i, a in enumerate(alphas):
+            if not 0 <= a <= qp.mu:
+                violations.append(f"class {label}: coefficient {i} = {a} outside [0, {qp.mu}]")
+        combination = sum((pt * a for pt, a in zip(points, alphas)), Vec.zero(len(points[0])))
+        if combination != stored:
+            violations.append(f"class {label}: stored point is not the coefficient combination")
+    if violations:
+        raise ValueError("; ".join(violations))
+    ranges = multiplier_ranges_reference(qp, candidate)
+    return all(hi is None or lo <= hi for _signed, _grads, lo, hi in ranges)
+
+
 def multiplier_ranges_reference(qp, candidate) -> tuple:
-    """Reference for qp._multiplier_ranges: gradients from Fraction vector dot products.
+    """Gradients from Fraction vector dot products, and the multiplier ranges they allow.
 
     Per class: signed points, gradients, and the range of the class multiplier.
     The gradient of coefficient i is 2 s_i . (p - q) with s_i the point, negated
@@ -480,9 +511,9 @@ def multiplier_ranges_reference(qp, candidate) -> tuple:
 
 
 def unique_optimum_reference(qp, candidate) -> bool:
-    """Reference for qp.unique_optimum: the Gram matrix of Fraction vector differences.
+    """Whether an optimal candidate is the only optimum: a Gram matrix of Fraction differences.
 
-    Call it only on a candidate that `kkt_check_general` accepts. Every optimum
+    Call it only on a candidate that `kkt_check_reference` accepts. Every optimum
     has the same w = p - q, hence the same gradients, and the candidate's
     multipliers hold for it too. So a coefficient whose gradient differs from
     its class multiplier lam has a nonzero bound multiplier and sits at the

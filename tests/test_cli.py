@@ -155,12 +155,13 @@ class TestVerify:
     def test_uniqueness_failure_names_sigma_and_mu(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "d3.inst"
         run(["gen", "--d", "3", "--out", str(out)], capsys)
-        monkeypatch.setattr(qp, "_unique", lambda table, ranges: False)
+        # dependent free points leave the working set without a piece
+        monkeypatch.setattr(qp.Piece, "build", classmethod(lambda cls, table, working: None))
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 1
         doc = json.loads(stdout)
         assert doc["ok"] is False
-        assert "optimum is not unique for sigma=(-1, 1, 1) at mu=1" == doc["error"]
+        assert "no piece on the working set of sigma=(-1, 1, 1) at mu=1" == doc["error"]
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, stderr = run(["verify", str(tmp_path / "nope.inst")], capsys)
@@ -354,6 +355,25 @@ class TestPinnedSweeps:
         assert record_digest(report) == (
             "e79c540ab20b036d587040d1da9d961ae7e9f1c7ad6cd8aaf577935ed424a655", 117, 118
         )
+
+
+class TestPinnedVerify:
+    """`verify` output is exact, so a certificate change must reproduce it byte for byte."""
+
+    @pytest.mark.parametrize(
+        "eps,gamma,digest",
+        [
+            ("1/3", "1/16", "50132f618984f42fac67f1fd3be90378059c6a9fe890ed3482a74b00b98b42f2"),
+            ("3/8", "1/16", "b3d752aab0671ca9a372722ca1ece99d5ef391265161cf37a58ce691195b0440"),
+        ],
+    )
+    def test_d5(self, tmp_path, capsys, eps, gamma, digest):
+        inst = tmp_path / "d5.inst"
+        argv = ["gen", "--d", "5", "--eps", eps, "--gamma", gamma, "--stretch", "auto"]
+        assert run(argv + ["--out", str(inst)], capsys)[0] == 0
+        code, stdout, _ = run(["verify", str(inst)], capsys)
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 class TestShadowSvgCommand:

@@ -226,7 +226,14 @@ class TestSupportDecomposition:
         assert decomp.mu_sigma == F(1, 4)
 
     def test_reconstruction_exact_and_weights_positive(self, constructions4, params4):
+        duals = {(w.k, w.s): w for w in dual_vertices(params4)}
         for pair, decomp in constructions4:
+            # the weights on the stretched sigma-facet vertices give back p exactly
+            support = [
+                stretch(duals[k, s].coords, DEFAULT_STRETCH.factor)
+                for k, s in enumerate(pair.sigma, start=1)
+            ]
+            assert sum((w * a for w, a in zip(support, decomp.alphas)), Vec.zero(4)) == pair.p
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
             assert decomp.mu_sigma == max(decomp.alphas) < 1
