@@ -12,20 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
 from typing import Iterable, Optional
 
-from .geometry import PointTable, SingularMatrixError, Vec, common_denominator, solve_linear_system
+from .geometry import PointTable, Vec
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
     admissible_sign_vectors,
-    cube_vertex_table,
     cube_vertices,
     dual_vertices,
     shadow_certificate,
     sign_index,
-    sign_vectors,
 )
 
 
@@ -189,40 +186,70 @@ def build_p_stretched(q: Vec, vertex: Vec, ell) -> Vec:
     return p
 
 
-def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> ConstructedPair:
-    """Assemble the breakpoint pair for one admissible sigma."""
-    sigma = tuple(sigma)
-    if sigma[-2] != 1 or sigma[-1] != 1:
-        raise ValueError("pair construction needs the last two signs to be +1")
+@lru_cache(maxsize=None)
+def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
+    """(shadow point, vertex, q, slack) of sigma: the part of a pair that no stretch changes."""
     cert = shadow_certificate(params, sigma)
     vertex = cube_vertices(params)[sign_index(sigma)].coords
     q, slack = build_q(cert.vector, vertex)
+    return cert.vector, vertex, q, slack
+
+
+def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> ConstructedPair:
+    """Assemble the breakpoint pair for one admissible sigma.
+
+    Only p depends on the stretch factor; the shadow certificate, q and the
+    slack are computed once per (params, sigma) and shared by every try.
+    """
+    sigma = tuple(sigma)
+    if sigma[-2] != 1 or sigma[-1] != 1:
+        raise ValueError("pair construction needs the last two signs to be +1")
+    p_shadow, vertex, q, slack = _unstretched_pair(params, sigma)
     p = build_p_stretched(q, vertex, s.inverse)
-    return ConstructedPair(sigma, cert.vector, q, p, slack)
+    return ConstructedPair(sigma, p_shadow, q, p, slack)
+
+
+def _facet_weights(params: GoldfarbParams, sigma: SignVec, x: Vec) -> tuple:
+    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == x, unstretched duals.
+
+    The dual w_(k, s) = normal / rhs_k of facet (k, s) touches only the
+    coordinates k-2..k, so the matrix with columns w_(k, sigma_k) is upper
+    triangular with bandwidth 3 and diagonal sigma_k / rhs_k. Writing
+    alpha_k = rhs_k * beta_k, row i reads
+    x_i = sigma_i beta_i + eps beta_(i+1) - eps gamma beta_(i+2),
+    which back-substitution solves from the last row up in O(d) steps.
+    """
+    d, eps, gamma = params.dim, params.eps, params.gamma
+    if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
+        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
+    if len(x) != d:
+        raise ValueError(f"point has {len(x)} coordinates, expected {d}")
+    eps_gamma = eps * gamma
+    beta = [Fraction(0)] * (d + 2)
+    for i in range(d - 1, -1, -1):
+        rest = x[i] - eps * beta[i + 1] + eps_gamma * beta[i + 2]
+        beta[i] = rest if sigma[i] == 1 else -rest
+    rhs = (Fraction(1), 1 - eps) + (1 - eps + eps_gamma,) * (d - 2)
+    return tuple(r * b for r, b in zip(rhs, beta[:d]))
 
 
 def facet_strictness_check(p: Vec, params: GoldfarbParams, ell, sigma: SignVec) -> bool:
     """True iff p is tight on the sigma-facet and strictly inside all others.
 
-    Every tau is tested. Since stretch(v, ell) . p == v . stretch(p, ell), the
-    stretch moves onto p, whose entries are cleared to integers P over den_p.
-    With the vertex table (den_v, V), v_tau(ell) . p compares with 1 exactly
-    as the integer V_tau . P compares with den_v * den_p.
+    Cone form of the exhaustive test over all 2^d vertices. Since
+    stretch(v, ell) . p == v . stretch(p, ell), let alpha be the
+    `_facet_weights` of p' = stretch(p, ell). The sigma-facet duals satisfy
+    w_(k, s) . v_tau = 1 when tau_k = s and 1 - 2 z_k(tau) / rhs_k otherwise,
+    so p' . v_tau = sum(alpha) - 2 sum over the flipped k of
+    alpha_k z_k(tau) / rhs_k. With every z_k(tau) > 0 (`cube_vertices`
+    raises otherwise), positive weights summing to 1 make p tight at sigma
+    and strict at every other tau; and if some alpha_k <= 0, the neighbour
+    that flips only sign k has p' . v_tau >= sum(alpha). So the check is
+    sum(alpha) == 1 and all(alpha > 0), in O(d).
     """
-    if len(p) != params.dim:
-        raise ValueError(f"point has {len(p)} coordinates, expected {params.dim}")
-    den_v, rows = cube_vertex_table(params)
-    den_p, (scaled,) = common_denominator([stretch(p, ell)])
-    one = den_v * den_p
-    sigma = tuple(sigma)
-    for tau, row in zip(sign_vectors(params.dim), rows):
-        value = sum(map(mul, row, scaled))
-        if tau == sigma:
-            if value != one:
-                return False
-        elif value >= one:
-            return False
-    return True
+    cube_vertices(params)  # the z_k(tau) > 0 guard that the cone form rests on
+    alphas = _facet_weights(params, tuple(sigma), stretch(p, ell))
+    return sum(alphas) == 1 and all(a > 0 for a in alphas)
 
 
 def support_decomposition(
@@ -230,21 +257,15 @@ def support_decomposition(
 ) -> SupportDecomposition:
     """Solve the d x d system sum_k alpha_k w_(k, sigma_k)(L) = p exactly.
 
-    A singular system (dependent facet vertices), a weight sum other than 1
-    (p off the sigma-facet) and a nonpositive weight each raise
+    Unstretching both sides by 1/L gives the same weights over the
+    unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L), whose
+    banded triangular system `_facet_weights` solves; its diagonal never
+    vanishes, so the system is never singular. A weight sum other than 1 (p
+    off the sigma-facet) and a nonpositive weight each raise
     DecompositionError. Otherwise the d >= 2 weights are positive and sum to
     1, so the largest, mu_sigma, is below 1.
     """
-    d = params.dim
-    duals = dual_vertices(params)
-    cols = [stretch(duals[2 * k + (1 if sigma[k] == 1 else 0)].coords, s.factor) for k in range(d)]
-    matrix = [[cols[j][i] for j in range(d)] for i in range(d)]
-    try:
-        alphas = solve_linear_system(matrix, p)
-    except SingularMatrixError as exc:
-        raise DecompositionError(
-            f"facet vertices degenerate for sigma={sigma} at L={s.factor}"
-        ) from exc
+    alphas = _facet_weights(params, tuple(sigma), stretch(p, s.inverse))
     if sum(alphas) != 1:
         raise DecompositionError(
             f"weights sum to {sum(alphas)} != 1 for sigma={sigma} at L={s.factor}"
@@ -253,7 +274,7 @@ def support_decomposition(
         raise DecompositionError(
             f"nonpositive weight for sigma={sigma} at L={s.factor}: {alphas}"
         )
-    return SupportDecomposition(tuple(sigma), tuple(alphas), max(alphas))
+    return SupportDecomposition(tuple(sigma), alphas, max(alphas))
 
 
 def calibrate(pairs: Iterable[ConstructedPair], decomps: Iterable[SupportDecomposition]) -> Calibration:

@@ -93,7 +93,21 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon2:
     dropped, so the result is strictly convex. Raises DegenerateHullError
     when all points are collinear or fewer than three are distinct.
     """
-    pts = sorted({Vec(p) for p in points})
+    return Polygon2(tuple(hull_chain(map(Vec, points))))
+
+
+def hull_chain(points: Iterable[Sequence]) -> list:
+    """The strictly convex counterclockwise hull of `points` as a list of them.
+
+    The monotone chain behind `convex_hull_2d`, on points of any exact type:
+    the hull is returned as the input points themselves, so integer points
+    stay integers. Sorting and orientation signs do not change under a
+    positive scale, so integer points scaled by one common positive factor
+    give the hull of the unscaled points in the same order. Raises
+    DegenerateHullError when all points are collinear or fewer than three
+    are distinct.
+    """
+    pts = sorted(set(map(tuple, points)))
     if pts and len(pts[0]) != 2:
         raise ValueError("convex_hull_2d expects 2D points")
     if len(pts) < 3:
@@ -112,7 +126,7 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon2:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise DegenerateHullError("all points are collinear")
-    return Polygon2(tuple(hull))
+    return hull
 
 
 def _integer_rows(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
@@ -242,13 +256,17 @@ def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> 
             for c in range(col, width):
                 mr[c] = (pv * mr[c] - f * mc[c]) // prev
         prev = pv
+    # back-substitute y = det * x, an integer vector by Cramer's rule, so every
+    # division below is exact; one Fraction per entry at the end
+    det = prev
     solutions = []
     for k in range(n, width):
-        x = [Fraction(0)] * n
+        y = [0] * n
         for r in range(n - 1, -1, -1):
-            s = M[r][k] - sum(M[r][c] * x[c] for c in range(r + 1, n))
-            x[r] = Fraction(s, M[r][r])
-        solutions.append(Vec(x))
+            row = M[r]
+            s = det * row[k] - sum(row[c] * y[c] for c in range(r + 1, n))
+            y[r] = s // row[r]
+        solutions.append(Vec([Fraction(v, det) for v in y]))
     return tuple(solutions)
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .geometry import Polygon2, Vec, common_denominator, convex_hull_2d
+from .geometry import Polygon2, Vec, common_denominator, hull_chain
 
 SignVec = tuple  # entries in {-1, +1}
 
@@ -129,20 +129,34 @@ def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> tuple:
     return Vec(normal), rhs
 
 
+def _bound(params: GoldfarbParams, x: list) -> Fraction:
+    """z_k = |x_k| at every vertex whose first k-1 coordinates are x, k = len(x) + 1.
+
+    Raises ValueError when z_k <= 0. Valid parameters never give one, but
+    every incidence argument (each vertex on exactly d facets, the cone form
+    of `construct.facet_strictness_check`) rests on z_k > 0, so it is
+    checked here rather than assumed.
+    """
+    eps, gamma = params.eps, params.gamma
+    k = len(x) + 1
+    if k == 1:
+        z = Fraction(1)
+    elif k == 2:
+        z = 1 - eps - eps * x[0]
+    else:
+        z = 1 - eps + eps * gamma - eps * (x[k - 2] - gamma * x[k - 3])
+    if z <= 0:
+        raise ValueError(f"cube bound z_{k} = {z} <= 0: eps = {eps}, gamma = {gamma} give no cube")
+    return z
+
+
 def cube_vertex(params: GoldfarbParams, sigma: SignVec) -> CubeVertex:
     """Vertex indexed by sigma, via the bound recursion with x_k = sigma_k * z_k."""
-    d, eps, gamma = params.dim, params.eps, params.gamma
-    if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
+    if len(sigma) != params.dim or any(s not in (-1, 1) for s in sigma):
         raise ValueError("sigma must be a length-dim vector over {-1, +1}")
     x = []
-    for k in range(1, d + 1):
-        if k == 1:
-            z = Fraction(1)
-        elif k == 2:
-            z = 1 - eps - eps * x[0]
-        else:
-            z = 1 - eps + eps * gamma - eps * (x[k - 2] - gamma * x[k - 3])
-        x.append(sigma[k - 1] * z)
+    for s in sigma:
+        x.append(s * _bound(params, x))
     return CubeVertex(tuple(sigma), Vec(x))
 
 
@@ -150,9 +164,22 @@ def cube_vertex(params: GoldfarbParams, sigma: SignVec) -> CubeVertex:
 def cube_vertices(params: GoldfarbParams) -> tuple:
     """All 2^d vertices in `sign_vectors` order, built once per parameter set.
 
-    The vertex of sigma sits at position `sign_index(sigma)`.
+    The vertex of sigma sits at position `sign_index(sigma)`. Its first k
+    coordinates depend only on sigma's first k signs, so the recursion of
+    `cube_vertex` runs on a prefix tree: level k extends every sign prefix
+    of length k-1 once, by -z_k and then by +z_k, which keeps `sign_vectors`
+    order and takes 2^d - 1 bound steps for the whole cube. Raises
+    ValueError at the first bound z_k <= 0.
     """
-    return tuple(cube_vertex(params, sigma) for sigma in sign_vectors(params.dim))
+    level = [((), [])]
+    for _ in range(params.dim):
+        grown = []
+        for sigma, x in level:
+            z = _bound(params, x)
+            grown.append((sigma + (-1,), x + [-z]))
+            grown.append((sigma + (1,), x + [z]))
+        level = grown
+    return tuple(CubeVertex(sigma, Vec(x)) for sigma, x in level)
 
 
 @lru_cache(maxsize=None)
@@ -191,18 +218,28 @@ def project_shadow(x: Vec) -> Vec:
 def _shadow_data(params: GoldfarbParams):
     """(hull polygon, hull position by sigma, sigma by hull position).
 
-    Sigmas whose projected vertex is not a hull vertex have no position.
+    The hull is ordered on the integer last two columns of
+    `cube_vertex_table`, den times the projections: sorting and orientation
+    signs do not change under the positive scale den, so the monotone chain
+    visits the projections in the same order as on the Fractions. The
+    Fraction `Polygon2` is built from that ring and validates its strict
+    convexity. Sigmas whose projected vertex is not a hull vertex have no
+    position.
     """
     if params.dim < 2:
         raise ValueError("shadow projection needs dim >= 2")
+    _den, rows = cube_vertex_table(params)
     owner = {}
-    for v in cube_vertices(params):
-        pt = project_shadow(v.coords)
+    for v, row in zip(cube_vertices(params), rows):
+        pt = row[-2:]
         if pt in owner:
-            raise ShadowPropertyError(f"two vertices share the shadow point {pt}")
-        owner[pt] = v.sigma
-    hull = convex_hull_2d(owner.keys())
-    ring = tuple(owner[pt] for pt in hull.vertices)
+            raise ShadowPropertyError(
+                f"two vertices share the shadow point {project_shadow(v.coords)}"
+            )
+        owner[pt] = v
+    ring_vertices = [owner[pt] for pt in hull_chain(owner)]
+    hull = Polygon2(tuple(project_shadow(v.coords) for v in ring_vertices))
+    ring = tuple(v.sigma for v in ring_vertices)
     return hull, {sigma: i for i, sigma in enumerate(ring)}, ring
 
 

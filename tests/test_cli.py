@@ -7,7 +7,6 @@ import pytest
 
 from svmpath import cli, construct, qp, sweep
 from svmpath.cli import main
-from svmpath.geometry import SingularMatrixError
 from svmpath.goldfarb import ShadowPropertyError
 from svmpath.instance_io import (
     format_rational,
@@ -84,16 +83,16 @@ class TestGenRefuses:
         assert not out.exists()
 
     def test_decomposition_failure(self, tmp_path, capsys, monkeypatch):
-        def singular(*args):
-            raise SingularMatrixError("forced")
-
-        monkeypatch.setattr(construct, "solve_linear_system", singular)
+        # with the strictness check waved through, the decomposition alone
+        # refuses the unit stretch, by its nonpositive-weight branch
+        monkeypatch.setattr(construct, "facet_strictness_check", lambda *args: True)
         out = tmp_path / "d3.inst"
         # parameters no other test uses, so no cached construction hides the failure
         result = run(
-            ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/19", "--out", str(out)], capsys
+            ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/19", "--stretch", "1",
+             "--out", str(out)], capsys
         )
-        assert_one_line_failure(result, "facet vertices degenerate for sigma=", "L=20000")
+        assert_one_line_failure(result, "nonpositive weight for sigma=", "L=1:")
         assert not out.exists()
 
     def test_shadow_property_failure(self, tmp_path, capsys, monkeypatch):
@@ -355,6 +354,27 @@ class TestPinnedSweeps:
         assert record_digest(report) == (
             "e79c540ab20b036d587040d1da9d961ae7e9f1c7ad6cd8aaf577935ed424a655", 117, 118
         )
+
+
+class TestPinnedInstances:
+    """`gen --stretch auto` files are exact, so a construction change must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize(
+        "d,digest",
+        [
+            (3, "8bef53bbc81f896ab7176d1c8b16a4f308bd58a559d6a236a667e803b61b8d1f"),
+            (4, "88860f94ec6b585b40656e505918e011c0c69dc9d14be37bd31d3d639f7db218"),
+            (5, "4a8a6674af49cfcd01e908549e7c310265d60a712f5cb4889a53ab7f5f207ad7"),
+            (6, "bd611abe70e11c3465722fef95eb9817c17c3e62ca921bcce0cea813860f7979"),
+            (7, "e0e951f28615634774f5637cebd6b33a7cce03c256b195d9985929daf3b09729"),
+            (8, "867e5f26fc9a6b60d6fdae0f69b0476aa3708575f0e880dd01683d50fd4052ea"),
+            (9, "057657423854d17ebd02437b68a8942ba2306aa3a1a8c3bbbde65d53a5758b42"),
+        ],
+    )
+    def test_auto_stretch(self, tmp_path, capsys, d, digest):
+        inst = tmp_path / f"d{d}.inst"
+        assert run(["gen", "--d", str(d), "--stretch", "auto", "--out", str(inst)], capsys)[0] == 0
+        assert hashlib.sha256(inst.read_bytes()).hexdigest() == digest
 
 
 class TestPinnedVerify:

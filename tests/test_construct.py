@@ -9,6 +9,7 @@ from oracles import facet_strictness_oracle, reduced_hull_segment
 from svmpath.construct import (
     CalibrationError,
     Calibration,
+    DecompositionError,
     StretchFactor,
     admissible_constructions,
     build_instance,
@@ -26,6 +27,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import Vec, convex_hull_2d, solve_linear_system
 from svmpath.goldfarb import (
+    GoldfarbParams,
     admissible_sign_vectors,
     cube_vertex,
     cube_vertices,
@@ -164,7 +166,7 @@ class TestFacetStrictness:
             assert facet_strictness_check(pair.p, params4, DEFAULT_STRETCH.inverse, pair.sigma)
 
     @pytest.mark.parametrize("ell", ORACLE_ELLS)
-    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     def test_integer_check_equals_fraction_oracle(self, d, ell):
         params = default_params(d)
         for sigma in spread(admissible_sign_vectors(d)):
@@ -172,6 +174,31 @@ class TestFacetStrictness:
                 assert facet_strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
                     p, params, ell, sigma
                 ), (sigma, what)
+
+    # two of the benchmark's (eps, gamma) pairs; the test above has the paper's
+    @pytest.mark.parametrize("eps,gamma", [(F(3, 8), F(1, 16)), (F(2, 5), F(1, 15))])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_cone_form_equals_fraction_oracle(self, d, eps, gamma):
+        params = GoldfarbParams(d, eps, gamma)
+        for ell in ORACLE_ELLS:
+            for sigma in spread(admissible_sign_vectors(d)):
+                for what, p in facet_test_points(params, ell, sigma).items():
+                    assert facet_strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
+                        p, params, ell, sigma
+                    ), (ell, sigma, what)
+
+    @pytest.mark.parametrize("L,passing", [(1, False), (20000, True)])
+    def test_cone_form_equals_fraction_oracle_where_the_stretch_fails(self, L, passing):
+        # d = 9 needs a larger stretch than 20000: there some constructed
+        # points pass and others fail, and at L = 1 every one fails
+        params, s = default_params(9), StretchFactor(L)
+        outcomes = set()
+        for sigma in list(admissible_sign_vectors(9))[::4]:
+            p = build_pair(params, sigma, s).p
+            got = facet_strictness_check(p, params, s.inverse, sigma)
+            assert got == facet_strictness_oracle(p, params, s.inverse, sigma), sigma
+            outcomes.add(got)
+        assert outcomes == ({False, True} if passing else {False})
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_perturbations_fail_by_their_own_branch_only(self, d):
@@ -237,6 +264,29 @@ class TestSupportDecomposition:
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
             assert decomp.mu_sigma == max(decomp.alphas) < 1
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_banded_weights_equal_the_dense_solve(self, d):
+        params = default_params(d)
+        duals = dual_vertices(params)
+        for sigma in spread(admissible_sign_vectors(d)):
+            p = build_pair(params, sigma, DEFAULT_STRETCH).p
+            cols = [
+                stretch(duals[2 * k + (1 if sigma[k] == 1 else 0)].coords, DEFAULT_STRETCH.factor)
+                for k in range(d)
+            ]
+            dense = solve_linear_system([[c[i] for c in cols] for i in range(d)], p)
+            assert support_decomposition(p, sigma, params, DEFAULT_STRETCH).alphas == tuple(dense)
+
+    def test_failing_branches_name_sigma_and_stretch(self, params4):
+        sigma = (1, 1, 1, 1)
+        p = build_pair(params4, sigma, DEFAULT_STRETCH).p
+        with pytest.raises(DecompositionError, match=r"weights sum to .* != 1 for sigma=\(1, 1, 1, 1\) at L=20000"):
+            support_decomposition(p * 2, sigma, params4, DEFAULT_STRETCH)
+        unit = StretchFactor(1)
+        p = build_pair(params4, sigma, unit).p
+        with pytest.raises(DecompositionError, match=r"nonpositive weight for sigma=\(1, 1, 1, 1\) at L=1"):
+            support_decomposition(p, sigma, params4, unit)
 
     def test_weights_witness_reduced_hull_membership(self, constructions4, instance4):
         # every breakpoint point lies in the capped hull at its own mu value:

@@ -11,6 +11,7 @@ from svmpath.geometry import (
     SingularMatrixError,
     Vec,
     convex_hull_2d,
+    hull_chain,
     orient2d,
     solve_linear_system,
     solve_linear_system_general,
@@ -38,6 +39,11 @@ class TestSolveLinearSystem:
 
     def test_empty_system(self):
         assert solve_linear_system([], ()) == Vec(())
+
+    def test_row_swap_and_negative_determinant(self):
+        # the pivot search swaps the rows, and the determinant that scales the
+        # integer back-substitution is negative
+        assert solve_linear_system([[0, -3], [2, 1]], (1, 1)) == Vec((F(2, 3), F(-1, 3)))
 
     @settings(max_examples=60)
     @given(st.integers(1, 5), st.data())
@@ -166,6 +172,13 @@ class TestConvexHull:
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateHullError):
             convex_hull_2d([Vec((0, 0)), Vec((1, 0)), Vec((1, 0))])
+
+    def test_chain_keeps_integer_points(self):
+        points = [(2, 2), (0, 0), (1, 1), (2, 0), (0, 2), (1, 0)]
+        ring = hull_chain(points)
+        assert ring == [(0, 0), (2, 0), (2, 2), (0, 2)]
+        assert all(type(c) is int for pt in ring for c in pt)
+        assert convex_hull_2d(points).vertices == tuple(map(Vec, ring))
 
     @settings(max_examples=60)
     @given(st.lists(st.tuples(small_rational, small_rational), min_size=3, max_size=14))

@@ -6,13 +6,15 @@ import pytest
 
 from conftest import default_params, spread
 from oracles import is_extreme_point, membership, shadow_certificate_oracle
-from svmpath.geometry import Vec, solve_linear_system
+from svmpath.construct import facet_strictness_check
+from svmpath.geometry import Vec, convex_hull_2d, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
     ShadowCertificate,
     ShadowPropertyError,
     _check_certificate,
     _pair_normal_rhs,
+    _shadow_data,
     cube_vertex,
     cube_vertices,
     dual_vertices,
@@ -128,6 +130,24 @@ class TestCubeVertices:
         coords = [v.coords for v in cube_vertices(default_params(d))]
         assert len(set(coords)) == 2 ** d
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_prefix_tree_equals_per_sigma_recursion(self, d):
+        params = default_params(d)
+        assert cube_vertices(params) == tuple(cube_vertex(params, s) for s in sign_vectors(d))
+
+    def test_nonpositive_bound_raises(self):
+        # eps = 9/10 breaks eps < 1/2, so validation is bypassed; x_1 = +1 then
+        # gives z_2 = 1 - eps - eps < 0, and the cone form of the strictness
+        # check, which rests on z_k > 0, refuses to run
+        params = GoldfarbParams(3)
+        object.__setattr__(params, "eps", F(9, 10))
+        with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
+            cube_vertices(params)
+        with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
+            cube_vertex(params, (1, 1, 1))
+        with pytest.raises(ValueError, match="z_2"):
+            facet_strictness_check(Vec((0, 2, 1)), params, 1, (1, 1, 1))
+
 
 class TestDualVertices:
     def test_first_pair_is_plus_minus_e1(self):
@@ -215,6 +235,19 @@ class TestShadow:
             point = shadow_certificate(params, sigma).vector
             assert all(point.dot(v.coords) <= 1 for v in cube_vertices(params))
             assert point[-2] <= 1
+
+
+class TestShadowHull:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_integer_ring_equals_fraction_hull(self, d):
+        params = default_params(d)
+        hull, pos, ring = _shadow_data(params)
+        projections = {project_shadow(v.coords): v.sigma for v in cube_vertices(params)}
+        expected = convex_hull_2d(projections)
+        assert hull == expected
+        assert ring == tuple(projections[pt] for pt in expected.vertices)
+        assert pos == {sigma: i for i, sigma in enumerate(ring)}
+        assert len(ring) == 2 ** d
 
 
 def hull_neighbours(params, sigma) -> tuple:
