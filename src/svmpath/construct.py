@@ -21,6 +21,7 @@ from .goldfarb import (
     admissible_sign_vectors,
     cube_vertices,
     dual_vertices,
+    facet_weights,
     shadow_certificate,
     sign_index,
 )
@@ -209,36 +210,12 @@ def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> Cons
     return ConstructedPair(sigma, p_shadow, q, p, slack)
 
 
-def _facet_weights(params: GoldfarbParams, sigma: SignVec, x: Vec) -> tuple:
-    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == x, unstretched duals.
-
-    The dual w_(k, s) = normal / rhs_k of facet (k, s) touches only the
-    coordinates k-2..k, so the matrix with columns w_(k, sigma_k) is upper
-    triangular with bandwidth 3 and diagonal sigma_k / rhs_k. Writing
-    alpha_k = rhs_k * beta_k, row i reads
-    x_i = sigma_i beta_i + eps beta_(i+1) - eps gamma beta_(i+2),
-    which back-substitution solves from the last row up in O(d) steps.
-    """
-    d, eps, gamma = params.dim, params.eps, params.gamma
-    if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
-        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
-    if len(x) != d:
-        raise ValueError(f"point has {len(x)} coordinates, expected {d}")
-    eps_gamma = eps * gamma
-    beta = [Fraction(0)] * (d + 2)
-    for i in range(d - 1, -1, -1):
-        rest = x[i] - eps * beta[i + 1] + eps_gamma * beta[i + 2]
-        beta[i] = rest if sigma[i] == 1 else -rest
-    rhs = (Fraction(1), 1 - eps) + (1 - eps + eps_gamma,) * (d - 2)
-    return tuple(r * b for r, b in zip(rhs, beta[:d]))
-
-
 def facet_strictness_check(p: Vec, params: GoldfarbParams, ell, sigma: SignVec) -> bool:
     """True iff p is tight on the sigma-facet and strictly inside all others.
 
     Cone form of the exhaustive test over all 2^d vertices. Since
     stretch(v, ell) . p == v . stretch(p, ell), let alpha be the
-    `_facet_weights` of p' = stretch(p, ell). The sigma-facet duals satisfy
+    `facet_weights` of p' = stretch(p, ell). The sigma-facet duals satisfy
     w_(k, s) . v_tau = 1 when tau_k = s and 1 - 2 z_k(tau) / rhs_k otherwise,
     so p' . v_tau = sum(alpha) - 2 sum over the flipped k of
     alpha_k z_k(tau) / rhs_k. With every z_k(tau) > 0 (`cube_vertices`
@@ -248,7 +225,7 @@ def facet_strictness_check(p: Vec, params: GoldfarbParams, ell, sigma: SignVec) 
     sum(alpha) == 1 and all(alpha > 0), in O(d).
     """
     cube_vertices(params)  # the z_k(tau) > 0 guard that the cone form rests on
-    alphas = _facet_weights(params, tuple(sigma), stretch(p, ell))
+    alphas = facet_weights(params, tuple(sigma), stretch(p, ell))
     return sum(alphas) == 1 and all(a > 0 for a in alphas)
 
 
@@ -259,13 +236,13 @@ def support_decomposition(
 
     Unstretching both sides by 1/L gives the same weights over the
     unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L), whose
-    banded triangular system `_facet_weights` solves; its diagonal never
+    banded triangular system `facet_weights` solves; its diagonal never
     vanishes, so the system is never singular. A weight sum other than 1 (p
     off the sigma-facet) and a nonpositive weight each raise
     DecompositionError. Otherwise the d >= 2 weights are positive and sum to
     1, so the largest, mu_sigma, is below 1.
     """
-    alphas = _facet_weights(params, tuple(sigma), stretch(p, s.inverse))
+    alphas = facet_weights(params, tuple(sigma), stretch(p, s.inverse))
     if sum(alphas) != 1:
         raise DecompositionError(
             f"weights sum to {sum(alphas)} != 1 for sigma={sigma} at L={s.factor}"

@@ -106,48 +106,83 @@ def sign_index(sigma: SignVec) -> int:
     return int("".join("1" if s == 1 else "0" for s in sigma), 2)
 
 
-def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> tuple:
-    """(normal, rhs) of the cube inequality normal . x <= rhs of facet (k, s).
+@lru_cache(maxsize=None)
+def _pair_bands(params: GoldfarbParams) -> tuple:
+    """(a_k, b_k, rhs_k) for k = 1..d: the cube inequalities of pair k.
 
-    Pair k bounds x_k by a recurrence in the two previous coordinates; the
-    right inequality of pair k >= 3 reads
-    x_k + eps*x_{k-1} - eps*gamma*x_{k-2} <= 1 - eps + eps*gamma,
-    and the left inequality is its reflection in x_k.
+    Pair k bounds x_k by a recurrence in the two previous coordinates: its
+    facet (k, s) reads s*x_k + a_k*x_{k-1} + b_k*x_{k-2} <= rhs_k. Pair 1
+    is |x_1| <= 1, pair 2 has a_2 = eps and rhs_2 = 1 - eps, and every pair
+    k >= 3 has a_k = eps, b_k = -eps*gamma and rhs_k = 1 - eps + eps*gamma.
+    The two facets of a pair are reflections of each other in x_k. This is
+    the one place the facet inequalities are written down.
     """
-    d, eps, gamma = params.dim, params.eps, params.gamma
-    normal = [Fraction(0)] * d
+    eps, gamma = params.eps, params.gamma
+    zero = Fraction(0)
+    bands = [(zero, zero, Fraction(1)), (eps, zero, 1 - eps)]
+    bands += [(eps, -eps * gamma, 1 - eps + eps * gamma)] * (params.dim - 2)
+    return tuple(bands[: params.dim])
+
+
+def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> tuple:
+    """(normal, rhs) of the cube inequality normal . x <= rhs of facet (k, s)."""
+    a, b, rhs = _pair_bands(params)[k - 1]
+    normal = [Fraction(0)] * params.dim
     normal[k - 1] = Fraction(s)
-    if k == 1:
-        rhs = Fraction(1)
-    elif k == 2:
-        normal[0] = eps
-        rhs = 1 - eps
-    else:
-        normal[k - 2] = eps
-        normal[k - 3] = -eps * gamma
-        rhs = 1 - eps + eps * gamma
+    if k >= 2:
+        normal[k - 2] = a
+    if k >= 3:
+        normal[k - 3] = b
     return Vec(normal), rhs
 
 
 def _bound(params: GoldfarbParams, x: list) -> Fraction:
     """z_k = |x_k| at every vertex whose first k-1 coordinates are x, k = len(x) + 1.
 
+    z_k = rhs_k - a_k*x_{k-1} - b_k*x_{k-2}, the slack pair k leaves for x_k.
     Raises ValueError when z_k <= 0. Valid parameters never give one, but
     every incidence argument (each vertex on exactly d facets, the cone form
     of `construct.facet_strictness_check`) rests on z_k > 0, so it is
     checked here rather than assumed.
     """
-    eps, gamma = params.eps, params.gamma
     k = len(x) + 1
-    if k == 1:
-        z = Fraction(1)
-    elif k == 2:
-        z = 1 - eps - eps * x[0]
-    else:
-        z = 1 - eps + eps * gamma - eps * (x[k - 2] - gamma * x[k - 3])
+    a, b, z = _pair_bands(params)[k - 1]
+    if k >= 2:
+        z -= a * x[k - 2]
+    if k >= 3:
+        z -= b * x[k - 3]
     if z <= 0:
-        raise ValueError(f"cube bound z_{k} = {z} <= 0: eps = {eps}, gamma = {gamma} give no cube")
+        raise ValueError(
+            f"cube bound z_{k} = {z} <= 0: eps = {params.eps}, gamma = {params.gamma} give no cube"
+        )
     return z
+
+
+def facet_weights(params: GoldfarbParams, sigma: SignVec, x: Vec) -> tuple:
+    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == x over the dual vertices.
+
+    The dual w_(k, s) = normal / rhs_k of facet (k, s) touches only the
+    coordinates k-2..k, so the matrix with columns w_(k, sigma_k) is upper
+    triangular with bandwidth 3 and diagonal sigma_k / rhs_k. Writing
+    alpha_k = rhs_k * beta_k, row i reads
+    x_i = sigma_i beta_i + a_(i+1) beta_(i+1) + b_(i+2) beta_(i+2),
+    which back-substitution solves from the last row up in O(d) steps.
+    """
+    d = params.dim
+    if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
+        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
+    if len(x) != d:
+        raise ValueError(f"point has {len(x)} coordinates, expected {d}")
+    bands = _pair_bands(params)
+    beta = [Fraction(0)] * d
+    for i in range(d - 1, -1, -1):
+        rest = x[i]
+        if i + 1 < d:
+            rest -= bands[i + 1][0] * beta[i + 1]
+        if i + 2 < d:
+            rest -= bands[i + 2][1] * beta[i + 2]
+        beta[i] = rest if sigma[i] == 1 else -rest
+    return tuple(band[2] * b for band, b in zip(bands, beta))
 
 
 def cube_vertex(params: GoldfarbParams, sigma: SignVec) -> CubeVertex:

@@ -19,6 +19,7 @@ from svmpath.goldfarb import (
     cube_vertices,
     dual_vertices,
     facet_order,
+    facet_weights,
     project_shadow,
     shadow_certificate,
     shadow_polygon,
@@ -195,6 +196,26 @@ class TestDualVertices:
             doubled = v.coords * 2
             assert not membership(cube, doubled)[0]
             assert not dual_side_contains(doubled)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_facet_weights_invert_the_dual_combination(self, d):
+        # any weights over sigma's d facet duals come back from their combination
+        params = GoldfarbParams(d, F(3, 8), F(1, 15))
+        alphas = tuple(F(k, k + 2) - F(1, 3) for k in range(1, d + 1))
+        for sigma in sign_vectors(d):
+            x = sum(
+                (dual_vertex(params, k, s).coords * a for k, s, a in zip(range(1, d + 1), sigma, alphas)),
+                Vec.zero(d),
+            )
+            assert facet_weights(params, sigma, x) == alphas
+
+    def test_facet_weights_reject_bad_shapes(self):
+        params = default_params(3)
+        with pytest.raises(ValueError, match="sigma"):
+            facet_weights(params, (1, 0, 1), Vec.zero(3))
+        with pytest.raises(ValueError, match="coordinates"):
+            facet_weights(params, (1, 1, 1), Vec.zero(2))
 
 
 class TestShadow:
