@@ -35,10 +35,13 @@ only optimum: every optimum has the same w = p - q, so the strict gradients
 hold the bound coefficients at their bounds in all of them, and the
 nonsingular normal equations leave the free ones no other solution. The loop
 returns an optimum, so it would return the same coefficients, and the same
-pair. At its upper event a piece pivots one coefficient and gives its
-`successor`, so the exact path is walked from piece to piece (Hastie, Rosset,
-Tibshirani & Zhu, JMLR 5, 2004). `solve_reduced_distance` first tries the
-pieces it is given; where none answers the loop runs as before.
+pair. A piece keeps its coefficients as integers, so at a given mu each free
+alpha and the objective are one Fraction of integer numerators, and p and q,
+which a sweep never reads, are built only when first read. At its upper
+event a piece pivots one coefficient and gives its `successor`, so the exact
+path is walked from piece to piece (Hastie, Rosset, Tibshirani & Zhu, JMLR 5,
+2004). `solve_reduced_distance` first tries the pieces it is given; where
+none answers the loop runs as before.
 
 The piece is also the one optimality certificate. A constructed breakpoint
 is certified without running the loop: `build_kkt_certificate` builds the
@@ -49,7 +52,7 @@ optimum there is the candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -84,8 +87,10 @@ class ReducedHullQP:
     def __post_init__(self):
         if type(self.mu) is not Fraction:
             object.__setattr__(self, "mu", Fraction(self.mu))
+        m, e = self.mu.numerator, self.mu.denominator
         for cls in (self.plus_points, self.minus_points):
-            if not Fraction(1, len(cls)) <= self.mu <= 1:
+            # 1/n <= m/e <= 1 over integers, e > 0
+            if not (e <= len(cls) * m and m <= e):
                 raise ValueError(
                     f"mu = {self.mu} outside [1/{len(cls)}, 1]; reduced hull empty or uncapped"
                 )
@@ -100,18 +105,66 @@ class ReducedHullQP:
 
     @classmethod
     def from_instance(cls, instance, mu) -> "ReducedHullQP":
-        return cls(instance.table, Fraction(mu))
+        return cls(instance.table, mu)
 
 
-@dataclass(frozen=True)
 class OptimalPair:
-    """Solved distance pair with its dual coefficients and exact objective."""
+    """Solved distance pair with its dual coefficients and exact objective.
 
-    p: Vec
-    q: Vec
-    alpha_plus: tuple
-    alpha_minus: tuple
-    objective: Fraction
+    Immutable; compares, hashes and prints as the frozen dataclass of
+    (p, q, alpha_plus, alpha_minus, objective) would. A pair read off a piece
+    carries (piece, mu) as `source` instead of p and q, and builds them by
+    `Piece.points` on first read: a sweep never reads them.
+    """
+
+    # not a dataclass: p and q are properties
+    __slots__ = ("_p", "_q", "alpha_plus", "alpha_minus", "objective", "_source")
+
+    def __init__(self, p: Vec, q: Vec, alpha_plus: tuple, alpha_minus: tuple, objective: Fraction,
+                 source: Optional[tuple] = None):
+        _set = object.__setattr__
+        _set(self, "_p", p)
+        _set(self, "_q", q)
+        _set(self, "alpha_plus", alpha_plus)
+        _set(self, "alpha_minus", alpha_minus)
+        _set(self, "objective", objective)
+        _set(self, "_source", source)
+
+    def _points(self) -> tuple:
+        if self._source is not None:
+            piece, mu = self._source
+            p, q = piece.points(mu)
+            object.__setattr__(self, "_p", p)
+            object.__setattr__(self, "_q", q)
+            object.__setattr__(self, "_source", None)
+        return self._p, self._q
+
+    p = property(lambda self: self._points()[0])
+    q = property(lambda self: self._points()[1])
+
+    def _fields(self) -> tuple:
+        return (*self._points(), self.alpha_plus, self.alpha_minus, self.objective)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        p, q, alpha_plus, alpha_minus, objective = self._fields()
+        return (
+            f"OptimalPair(p={p!r}, q={q!r}, alpha_plus={alpha_plus!r}, "
+            f"alpha_minus={alpha_minus!r}, objective={objective!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -327,15 +380,16 @@ class Piece:
     `hi_closed`) when only free bounds bind there. `events` lists the
     conditions that bind at hi, as (index, new state): a free coefficient
     reaching 0 or mu becomes AT_LO or AT_HI, a bound coefficient whose
-    gradient meets its multiplier becomes free (None). p, q (affine) and the
-    objective (quadratic) are kept as integer coefficients of mu.
+    gradient meets its multiplier becomes free (None). The free coefficients
+    and p, q (affine) and the objective (quadratic) are kept as integer
+    coefficients of mu.
     """
 
     # not a dataclass: that would compile its generated methods on every
     # import of the package, about 1 ms of each command's start-up
     __slots__ = (
         "table", "at_lo", "at_hi", "free", "base", "slope",
-        "lo", "hi", "lo_closed", "hi_closed", "events", "pq", "objective",
+        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "pq", "objective",
     )
 
     @classmethod
@@ -383,39 +437,47 @@ class Piece:
         piece = cls()
         piece.table, piece.at_lo, piece.at_hi = table, tuple(at_lo), tuple(at_hi)
         piece.free, piece.base, piece.slope = free, tuple(base), tuple(slope)
-        piece._measure()
+        piece._measure(W0, d0, W1, d1)
         return piece
 
-    def _measure(self) -> None:
-        """Set the interval, its upper events, and the coefficients of p, q and the objective."""
+    def _measure(self, S0: list, den0: int, S1: list, den1: int) -> None:
+        """Set the interval, its upper events, and the coefficients of x, p, q and the objective.
+
+        w(mu) = (S0 / den0) + mu (S1 / den1) is the signed points' sum cleared
+        to integers, as `build` computed it.
+        """
         table, free, base, slope = self.table, self.free, self.base, self.slope
         n_plus, m = len(table.plus_points), len(free)
-        # w(mu) = (S0 / den0) + mu (S1 / den1), the signed points cleared to integers
-        S0, den0 = table.cleared_sum(zip(free, base))
-        S1, den1 = table.cleared_sum([*zip(free, slope), *((h, 1) for h in self.at_hi)])
         # each condition is a + b mu >= 0 (closed) or > 0 (open), a and b integers
         conditions = []
+        alphas = []
         for i, b, s in zip(free, base, slope):
-            t = 1 - s  # mu - x_i = -b + t mu
-            conditions.append(
-                (b.numerator * s.denominator, s.numerator * b.denominator, True, (i, AT_LO))
-            )
-            conditions.append(
-                (-b.numerator * t.denominator, t.numerator * b.denominator, True, (i, AT_HI))
-            )
+            bn, bd, sn, sd = b.numerator, b.denominator, s.numerator, s.denominator
+            # x_i = b + s mu = (bn sd + sn bd mu) / (bd sd)
+            alphas.append((bn * sd, sn * bd, bd * sd))
+            conditions.append((bn * sd, sn * bd, True, (i, AT_LO)))
+            # mu - x_i = -b + (1 - s) mu, with 1 - s = (sd - sn) / sd
+            conditions.append((-bn * sd, (sd - sn) * bd, True, (i, AT_HI)))
+        self.alphas = tuple(alphas)
         # with lam = l0 + mu l1 and N = nums[k] . S, the gap s_k . w - lam times
         # dens[k] is (N0 / den0 - dens[k] l0) + mu (N1 / den1 - dens[k] l1);
-        # times the positive den0 den1 and both denominators of lam it is a + b mu
-        lams = [(base[m + c], slope[m + c]) for c in (0, 1)]
+        # times the positive den0 den1 and both denominators of lam it is a + b mu,
+        # a = N0 A0 - dens[k] B0 and b = N1 A1 - dens[k] B1 with per-class integers
+        lams = []
+        for c in (0, 1):
+            l0, l1 = base[m + c], slope[m + c]
+            dd = l0.denominator * l1.denominator
+            lams.append((
+                dd * den1, l0.numerator * l1.denominator * den0 * den1,
+                dd * den0, l1.numerator * l0.denominator * den0 * den1,
+            ))
+        nums, dens = table.nums, table.dens
         for indices, sign in ((self.at_lo, 1), (self.at_hi, -1)):
             for k in indices:
-                l0, l1 = lams[k >= n_plus]
-                dk = table.dens[k]
-                N0, _ = table.signed_dot(k, S0, 1)
-                N1, _ = table.signed_dot(k, S1, 1)
-                u0 = N0 * l0.denominator - dk * l0.numerator * den0
-                u1 = N1 * l1.denominator - dk * l1.numerator * den1
-                a, b = u0 * den1 * l1.denominator, u1 * den0 * l0.denominator
+                A0, B0, A1, B1 = lams[k >= n_plus]
+                row, dk = nums[k], dens[k]
+                a = sum([x * y for x, y in zip(row, S0)]) * A0 - dk * B0
+                b = sum([x * y for x, y in zip(row, S1)]) * A1 - dk * B1
                 conditions.append((sign * a, sign * b, False, (k, None)))
         lo = hi = None  # (numerator, positive denominator)
         lo_closed = hi_closed = True
@@ -477,6 +539,10 @@ class Piece:
         any optimum, and the nonsingular normal equations leave the free ones
         no direction that keeps w and the class sums. So it is the only
         optimum, the one the loop returns.
+
+        Each free coefficient is one Fraction of integer numerators, and so is
+        the objective. The pair's p and q are built from the integer
+        coefficients `pq` only when first read (`points`).
         """
         table = self.table
         if qp.table is not table:
@@ -487,20 +553,25 @@ class Piece:
         x = [Fraction(0)] * len(table.nums)
         for h in self.at_hi:
             x[h] = mu
-        for i, b, s in zip(self.free, self.base, self.slope):
-            x[i] = b + mu * s
-        n_plus = len(table.plus_points)
         m, e = mu.numerator, mu.denominator
-        # one Fraction per coordinate: C0 / d0 + mu C1 / d1 = (C0 d1 e + C1 d0 m) / (d0 d1 e)
-        p, q = [
-            [Fraction(a * d1 * e + b * d0 * m, sign * d0 * d1 * e) for a, b in zip(C0, C1)]
-            for (C0, d0, C1, d1), sign in zip(self.pq, (1, -1))
-        ]
+        # x_i = (A + B mu) / C = (A e + B m) / (C e)
+        for i, (A, B, C) in zip(self.free, self.alphas):
+            x[i] = Fraction(A * e + B * m, C * e)
+        n_plus = len(table.plus_points)
         a, b, c, d0, d1 = self.objective
         objective = Fraction(
             (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
         )
-        return OptimalPair(Vec(p), Vec(q), tuple(x[:n_plus]), tuple(x[n_plus:]), objective)
+        return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, (self, mu))
+
+    def points(self, mu: Fraction) -> tuple:
+        """(p, q) of the piece's optimum at mu, from its integer coefficients `pq`."""
+        m, e = mu.numerator, mu.denominator
+        # one Fraction per coordinate: C0 / d0 + mu C1 / d1 = (C0 d1 e + C1 d0 m) / (d0 d1 e)
+        return tuple(
+            Vec([Fraction(a * d1 * e + b * d0 * m, sign * d0 * d1 * e) for a, b in zip(C0, C1)])
+            for (C0, d0, C1, d1), sign in zip(self.pq, (1, -1))
+        )
 
     def successor(self) -> Optional["Piece"]:
         """The piece that follows this one past hi, or None where a walk must stop.

@@ -3,12 +3,19 @@
 JSON reports keep every rational exact as {"num": ..., "den": ...} string
 pairs. The CSV export is a convenience view with decimal approximations and is
 explicitly marked as such, carrying its precision in every row.
+
+`sweep_report_json` is the one definition of a report's fields, and
+`write_sweep_report` writes exactly the bytes of `json.dumps(doc, indent=2)`
+and a newline. It lays the text out itself: with `indent` set, the standard
+library encodes in pure Python, one generator per container, which took
+most of the time of writing a 737-record report.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .goldfarb import GoldfarbParams, shadow_polygon
@@ -16,7 +23,8 @@ from .sweep import SweepReport
 
 
 def rational_json(x) -> dict:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
@@ -47,10 +55,63 @@ def sweep_report_json(report: SweepReport, meta: dict | None = None) -> dict:
     return doc
 
 
+def _indented(value, indent: str, out: list) -> None:
+    """Append `value` as `json.dumps(value, indent=2)` writes it at `indent`, a newline and spaces.
+
+    Dict keys must be strings (a TypeError otherwise). Strings and ints, the
+    bulk of a report, are written inline by json's C string escape and
+    `int.__repr__`, other scalars by `json.dumps`. Lists and dicts have a
+    loop each: one shared loop over (key, item) pairs is a third slower.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _indented(item, inner, out)
+            head = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            head += encode_basestring_ascii(key) + ": "
+            kind = type(item)
+            if kind is str:
+                out.append(head + encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(head + int.__repr__(item))
+            else:
+                out.append(head)
+                _indented(item, inner, out)
+            head = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
+
+
 def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(sweep_report_json(report, meta), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write `json.dumps(sweep_report_json(report, meta), indent=2)` and a newline, byte for byte."""
+    out = []
+    _indented(sweep_report_json(report, meta), "\n", out)
+    out.append("\n")
+    Path(path).write_text("".join(out), encoding="utf-8")
 
 
 def _approx(x: Fraction, precision: int) -> str:

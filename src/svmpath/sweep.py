@@ -145,7 +145,7 @@ def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
 def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepRecord:
     plus_idx, minus_idx = support_set(pair)
     return SweepRecord(
-        mu=Fraction(mu),
+        mu=mu if type(mu) is Fraction else Fraction(mu),
         support_plus=frozenset(instance.plus_labels[i] for i in plus_idx),
         support_minus=frozenset(MINUS_LABELS[i] for i in minus_idx),
         objective=pair.objective,
@@ -170,7 +170,11 @@ def instance_lower_bound(instance: SvmInstance) -> int:
 
 
 def grid_values(mu_lo: Fraction, mu_hi: Fraction, steps: int) -> list:
-    return [mu_lo + (mu_hi - mu_lo) * i / (steps - 1) for i in range(steps)]
+    """mu_lo + (mu_hi - mu_lo) i / (steps - 1) for i in range(steps), one Fraction each."""
+    span = mu_hi - mu_lo
+    a, b, c, d, s = mu_lo.numerator, mu_lo.denominator, span.numerator, span.denominator, steps - 1
+    # a / b + c i / (d s) = (a d s + c b i) / (b d s)
+    return [Fraction(a * d * s + c * b * i, b * d * s) for i in range(steps)]
 
 
 def sweep_grid(
@@ -199,13 +203,22 @@ def sweep_grid(
 
 
 def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, path) -> None:
-    if depth <= 0 or rec_a.support == rec_b.support:
-        return
-    mid = (mu_a + mu_b) / 2
-    rec = _solve_record(instance, mid, rec_a.pair, path)
-    out.append(rec)
-    _refine(instance, mu_a, rec_a, mid, rec, depth - 1, out, path)
-    _refine(instance, mid, rec, mu_b, rec_b, depth - 1, out, path)
+    """Bisect [mu_a, mu_b] while its ends differ in support, `depth` levels deep.
+
+    Midpoints are solved depth first, the lower half before the upper, each
+    warm-started from its lower end, and appended to `out`. An explicit
+    stack, not recursion, so any depth ends without a RecursionError.
+    """
+    stack = [(mu_a, rec_a, mu_b, rec_b, depth)]
+    while stack:
+        mu_a, rec_a, mu_b, rec_b, depth = stack.pop()
+        if depth <= 0 or rec_a.support == rec_b.support:
+            continue
+        mid = (mu_a + mu_b) / 2
+        rec = _solve_record(instance, mid, rec_a.pair, path)
+        out.append(rec)
+        stack.append((mid, rec, mu_b, rec_b, depth - 1))
+        stack.append((mu_a, rec_a, mid, rec, depth - 1))
 
 
 def sweep_refined(instance: SvmInstance, mu_lo, mu_hi, steps: int, depth: int) -> SweepReport:

@@ -209,6 +209,20 @@ class TestSweepCommand:
         assert doc["lower_bound"] == 2 * (8 - 3)
         assert doc["bend_count"] >= doc["lower_bound"]
 
+    def test_deep_refine_ends_without_traceback(self, tmp_path, capsys):
+        # 1200 bisection levels, past the interpreter's recursion limit
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "8", "--out", str(inst)], capsys)
+        report = tmp_path / "deep.json"
+        code, stdout, stderr = run(
+            ["sweep", str(inst), "--mu-lo", "51/100", "--steps", "2", "--refine", "1200",
+             "--out", str(report)],
+            capsys,
+        )
+        assert code == 0 and stderr == ""
+        assert stdout.startswith("bends=13 ")
+        assert json.loads(report.read_text())["refine_depth"] == 1200
+
     def test_solver_stall_names_mu(self, tmp_path, capsys, monkeypatch):
         def stall(qp_instance, start=None, pieces=()):
             raise qp.SolverStalledError("no optimum after 0 iterations")
@@ -312,29 +326,43 @@ def record_digest(report_path) -> tuple:
 
 
 class TestPinnedSweeps:
-    """Sweep records are exact, so a solver change must reproduce them bit for bit."""
+    """Sweep records are exact, so a solver change must reproduce them bit for bit.
 
-    def test_constructed_d4(self, tmp_path, capsys):
-        inst, report = tmp_path / "d4.inst", tmp_path / "d4.json"
-        assert run(["gen", "--d", "4", "--stretch", "auto", "--out", str(inst)], capsys)[0] == 0
+    The two small sweeps also pin the whole report file, so the report writer
+    must reproduce `json.dumps(..., indent=2)` byte for byte. They run in
+    tmp_path with relative paths, because the report records the instance
+    path as given.
+    """
+
+    def test_constructed_d4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen", "--d", "4", "--stretch", "auto", "--out", "d4.inst"], capsys)[0] == 0
         code, _, _ = run(
-            ["sweep", str(inst), "--steps", "64", "--refine", "3", "--out", str(report)], capsys
+            ["sweep", "d4.inst", "--steps", "64", "--refine", "3", "--out", "d4.json"], capsys
         )
         assert code == 0
+        report = tmp_path / "d4.json"
         assert record_digest(report) == (
             "559f0cfdc12e9d80b500b31dc9d87adf3d11c9fdb9ece17aded4eb34902dfd4c", 9, 8
         )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "4dd712971d006d8dd3b2c028184d2a5b916757f2f394a883611bfd834007c1e7"
+        )
 
-    def test_arc_12(self, tmp_path, capsys):
-        inst, report = tmp_path / "arc.inst", tmp_path / "arc.json"
-        assert run(["gen-arc", "--n-plus", "12", "--out", str(inst)], capsys)[0] == 0
+    def test_arc_12(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["gen-arc", "--n-plus", "12", "--out", "arc12.inst"], capsys)[0] == 0
         code, _, _ = run(
-            ["sweep", str(inst), "--mu-lo", "51/100", "--steps", "64", "--out", str(report)],
+            ["sweep", "arc12.inst", "--mu-lo", "51/100", "--steps", "64", "--out", "arc12.json"],
             capsys,
         )
         assert code == 0
+        report = tmp_path / "arc12.json"
         assert record_digest(report) == (
             "85ede4d820e6b1a38fdbc4d251e0635166542e9b94235f67bd0719a5a5e730eb", 21, 22
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "3127bcf59082f6554da1b828c257b3c0988ee7970d7ce49a47bb43c0a24fbaca"
         )
 
     # the benchmark's seed-0 sweeps, at full scale

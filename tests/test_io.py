@@ -18,13 +18,16 @@ from svmpath.instance_io import (
     serialize_instance,
     write_instance,
 )
+from svmpath.geometry import Vec
+from svmpath.qp import OptimalPair
 from svmpath.report_io import (
     rational_json,
     shadow_svg,
     sweep_report_csv,
     sweep_report_json,
+    write_sweep_report,
 )
-from svmpath.sweep import sweep_grid
+from svmpath.sweep import SweepRecord, SweepReport, sweep_grid, sweep_refined
 
 
 class TestRationalTokens:
@@ -120,6 +123,57 @@ class TestSweepReports:
     def test_rational_json_strings(self):
         doc = rational_json(F(-5, 7))
         assert doc == {"num": "-5", "den": "7"}
+
+
+def _empty_support_report():
+    pair = OptimalPair(Vec((0,)), Vec((0,)), (F(1),), (F(1, 2), F(1, 2)), F(0))
+    records = (
+        SweepRecord(F(1), frozenset(), frozenset({"left"}), F(0), pair),
+        SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset(), F(-1, 3), pair),
+    )
+    return SweepReport(records, 1, 2, 0)
+
+
+class TestReportWriter:
+    """write_sweep_report writes json.dumps(sweep_report_json(...), indent=2) byte for byte."""
+
+    REPORTS = {
+        "arc_int_labels": lambda: sweep_grid(generate_2d_arc_instance(8), F(3, 4), F(1), 5),
+        "tuple_labels": lambda: sweep_refined(
+            build_instance(default_params(3), DEFAULT_STRETCH), F(9, 10), F(1), 24, 3
+        ),
+        "empty_support": _empty_support_report,
+    }
+    METAS = {
+        "none": None,
+        "empty": {},
+        # scripts/run_experiments.py
+        "experiments": {"d": 3, "steps": 24},
+        # the CLI's, with a path that needs escaping
+        "cli": {
+            "instance": 'runs/d\u00e9 "3",[x].inst',
+            "mu_lo": rational_json(F(9, 10)),
+            "mu_hi": rational_json(F(1)),
+            "steps": 24,
+            "refine_depth": 3,
+        },
+        "other_values": {"ratio": 0.5, "flag": True, "none": None, "list": [], "nested": [[{}]]},
+    }
+
+    @pytest.mark.parametrize("meta", list(METAS), ids=list(METAS))
+    @pytest.mark.parametrize("kind", list(REPORTS), ids=list(REPORTS))
+    def test_text_equals_json_dumps(self, tmp_path, kind, meta):
+        report, meta = self.REPORTS[kind](), self.METAS[meta]
+        path = tmp_path / "r.json"
+        write_sweep_report(report, path, meta)
+        expected = json.dumps(sweep_report_json(report, meta), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_non_string_key_refused(self, tmp_path, report):
+        # json.dumps would write the key 1 as "1"; the writer refuses it
+        # rather than write other bytes
+        with pytest.raises(TypeError):
+            write_sweep_report(report, tmp_path / "r.json", {1: "int key"})
 
 
 class TestShadowSvg:

@@ -415,6 +415,39 @@ class TestPiece:
         with pytest.raises(ValueError, match="another point set"):
             piece.optimum(ReducedHullQP(PointTable(qp.plus_points, qp.minus_points), F(1, 2)))
 
+    def test_lazy_pair_equals_the_loops(self, instance4, monkeypatch):
+        # the piece's pair builds p and q on first read, once, and then
+        # compares, hashes and prints as the loop's eagerly built pair
+        calls = []
+        points = Piece.points
+
+        def counted(piece, mu):
+            calls.append(mu)
+            return points(piece, mu)
+
+        monkeypatch.setattr(Piece, "points", counted)
+        cases = self.valid_pieces(instance4, 32)
+        assert cases
+        del calls[:]
+        for mu, piece in cases:
+            qp = self.at(instance4, mu)
+            lazy, loop = piece.optimum(qp), solve_reduced_distance(qp)
+            assert calls == []
+            assert lazy.p == loop.p and lazy.q == loop.q
+            assert calls == [mu]
+            assert (lazy.p, lazy.q) == piece.points(mu)
+            del calls[:]
+            fresh = piece.optimum(qp)
+            assert fresh == loop and loop == fresh and hash(fresh) == hash(loop)
+            assert repr(piece.optimum(qp)) == repr(loop)
+            assert len({piece.optimum(qp), loop}) == 1
+            del calls[:]
+        with pytest.raises(AttributeError):
+            lazy.p = loop.p
+        with pytest.raises(AttributeError):
+            lazy.objective = F(0)
+        assert lazy != (lazy.p, lazy.q, lazy.alpha_plus, lazy.alpha_minus, lazy.objective)
+
 
 def signed_vecs(table) -> list:
     return list(table.plus_points) + [-v for v in table.minus_points]

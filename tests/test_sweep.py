@@ -15,6 +15,8 @@ from svmpath.construct import (
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.qp import Piece, build_kkt_certificate
+from svmpath import sweep as sweep_module
+from svmpath.report_io import write_sweep_report
 from svmpath.sweep import (
     SweepMismatchError,
     grid_values,
@@ -95,6 +97,22 @@ class TestRefine:
         with pytest.raises(ValueError):
             sweep_refined(arc10, F(4, 5), F(4, 5), 2, 3)
 
+    def test_midpoints_solved_depth_first_lower_half_first(self, arc10):
+        # the solve order sets each midpoint's warm start and where walks restart
+        lo, hi = sweep_grid(arc10, F(1, 2), F(1), 2).records[::-1]
+        out = []
+        sweep_module._refine(arc10, lo.mu, lo, hi.mu, hi, 6, out, sweep_module._Path(F(1)))
+        by_mu = {r.mu: r for r in out}
+
+        def preorder(a, b, depth):
+            if depth <= 0 or a.support == b.support:
+                return []
+            mid = by_mu[(a.mu + b.mu) / 2]
+            return [mid.mu] + preorder(a, mid, depth - 1) + preorder(mid, b, depth - 1)
+
+        assert len(out) > 6
+        assert [r.mu for r in out] == preorder(lo, hi, 6)
+
 
 def certificates(instance, constructions) -> list:
     return [build_kkt_certificate(instance, pair, decomp) for pair, decomp in constructions]
@@ -149,6 +167,28 @@ class TestRefinedSweep:
         assert instance_lower_bound(arc10) == 2 * (10 - 3)
 
 
+class TestLazyPairs:
+    def test_sweep_builds_no_p_or_q(self, instance4, monkeypatch, tmp_path):
+        # the records and the report read only alphas, objectives and
+        # supports, so no piece pair's p or q is ever built
+        calls = []
+        points = Piece.points
+
+        def counted(piece, mu):
+            calls.append(mu)
+            return points(piece, mu)
+
+        monkeypatch.setattr(Piece, "points", counted)
+        report = sweep_refined(instance4, F(8, 10), F(1), 64, 3)
+        write_sweep_report(report, tmp_path / "r.json", {"d": 4, "steps": 64})
+        assert calls == []
+        # all but the lowest record came off a piece: each builds once, when read
+        for rec in report.records:
+            rec.pair.p, rec.pair.q, rec.pair.q
+        assert len(calls) == len(report.records) - 1
+        assert sorted(calls) == sorted(r.mu for r in report.records[:-1])
+
+
 class TestPiecesMatchTheLoop:
     """sweep_refined, which tries affine pieces first, against the loop-only oracle."""
 
@@ -174,7 +214,12 @@ class TestPiecesMatchTheLoop:
         walk = path_pieces(instance, grid_values(F(1, 2), F(1), steps)[1], F(1))
         hits.update(hit=0, built=0)
         report = sweep_refined(instance, F(1, 2), F(1), steps, depth)
-        assert report == sweep_refined_oracle(instance, F(1, 2), F(1), steps, depth)
+        oracle = sweep_refined_oracle(instance, F(1, 2), F(1), steps, depth)
+        assert report == oracle
+        # p and q, built on first read from a piece's integer coefficients,
+        # are the loop's
+        for got, want in zip(report.records, oracle.records, strict=True):
+            assert (got.pair.p, got.pair.q) == (want.pair.p, want.pair.q)
         # the loop solves the two lowest grid points: at mu = 1/2 both minus
         # coefficients sit at mu, so no piece exists there, and the walk starts
         # from the second; every other record is read off the walked path,
