@@ -6,6 +6,9 @@ For each d from 3 to --max-d the script runs, each in a fresh interpreter,
 `svmpath sweep` of it at the CLI defaults. It records each command's wall
 time (interpreter start included), the sweep's bend count and distinct
 support sets, and the exit codes. A command that fails ends the ladder.
+It also records `import_s`, the median wall time of IMPORT_RUNS fresh
+interpreters that only run `import svmpath.cli`: the start-up every command
+pays before it does any work.
 
 The result is stored under --label in the JSON file --out, next to the
 entries other runs stored there under other labels, so two checkouts can be
@@ -19,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -26,20 +30,32 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+IMPORT_RUNS = 5
 
 
-def timed(argv, src: Path, cwd: Path) -> tuple:
-    """(exit code, wall seconds) of one `svmpath` invocation in a fresh interpreter."""
+def timed(args, src: Path, cwd: Path) -> tuple:
+    """(exit code, wall seconds) of `python *args` in a fresh interpreter with `src` on its path."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "svmpath.cli", *argv],
+        [sys.executable, *args],
         cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
     wall = time.perf_counter() - start
     if proc.returncode:
-        print(f"{' '.join(argv)}: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
+        print(f"{' '.join(args)}: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
     return proc.returncode, wall
+
+
+def import_seconds(src: Path, cwd: Path) -> float:
+    """Median wall seconds of IMPORT_RUNS fresh interpreters importing `svmpath.cli`."""
+    walls = []
+    for _ in range(IMPORT_RUNS):
+        code, wall = timed(["-c", "import svmpath.cli"], src, cwd)
+        if code:
+            raise SystemExit(f"import svmpath.cli failed with exit {code}")
+        walls.append(wall)
+    return statistics.median(walls)
 
 
 def rung(d: int, src: Path, wd: Path) -> dict:
@@ -52,7 +68,7 @@ def rung(d: int, src: Path, wd: Path) -> dict:
         ("sweep", ["sweep", str(inst), "--out", str(report)]),
     )
     for name, argv in steps:
-        code, wall = timed(argv, src, wd)
+        code, wall = timed(["-m", "svmpath.cli", *argv], src, wd)
         row[f"{name}_exit"] = code
         row[f"{name}_s"] = round(wall, 3)
         if code:
@@ -78,6 +94,8 @@ def main() -> int:
     rows = []
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
+        import_s = import_seconds(src, Path(tmp))
+        print(json.dumps({"import_s": round(import_s, 4)}), flush=True)
         for d in range(3, args.max_d + 1):
             row = rung(d, src, Path(tmp))
             rows.append(row)
@@ -91,6 +109,7 @@ def main() -> int:
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+        "import_s": round(import_s, 4),
         "rows": rows,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -9,12 +9,11 @@ into a single SVM instance whose solution path visits every pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional
 
-from .geometry import PointTable, Vec
+from .geometry import FrozenRecord, PointTable, Vec
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
@@ -47,14 +46,13 @@ class StretchSearchError(RuntimeError):
     """The doubling search ran out of doublings without an admissible stretch factor."""
 
 
-@dataclass(frozen=True)
-class StretchFactor:
+class StretchFactor(FrozenRecord):
     """Multiplier applied to all coordinates except the last two."""
 
-    factor: Fraction
+    __slots__ = _fields = ("factor",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor", Fraction(self.factor))
+    def __init__(self, factor: Fraction):
+        object.__setattr__(self, "factor", Fraction(factor))
         if self.factor <= 0:
             raise ValueError("stretch factor must be positive")
 
@@ -75,8 +73,7 @@ def line_point(dim: int, last: Fraction) -> Vec:
     return Vec([Fraction(0)] * (dim - 2) + [Fraction(2), Fraction(last)])
 
 
-@dataclass(frozen=True)
-class ConstructedPair:
+class ConstructedPair(FrozenRecord):
     """One breakpoint of the path: sigma, its shadow point, q, and p.
 
     p_shadow is the unstretched supporting point in the sigma-facet; q sits on
@@ -84,43 +81,52 @@ class ConstructedPair:
     sigma-facet; slack = 1 - v_sigma(ell) . q < 0.
     """
 
-    sigma: SignVec
-    p_shadow: Vec
-    q: Vec
-    p: Vec
-    slack: Fraction
+    __slots__ = _fields = ("sigma", "p_shadow", "q", "p", "slack")
+
+    def __init__(self, sigma: SignVec, p_shadow: Vec, q: Vec, p: Vec, slack: Fraction):
+        _set = object.__setattr__
+        _set(self, "sigma", sigma)
+        _set(self, "p_shadow", p_shadow)
+        _set(self, "q", q)
+        _set(self, "p", p)
+        _set(self, "slack", slack)
 
 
-@dataclass(frozen=True)
-class SupportDecomposition:
+class SupportDecomposition(FrozenRecord):
     """Unique convex combination of p over the d facet vertices; all weights > 0."""
 
-    sigma: SignVec
-    alphas: tuple
-    mu_sigma: Fraction
+    __slots__ = _fields = ("sigma", "alphas", "mu_sigma")
+
+    def __init__(self, sigma: SignVec, alphas: tuple, mu_sigma: Fraction):
+        _set = object.__setattr__
+        _set(self, "sigma", sigma)
+        _set(self, "alphas", alphas)
+        _set(self, "mu_sigma", mu_sigma)
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(FrozenRecord):
     """Placement data for the two-point class on the construction line."""
 
-    mu_bar: Fraction
-    q_min: Fraction
-    q_max: Fraction
-    u_left: Vec
-    u_right: Vec
+    __slots__ = _fields = ("mu_bar", "q_min", "q_max", "u_left", "u_right")
 
-    def __post_init__(self):
-        if not Fraction(1, 2) <= self.mu_bar < 1:
+    def __init__(
+        self, mu_bar: Fraction, q_min: Fraction, q_max: Fraction, u_left: Vec, u_right: Vec
+    ):
+        _set = object.__setattr__
+        _set(self, "mu_bar", mu_bar)
+        _set(self, "q_min", q_min)
+        _set(self, "q_max", q_max)
+        _set(self, "u_left", u_left)
+        _set(self, "u_right", u_right)
+        if not Fraction(1, 2) <= mu_bar < 1:
             raise ValueError("mu_bar must lie in [1/2, 1)")
-        if self.q_min > self.q_max:
+        if q_min > q_max:
             raise ValueError("q_min must not exceed q_max")
-        if self.u_left[-1] != self.q_min:
+        if u_left[-1] != q_min:
             raise ValueError("u_left must sit at q_min")
 
 
-@dataclass(frozen=True)
-class SvmInstance:
+class SvmInstance(FrozenRecord):
     """Two labeled point classes; class +1 spans the stretched dual cube.
 
     For constructed instances n = 2d + 2: the 2d stretched dual vertices
@@ -129,15 +135,29 @@ class SvmInstance:
     no construction metadata.
 
     `table`, the instance's PointTable, is built on first use and is no
-    field: equality, hashing and the file format never see it.
+    field: equality, hashing, the repr and the file format never see it.
     """
 
-    plus_points: tuple
-    plus_labels: tuple
-    minus_points: tuple
-    params: Optional[GoldfarbParams] = None
-    stretch: Optional[StretchFactor] = None
-    calibration: Optional[Calibration] = None
+    _fields = ("plus_points", "plus_labels", "minus_points", "params", "stretch", "calibration")
+    __slots__ = _fields + ("_table",)
+
+    def __init__(
+        self,
+        plus_points: tuple,
+        plus_labels: tuple,
+        minus_points: tuple,
+        params: Optional[GoldfarbParams] = None,
+        stretch: Optional[StretchFactor] = None,
+        calibration: Optional[Calibration] = None,
+    ):
+        _set = object.__setattr__
+        _set(self, "plus_points", plus_points)
+        _set(self, "plus_labels", plus_labels)
+        _set(self, "minus_points", minus_points)
+        _set(self, "params", params)
+        _set(self, "stretch", stretch)
+        _set(self, "calibration", calibration)
+        _set(self, "_table", None)
 
     @property
     def dim(self) -> int:
@@ -147,9 +167,11 @@ class SvmInstance:
     def n_points(self) -> int:
         return len(self.plus_points) + len(self.minus_points)
 
-    @cached_property
+    @property
     def table(self) -> PointTable:
-        return PointTable(self.plus_points, self.minus_points)
+        if self._table is None:
+            object.__setattr__(self, "_table", PointTable(self.plus_points, self.minus_points))
+        return self._table
 
 
 MINUS_LABELS = ("left", "right")

@@ -7,7 +7,6 @@ rounds, and all comparisons are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -19,6 +18,54 @@ class SingularMatrixError(Exception):
 
 class DegenerateHullError(Exception):
     """Hull input is collinear or has fewer than three distinct points."""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of an immutable record."""
+
+
+class FrozenRecord:
+    """Immutable record whose equality, hash and repr read the fields named in `_fields`.
+
+    A record compares, hashes, prints and refuses assignment as a frozen
+    dataclass of the same fields would: `==` holds only between records of
+    one class with equal fields, the hash is that of the field tuple, the repr
+    is `Name(field=value, ...)`, and any assignment or deletion raises
+    FrozenInstanceError. Copies and pickles rebuild a record from its fields.
+
+    The package's records are written by hand rather than as dataclasses. The
+    decorator compiles each class's generated methods at every import, and
+    `dataclasses` imports `inspect`: about a fifth of each command's start-up.
+    Each subclass declares `__slots__` and `_fields` and writes an `__init__`
+    that sets its attributes through `object.__setattr__`.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class Vec(tuple):
@@ -64,15 +111,14 @@ def orient2d(o: Sequence, a: Sequence, b: Sequence) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-@dataclass(frozen=True)
-class Polygon2:
+class Polygon2(FrozenRecord):
     """Strictly convex polygon, vertices in counterclockwise order."""
 
-    vertices: tuple
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(Vec(v) for v in self.vertices))
-        vs = self.vertices
+    def __init__(self, vertices: tuple):
+        vs = tuple(Vec(v) for v in vertices)
+        object.__setattr__(self, "vertices", vs)
         if len(vs) < 3:
             raise ValueError("polygon needs at least three vertices")
         if len(set(vs)) != len(vs):
@@ -161,8 +207,6 @@ class PointTable:
     product. gram[i][j] = s_i . s_j; the two halves share entries.
     """
 
-    # not a dataclass: that would compile its generated methods on every
-    # import of the package, about 1 ms of each command's start-up
     __slots__ = ("plus_points", "minus_points", "nums", "dens", "gram")
 
     def __init__(self, plus_points: Iterable, minus_points: Iterable):

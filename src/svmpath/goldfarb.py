@@ -10,13 +10,12 @@ vertices on the hull boundary, which is what the whole construction exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .geometry import Polygon2, Vec, common_denominator, hull_chain
+from .geometry import FrozenRecord, Polygon2, Vec, common_denominator, hull_chain
 
 SignVec = tuple  # entries in {-1, +1}
 
@@ -29,47 +28,51 @@ class ShadowPropertyError(Exception):
     """
 
 
-@dataclass(frozen=True)
-class GoldfarbParams:
+class GoldfarbParams(FrozenRecord):
     """Cube parameters; requires 0 < 4*gamma < eps < 1/2."""
 
-    dim: int
-    eps: Fraction = Fraction(1, 3)
-    gamma: Fraction = Fraction(1, 16)
+    __slots__ = _fields = ("dim", "eps", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        if not 0 < self.gamma:
-            raise ValueError(f"parameter constraint violated: 0 < gamma (gamma = {self.gamma})")
-        if not 4 * self.gamma < self.eps:
+    def __init__(self, dim: int, eps: Fraction = Fraction(1, 3), gamma: Fraction = Fraction(1, 16)):
+        eps, gamma = Fraction(eps), Fraction(gamma)
+        _set = object.__setattr__
+        _set(self, "dim", dim)
+        _set(self, "eps", eps)
+        _set(self, "gamma", gamma)
+        if not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim}")
+        if not 0 < gamma:
+            raise ValueError(f"parameter constraint violated: 0 < gamma (gamma = {gamma})")
+        if not 4 * gamma < eps:
             raise ValueError(
                 f"parameter constraint violated: 4*gamma < eps "
-                f"(4*gamma = {4 * self.gamma}, eps = {self.eps})"
+                f"(4*gamma = {4 * gamma}, eps = {eps})"
             )
-        if not self.eps < Fraction(1, 2):
-            raise ValueError(f"parameter constraint violated: eps < 1/2 (eps = {self.eps})")
+        if not eps < Fraction(1, 2):
+            raise ValueError(f"parameter constraint violated: eps < 1/2 (eps = {eps})")
 
 
-@dataclass(frozen=True)
-class CubeVertex:
-    sigma: SignVec
-    coords: Vec
+class CubeVertex(FrozenRecord):
+    __slots__ = _fields = ("sigma", "coords")
+
+    def __init__(self, sigma: SignVec, coords: Vec):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class DualVertex:
+class DualVertex(FrozenRecord):
     """Vertex w of the dual cube; the inequality w . x <= 1 carves facet (k, s)."""
 
-    k: int
-    s: int
-    coords: Vec
+    __slots__ = _fields = ("k", "s", "coords")
+
+    def __init__(self, k: int, s: int, coords: Vec):
+        _set = object.__setattr__
+        _set(self, "k", k)
+        _set(self, "s", s)
+        _set(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class ShadowCertificate:
+class ShadowCertificate(FrozenRecord):
     """A supporting point/normal a with a . v_sigma = 1 and a . v_tau < 1 otherwise.
 
     The vector lives in the plane spanned by the last two coordinates (all
@@ -78,8 +81,11 @@ class ShadowCertificate:
     at the projection of v_sigma.
     """
 
-    sigma: SignVec
-    vector: Vec
+    __slots__ = _fields = ("sigma", "vector")
+
+    def __init__(self, sigma: SignVec, vector: Vec):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "vector", vector)
 
 
 def sign_vectors(dim: int) -> Iterator[SignVec]:

@@ -52,12 +52,12 @@ optimum there is the candidate.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
 from .geometry import (
+    FrozenRecord,
     PointTable,
     SingularMatrixError,
     Vec,
@@ -77,22 +77,22 @@ class CertificateError(Exception):
     """A breakpoint is not the unique optimum at its mu; names sigma and mu."""
 
 
-@dataclass(frozen=True)
-class ReducedHullQP:
+class ReducedHullQP(FrozenRecord):
     """Distance problem between the mu-reduced hulls of a point table's two classes."""
 
-    table: PointTable
-    mu: Fraction
+    __slots__ = _fields = ("table", "mu")
 
-    def __post_init__(self):
-        if type(self.mu) is not Fraction:
-            object.__setattr__(self, "mu", Fraction(self.mu))
-        m, e = self.mu.numerator, self.mu.denominator
-        for cls in (self.plus_points, self.minus_points):
+    def __init__(self, table: PointTable, mu: Fraction):
+        if type(mu) is not Fraction:
+            mu = Fraction(mu)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "mu", mu)
+        m, e = mu.numerator, mu.denominator
+        for cls in (table.plus_points, table.minus_points):
             # 1/n <= m/e <= 1 over integers, e > 0
             if not (e <= len(cls) * m and m <= e):
                 raise ValueError(
-                    f"mu = {self.mu} outside [1/{len(cls)}, 1]; reduced hull empty or uncapped"
+                    f"mu = {mu} outside [1/{len(cls)}, 1]; reduced hull empty or uncapped"
                 )
 
     @property
@@ -108,16 +108,15 @@ class ReducedHullQP:
         return cls(instance.table, mu)
 
 
-class OptimalPair:
+class OptimalPair(FrozenRecord):
     """Solved distance pair with its dual coefficients and exact objective.
 
-    Immutable; compares, hashes and prints as the frozen dataclass of
-    (p, q, alpha_plus, alpha_minus, objective) would. A pair read off a piece
-    carries (piece, mu) as `source` instead of p and q, and builds them by
-    `Piece.points` on first read: a sweep never reads them.
+    A pair read off a piece carries (piece, mu) as `source` instead of p and
+    q, and builds them by `Piece.points` on first read: a sweep never reads
+    them.
     """
 
-    # not a dataclass: p and q are properties
+    _fields = ("p", "q", "alpha_plus", "alpha_minus", "objective")
     __slots__ = ("_p", "_q", "alpha_plus", "alpha_minus", "objective", "_source")
 
     def __init__(self, p: Vec, q: Vec, alpha_plus: tuple, alpha_minus: tuple, objective: Fraction,
@@ -142,33 +141,8 @@ class OptimalPair:
     p = property(lambda self: self._points()[0])
     q = property(lambda self: self._points()[1])
 
-    def _fields(self) -> tuple:
-        return (*self._points(), self.alpha_plus, self.alpha_minus, self.objective)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        p, q, alpha_plus, alpha_minus, objective = self._fields()
-        return (
-            f"OptimalPair(p={p!r}, q={q!r}, alpha_plus={alpha_plus!r}, "
-            f"alpha_minus={alpha_minus!r}, objective={objective!r})"
-        )
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-@dataclass(frozen=True)
-class KktCertificate:
+class KktCertificate(FrozenRecord):
     """A constructed pair proven the unique optimum of its instance at mu.
 
     `facet_multiplier` is -2 lam_+, with lam_+ the piece's plus-class
@@ -176,10 +150,14 @@ class KktCertificate:
     sigma-facet when p is read as the projection of q onto that facet.
     """
 
-    sigma: tuple
-    mu: Fraction
-    pair: OptimalPair
-    facet_multiplier: Fraction
+    __slots__ = _fields = ("sigma", "mu", "pair", "facet_multiplier")
+
+    def __init__(self, sigma: tuple, mu: Fraction, pair: OptimalPair, facet_multiplier: Fraction):
+        _set = object.__setattr__
+        _set(self, "sigma", sigma)
+        _set(self, "mu", mu)
+        _set(self, "pair", pair)
+        _set(self, "facet_multiplier", facet_multiplier)
 
 
 def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPair]):
@@ -385,11 +363,9 @@ class Piece:
     coefficients of mu.
     """
 
-    # not a dataclass: that would compile its generated methods on every
-    # import of the package, about 1 ms of each command's start-up
     __slots__ = (
         "table", "at_lo", "at_hi", "free", "base", "slope",
-        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "pq", "objective",
+        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "pq", "objective", "_ends",
     )
 
     @classmethod
@@ -500,6 +476,10 @@ class Piece:
                 break
         self.lo = None if lo is None else Fraction(*lo)
         self.hi = None if hi is None else Fraction(*hi)
+        # the ends in lowest terms as integer pairs, which `covers` compares
+        self._ends = tuple(
+            None if end is None else (end.numerator, end.denominator) for end in (self.lo, self.hi)
+        )
         self.lo_closed, self.hi_closed, self.events = lo_closed, hi_closed, tuple(events)
         # p and -q are the cleared sums C0 / d0 + mu C1 / d1 over the plus and
         # the (negated) minus points, kept as integers (C0, d0, C1, d1)
@@ -523,10 +503,18 @@ class Piece:
 
     def covers(self, mu) -> bool:
         """Whether mu lies in the piece's interval, where `optimum` answers."""
-        lo, hi = self.lo, self.hi
-        if lo is not None and (mu < lo or (mu == lo and not self.lo_closed)):
-            return False
-        return hi is None or mu < hi or (mu == hi and self.hi_closed)
+        # by integer cross-multiplication: every Fraction comparison first
+        # checks its operand's type against the numbers ABCs
+        m, e = mu.numerator, mu.denominator
+        lo, hi = self._ends
+        if lo is not None:
+            side = m * lo[1] - lo[0] * e  # the sign of mu - lo
+            if side < 0 or (side == 0 and not self.lo_closed):
+                return False
+        if hi is None:
+            return True
+        side = hi[0] * e - m * hi[1]  # the sign of hi - mu
+        return side > 0 or (side == 0 and self.hi_closed)
 
     def optimum(self, qp: ReducedHullQP) -> Optional[OptimalPair]:
         """The unique optimum of qp if it lies on this piece, else None.

@@ -19,12 +19,11 @@ each record is the one the loop alone gives.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .construct import MINUS_LABELS, SvmInstance
+from .geometry import FrozenRecord
 from .qp import (
     OptimalPair,
     Piece,
@@ -44,29 +43,40 @@ class SweepMismatchError(Exception):
         super().__init__(f"sigma={self.sigma}: {detail}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(FrozenRecord):
     """One solved value: mu, labeled support sets, objective, and the pair."""
 
-    mu: Fraction
-    support_plus: frozenset
-    support_minus: frozenset
-    objective: Fraction
-    pair: OptimalPair
+    __slots__ = _fields = ("mu", "support_plus", "support_minus", "objective", "pair")
+
+    def __init__(
+        self, mu: Fraction, support_plus: frozenset, support_minus: frozenset,
+        objective: Fraction, pair: OptimalPair,
+    ):
+        _set = object.__setattr__
+        _set(self, "mu", mu)
+        _set(self, "support_plus", support_plus)
+        _set(self, "support_minus", support_minus)
+        _set(self, "objective", objective)
+        _set(self, "pair", pair)
 
     @property
     def support(self) -> tuple:
         return self.support_plus, self.support_minus
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(FrozenRecord):
     """Records ordered by decreasing mu with bend and distinct-set counts."""
 
-    records: tuple
-    bend_count: int
-    distinct_support_sets: int
-    lower_bound: int
+    __slots__ = _fields = ("records", "bend_count", "distinct_support_sets", "lower_bound")
+
+    def __init__(
+        self, records: tuple, bend_count: int, distinct_support_sets: int, lower_bound: int
+    ):
+        _set = object.__setattr__
+        _set(self, "records", records)
+        _set(self, "bend_count", bend_count)
+        _set(self, "distinct_support_sets", distinct_support_sets)
+        _set(self, "lower_bound", lower_bound)
 
 
 class _Path:
@@ -83,9 +93,26 @@ class _Path:
     def __init__(self, mu_hi: Fraction):
         self.mu_hi, self.starts, self.pieces, self.tried = mu_hi, [], [], {}
 
+    def _index(self, mu: Fraction) -> int:
+        """`bisect_left` of mu in the starts, kept as (numerator, denominator) pairs.
+
+        By integer cross-multiplication: every Fraction comparison first
+        checks its operand's type against the numbers ABCs.
+        """
+        m, e = mu.numerator, mu.denominator
+        starts, lo, hi = self.starts, 0, len(self.starts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            num, den = starts[mid]
+            if num * e < m * den:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     def piece_at(self, mu: Fraction) -> Optional[Piece]:
         """A walked piece whose interval holds mu, or None."""
-        i = bisect_left(self.starts, mu)
+        i = self._index(mu)
         # the last piece entered below mu, or the next one: a walk restarted
         # at a record enters its first piece above that piece's lower end
         for piece in self.pieces[max(i - 1, 0) : i + 1]:
@@ -105,10 +132,10 @@ class _Path:
         piece = self.tried[working]
         if piece is None or not piece.covers(mu):
             return
-        i = bisect_left(self.starts, mu)
-        limit = self.starts[i] if i < len(self.starts) else self.mu_hi
+        i = self._index(mu)
+        limit = Fraction(*self.starts[i]) if i < len(self.starts) else self.mu_hi
         while piece is not None:
-            self.starts.insert(i, mu)
+            self.starts.insert(i, (mu.numerator, mu.denominator))
             self.pieces.insert(i, piece)
             i += 1
             hi = piece.hi

@@ -15,9 +15,9 @@ Fraction vector dot products, instead of reading the instance's point table
 solver's loop, without the affine pieces the library sweep tries first. All
 are exact.
 
-The last three functions are helpers that only tests need: the inverse
-parameter conversion, the two-point reduced hull and the JSON rational
-reader.
+The last four functions are helpers that only tests need: the inverse
+parameter conversion, the two-point reduced hull, the JSON rational reader
+and a record copy with some fields changed.
 """
 
 from fractions import Fraction
@@ -563,3 +563,15 @@ def reduced_hull_segment(u_left, u_right, mu) -> tuple:
 def rational_from_json(obj) -> Fraction:
     """The Fraction of a report_io.rational_json object."""
     return Fraction(int(obj["num"]), int(obj["den"]))
+
+
+def replace(record, **changes):
+    """A copy of an immutable record with the given fields changed.
+
+    The record's class is called with every field by keyword, so its
+    normalisation and validation run again, as in `dataclasses.replace`.
+    """
+    unknown = set(changes) - set(record._fields)
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in record._fields})

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +14,7 @@ from oracles import (
     mu_from_nu,
     multiplier_ranges_reference,
     relaxed_facet_multiplier,
+    replace,
     solve_reduced_distance_oracle,
     unique_optimum_oracle,
     unique_optimum_reference,

@@ -1,9 +1,11 @@
+import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
-from oracles import sweep_refined_oracle
+from oracles import replace, sweep_refined_oracle
 from test_qp import small_instances
 from svmpath.construct import (
     SvmInstance,
@@ -139,8 +141,6 @@ class TestConstructedSweep:
         assert [r.mu for r in report.records] == mus
 
     def test_tampered_pair_raises_named_mismatch(self, instance4, constructions4):
-        from dataclasses import replace
-
         certs = certificates(instance4, constructions4)
         same_mu = replace(certs[0], mu=certs[1].mu)
         with pytest.raises(SweepMismatchError, match="shares its mu") as info:
@@ -187,6 +187,18 @@ class TestLazyPairs:
             rec.pair.p, rec.pair.q, rec.pair.q
         assert len(calls) == len(report.records) - 1
         assert sorted(calls) == sorted(r.mu for r in report.records[:-1])
+
+
+class TestPathIndex:
+    def test_index_is_bisect_left_over_the_starts(self):
+        # the walked pieces are found by integer cross-multiplication on the
+        # (numerator, denominator) pairs of their starts
+        rng = random.Random(12)
+        starts = sorted({F(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(30)})
+        path = sweep_module._Path(F(1))
+        path.starts[:] = [(s.numerator, s.denominator) for s in starts]
+        for mu in starts + [F(k, 13) for k in range(60)]:
+            assert path._index(mu) == bisect_left(starts, mu)
 
 
 class TestPiecesMatchTheLoop:
