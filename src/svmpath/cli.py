@@ -12,7 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .construct import (
-    DecompositionError,
     StretchFactor,
     StretchSearchError,
     StrictnessError,
@@ -134,7 +133,7 @@ def cmd_verify(args) -> int:
                 }
             )
         sweep_constructed(instance, certificates)
-    except (CertificateError, SweepMismatchError, StrictnessError, DecompositionError) as exc:
+    except (CertificateError, SweepMismatchError, StrictnessError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return EXIT_VERIFY
     print(json.dumps({"ok": True, "certificates": len(summary), "sigmas": summary}))
@@ -250,7 +249,6 @@ def main(argv=None) -> int:
         CertificateError,
         SweepMismatchError,
         StrictnessError,
-        DecompositionError,
         StretchSearchError,
         SolverStalledError,
         ShadowPropertyError,

@@ -26,20 +26,17 @@ from .goldfarb import (
 )
 
 
-class DecompositionError(Exception):
-    """The facet point is not a positive convex combination of its d vertices.
-
-    Signals that the stretch factor is too small for the construction (or a
-    bug); callers react by growing the stretch factor.
-    """
-
-
 class CalibrationError(Exception):
     """q_min == q_max across several pairs, contradicting their distinctness."""
 
 
 class StrictnessError(Exception):
-    """A constructed point touches a facet other than its own."""
+    """A constructed point is not strictly inside every facet but its own.
+
+    Equivalently, it is not a positive convex combination of its facet's d
+    vertices. Signals that the stretch factor is too small for the
+    construction (or a bug); callers react by growing the stretch factor.
+    """
 
 
 class StretchSearchError(RuntimeError):
@@ -232,8 +229,8 @@ def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> Cons
     return ConstructedPair(sigma, p_shadow, q, p, slack)
 
 
-def facet_strictness_check(p: Vec, params: GoldfarbParams, ell, sigma: SignVec) -> bool:
-    """True iff p is tight on the sigma-facet and strictly inside all others.
+def facet_strictness_check(alphas: tuple) -> bool:
+    """True iff weights alphas put their point on its sigma-facet and strictly inside all others.
 
     Cone form of the exhaustive test over all 2^d vertices. Since
     stretch(v, ell) . p == v . stretch(p, ell), let alpha be the
@@ -246,8 +243,6 @@ def facet_strictness_check(p: Vec, params: GoldfarbParams, ell, sigma: SignVec) 
     that flips only sign k has p' . v_tau >= sum(alpha). So the check is
     sum(alpha) == 1 and all(alpha > 0), in O(d).
     """
-    cube_vertices(params)  # the z_k(tau) > 0 guard that the cone form rests on
-    alphas = facet_weights(params, tuple(sigma), stretch(p, ell))
     return sum(alphas) == 1 and all(a > 0 for a in alphas)
 
 
@@ -259,21 +254,18 @@ def support_decomposition(
     Unstretching both sides by 1/L gives the same weights over the
     unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L), whose
     banded triangular system `facet_weights` solves; its diagonal never
-    vanishes, so the system is never singular. A weight sum other than 1 (p
-    off the sigma-facet) and a nonpositive weight each raise
-    DecompositionError. Otherwise the d >= 2 weights are positive and sum to
-    1, so the largest, mu_sigma, is below 1.
+    vanishes, so the system is never singular. The weights decide the
+    breakpoint: they are positive and sum to 1 exactly when p is strictly
+    inside every facet but its own (`facet_strictness_check`), and
+    StrictnessError is raised otherwise. Then the d >= 2 weights are
+    positive and sum to 1, so the largest, mu_sigma, is below 1.
     """
-    alphas = facet_weights(params, tuple(sigma), stretch(p, s.inverse))
-    if sum(alphas) != 1:
-        raise DecompositionError(
-            f"weights sum to {sum(alphas)} != 1 for sigma={sigma} at L={s.factor}"
-        )
-    if any(a <= 0 for a in alphas):
-        raise DecompositionError(
-            f"nonpositive weight for sigma={sigma} at L={s.factor}: {alphas}"
-        )
-    return SupportDecomposition(tuple(sigma), alphas, max(alphas))
+    sigma = tuple(sigma)
+    cube_vertices(params)  # the z_k(tau) > 0 guard that the cone form rests on
+    alphas = facet_weights(params, sigma, stretch(p, s.inverse))
+    if not facet_strictness_check(alphas):
+        raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
+    return SupportDecomposition(sigma, alphas, max(alphas))
 
 
 def calibrate(pairs: Iterable[ConstructedPair], decomps: Iterable[SupportDecomposition]) -> Calibration:
@@ -316,17 +308,13 @@ def mu_of_q(q_last: Fraction, calib: Calibration) -> Fraction:
 def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
     """(pair, decomposition) for every admissible sigma, lexicographic order.
 
-    Raises StrictnessError or DecompositionError when the stretch factor is
-    not large enough for the construction to go through.
+    Raises StrictnessError when the stretch factor is not large enough for
+    the construction to go through.
     """
     out = []
-    ell = s.inverse
     for sigma in admissible_sign_vectors(params.dim):
         pair = build_pair(params, sigma, s)
-        if not facet_strictness_check(pair.p, params, ell, sigma):
-            raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
-        decomp = support_decomposition(pair.p, sigma, params, s)
-        out.append((pair, decomp))
+        out.append((pair, support_decomposition(pair.p, sigma, params, s)))
     return tuple(out)
 
 
@@ -354,9 +342,9 @@ def choose_stretch(
 
     Tries `start`, then doubles, and returns the first factor at which
     `admissible_constructions` goes through: every constructed point strictly
-    inside all facets but its own, every decomposition weight positive. That
-    is the first passing power-of-two multiple of `start`, not necessarily the
-    smallest. Raises StretchSearchError, naming the last factor tried and its
+    inside all facets but its own, that is every decomposition weight
+    positive. That is the first passing power-of-two multiple of `start`, not
+    necessarily the smallest. Raises StretchSearchError, naming the last factor tried and its
     failure, when no factor passes.
     """
     factor = Fraction(start)
@@ -365,7 +353,7 @@ def choose_stretch(
         try:
             admissible_constructions(params, s)
             return s
-        except (StrictnessError, DecompositionError) as exc:
+        except StrictnessError as exc:
             failure = exc
             factor *= 2
     raise StretchSearchError(

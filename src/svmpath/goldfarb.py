@@ -29,9 +29,15 @@ class ShadowPropertyError(Exception):
 
 
 class GoldfarbParams(FrozenRecord):
-    """Cube parameters; requires 0 < 4*gamma < eps < 1/2."""
+    """Cube parameters; requires 0 < 4*gamma < eps < 1/2.
 
-    __slots__ = _fields = ("dim", "eps", "gamma")
+    The parameters key every per-parameter cache, so the hash of the field
+    tuple is computed once, here, rather than per lookup: each lookup would
+    rehash both Fractions.
+    """
+
+    _fields = ("dim", "eps", "gamma")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, dim: int, eps: Fraction = Fraction(1, 3), gamma: Fraction = Fraction(1, 16)):
         eps, gamma = Fraction(eps), Fraction(gamma)
@@ -50,6 +56,10 @@ class GoldfarbParams(FrozenRecord):
             )
         if not eps < Fraction(1, 2):
             raise ValueError(f"parameter constraint violated: eps < 1/2 (eps = {eps})")
+        _set(self, "_hash", hash((dim, eps, gamma)))
+
+    def __hash__(self):
+        return self._hash
 
 
 class CubeVertex(FrozenRecord):
@@ -224,14 +234,14 @@ def cube_vertices(params: GoldfarbParams) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def cube_vertex_table(params: GoldfarbParams) -> tuple:
-    """(den, rows): all 2^d vertices as integer rows over one common denominator.
+def shadow_table(params: GoldfarbParams) -> tuple:
+    """(den, rows): the 2^d projected vertices as integer pairs over one common denominator.
 
-    Row i is den * v_tau for the i-th sign vector tau of `sign_vectors`, so
-    the incidence checks compare integer dot products with a fixed multiple
-    of den instead of Fraction dot products.
+    Row i is den * (v_tau[-2], v_tau[-1]) for the i-th sign vector tau of
+    `sign_vectors`, so the hull and the certificate checks compare integers
+    instead of Fractions.
     """
-    return common_denominator(v.coords for v in cube_vertices(params))
+    return common_denominator(v.coords[-2:] for v in cube_vertices(params))
 
 
 @lru_cache(maxsize=None)
@@ -259,20 +269,18 @@ def project_shadow(x: Vec) -> Vec:
 def _shadow_data(params: GoldfarbParams):
     """(hull polygon, hull position by sigma, sigma by hull position).
 
-    The hull is ordered on the integer last two columns of
-    `cube_vertex_table`, den times the projections: sorting and orientation
-    signs do not change under the positive scale den, so the monotone chain
-    visits the projections in the same order as on the Fractions. The
-    Fraction `Polygon2` is built from that ring and validates its strict
-    convexity. Sigmas whose projected vertex is not a hull vertex have no
-    position.
+    The hull is ordered on the integer rows of `shadow_table`, den times
+    the projections: sorting and orientation signs do not change under the
+    positive scale den, so the monotone chain visits the projections in the
+    same order as on the Fractions. The Fraction `Polygon2` is built from
+    that ring and validates its strict convexity. Sigmas whose projected
+    vertex is not a hull vertex have no position.
     """
     if params.dim < 2:
         raise ValueError("shadow projection needs dim >= 2")
-    _den, rows = cube_vertex_table(params)
+    _den, rows = shadow_table(params)
     owner = {}
-    for v, row in zip(cube_vertices(params), rows):
-        pt = row[-2:]
+    for v, pt in zip(cube_vertices(params), rows):
         if pt in owner:
             raise ShadowPropertyError(
                 f"two vertices share the shadow point {project_shadow(v.coords)}"
@@ -331,17 +339,17 @@ def _check_certificate(cert: ShadowCertificate, params: GoldfarbParams) -> None:
     a . pt == 1 and a . prev, a . next < 1, a . x < 1 at every other x.
 
     Only the last two coordinates of a are nonzero, so the products run over
-    the last two columns of the integer vertex table: with a = (a1, a2) / den_a
-    the test a . v == 1 reads a1 * V[-2] + a2 * V[-1] == den * den_a.
+    the integer projections of `shadow_table`: with a = (a1, a2) / den_a and
+    a row (V1, V2) the test a . v == 1 reads a1 * V1 + a2 * V2 == den * den_a.
     """
     _hull, pos, ring = _shadow_data(params)
-    den, rows = cube_vertex_table(params)
+    den, rows = shadow_table(params)
     den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
     one = den * den_a
 
     def value(tau):
-        row = rows[sign_index(tau)]
-        return a1 * row[-2] + a2 * row[-1]
+        v1, v2 = rows[sign_index(tau)]
+        return a1 * v1 + a2 * v2
 
     i = pos[cert.sigma]
     if value(cert.sigma) != one:

@@ -36,12 +36,13 @@ hold the bound coefficients at their bounds in all of them, and the
 nonsingular normal equations leave the free ones no other solution. The loop
 returns an optimum, so it would return the same coefficients, and the same
 pair. A piece keeps its coefficients as integers, so at a given mu each free
-alpha and the objective are one Fraction of integer numerators, and p and q,
-which a sweep never reads, are built only when first read. At its upper
-event a piece pivots one coefficient and gives its `successor`, so the exact
-path is walked from piece to piece (Hastie, Rosset, Tibshirani & Zhu, JMLR 5,
-2004). `solve_reduced_distance` first tries the pieces it is given; where
-none answers the loop runs as before.
+alpha and the objective are one Fraction of integer numerators. A pair's p
+and q have one definition, whichever solve gave the pair: its coefficients
+times the points of the table, summed only when first read, which a sweep
+never does. At its upper event a piece pivots one coefficient and gives its
+`successor`, so the exact path is walked from piece to piece (Hastie,
+Rosset, Tibshirani & Zhu, JMLR 5, 2004). `solve_reduced_distance` first
+tries the pieces it is given; where none answers the loop runs as before.
 
 The piece is also the one optimality certificate. A constructed breakpoint
 is certified without running the loop: `build_kkt_certificate` builds the
@@ -111,16 +112,17 @@ class ReducedHullQP(FrozenRecord):
 class OptimalPair(FrozenRecord):
     """Solved distance pair with its dual coefficients and exact objective.
 
-    A pair read off a piece carries (piece, mu) as `source` instead of p and
-    q, and builds them by `Piece.points` on first read: a sweep never reads
-    them.
+    p = sum alpha_plus_i x_i and q = sum alpha_minus_j y_j over the points of
+    the two classes. A solved pair carries its point table as `source`
+    instead of p and q, and sums them from the coefficients on first read: a
+    sweep never reads them.
     """
 
     _fields = ("p", "q", "alpha_plus", "alpha_minus", "objective")
     __slots__ = ("_p", "_q", "alpha_plus", "alpha_minus", "objective", "_source")
 
     def __init__(self, p: Vec, q: Vec, alpha_plus: tuple, alpha_minus: tuple, objective: Fraction,
-                 source: Optional[tuple] = None):
+                 source: Optional[PointTable] = None):
         _set = object.__setattr__
         _set(self, "_p", p)
         _set(self, "_q", q)
@@ -130,11 +132,13 @@ class OptimalPair(FrozenRecord):
         _set(self, "_source", source)
 
     def _points(self) -> tuple:
-        if self._source is not None:
-            piece, mu = self._source
-            p, q = piece.points(mu)
-            object.__setattr__(self, "_p", p)
-            object.__setattr__(self, "_q", q)
+        table = self._source
+        if table is not None:
+            P, den_p = table.cleared_sum(enumerate(self.alpha_plus))
+            # the table's minus points are negated
+            Q, den_q = table.cleared_sum(enumerate(self.alpha_minus, len(self.alpha_plus)))
+            object.__setattr__(self, "_p", Vec([Fraction(c, den_p) for c in P]))
+            object.__setattr__(self, "_q", Vec([Fraction(-c, den_q) for c in Q]))
             object.__setattr__(self, "_source", None)
         return self._p, self._q
 
@@ -304,18 +308,11 @@ def solve_reduced_distance(
 
 
 def _finish(table: PointTable, x) -> OptimalPair:
-    """The pair p, q and ||p - q||^2 at coefficients x, from the integer points."""
+    """The pair at coefficients x with ||p - q||^2 from the integer points; p, q on first read."""
     n_plus = len(table.plus_points)
-    P, den_p = table.cleared_sum(enumerate(x[:n_plus]))
-    Q, den_q = table.cleared_sum(enumerate(x[n_plus:], n_plus))  # minus points negated
     W, den_w = table.cleared_sum(enumerate(x))
-    return OptimalPair(
-        Vec(Fraction(c, den_p) for c in P),
-        Vec(Fraction(-c, den_q) for c in Q),
-        tuple(x[:n_plus]),
-        tuple(x[n_plus:]),
-        Fraction(sum(c * c for c in W), den_w * den_w),
-    )
+    objective = Fraction(sum(c * c for c in W), den_w * den_w)
+    return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, table)
 
 
 def working_set(pair: OptimalPair, mu) -> tuple:
@@ -359,13 +356,14 @@ class Piece:
     conditions that bind at hi, as (index, new state): a free coefficient
     reaching 0 or mu becomes AT_LO or AT_HI, a bound coefficient whose
     gradient meets its multiplier becomes free (None). The free coefficients
-    and p, q (affine) and the objective (quadratic) are kept as integer
-    coefficients of mu.
+    (affine) and the objective (quadratic) are kept as integer coefficients
+    of mu; the pair's p and q are its coefficients times the table's points,
+    as for every `OptimalPair`.
     """
 
     __slots__ = (
         "table", "at_lo", "at_hi", "free", "base", "slope",
-        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "pq", "objective", "_ends",
+        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "objective", "_ends",
     )
 
     @classmethod
@@ -417,7 +415,7 @@ class Piece:
         return piece
 
     def _measure(self, S0: list, den0: int, S1: list, den1: int) -> None:
-        """Set the interval, its upper events, and the coefficients of x, p, q and the objective.
+        """Set the interval, its upper events, and the coefficients of x and the objective.
 
         w(mu) = (S0 / den0) + mu (S1 / den1) is the signed points' sum cleared
         to integers, as `build` computed it.
@@ -481,17 +479,6 @@ class Piece:
             None if end is None else (end.numerator, end.denominator) for end in (self.lo, self.hi)
         )
         self.lo_closed, self.hi_closed, self.events = lo_closed, hi_closed, tuple(events)
-        # p and -q are the cleared sums C0 / d0 + mu C1 / d1 over the plus and
-        # the (negated) minus points, kept as integers (C0, d0, C1, d1)
-        pq = []
-        for cls in (range(n_plus), range(n_plus, len(table.nums))):
-            C0, d0 = table.cleared_sum([(i, b) for i, b in zip(free, base) if i in cls])
-            C1, d1 = table.cleared_sum(
-                [(i, s) for i, s in zip(free, slope) if i in cls]
-                + [(h, 1) for h in self.at_hi if h in cls]
-            )
-            pq.append((tuple(C0), d0, tuple(C1), d1))
-        self.pq = tuple(pq)
         # ||w||^2 = (a den1^2 + b den0 den1 mu + c den0^2 mu^2) / (den0 den1)^2
         self.objective = (
             sum(c * c for c in S0),
@@ -529,8 +516,8 @@ class Piece:
         optimum, the one the loop returns.
 
         Each free coefficient is one Fraction of integer numerators, and so is
-        the objective. The pair's p and q are built from the integer
-        coefficients `pq` only when first read (`points`).
+        the objective. The pair's p and q are summed from its coefficients on
+        the table only when first read.
         """
         table = self.table
         if qp.table is not table:
@@ -550,16 +537,7 @@ class Piece:
         objective = Fraction(
             (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
         )
-        return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, (self, mu))
-
-    def points(self, mu: Fraction) -> tuple:
-        """(p, q) of the piece's optimum at mu, from its integer coefficients `pq`."""
-        m, e = mu.numerator, mu.denominator
-        # one Fraction per coordinate: C0 / d0 + mu C1 / d1 = (C0 d1 e + C1 d0 m) / (d0 d1 e)
-        return tuple(
-            Vec([Fraction(a * d1 * e + b * d0 * m, sign * d0 * d1 * e) for a, b in zip(C0, C1)])
-            for (C0, d0, C1, d1), sign in zip(self.pq, (1, -1))
-        )
+        return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, table)
 
     def successor(self) -> Optional["Piece"]:
         """The piece that follows this one past hi, or None where a walk must stop.

@@ -20,6 +20,7 @@ each record is the one the loop alone gives.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .construct import MINUS_LABELS, SvmInstance
@@ -181,7 +182,13 @@ def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepReco
 
 
 def _report(records: Iterable[SweepRecord], lower_bound: int) -> SweepReport:
-    ordered = tuple(sorted(records, key=lambda r: r.mu, reverse=True))
+    records = list(records)
+    # sorted on the integers D mu, D the lcm of the denominators: the order of
+    # the mus without a Fraction comparison per step
+    D = lcm(*[r.mu.denominator for r in records])
+    ordered = tuple(
+        sorted(records, key=lambda r: r.mu.numerator * (D // r.mu.denominator), reverse=True)
+    )
     bends = sum(
         1 for a, b in zip(ordered, ordered[1:]) if a.support != b.support
     )

@@ -5,9 +5,9 @@ enumerates every bound pattern of the dual and minimizes each subproblem from
 scratch, uniqueness of an optimum is decided by Fourier-Motzkin over the
 directions of its optimal face, hull extremeness is decided by exhaustive
 triangle membership, the two facet-incidence checks rebuild every cube vertex
-as Fractions instead of reading the library's integer vertex table, and the
-facet multiplier of a breakpoint comes from the single-facet relaxation
-rather than the instance QP. The reference solver rebuilds its normal
+as Fractions instead of reading the library's facet weights or its integer
+shadow table, and the facet multiplier of a breakpoint comes from the
+single-facet relaxation rather than the instance QP. The reference solver rebuilds its normal
 equations and gradients from Fraction point coordinates on every iteration,
 and the reference KKT check, multiplier ranges and uniqueness test take
 Fraction vector dot products, instead of reading the instance's point table
@@ -15,16 +15,17 @@ Fraction vector dot products, instead of reading the instance's point table
 solver's loop, without the affine pieces the library sweep tries first. All
 are exact.
 
-The last four functions are helpers that only tests need: the inverse
-parameter conversion, the two-point reduced hull, the JSON rational reader
-and a record copy with some fields changed.
+The last five functions are helpers that only tests need: the library's
+strictness check of a point, the inverse parameter conversion, the two-point
+reduced hull, the JSON rational reader and a record copy with some fields
+changed.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from svmpath.construct import stretch
+from svmpath.construct import facet_strictness_check, stretch
 from svmpath.geometry import (
     SingularMatrixError,
     Vec,
@@ -32,7 +33,7 @@ from svmpath.geometry import (
     solve_linear_system,
     solve_linear_system_general,
 )
-from svmpath.goldfarb import cube_vertex, project_shadow, sign_vectors
+from svmpath.goldfarb import cube_vertex, facet_weights, project_shadow, sign_vectors
 from svmpath.qp import (
     AT_HI,
     AT_LO,
@@ -536,6 +537,17 @@ def unique_optimum_reference(qp, candidate) -> bool:
     except SingularMatrixError:
         return False
     return True
+
+
+def strictness_check(p, params, ell, sigma) -> bool:
+    """The library's cone-form check of p on the sigma-facet stretched by 1/ell.
+
+    `construct.support_decomposition` applies `facet_strictness_check` to the
+    facet weights of the point it decomposes; this composes the same two
+    steps for any point and any ell, so the oracle above can be compared
+    with it.
+    """
+    return facet_strictness_check(facet_weights(params, tuple(sigma), stretch(p, ell)))
 
 
 def mu_from_nu(nu, n: int) -> Fraction:

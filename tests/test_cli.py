@@ -82,19 +82,6 @@ class TestGenRefuses:
         assert_one_line_failure(result, "sigma=", "L=1")
         assert not out.exists()
 
-    def test_decomposition_failure(self, tmp_path, capsys, monkeypatch):
-        # with the strictness check waved through, the decomposition alone
-        # refuses the unit stretch, by its nonpositive-weight branch
-        monkeypatch.setattr(construct, "facet_strictness_check", lambda *args: True)
-        out = tmp_path / "d3.inst"
-        # parameters no other test uses, so no cached construction hides the failure
-        result = run(
-            ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/19", "--stretch", "1",
-             "--out", str(out)], capsys
-        )
-        assert_one_line_failure(result, "nonpositive weight for sigma=", "L=1:")
-        assert not out.exists()
-
     def test_shadow_property_failure(self, tmp_path, capsys, monkeypatch):
         def off_hull(params, sigma):
             raise ShadowPropertyError(f"projected vertex for sigma={sigma} is not a hull vertex")

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_STRETCH, default_params, spread
-from oracles import facet_strictness_oracle, reduced_hull_segment
+from oracles import facet_strictness_oracle, reduced_hull_segment, strictness_check
+from svmpath import construct
 from svmpath.construct import (
     CalibrationError,
     Calibration,
-    DecompositionError,
     StretchFactor,
+    StrictnessError,
     admissible_constructions,
     build_instance,
     build_p_stretched,
@@ -18,7 +19,6 @@ from svmpath.construct import (
     build_q,
     calibrate,
     choose_stretch,
-    facet_strictness_check,
     generate_2d_arc_instance,
     line_point,
     mu_of_q,
@@ -32,6 +32,7 @@ from svmpath.goldfarb import (
     cube_vertex,
     cube_vertices,
     dual_vertices,
+    facet_weights,
     shadow_certificate,
     sign_vectors,
 )
@@ -159,11 +160,11 @@ class TestFacetStrictness:
     def test_unstretched_shadow_points_pass(self, params4):
         for sigma in admissible_sign_vectors(4):
             cert = shadow_certificate(params4, sigma)
-            assert facet_strictness_check(cert.vector, params4, 0, sigma)
+            assert strictness_check(cert.vector, params4, 0, sigma)
 
     def test_constructed_pairs_pass_exhaustively(self, constructions4, params4):
         for pair, _ in constructions4:
-            assert facet_strictness_check(pair.p, params4, DEFAULT_STRETCH.inverse, pair.sigma)
+            assert strictness_check(pair.p, params4, DEFAULT_STRETCH.inverse, pair.sigma)
 
     @pytest.mark.parametrize("ell", ORACLE_ELLS)
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
@@ -171,7 +172,7 @@ class TestFacetStrictness:
         params = default_params(d)
         for sigma in spread(admissible_sign_vectors(d)):
             for what, p in facet_test_points(params, ell, sigma).items():
-                assert facet_strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
+                assert strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
                     p, params, ell, sigma
                 ), (sigma, what)
 
@@ -183,7 +184,7 @@ class TestFacetStrictness:
         for ell in ORACLE_ELLS:
             for sigma in spread(admissible_sign_vectors(d)):
                 for what, p in facet_test_points(params, ell, sigma).items():
-                    assert facet_strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
+                    assert strictness_check(p, params, ell, sigma) == facet_strictness_oracle(
                         p, params, ell, sigma
                     ), (ell, sigma, what)
 
@@ -195,7 +196,7 @@ class TestFacetStrictness:
         outcomes = set()
         for sigma in list(admissible_sign_vectors(9))[::4]:
             p = build_pair(params, sigma, s).p
-            got = facet_strictness_check(p, params, s.inverse, sigma)
+            got = strictness_check(p, params, s.inverse, sigma)
             assert got == facet_strictness_oracle(p, params, s.inverse, sigma), sigma
             outcomes.add(got)
         assert outcomes == ({False, True} if passing else {False})
@@ -208,14 +209,14 @@ class TestFacetStrictness:
         ell = DEFAULT_STRETCH.inverse
         for sigma in spread(admissible_sign_vectors(d)):
             points = facet_test_points(params, ell, sigma)
-            assert facet_strictness_check(points["constructed"], params, ell, sigma)
+            assert strictness_check(points["constructed"], params, ell, sigma)
             branches = {}
             for what, p in points.items():
                 values = {v.sigma: stretch(v.coords, ell).dot(p) for v in cube_vertices(params)}
                 others = max(v for tau, v in values.items() if tau != sigma)
                 branches[what] = (values[sigma] == 1, others < 1, others <= 1)
                 if what != "constructed":
-                    assert not facet_strictness_check(p, params, ell, sigma), (sigma, what)
+                    assert not strictness_check(p, params, ell, sigma), (sigma, what)
             assert branches == {
                 "constructed": (True, True, True),
                 "not tight on sigma": (False, True, True),
@@ -225,7 +226,7 @@ class TestFacetStrictness:
 
     def test_wrong_length_point_rejected(self, params4):
         with pytest.raises(ValueError):
-            facet_strictness_check(Vec((0, 0, 1)), params4, 0, (1, 1, 1, 1))
+            strictness_check(Vec((0, 0, 1)), params4, 0, (1, 1, 1, 1))
 
     def test_point_on_two_facets_fails(self, params4):
         # the midpoint of two vertices sharing d-1 facets lies on both
@@ -234,7 +235,7 @@ class TestFacetStrictness:
         duals = dual_vertices(params4)
         shared = [w.coords for w in duals if w.s == sigma[w.k - 1] and w.k != 1]
         mid = (shared[0] + shared[1]) * F(1, 2)
-        assert not facet_strictness_check(mid, params4, 0, sigma)
+        assert not strictness_check(mid, params4, 0, sigma)
         del neighbor
 
 
@@ -279,14 +280,36 @@ class TestSupportDecomposition:
             assert support_decomposition(p, sigma, params, DEFAULT_STRETCH).alphas == tuple(dense)
 
     def test_failing_branches_name_sigma_and_stretch(self, params4):
+        # weights summing to 2 (p off the sigma-facet), then a nonpositive weight
         sigma = (1, 1, 1, 1)
         p = build_pair(params4, sigma, DEFAULT_STRETCH).p
-        with pytest.raises(DecompositionError, match=r"weights sum to .* != 1 for sigma=\(1, 1, 1, 1\) at L=20000"):
+        with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\(1, 1, 1, 1\) at L=20000$"):
             support_decomposition(p * 2, sigma, params4, DEFAULT_STRETCH)
         unit = StretchFactor(1)
         p = build_pair(params4, sigma, unit).p
-        with pytest.raises(DecompositionError, match=r"nonpositive weight for sigma=\(1, 1, 1, 1\) at L=1"):
+        assert sum(facet_weights(params4, sigma, stretch(p, 1))) == 1
+        with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\(1, 1, 1, 1\) at L=1$"):
             support_decomposition(p, sigma, params4, unit)
+
+    def test_one_facet_solve_per_sigma_per_try(self, monkeypatch):
+        # the weights that decide strictness are the decomposition's: one
+        # banded solve per admissible sigma, whether the stretch passes or not
+        solved = []
+
+        def counted(params, sigma, x):
+            solved.append(sigma)
+            return facet_weights(params, sigma, x)
+
+        monkeypatch.setattr(construct, "facet_weights", counted)
+        # parameters no other test uses, so no cached construction hides a solve
+        params = GoldfarbParams(5, F(3, 10), F(1, 23))
+        admissible_constructions(params, DEFAULT_STRETCH)
+        assert solved == list(admissible_sign_vectors(5))
+        del solved[:]
+        with pytest.raises(StrictnessError):
+            admissible_constructions(params, StretchFactor(1))
+        # a failing try stops at its first failing sigma, after one solve
+        assert len(solved) == 1
 
     def test_weights_witness_reduced_hull_membership(self, constructions4, instance4):
         # every breakpoint point lies in the capped hull at its own mu value:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import default_params, spread
 from oracles import is_extreme_point, membership, shadow_certificate_oracle
-from svmpath.construct import facet_strictness_check
+from svmpath.construct import StretchFactor, support_decomposition
 from svmpath.geometry import Vec, convex_hull_2d, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
@@ -23,6 +23,7 @@ from svmpath.goldfarb import (
     project_shadow,
     shadow_certificate,
     shadow_polygon,
+    shadow_table,
     sign_vectors,
 )
 
@@ -52,6 +53,13 @@ class TestParams:
     def test_non_integer_dim_rejected(self):
         with pytest.raises(ValueError):
             GoldfarbParams(0)
+
+    def test_hash_is_the_field_tuples(self):
+        # computed once at construction, it equals the hash of the field tuple
+        cases = (GoldfarbParams(3), GoldfarbParams(7, F(3, 8)), GoldfarbParams(5, "2/5", "1/15"))
+        for params in cases:
+            assert hash(params) == hash((params.dim, params.eps, params.gamma))
+        assert hash(GoldfarbParams(4, "1/3")) == hash(GoldfarbParams(4))
 
 
 class TestCubeInequalities:
@@ -138,8 +146,8 @@ class TestCubeVertices:
 
     def test_nonpositive_bound_raises(self):
         # eps = 9/10 breaks eps < 1/2, so validation is bypassed; x_1 = +1 then
-        # gives z_2 = 1 - eps - eps < 0, and the cone form of the strictness
-        # check, which rests on z_k > 0, refuses to run
+        # gives z_2 = 1 - eps - eps < 0, and the support decomposition, whose
+        # cone-form strictness check rests on z_k > 0, refuses to run
         params = GoldfarbParams(3)
         object.__setattr__(params, "eps", F(9, 10))
         with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
@@ -147,7 +155,7 @@ class TestCubeVertices:
         with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
             cube_vertex(params, (1, 1, 1))
         with pytest.raises(ValueError, match="z_2"):
-            facet_strictness_check(Vec((0, 2, 1)), params, 1, (1, 1, 1))
+            support_decomposition(Vec((0, 2, 1)), (1, 1, 1), params, StretchFactor(1))
 
 
 class TestDualVertices:
@@ -269,6 +277,15 @@ class TestShadowHull:
         assert ring == tuple(projections[pt] for pt in expected.vertices)
         assert pos == {sigma: i for i, sigma in enumerate(ring)}
         assert len(ring) == 2 ** d
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 9])
+    def test_shadow_table_rows_are_den_times_the_projections(self, d):
+        params = default_params(d)
+        den, rows = shadow_table(params)
+        assert den > 0 and len(rows) == 2 ** d
+        for v, row in zip(cube_vertices(params), rows):
+            assert len(row) == 2 and all(type(c) is int for c in row)
+            assert Vec(row) == project_shadow(v.coords) * den
 
 
 def hull_neighbours(params, sigma) -> tuple:

@@ -415,38 +415,47 @@ class TestPiece:
         with pytest.raises(ValueError, match="another point set"):
             piece.optimum(ReducedHullQP(PointTable(qp.plus_points, qp.minus_points), F(1, 2)))
 
-    def test_lazy_pair_equals_the_loops(self, instance4, monkeypatch):
-        # the piece's pair builds p and q on first read, once, and then
-        # compares, hashes and prints as the loop's eagerly built pair
-        calls = []
-        points = Piece.points
-
-        def counted(piece, mu):
-            calls.append(mu)
-            return points(piece, mu)
-
-        monkeypatch.setattr(Piece, "points", counted)
+    def test_lazy_pairs_equal_the_eager_reference(self, instance4, monkeypatch):
+        # the piece's pair and the loop's build p and q on first read, once,
+        # and then compare, hash and print as the reference solver's pair,
+        # whose p and q are summed eagerly from Fraction points
         cases = self.valid_pieces(instance4, 32)
         assert cases
-        del calls[:]
+        builds = count_point_builds(monkeypatch)
         for mu, piece in cases:
             qp = self.at(instance4, mu)
             lazy, loop = piece.optimum(qp), solve_reduced_distance(qp)
-            assert calls == []
-            assert lazy.p == loop.p and lazy.q == loop.q
-            assert calls == [mu]
-            assert (lazy.p, lazy.q) == piece.points(mu)
-            del calls[:]
-            fresh = piece.optimum(qp)
-            assert fresh == loop and loop == fresh and hash(fresh) == hash(loop)
-            assert repr(piece.optimum(qp)) == repr(loop)
-            assert len({piece.optimum(qp), loop}) == 1
-            del calls[:]
+            eager = solve_reduced_distance_oracle(qp)
+            assert builds == []
+            assert lazy.p == eager.p and lazy.q == eager.q
+            assert loop.q == eager.q and loop.p == eager.p
+            lazy.p, lazy.q, loop.p
+            assert [id(pair) for pair in builds] == [id(lazy), id(loop)]
+            del builds[:]
+            for fresh in (piece.optimum(qp), solve_reduced_distance(qp)):
+                assert fresh == eager and eager == fresh and hash(fresh) == hash(eager)
+            assert repr(piece.optimum(qp)) == repr(solve_reduced_distance(qp)) == repr(eager)
+            assert len({piece.optimum(qp), solve_reduced_distance(qp), eager}) == 1
+            del builds[:]
         with pytest.raises(AttributeError):
-            lazy.p = loop.p
+            lazy.p = eager.p
         with pytest.raises(AttributeError):
             lazy.objective = F(0)
         assert lazy != (lazy.p, lazy.q, lazy.alpha_plus, lazy.alpha_minus, lazy.objective)
+
+
+def count_point_builds(monkeypatch) -> list:
+    """From now on, each OptimalPair whose p and q get built, once per build."""
+    builds = []
+    points = OptimalPair._points
+
+    def counted(pair):
+        if pair._source is not None:
+            builds.append(pair)
+        return points(pair)
+
+    monkeypatch.setattr(OptimalPair, "_points", counted)
+    return builds
 
 
 def signed_vecs(table) -> list:

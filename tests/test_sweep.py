@@ -6,7 +6,7 @@ import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
 from oracles import replace, sweep_refined_oracle
-from test_qp import small_instances
+from test_qp import count_point_builds, small_instances
 from svmpath.construct import (
     SvmInstance,
     admissible_constructions,
@@ -170,23 +170,15 @@ class TestRefinedSweep:
 class TestLazyPairs:
     def test_sweep_builds_no_p_or_q(self, instance4, monkeypatch, tmp_path):
         # the records and the report read only alphas, objectives and
-        # supports, so no piece pair's p or q is ever built
-        calls = []
-        points = Piece.points
-
-        def counted(piece, mu):
-            calls.append(mu)
-            return points(piece, mu)
-
-        monkeypatch.setattr(Piece, "points", counted)
+        # supports, so no pair's p or q is ever built
+        builds = count_point_builds(monkeypatch)
         report = sweep_refined(instance4, F(8, 10), F(1), 64, 3)
         write_sweep_report(report, tmp_path / "r.json", {"d": 4, "steps": 64})
-        assert calls == []
-        # all but the lowest record came off a piece: each builds once, when read
+        assert builds == []
+        # every record's pair, off a piece or from the loop, builds once, when read
         for rec in report.records:
             rec.pair.p, rec.pair.q, rec.pair.q
-        assert len(calls) == len(report.records) - 1
-        assert sorted(calls) == sorted(r.mu for r in report.records[:-1])
+        assert [id(pair) for pair in builds] == [id(rec.pair) for rec in report.records]
 
 
 class TestPathIndex:
