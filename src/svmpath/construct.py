@@ -189,8 +189,6 @@ def build_q(cert_point: Vec, vertex: Vec) -> tuple:
     nsq = v0.norm_sq()
     slack = (cert_point[d - 2] - 2) * nsq / v0[d - 2]
     q = cert_point - v0 * (slack / nsq)
-    assert q[d - 2] == 2
-    assert slack == 1 - v0.dot(q)
     if slack >= 0:
         raise ValueError("slack must be negative")
     return q, slack
@@ -201,9 +199,7 @@ def build_p_stretched(q: Vec, vertex: Vec, ell) -> Vec:
     ell = Fraction(ell)
     v_ell = stretch(vertex, ell)
     slack = 1 - v_ell.dot(q)
-    p = q + v_ell * (slack / v_ell.norm_sq())
-    assert v_ell.dot(p) == 1
-    return p
+    return q + v_ell * (slack / v_ell.norm_sq())
 
 
 @lru_cache(maxsize=None)

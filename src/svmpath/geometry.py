@@ -155,7 +155,7 @@ def hull_chain(points: Iterable[Sequence]) -> list:
     """
     pts = sorted(set(map(tuple, points)))
     if pts and len(pts[0]) != 2:
-        raise ValueError("convex_hull_2d expects 2D points")
+        raise ValueError("hull_chain expects 2D points")
     if len(pts) < 3:
         raise DegenerateHullError("need at least three distinct points")
 
@@ -269,8 +269,8 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
     """Exact solution of a square system Ax = b.
 
     Fraction-free (Bareiss) elimination over integers after row scaling, with
-    exact rational back-substitution. Raises SingularMatrixError instead of
-    ever returning an inexact or arbitrary vector.
+    integer back-substitution. Raises SingularMatrixError instead of ever
+    returning an inexact or arbitrary vector.
     """
     return solve_linear_systems(A, [b])[0]
 
@@ -278,80 +278,76 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
 def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
     """Exact solutions of Ax = b for each right-hand side b in `columns`.
 
-    One elimination serves every column, as in `solve_linear_system`.
+    One elimination serves every column, as in `solve_linear_system`. Raises
+    SingularMatrixError naming the first column without a pivot.
+    """
+    M, pivots = _echelon(A, columns)
+    n = len(A)
+    if len(pivots) < n:
+        col = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"no pivot in column {col}")
+    return tuple(_back_substitute(M, pivots, k) for k in range(n, n + len(columns)))
+
+
+def solve_linear_system_general(A: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
+    """A solution of a square, possibly singular system Ax = b, or None when it has none.
+
+    The elimination of `solve_linear_system`, skipping each column without a
+    pivot: the solution is zero in those columns. It depends only on the
+    pivot columns, the first columns independent of those before them, so it
+    is the particular solution of the reduced row echelon form with its free
+    variables at zero.
+    """
+    M, pivots = _echelon(A, [b])
+    n = len(A)
+    if any(M[r][n] for r in range(len(pivots), n)):
+        return None
+    return _back_substitute(M, pivots, n)
+
+
+def _echelon(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
+    """(M, pivots): the fraction-free echelon form of the square A beside `columns`.
+
+    Bareiss elimination (Math. Comp. 22, 1968) with row swaps on [A | columns]
+    row-scaled to integers. Pivot r stands in row r and column pivots[r]; a
+    column with no nonzero entry below the pivots found so far gets none and
+    is skipped. Each entry is a minor of the scaled matrix, so every division
+    is exact.
     """
     n = len(A)
     if any(len(row) != n for row in A) or any(len(b) != n for b in columns):
         raise ValueError("system must be square")
-    if n == 0:
-        return tuple(Vec(()) for _ in columns)
     M = _integer_rows(A, list(zip(*columns)))
-    width = len(M[0])
-    prev = 1
+    width, pivots, prev = n + len(columns), [], 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        pv = M[col][col]
-        for r in range(col + 1, n):
-            mr, mc, f = M[r], M[col], M[r][col]
-            for c in range(col, width):
-                mr[c] = (pv * mr[c] - f * mc[c]) // prev
-        prev = pv
-    # back-substitute y = det * x, an integer vector by Cramer's rule, so every
-    # division below is exact; one Fraction per entry at the end
-    det = prev
-    solutions = []
-    for k in range(n, width):
-        y = [0] * n
-        for r in range(n - 1, -1, -1):
-            row = M[r]
-            s = det * row[k] - sum(row[c] * y[c] for c in range(r + 1, n))
-            y[r] = s // row[r]
-        solutions.append(Vec([Fraction(v, det) for v in y]))
-    return tuple(solutions)
-
-
-def solve_linear_system_general(
-    A: Sequence[Sequence], b: Sequence
-) -> Optional[tuple]:
-    """Rational RREF solve of a possibly rectangular/singular system.
-
-    Returns (particular, nullspace_basis) with free variables set to zero in
-    the particular solution, or None when the system is inconsistent.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(A, b, strict=True)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if M[i][col]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(M[i][n] != 0 for i in range(r, m)):
-        return None
-    particular = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        particular[c] = M[i][n]
-    basis = []
-    for free_col in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[free_col] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -M[i][free_col]
-        basis.append(v)
-    return particular, basis
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+        mc, pv = M[r], M[r][col]
+        for i in range(r + 1, n):
+            mi, f = M[i], M[i][col]
+            for c in range(col, width):
+                mi[c] = (pv * mi[c] - f * mc[c]) // prev
+        prev = pv
+        pivots.append(col)
+    return M, pivots
+
+
+def _back_substitute(M: list, pivots: list, k: int) -> Vec:
+    """The solution for column k of an `_echelon` form, zero off the pivot columns.
+
+    Back-substitutes y = det * x over the pivot rows, with det the last
+    pivot. y is an integer vector by Cramer's rule on the pivot rows and
+    columns, so every division is exact; one Fraction per entry at the end.
+    """
+    n = len(M)
+    det = M[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * n
+    for r in range(len(pivots) - 1, -1, -1):
+        row, p = M[r], pivots[r]
+        s = det * row[k] - sum(row[c] * y[c] for c in range(p + 1, n))
+        y[p] = s // row[p]
+    return Vec([Fraction(v, det) for v in y])

@@ -97,6 +97,9 @@ def parse_instance(text: str) -> SvmInstance:
         raise InstanceFormatError(f"expected exactly 2 points labeled -1, got {len(minus_rows)}")
 
     if kind == "arc":
+        count = str(len(plus_rows))
+        if header.get("n_plus", count) != count:
+            raise InstanceFormatError(f"header n_plus {header['n_plus']} but {count} points labeled +1")
         return SvmInstance(
             plus_points=tuple(plus_rows),
             plus_labels=tuple(range(len(plus_rows))),

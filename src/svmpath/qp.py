@@ -16,6 +16,9 @@ shares it. The table holds the signed points s (the minus class negated) as
 integer numerators over per-point denominators, and their Gram matrix G.
 Each entry of a subproblem's normal equations is a sum of four entries of G
 (`difference_gram`) rather than a d-term dot product of Fraction vectors.
+The loop and `Piece` build these equations in one place and solve them by
+the one fraction-free elimination of `geometry`; a flat subproblem of the
+loop takes the solution that is zero off the pivot columns.
 Each gradient s_k . w, with w = p - q, is one integer dot product over a
 positive denominator (`signed_dot`), read there by the loop and `Piece`. The
 multiplier test compares s_k . w, half the true gradient 2 s_k . w. A
@@ -232,34 +235,19 @@ def solve_reduced_distance(
     cap = 1000 + 60 * n
     for _ in range(cap):
         W, den_w = table.cleared_sum(enumerate(x))
+        free_by_class = [[i for i in cls if i not in working] for cls in classes]
+        directions, normal, (rhs,) = _normal_equations(table, free_by_class, [(W, den_w)])
 
-        def s_dot_w(k):
-            return Fraction(*table.signed_dot(k, W, den_w))
-
-        directions = []
-        for cls in classes:
-            free = [i for i in cls if i not in working]
-            ref = free[0] if free else None
-            for i in free[1:]:
-                directions.append((i, ref))
-
-        step = None
+        # only free coefficients move
+        delta = {}
         if directions:
-            normal = table.difference_gram(directions)
-            moved = {k for pair in directions for k in pair}
-            sw = {k: s_dot_w(k) for k in moved}
-            rhs = [sw[r] - sw[i] for i, r in directions]
             try:
                 step = solve_linear_system(normal, rhs)
             except SingularMatrixError:
                 # flat subproblem: normal equations stay consistent; take the
-                # particular solution with free parameters at zero
-                step = solve_linear_system_general(normal, rhs)[0]
-
-        # only free coefficients move
-        delta = {}
-        if step is not None:
-            delta = dict.fromkeys(moved, Fraction(0))
+                # solution with free parameters at zero
+                step = solve_linear_system_general(normal, rhs)
+            delta = dict.fromkeys([k for pair in directions for k in pair], Fraction(0))
             for (i, r), t in zip(directions, step):
                 if t:
                     delta[i] += t
@@ -286,10 +274,9 @@ def solve_reduced_distance(
             continue
 
         # subproblem optimum reached: check bound multipliers exactly
-        grad = [s_dot_w(k) for k in range(n)]
+        grad = [Fraction(*table.signed_dot(k, W, den_w)) for k in range(n)]
         drop = None
-        for cls in classes:
-            free = [i for i in cls if i not in working]
+        for cls, free in zip(classes, free_by_class):
             if free:
                 lam = grad[free[0]]
             else:
@@ -305,6 +292,24 @@ def solve_reduced_distance(
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
+
+
+def _normal_equations(table: PointTable, free_by_class, sums) -> tuple:
+    """(directions, D, right-hand sides) of the stationarity equations D t = rhs.
+
+    In each class of `free_by_class` the first free coefficient is the
+    reference r, and every other free i moves along e_i - e_r: the directions
+    (i, r). D is their `difference_gram`. Each (S, den) in `sums` is a
+    cleared sum w = S / den and gives one right-hand side, s_r . w - s_i . w
+    per direction, from the table's `signed_dot` of the points that move.
+    """
+    directions = [(i, free[0]) for free in free_by_class for i in free[1:]]
+    moved = {k for pair in directions for k in pair}
+    rhs = []
+    for S, den in sums:
+        g = {k: Fraction(*table.signed_dot(k, S, den)) for k in moved}
+        rhs.append([g[r] - g[i] for i, r in directions])
+    return directions, table.difference_gram(directions), rhs
 
 
 def _finish(table: PointTable, x) -> OptimalPair:
@@ -382,20 +387,15 @@ class Piece:
         if not all(classes):
             return None
         refs = [members[0] for members in classes]
-        directions = [(i, members[0]) for members in classes for i in members[1:]]
         capped = [sum(h < n_plus for h in at_hi), sum(h >= n_plus for h in at_hi)]
         # c0 and c1 of w = c0 + mu c1 + sum t_i (s_i - s_r), cleared to integers
         C0, e0 = table.cleared_sum([(r, 1) for r in refs])
         C1, e1 = table.cleared_sum(
             [(h, 1) for h in at_hi] + [(r, -c) for r, c in zip(refs, capped)]
         )
-        moved = {k for pair in directions for k in pair}
-        g0 = {k: Fraction(*table.signed_dot(k, C0, e0)) for k in moved}
-        g1 = {k: Fraction(*table.signed_dot(k, C1, e1)) for k in moved}
-        rhs0 = [g0[r] - g0[i] for i, r in directions]
-        rhs1 = [g1[r] - g1[i] for i, r in directions]
+        directions, normal, rhs = _normal_equations(table, classes, [(C0, e0), (C1, e1)])
         try:
-            t0, t1 = solve_linear_systems(table.difference_gram(directions), [rhs0, rhs1])
+            t0, t1 = solve_linear_systems(normal, rhs)
         except SingularMatrixError:
             return None
         x0 = {i: t for (i, _r), t in zip(directions, t0)}

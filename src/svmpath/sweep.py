@@ -197,10 +197,10 @@ def _report(records: Iterable[SweepRecord], lower_bound: int) -> SweepReport:
 
 
 def instance_lower_bound(instance: SvmInstance) -> int:
-    """Bend lower bound: 2^d / 4 for constructed instances, 2(n_+ - 3) for the demo."""
+    """Bend lower bound: 2^d / 4 for constructed instances, max(0, 2(n_+ - 3)) for the demo."""
     if instance.params is not None:
         return 2 ** instance.params.dim // 4
-    return 2 * (len(instance.plus_points) - 3)
+    return max(0, 2 * (len(instance.plus_points) - 3))
 
 
 def grid_values(mu_lo: Fraction, mu_hi: Fraction, steps: int) -> list:

@@ -11,9 +11,11 @@ single-facet relaxation rather than the instance QP. The reference solver rebuil
 equations and gradients from Fraction point coordinates on every iteration,
 and the reference KKT check, multiplier ranges and uniqueness test take
 Fraction vector dot products, instead of reading the instance's point table
-(its integer points and Gram matrix). The reference sweep takes every record from the
-solver's loop, without the affine pieces the library sweep tries first. All
-are exact.
+(its integer points and Gram matrix). Every linear system here, regular or
+flat, and every nullspace basis is solved by the Fraction reduced row
+echelon form below, not by the library's fraction-free elimination. The
+reference sweep takes every record from the solver's loop, without the
+affine pieces the library sweep tries first. All are exact.
 
 The last five functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
@@ -26,13 +28,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from svmpath.construct import facet_strictness_check, stretch
-from svmpath.geometry import (
-    SingularMatrixError,
-    Vec,
-    orient2d,
-    solve_linear_system,
-    solve_linear_system_general,
-)
+from svmpath.geometry import SingularMatrixError, Vec, orient2d
 from svmpath.goldfarb import cube_vertex, facet_weights, project_shadow, sign_vectors
 from svmpath.qp import (
     AT_HI,
@@ -67,6 +63,59 @@ def fourier_motzkin_feasible(ineqs) -> bool:
                 merged[v] = Fraction(0)
                 current.append((merged, rl + rh))
     return all(r >= 0 for _c, r in current)
+
+
+def solve_rref(A, b):
+    """Rational RREF solve of a possibly rectangular/singular system.
+
+    Returns (particular, nullspace_basis) with free variables set to zero in
+    the particular solution, or None when the system is inconsistent.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(A, b, strict=True)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        pv = M[r][c]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(M[i][n] != 0 for i in range(r, m)):
+        return None
+    particular = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = M[i][n]
+    basis = []
+    for free_col in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free_col] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -M[i][free_col]
+        basis.append(v)
+    return particular, basis
+
+
+def solve_linear_system(A, b) -> Vec:
+    """The unique solution of a square system by the RREF above; SingularMatrixError if none."""
+    sol = solve_rref(A, b)
+    if sol is None or sol[1]:
+        raise SingularMatrixError("no unique solution")
+    return Vec(sol[0])
+
+
+# the library's name for a flat solve, under which the tests count the oracle's calls
+solve_linear_system_general = solve_rref
 
 
 def enumerate_min_objective(plus_points, minus_points, mu) -> Fraction:
@@ -117,7 +166,7 @@ def enumerate_min_objective(plus_points, minus_points, mu) -> Fraction:
             ]
             normal = [[sum((a * b for a, b in zip(ci, cj)), Fraction(0)) for cj in cols] for ci in cols]
             rhs = [-sum((a * b for a, b in zip(ci, w0)), Fraction(0)) for ci in cols]
-            t, basis = solve_linear_system_general(normal, rhs)  # always consistent
+            t, basis = solve_rref(normal, rhs)  # always consistent
         else:
             t, basis = [], []
 
@@ -421,7 +470,7 @@ def unique_optimum_oracle(qp, candidate) -> bool:
     rows = [[s[c] for s in signed] for c in range(len(signed[0]))]
     rows.append([1 if i < n_plus else 0 for i in range(n)])
     rows.append([0 if i < n_plus else 1 for i in range(n)])
-    _, basis = solve_linear_system_general(rows, [0] * len(rows))
+    _, basis = solve_rref(rows, [0] * len(rows))
     if not basis:
         return True
     moves = [[vec[i] for vec in basis] for i in range(n)]  # direction_i = moves[i] . t

@@ -196,6 +196,25 @@ class TestSweepCommand:
         assert doc["lower_bound"] == 2 * (8 - 3)
         assert doc["bend_count"] >= doc["lower_bound"]
 
+    def test_arc_n_plus_header_must_match_rows(self, tmp_path, capsys):
+        inst = tmp_path / "arc.inst"
+        rows = ["+1 0/1 1/1", "+1 1/1 2/1", "+1 2/1 1/1", "-1 0/1 -1/1", "-1 2/1 -1/1"]
+        inst.write_text("\n".join(["kind arc", "d 2", "n_plus 9", *rows]) + "\n")
+        code, _, stderr = run(["sweep", str(inst), "--out", str(tmp_path / "r.json")], capsys)
+        assert code == 2
+        assert stderr.count("\n") == 1 and "n_plus 9" in stderr and "3 points" in stderr
+
+    def test_two_point_arc_lower_bound_is_zero(self, tmp_path, capsys):
+        inst = tmp_path / "arc.inst"
+        rows = ["+1 0/1 1/1", "+1 1/1 2/1", "-1 0/1 -1/1", "-1 2/1 -1/1"]
+        inst.write_text("\n".join(["kind arc", "d 2", "n_plus 2", *rows]) + "\n")
+        code, stdout, _ = run(
+            ["sweep", str(inst), "--steps", "4", "--refine", "0", "--out", str(tmp_path / "r.json")],
+            capsys,
+        )
+        assert code == 0
+        assert "(lower bound 0)" in stdout
+
     def test_deep_refine_ends_without_traceback(self, tmp_path, capsys):
         # 1200 bisection levels, past the interpreter's recursion limit
         inst = tmp_path / "arc.inst"

@@ -109,6 +109,19 @@ class TestBuildQ:
             assert pair.slack < 0
             assert all(c == 0 for c in pair.q[:-2])
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_exact_identities_at_auto_stretch(self, d):
+        # build_q fixes q[d-2] = 2 with slack 1 - v(0) . q, and build_p_stretched
+        # puts p on the stretched facet v(ell) . p = 1, for every admissible sigma
+        params = default_params(d)
+        s = choose_stretch(params)
+        for sigma in admissible_sign_vectors(d):
+            pair = build_pair(params, sigma, s)
+            vertex = cube_vertex(params, sigma).coords
+            assert pair.q[d - 2] == 2
+            assert pair.slack == 1 - stretch(vertex, 0).dot(pair.q)
+            assert stretch(vertex, s.inverse).dot(pair.p) == 1
+
     def test_frozen_d4_value(self, params4):
         pair = build_pair(params4, (1, 1, 1, 1), DEFAULT_STRETCH)
         assert pair.p_shadow == Vec((0, 0, F(2975, 5547), F(59, 43)))

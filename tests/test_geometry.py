@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import membership
 from svmpath.construct import build_p_stretched, stretch
 from svmpath.geometry import (
@@ -36,6 +37,10 @@ class TestSolveLinearSystem:
     def test_rank_deficient_signals_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_linear_system([[1, 1], [1, 1]], (1, 0))
+
+    def test_singular_error_names_first_column_without_pivot(self):
+        with pytest.raises(SingularMatrixError, match="no pivot in column 1"):
+            solve_linear_system([[1, 2, 0], [2, 4, 0], [0, 0, 1]], (1, 2, 3))
 
     def test_empty_system(self):
         assert solve_linear_system([], ()) == Vec(())
@@ -89,22 +94,58 @@ class TestSolveLinearSystems:
 
 
 class TestSolveGeneral:
+    # the library's flat-subproblem solve against the Fraction RREF in tests/oracles.py
+
+    def test_zero_column_row_swap_and_negative_pivot(self):
+        # column 0 has no pivot, column 1 pivots on -2 after a row swap, and
+        # column 2 repeats column 1 times -2: the solution is zero off column 1
+        A = [[0, 0, 0], [0, -2, 4], [0, 1, -2]]
+        assert solve_linear_system_general(A, [0, 2, -1]) == Vec((0, -1, 0))
+        assert solve_linear_system_general(A, [1, 2, -1]) is None
+
+    def test_inconsistent_returns_none(self):
+        assert solve_linear_system_general([[1, 1], [1, 1]], [1, 0]) is None
+
+    def test_rectangular_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            solve_linear_system_general([[1, 1]], [1])
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 5), st.integers(0, 5), st.data())
+    def test_matches_reference_particular_solution(self, n, rank, data):
+        # A = U V has rank at most `rank`; zeroed rows of U force row swaps and
+        # zeroed columns of A have no pivot. Each A is solved for a consistent
+        # right-hand side A x and for a free one, mostly inconsistent.
+        rank = min(rank, n)
+        U = data.draw(st.lists(st.lists(small_rational, min_size=rank, max_size=rank), min_size=n, max_size=n))
+        V = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=rank, max_size=rank))
+        for i in data.draw(st.sets(st.integers(0, n - 1))):
+            U[i] = [F(0)] * rank
+        A = [[sum((u[k] * V[k][j] for k in range(rank)), F(0)) for j in range(n)] for u in U]
+        for j in data.draw(st.sets(st.integers(0, n - 1))):
+            for row in A:
+                row[j] = F(0)
+        x = data.draw(st.lists(small_rational, min_size=n, max_size=n))
+        consistent = [sum((a * v for a, v in zip(row, x)), F(0)) for row in A]
+        for b in (consistent, data.draw(st.lists(small_rational, min_size=n, max_size=n))):
+            reference = oracles.solve_rref(A, b)
+            got = solve_linear_system_general(A, b)
+            assert got == (None if reference is None else Vec(reference[0]))
+
     def test_underdetermined_particular_and_nullspace(self):
-        sol = solve_linear_system_general([[1, 1]], [1])
+        # the rectangular solve with a nullspace basis is the oracle's alone
+        sol = oracles.solve_rref([[1, 1]], [1])
         assert sol is not None
         particular, basis = sol
         assert sum(particular) == 1
         assert len(basis) == 1
-
-    def test_inconsistent_returns_none(self):
-        assert solve_linear_system_general([[1, 1], [1, 1]], [1, 0]) is None
 
     @settings(max_examples=40)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_solutions_satisfy_system(self, m, n, data):
         A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=m, max_size=m))
         b = data.draw(st.lists(small_rational, min_size=m, max_size=m))
-        sol = solve_linear_system_general(A, b)
+        sol = oracles.solve_rref(A, b)
         if sol is None:
             return
         particular, basis = sol

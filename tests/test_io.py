@@ -84,6 +84,16 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError):
             parse_instance("\n".join(lines))
 
+    def test_arc_n_plus_header_checked(self):
+        text = serialize_instance(generate_2d_arc_instance(6))
+        assert "n_plus 6" in text
+        with pytest.raises(InstanceFormatError, match="n_plus 7 but 6 points"):
+            parse_instance(text.replace("n_plus 6", "n_plus 7"))
+        with pytest.raises(InstanceFormatError, match="n_plus six but 6 points"):
+            parse_instance(text.replace("n_plus 6", "n_plus six"))
+        # the header is optional in a hand-written file
+        assert parse_instance(text.replace("n_plus 6\n", "")) == generate_2d_arc_instance(6)
+
     def test_missing_header_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("kind goldfarb\n+1 1/1\n-1 1/1\n-1 2/1\n")
