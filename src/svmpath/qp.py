@@ -38,11 +38,14 @@ only optimum: every optimum has the same w = p - q, so the strict gradients
 hold the bound coefficients at their bounds in all of them, and the
 nonsingular normal equations leave the free ones no other solution. The loop
 returns an optimum, so it would return the same coefficients, and the same
-pair. A piece keeps its coefficients as integers, so at a given mu each free
-alpha and the objective are one Fraction of integer numerators. A pair's p
-and q have one definition, whichever solve gave the pair: its coefficients
-times the points of the table, summed only when first read, which a sweep
-never does. At its upper event a piece pivots one coefficient and gives its
+pair. A piece keeps its coefficients as integers, so at a given mu the
+objective is one Fraction of integer numerators, and so is each free alpha,
+built only when the pair's coefficients are first read. A sweep reads a
+record's support off the piece instead (`Piece.support`): the coefficients
+at mu and the free ones whose numerator does not vanish. A pair's p and q
+have one definition, whichever solve gave the pair: its coefficients times
+the points of the table, summed only when first read, which a sweep never
+does. At its upper event a piece pivots one coefficient and gives its
 `successor`, so the exact path is walked from piece to piece (Hastie,
 Rosset, Tibshirani & Zhu, JMLR 5, 2004). `solve_reduced_distance` first
 tries the pieces it is given; where none answers the loop runs as before.
@@ -116,30 +119,44 @@ class OptimalPair(FrozenRecord):
     """Solved distance pair with its dual coefficients and exact objective.
 
     p = sum alpha_plus_i x_i and q = sum alpha_minus_j y_j over the points of
-    the two classes. A solved pair carries its point table as `source`
-    instead of p and q, and sums them from the coefficients on first read: a
-    sweep never reads them.
+    the two classes. A solved pair builds the fields a sweep does not read
+    on their first read, from its `source`. The loop's pair carries its point
+    table and sums p and q from its coefficients. A piece's pair carries
+    (piece, mu) and first reads its coefficients off the piece at mu
+    (`Piece.coefficients`). Either way the pair compares, hashes, prints,
+    copies and pickles as the pair with every field given.
     """
 
     _fields = ("p", "q", "alpha_plus", "alpha_minus", "objective")
-    __slots__ = ("_p", "_q", "alpha_plus", "alpha_minus", "objective", "_source")
+    __slots__ = ("_p", "_q", "_alpha_plus", "_alpha_minus", "objective", "_source")
 
     def __init__(self, p: Vec, q: Vec, alpha_plus: tuple, alpha_minus: tuple, objective: Fraction,
-                 source: Optional[PointTable] = None):
+                 source=None):
         _set = object.__setattr__
         _set(self, "_p", p)
         _set(self, "_q", q)
-        _set(self, "alpha_plus", alpha_plus)
-        _set(self, "alpha_minus", alpha_minus)
+        _set(self, "_alpha_plus", alpha_plus)
+        _set(self, "_alpha_minus", alpha_minus)
         _set(self, "objective", objective)
         _set(self, "_source", source)
 
+    def _coefficients(self) -> tuple:
+        source = self._source
+        if type(source) is tuple:
+            piece, mu = source
+            alpha_plus, alpha_minus = piece.coefficients(mu)
+            object.__setattr__(self, "_alpha_plus", alpha_plus)
+            object.__setattr__(self, "_alpha_minus", alpha_minus)
+            object.__setattr__(self, "_source", piece.table)
+        return self._alpha_plus, self._alpha_minus
+
     def _points(self) -> tuple:
-        table = self._source
-        if table is not None:
-            P, den_p = table.cleared_sum(enumerate(self.alpha_plus))
+        if self._source is not None:
+            alpha_plus, alpha_minus = self._coefficients()
+            table = self._source
+            P, den_p = table.cleared_sum(enumerate(alpha_plus))
             # the table's minus points are negated
-            Q, den_q = table.cleared_sum(enumerate(self.alpha_minus, len(self.alpha_plus)))
+            Q, den_q = table.cleared_sum(enumerate(alpha_minus, len(alpha_plus)))
             object.__setattr__(self, "_p", Vec([Fraction(c, den_p) for c in P]))
             object.__setattr__(self, "_q", Vec([Fraction(-c, den_q) for c in Q]))
             object.__setattr__(self, "_source", None)
@@ -147,6 +164,8 @@ class OptimalPair(FrozenRecord):
 
     p = property(lambda self: self._points()[0])
     q = property(lambda self: self._points()[1])
+    alpha_plus = property(lambda self: self._coefficients()[0])
+    alpha_minus = property(lambda self: self._coefficients()[1])
 
 
 class KktCertificate(FrozenRecord):
@@ -368,7 +387,7 @@ class Piece:
 
     __slots__ = (
         "table", "at_lo", "at_hi", "free", "base", "slope",
-        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "objective", "_ends",
+        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "objective", "_ends", "_support",
     )
 
     @classmethod
@@ -411,6 +430,11 @@ class Piece:
         piece = cls()
         piece.table, piece.at_lo, piece.at_hi = table, tuple(at_lo), tuple(at_hi)
         piece.free, piece.base, piece.slope = free, tuple(base), tuple(slope)
+        # the support wherever no free coefficient vanishes, split by class
+        piece._support = (
+            frozenset([i for i in (*at_hi, *free) if i < n_plus]),
+            frozenset([i - n_plus for i in (*at_hi, *free) if i >= n_plus]),
+        )
         piece._measure(W0, d0, W1, d1)
         return piece
 
@@ -515,16 +539,29 @@ class Piece:
         no direction that keeps w and the class sums. So it is the only
         optimum, the one the loop returns.
 
-        Each free coefficient is one Fraction of integer numerators, and so is
-        the objective. The pair's p and q are summed from its coefficients on
-        the table only when first read.
+        The objective is one Fraction of integer numerators, computed here.
+        The pair's coefficients (`coefficients`) and then its p and q are
+        built only when first read; a sweep reads the support off the piece
+        (`support`) instead.
         """
-        table = self.table
-        if qp.table is not table:
+        if qp.table is not self.table:
             raise ValueError("piece belongs to another point set")
         mu = qp.mu
         if not self.covers(mu):
             return None
+        m, e = mu.numerator, mu.denominator
+        a, b, c, d0, d1 = self.objective
+        objective = Fraction(
+            (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
+        )
+        return OptimalPair(None, None, None, None, objective, (self, mu))
+
+    def coefficients(self, mu: Fraction) -> tuple:
+        """(alpha_plus, alpha_minus) of the piece's pair at a mu it covers.
+
+        Each free coefficient is one Fraction of integer numerators.
+        """
+        table = self.table
         x = [Fraction(0)] * len(table.nums)
         for h in self.at_hi:
             x[h] = mu
@@ -533,11 +570,28 @@ class Piece:
         for i, (A, B, C) in zip(self.free, self.alphas):
             x[i] = Fraction(A * e + B * m, C * e)
         n_plus = len(table.plus_points)
-        a, b, c, d0, d1 = self.objective
-        objective = Fraction(
-            (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
+        return tuple(x[:n_plus]), tuple(x[n_plus:])
+
+    def support(self, mu: Fraction) -> tuple:
+        """`support_set` of the piece's pair at a mu it covers, without building the pair.
+
+        Every coefficient at mu is positive. The free ones lie in [0, mu] over
+        the positive C e, so a free one is zero exactly where its numerator
+        A e + B m vanishes: at an end of the interval where its AT_LO condition
+        binds, such as right's at mu = 1 on the construction's working set, or
+        on the whole piece when A = B = 0. The support where none vanishes is
+        built once, with the piece.
+        """
+        m, e = mu.numerator, mu.denominator
+        vanished = [i for i, (A, B, _C) in zip(self.free, self.alphas) if not A * e + B * m]
+        if not vanished:
+            return self._support
+        plus, minus = self._support
+        n_plus = len(self.table.plus_points)
+        return (
+            plus.difference([i for i in vanished if i < n_plus]),
+            minus.difference([i - n_plus for i in vanished if i >= n_plus]),
         )
-        return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, table)
 
     def successor(self) -> Optional["Piece"]:
         """The piece that follows this one past hi, or None where a walk must stop.

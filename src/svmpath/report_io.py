@@ -8,7 +8,10 @@ explicitly marked as such, carrying its precision in every row.
 `write_sweep_report` writes exactly the bytes of `json.dumps(doc, indent=2)`
 and a newline. It lays the text out itself: with `indent` set, the standard
 library encodes in pure Python, one generator per container, which took
-most of the time of writing a 737-record report.
+most of the time of writing a 737-record report. A sweep's records hold few
+distinct support sets, so both exports sort each set's labels once
+(`_per_support`), records share the resulting label lists, and the writer
+lays out each shared list once and every record on one fixed template.
 """
 
 from __future__ import annotations
@@ -34,27 +37,38 @@ def _label_json(label):
     return label
 
 
-def sweep_report_json(report: SweepReport, meta: dict | None = None) -> dict:
-    """The report as a JSON document; records with one support set share its label lists.
+def _per_support(report: SweepReport, layout) -> list:
+    """`layout(support_plus, support_minus)` for each record, computed once per distinct support.
 
     Records hold few distinct support sets (32 among the 737 of the `d = 6`
-    sweep at the CLI defaults), so each set's labels are sorted once.
+    sweep at the CLI defaults), so each set's labels are sorted once, and
+    records with one support share what `layout` made of it.
     """
-    records, labels = [], {}
+    done, out = {}, []
     for r in report.records:
         support = r.support_plus, r.support_minus
-        sorted_labels = labels.get(support)
-        if sorted_labels is None:
-            sorted_labels = labels[support] = (
-                sorted((_label_json(l) for l in r.support_plus), key=str),
-                sorted(r.support_minus),
-            )
-        records.append({
+        made = done.get(support)
+        if made is None:
+            made = done[support] = layout(*support)
+        out.append(made)
+    return out
+
+
+def _json_labels(support_plus, support_minus) -> tuple:
+    return sorted((_label_json(l) for l in support_plus), key=str), sorted(support_minus)
+
+
+def sweep_report_json(report: SweepReport, meta: dict | None = None) -> dict:
+    """The report as a JSON document; records with one support set share its label lists."""
+    records = [
+        {
             "mu": rational_json(r.mu),
             "objective": rational_json(r.objective),
-            "support_plus": sorted_labels[0],
-            "support_minus": sorted_labels[1],
-        })
+            "support_plus": plus,
+            "support_minus": minus,
+        }
+        for r, (plus, minus) in zip(report.records, _per_support(report, _json_labels))
+    ]
     doc = {
         "exact": True,
         "bend_count": report.bend_count,
@@ -67,31 +81,17 @@ def sweep_report_json(report: SweepReport, meta: dict | None = None) -> dict:
     return doc
 
 
-def _indented(value, indent: str, out: list) -> None:
+def _indented(value, indent: str, out: list, laid: dict) -> None:
     """Append `value` as `json.dumps(value, indent=2)` writes it at `indent`, a newline and spaces.
 
     Dict keys must be strings (a TypeError otherwise). Strings and ints, the
     bulk of a report, are written inline by json's C string escape and
     `int.__repr__`, other scalars by `json.dumps`. Lists and dicts have a
     loop each: one shared loop over (key, item) pairs is a third slower.
+    Lists are laid out by `_list_text`, once per identity and indent.
     """
     if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        head = "[" + inner
-        for item in value:
-            kind = type(item)
-            if kind is str:
-                out.append(head + encode_basestring_ascii(item))
-            elif kind is int:
-                out.append(head + int.__repr__(item))
-            else:
-                out.append(head)
-                _indented(item, inner, out)
-            head = "," + inner
-        out.append(indent + "]")
+        out.append(_list_text(value, indent, laid))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -107,7 +107,7 @@ def _indented(value, indent: str, out: list) -> None:
                 out.append(head + int.__repr__(item))
             else:
                 out.append(head)
-                _indented(item, inner, out)
+                _indented(item, inner, out, laid)
             head = "," + inner
         out.append(indent + "}")
     elif isinstance(value, str):
@@ -118,10 +118,73 @@ def _indented(value, indent: str, out: list) -> None:
         out.append(json.dumps(value))
 
 
+def _list_text(value, indent: str, laid: dict) -> str:
+    """A list or tuple as `_indented` lays it out at `indent`, built once per (id, indent).
+
+    `laid` maps (id, indent) to the text, so the label lists that records
+    share are laid out once. One `laid` serves one document, whose lists all
+    stay alive while it is written, so no two of them share an id.
+    """
+    if not value:
+        return "[]"
+    key = (id(value), indent)
+    text = laid.get(key)
+    if text is None:
+        part = []
+        inner = indent + "  "
+        head = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                part.append(head + encode_basestring_ascii(item))
+            elif kind is int:
+                part.append(head + int.__repr__(item))
+            else:
+                part.append(head)
+                _indented(item, inner, part, laid)
+            head = "," + inner
+        part.append(indent + "]")
+        text = laid[key] = "".join(part)
+    return text
+
+
+def _records_text(records: list, indent: str, laid: dict) -> str:
+    """`sweep_report_json`'s records list as `_list_text` lays it out, on one fixed record layout.
+
+    Every record is an object of two rationals and two label lists, in the
+    order `sweep_report_json` gives them, so one template holds all of its
+    punctuation and indents.
+    """
+    item = indent + "  "
+    field = item + "  "
+    rational = "{" + field + '  "num": %s,' + field + '  "den": %s' + field + "},"
+    template = (
+        "{" + field + '"mu": ' + rational + field + '"objective": ' + rational
+        + field + '"support_plus": %s,' + field + '"support_minus": %s' + item + "}"
+    )
+    enc = encode_basestring_ascii
+    texts = []
+    for r in records:
+        mu, objective = r["mu"], r["objective"]
+        texts.append(template % (
+            enc(mu["num"]), enc(mu["den"]), enc(objective["num"]), enc(objective["den"]),
+            _list_text(r["support_plus"], field, laid), _list_text(r["support_minus"], field, laid),
+        ))
+    return "[" + item + ("," + item).join(texts) + indent + "]"
+
+
 def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> None:
-    """Write `json.dumps(sweep_report_json(report, meta), indent=2)` and a newline, byte for byte."""
+    """Write `json.dumps(sweep_report_json(report, meta), indent=2)` and a newline, byte for byte.
+
+    The records list, unless `meta` replaces it, is laid out by `_records_text`
+    and handed to `_indented` as the text of its (id, indent).
+    """
+    doc = sweep_report_json(report, meta)
+    records, laid = doc["records"], {}
+    if records and not (meta and "records" in meta):
+        laid[(id(records), "\n  ")] = _records_text(records, "\n  ", laid)
     out = []
-    _indented(sweep_report_json(report, meta), "\n", out)
+    _indented(doc, "\n", out, laid)
     out.append("\n")
     Path(path).write_text("".join(out), encoding="utf-8")
 
@@ -130,18 +193,20 @@ def _approx(x: Fraction, precision: int) -> str:
     return format(x.numerator / x.denominator, f".{precision}g")
 
 
+def _csv_labels(support_plus, support_minus) -> str:
+    plus = " ".join(str(_label_json(l)).replace(",", ";") for l in sorted(support_plus, key=str))
+    return f"{plus},{' '.join(sorted(support_minus))}"
+
+
 def sweep_report_csv(report: SweepReport, precision: int = 12) -> str:
     """Decimal view of a sweep report; values are approximate by construction."""
     lines = [
         "# approximate decimal export; exact values live in the JSON report",
         "mu,objective,support_plus,support_minus,precision",
     ]
-    for r in report.records:
-        plus = " ".join(str(_label_json(l)).replace(",", ";") for l in sorted(r.support_plus, key=str))
-        minus = " ".join(sorted(r.support_minus))
+    for r, labels in zip(report.records, _per_support(report, _csv_labels)):
         lines.append(
-            f"{_approx(r.mu, precision)},{_approx(r.objective, precision)},"
-            f"{plus},{minus},{precision}"
+            f"{_approx(r.mu, precision)},{_approx(r.objective, precision)},{labels},{precision}"
         )
     return "\n".join(lines) + "\n"
 

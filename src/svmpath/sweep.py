@@ -15,6 +15,13 @@ interval does not start at the event; the next record it does not cover runs
 the loop from the same warm start as without pieces and restarts the walk
 there, so at a non-unique optimum the record is still the loop's. Either way
 each record is the one the loop alone gives.
+
+A record read off a piece costs the piece's interval test, its objective and
+its support (`qp.Piece.support`); the pair builds its coefficients only when
+read, which a sweep does only to warm-start the loop. A record the loop
+answers takes the support of its coefficients (`qp.support_set`). Each
+distinct index support is labeled once, and records with one support share
+its label frozensets.
 """
 
 from __future__ import annotations
@@ -86,13 +93,22 @@ class _Path:
     Walks cover disjoint stretches of [lowest record, mu_hi]; a stretch ends
     where its walk stopped, or where the next stretch begins. `tried` keeps
     the piece (or None) of each working set a walk was started from, so the
-    records of a flat face, which all run the loop, build it once.
+    records of a flat face, which all run the loop, build it once. `labels`
+    keeps the labeled support of each index support the records met, so
+    records with one support share its two frozensets.
     """
 
-    __slots__ = ("mu_hi", "starts", "pieces", "tried")
+    __slots__ = ("mu_hi", "starts", "pieces", "tried", "labels")
 
     def __init__(self, mu_hi: Fraction):
-        self.mu_hi, self.starts, self.pieces, self.tried = mu_hi, [], [], {}
+        self.mu_hi, self.starts, self.pieces, self.tried, self.labels = mu_hi, [], [], {}, {}
+
+    def labelled(self, instance: SvmInstance, support: tuple) -> tuple:
+        """`_labelled(instance, support)`, built once per distinct support."""
+        labels = self.labels.get(support)
+        if labels is None:
+            labels = self.labels[support] = _labelled(instance, support)
+        return labels
 
     def _index(self, mu: Fraction) -> int:
         """`bisect_left` of mu in the starts, kept as (numerator, denominator) pairs.
@@ -156,7 +172,12 @@ def _solve_record(
         raise SolverStalledError(f"at mu = {mu}: {exc}") from exc
     if piece is None:
         path.walk(qp, pair)
-    return _record(instance, mu, pair)
+        support = support_set(pair)
+    else:
+        # the piece covers mu, so the pair is its optimum: no coefficient is built
+        support = piece.support(mu)
+    plus, minus = path.labelled(instance, support)
+    return SweepRecord(qp.mu, plus, minus, pair.objective, pair)
 
 
 def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
@@ -170,12 +191,21 @@ def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
     return tuple(path.pieces)
 
 
+def _labelled(instance: SvmInstance, support: tuple) -> tuple:
+    """(plus labels, minus labels) of an index support as `support_set` gives it."""
+    plus, minus = support
+    return (
+        frozenset([instance.plus_labels[i] for i in plus]),
+        frozenset([MINUS_LABELS[i] for i in minus]),
+    )
+
+
 def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepRecord:
-    plus_idx, minus_idx = support_set(pair)
+    plus, minus = _labelled(instance, support_set(pair))
     return SweepRecord(
         mu=mu if type(mu) is Fraction else Fraction(mu),
-        support_plus=frozenset(instance.plus_labels[i] for i in plus_idx),
-        support_minus=frozenset(MINUS_LABELS[i] for i in minus_idx),
+        support_plus=plus,
+        support_minus=minus,
         objective=pair.objective,
         pair=pair,
     )

@@ -19,6 +19,7 @@ from svmpath.instance_io import (
     write_instance,
 )
 from svmpath.geometry import Vec
+from svmpath import report_io
 from svmpath.qp import OptimalPair
 from svmpath.report_io import (
     rational_json,
@@ -144,6 +145,25 @@ def _empty_support_report():
     return SweepReport(records, 1, 2, 0)
 
 
+def _equal_support_report():
+    # equal supports held by distinct frozensets, and a record with no label at all
+    pair = OptimalPair(Vec((0,)), Vec((0,)), (F(1),), (F(1, 2), F(1, 2)), F(0))
+    supports = [
+        (frozenset({(1, -1), (2, 1)}), frozenset({"left", "right"})),
+        (frozenset({(2, 1), (1, -1)}), frozenset({"right", "left"})),
+        (frozenset(), frozenset()),
+        (frozenset({(2, 1), (1, -1)}), frozenset({"left", "right"})),
+    ]
+    records = tuple(
+        SweepRecord(F(4 - k, 4), plus, minus, F(-k, 3), pair) for k, (plus, minus) in enumerate(supports)
+    )
+    return SweepReport(records, 2, 2, 0)
+
+
+# one list object at several depths of a document: laid out once per indent
+SHARED = [[1, -1], "x", {"k": [2]}]
+
+
 class TestReportWriter:
     """write_sweep_report writes json.dumps(sweep_report_json(...), indent=2) byte for byte."""
 
@@ -153,6 +173,7 @@ class TestReportWriter:
             build_instance(default_params(3), DEFAULT_STRETCH), F(9, 10), F(1), 24, 3
         ),
         "empty_support": _empty_support_report,
+        "equal_supports": _equal_support_report,
     }
     METAS = {
         "none": None,
@@ -168,6 +189,14 @@ class TestReportWriter:
             "refine_depth": 3,
         },
         "other_values": {"ratio": 0.5, "flag": True, "none": None, "list": [], "nested": [[{}]]},
+        "lists_and_dicts": {
+            "shared": SHARED,
+            "nested": {"again": SHARED, "deeper": [SHARED, {"x": SHARED}], "empty": {}},
+            "pairs": [{"num": "1", "den": "2"}, ["a", 3, []]],
+        },
+        # the records list replaced: laid out as any other list
+        "records_replaced": {"records": [SHARED, {"support_plus": SHARED}, [[1, -1]]]},
+        "records_emptied": {"records": []},
     }
 
     @pytest.mark.parametrize("meta", list(METAS), ids=list(METAS))
@@ -178,6 +207,39 @@ class TestReportWriter:
         write_sweep_report(report, path, meta)
         expected = json.dumps(sweep_report_json(report, meta), indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_records_with_equal_but_distinct_label_lists(self, tmp_path, monkeypatch):
+        # a document whose records share no label list, each list equal to
+        # others and some of them empty, still lays out byte for byte
+        report = _equal_support_report()
+        shared = sweep_report_json(report)
+        doc = json.loads(json.dumps(shared))
+        assert doc == shared
+        assert doc["records"][0]["support_plus"] is not doc["records"][1]["support_plus"]
+        monkeypatch.setattr(report_io, "sweep_report_json", lambda report, meta=None: doc)
+        write_sweep_report(report, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+    def test_one_list_at_many_indents(self):
+        # the memo is keyed by identity and indent: the same list laid out at
+        # another depth gets that depth's indent
+        doc = {"a": SHARED, "b": [SHARED, [SHARED]], "c": {"d": {"e": SHARED}}, "f": SHARED}
+        laid = {}
+        out = []
+        report_io._indented(doc, "\n", out, laid)
+        assert "".join(out) == json.dumps(doc, indent=2)
+        assert {indent for key, indent in laid if key == id(SHARED)} == {"\n  ", "\n    ", "\n      "}
+
+    def test_csv_sorts_each_export_by_its_own_labels(self):
+        # labels (1, 2) and (1, 23) sort one way as tuples and the other as
+        # lists, by str: the CSV keeps the tuple order, the JSON the list order
+        pair = _empty_support_report().records[0].pair
+        support = frozenset({(1, 2), (1, 23)})
+        records = tuple(SweepRecord(F(k, 2), support, frozenset({"left"}), F(0), pair) for k in (2, 1))
+        report = SweepReport(records, 0, 1, 0)
+        rows = sweep_report_csv(report).splitlines()[2:]
+        assert [row.split(",")[2] for row in rows] == ["[1; 2] [1; 23]"] * 2
+        assert sweep_report_json(report)["records"][0]["support_plus"] == [[1, 23], [1, 2]]
 
     def test_non_string_key_refused(self, tmp_path, report):
         # json.dumps would write the key 1 as "1"; the writer refuses it

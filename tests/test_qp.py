@@ -301,6 +301,18 @@ class TestPiece:
                 seen += 1
         assert seen >= 5
 
+    def test_support_is_that_of_the_coefficients(self, limits):
+        # inside each piece and at each end where a free bound binds; at an
+        # end where a free coefficient reaches 0 the support leaves it out
+        vanished = 0
+        for instance, piece, mu_r, mu, kinds, _beyond in limits:
+            for at in (mu_r, mu) if kinds == {"free"} else (mu_r,):
+                pair = piece.optimum(self.at(instance, at))
+                assert piece.support(at) == support_set(pair)
+                coefficients = pair.alpha_plus + pair.alpha_minus
+                vanished += any(coefficients[i] == 0 for i in piece.free)
+        assert vanished >= 2
+
     @pytest.mark.parametrize("kind", ["lo", "hi"])
     def test_breakpoint_where_a_bound_gradient_meets_its_multiplier_is_refused(
         self, limits, kind

@@ -2,7 +2,9 @@
 
 Every record compares, hashes, prints, copies and refuses assignment as the
 frozen dataclass of its fields did; the reprs pinned below are the ones that
-dataclass printed. Importing the package or its command line loads neither
+dataclass printed. A pair read off a piece, which builds its coefficients and
+then p and q on first read, does all of that as the pair of every field given
+eagerly. Importing the package or its command line loads neither
 `dataclasses` nor `inspect`.
 """
 
@@ -28,7 +30,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import FrozenInstanceError, PointTable, Polygon2, Vec
 from svmpath.goldfarb import CubeVertex, DualVertex, GoldfarbParams, ShadowCertificate
-from svmpath.qp import KktCertificate, OptimalPair, ReducedHullQP
+from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
 
 SRC = Path(svmpath.__file__).resolve().parent.parent
@@ -48,6 +50,16 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
 TABLE = PointTable([Vec([1, 0]), Vec([2, 1])], [Vec([0, F(1, 2)]), Vec([1, 1])])
 PAIR = OptimalPair(Vec([1, 0]), Vec([0, F(1, 2)]), (F(1), F(0)), (F(1),), F(5, 4))
 RECORD = SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset({"left"}), F(5, 4), PAIR)
+# the piece of TABLE with plus point 0 and minus point 1 at mu, on [1/2, 5/7]
+PIECE = Piece.build(TABLE, ((), (0, 3)))
+PIECE_PAIR = OptimalPair(
+    Vec([F(4, 3), F(1, 3)]), Vec([F(2, 3), F(5, 6)]), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), F(25, 36)
+)
+PIECE_PAIR_REPR = (
+    "OptimalPair(p=(Fraction(4, 3), Fraction(1, 3)), q=(Fraction(2, 3), Fraction(5, 6)), "
+    "alpha_plus=(Fraction(2, 3), Fraction(1, 3)), alpha_minus=(Fraction(1, 3), Fraction(2, 3)), "
+    "objective=Fraction(25, 36))"
+)
 CALIBRATION = Calibration(F(1, 2), F(-3), F(-1), Vec([0, 2, -3]), Vec([0, 2, 5]))
 
 # name -> (record, its repr as the frozen dataclass printed it); <table>
@@ -133,7 +145,12 @@ SAMPLES = {
         "lower_bound=2)",
     ),
     "OptimalPair": (PAIR, PAIR_REPR),
+    # built afresh for each test, see FRESH
+    "OptimalPair.piece": (None, PIECE_PAIR_REPR),
 }
+# samples built unread for each test: the pair of PIECE at mu = 2/3 holds
+# the piece and mu until a first read builds its coefficients
+FRESH = {"OptimalPair.piece": lambda: PIECE.optimum(ReducedHullQP(TABLE, F(2, 3)))}
 
 
 def other_value(value):
@@ -143,7 +160,14 @@ def other_value(value):
 
 @pytest.fixture(params=list(SAMPLES))
 def sample(request):
-    return SAMPLES[request.param]
+    record, expected = SAMPLES[request.param]
+    fresh = FRESH.get(request.param)
+    return (record if fresh is None else fresh()), expected
+
+
+def unread(pair: OptimalPair) -> bool:
+    """Whether a pair read off a piece still holds its piece and mu instead of its coefficients."""
+    return type(pair._source) is tuple
 
 
 class TestValueSemantics:
@@ -197,6 +221,56 @@ class TestValueSemantics:
         if not isinstance(record, ReducedHullQP):  # a point table compares by identity
             assert copy.deepcopy(record) == record
             assert pickle.loads(pickle.dumps(record)) == record
+
+
+class TestPairReadOffAPiece:
+    """The first read of a piece's pair, whatever it is, sees the eager pair of the same fields."""
+
+    @staticmethod
+    def fresh() -> OptimalPair:
+        pair = FRESH["OptimalPair.piece"]()
+        assert unread(pair) and pair.objective == F(25, 36)
+        return pair
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda pair: pair == PIECE_PAIR,
+            lambda pair: PIECE_PAIR == pair,
+            lambda pair: hash(pair) == hash(PIECE_PAIR),
+            lambda pair: len({pair, PIECE_PAIR}) == 1,
+            lambda pair: repr(pair) == PIECE_PAIR_REPR,
+            lambda pair: copy.copy(pair) == PIECE_PAIR,
+            lambda pair: copy.deepcopy(pair) == PIECE_PAIR,
+            lambda pair: pickle.loads(pickle.dumps(pair)) == PIECE_PAIR,
+            lambda pair: pair.alpha_plus + pair.alpha_minus == PIECE_PAIR.alpha_plus + PIECE_PAIR.alpha_minus,
+            lambda pair: (pair.p, pair.q) == (PIECE_PAIR.p, PIECE_PAIR.q),
+        ],
+        ids=["eq", "eq_reflected", "hash", "set", "repr", "copy", "deepcopy", "pickle", "alphas", "points"],
+    )
+    def test_first_read(self, read):
+        pair = self.fresh()
+        assert read(pair)
+        assert not unread(pair)
+        assert pair == PIECE_PAIR and repr(pair) == PIECE_PAIR_REPR
+
+    def test_copies_are_eager(self):
+        for clone in (copy.copy(self.fresh()), pickle.loads(pickle.dumps(self.fresh()))):
+            assert clone._source is None and clone == PIECE_PAIR
+
+    def test_unread_pair_refuses_assignment(self):
+        pair = self.fresh()
+        for name in pair._fields:
+            with pytest.raises(FrozenInstanceError):
+                setattr(pair, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(pair, name)
+        assert unread(pair)
+        assert pair == PIECE_PAIR
+
+    def test_coefficients_are_the_pieces(self):
+        assert PIECE.coefficients(F(2, 3)) == (PIECE_PAIR.alpha_plus, PIECE_PAIR.alpha_minus)
+        assert PIECE.support(F(2, 3)) == (frozenset({0, 1}), frozenset({0, 1}))
 
 
 class TestConstruction:

@@ -8,6 +8,7 @@ from conftest import DEFAULT_STRETCH, default_params
 from oracles import replace, sweep_refined_oracle
 from test_qp import count_point_builds, small_instances
 from svmpath.construct import (
+    MINUS_LABELS,
     SvmInstance,
     admissible_constructions,
     build_instance,
@@ -16,9 +17,9 @@ from svmpath.construct import (
 )
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams
-from svmpath.qp import Piece, build_kkt_certificate
+from svmpath.qp import Piece, ReducedHullQP, build_kkt_certificate, support_set
 from svmpath import sweep as sweep_module
-from svmpath.report_io import write_sweep_report
+from svmpath.report_io import sweep_report_csv, write_sweep_report
 from svmpath.sweep import (
     SweepMismatchError,
     grid_values,
@@ -179,6 +180,58 @@ class TestLazyPairs:
         for rec in report.records:
             rec.pair.p, rec.pair.q, rec.pair.q
         assert [id(pair) for pair in builds] == [id(rec.pair) for rec in report.records]
+
+
+    def test_records_off_pieces_build_no_coefficients(self, instance4, tmp_path):
+        # a record read off a piece takes its support from the piece, and the
+        # reports read none of its pair's coefficients: the loop solves the
+        # lowest grid point alone, and every other pair still holds its piece
+        # and mu
+        report = sweep_refined(instance4, F(8, 10), F(1), 64, 3)
+        write_sweep_report(report, tmp_path / "r.json", {"d": 4, "steps": 64})
+        sweep_report_csv(report)
+        unread = [rec for rec in report.records if type(rec.pair._source) is tuple]
+        assert len(unread) == len(report.records) - 1
+        assert report.records[-1] not in unread
+
+
+def labelled(instance, support) -> tuple:
+    plus, minus = support
+    return (
+        frozenset(instance.plus_labels[i] for i in plus),
+        frozenset(MINUS_LABELS[i] for i in minus),
+    )
+
+
+class TestSupportsReadOffPieces:
+    """A record's support, read off its piece, is that of its pair's coefficients."""
+
+    @pytest.mark.parametrize(
+        "make, mu_lo",
+        [(lambda d=d: build_instance(default_params(d), DEFAULT_STRETCH), F(8, 10)) for d in (3, 4, 5, 6)]
+        + [(lambda: generate_2d_arc_instance(8), F(51, 100))],
+        ids=["d3", "d4", "d5", "d6", "arc8"],
+    )
+    def test_every_record(self, make, mu_lo):
+        instance = make()
+        report = sweep_refined(instance, mu_lo, F(1), 128, 4)
+        off_pieces = {rec.mu for rec in report.records if type(rec.pair._source) is tuple}
+        assert len(off_pieces) >= len(report.records) - 2
+        for rec in report.records:
+            assert rec.support == labelled(instance, support_set(rec.pair))
+        # at mu = 1 the minus point not at mu has a free coefficient of 0 (on
+        # the arc a plus point too); the record, read off its piece, leaves it out
+        top = report.records[0]
+        assert top.mu == 1 and top.mu in off_pieces
+        piece = path_pieces(instance, mu_lo, F(1))[-1]
+        pair = piece.optimum(ReducedHullQP.from_instance(instance, F(1)))
+        n_plus = len(instance.plus_points)
+        coefficients = pair.alpha_plus + pair.alpha_minus
+        vanished = [i for i in piece.free if coefficients[i] == 0]
+        assert [i for i in vanished if i >= n_plus]
+        assert piece.support(F(1)) == support_set(pair)
+        assert len(top.support_minus) == 1
+        assert top.support == labelled(instance, piece.support(F(1)))
 
 
 class TestPathIndex:
