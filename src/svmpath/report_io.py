@@ -11,7 +11,7 @@ library encodes in pure Python, one generator per container, which took
 most of the time of writing a 737-record report. A sweep's records hold few
 distinct support sets, so both exports sort each set's labels once
 (`_per_support`), records share the resulting label lists, and the writer
-lays out each shared list once and every record on one fixed template.
+lays out each shared list once per indent.
 """
 
 from __future__ import annotations
@@ -148,43 +148,10 @@ def _list_text(value, indent: str, laid: dict) -> str:
     return text
 
 
-def _records_text(records: list, indent: str, laid: dict) -> str:
-    """`sweep_report_json`'s records list as `_list_text` lays it out, on one fixed record layout.
-
-    Every record is an object of two rationals and two label lists, in the
-    order `sweep_report_json` gives them, so one template holds all of its
-    punctuation and indents.
-    """
-    item = indent + "  "
-    field = item + "  "
-    rational = "{" + field + '  "num": %s,' + field + '  "den": %s' + field + "},"
-    template = (
-        "{" + field + '"mu": ' + rational + field + '"objective": ' + rational
-        + field + '"support_plus": %s,' + field + '"support_minus": %s' + item + "}"
-    )
-    enc = encode_basestring_ascii
-    texts = []
-    for r in records:
-        mu, objective = r["mu"], r["objective"]
-        texts.append(template % (
-            enc(mu["num"]), enc(mu["den"]), enc(objective["num"]), enc(objective["den"]),
-            _list_text(r["support_plus"], field, laid), _list_text(r["support_minus"], field, laid),
-        ))
-    return "[" + item + ("," + item).join(texts) + indent + "]"
-
-
 def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> None:
-    """Write `json.dumps(sweep_report_json(report, meta), indent=2)` and a newline, byte for byte.
-
-    The records list, unless `meta` replaces it, is laid out by `_records_text`
-    and handed to `_indented` as the text of its (id, indent).
-    """
-    doc = sweep_report_json(report, meta)
-    records, laid = doc["records"], {}
-    if records and not (meta and "records" in meta):
-        laid[(id(records), "\n  ")] = _records_text(records, "\n  ", laid)
+    """Write `json.dumps(sweep_report_json(report, meta), indent=2)` and a newline, byte for byte."""
     out = []
-    _indented(doc, "\n", out, laid)
+    _indented(sweep_report_json(report, meta), "\n", out, {})
     out.append("\n")
     Path(path).write_text("".join(out), encoding="utf-8")
 
