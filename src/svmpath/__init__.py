@@ -24,14 +24,13 @@ from .construct import (
     stretch,
     support_decomposition,
 )
-from .geometry import Polygon2, Vec, convex_hull_2d, solve_linear_system
+from .geometry import Vec, solve_linear_system
 from .goldfarb import (
     CubeVertex,
     DualVertex,
     GoldfarbParams,
     ShadowCertificate,
     admissible_sign_vectors,
-    cube_vertex,
     cube_vertices,
     dual_vertices,
     shadow_certificate,

@@ -1,4 +1,4 @@
-"""Exact rational vectors, point tables, linear systems and 2D convex hulls.
+"""Exact rational vectors, point tables, linear systems and the 2D hull chain.
 
 Every quantity in this package is a `fractions.Fraction`: arbitrary-precision
 numerator, positive denominator, always in lowest terms. Nothing here ever
@@ -111,43 +111,13 @@ def orient2d(o: Sequence, a: Sequence, b: Sequence) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-class Polygon2(FrozenRecord):
-    """Strictly convex polygon, vertices in counterclockwise order."""
-
-    __slots__ = _fields = ("vertices",)
-
-    def __init__(self, vertices: tuple):
-        vs = tuple(Vec(v) for v in vertices)
-        object.__setattr__(self, "vertices", vs)
-        if len(vs) < 3:
-            raise ValueError("polygon needs at least three vertices")
-        if len(set(vs)) != len(vs):
-            raise ValueError("polygon vertices must be pairwise distinct")
-        n = len(vs)
-        for i in range(n):
-            if orient2d(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
-                raise ValueError("polygon must be strictly convex and counterclockwise")
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-def convex_hull_2d(points: Iterable[Sequence]) -> Polygon2:
-    """Counterclockwise hull by monotone chain with exact orientation signs.
-
-    Interior points and points in the relative interior of hull edges are
-    dropped, so the result is strictly convex. Raises DegenerateHullError
-    when all points are collinear or fewer than three are distinct.
-    """
-    return Polygon2(tuple(hull_chain(map(Vec, points))))
-
-
 def hull_chain(points: Iterable[Sequence]) -> list:
     """The strictly convex counterclockwise hull of `points` as a list of them.
 
-    The monotone chain behind `convex_hull_2d`, on points of any exact type:
-    the hull is returned as the input points themselves, so integer points
-    stay integers. Sorting and orientation signs do not change under a
+    Monotone chain with exact orientation signs, on points of any exact type.
+    Interior points and points in the relative interior of hull edges are
+    dropped. The hull is returned as the input points themselves, so integer
+    points stay integers. Sorting and orientation signs do not change under a
     positive scale, so integer points scaled by one common positive factor
     give the hull of the unscaled points in the same order. Raises
     DegenerateHullError when all points are collinear or fewer than three

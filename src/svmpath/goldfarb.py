@@ -6,6 +6,8 @@ its right-hand side is a dual vertex. The 2^d vertices are indexed by sign
 vectors sigma in {-1, +1}^d; the recursion below computes them directly, once
 per parameter set. Projecting to the last two coordinates keeps all 2^d
 vertices on the hull boundary, which is what the whole construction exploits.
+The shadow is kept as one ring of integer points, den times the projections,
+and each shadow certificate is read off its two neighbours on that ring.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .geometry import FrozenRecord, Polygon2, Vec, common_denominator, hull_chain
+from .geometry import FrozenRecord, Vec, common_denominator, hull_chain
 
 SignVec = tuple  # entries in {-1, +1}
 
@@ -201,23 +203,14 @@ def facet_weights(params: GoldfarbParams, sigma: SignVec, x: Vec) -> tuple:
     return tuple(band[2] * b for band, b in zip(bands, beta))
 
 
-def cube_vertex(params: GoldfarbParams, sigma: SignVec) -> CubeVertex:
-    """Vertex indexed by sigma, via the bound recursion with x_k = sigma_k * z_k."""
-    if len(sigma) != params.dim or any(s not in (-1, 1) for s in sigma):
-        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
-    x = []
-    for s in sigma:
-        x.append(s * _bound(params, x))
-    return CubeVertex(tuple(sigma), Vec(x))
-
-
 @lru_cache(maxsize=None)
 def cube_vertices(params: GoldfarbParams) -> tuple:
     """All 2^d vertices in `sign_vectors` order, built once per parameter set.
 
-    The vertex of sigma sits at position `sign_index(sigma)`. Its first k
-    coordinates depend only on sigma's first k signs, so the recursion of
-    `cube_vertex` runs on a prefix tree: level k extends every sign prefix
+    The vertex of sigma sits at position `sign_index(sigma)`, and its
+    coordinates follow the bound recursion x_k = sigma_k * z_k. Its first k
+    coordinates depend only on sigma's first k signs, so the recursion runs
+    on a prefix tree: level k extends every sign prefix
     of length k-1 once, by -z_k and then by +z_k, which keeps `sign_vectors`
     order and takes 2^d - 1 bound steps for the whole cube. Raises
     ValueError at the first bound z_k <= 0.
@@ -238,8 +231,8 @@ def shadow_table(params: GoldfarbParams) -> tuple:
     """(den, rows): the 2^d projected vertices as integer pairs over one common denominator.
 
     Row i is den * (v_tau[-2], v_tau[-1]) for the i-th sign vector tau of
-    `sign_vectors`, so the hull and the certificate checks compare integers
-    instead of Fractions.
+    `sign_vectors`, so the hull ring and the certificates are built on
+    integers instead of Fractions.
     """
     return common_denominator(v.coords[-2:] for v in cube_vertices(params))
 
@@ -260,21 +253,16 @@ def dual_vertices(params: GoldfarbParams) -> tuple:
     return tuple(out)
 
 
-def project_shadow(x: Vec) -> Vec:
-    """Projection onto the plane of the last two coordinates."""
-    return Vec(x[-2:])
-
-
 @lru_cache(maxsize=None)
 def _shadow_data(params: GoldfarbParams):
-    """(hull polygon, hull position by sigma, sigma by hull position).
+    """(ring, hull position by sigma): the 2D shadow.
 
-    The hull is ordered on the integer rows of `shadow_table`, den times
-    the projections: sorting and orientation signs do not change under the
-    positive scale den, so the monotone chain visits the projections in the
-    same order as on the Fractions. The Fraction `Polygon2` is built from
-    that ring and validates its strict convexity. Sigmas whose projected
-    vertex is not a hull vertex have no position.
+    The ring is the hull of the integer rows of `shadow_table`, den times
+    the projections, in counterclockwise order: sorting and orientation
+    signs do not change under the positive scale den, so the monotone chain
+    visits the projections in the same order as on the Fractions, and the
+    ring is strictly convex. It is the package's one shadow polygon. Sigmas
+    whose projected vertex is not a hull vertex have no position.
     """
     if params.dim < 2:
         raise ValueError("shadow projection needs dim >= 2")
@@ -282,18 +270,14 @@ def _shadow_data(params: GoldfarbParams):
     owner = {}
     for v, pt in zip(cube_vertices(params), rows):
         if pt in owner:
-            raise ShadowPropertyError(
-                f"two vertices share the shadow point {project_shadow(v.coords)}"
-            )
-        owner[pt] = v
-    ring_vertices = [owner[pt] for pt in hull_chain(owner)]
-    hull = Polygon2(tuple(project_shadow(v.coords) for v in ring_vertices))
-    ring = tuple(v.sigma for v in ring_vertices)
-    return hull, {sigma: i for i, sigma in enumerate(ring)}, ring
+            raise ShadowPropertyError(f"two vertices share the shadow point {v.coords[-2:]}")
+        owner[pt] = v.sigma
+    points = tuple(hull_chain(owner))
+    return points, {owner[pt]: i for i, pt in enumerate(points)}
 
 
-def shadow_polygon(params: GoldfarbParams) -> Polygon2:
-    """Hull of the projected cube vertices; has 2^d vertices for valid params."""
+def shadow_polygon(params: GoldfarbParams) -> tuple:
+    """The hull ring: den times the projections as integer pairs, 2^d of them for valid params."""
     return _shadow_data(params)[0]
 
 
@@ -301,61 +285,30 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertific
     """Strictly supporting inequality a . x <= 1 at the projection of v_sigma.
 
     Construction: at the hull vertex, sum the outward normals of the two
-    incident edges, each rescaled by its rational 1-norm, then scale the
-    embedded direction so a . v_sigma = 1. Summing two edge normals gives a
-    direction whose supporting line touches the hull at that vertex only.
+    incident edges, each rescaled by its 1-norm, then scale the embedded
+    direction so a . v_sigma = 1. Summing two edge normals gives a direction
+    whose supporting line touches the hull at that vertex only.
+
+    The normals come from the integer ring, den times the projections: den
+    cancels in each normal over its 1-norm and in a = den n / (n . pt). The
+    ring is strictly convex, so a is tight at v_sigma and below 1 at both ring
+    neighbours, and so at every other vertex, which lies in the cone they span.
     """
-    hull, pos, _ring = _shadow_data(params)
+    points, pos = _shadow_data(params)
     sigma = tuple(sigma)
     if sigma not in pos:
         raise ShadowPropertyError(f"projected vertex for sigma={sigma} is not a hull vertex")
     i = pos[sigma]
-    vs = hull.vertices
-    prev_pt, pt, next_pt = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
+    prev_pt, pt, next_pt = points[i - 1], points[i], points[(i + 1) % len(points)]
     normals = []
     for a, b in ((prev_pt, pt), (pt, next_pt)):
         dx, dy = b[0] - a[0], b[1] - a[1]
         outward = Vec((dy, -dx))  # CCW boundary keeps the interior on the left
-        normals.append(outward * (1 / (abs(dy) + abs(dx))))
+        normals.append(outward * Fraction(1, abs(dy) + abs(dx)))
     n = normals[0] + normals[1]
     scale = n.dot(pt)
     if scale <= 0:
         raise ShadowPropertyError("support scale must be positive (origin interior)")
-    d = params.dim
-    vector = Vec([Fraction(0)] * (d - 2) + [n[0] / scale, n[1] / scale])
-    cert = ShadowCertificate(sigma, vector)
-    _check_certificate(cert, params)
-    return cert
-
-
-def _check_certificate(cert: ShadowCertificate, params: GoldfarbParams) -> None:
-    """Raise unless a . v_sigma == 1 and a . v_tau < 1 for every other tau.
-
-    It is enough to test v_sigma and the two vertices whose projections are
-    the hull neighbours prev and next of sigma's projection pt. The hull is
-    strictly convex (Polygon2) and holds all 2^d projections, which are
-    distinct (`_shadow_data`), and every hull point is
-    x = pt + s (prev - pt) + t (next - pt) with s, t >= 0. So once
-    a . pt == 1 and a . prev, a . next < 1, a . x < 1 at every other x.
-
-    Only the last two coordinates of a are nonzero, so the products run over
-    the integer projections of `shadow_table`: with a = (a1, a2) / den_a and
-    a row (V1, V2) the test a . v == 1 reads a1 * V1 + a2 * V2 == den * den_a.
-    """
-    _hull, pos, ring = _shadow_data(params)
-    den, rows = shadow_table(params)
-    den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
-    one = den * den_a
-
-    def value(tau):
-        v1, v2 = rows[sign_index(tau)]
-        return a1 * v1 + a2 * v2
-
-    i = pos[cert.sigma]
-    if value(cert.sigma) != one:
-        raise ShadowPropertyError("certificate is not tight at its own vertex")
-    for tau in (ring[i - 1], ring[(i + 1) % len(ring)]):
-        if value(tau) >= one:
-            raise ShadowPropertyError(
-                f"certificate for {cert.sigma} fails strictness at {tau}"
-            )
+    den = shadow_table(params)[0]
+    vector = Vec([Fraction(0)] * (params.dim - 2) + [n[0] * den / scale, n[1] * den / scale])
+    return ShadowCertificate(sigma, vector)

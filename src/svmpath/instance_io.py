@@ -90,6 +90,8 @@ def parse_instance(text: str) -> SvmInstance:
         dim = int(header["d"])
     except (KeyError, ValueError) as exc:
         raise InstanceFormatError("missing or bad 'd' header") from exc
+    if dim < 1:
+        raise InstanceFormatError(f"header d {header['d']}: need d >= 1")
     for row in plus_rows + minus_rows:
         if len(row) != dim:
             raise InstanceFormatError(f"point row has {len(row)} coordinates, expected {dim}")

@@ -161,7 +161,8 @@ def _approx(x: Fraction, precision: int) -> str:
 
 
 def _csv_labels(support_plus, support_minus) -> str:
-    plus = " ".join(str(_label_json(l)).replace(",", ";") for l in sorted(support_plus, key=str))
+    # str of the JSON form is the JSON export's sort key, so both list a support alike
+    plus = " ".join(sorted(str(_label_json(l)) for l in support_plus)).replace(",", ";")
     return f"{plus},{' '.join(sorted(support_minus))}"
 
 
@@ -181,12 +182,14 @@ def sweep_report_csv(report: SweepReport, precision: int = 12) -> str:
 def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str:
     """SVG 1.1 drawing of the shadow polygon, vertex count in the title.
 
+    Drawn from the integer hull ring, den times the projections: the drawing
+    is fitted to the view box, so it is the same under any positive scale.
     Coordinates are rendered as decimals with `digits` significant digits;
     this is display only, the polygon itself is computed exactly.
     """
-    polygon = shadow_polygon(params)
-    xs = [v[0] for v in polygon.vertices]
-    ys = [v[1] for v in polygon.vertices]
+    ring = shadow_polygon(params)
+    xs = [v[0] for v in ring]
+    ys = [v[1] for v in ring]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y)
     margin = Fraction(1, 20)
@@ -196,11 +199,11 @@ def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str
         return format(x.numerator / x.denominator, f".{digits}g")
 
     pts = []
-    for v in polygon.vertices:
+    for v in ring:
         sx = (v[0] - lo_x + span * margin) * scale
         sy = (hi_y - v[1] + span * margin) * scale  # flip: SVG y grows downward
         pts.append(f"{fmt(sx)},{fmt(sy)}")
-    title = f"shadow polygon, d={params.dim}: {len(polygon)} vertices"
+    title = f"shadow polygon, d={params.dim}: {len(ring)} vertices"
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'

@@ -15,7 +15,11 @@ Fraction vector dot products, instead of reading the instance's point table
 flat, and every nullspace basis is solved by the Fraction reduced row
 echelon form below, not by the library's fraction-free elimination. The
 reference sweep takes every record from the solver's loop, without the
-affine pieces the library sweep tries first. All are exact.
+affine pieces the library sweep tries first. The shadow references build
+each cube vertex on its own (`cube_vertex`) and the shadow as a Fraction
+`Polygon2`, whose constructor checks strict convexity, where the library
+keeps one integer hull ring; the certificate reference takes its edge
+normals on that Fraction polygon. All are exact.
 
 The last five functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
@@ -28,8 +32,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from svmpath.construct import facet_strictness_check, stretch
-from svmpath.geometry import SingularMatrixError, Vec, orient2d
-from svmpath.goldfarb import cube_vertex, facet_weights, project_shadow, sign_vectors
+from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, hull_chain, orient2d
+from svmpath.goldfarb import CubeVertex, ShadowCertificate, _bound, facet_weights, sign_vectors
 from svmpath.qp import (
     AT_HI,
     AT_LO,
@@ -411,6 +415,87 @@ def is_extreme_point(p, others) -> bool:
     )
 
 
+def cube_vertex(params, sigma) -> CubeVertex:
+    """Vertex indexed by sigma, via the bound recursion with x_k = sigma_k * z_k.
+
+    One sigma at a time, where `goldfarb.cube_vertices` builds the whole cube
+    on a prefix tree of signs.
+    """
+    if len(sigma) != params.dim or any(s not in (-1, 1) for s in sigma):
+        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
+    x = []
+    for s in sigma:
+        x.append(s * _bound(params, x))
+    return CubeVertex(tuple(sigma), Vec(x))
+
+
+def project_shadow(x) -> Vec:
+    """Projection onto the plane of the last two coordinates."""
+    return Vec(x[-2:])
+
+
+class Polygon2(FrozenRecord):
+    """Strictly convex polygon of Fraction vertices in counterclockwise order.
+
+    The reference for the library's integer hull ring: the constructor checks
+    strict convexity on the Fractions themselves.
+    """
+
+    __slots__ = _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple):
+        vs = tuple(Vec(v) for v in vertices)
+        object.__setattr__(self, "vertices", vs)
+        if len(vs) < 3:
+            raise ValueError("polygon needs at least three vertices")
+        if len(set(vs)) != len(vs):
+            raise ValueError("polygon vertices must be pairwise distinct")
+        n = len(vs)
+        for i in range(n):
+            if orient2d(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+                raise ValueError("polygon must be strictly convex and counterclockwise")
+
+    def __len__(self):
+        return len(self.vertices)
+
+
+def convex_hull_2d(points) -> Polygon2:
+    """Counterclockwise Fraction hull by the library's monotone chain, checked by Polygon2.
+
+    Interior points and points in the relative interior of hull edges are
+    dropped. Raises DegenerateHullError when all points are collinear or
+    fewer than three are distinct.
+    """
+    return Polygon2(tuple(hull_chain(map(Vec, points))))
+
+
+@lru_cache(maxsize=None)
+def fraction_shadow(params) -> tuple:
+    """(Polygon2 hull of the projected vertices, hull position by sigma), on Fractions."""
+    owner = {project_shadow(vertex): tau for tau, vertex in fraction_vertices(params)}
+    hull = convex_hull_2d(owner)
+    return hull, {owner[pt]: i for i, pt in enumerate(hull.vertices)}
+
+
+def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
+    """Reference for goldfarb.shadow_certificate, built on the Fraction hull.
+
+    At sigma's vertex pt of the Polygon2 hull, the outward normals of the two
+    incident edges, each divided by its 1-norm, are summed to n; the
+    certificate is n / (n . pt) in the last two coordinates.
+    """
+    hull, pos = fraction_shadow(params)
+    vs = hull.vertices
+    i = pos[tuple(sigma)]
+    prev_pt, pt, next_pt = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
+    n = Vec.zero(2)
+    for a, b in ((prev_pt, pt), (pt, next_pt)):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        n = n + Vec((dy, -dx)) * (1 / (abs(dy) + abs(dx)))
+    scale = n.dot(pt)
+    return ShadowCertificate(tuple(sigma), Vec([0] * (params.dim - 2) + [n[0] / scale, n[1] / scale]))
+
+
 @lru_cache(maxsize=None)
 def fraction_vertices(params) -> tuple:
     """(tau, v_tau) for every tau, each vertex rebuilt by the per-sigma recursion."""
@@ -432,8 +517,8 @@ def facet_strictness_oracle(p, params, ell, sigma) -> bool:
 
 
 def shadow_certificate_oracle(cert, params) -> bool:
-    """Reference for goldfarb._check_certificate: tight at the certificate's own
-    projected vertex, strictly below 1 at every other projected vertex."""
+    """Whether a shadow certificate is tight at its own projected vertex and
+    strictly below 1 at every other projected vertex, one Fraction dot each."""
     n2 = Vec(cert.vector[-2:])
     for tau, vertex in fraction_vertices(params):
         value = n2.dot(project_shadow(vertex))

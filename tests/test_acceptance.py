@@ -10,7 +10,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import enumerate_min_objective, reduced_hull_segment, relaxed_facet_multiplier
+from oracles import (
+    Polygon2,
+    enumerate_min_objective,
+    reduced_hull_segment,
+    relaxed_facet_multiplier,
+)
 from test_qp import small_instances
 from svmpath.construct import (
     admissible_constructions,
@@ -19,11 +24,13 @@ from svmpath.construct import (
     generate_2d_arc_instance,
     mu_of_q,
 )
+from svmpath.geometry import Vec
 from svmpath.goldfarb import (
     GoldfarbParams,
     cube_vertices,
     dual_vertices,
     shadow_polygon,
+    shadow_table,
 )
 from svmpath.qp import ReducedHullQP, build_kkt_certificate, solve_reduced_distance, support_set
 from svmpath.sweep import path_pieces, sweep_constructed, sweep_refined
@@ -82,9 +89,14 @@ def test_criterion_2_grid_sweep_bend_counts(built):
 
 def test_criterion_3_shadow_vertex_counts():
     for d in range(2, 13):
-        assert len(shadow_polygon(_params(d))) == 2 ** d
+        ring = shadow_polygon(_params(d))
+        den, _rows = shadow_table(_params(d))
+        assert len(ring) == 2 ** d
+        # the Fraction polygon of the ring's projections checks strict convexity
+        assert len(Polygon2(Vec(pt) * F(1, den) for pt in ring)) == 2 ** d
     assert len(shadow_polygon(_params(8))) == 256
-    print("\nACCEPTANCE 3 PASS: shadow polygon has exactly 2^d vertices for d=2..12")
+    print("\nACCEPTANCE 3 PASS: shadow polygon has exactly 2^d vertices for d=2..12, "
+          "strictly convex")
 
 
 def test_criterion_4_kkt_certificates(built):

@@ -204,6 +204,17 @@ class TestSweepCommand:
         assert code == 2
         assert stderr.count("\n") == 1 and "n_plus 9" in stderr and "3 points" in stderr
 
+    @pytest.mark.parametrize("kind,d", [("arc", "0"), ("arc", "-1"), ("goldfarb", "0")])
+    def test_header_d_below_one_is_input_error(self, tmp_path, capsys, kind, d):
+        # rows of zero coordinates match d 0, so only the header check refuses it
+        inst = tmp_path / "zero.inst"
+        inst.write_text("\n".join([f"kind {kind}", f"d {d}", "+1", "+1", "-1", "-1"]) + "\n")
+        report = tmp_path / "r.json"
+        code, _, stderr = run(["sweep", str(inst), "--out", str(report)], capsys)
+        assert code == 2
+        assert stderr.count("\n") == 1 and f"header d {d}" in stderr
+        assert not report.exists()
+
     def test_two_point_arc_lower_bound_is_zero(self, tmp_path, capsys):
         inst = tmp_path / "arc.inst"
         rows = ["+1 0/1 1/1", "+1 1/1 2/1", "-1 0/1 -1/1", "-1 2/1 -1/1"]
@@ -442,6 +453,24 @@ class TestShadowSvgCommand:
     def test_dim_cap(self, tmp_path, capsys):
         code, _, stderr = run(["shadow-svg", "--d", "13", "--out", str(tmp_path / "x.svg")], capsys)
         assert code == 2
+
+
+class TestPinnedShadowSvg:
+    """The drawing is computed exactly, so a shadow change must reproduce it byte for byte."""
+
+    @pytest.mark.parametrize(
+        "d,size,digest",
+        [
+            (3, 446, "c652695f61e57c33e7e0f38dc70e3e20516953fb329b2b72f42459fdf9d53b91"),
+            (8, 7334, "736d9e668a6ad8afaef9689da6503961bfd8a2c4740ea07baf18e294a9214208"),
+        ],
+    )
+    def test_bytes(self, tmp_path, capsys, d, size, digest):
+        out = tmp_path / f"shadow{d}.svg"
+        assert run(["shadow-svg", "--d", str(d), "--out", str(out)], capsys)[0] == 0
+        data = out.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestOutputErrors:

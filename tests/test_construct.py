@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_STRETCH, default_params, spread
-from oracles import facet_strictness_oracle, reduced_hull_segment, strictness_check
+from oracles import cube_vertex, facet_strictness_oracle, reduced_hull_segment, strictness_check
 from svmpath import construct
 from svmpath.construct import (
     CalibrationError,
@@ -25,11 +25,10 @@ from svmpath.construct import (
     stretch,
     support_decomposition,
 )
-from svmpath.geometry import Vec, convex_hull_2d, solve_linear_system
+from svmpath.geometry import Vec, hull_chain, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
     admissible_sign_vectors,
-    cube_vertex,
     cube_vertices,
     dual_vertices,
     facet_weights,
@@ -478,8 +477,7 @@ class TestArcDemo:
 
     def test_points_in_convex_position(self):
         inst = generate_2d_arc_instance(20)
-        hull = convex_hull_2d(inst.plus_points)
-        assert len(hull) == 20
+        assert len(hull_chain(inst.plus_points)) == 20
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):

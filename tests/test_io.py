@@ -230,16 +230,17 @@ class TestReportWriter:
         assert "".join(out) == json.dumps(doc, indent=2)
         assert {indent for key, indent in laid if key == id(SHARED)} == {"\n  ", "\n    ", "\n      "}
 
-    def test_csv_sorts_each_export_by_its_own_labels(self):
+    def test_csv_and_json_share_one_label_order(self):
         # labels (1, 2) and (1, 23) sort one way as tuples and the other as
-        # lists, by str: the CSV keeps the tuple order, the JSON the list order
+        # lists, by str: both exports sort by str of the list form
         pair = _empty_support_report().records[0].pair
         support = frozenset({(1, 2), (1, 23)})
         records = tuple(SweepRecord(F(k, 2), support, frozenset({"left"}), F(0), pair) for k in (2, 1))
         report = SweepReport(records, 0, 1, 0)
         rows = sweep_report_csv(report).splitlines()[2:]
-        assert [row.split(",")[2] for row in rows] == ["[1; 2] [1; 23]"] * 2
-        assert sweep_report_json(report)["records"][0]["support_plus"] == [[1, 23], [1, 2]]
+        assert [row.split(",")[2] for row in rows] == ["[1; 23] [1; 2]"] * 2
+        doc = sweep_report_json(report)
+        assert [r["support_plus"] for r in doc["records"]] == [[[1, 23], [1, 2]]] * 2
 
     def test_non_string_key_refused(self, tmp_path, report):
         # json.dumps would write the key 1 as "1"; the writer refuses it

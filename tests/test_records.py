@@ -2,10 +2,11 @@
 
 Every record compares, hashes, prints, copies and refuses assignment as the
 frozen dataclass of its fields did; the reprs pinned below are the ones that
-dataclass printed. A pair read off a piece, which builds its coefficients and
-then p and q on first read, does all of that as the pair of every field given
-eagerly. Importing the package or its command line loads neither
-`dataclasses` nor `inspect`.
+dataclass printed. The oracles' `Polygon2` is built on the same
+`FrozenRecord` and has its sample here too. A pair read off a piece, which
+builds its coefficients and then p and q on first read, does all of that as
+the pair of every field given eagerly. Importing the package or its command
+line loads neither `dataclasses` nor `inspect`.
 """
 
 import copy
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import svmpath
-from oracles import replace
+from oracles import Polygon2, replace
 from svmpath import construct
 from svmpath.construct import (
     Calibration,
@@ -28,7 +29,7 @@ from svmpath.construct import (
     SupportDecomposition,
     SvmInstance,
 )
-from svmpath.geometry import FrozenInstanceError, PointTable, Polygon2, Vec
+from svmpath.geometry import FrozenInstanceError, PointTable, Vec
 from svmpath.goldfarb import CubeVertex, DualVertex, GoldfarbParams, ShadowCertificate
 from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
