@@ -5,7 +5,11 @@ For each d from 3 to --max-d the script runs, each in a fresh interpreter,
 `svmpath gen --d d --stretch auto`, `svmpath verify` of that instance and
 `svmpath sweep` of it at the CLI defaults. It records each command's wall
 time (interpreter start included), the sweep's bend count and distinct
-support sets, and the exit codes. A command that fails ends the ladder.
+support sets, and the exit codes. It then walks the exact path of that
+instance over [8/10, 1] in a fresh interpreter (`sweep.path_pieces`) and
+records its piece count, `2^d - 2` on these instances, and `walk_s`, the
+walk's own time without start-up or file reading. A command that fails
+ends the ladder.
 It also records `import_s`, the median wall time of IMPORT_RUNS fresh
 interpreters that only run `import svmpath.cli`: the start-up every command
 pays before it does any work.
@@ -31,27 +35,38 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 IMPORT_RUNS = 5
+# run as `python -c WALK INSTANCE`: one JSON line with the walk's piece count and seconds
+WALK = """
+import json, sys, time
+from fractions import Fraction
+from svmpath.instance_io import read_instance
+from svmpath.sweep import path_pieces
+instance = read_instance(sys.argv[1])
+start = time.perf_counter()
+pieces = path_pieces(instance, Fraction(8, 10), 1)
+print(json.dumps({"pieces": len(pieces), "walk_s": round(time.perf_counter() - start, 3)}))
+"""
 
 
 def timed(args, src: Path, cwd: Path) -> tuple:
-    """(exit code, wall seconds) of `python *args` in a fresh interpreter with `src` on its path."""
+    """(exit code, wall seconds, stdout) of `python *args` in a fresh interpreter with `src` on its path."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, *args],
-        cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     wall = time.perf_counter() - start
     if proc.returncode:
         print(f"{' '.join(args)}: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
-    return proc.returncode, wall
+    return proc.returncode, wall, proc.stdout
 
 
 def import_seconds(src: Path, cwd: Path) -> float:
     """Median wall seconds of IMPORT_RUNS fresh interpreters importing `svmpath.cli`."""
     walls = []
     for _ in range(IMPORT_RUNS):
-        code, wall = timed(["-c", "import svmpath.cli"], src, cwd)
+        code, wall, _ = timed(["-c", "import svmpath.cli"], src, cwd)
         if code:
             raise SystemExit(f"import svmpath.cli failed with exit {code}")
         walls.append(wall)
@@ -59,7 +74,7 @@ def import_seconds(src: Path, cwd: Path) -> float:
 
 
 def rung(d: int, src: Path, wd: Path) -> dict:
-    """gen, verify and sweep at dimension d; stops at the first failing command."""
+    """gen, verify, sweep and the exact walk at dimension d; stops at the first failing command."""
     row = {"d": d}
     inst, report = wd / f"d{d}.inst", wd / f"d{d}.json"
     steps = (
@@ -68,7 +83,7 @@ def rung(d: int, src: Path, wd: Path) -> dict:
         ("sweep", ["sweep", str(inst), "--out", str(report)]),
     )
     for name, argv in steps:
-        code, wall = timed(["-m", "svmpath.cli", *argv], src, wd)
+        code, wall, _ = timed(["-m", "svmpath.cli", *argv], src, wd)
         row[f"{name}_exit"] = code
         row[f"{name}_s"] = round(wall, 3)
         if code:
@@ -77,6 +92,10 @@ def rung(d: int, src: Path, wd: Path) -> dict:
     row["bends"] = doc["bend_count"]
     row["distinct_support_sets"] = doc["distinct_support_sets"]
     row["lower_bound"] = doc["lower_bound"]
+    code, _, out = timed(["-c", WALK, str(inst)], src, wd)
+    row["walk_exit"] = code
+    if not code:
+        row.update(json.loads(out))
     return row
 
 

@@ -97,14 +97,6 @@ class Vec(tuple):
     def norm_sq(self) -> Fraction:
         return self.dot(self)
 
-    @staticmethod
-    def zero(dim: int) -> "Vec":
-        return Vec([Fraction(0)] * dim)
-
-    @staticmethod
-    def unit(dim: int, axis: int) -> "Vec":
-        return Vec(Fraction(1) if i == axis else Fraction(0) for i in range(dim))
-
 
 def orient2d(o: Sequence, a: Sequence, b: Sequence) -> Fraction:
     """Signed area cross product; > 0 iff o->a->b turns counterclockwise."""

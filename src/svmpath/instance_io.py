@@ -35,6 +35,14 @@ def format_rational(x) -> str:
 
 
 def parse_rational(token: str) -> Fraction:
+    """The exact rational of a token such as `3/4`, `-2` or `0.8`.
+
+    Exponent notation is refused. `Fraction` reads `1e-3000000` too, as a
+    3000001-digit denominator, and a sweep of an instance with that
+    coordinate runs for minutes.
+    """
+    if "e" in token or "E" in token:
+        raise InstanceFormatError(f"bad rational token {token!r}: no exponent notation")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

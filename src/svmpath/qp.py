@@ -40,15 +40,20 @@ nonsingular normal equations leave the free ones no other solution. The loop
 returns an optimum, so it would return the same coefficients, and the same
 pair. A piece keeps its coefficients as integers, so at a given mu the
 objective is one Fraction of integer numerators, and so is each free alpha,
-built only when the pair's coefficients are first read. A sweep reads a
-record's support off the piece instead (`Piece.support`): the coefficients
-at mu and the free ones whose numerator does not vanish. A pair's p and q
-have one definition, whichever solve gave the pair: its coefficients times
-the points of the table, summed only when first read, which a sweep never
-does. At its upper event a piece pivots one coefficient and gives its
-`successor`, so the exact path is walked from piece to piece (Hastie,
-Rosset, Tibshirani & Zhu, JMLR 5, 2004). `solve_reduced_distance` first
-tries the pieces it is given; where none answers the loop runs as before.
+built only when the pair's coefficients are first read. A pair read off a
+piece keeps its piece, and `support_set` reads its support off the piece
+(`Piece.support`): the coefficients at mu and the free ones whose numerator
+does not vanish. A pair's p and q have one definition, whichever solve gave
+the pair: its coefficients times the points of the table, summed only when
+first read, which a sweep never does.
+
+At its upper event a piece pivots one coefficient and builds its
+`successor` once, so the pieces of a point set form one chain, the exact
+path, walked from piece to piece as SVMpath walks its breakpoints (Hastie,
+Rosset, Tibshirani & Zhu, JMLR 5, 2004). The only hint the solver takes is
+its warm start: `solve_reduced_distance` walks the chain from the piece a
+start was read off, and where the chain stops the loop runs from the start's
+coefficients.
 
 The piece is also the one optimality certificate. A constructed breakpoint
 is certified without running the loop: `build_kkt_certificate` builds the
@@ -74,6 +79,8 @@ from .geometry import (
 )
 
 AT_LO, AT_HI = 0, 1
+# a piece's successor before its first `successor()` call
+_UNWALKED = object()
 
 
 class SolverStalledError(Exception):
@@ -120,46 +127,48 @@ class OptimalPair(FrozenRecord):
 
     p = sum alpha_plus_i x_i and q = sum alpha_minus_j y_j over the points of
     the two classes. A solved pair builds the fields a sweep does not read
-    on their first read, from its `source`. The loop's pair carries its point
-    table and sums p and q from its coefficients. A piece's pair carries
-    (piece, mu) and first reads its coefficients off the piece at mu
-    (`Piece.coefficients`). Either way the pair compares, hashes, prints,
-    copies and pickles as the pair with every field given.
+    on their first read. The loop's pair carries its point table and sums
+    p and q from its coefficients. A pair read off a piece keeps that
+    `piece` and `mu`: it first reads its coefficients off the piece at mu
+    (`Piece.coefficients`), then sums p and q as the loop's pair does, and
+    keeps both after every read, so a warm start walks on from its piece
+    and `support_set` reads the support off it. None of these is a field:
+    the pair compares, hashes, prints, copies and pickles as the pair with
+    every field given, and a copy is that eager pair, with no piece.
     """
 
     _fields = ("p", "q", "alpha_plus", "alpha_minus", "objective")
-    __slots__ = ("_p", "_q", "_alpha_plus", "_alpha_minus", "objective", "_source")
+    __slots__ = ("_p", "_q", "_alpha_plus", "_alpha_minus", "objective", "_table", "piece", "mu")
 
     def __init__(self, p: Vec, q: Vec, alpha_plus: tuple, alpha_minus: tuple, objective: Fraction,
-                 source=None):
+                 table: Optional[PointTable] = None, piece: Optional["Piece"] = None, mu=None):
         _set = object.__setattr__
         _set(self, "_p", p)
         _set(self, "_q", q)
         _set(self, "_alpha_plus", alpha_plus)
         _set(self, "_alpha_minus", alpha_minus)
         _set(self, "objective", objective)
-        _set(self, "_source", source)
+        _set(self, "_table", table)
+        _set(self, "piece", piece)
+        _set(self, "mu", mu)
 
     def _coefficients(self) -> tuple:
-        source = self._source
-        if type(source) is tuple:
-            piece, mu = source
-            alpha_plus, alpha_minus = piece.coefficients(mu)
+        if self._alpha_plus is None and self.piece is not None:
+            alpha_plus, alpha_minus = self.piece.coefficients(self.mu)
             object.__setattr__(self, "_alpha_plus", alpha_plus)
             object.__setattr__(self, "_alpha_minus", alpha_minus)
-            object.__setattr__(self, "_source", piece.table)
         return self._alpha_plus, self._alpha_minus
 
     def _points(self) -> tuple:
-        if self._source is not None:
+        table = self._table
+        if table is not None:
             alpha_plus, alpha_minus = self._coefficients()
-            table = self._source
             P, den_p = table.cleared_sum(enumerate(alpha_plus))
             # the table's minus points are negated
             Q, den_q = table.cleared_sum(enumerate(alpha_minus, len(alpha_plus)))
             object.__setattr__(self, "_p", Vec([Fraction(c, den_p) for c in P]))
             object.__setattr__(self, "_q", Vec([Fraction(-c, den_q) for c in Q]))
-            object.__setattr__(self, "_source", None)
+            object.__setattr__(self, "_table", None)
         return self._p, self._q
 
     p = property(lambda self: self._points()[0])
@@ -208,13 +217,19 @@ def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPa
     return x
 
 
-def solve_reduced_distance(
-    qp: ReducedHullQP, start: Optional[OptimalPair] = None, pieces=()
-) -> OptimalPair:
+def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = None) -> OptimalPair:
     """Exact global optimum of the reduced-hull distance problem.
 
-    `start` may carry coefficients from a neighbouring solve (warm start);
-    they are used only when exactly feasible for this mu. Each iteration
+    A `start` read off a piece of this point set walks first: from its piece,
+    while this mu lies at or above a piece's upper end and outside it, to
+    that piece's `successor`. The first piece that covers mu answers, only
+    with the unique optimum (see `Piece.optimum`), which is the pair the loop
+    would return from any start. A start read off another point set's piece
+    does not walk.
+
+    Otherwise the loop runs. `start` may carry coefficients from a
+    neighbouring solve (warm start); they are used only when exactly
+    feasible for this mu. Each iteration
     moves the free coefficients of a class against its first free one, along
     the directions e_i - e_r. The normal equations of that step are the
     table's `difference_gram` of the directions, with right-hand side
@@ -228,20 +243,17 @@ def solve_reduced_distance(
     objective's 2 s_k . w; a positive factor changes no comparison, so the
     class multiplier, every sign and the lowest-index tie-break are those of
     the true gradients.
-
-    First, each of `pieces` is asked for its optimum at this mu, and the first
-    answer is returned. A piece answers only with the unique optimum (see
-    `Piece.optimum`), which is the pair the loop would return from any start;
-    when none answers, the loop runs from `start` exactly as without pieces.
     """
-    for piece in pieces:
-        pair = piece.optimum(qp)
-        if pair is not None:
-            return pair
-    table = qp.table
+    table, mu = qp.table, qp.mu
+    piece = None if start is None else start.piece
+    if piece is not None and piece.table is not table:
+        piece = None
+    while piece is not None and not piece.covers(mu):
+        piece = piece.successor() if piece.hi is not None and mu >= piece.hi else None
+    if piece is not None:
+        return piece.optimum(qp)
     n, n_plus = len(table.nums), len(qp.plus_points)
     classes = (tuple(range(n_plus)), tuple(range(n_plus, n)))
-    mu = qp.mu
     x = _initial_point(qp, classes, n, start)
 
     working = {}
@@ -336,7 +348,7 @@ def _finish(table: PointTable, x) -> OptimalPair:
     n_plus = len(table.plus_points)
     W, den_w = table.cleared_sum(enumerate(x))
     objective = Fraction(sum(c * c for c in W), den_w * den_w)
-    return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, table)
+    return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, table=table)
 
 
 def working_set(pair: OptimalPair, mu) -> tuple:
@@ -388,6 +400,7 @@ class Piece:
     __slots__ = (
         "table", "at_lo", "at_hi", "free", "base", "slope",
         "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "objective", "_ends", "_support",
+        "_successor",
     )
 
     @classmethod
@@ -436,6 +449,7 @@ class Piece:
             frozenset([i - n_plus for i in (*at_hi, *free) if i >= n_plus]),
         )
         piece._measure(W0, d0, W1, d1)
+        piece._successor = _UNWALKED
         return piece
 
     def _measure(self, S0: list, den0: int, S1: list, den1: int) -> None:
@@ -554,7 +568,7 @@ class Piece:
         objective = Fraction(
             (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
         )
-        return OptimalPair(None, None, None, None, objective, (self, mu))
+        return OptimalPair(None, None, None, None, objective, table=self.table, piece=self, mu=mu)
 
     def coefficients(self, mu: Fraction) -> tuple:
         """(alpha_plus, alpha_minus) of the piece's pair at a mu it covers.
@@ -600,23 +614,34 @@ class Piece:
         reaches 0 or mu becomes bound there, a bound one whose gradient meets
         its multiplier becomes free. None when hi is infinite, several
         conditions bind at hi (a tie), the new working set has no piece, or
-        its interval does not start at hi and reach above it.
+        its interval does not start at hi and reach above it. Built on the
+        first call and kept, so the pieces of a point set form one chain
+        that every walk over it shares.
         """
-        if self.hi is None or len(self.events) != 1:
-            return None
-        ((k, state),) = self.events
-        at_lo = [i for i in self.at_lo if i != k]
-        at_hi = [i for i in self.at_hi if i != k]
-        if state is not None:
-            (at_lo if state == AT_LO else at_hi).append(k)
-        nxt = Piece.build(self.table, (tuple(sorted(at_lo)), tuple(sorted(at_hi))))
-        if nxt is None or nxt.lo != self.hi or (nxt.hi is not None and nxt.hi <= self.hi):
-            return None
+        if self._successor is not _UNWALKED:
+            return self._successor
+        nxt = None
+        if self.hi is not None and len(self.events) == 1:
+            ((k, state),) = self.events
+            at_lo = [i for i in self.at_lo if i != k]
+            at_hi = [i for i in self.at_hi if i != k]
+            if state is not None:
+                (at_lo if state == AT_LO else at_hi).append(k)
+            nxt = Piece.build(self.table, (tuple(sorted(at_lo)), tuple(sorted(at_hi))))
+            if nxt is not None and (nxt.lo != self.hi or (nxt.hi is not None and nxt.hi <= self.hi)):
+                nxt = None
+        self._successor = nxt
         return nxt
 
 
 def support_set(pair: OptimalPair) -> tuple:
-    """Indices with strictly positive coefficient, split by class."""
+    """Indices with strictly positive coefficient, split by class.
+
+    A pair read off a piece reads it off the piece (`Piece.support`), without
+    building its coefficients.
+    """
+    if pair.piece is not None:
+        return pair.piece.support(pair.mu)
     # a rational's sign is its numerator's: no Fraction comparison per coefficient
     plus = frozenset(i for i, a in enumerate(pair.alpha_plus) if a.numerator > 0)
     minus = frozenset(i for i, a in enumerate(pair.alpha_minus) if a.numerator > 0)

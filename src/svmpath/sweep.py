@@ -5,23 +5,26 @@ consecutive solved values, which is the experimental proxy used throughout.
 Grid points are exact rationals, so every solve along a sweep stays exact.
 
 Records are read off the exact path. Between two events the working set stays
-fixed and the optimum is a `qp.Piece`, affine in mu on an exact interval. The
-active-set loop solves the first grid point once; from its optimum the sweep
-walks up in mu, pivoting the working set at each piece's upper event, and
-finds each grid point's and each bisection midpoint's piece by bisection over
-the walked pieces. A piece answers only with the unique optimum. The walk
-stops at a tied event, at a working set without a piece, or where the next
-interval does not start at the event; the next record it does not cover runs
-the loop from the same warm start as without pieces and restarts the walk
-there, so at a non-unique optimum the record is still the loop's. Either way
-each record is the one the loop alone gives.
+fixed and the optimum is a `qp.Piece`, affine in mu on an exact interval, and
+at its upper event each piece gives the next (`qp.Piece.successor`): the
+chain of pieces is the path. Each record warm-starts from its lower
+neighbour, a grid point from the one below it and a bisection midpoint from
+its lower end. A warm start read off a piece walks the chain up to the piece
+that covers the record's mu (`qp.solve_reduced_distance`), and a piece
+answers only with the unique optimum. The chain stops at a tied event, at a
+working set without a piece, or where the next interval does not start at
+the event; there the loop runs from the same warm start, so at a non-unique
+optimum the record is still the loop's. Where the loop answered, the record
+reads its optimum off the piece of its working set, if that piece covers mu,
+and the next record walks on from there: the only place a walk starts.
+Either way each record is the one the loop alone gives.
 
-A record read off a piece costs the piece's interval test, its objective and
-its support (`qp.Piece.support`); the pair builds its coefficients only when
-read, which a sweep does only to warm-start the loop. A record the loop
-answers takes the support of its coefficients (`qp.support_set`). Each
-distinct index support is labeled once, and records with one support share
-its label frozensets.
+A record read off a piece costs the pieces its walk passes, the interval
+test, its objective and its support (`qp.support_set`, which reads it off the
+piece); the pair builds its coefficients only when read, which a sweep does
+only to warm-start the loop. Each distinct index support is labeled once per
+grid and once per refinement, and the records that share a labeling share its
+frozensets.
 """
 
 from __future__ import annotations
@@ -87,108 +90,52 @@ class SweepReport(FrozenRecord):
         _set(self, "lower_bound", lower_bound)
 
 
-class _Path:
-    """The pieces walked so far, in increasing mu, each with the mu where the walk entered it.
-
-    Walks cover disjoint stretches of [lowest record, mu_hi]; a stretch ends
-    where its walk stopped, or where the next stretch begins. `tried` keeps
-    the piece (or None) of each working set a walk was started from, so the
-    records of a flat face, which all run the loop, build it once. `labels`
-    keeps the labeled support of each index support the records met, so
-    records with one support share its two frozensets.
-    """
-
-    __slots__ = ("mu_hi", "starts", "pieces", "tried", "labels")
-
-    def __init__(self, mu_hi: Fraction):
-        self.mu_hi, self.starts, self.pieces, self.tried, self.labels = mu_hi, [], [], {}, {}
-
-    def labelled(self, instance: SvmInstance, support: tuple) -> tuple:
-        """`_labelled(instance, support)`, built once per distinct support."""
-        labels = self.labels.get(support)
-        if labels is None:
-            labels = self.labels[support] = _labelled(instance, support)
-        return labels
-
-    def _index(self, mu: Fraction) -> int:
-        """`bisect_left` of mu in the starts, kept as (numerator, denominator) pairs.
-
-        By integer cross-multiplication: every Fraction comparison first
-        checks its operand's type against the numbers ABCs.
-        """
-        m, e = mu.numerator, mu.denominator
-        starts, lo, hi = self.starts, 0, len(self.starts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            num, den = starts[mid]
-            if num * e < m * den:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def piece_at(self, mu: Fraction) -> Optional[Piece]:
-        """A walked piece whose interval holds mu, or None."""
-        i = self._index(mu)
-        # the last piece entered below mu, or the next one: a walk restarted
-        # at a record enters its first piece above that piece's lower end
-        for piece in self.pieces[max(i - 1, 0) : i + 1]:
-            if piece.covers(mu):
-                return piece
-        return None
-
-    def walk(self, qp: ReducedHullQP, pair: OptimalPair) -> None:
-        """Walk up from the loop's optimum at qp.mu until the next stretch or mu_hi.
-
-        Nothing is walked when that optimum lies on no piece of its working set.
-        """
-        mu = qp.mu
-        working = working_set(pair, mu)
-        if working not in self.tried:
-            self.tried[working] = Piece.build(qp.table, working)
-        piece = self.tried[working]
-        if piece is None or not piece.covers(mu):
-            return
-        i = self._index(mu)
-        limit = Fraction(*self.starts[i]) if i < len(self.starts) else self.mu_hi
-        while piece is not None:
-            self.starts.insert(i, (mu.numerator, mu.denominator))
-            self.pieces.insert(i, piece)
-            i += 1
-            hi = piece.hi
-            if hi is None or hi > limit or (hi == limit and piece.hi_closed):
-                return
-            mu, piece = hi, piece.successor()
-
-
 def _solve_record(
-    instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair], path: _Path
+    instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair], labels: dict
 ) -> SweepRecord:
+    """The record at mu, solved from `warm`; `labels` keeps each index support's labels."""
     qp = ReducedHullQP.from_instance(instance, mu)
-    piece = path.piece_at(mu)
     try:
-        pair = solve_reduced_distance(qp, start=warm, pieces=() if piece is None else (piece,))
+        pair = solve_reduced_distance(qp, start=warm)
     except SolverStalledError as exc:
         raise SolverStalledError(f"at mu = {mu}: {exc}") from exc
-    if piece is None:
-        path.walk(qp, pair)
-        support = support_set(pair)
-    else:
-        # the piece covers mu, so the pair is its optimum: no coefficient is built
-        support = piece.support(mu)
-    plus, minus = path.labelled(instance, support)
+    if pair.piece is None:
+        # the loop answered: the next record walks on from its piece
+        pair = _read_off_piece(qp, pair)
+    support = support_set(pair)
+    if support not in labels:
+        labels[support] = _labelled(instance, support)
+    plus, minus = labels[support]
     return SweepRecord(qp.mu, plus, minus, pair.objective, pair)
+
+
+def _read_off_piece(qp: ReducedHullQP, pair: OptimalPair) -> OptimalPair:
+    """The loop's optimum read off the piece of its working set, if that piece covers qp.mu.
+
+    The pair it returns starts a walk: its piece's successors follow.
+    """
+    piece = Piece.build(qp.table, working_set(pair, qp.mu))
+    if piece is not None and piece.covers(qp.mu):
+        return piece.optimum(qp)
+    return pair
 
 
 def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
     """The pieces of one walk from the loop's optimum at mu_lo up to mu_hi, in increasing mu.
 
-    They cover [mu_lo, mu_hi] unless the walk stopped (see `qp.Piece.successor`).
+    They cover [mu_lo, mu_hi] unless the walk stopped (see `qp.Piece.successor`),
+    and are empty when the loop's optimum lies on no piece of its working set.
     """
-    path = _Path(Fraction(mu_hi))
+    mu_hi = Fraction(mu_hi)
     qp = ReducedHullQP.from_instance(instance, mu_lo)
-    path.walk(qp, solve_reduced_distance(qp))
-    return tuple(path.pieces)
+    piece = _read_off_piece(qp, solve_reduced_distance(qp)).piece
+    pieces = []
+    while piece is not None:
+        pieces.append(piece)
+        if piece.covers(mu_hi) or piece.hi is None or piece.hi > mu_hi:
+            break
+        piece = piece.successor()
+    return tuple(pieces)
 
 
 def _labelled(instance: SvmInstance, support: tuple) -> tuple:
@@ -241,32 +188,28 @@ def grid_values(mu_lo: Fraction, mu_hi: Fraction, steps: int) -> list:
     return [Fraction(a * d * s + c * b * i, b * d * s) for i in range(steps)]
 
 
-def sweep_grid(
-    instance: SvmInstance, mu_lo, mu_hi, steps: int, path: Optional[_Path] = None
-) -> SweepReport:
+def sweep_grid(instance: SvmInstance, mu_lo, mu_hi, steps: int) -> SweepReport:
     """Solve on a uniform rational grid of `steps` points over [mu_lo, mu_hi].
 
-    The sweep ascends in mu so each solve warm-starts from its predecessor
-    (coefficients stay feasible when the cap grows) and first tries the
-    walked piece that holds its mu. `path` holds the walked pieces, shared
-    with the refinement.
+    The sweep ascends in mu so each solve warm-starts from its predecessor:
+    its coefficients stay feasible when the cap grows, and its piece walks
+    on up the path.
     """
     mu_lo, mu_hi = Fraction(mu_lo), Fraction(mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         raise ValueError("need 1/2 <= mu_lo < mu_hi <= 1")
     if steps < 2:
         raise ValueError("need at least two grid points")
-    path = _Path(mu_hi) if path is None else path
-    records = []
+    records, labels = [], {}
     warm = None
     for mu in grid_values(mu_lo, mu_hi, steps):
-        rec = _solve_record(instance, mu, warm, path)
+        rec = _solve_record(instance, mu, warm, labels)
         warm = rec.pair
         records.append(rec)
     return _report(records, instance_lower_bound(instance))
 
 
-def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, path) -> None:
+def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, labels) -> None:
     """Bisect [mu_a, mu_b] while its ends differ in support, `depth` levels deep.
 
     Midpoints are solved depth first, the lower half before the upper, each
@@ -279,7 +222,7 @@ def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, path) -> None:
         if depth <= 0 or rec_a.support == rec_b.support:
             continue
         mid = (mu_a + mu_b) / 2
-        rec = _solve_record(instance, mid, rec_a.pair, path)
+        rec = _solve_record(instance, mid, rec_a.pair, labels)
         out.append(rec)
         stack.append((mid, rec, mu_b, rec_b, depth - 1))
         stack.append((mu_a, rec_a, mid, rec, depth - 1))
@@ -288,16 +231,15 @@ def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, path) -> None:
 def sweep_refined(instance: SvmInstance, mu_lo, mu_hi, steps: int, depth: int) -> SweepReport:
     """Grid sweep plus recursive bisection between differing neighbours.
 
-    Each midpoint warm-starts from its lower neighbour and first tries the
-    walked piece that holds its mu; one path serves the whole call.
+    Each midpoint warm-starts from its lower neighbour, so it walks on up the
+    path from that neighbour's piece.
     """
-    path = _Path(Fraction(mu_hi))
-    base = sweep_grid(instance, mu_lo, mu_hi, steps, path)
+    base = sweep_grid(instance, mu_lo, mu_hi, steps)
     records = list(base.records)
-    extra = []
+    extra, labels = [], {}
     ascending = list(reversed(records))
     for rec_a, rec_b in zip(ascending, ascending[1:]):
-        _refine(instance, rec_a.mu, rec_a, rec_b.mu, rec_b, depth, extra, path)
+        _refine(instance, rec_a.mu, rec_a, rec_b.mu, rec_b, depth, extra, labels)
     return _report(records + extra, base.lower_bound)
 
 

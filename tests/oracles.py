@@ -15,16 +15,17 @@ Fraction vector dot products, instead of reading the instance's point table
 flat, and every nullspace basis is solved by the Fraction reduced row
 echelon form below, not by the library's fraction-free elimination. The
 reference sweep takes every record from the solver's loop, without the
-affine pieces the library sweep tries first. The shadow references build
+chain of affine pieces the library sweep walks. The shadow references build
 each cube vertex on its own (`cube_vertex`) and the shadow as a Fraction
 `Polygon2`, whose constructor checks strict convexity, where the library
 keeps one integer hull ring; the certificate reference takes its edge
 normals on that Fraction polygon. All are exact.
 
-The last five functions are helpers that only tests need: the library's
+The last eight functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
-reduced hull, the JSON rational reader and a record copy with some fields
-changed.
+reduced hull, the JSON rational reader, a record copy with some fields
+changed, the zero and unit vectors, and the support of a pair's
+coefficients.
 """
 
 from fractions import Fraction
@@ -344,8 +345,8 @@ def solve_reduced_distance_oracle(qp, start=None) -> OptimalPair:
 
 def _finish(qp, pts, n_plus: int, x) -> OptimalPair:
     d = len(pts[0])
-    p = Vec.zero(d)
-    q = Vec.zero(d)
+    p = zero(d)
+    q = zero(d)
     for i in range(n_plus):
         if x[i]:
             p = p + pts[i] * x[i]
@@ -361,8 +362,9 @@ def sweep_refined_oracle(instance, mu_lo, mu_hi, steps: int, depth: int):
     """Reference for sweep.sweep_refined: every record from the active-set loop.
 
     The grid ascends in mu, each solve warm-started from its predecessor, and
-    each bisection midpoint warm-starts from its lower neighbour, but no piece
-    is ever passed, so every record is `solve_reduced_distance(qp, start=warm)`.
+    each bisection midpoint warm-starts from its lower neighbour, but every
+    warm start is a loop's pair, read off no piece, so every record is the
+    loop's `solve_reduced_distance(qp, start=warm)`.
     """
 
     def solve(mu, warm):
@@ -488,7 +490,7 @@ def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
     vs = hull.vertices
     i = pos[tuple(sigma)]
     prev_pt, pt, next_pt = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
-    n = Vec.zero(2)
+    n = zero(2)
     for a, b in ((prev_pt, pt), (pt, next_pt)):
         dx, dy = b[0] - a[0], b[1] - a[1]
         n = n + Vec((dy, -dx)) * (1 / (abs(dy) + abs(dx)))
@@ -610,7 +612,7 @@ def kkt_check_reference(qp, candidate) -> bool:
         for i, a in enumerate(alphas):
             if not 0 <= a <= qp.mu:
                 violations.append(f"class {label}: coefficient {i} = {a} outside [0, {qp.mu}]")
-        combination = sum((pt * a for pt, a in zip(points, alphas)), Vec.zero(len(points[0])))
+        combination = sum((pt * a for pt, a in zip(points, alphas)), zero(len(points[0])))
         if combination != stored:
             violations.append(f"class {label}: stored point is not the coefficient combination")
     if violations:
@@ -721,3 +723,22 @@ def replace(record, **changes):
     if unknown:
         raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
     return type(record)(**{name: changes.get(name, getattr(record, name)) for name in record._fields})
+
+
+def zero(dim: int) -> Vec:
+    return Vec([Fraction(0)] * dim)
+
+
+def unit(dim: int, axis: int) -> Vec:
+    return Vec(Fraction(1) if i == axis else Fraction(0) for i in range(dim))
+
+
+def coefficient_support(pair) -> tuple:
+    """Indices with a positive coefficient, split by class, read off the pair's coefficients.
+
+    `qp.support_set` reads a pair read off a piece off that piece instead.
+    """
+    return (
+        frozenset(i for i, a in enumerate(pair.alpha_plus) if a > 0),
+        frozenset(i for i, a in enumerate(pair.alpha_minus) if a > 0),
+    )

@@ -241,7 +241,7 @@ class TestSweepCommand:
         assert json.loads(report.read_text())["refine_depth"] == 1200
 
     def test_solver_stall_names_mu(self, tmp_path, capsys, monkeypatch):
-        def stall(qp_instance, start=None, pieces=()):
+        def stall(qp_instance, start=None):
             raise qp.SolverStalledError("no optimum after 0 iterations")
 
         inst = tmp_path / "d3.inst"
@@ -544,4 +544,31 @@ class TestArgumentErrors:
         assert code == 2 and stdout == ""
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert f"{flag}: bad rational token 'abc'" in stderr
+        assert not out.exists()
+
+    def test_exponent_flag_refused(self, tmp_path, capsys):
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "6", "--out", str(inst)], capsys)
+        out = tmp_path / "out.json"
+        code, stdout, stderr = run(["sweep", str(inst), "--mu-lo", "1e-9", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert "--mu-lo: bad rational token '1e-9': no exponent notation" in stderr
+        assert not out.exists()
+
+    def test_exponent_in_instance_file_refused(self, tmp_path, capsys):
+        # with the coordinate read as a 3000001-digit denominator the sweep runs for minutes
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "6", "--out", str(inst)], capsys)
+        lines = inst.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("+1 "))
+        tokens = lines[row].split()
+        tokens[1] = "1e-3000000"
+        lines[row] = " ".join(tokens)
+        inst.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.json"
+        code, stdout, stderr = run(["sweep", str(inst), "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert "bad rational token '1e-3000000'" in stderr
         assert not out.exists()

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_STRETCH, default_params, spread
-from oracles import cube_vertex, facet_strictness_oracle, reduced_hull_segment, strictness_check
+from oracles import (
+    cube_vertex, facet_strictness_oracle, reduced_hull_segment, strictness_check, zero,
+)
 from svmpath import construct
 from svmpath.construct import (
     CalibrationError,
@@ -258,7 +260,7 @@ class TestSupportDecomposition:
         cols = [
             stretch(duals[2 * (k - 1) + 1].coords, DEFAULT_STRETCH.factor) for k in range(1, 5)
         ]
-        barycenter = Vec.zero(4)
+        barycenter = zero(4)
         for c in cols:
             barycenter = barycenter + c * F(1, 4)
         decomp = support_decomposition(barycenter, sigma, params4, DEFAULT_STRETCH)
@@ -273,7 +275,7 @@ class TestSupportDecomposition:
                 stretch(duals[k, s].coords, DEFAULT_STRETCH.factor)
                 for k, s in enumerate(pair.sigma, start=1)
             ]
-            assert sum((w * a for w, a in zip(support, decomp.alphas)), Vec.zero(4)) == pair.p
+            assert sum((w * a for w, a in zip(support, decomp.alphas)), zero(4)) == pair.p
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
             assert decomp.mu_sigma == max(decomp.alphas) < 1

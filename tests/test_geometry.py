@@ -5,7 +5,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import convex_hull_2d, membership
+from oracles import convex_hull_2d, membership, unit, zero
 from svmpath.construct import build_p_stretched, stretch
 from svmpath.geometry import (
     DegenerateHullError,
@@ -163,7 +163,7 @@ class TestProjection:
 
     def test_unit_normal(self):
         d = 5
-        a = Vec.unit(d, d - 2)
+        a = unit(d, d - 2)
         q = Vec((0, 0, 0, 2, 0))
         assert build_p_stretched(q, a, 1) == Vec((0, 0, 0, 1, 0))
 
@@ -180,7 +180,7 @@ class TestProjection:
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            build_p_stretched(Vec((1, 2)), Vec.zero(2), 1)
+            build_p_stretched(Vec((1, 2)), zero(2), 1)
 
     @settings(max_examples=80)
     @given(st.integers(2, 5), st.data())

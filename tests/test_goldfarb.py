@@ -13,6 +13,8 @@ from oracles import (
     project_shadow,
     shadow_certificate_oracle,
     shadow_certificate_reference,
+    unit,
+    zero,
 )
 from svmpath.construct import StretchFactor, support_decomposition
 from svmpath.geometry import Vec, common_denominator, solve_linear_system
@@ -92,7 +94,7 @@ class TestCubeInequalities:
             assert w.coords * rhs == normal
 
     def test_origin_strictly_interior_d8(self):
-        inside, tight = membership(inequalities(default_params(8)), Vec.zero(8))
+        inside, tight = membership(inequalities(default_params(8)), zero(8))
         assert inside and not any(tight)
 
     def test_vertex_on_exactly_d_indexed_facets(self):
@@ -165,8 +167,8 @@ class TestCubeVertices:
 class TestDualVertices:
     def test_first_pair_is_plus_minus_e1(self):
         params = default_params(4)
-        assert dual_vertex(params, 1, 1).coords == Vec.unit(4, 0)
-        assert dual_vertex(params, 1, -1).coords == -Vec.unit(4, 0)
+        assert dual_vertex(params, 1, 1).coords == unit(4, 0)
+        assert dual_vertex(params, 1, -1).coords == -unit(4, 0)
 
     def test_second_pair_right(self):
         params = default_params(4)
@@ -218,16 +220,16 @@ class TestDualVertices:
         for sigma in sign_vectors(d):
             x = sum(
                 (dual_vertex(params, k, s).coords * a for k, s, a in zip(range(1, d + 1), sigma, alphas)),
-                Vec.zero(d),
+                zero(d),
             )
             assert facet_weights(params, sigma, x) == alphas
 
     def test_facet_weights_reject_bad_shapes(self):
         params = default_params(3)
         with pytest.raises(ValueError, match="sigma"):
-            facet_weights(params, (1, 0, 1), Vec.zero(3))
+            facet_weights(params, (1, 0, 1), zero(3))
         with pytest.raises(ValueError, match="coordinates"):
-            facet_weights(params, (1, 1, 1), Vec.zero(2))
+            facet_weights(params, (1, 1, 1), zero(2))
 
 
 class TestShadow:

@@ -45,6 +45,15 @@ class TestRationalTokens:
         with pytest.raises(InstanceFormatError):
             parse_rational("abc")
 
+    @pytest.mark.parametrize("token", ["1e-3000000", "1E5", "-2.5e3", "1e0"])
+    def test_exponent_notation_refused(self, token):
+        # Fraction accepts each of them, the first as a 3000001-digit denominator
+        with pytest.raises(InstanceFormatError, match=f"bad rational token '{token}': no exponent"):
+            parse_rational(token)
+
+    def test_decimals_still_read(self):
+        assert parse_rational("0.8") == F(4, 5) and parse_rational("-2") == -2
+
 
 class TestInstanceFiles:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import DEFAULT_STRETCH, default_params
 from oracles import (
+    coefficient_support,
     enumerate_min_objective,
     kkt_check_reference,
     mu_from_nu,
@@ -18,6 +19,8 @@ from oracles import (
     solve_reduced_distance_oracle,
     unique_optimum_oracle,
     unique_optimum_reference,
+    unit,
+    zero,
 )
 from svmpath import qp as qp_module
 from svmpath.construct import (
@@ -223,7 +226,7 @@ def piece_events(piece, qp) -> dict:
             x[h] = mu
         for i, b, s in zip(piece.free, piece.base, piece.slope):
             x[i] = b + mu * s
-        w = Vec.zero(len(signed[0]))
+        w = zero(len(signed[0]))
         for a, s in zip(x, signed):
             w = w + s * a
         grads = [s.dot(w) for s in signed]
@@ -308,7 +311,7 @@ class TestPiece:
         for instance, piece, mu_r, mu, kinds, _beyond in limits:
             for at in (mu_r, mu) if kinds == {"free"} else (mu_r,):
                 pair = piece.optimum(self.at(instance, at))
-                assert piece.support(at) == support_set(pair)
+                assert piece.support(at) == support_set(pair) == coefficient_support(pair)
                 coefficients = pair.alpha_plus + pair.alpha_minus
                 vanished += any(coefficients[i] == 0 for i in piece.free)
         assert vanished >= 2
@@ -456,13 +459,86 @@ class TestPiece:
         assert lazy != (lazy.p, lazy.q, lazy.alpha_plus, lazy.alpha_minus, lazy.objective)
 
 
+class TestWalk:
+    """A warm start read off a piece walks the successor chain before any loop runs."""
+
+    @staticmethod
+    def count_builds(monkeypatch, stub=None) -> list:
+        """From now on, the working set of each Piece.build, built by `stub` if given."""
+        calls, build = [], Piece.build.__func__
+
+        def counted(cls, table, working):
+            calls.append(working)
+            return (stub or build)(cls, table, working)
+
+        monkeypatch.setattr(Piece, "build", classmethod(counted))
+        return calls
+
+    def test_start_walks_up_several_pieces_without_the_loop(self, instance4, monkeypatch):
+        pieces = path_pieces(instance4, F(51, 100), F(1))
+        assert len(pieces) == 14
+        first, target = pieces[0], pieces[4]
+        start = first.optimum(ReducedHullQP.from_instance(instance4, F(51, 100)))
+        mu = (target.lo + target.hi) / 2
+        cold = solve_reduced_distance(ReducedHullQP.from_instance(instance4, mu))
+
+        def refuse(*args):
+            raise AssertionError("the loop ran")
+
+        for name in ("solve_linear_system", "solve_linear_system_general", "_finish"):
+            monkeypatch.setattr(qp_module, name, refuse)
+        builds = self.count_builds(monkeypatch)
+        pair = solve_reduced_distance(ReducedHullQP.from_instance(instance4, mu), start=start)
+        # path_pieces built the chain, so the walk builds nothing
+        assert builds == []
+        assert pair.piece is target and pair.mu == mu
+        assert pair == cold
+        # at the upper end of a piece that is open there, the successor answers
+        ends = [p for p in pieces[:-1] if not p.hi_closed]
+        assert ends
+        top = solve_reduced_distance(ReducedHullQP.from_instance(instance4, ends[0].hi), start=start)
+        assert top.piece is pieces[pieces.index(ends[0]) + 1]
+
+    def test_successor_is_built_once(self, instance4, monkeypatch):
+        pieces = path_pieces(instance4, F(51, 100), F(1))
+        working = [(p.at_lo, p.at_hi) for p in pieces[:2]]
+        builds = self.count_builds(monkeypatch)
+        fresh = Piece.build(instance4.table, working[0])
+        nxt = fresh.successor()
+        assert fresh.successor() is nxt and (nxt.at_lo, nxt.at_hi) == working[1]
+        assert builds == working
+        # a successor that is None is kept as well: here its working set gets no piece
+        fresh = Piece.build(instance4.table, working[0])
+        builds = self.count_builds(monkeypatch, stub=lambda cls, table, working: None)
+        assert fresh.successor() is None and fresh.successor() is None
+        assert builds == [working[1]]
+
+    def test_start_off_another_point_set_runs_the_loop(self, instance4):
+        arc = generate_2d_arc_instance(8)
+        # both have ten points, so the coefficients would fit as a warm start
+        assert len(arc.table.nums) == len(instance4.table.nums)
+        (arc_piece, *_) = path_pieces(arc, F(51, 100), F(1))
+        start = arc_piece.optimum(ReducedHullQP.from_instance(arc, F(51, 100)))
+        piece = path_pieces(instance4, F(51, 100), F(1))[3]
+        mu = (piece.lo + piece.hi) / 2
+        qp = ReducedHullQP.from_instance(instance4, mu)
+        pair = solve_reduced_distance(qp, start=start)
+        assert pair.piece is None
+        assert pair == solve_reduced_distance(qp)
+        # a table of equal points is another point set too
+        own = PointTable(instance4.plus_points, instance4.minus_points)
+        start = piece.optimum(qp)
+        pair = solve_reduced_distance(ReducedHullQP(own, mu), start=start)
+        assert pair.piece is None and pair == start
+
+
 def count_point_builds(monkeypatch) -> list:
     """From now on, each OptimalPair whose p and q get built, once per build."""
     builds = []
     points = OptimalPair._points
 
     def counted(pair):
-        if pair._source is not None:
+        if pair._table is not None:
             builds.append(pair)
         return points(pair)
 
@@ -500,7 +576,7 @@ class TestPointTable:
         rng = random.Random(n)
         x = [F(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(n)]
         W, den = table.cleared_sum(enumerate(x))
-        w = sum((s * v for s, v in zip(signed, x)), Vec.zero(len(signed[0])))
+        w = sum((s * v for s, v in zip(signed, x)), zero(len(signed[0])))
         assert Vec(F(c, den) for c in W) == w
         for k, s in enumerate(signed):
             num, den_k = table.signed_dot(k, W, den)
@@ -517,25 +593,25 @@ class TestPointTable:
         """Solves and pieces of two instances alternate in one process.
 
         Each record must equal a solve on a freshly built table, and each
-        piece's optimum that answer.
+        piece's optimum that answer. The next solve of an instance starts
+        from the pair read off its piece, where there is one.
         """
         instances = (instance4, generate_2d_arc_instance(10))
-        warm, pieces = {}, {}
+        warm = {}
         hits = 0
         for mu in grid_values(F(1, 2), F(1), 24):
             for inst in instances:
                 qp = ReducedHullQP.from_instance(inst, mu)
-                sol = solve_reduced_distance(
-                    qp, start=warm.get(id(inst)), pieces=pieces.get(id(inst), ())
-                )
+                sol = solve_reduced_distance(qp, start=warm.get(id(inst)))
                 own = PointTable(inst.plus_points, inst.minus_points)
                 fresh = solve_reduced_distance(ReducedHullQP(own, mu))
                 assert sol == fresh
                 piece = Piece.build(qp.table, working_set(sol, mu))
-                if piece is not None:
-                    assert piece.optimum(qp) == fresh
+                if piece is not None and piece.covers(mu):
+                    sol = piece.optimum(qp)
+                    assert sol == fresh
                     hits += 1
-                warm[id(inst)], pieces[id(inst)] = sol, (piece,) if piece else ()
+                warm[id(inst)] = sol
         assert hits > 0
 
 
@@ -613,7 +689,7 @@ class TestKktCheckGeneral:
     def test_uniform_weights_fail_on_constructed_instance(self, instance4):
         qp = ReducedHullQP.from_instance(instance4, F(1))
         n_plus = len(instance4.plus_points)
-        p = Vec.zero(4)
+        p = zero(4)
         for pt in instance4.plus_points:
             p = p + pt * F(1, n_plus)
         q = (instance4.minus_points[0] + instance4.minus_points[1]) * F(1, 2)
@@ -668,7 +744,7 @@ class TestKktCheckGeneral:
                     ]
                     if any(not 0 <= c <= qp.mu for c in candidate):
                         continue
-                    moved = Vec.zero(len(points[0]))
+                    moved = zero(len(points[0]))
                     for c, pt in zip(candidate, points):
                         moved = moved + pt * c
                     assert (moved - other).norm_sq() >= sol.objective
@@ -689,7 +765,7 @@ class TestCertificates:
 
     def test_perturbed_point_breaks_stationarity(self, instance4, constructions4):
         pair, decomp = constructions4[0]
-        moved = replace(pair, p=pair.p + Vec.unit(4, 0) * F(1, 1000))
+        moved = replace(pair, p=pair.p + unit(4, 0) * F(1, 1000))
         with pytest.raises(
             CertificateError,
             match=rf"differs from the optimum of its piece for sigma={re.escape(str(pair.sigma))} at mu=",
@@ -787,8 +863,8 @@ class TestUniqueOptimum:
     )
     def test_flat_face_not_unique(self, plus, minus, alpha_plus, alpha_minus, mu):
         qp = ReducedHullQP(PointTable(plus, minus), mu)
-        p = sum((v * a for v, a in zip(qp.plus_points, alpha_plus)), Vec.zero(2))
-        q = sum((v * a for v, a in zip(qp.minus_points, alpha_minus)), Vec.zero(2))
+        p = sum((v * a for v, a in zip(qp.plus_points, alpha_plus)), zero(2))
+        q = sum((v * a for v, a in zip(qp.minus_points, alpha_minus)), zero(2))
         candidate = OptimalPair(p, q, alpha_plus, alpha_minus, (p - q).norm_sq())
         assert kkt_check_reference(qp, candidate)
         assert solve_reduced_distance(qp).objective == candidate.objective

@@ -150,7 +150,7 @@ SAMPLES = {
     "OptimalPair.piece": (None, PIECE_PAIR_REPR),
 }
 # samples built unread for each test: the pair of PIECE at mu = 2/3 holds
-# the piece and mu until a first read builds its coefficients
+# the piece and mu, and builds its coefficients on a first read
 FRESH = {"OptimalPair.piece": lambda: PIECE.optimum(ReducedHullQP(TABLE, F(2, 3)))}
 
 
@@ -167,8 +167,8 @@ def sample(request):
 
 
 def unread(pair: OptimalPair) -> bool:
-    """Whether a pair read off a piece still holds its piece and mu instead of its coefficients."""
-    return type(pair._source) is tuple
+    """Whether a pair read off a piece has built none of its coefficients yet."""
+    return pair.piece is not None and pair._alpha_plus is None
 
 
 class TestValueSemantics:
@@ -254,10 +254,12 @@ class TestPairReadOffAPiece:
         assert read(pair)
         assert not unread(pair)
         assert pair == PIECE_PAIR and repr(pair) == PIECE_PAIR_REPR
+        # the pair keeps its piece and mu after every read
+        assert pair.piece is PIECE and pair.mu == F(2, 3)
 
     def test_copies_are_eager(self):
         for clone in (copy.copy(self.fresh()), pickle.loads(pickle.dumps(self.fresh()))):
-            assert clone._source is None and clone == PIECE_PAIR
+            assert clone.piece is None and clone._table is None and clone == PIECE_PAIR
 
     def test_unread_pair_refuses_assignment(self):
         pair = self.fresh()

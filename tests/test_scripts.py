@@ -39,3 +39,6 @@ def test_bench_ladder_up_to_d4(tmp_path):
         assert all(row[f"{cmd}_exit"] == 0 and row[f"{cmd}_s"] > 0 for cmd in ("gen", "verify", "sweep"))
         assert row["bends"] > row["lower_bound"] == 2 ** row["d"] // 4
         assert row["distinct_support_sets"] >= row["lower_bound"]
+        assert row["walk_exit"] == 0 and row["walk_s"] >= 0
+        # the exact path over [8/10, 1] has 2^d - 2 pieces
+        assert row["pieces"] == 2 ** row["d"] - 2

@@ -1,11 +1,9 @@
-import random
-from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
-from oracles import replace, sweep_refined_oracle
+from oracles import coefficient_support, replace, sweep_refined_oracle
 from test_qp import count_point_builds, small_instances
 from svmpath.construct import (
     MINUS_LABELS,
@@ -18,6 +16,7 @@ from svmpath.construct import (
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.qp import Piece, ReducedHullQP, build_kkt_certificate, support_set
+from svmpath import qp as qp_module
 from svmpath import sweep as sweep_module
 from svmpath.report_io import sweep_report_csv, write_sweep_report
 from svmpath.sweep import (
@@ -101,10 +100,10 @@ class TestRefine:
             sweep_refined(arc10, F(4, 5), F(4, 5), 2, 3)
 
     def test_midpoints_solved_depth_first_lower_half_first(self, arc10):
-        # the solve order sets each midpoint's warm start and where walks restart
+        # the solve order sets each midpoint's warm start, where its walk begins
         lo, hi = sweep_grid(arc10, F(1, 2), F(1), 2).records[::-1]
         out = []
-        sweep_module._refine(arc10, lo.mu, lo, hi.mu, hi, 6, out, sweep_module._Path(F(1)))
+        sweep_module._refine(arc10, lo.mu, lo, hi.mu, hi, 6, out, {})
         by_mu = {r.mu: r for r in out}
 
         def preorder(a, b, depth):
@@ -185,14 +184,13 @@ class TestLazyPairs:
     def test_records_off_pieces_build_no_coefficients(self, instance4, tmp_path):
         # a record read off a piece takes its support from the piece, and the
         # reports read none of its pair's coefficients: the loop solves the
-        # lowest grid point alone, and every other pair still holds its piece
-        # and mu
+        # lowest grid point alone, the sweep reads its optimum off its piece
+        # too, and every pair still holds its piece and mu
         report = sweep_refined(instance4, F(8, 10), F(1), 64, 3)
         write_sweep_report(report, tmp_path / "r.json", {"d": 4, "steps": 64})
         sweep_report_csv(report)
-        unread = [rec for rec in report.records if type(rec.pair._source) is tuple]
-        assert len(unread) == len(report.records) - 1
-        assert report.records[-1] not in unread
+        assert all(rec.pair.piece is not None for rec in report.records)
+        assert all(rec.pair._alpha_plus is None for rec in report.records)
 
 
 def labelled(instance, support) -> tuple:
@@ -215,10 +213,10 @@ class TestSupportsReadOffPieces:
     def test_every_record(self, make, mu_lo):
         instance = make()
         report = sweep_refined(instance, mu_lo, F(1), 128, 4)
-        off_pieces = {rec.mu for rec in report.records if type(rec.pair._source) is tuple}
+        off_pieces = {rec.mu for rec in report.records if rec.pair.piece is not None}
         assert len(off_pieces) >= len(report.records) - 2
         for rec in report.records:
-            assert rec.support == labelled(instance, support_set(rec.pair))
+            assert rec.support == labelled(instance, coefficient_support(rec.pair))
         # at mu = 1 the minus point not at mu has a free coefficient of 0 (on
         # the arc a plus point too); the record, read off its piece, leaves it out
         top = report.records[0]
@@ -229,48 +227,37 @@ class TestSupportsReadOffPieces:
         coefficients = pair.alpha_plus + pair.alpha_minus
         vanished = [i for i in piece.free if coefficients[i] == 0]
         assert [i for i in vanished if i >= n_plus]
-        assert piece.support(F(1)) == support_set(pair)
+        assert piece.support(F(1)) == support_set(pair) == coefficient_support(pair)
         assert len(top.support_minus) == 1
         assert top.support == labelled(instance, piece.support(F(1)))
 
 
-class TestPathIndex:
-    def test_index_is_bisect_left_over_the_starts(self):
-        # the walked pieces are found by integer cross-multiplication on the
-        # (numerator, denominator) pairs of their starts
-        rng = random.Random(12)
-        starts = sorted({F(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(30)})
-        path = sweep_module._Path(F(1))
-        path.starts[:] = [(s.numerator, s.denominator) for s in starts]
-        for mu in starts + [F(k, 13) for k in range(60)]:
-            assert path._index(mu) == bisect_left(starts, mu)
-
-
 class TestPiecesMatchTheLoop:
-    """sweep_refined, which tries affine pieces first, against the loop-only oracle."""
+    """sweep_refined, which walks the path from its warm starts, against the loop-only oracle."""
 
     @pytest.fixture
-    def hits(self, monkeypatch):
-        tally = {"hit": 0, "built": 0}
-        optimum, build = Piece.optimum, Piece.build.__func__
+    def tally(self, monkeypatch):
+        """Loop runs (calls of `qp._finish`) and `Piece.build` calls from now on."""
+        counts = {"loops": 0, "built": 0}
+        finish, build = qp_module._finish, Piece.build.__func__
 
-        def counted(piece, qp):
-            pair = optimum(piece, qp)
-            tally["hit"] += pair is not None
-            return pair
+        def finished(table, x):
+            counts["loops"] += 1
+            return finish(table, x)
 
         def built(cls, table, working):
-            tally["built"] += 1
+            counts["built"] += 1
             return build(cls, table, working)
 
-        monkeypatch.setattr(Piece, "optimum", counted)
+        monkeypatch.setattr(qp_module, "_finish", finished)
         monkeypatch.setattr(Piece, "build", classmethod(built))
-        return tally
+        return counts
 
-    def check(self, instance, hits, steps, depth):
+    def check(self, instance, tally, steps, depth):
         walk = path_pieces(instance, grid_values(F(1, 2), F(1), steps)[1], F(1))
-        hits.update(hit=0, built=0)
+        tally.update(loops=0, built=0)
         report = sweep_refined(instance, F(1, 2), F(1), steps, depth)
+        loops, built = tally["loops"], tally["built"]
         oracle = sweep_refined_oracle(instance, F(1, 2), F(1), steps, depth)
         assert report == oracle
         # p and q, built on first read from a piece's integer coefficients,
@@ -278,41 +265,43 @@ class TestPiecesMatchTheLoop:
         for got, want in zip(report.records, oracle.records, strict=True):
             assert (got.pair.p, got.pair.q) == (want.pair.p, want.pair.q)
         # the loop solves the two lowest grid points: at mu = 1/2 both minus
-        # coefficients sit at mu, so no piece exists there, and the walk starts
-        # from the second; every other record is read off the walked path,
-        # whose pieces are each built once
-        assert len(report.records) - hits["hit"] == 2
-        assert hits["built"] == 1 + len(walk)
+        # coefficients sit at mu, so no piece exists there, and the walk
+        # starts from the second; every other record is read off the
+        # successor chain, whose pieces are each built once
+        assert loops == 2
+        assert built == 1 + len(walk)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
-    def test_constructed(self, hits, d, eps, gamma):
+    def test_constructed(self, tally, d, eps, gamma):
         instance = build_instance(GoldfarbParams(d, eps, gamma), DEFAULT_STRETCH)
-        self.check(instance, hits, 128, 6)
+        self.check(instance, tally, 128, 6)
 
     @pytest.mark.parametrize("n_plus", [8, 12])
-    def test_arc(self, hits, n_plus):
-        self.check(generate_2d_arc_instance(n_plus), hits, 128, 6)
+    def test_arc(self, tally, n_plus):
+        self.check(generate_2d_arc_instance(n_plus), tally, 128, 6)
 
-    def test_small_instances(self, hits):
+    def test_small_instances(self, tally):
         # the 68 of the solver's 200 tiny instances that a sweep over [1/2, 1]
         # accepts: two minus points and at least two plus points, in one to
         # three dimensions, 14 of them with a repeated point
-        swept = records = 0
+        swept = records = loops = 0
         for qp in small_instances(200):
             if len(qp.minus_points) != 2 or len(qp.plus_points) < 2:
                 continue
             instance = SvmInstance(qp.plus_points, tuple(range(len(qp.plus_points))), qp.minus_points)
+            tally.update(loops=0)
             report = sweep_refined(instance, F(1, 2), F(1), 9, 3)
+            loops += tally["loops"]
             assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 9, 3)
             swept += 1
             records += len(report.records)
         assert swept == 68
         # repeated and dependent points stop walks, so the loop runs more often
-        # than twice per sweep: 309 of the 756 records, against 136 for two each
-        assert (records, records - hits["hit"]) == (756, 309)
+        # than twice per sweep: for 311 of the 756 records, against 136 for two each
+        assert (records, loops) == (756, 311)
 
-    def test_walk_restarts_above_a_tie(self, hits):
+    def test_walk_restarts_above_a_tie(self, tally):
         # the walk from the second grid point ends at a tie at mu = 2/3; above
         # it the hulls meet (objective 0), the optimum is not unique, and every
         # record there runs the loop from its warm start
@@ -322,9 +311,10 @@ class TestPiecesMatchTheLoop:
             (Vec((-2, 2)), Vec((3, 1))),
         )
         report = sweep_refined(instance, F(1, 2), F(1), 32, 4)
+        loops = tally["loops"]
         assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 32, 4)
-        loops = [r for r in report.records if r.mu > F(2, 3) or r.mu <= F(16, 31)]
-        assert len(report.records) - hits["hit"] == len(loops) == 25
+        solved = [r for r in report.records if r.mu > F(2, 3) or r.mu <= F(16, 31)]
+        assert loops == len(solved) == 25
 
     @pytest.mark.parametrize(
         "make",
@@ -334,7 +324,7 @@ class TestPiecesMatchTheLoop:
         ],
         ids=["arc12", "d4"],
     )
-    def test_forced_walk_stop(self, hits, monkeypatch, make):
+    def test_forced_walk_stop(self, tally, monkeypatch, make):
         # the walk meets a working set without a piece halfway up, so the loop
         # answers there and the walk restarts above it
         instance = make()
@@ -351,7 +341,9 @@ class TestPiecesMatchTheLoop:
         assert [(p.at_lo, p.at_hi) for p in stopped] == [
             (p.at_lo, p.at_hi) for p in walked[: len(walked) // 2]
         ]
+        tally.update(loops=0)
         report = sweep_refined(instance, F(1, 2), F(1), 128, 6)
+        loops = tally["loops"]
         assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 128, 6)
         # more loop solves than the two lowest grid points of an unbroken walk
-        assert len(report.records) - hits["hit"] > 2
+        assert loops > 2
