@@ -1,8 +1,9 @@
 """Exact rational vectors, point tables, linear systems and the 2D hull chain.
 
-Every quantity in this package is a `fractions.Fraction`: arbitrary-precision
-numerator, positive denominator, always in lowest terms. Nothing here ever
-rounds, and all comparisons are exact.
+Nothing here ever rounds, and every comparison is exact. A `Vec` holds
+`fractions.Fraction`s, a `PointTable` integer numerators over per-point
+denominators, and the one fraction-free elimination solves linear systems as
+integers over one positive determinant (`solve_linear_systems`).
 """
 
 from __future__ import annotations
@@ -138,12 +139,15 @@ def hull_chain(points: Iterable[Sequence]) -> list:
 
 
 def _integer_rows(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
-    """Row-scale [A | B] to integers; scaling rows preserves the solution set."""
+    """Row-scale [A | B] to integers; scaling rows preserves the solution set. Integer rows stay."""
     rows = []
     for row, rhs in zip(A, B, strict=True):
-        entries = [x if type(x) is Fraction else Fraction(x) for x in (*row, *rhs)]
-        den = lcm(*[x.denominator for x in entries])
-        rows.append([x.numerator * (den // x.denominator) for x in entries])
+        entries = [*row, *rhs]
+        if any(type(x) is not int for x in entries):
+            entries = [x if type(x) is Fraction else Fraction(x) for x in entries]
+            den = lcm(*[x.denominator for x in entries])
+            entries = [x.numerator * (den // x.denominator) for x in entries]
+        rows.append(entries)
     return rows
 
 
@@ -159,17 +163,17 @@ def common_denominator(rows: Iterable[Sequence]) -> tuple:
 
 
 class PointTable:
-    """The signed points of a two-class point set, cleared to integers, and their Gram matrix.
+    """The signed points of a two-class point set, cleared to integers.
 
     The signed points s are the plus points followed by the minus points
     negated, so sum_k x_k s_k = p - q for coefficients x. Each s_k equals
     Vec(nums[k]) * Fraction(1, dens[k]) exactly, with integer nums[k] over the
     point's own least denominator. One denominator shared by every point would
     carry all of their factors (901 bits on the 60-point arc) into each
-    product. gram[i][j] = s_i . s_j; the two halves share entries.
+    product.
     """
 
-    __slots__ = ("plus_points", "minus_points", "nums", "dens", "gram")
+    __slots__ = ("plus_points", "minus_points", "nums", "dens")
 
     def __init__(self, plus_points: Iterable, minus_points: Iterable):
         self.plus_points = tuple(p if type(p) is Vec else Vec(p) for p in plus_points)
@@ -181,13 +185,7 @@ class PointTable:
             den, (row,) = common_denominator([s])
             dens.append(den)
             nums.append(row)
-        n = len(nums)
-        gram = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                dot = sum(a * b for a, b in zip(nums[i], nums[j]))
-                gram[i][j] = gram[j][i] = Fraction(dot, dens[i] * dens[j])
-        self.nums, self.dens, self.gram = tuple(nums), tuple(dens), tuple(map(tuple, gram))
+        self.nums, self.dens = tuple(nums), tuple(dens)
 
     def cleared_sum(self, terms: Iterable) -> tuple:
         """(S, den) with sum of v s_k over (k, v) in terms == Vec(S) * Fraction(1, den), S integer."""
@@ -203,29 +201,6 @@ class PointTable:
                 S[c] += f * a
         return S, den
 
-    def signed_dot(self, k: int, S: Sequence, den: int) -> tuple:
-        """(num, den_k) with s_k . (Vec(S) / den) == Fraction(num, den_k) and den_k > 0.
-
-        `S` and `den` are a `cleared_sum`; the dot product is over integers.
-        """
-        return sum(a * b for a, b in zip(self.nums[k], S)), self.dens[k] * den
-
-    def difference_gram(self, directions: Sequence) -> list:
-        """Gram matrix of the differences s_i - s_r for (i, r) in `directions`.
-
-        Entry (a, b) is (s_i - s_r) . (s_j - s_t) = G_ij - G_it - G_rj + G_rt,
-        four entries of the Gram matrix G, for directions[a] = (i, r) and
-        directions[b] = (j, t).
-        """
-        gram = self.gram
-        out = [[None] * len(directions) for _ in directions]
-        for a, (i, r) in enumerate(directions):
-            gi, gr = gram[i], gram[r]
-            for b in range(a, len(directions)):
-                j, t = directions[b]
-                out[a][b] = out[b][a] = gi[j] - gi[t] - gr[j] + gr[t]
-        return out
-
 
 def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
     """Exact solution of a square system Ax = b.
@@ -234,13 +209,16 @@ def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
     integer back-substitution. Raises SingularMatrixError instead of ever
     returning an inexact or arbitrary vector.
     """
-    return solve_linear_systems(A, [b])[0]
+    (y,), det = solve_linear_systems(A, [b])
+    return Vec([Fraction(v, det) for v in y])
 
 
 def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
-    """Exact solutions of Ax = b for each right-hand side b in `columns`.
+    """(Y, det): the exact solutions of Ax = b for each b in `columns`, over one denominator.
 
-    One elimination serves every column, as in `solve_linear_system`. Raises
+    One elimination serves every column, as in `solve_linear_system`, and
+    its integer result is returned as it is: Y[k][j] / det is entry j of the
+    solution for columns[k], with the integer det > 0. Raises
     SingularMatrixError naming the first column without a pivot.
     """
     M, pivots = _echelon(A, columns)
@@ -248,7 +226,7 @@ def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> 
     if len(pivots) < n:
         col = next(c for c in range(n) if c not in pivots)
         raise SingularMatrixError(f"no pivot in column {col}")
-    return tuple(_back_substitute(M, pivots, k) for k in range(n, n + len(columns)))
+    return _back_substitute(M, pivots, range(n, n + len(columns)))
 
 
 def solve_linear_system_general(A: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
@@ -264,7 +242,8 @@ def solve_linear_system_general(A: Sequence[Sequence], b: Sequence) -> Optional[
     n = len(A)
     if any(M[r][n] for r in range(len(pivots), n)):
         return None
-    return _back_substitute(M, pivots, n)
+    (y,), det = _back_substitute(M, pivots, [n])
+    return Vec([Fraction(v, det) for v in y])
 
 
 def _echelon(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
@@ -298,18 +277,22 @@ def _echelon(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
     return M, pivots
 
 
-def _back_substitute(M: list, pivots: list, k: int) -> Vec:
-    """The solution for column k of an `_echelon` form, zero off the pivot columns.
+def _back_substitute(M: list, pivots: list, columns: Iterable) -> tuple:
+    """(Y, det): for each column k of an `_echelon` form, y with y / det its solution.
 
-    Back-substitutes y = det * x over the pivot rows, with det the last
-    pivot. y is an integer vector by Cramer's rule on the pivot rows and
-    columns, so every division is exact; one Fraction per entry at the end.
+    Each y is zero off the pivot columns. Back-substitutes y = det * x over
+    the pivot rows, with det > 0 the last pivot's absolute value, the
+    determinant of the pivot rows and columns up to sign. y is an integer
+    vector by Cramer's rule on them, so every division is exact.
     """
     n = len(M)
-    det = M[len(pivots) - 1][pivots[-1]] if pivots else 1
-    y = [0] * n
-    for r in range(len(pivots) - 1, -1, -1):
-        row, p = M[r], pivots[r]
-        s = det * row[k] - sum(row[c] * y[c] for c in range(p + 1, n))
-        y[p] = s // row[p]
-    return Vec([Fraction(v, det) for v in y])
+    det = abs(M[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    out = []
+    for k in columns:
+        y = [0] * n
+        for r in range(len(pivots) - 1, -1, -1):
+            row, p = M[r], pivots[r]
+            s = det * row[k] - sum(row[c] * y[c] for c in range(p + 1, n))
+            y[p] = s // row[p]
+        out.append(y)
+    return tuple(out), det

@@ -13,17 +13,14 @@ The solver, the pieces and the certificates read one `PointTable` per point
 set, which the problem carries: `ReducedHullQP` is the table and mu, and an
 `SvmInstance` builds its table on first use, so every QP of one instance
 shares it. The table holds the signed points s (the minus class negated) as
-integer numerators over per-point denominators, and their Gram matrix G.
-Each entry of a subproblem's normal equations is a sum of four entries of G
-(`difference_gram`) rather than a d-term dot product of Fraction vectors.
-The loop and `Piece` build these equations in one place and solve them by
-the one fraction-free elimination of `geometry`; a flat subproblem of the
-loop takes the solution that is zero off the pivot columns.
-Each gradient s_k . w, with w = p - q, is one integer dot product over a
-positive denominator (`signed_dot`), read there by the loop and `Piece`. The
-multiplier test compares s_k . w, half the true gradient 2 s_k . w. A
-positive factor changes no sign and no comparison, so every step, pivot and
-tie-break is the one the exact gradients give.
+integer numerators over per-point denominators. The loop and `Piece` build
+a subproblem's normal equations in integers in one place
+(`_normal_equations`) and solve them by the one fraction-free elimination of
+`geometry`; a flat subproblem of the loop takes the solution that is zero
+off the pivot columns. The multiplier test compares s_k . w, with w = p - q,
+half the true gradient 2 s_k . w. A positive factor changes no sign and no
+comparison, so every step, pivot and tie-break is the one the exact
+gradients give.
 
 Along a sweep most solves need no loop. With the working set fixed (the
 coefficients at 0, those at mu, and the free rest) the subproblem's normal
@@ -38,10 +35,9 @@ only optimum: every optimum has the same w = p - q, so the strict gradients
 hold the bound coefficients at their bounds in all of them, and the
 nonsingular normal equations leave the free ones no other solution. The loop
 returns an optimum, so it would return the same coefficients, and the same
-pair. A piece keeps its coefficients as integers, so at a given mu the
-objective is one Fraction of integer numerators, and so is each free alpha,
-built only when the pair's coefficients are first read. A pair read off a
-piece keeps its piece, and `support_set` reads its support off the piece
+pair. A piece keeps its coefficients as integers: at a given mu its objective
+is one Fraction, and so is each free alpha, built on first read. A pair read
+off a piece keeps its piece, and `support_set` reads its support off the piece
 (`Piece.support`): the coefficients at mu and the free ones whose numerator
 does not vanish. A pair's p and q have one definition, whichever solve gave
 the pair: its coefficients times the points of the table, summed only when
@@ -65,6 +61,8 @@ optimum there is the candidate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
@@ -229,13 +227,11 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
 
     Otherwise the loop runs. `start` may carry coefficients from a
     neighbouring solve (warm start); they are used only when exactly
-    feasible for this mu. Each iteration
-    moves the free coefficients of a class against its first free one, along
-    the directions e_i - e_r. The normal equations of that step are the
-    table's `difference_gram` of the directions, with right-hand side
-    s_r . w - s_i . w for w = p - q, computed only for the points that move.
-    Every s_k . w is the table's exact `signed_dot` of the point with w
-    cleared to integers.
+    feasible for this mu. Each iteration moves the free coefficients of a
+    class against its first free one, along the directions e_i - e_r, by the
+    integer normal equations (`_normal_equations`) of w = p - q cleared to
+    integers. Every s_k . w is one integer dot product over a positive
+    denominator.
 
     The loop returns only when the step is zero and no bound multiplier has
     the wrong sign, decided exactly at that iterate: these are the KKT
@@ -267,7 +263,7 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     for _ in range(cap):
         W, den_w = table.cleared_sum(enumerate(x))
         free_by_class = [[i for i in cls if i not in working] for cls in classes]
-        directions, normal, (rhs,) = _normal_equations(table, free_by_class, [(W, den_w)])
+        directions, scales, _diffs, normal, (rhs,) = _normal_equations(table, free_by_class, [W])
 
         # only free coefficients move
         delta = {}
@@ -279,8 +275,10 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                 # solution with free parameters at zero
                 step = solve_linear_system_general(normal, rhs)
             delta = dict.fromkeys([k for pair in directions for k in pair], Fraction(0))
-            for (i, r), t in zip(directions, step):
-                if t:
+            for (i, r), c, y in zip(directions, scales, step):
+                if y:
+                    # the step along s_i - s_r, with y = den_w t / c
+                    t = Fraction(c * y.numerator, y.denominator * den_w)
                     delta[i] += t
                     delta[r] -= t
 
@@ -305,7 +303,7 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
             continue
 
         # subproblem optimum reached: check bound multipliers exactly
-        grad = [Fraction(*table.signed_dot(k, W, den_w)) for k in range(n)]
+        grad = [Fraction(sum(map(mul, table.nums[k], W)), table.dens[k] * den_w) for k in range(n)]
         drop = None
         for cls, free in zip(classes, free_by_class):
             if free:
@@ -326,21 +324,28 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
 
 
 def _normal_equations(table: PointTable, free_by_class, sums) -> tuple:
-    """(directions, D, right-hand sides) of the stationarity equations D t = rhs.
+    """(directions, scales, diffs, N, right-hand sides) of the integer stationarity equations.
 
     In each class of `free_by_class` the first free coefficient is the
     reference r, and every other free i moves along e_i - e_r: the directions
-    (i, r). D is their `difference_gram`. Each (S, den) in `sums` is a
-    cleared sum w = S / den and gives one right-hand side, s_r . w - s_i . w
-    per direction, from the table's `signed_dot` of the points that move.
+    (i, r). Direction a has the scale c = lcm(dens[i], dens[r]) and the
+    integer difference u = (c / dens[i]) nums[i] - (c / dens[r]) nums[r] =
+    c (s_i - s_r). N is the Gram matrix of the u, and each integer S in `sums`
+    gives the right-hand side -U S: moving w = S / den by t_a along each
+    s_i - s_r, stationarity u_a . w = 0 reads N y = -U S for t_a = c_a y_a / den.
     """
+    nums, dens = table.nums, table.dens
     directions = [(i, free[0]) for free in free_by_class for i in free[1:]]
-    moved = {k for pair in directions for k in pair}
-    rhs = []
-    for S, den in sums:
-        g = {k: Fraction(*table.signed_dot(k, S, den)) for k in moved}
-        rhs.append([g[r] - g[i] for i, r in directions])
-    return directions, table.difference_gram(directions), rhs
+    scales, diffs = [lcm(dens[i], dens[r]) for i, r in directions], []
+    for (i, r), c in zip(directions, scales):
+        fi, fr = c // dens[i], c // dens[r]
+        diffs.append([fi * a - fr * b for a, b in zip(nums[i], nums[r])])
+    normal = [[0] * len(diffs) for _ in diffs]
+    for a, u in enumerate(diffs):
+        for b in range(a, len(diffs)):
+            normal[a][b] = normal[b][a] = sum(map(mul, u, diffs[b]))
+    rhs = [[-sum(map(mul, u, S)) for u in diffs] for S in sums]
+    return directions, scales, diffs, normal, rhs
 
 
 def _finish(table: PointTable, x) -> OptimalPair:
@@ -375,31 +380,32 @@ class Piece:
     c1 = sum_H s_h - |H_+| s_r+ - |H_-| s_r-, and stationarity, s_i . w equal
     to s_r . w for every free i, reads
 
-        D t = (s_r - s_i) . c0 + mu (s_r - s_i) . c1,
+        G t = (s_r - s_i) . c0 + mu (s_r - s_i) . c1,
 
-    with D the `difference_gram` of the directions (i, r). One elimination
-    solves both right-hand sides. Each class multiplier lam is its
-    reference's gradient s_r . w, so `base + mu * slope` gives
-    (x_F, lam_+, lam_-) at every mu.
+    with G the Gram matrix of the differences s_i - s_r of the directions
+    (i, r). Built in integers (`_normal_equations`), one fraction-free
+    elimination solves it for both right-hand sides over one determinant det:
+    each free coefficient (`alphas`) and w are integers over det e0 plus mu
+    times integers over det e1, for c0 = C0 / e0 and c1 = C1 / e1. Each class
+    multiplier lam is its reference's gradient s_r . w; `base + mu * slope`,
+    Fractions built when read, is (x_F, lam_+, lam_-) at every mu.
 
-    Then w, every gradient s_k . w and every gap between a bound
-    coefficient's gradient and its class multiplier are affine in mu too, so
-    each condition of `optimum` holds on one side of one root. Their
-    intersection is the piece's interval [lo, hi] (None for an infinite end):
-    a free coefficient's bounds 0 <= x_i <= mu are closed, a gradient's strict
-    side of its multiplier is open, and an end is closed (`lo_closed`,
-    `hi_closed`) when only free bounds bind there. `events` lists the
-    conditions that bind at hi, as (index, new state): a free coefficient
-    reaching 0 or mu becomes AT_LO or AT_HI, a bound coefficient whose
-    gradient meets its multiplier becomes free (None). The free coefficients
-    (affine) and the objective (quadratic) are kept as integer coefficients
-    of mu; the pair's p and q are its coefficients times the table's points,
-    as for every `OptimalPair`.
+    Then every gradient s_k . w and every gap between a bound coefficient's
+    gradient and its class multiplier are affine in mu too, so each condition
+    of `optimum` holds on one side of one root. Their intersection is the
+    piece's interval [lo, hi] (None for an infinite end): a free coefficient's
+    bounds 0 <= x_i <= mu are closed, a gradient's strict side of its
+    multiplier is open, and an end is closed (`lo_closed`, `hi_closed`) when
+    only free bounds bind there. `events` lists the conditions that bind at
+    hi, as (index, new state): a free coefficient reaching 0 or mu becomes
+    AT_LO or AT_HI, a bound coefficient whose gradient meets its multiplier
+    becomes free (None). The objective (quadratic) is kept as integer
+    coefficients of mu; p and q are the coefficients times the table's points.
     """
 
     __slots__ = (
-        "table", "at_lo", "at_hi", "free", "base", "slope",
-        "lo", "hi", "lo_closed", "hi_closed", "events", "alphas", "objective", "_ends", "_support",
+        "table", "at_lo", "at_hi", "free", "alphas", "_lams",
+        "lo", "hi", "lo_closed", "hi_closed", "events", "objective", "_ends", "_support",
         "_successor",
     )
 
@@ -425,106 +431,116 @@ class Piece:
         C1, e1 = table.cleared_sum(
             [(h, 1) for h in at_hi] + [(r, -c) for r, c in zip(refs, capped)]
         )
-        directions, normal, rhs = _normal_equations(table, classes, [(C0, e0), (C1, e1)])
+        directions, scales, diffs, normal, rhs = _normal_equations(table, classes, [C0, C1])
         try:
-            t0, t1 = solve_linear_systems(normal, rhs)
+            (Y0, Y1), det = solve_linear_systems(normal, rhs)
         except SingularMatrixError:
             return None
-        x0 = {i: t for (i, _r), t in zip(directions, t0)}
-        x1 = {i: t for (i, _r), t in zip(directions, t1)}
-        for members, r, c in zip(classes, refs, capped):
-            x0[r] = 1 - sum((x0[i] for i in members[1:]), Fraction(0))
-            x1[r] = -c - sum((x1[i] for i in members[1:]), Fraction(0))
-        base, slope = [x0[i] for i in free], [x1[i] for i in free]
-        W0, d0 = table.cleared_sum(zip(free, base))
-        W1, d1 = table.cleared_sum([*zip(free, slope), *((h, 1) for h in at_hi)])
-        base += [Fraction(*table.signed_dot(r, W0, d0)) for r in refs]
-        slope += [Fraction(*table.signed_dot(r, W1, d1)) for r in refs]
+        # x_i = t_i = c (Y0_i / (det e0) + mu Y1_i / (det e1)) = P_i / (det e0) + mu Q_i / (det e1)
+        den0, den1 = det * e0, det * e1
+        P = {i: c * y for (i, _r), c, y in zip(directions, scales, Y0)}
+        Q = {i: c * y for (i, _r), c, y in zip(directions, scales, Y1)}
+        for members, r, h in zip(classes, refs, capped):
+            P[r] = den0 - sum([P[i] for i in members[1:]])
+            Q[r] = -h * den1 - sum([Q[i] for i in members[1:]])
+        # w = W0 / den0 + mu W1 / den1 with W = det C + sum y_a u_a
+        cols = [[u[j] for u in diffs] for j in range(len(C0))]
+        W0 = [det * c + sum(map(mul, Y0, col)) for c, col in zip(C0, cols)]
+        W1 = [det * c + sum(map(mul, Y1, col)) for c, col in zip(C1, cols)]
         piece = cls()
-        piece.table, piece.at_lo, piece.at_hi = table, tuple(at_lo), tuple(at_hi)
-        piece.free, piece.base, piece.slope = free, tuple(base), tuple(slope)
+        piece.table, piece.at_lo, piece.at_hi, piece.free = table, tuple(at_lo), tuple(at_hi), free
         # the support wherever no free coefficient vanishes, split by class
         piece._support = (
             frozenset([i for i in (*at_hi, *free) if i < n_plus]),
             frozenset([i - n_plus for i in (*at_hi, *free) if i >= n_plus]),
         )
-        piece._measure(W0, d0, W1, d1)
+        piece._measure(refs, P, Q, W0, W1, det, e0, e1)
         piece._successor = _UNWALKED
         return piece
 
-    def _measure(self, S0: list, den0: int, S1: list, den1: int) -> None:
-        """Set the interval, its upper events, and the coefficients of x and the objective.
+    def _measure(self, refs: list, P: dict, Q: dict, W0: list, W1: list, det, e0, e1) -> None:
+        """Set the coefficients, the interval, its upper events, the multipliers and the objective.
 
-        w(mu) = (S0 / den0) + mu (S1 / den1) is the signed points' sum cleared
-        to integers, as `build` computed it.
+        From `build`: x_i = P[i] / (det e0) + mu Q[i] / (det e1) and
+        w = W0 / (det e0) + mu W1 / (det e1). In nu = mu e0 / e1, a positive
+        multiple of mu, both are over det e0, so each condition is
+        a + b nu >= 0 (closed) or > 0 (open) with integers a and b.
         """
-        table, free, base, slope = self.table, self.free, self.base, self.slope
-        n_plus, m = len(table.plus_points), len(free)
-        # each condition is a + b mu >= 0 (closed) or > 0 (open), a and b integers
-        conditions = []
-        alphas = []
-        for i, b, s in zip(free, base, slope):
-            bn, bd, sn, sd = b.numerator, b.denominator, s.numerator, s.denominator
-            # x_i = b + s mu = (bn sd + sn bd mu) / (bd sd)
-            alphas.append((bn * sd, sn * bd, bd * sd))
-            conditions.append((bn * sd, sn * bd, True, (i, AT_LO)))
-            # mu - x_i = -b + (1 - s) mu, with 1 - s = (sd - sn) / sd
-            conditions.append((-bn * sd, (sd - sn) * bd, True, (i, AT_HI)))
-        self.alphas = tuple(alphas)
-        # with lam = l0 + mu l1 and N = nums[k] . S, the gap s_k . w - lam times
-        # dens[k] is (N0 / den0 - dens[k] l0) + mu (N1 / den1 - dens[k] l1);
-        # times the positive den0 den1 and both denominators of lam it is a + b mu,
-        # a = N0 A0 - dens[k] B0 and b = N1 A1 - dens[k] B1 with per-class integers
-        lams = []
-        for c in (0, 1):
-            l0, l1 = base[m + c], slope[m + c]
-            dd = l0.denominator * l1.denominator
-            lams.append((
-                dd * den1, l0.numerator * l1.denominator * den0 * den1,
-                dd * den0, l1.numerator * l0.denominator * den0 * den1,
-            ))
+        table, free, n_plus = self.table, self.free, len(self.table.plus_points)
         nums, dens = table.nums, table.dens
+        den0, den1 = det * e0, det * e1
+        # x_i = (P e1 + Q e0 mu) / (det e0 e1)
+        self.alphas = tuple([(P[i] * e1, Q[i] * e0, den0 * e1) for i in free])
+        # lam = s_r . w = R0 / (dens[r] den0) + mu R1 / (dens[r] den1) with R = nums[r] . W;
+        # the gap s_k . w - lam times the positive dens[k] dens[r] den0 is
+        # (dens[r] N0 - dens[k] R0) + nu (dens[r] N1 - dens[k] R1), N = nums[k] . W
+        self._lams = lams = tuple([
+            (sum(map(mul, nums[r], W0)), dens[r] * den0, sum(map(mul, nums[r], W1)), dens[r] * den1)
+            for r in refs
+        ])
+        # the conditions a + b nu, in order: per free coefficient x_i >= 0 and
+        # mu - x_i = (-P + (det e1 - Q) nu) / (det e0) >= 0, both closed, then
+        # the open gaps of the coefficients at 0 and, negated, of those at mu
+        A = [a for i in free for a in (P[i], -P[i])]
+        B = [b for i in free for b in (Q[i], den1 - Q[i])]
+        closed = len(A)
+        bound = (*self.at_lo, *self.at_hi)
         for indices, sign in ((self.at_lo, 1), (self.at_hi, -1)):
+            # the side's sign and each class's constants, hoisted out of the loop
+            consts = [(sign * dens[r], sign * l[0], sign * l[2]) for r, l in zip(refs, lams)]
             for k in indices:
-                A0, B0, A1, B1 = lams[k >= n_plus]
+                dr, R0, R1 = consts[k >= n_plus]
                 row, dk = nums[k], dens[k]
-                a = sum([x * y for x, y in zip(row, S0)]) * A0 - dk * B0
-                b = sum([x * y for x, y in zip(row, S1)]) * A1 - dk * B1
-                conditions.append((sign * a, sign * b, False, (k, None)))
-        lo = hi = None  # (numerator, positive denominator)
-        lo_closed = hi_closed = True
-        events = []
-        for a, b, closed, event in conditions:
-            if b > 0:  # mu >= -a / b
-                if lo is None or -a * lo[1] > lo[0] * b:
-                    lo, lo_closed = (-a, b), closed
-                elif -a * lo[1] == lo[0] * b:
-                    lo_closed = lo_closed and closed
-            elif b < 0:  # mu <= a / -b
-                if hi is None or a * hi[1] < hi[0] * -b:
-                    hi, hi_closed, events = (a, -b), closed, [event]
-                elif a * hi[1] == hi[0] * -b:
-                    hi_closed = hi_closed and closed
-                    events.append(event)
-            elif a < 0 or (a == 0 and not closed):
-                # fails at every mu: the empty interval [1, 0]
-                lo, hi, lo_closed, hi_closed, events = (1, 1), (0, 1), True, True, []
+                A.append(dr * sum(map(mul, row, W0)) - dk * R0)
+                B.append(dr * sum(map(mul, row, W1)) - dk * R1)
+        lo_n = lo_d = hi_n = hi_d = 0  # nu as numerator over positive denominator; 0 if none
+        lo_closed, hi_closed, events = True, True, []
+        for j, b in enumerate(B):
+            if b > 0:  # nu >= -a / b
+                a = -A[j]
+                if not lo_d or a * lo_d > lo_n * b:
+                    lo_n, lo_d, lo_closed = a, b, j < closed
+                elif a * lo_d == lo_n * b:
+                    lo_closed = lo_closed and j < closed
+            elif b < 0:  # nu <= a / -b
+                a, b = A[j], -b
+                if not hi_d or a * hi_d < hi_n * b:
+                    hi_n, hi_d, hi_closed, events = a, b, j < closed, [j]
+                elif a * hi_d == hi_n * b:
+                    hi_closed = hi_closed and j < closed
+                    events.append(j)
+            elif A[j] < 0 or (not A[j] and j >= closed):
+                # fails at every mu: the empty interval [1, 0], nu = e0 / e1 at mu = 1
+                lo_n, lo_d, hi_n, hi_d, lo_closed, hi_closed, events = e0, e1, 0, 1, True, True, []
                 break
-        self.lo = None if lo is None else Fraction(*lo)
-        self.hi = None if hi is None else Fraction(*hi)
+        # mu = nu e1 / e0
+        self.lo = Fraction(lo_n * e1, lo_d * e0) if lo_d else None
+        self.hi = Fraction(hi_n * e1, hi_d * e0) if hi_d else None
+        # an event (index, new state): a free coefficient becomes AT_LO or AT_HI, a bound one free
+        self.events = tuple([
+            (free[j // 2], (AT_LO, AT_HI)[j % 2]) if j < closed else (bound[j - closed], None)
+            for j in events
+        ])
         # the ends in lowest terms as integer pairs, which `covers` compares
         self._ends = tuple(
             None if end is None else (end.numerator, end.denominator) for end in (self.lo, self.hi)
         )
-        self.lo_closed, self.hi_closed, self.events = lo_closed, hi_closed, tuple(events)
+        self.lo_closed, self.hi_closed = lo_closed, hi_closed
         # ||w||^2 = (a den1^2 + b den0 den1 mu + c den0^2 mu^2) / (den0 den1)^2
-        self.objective = (
-            sum(c * c for c in S0),
-            2 * sum(c * e for c, e in zip(S0, S1)),
-            sum(e * e for e in S1),
-            den0,
-            den1,
-        )
+        a, b, c = sum(map(mul, W0, W0)), 2 * sum(map(mul, W0, W1)), sum(map(mul, W1, W1))
+        self.objective = (a, b, c, den0, den1)
+
+    @property
+    def base(self) -> tuple:
+        """(x_F, lam_+, lam_-) at mu = 0 as Fractions: free coefficients, then class multipliers."""
+        lams = [Fraction(*lam[:2]) for lam in self._lams]
+        return tuple([Fraction(A, C) for A, _B, C in self.alphas] + lams)
+
+    @property
+    def slope(self) -> tuple:
+        """The mu-coefficients of `base`: base + mu slope is (x_F, lam_+, lam_-) at mu."""
+        lams = [Fraction(*lam[2:]) for lam in self._lams]
+        return tuple([Fraction(B, C) for _A, B, C in self.alphas] + lams)
 
     def covers(self, mu) -> bool:
         """Whether mu lies in the piece's interval, where `optimum` answers."""

@@ -11,11 +11,13 @@ single-facet relaxation rather than the instance QP. The reference solver rebuil
 equations and gradients from Fraction point coordinates on every iteration,
 and the reference KKT check, multiplier ranges and uniqueness test take
 Fraction vector dot products, instead of reading the instance's point table
-(its integer points and Gram matrix). Every linear system here, regular or
+(its integer points). Every linear system here, regular or
 flat, and every nullspace basis is solved by the Fraction reduced row
 echelon form below, not by the library's fraction-free elimination. The
 reference sweep takes every record from the solver's loop, without the
-chain of affine pieces the library sweep walks. The shadow references build
+chain of affine pieces the library sweep walks, and the piece reference
+solves a piece's normal equations on Fraction differences and scans its
+interval in Fractions, where the library's piece works in integers. The shadow references build
 each cube vertex on its own (`cube_vertex`) and the shadow as a Fraction
 `Polygon2`, whose constructor checks strict convexity, where the library
 keeps one integer hull ring; the certificate reference takes its edge
@@ -31,6 +33,7 @@ coefficients.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from types import SimpleNamespace
 
 from svmpath.construct import facet_strictness_check, stretch
 from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, hull_chain, orient2d
@@ -673,6 +676,93 @@ def unique_optimum_reference(qp, candidate) -> bool:
     except SingularMatrixError:
         return False
     return True
+
+
+def piece_reference(table, working):
+    """Reference for `qp.Piece.build`: the piece of `working` in Fraction vector arithmetic, or None.
+
+    The same equations as the library's piece, kept in Fractions: the first
+    free coefficient of each class is its reference r, each other free i
+    moves by t_i along s_i - s_r, and the Gram matrix of the Fraction
+    differences gives t = t0 + mu t1 by the RREF solve above. The conditions
+    x_i >= 0, mu - x_i >= 0 (closed) and each bound coefficient's gradient gap
+    to its class multiplier s_r . w (open, on its side) are Fraction affine
+    functions a + b mu, scanned for the interval as the library does.
+    Returns None where a class has no free coefficient or the Gram matrix is
+    singular, else a namespace of `free`, `base` and `slope` ((x_F, lam_+,
+    lam_-) at mu = 0 and its mu-coefficients), `lo`, `hi`, `lo_closed`,
+    `hi_closed`, `events`, and w = w0 + mu w1.
+    """
+    at_lo, at_hi = working
+    signed = list(table.plus_points) + [-v for v in table.minus_points]
+    n, n_plus, dim = len(signed), len(table.plus_points), len(signed[0])
+    bound = set(at_lo) | set(at_hi)
+    free = tuple(i for i in range(n) if i not in bound)
+    classes = ([i for i in free if i < n_plus], [i for i in free if i >= n_plus])
+    if not all(classes):
+        return None
+    refs = [members[0] for members in classes]
+    capped = [sum(h < n_plus for h in at_hi), sum(h >= n_plus for h in at_hi)]
+    c0 = signed[refs[0]] + signed[refs[1]]
+    c1 = sum((signed[h] for h in at_hi), zero(dim))
+    for r, c in zip(refs, capped):
+        c1 = c1 - signed[r] * c
+    directions = [(i, members[0]) for members in classes for i in members[1:]]
+    diffs = [signed[i] - signed[r] for i, r in directions]
+    gram = [[a.dot(b) for b in diffs] for a in diffs]
+    try:
+        t0 = solve_linear_system(gram, [-u.dot(c0) for u in diffs])
+        t1 = solve_linear_system(gram, [-u.dot(c1) for u in diffs])
+    except SingularMatrixError:
+        return None
+    x0 = {i: t for (i, _r), t in zip(directions, t0)}
+    x1 = {i: t for (i, _r), t in zip(directions, t1)}
+    for members, r, c in zip(classes, refs, capped):
+        x0[r] = 1 - sum((x0[i] for i in members[1:]), Fraction(0))
+        x1[r] = -c - sum((x1[i] for i in members[1:]), Fraction(0))
+    w0 = sum((signed[i] * x0[i] for i in free), zero(dim))
+    w1 = sum((signed[i] * x1[i] for i in free), zero(dim))
+    w1 = sum((signed[h] for h in at_hi), w1)
+    lams = [(signed[r].dot(w0), signed[r].dot(w1)) for r in refs]
+    conditions = []
+    for i in free:
+        conditions.append((x0[i], x1[i], True, (i, AT_LO)))
+        conditions.append((-x0[i], 1 - x1[i], True, (i, AT_HI)))
+    for indices, sign in ((at_lo, 1), (at_hi, -1)):
+        for k in indices:
+            l0, l1 = lams[k >= n_plus]
+            gap0, gap1 = signed[k].dot(w0) - l0, signed[k].dot(w1) - l1
+            conditions.append((sign * gap0, sign * gap1, False, (k, None)))
+    lo = hi = None
+    lo_closed = hi_closed = True
+    events = []
+    for a, b, closed, event in conditions:
+        if b > 0:
+            if lo is None or -a / b > lo:
+                lo, lo_closed = -a / b, closed
+            elif -a / b == lo:
+                lo_closed = lo_closed and closed
+        elif b < 0:
+            if hi is None or a / -b < hi:
+                hi, hi_closed, events = a / -b, closed, [event]
+            elif a / -b == hi:
+                hi_closed = hi_closed and closed
+                events.append(event)
+        elif a < 0 or (a == 0 and not closed):
+            lo, hi, lo_closed, hi_closed, events = Fraction(1), Fraction(0), True, True, []
+            break
+    return SimpleNamespace(
+        free=free,
+        base=tuple([x0[i] for i in free] + [l0 for l0, _l1 in lams]),
+        slope=tuple([x1[i] for i in free] + [l1 for _l0, l1 in lams]),
+        lo=lo,
+        hi=hi,
+        lo_closed=lo_closed,
+        hi_closed=hi_closed,
+        events=tuple(events),
+        w0=w0,
+        w1=w1,
+    )
 
 
 def strictness_check(p, params, ell, sigma) -> bool:

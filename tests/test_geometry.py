@@ -82,13 +82,17 @@ class TestSolveLinearSystems:
         A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n))
         columns = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=1, max_size=3))
         try:
-            solutions = solve_linear_systems(A, columns)
+            numerators, det = solve_linear_systems(A, columns)
         except SingularMatrixError:
             with pytest.raises(SingularMatrixError):
                 solve_linear_system(A, columns[0])
             return
-        assert len(solutions) == len(columns)
-        for x, b in zip(solutions, columns):
+        # integer solutions over one positive determinant
+        assert type(det) is int and det > 0
+        assert all(type(v) is int for y in numerators for v in y)
+        assert len(numerators) == len(columns)
+        for y, b in zip(numerators, columns):
+            x = [F(v, det) for v in y]
             for row, rhs in zip(A, b):
                 assert sum((a * v for a, v in zip(row, x)), F(0)) == rhs
 

@@ -1,6 +1,10 @@
+import cProfile
+import hashlib
+import pstats
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from oracles import (
     kkt_check_reference,
     mu_from_nu,
     multiplier_ranges_reference,
+    piece_reference,
     relaxed_facet_multiplier,
     replace,
     solve_reduced_distance_oracle,
@@ -32,6 +37,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import PointTable, Vec
 from svmpath.qp import (
+    AT_HI,
     AT_LO,
     CertificateError,
     OptimalPair,
@@ -44,6 +50,11 @@ from svmpath.qp import (
     working_set,
 )
 from svmpath.sweep import grid_values, path_pieces, sweep_grid
+
+
+# sha256 of the walks' (at_lo, at_hi, lo, hi, events) over [51/100, 1]
+D8_CHAIN = "1bd85a15b9508a4e94ecc9d7cf5360f960c6d4b38527d3ad24268f23a0b9759c"
+ARC60_CHAIN = "b90c15c5dd1ce516ee2184ea581fd58e0c9602d63121fcd986e3c2ba1b541371"
 
 
 def small_instances(count=200, seed=20260808):
@@ -564,23 +575,28 @@ class TestPointTable:
     def test_entries_are_fraction_dot_products(self, make):
         table = make().table
         signed = signed_vecs(table)
-        n = len(signed)
+        n, n_plus = len(signed), len(table.plus_points)
         for k, s in enumerate(signed):
             assert Vec(table.nums[k]) * F(1, table.dens[k]) == s
-        for i in range(n):
-            for j in range(n):
-                assert table.gram[i][j] == signed[i].dot(signed[j])
-        directions = [(i, (3 * i + 1) % n) for i in range(0, n, 3)]
-        diffs = [signed[i] - signed[r] for i, r in directions]
-        assert table.difference_gram(directions) == [[a.dot(b) for b in diffs] for a in diffs]
         rng = random.Random(n)
         x = [F(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(n)]
         W, den = table.cleared_sum(enumerate(x))
         w = sum((s * v for s, v in zip(signed, x)), zero(len(signed[0])))
         assert Vec(F(c, den) for c in W) == w
-        for k, s in enumerate(signed):
-            num, den_k = table.signed_dot(k, W, den)
-            assert den_k > 0 and F(num, den_k) == s.dot(w)
+        # every third point of each class free, the first of them its reference
+        free_by_class = [list(range(0, n_plus, 3)), list(range(n_plus, n, 3))]
+        directions, scales, diffs, normal, (rhs,) = qp_module._normal_equations(
+            table, free_by_class, [W]
+        )
+        assert directions == [(i, free[0]) for free in free_by_class for i in free[1:]]
+        vecs = [signed[i] - signed[r] for i, r in directions]
+        for c, u, v in zip(scales, diffs, vecs):
+            assert type(c) is int and c > 0 and all(type(e) is int for e in u)
+            assert Vec(u) * F(1, c) == v
+        # N = (u_a . u_b) and rhs = -u_a . W, with u_a = c_a (s_i - s_r) and W = den w
+        assert all(type(e) is int for row in normal for e in row + rhs)
+        assert normal == [[a.dot(b) * ca * cb for b, cb in zip(vecs, scales)] for a, ca in zip(vecs, scales)]
+        assert rhs == [-a.dot(w) * c * den for a, c in zip(vecs, scales)]
 
     def test_built_once_and_outside_equality(self, instance4):
         assert instance4.table is instance4.table
@@ -649,6 +665,130 @@ class TestTableMatchesFractionReference:
             assert unique_optimum_reference(qp, cert.pair)
             (_signed, _grads, lo, hi), _minus = multiplier_ranges_reference(qp, cert.pair)
             assert lo == hi == -cert.facet_multiplier
+
+
+def piece_objective(piece, mu) -> F:
+    """||w||^2 at mu from the piece's integer objective coefficients."""
+    a, b, c, d0, d1 = piece.objective
+    return F(a, d0 * d0) + F(b, d0 * d1) * mu + F(c, d1 * d1) * mu * mu
+
+
+def chain_digest(pieces) -> str:
+    return hashlib.sha256(
+        repr([(p.at_lo, p.at_hi, p.lo, p.hi, p.events) for p in pieces]).encode()
+    ).hexdigest()
+
+
+class TestPieceMatchesFractionReference:
+    """Every field of `Piece.build`'s integer piece against `oracles.piece_reference`."""
+
+    @staticmethod
+    def check(table, working):
+        piece, ref = Piece.build(table, working), piece_reference(table, working)
+        assert (piece is None) == (ref is None)
+        if piece is None:
+            return None
+        m = len(piece.free)
+        assert piece.free == ref.free
+        assert [(F(A, C), F(B, C)) for A, B, C in piece.alphas] == list(zip(ref.base[:m], ref.slope[:m]))
+        assert (piece.base, piece.slope) == (ref.base, ref.slope)
+        assert (piece.lo, piece.hi, piece.lo_closed, piece.hi_closed) == (
+            ref.lo, ref.hi, ref.lo_closed, ref.hi_closed
+        )
+        assert piece.events == ref.events
+        # the objective at the finite ends and between them, or one unit into a half-line
+        if ref.lo is not None and ref.hi is not None:
+            mus = [ref.lo, ref.hi, (ref.lo + ref.hi) / 2]
+        elif ref.lo is not None:
+            mus = [ref.lo, ref.lo + 1]
+        elif ref.hi is not None:
+            mus = [ref.hi, ref.hi - 1]
+        else:
+            mus = [F(1, 2)]
+        n_plus = len(table.plus_points)
+        for mu in mus:
+            assert piece_objective(piece, mu) == (ref.w0 + ref.w1 * mu).norm_sq()
+            if mu > 0 and piece.covers(mu):
+                x = {h: mu for h in piece.at_hi}
+                x.update({i: b + s * mu for i, b, s in zip(ref.free, ref.base, ref.slope)})
+                positive = [i for i, v in x.items() if v > 0]
+                assert piece.support(mu) == (
+                    frozenset(i for i in positive if i < n_plus),
+                    frozenset(i - n_plus for i in positive if i >= n_plus),
+                )
+        return piece
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_walks(self, d):
+        instance = build_instance(default_params(d), DEFAULT_STRETCH)
+        pieces = path_pieces(instance, F(51, 100), F(1))
+        assert pieces and pieces[-1].covers(F(1))
+        for piece in pieces:
+            assert self.check(instance.table, (piece.at_lo, piece.at_hi)) is not None
+        if d == 8:
+            assert chain_digest(pieces) == D8_CHAIN
+
+    def test_arc_walk(self):
+        instance = generate_2d_arc_instance(60)
+        pieces = path_pieces(instance, F(51, 100), F(1))
+        assert pieces and pieces[-1].covers(F(1))
+        for piece in pieces:
+            assert self.check(instance.table, (piece.at_lo, piece.at_hi)) is not None
+        assert chain_digest(pieces) == ARC60_CHAIN
+
+    def test_small_instances(self):
+        # the working set of each solver output; where it has no piece, the
+        # reference has none either
+        verdicts = set()
+        for qp in small_instances(200):
+            sol = solve_reduced_distance(qp)
+            verdicts.add(self.check(qp.table, working_set(sol, qp.mu)) is None)
+        assert verdicts == {True, False}
+
+    def test_every_working_set_of_small_instances(self):
+        # each coefficient at 0, at mu or free: singular, empty and one-sided
+        # pieces and those without a free coefficient in a class all occur
+        kinds = set()
+        for qp in small_instances(200)[:20]:
+            n = len(qp.table.nums)
+            for states in product((AT_LO, AT_HI, None), repeat=n):
+                working = (
+                    tuple(i for i, s in enumerate(states) if s == AT_LO),
+                    tuple(i for i, s in enumerate(states) if s == AT_HI),
+                )
+                piece = self.check(qp.table, working)
+                if piece is None:
+                    kinds.add("none")
+                elif piece.lo is not None and piece.hi is not None and piece.lo > piece.hi:
+                    kinds.add("empty")
+                elif piece.lo is None or piece.hi is None:
+                    kinds.add("unbounded")
+                else:
+                    kinds.add("bounded")
+        assert kinds == {"none", "empty", "unbounded", "bounded"}
+
+
+class TestPieceFractions:
+    @pytest.mark.parametrize(
+        "make", [lambda: generate_2d_arc_instance(60), lambda: build_instance(default_params(6), DEFAULT_STRETCH)],
+        ids=["arc60", "d6"],
+    )
+    def test_at_most_two_per_piece(self, make):
+        # the interval's two ends are the only Fractions a build makes
+        instance = make()
+        table = instance.table
+        working = [(p.at_lo, p.at_hi) for p in path_pieces(instance, F(51, 100), F(1))]
+        profile = cProfile.Profile()
+        profile.enable()
+        for ws in working:
+            Piece.build(table, ws)
+        profile.disable()
+        made = sum(
+            calls
+            for (path, _line, name), (calls, *_rest) in pstats.Stats(profile).stats.items()
+            if name == "__new__" and path.endswith("fractions.py")
+        )
+        assert working and made <= 2 * len(working)
 
 
 class TestSupportSet:
