@@ -14,8 +14,6 @@ from .construct import (
     SvmInstance,
     admissible_constructions,
     build_instance,
-    build_p_stretched,
-    build_q,
     calibrate,
     choose_stretch,
     facet_strictness_check,

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .construct import (
+    CalibrationError,
     StretchFactor,
     StretchSearchError,
     StrictnessError,
@@ -246,6 +247,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (
+        CalibrationError,
         CertificateError,
         SweepMismatchError,
         StrictnessError,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional
 
-from .geometry import FrozenRecord, PointTable, Vec
+from .geometry import FrozenRecord, PointTable, Vec, common_denominator
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
@@ -52,10 +53,6 @@ class StretchFactor(FrozenRecord):
         object.__setattr__(self, "factor", Fraction(factor))
         if self.factor <= 0:
             raise ValueError("stretch factor must be positive")
-
-    @property
-    def inverse(self) -> Fraction:
-        return 1 / self.factor
 
 
 def stretch(x: Vec, factor) -> Vec:
@@ -174,62 +171,57 @@ class SvmInstance(FrozenRecord):
 MINUS_LABELS = ("left", "right")
 
 
-def build_q(cert_point: Vec, vertex: Vec) -> tuple:
-    """Back-project the shadow point onto the line, fixing q[-2] = 2.
-
-    q = p_shadow - slack * v(0) / ||v(0)||^2 where the slack constant is chosen
-    in closed form so the second-to-last coordinate of q is exactly 2. Returns
-    (q, slack); slack = 1 - v(0) . q < 0 always holds, since the shadow point
-    has second-to-last coordinate at most 1 while q has 2.
-    """
-    d = len(vertex)
-    v0 = stretch(vertex, 0)
-    if vertex[d - 2] <= 0:
-        raise ValueError("vertex must have positive second-to-last coordinate")
-    nsq = v0.norm_sq()
-    slack = (cert_point[d - 2] - 2) * nsq / v0[d - 2]
-    q = cert_point - v0 * (slack / nsq)
-    if slack >= 0:
-        raise ValueError("slack must be negative")
-    return q, slack
-
-
-def build_p_stretched(q: Vec, vertex: Vec, ell) -> Vec:
-    """Project q onto the stretched facet hyperplane v(ell) . x = 1."""
-    ell = Fraction(ell)
-    v_ell = stretch(vertex, ell)
-    slack = 1 - v_ell.dot(q)
-    return q + v_ell * (slack / v_ell.norm_sq())
-
-
 @lru_cache(maxsize=None)
 def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
-    """(shadow point, vertex, q, slack) of sigma: the part of a pair that no stretch changes."""
-    cert = shadow_certificate(params, sigma)
+    """(p_shadow, q, slack, (V, S1, S2, H, g, Qd)): the part of a pair that no stretch changes.
+
+    The shadow point a moves along v(0) = stretch(v_sigma, 0) to the line,
+    q = a - v(0) slack / ||v(0)||^2 with q[-2] = 2, so q = (0, ..., 0, 2, q_d)
+    for q_d = a_d - (a_(d-1) - 2) v_d / v_(d-1), and slack = 1 - v(0) . q < 0
+    since a_(d-1) <= 1. For `build_pair`, v = V / D as an integer row,
+    S1 = sum of V_k^2 over k <= d-2, S2 = V_(d-1)^2 + V_d^2, and
+    slack D = H / g and q_d = Qd / g over one g.
+    """
+    a = shadow_certificate(params, sigma).vector
     vertex = cube_vertices(params)[sign_index(sigma)].coords
-    q, slack = build_q(cert.vector, vertex)
-    return cert.vector, vertex, q, slack
+    if vertex[-2] <= 0:
+        raise ValueError("vertex must have positive second-to-last coordinate")
+    q_d = a[-1] - (a[-2] - 2) * vertex[-1] / vertex[-2]
+    slack = 1 - 2 * vertex[-2] - q_d * vertex[-1]
+    if slack >= 0:
+        raise ValueError("slack must be negative")
+    D, (V,) = common_denominator([vertex])
+    h = slack * D
+    g = lcm(h.denominator, q_d.denominator)
+    H, Qd = h.numerator * (g // h.denominator), q_d.numerator * (g // q_d.denominator)
+    S1, S2 = sum([v * v for v in V[:-2]]), V[-2] * V[-2] + V[-1] * V[-1]
+    return a, line_point(len(V), q_d), slack, (V, S1, S2, H, g, Qd)
 
 
 def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> ConstructedPair:
     """Assemble the breakpoint pair for one admissible sigma.
 
-    Only p depends on the stretch factor; the shadow certificate, q and the
-    slack are computed once per (params, sigma) and shared by every try.
+    Only p depends on the stretch factor: it projects q onto the facet
+    v(1/L) . x = 1, p = q + v(1/L) slack / ||v(1/L)||^2 (v(1/L) . q = v(0) . q).
+    With L = n / m, ||v(1/L)||^2 = N / (n D)^2 for N = m^2 S1 + n^2 S2, so p
+    is one integer vector over g N.
     """
     sigma = tuple(sigma)
     if sigma[-2] != 1 or sigma[-1] != 1:
         raise ValueError("pair construction needs the last two signs to be +1")
-    p_shadow, vertex, q, slack = _unstretched_pair(params, sigma)
-    p = build_p_stretched(q, vertex, s.inverse)
-    return ConstructedPair(sigma, p_shadow, q, p, slack)
+    p_shadow, q, slack, (V, S1, S2, H, g, Qd) = _unstretched_pair(params, sigma)
+    n, m = s.factor.numerator, s.factor.denominator
+    N = m * m * S1 + n * n * S2
+    E, top, side = g * N, H * m * n, H * n * n
+    P = [top * v for v in V[:-2]] + [2 * E + side * V[-2], Qd * N + side * V[-1]]
+    return ConstructedPair(sigma, p_shadow, q, Vec([Fraction(c, E) for c in P]), slack)
 
 
-def facet_strictness_check(alphas: tuple) -> bool:
-    """True iff weights alphas put their point on its sigma-facet and strictly inside all others.
+def facet_strictness_check(weights: tuple) -> bool:
+    """True iff weights (W, den) put their point on its sigma-facet and strictly inside all others.
 
     Cone form of the exhaustive test over all 2^d vertices. Since
-    stretch(v, ell) . p == v . stretch(p, ell), let alpha be the
+    stretch(v, ell) . p == v . stretch(p, ell), let alpha = W / den be the
     `facet_weights` of p' = stretch(p, ell). The sigma-facet duals satisfy
     w_(k, s) . v_tau = 1 when tau_k = s and 1 - 2 z_k(tau) / rhs_k otherwise,
     so p' . v_tau = sum(alpha) - 2 sum over the flipped k of
@@ -237,9 +229,11 @@ def facet_strictness_check(alphas: tuple) -> bool:
     raises otherwise), positive weights summing to 1 make p tight at sigma
     and strict at every other tau; and if some alpha_k <= 0, the neighbour
     that flips only sign k has p' . v_tau >= sum(alpha). So the check is
-    sum(alpha) == 1 and all(alpha > 0), in O(d).
+    sum(alpha) == 1 and all(alpha > 0), in O(d): with den > 0,
+    sum(W) == den and all(W > 0).
     """
-    return sum(alphas) == 1 and all(a > 0 for a in alphas)
+    W, den = weights
+    return sum(W) == den and all(w > 0 for w in W)
 
 
 def support_decomposition(
@@ -249,19 +243,24 @@ def support_decomposition(
 
     Unstretching both sides by 1/L gives the same weights over the
     unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L), whose
-    banded triangular system `facet_weights` solves; its diagonal never
-    vanishes, so the system is never singular. The weights decide the
-    breakpoint: they are positive and sum to 1 exactly when p is strictly
-    inside every facet but its own (`facet_strictness_check`), and
-    StrictnessError is raised otherwise. Then the d >= 2 weights are
-    positive and sum to 1, so the largest, mu_sigma, is below 1.
+    banded triangular system `facet_weights` solves in integers; its
+    diagonal never vanishes. The weights are positive and sum to 1 exactly
+    when p is strictly inside every facet but its own
+    (`facet_strictness_check`); StrictnessError is raised otherwise, before
+    any weight becomes a Fraction. The largest weight, mu_sigma, is below 1.
     """
     sigma = tuple(sigma)
     cube_vertices(params)  # the z_k(tau) > 0 guard that the cone form rests on
-    alphas = facet_weights(params, sigma, stretch(p, s.inverse))
-    if not facet_strictness_check(alphas):
+    # stretch(p, 1/L) over e n, for the lcm e of p's denominators and L = n / m
+    e, n, m = lcm(*[c.denominator for c in p]), s.factor.numerator, s.factor.denominator
+    last = len(p) - 2
+    X = [c.numerator * (e // c.denominator) * (m if k < last else n) for k, c in enumerate(p)]
+    weights = facet_weights(params, sigma, (X, e * n))
+    if not facet_strictness_check(weights):
         raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
-    return SupportDecomposition(sigma, alphas, max(alphas))
+    W, den = weights
+    alphas = tuple([Fraction(w, den) for w in W])
+    return SupportDecomposition(sigma, alphas, alphas[W.index(max(W))])
 
 
 def calibrate(pairs: Iterable[ConstructedPair], decomps: Iterable[SupportDecomposition]) -> Calibration:

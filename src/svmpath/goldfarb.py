@@ -176,31 +176,39 @@ def _bound(params: GoldfarbParams, x: list) -> Fraction:
     return z
 
 
-def facet_weights(params: GoldfarbParams, sigma: SignVec, x: Vec) -> tuple:
-    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == x over the dual vertices.
+@lru_cache(maxsize=None)
+def _integer_bands(params: GoldfarbParams) -> tuple:
+    """(m, rows, m^d): rows (A_k, m B_k, m^k R_k), the bands over their lcm m, and two of 0."""
+    m, rows = common_denominator(_pair_bands(params))
+    rows = [(A, m * B, m ** k * R) for k, (A, B, R) in enumerate(rows)] + [(0, 0, 0)] * 2
+    return m, rows, m ** params.dim
 
-    The dual w_(k, s) = normal / rhs_k of facet (k, s) touches only the
-    coordinates k-2..k, so the matrix with columns w_(k, sigma_k) is upper
-    triangular with bandwidth 3 and diagonal sigma_k / rhs_k. Writing
-    alpha_k = rhs_k * beta_k, row i reads
-    x_i = sigma_i beta_i + a_(i+1) beta_(i+1) + b_(i+2) beta_(i+2),
-    which back-substitution solves from the last row up in O(d) steps.
+
+def facet_weights(params: GoldfarbParams, sigma: SignVec, x: tuple) -> tuple:
+    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == X / den over the dual vertices.
+
+    x = (X, den) is integers over a positive denominator, and so are the
+    weights, (W, den m^d). The dual w_(k, s) = normal / rhs_k of facet (k, s)
+    touches only the coordinates k-2..k, so the matrix with columns
+    w_(k, sigma_k) is upper triangular with bandwidth 3 and diagonal
+    sigma_k / rhs_k. With alpha_k = rhs_k * beta_k, row i reads
+    x_i = sigma_i beta_i + a_(i+1) beta_(i+1) + b_(i+2) beta_(i+2), solved from
+    the last row up in O(d) steps on the bands as integers A, B, R over their
+    lcm m: beta_i = Y_i / (den m^(d-1-i)) and
+    Y_i = sigma_i (m^(d-1-i) X_i - A_(i+1) Y_(i+1) - m B_(i+2) Y_(i+2)).
     """
     d = params.dim
+    X, den = x
     if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
         raise ValueError("sigma must be a length-dim vector over {-1, +1}")
-    if len(x) != d:
-        raise ValueError(f"point has {len(x)} coordinates, expected {d}")
-    bands = _pair_bands(params)
-    beta = [Fraction(0)] * d
+    if len(X) != d:
+        raise ValueError(f"point has {len(X)} coordinates, expected {d}")
+    m, bands, top = _integer_bands(params)
+    Y, power = [0] * (d + 2), 1
     for i in range(d - 1, -1, -1):
-        rest = x[i]
-        if i + 1 < d:
-            rest -= bands[i + 1][0] * beta[i + 1]
-        if i + 2 < d:
-            rest -= bands[i + 2][1] * beta[i + 2]
-        beta[i] = rest if sigma[i] == 1 else -rest
-    return tuple(band[2] * b for band, b in zip(bands, beta))
+        rest = power * X[i] - bands[i + 1][0] * Y[i + 1] - bands[i + 2][1] * Y[i + 2]
+        Y[i], power = (rest if sigma[i] == 1 else -rest), power * m
+    return tuple([band[2] * y for band, y in zip(bands, Y[:d])]), den * top
 
 
 @lru_cache(maxsize=None)

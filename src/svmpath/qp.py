@@ -387,8 +387,8 @@ class Piece:
     elimination solves it for both right-hand sides over one determinant det:
     each free coefficient (`alphas`) and w are integers over det e0 plus mu
     times integers over det e1, for c0 = C0 / e0 and c1 = C1 / e1. Each class
-    multiplier lam is its reference's gradient s_r . w; `base + mu * slope`,
-    Fractions built when read, is (x_F, lam_+, lam_-) at every mu.
+    multiplier lam is its reference's gradient s_r . w, kept as integers over
+    dens[r] det e0 plus mu times integers over dens[r] det e1 (`_lams`).
 
     Then every gradient s_k . w and every gap between a bound coefficient's
     gradient and its class multiplier are affine in mu too, so each condition
@@ -529,18 +529,6 @@ class Piece:
         # ||w||^2 = (a den1^2 + b den0 den1 mu + c den0^2 mu^2) / (den0 den1)^2
         a, b, c = sum(map(mul, W0, W0)), 2 * sum(map(mul, W0, W1)), sum(map(mul, W1, W1))
         self.objective = (a, b, c, den0, den1)
-
-    @property
-    def base(self) -> tuple:
-        """(x_F, lam_+, lam_-) at mu = 0 as Fractions: free coefficients, then class multipliers."""
-        lams = [Fraction(*lam[:2]) for lam in self._lams]
-        return tuple([Fraction(A, C) for A, _B, C in self.alphas] + lams)
-
-    @property
-    def slope(self) -> tuple:
-        """The mu-coefficients of `base`: base + mu slope is (x_F, lam_+, lam_-) at mu."""
-        lams = [Fraction(*lam[2:]) for lam in self._lams]
-        return tuple([Fraction(B, C) for _A, B, C in self.alphas] + lams)
 
     def covers(self, mu) -> bool:
         """Whether mu lies in the piece's interval, where `optimum` answers."""
@@ -695,8 +683,9 @@ def build_kkt_certificate(
     optimum = piece.optimum(ReducedHullQP.from_instance(instance, mu))
     if (optimum.p, optimum.q, optimum.alpha_plus, optimum.alpha_minus) != candidate:
         raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
-    m = len(piece.free)
-    lam_plus = piece.base[m] + mu * piece.slope[m]
+    # lam_+ = R0 / D0 + mu R1 / D1, the plus class's multiplier, as one Fraction
+    R0, D0, R1, D1 = piece._lams[0]
+    lam_plus = Fraction(R0 * D1 * mu.denominator + mu.numerator * R1 * D0, D0 * D1 * mu.denominator)
     return KktCertificate(tuple(pair.sigma), mu, optimum, -2 * lam_plus)
 
 

@@ -21,7 +21,9 @@ interval in Fractions, where the library's piece works in integers. The shadow r
 each cube vertex on its own (`cube_vertex`) and the shadow as a Fraction
 `Polygon2`, whose constructor checks strict convexity, where the library
 keeps one integer hull ring; the certificate reference takes its edge
-normals on that Fraction polygon. All are exact.
+normals on that Fraction polygon. The construction references build q, p
+and the facet weights in Fraction vectors, where the library clears them to
+integers over one denominator. All are exact.
 
 The last eight functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
@@ -36,8 +38,18 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 from svmpath.construct import facet_strictness_check, stretch
-from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, hull_chain, orient2d
-from svmpath.goldfarb import CubeVertex, ShadowCertificate, _bound, facet_weights, sign_vectors
+from svmpath.geometry import (
+    FrozenRecord, SingularMatrixError, Vec, common_denominator, hull_chain, orient2d,
+)
+from svmpath.goldfarb import (
+    CubeVertex,
+    ShadowCertificate,
+    _bound,
+    _pair_bands,
+    facet_weights,
+    shadow_certificate,
+    sign_vectors,
+)
 from svmpath.qp import (
     AT_HI,
     AT_LO,
@@ -577,6 +589,74 @@ def unique_optimum_oracle(qp, candidate) -> bool:
     return True
 
 
+def build_q_reference(cert_point, vertex) -> tuple:
+    """(q, slack): the shadow point moved back along v(0) onto the line, in Fraction vectors.
+
+    q = p_shadow - slack * v(0) / ||v(0)||^2, with the slack chosen in closed
+    form so that q[d-2] = 2; slack = 1 - v(0) . q < 0, since the shadow point
+    has second-to-last coordinate at most 1 while q has 2. The library reads
+    q and the slack off the last two coordinates instead.
+    """
+    d = len(vertex)
+    v0 = stretch(vertex, 0)
+    if vertex[d - 2] <= 0:
+        raise ValueError("vertex must have positive second-to-last coordinate")
+    nsq = v0.norm_sq()
+    slack = (cert_point[d - 2] - 2) * nsq / v0[d - 2]
+    q = cert_point - v0 * (slack / nsq)
+    if slack >= 0:
+        raise ValueError("slack must be negative")
+    return q, slack
+
+
+def build_p_stretched_reference(q, vertex, ell) -> Vec:
+    """Project q onto the stretched facet hyperplane v(ell) . x = 1, in Fraction vectors."""
+    ell = Fraction(ell)
+    v_ell = stretch(vertex, ell)
+    slack = 1 - v_ell.dot(q)
+    return q + v_ell * (slack / v_ell.norm_sq())
+
+
+def facet_weights_reference(params, sigma, x) -> tuple:
+    """Fraction weights alpha with sum_k alpha_k w_(k, sigma_k) == x for a Fraction point x.
+
+    The same banded back-substitution as `goldfarb.facet_weights`, on the
+    Fraction bands of `goldfarb._pair_bands`, where the library runs on
+    integers over one denominator.
+    """
+    d = params.dim
+    bands = _pair_bands(params)
+    beta = [Fraction(0)] * d
+    for i in range(d - 1, -1, -1):
+        rest = x[i]
+        if i + 1 < d:
+            rest -= bands[i + 1][0] * beta[i + 1]
+        if i + 2 < d:
+            rest -= bands[i + 2][1] * beta[i + 2]
+        beta[i] = rest if sigma[i] == 1 else -rest
+    return tuple(band[2] * b for band, b in zip(bands, beta))
+
+
+def construction_reference(params, sigma, factors) -> tuple:
+    """(p_shadow, q, slack, [(p, alphas) per stretch factor L]) of sigma, in Fraction vectors.
+
+    The shadow point is the library's certificate (the shadow tests compare
+    it with `shadow_certificate_reference`) and the vertex `cube_vertex`'s;
+    alphas is None where the weights fail the strictness predicate,
+    sum(alpha) == 1 and all(alpha > 0).
+    """
+    p_shadow = shadow_certificate(params, sigma).vector
+    vertex = cube_vertex(params, sigma).coords
+    q, slack = build_q_reference(p_shadow, vertex)
+    at = []
+    for factor in factors:
+        ell = 1 / Fraction(factor)
+        p = build_p_stretched_reference(q, vertex, ell)
+        alphas = facet_weights_reference(params, sigma, stretch(p, ell))
+        at.append((p, alphas if sum(alphas) == 1 and all(a > 0 for a in alphas) else None))
+    return p_shadow, q, slack, at
+
+
 def relaxed_facet_multiplier(pair, params, ell) -> Fraction:
     """Multiplier of the sigma-facet in the single-facet relaxation of a breakpoint.
 
@@ -773,7 +853,8 @@ def strictness_check(p, params, ell, sigma) -> bool:
     steps for any point and any ell, so the oracle above can be compared
     with it.
     """
-    return facet_strictness_check(facet_weights(params, tuple(sigma), stretch(p, ell)))
+    den, (X,) = common_denominator([stretch(p, ell)])
+    return facet_strictness_check(facet_weights(params, tuple(sigma), (X, den)))
 
 
 def mu_from_nu(nu, n: int) -> Fraction:

@@ -107,7 +107,7 @@ def test_criterion_4_kkt_certificates(built):
             cert = build_kkt_certificate(instance, pair, decomp)  # optimal and unique
             assert cert.sigma == pair.sigma
             assert cert.mu == mu_of_q(pair.q[-1], instance.calibration)
-            assert cert.facet_multiplier == relaxed_facet_multiplier(pair, params, s.inverse) > 0
+            assert cert.facet_multiplier == relaxed_facet_multiplier(pair, params, 1 / s.factor) > 0
             total += 1
     print(f"\nACCEPTANCE 4 PASS: {total} exact unique-optimum certificates on the instance QP "
           f"across d=3..8")

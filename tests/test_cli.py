@@ -95,6 +95,18 @@ class TestGenRefuses:
         assert_one_line_failure(result, "not a hull vertex", "sigma=(-1, 1, 1)")
         assert not out.exists()
 
+    def test_calibration_failure(self, tmp_path, capsys, monkeypatch):
+        # every pair replaced by the first, so the real calibration finds all
+        # q positions equal
+        calibrate = construct.calibrate
+        monkeypatch.setattr(
+            construct, "calibrate", lambda pairs, decomps: calibrate([pairs[0]] * len(pairs), decomps)
+        )
+        out = tmp_path / "d4.inst"
+        result = run(["gen", "--d", "4", "--out", str(out)], capsys)
+        assert_one_line_failure(result, "verification failure", "all q positions coincide")
+        assert not out.exists()
+
     def test_stretch_search_exhausted(self, tmp_path, capsys, monkeypatch):
         short = functools.partial(
             construct.choose_stretch, start=F(1, 10 ** 9), max_doublings=2

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from conftest import DEFAULT_STRETCH, default_params, spread
 from oracles import (
-    cube_vertex, facet_strictness_oracle, reduced_hull_segment, strictness_check, zero,
+    build_p_stretched_reference,
+    construction_reference,
+    cube_vertex,
+    facet_strictness_oracle,
+    facet_weights_reference,
+    reduced_hull_segment,
+    strictness_check,
+    zero,
 )
 from svmpath import construct
 from svmpath.construct import (
@@ -16,9 +23,7 @@ from svmpath.construct import (
     StrictnessError,
     admissible_constructions,
     build_instance,
-    build_p_stretched,
     build_pair,
-    build_q,
     calibrate,
     choose_stretch,
     generate_2d_arc_instance,
@@ -41,7 +46,7 @@ from svmpath.goldfarb import (
 small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
 # the unstretched shadow plane, the paper's stretch 20000, and no stretch at all
-ORACLE_ELLS = (F(0), DEFAULT_STRETCH.inverse, F(1))
+ORACLE_ELLS = (F(0), 1 / DEFAULT_STRETCH.factor, F(1))
 
 
 def facet_test_points(params, ell, sigma) -> dict:
@@ -52,7 +57,7 @@ def facet_test_points(params, ell, sigma) -> dict:
     meets another facet at t, found by ray shooting over every facet.
     """
     pair = build_pair(params, sigma, DEFAULT_STRETCH)
-    p = build_p_stretched(pair.q, cube_vertex(params, sigma).coords, ell)
+    p = build_p_stretched_reference(pair.q, cube_vertex(params, sigma).coords, ell)
     normals = {v.sigma: stretch(v.coords, ell) for v in cube_vertices(params)}
     own = normals[sigma]
     toward = normals[(-sigma[0],) + sigma[1:]]
@@ -112,8 +117,8 @@ class TestBuildQ:
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     def test_exact_identities_at_auto_stretch(self, d):
-        # build_q fixes q[d-2] = 2 with slack 1 - v(0) . q, and build_p_stretched
-        # puts p on the stretched facet v(ell) . p = 1, for every admissible sigma
+        # build_pair fixes q[d-2] = 2 with slack 1 - v(0) . q, and puts p on the
+        # stretched facet v(ell) . p = 1, for every admissible sigma
         params = default_params(d)
         s = choose_stretch(params)
         for sigma in admissible_sign_vectors(d):
@@ -121,7 +126,7 @@ class TestBuildQ:
             vertex = cube_vertex(params, sigma).coords
             assert pair.q[d - 2] == 2
             assert pair.slack == 1 - stretch(vertex, 0).dot(pair.q)
-            assert stretch(vertex, s.inverse).dot(pair.p) == 1
+            assert stretch(vertex, 1 / s.factor).dot(pair.p) == 1
 
     def test_frozen_d4_value(self, params4):
         pair = build_pair(params4, (1, 1, 1, 1), DEFAULT_STRETCH)
@@ -130,15 +135,15 @@ class TestBuildQ:
         assert pair.slack == F(-114031355, 77280804)
 
     def test_independent_formula_evaluation(self, params4):
-        # recompute q from the raw projection formula, bypassing build_q
+        # recompute q from the raw projection formula, bypassing the closed form
         sigma = (-1, 1, 1, 1)
         cert = shadow_certificate(params4, sigma).vector
         v0 = stretch(cube_vertex(params4, sigma).coords, 0)
         slack = (cert[-2] - 2) * v0.norm_sq() / v0[-2]
         expected_q = cert - v0 * (slack / v0.norm_sq())
-        q, got_slack = build_q(cert, cube_vertex(params4, sigma).coords)
-        assert q == expected_q and got_slack == slack
-        assert got_slack == 1 - v0.dot(q)
+        pair = build_pair(params4, sigma, DEFAULT_STRETCH)
+        assert pair.q == expected_q and pair.slack == slack
+        assert slack == 1 - v0.dot(pair.q)
 
     def test_wrong_sign_vector_rejected(self, params4):
         with pytest.raises(ValueError):
@@ -147,22 +152,22 @@ class TestBuildQ:
 
 class TestBuildPStretched:
     def test_zero_inverse_factor_recovers_shadow_point(self, params4):
+        # the Fraction projection at ell = 0, which no stretch factor reaches
         for sigma in admissible_sign_vectors(4):
             pair = build_pair(params4, sigma, DEFAULT_STRETCH)
             vertex = cube_vertex(params4, sigma).coords
-            assert build_p_stretched(pair.q, vertex, 0) == pair.p_shadow
+            assert build_p_stretched_reference(pair.q, vertex, 0) == pair.p_shadow
 
     @settings(max_examples=25)
-    @given(st.fractions(min_value=0, max_value=F(1, 10), max_denominator=997))
+    @given(st.fractions(min_value=F(1, 997), max_value=F(1, 10), max_denominator=997))
     def test_tight_for_any_inverse_factor(self, params4, ell):
         sigma = (1, -1, 1, 1)
-        pair = build_pair(params4, sigma, DEFAULT_STRETCH)
+        pair = build_pair(params4, sigma, StretchFactor(1 / ell))
         vertex = cube_vertex(params4, sigma).coords
-        p = build_p_stretched(pair.q, vertex, ell)
-        assert stretch(vertex, ell).dot(p) == 1
+        assert stretch(vertex, ell).dot(pair.p) == 1
 
     def test_displacement_is_negative_multiple_of_stretched_vertex(self, constructions4, params4):
-        ell = DEFAULT_STRETCH.inverse
+        ell = 1 / DEFAULT_STRETCH.factor
         for pair, _ in constructions4:
             v_ell = stretch(cube_vertex(params4, pair.sigma).coords, ell)
             diff = pair.p - pair.q
@@ -178,7 +183,7 @@ class TestFacetStrictness:
 
     def test_constructed_pairs_pass_exhaustively(self, constructions4, params4):
         for pair, _ in constructions4:
-            assert strictness_check(pair.p, params4, DEFAULT_STRETCH.inverse, pair.sigma)
+            assert strictness_check(pair.p, params4, 1 / DEFAULT_STRETCH.factor, pair.sigma)
 
     @pytest.mark.parametrize("ell", ORACLE_ELLS)
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
@@ -210,8 +215,8 @@ class TestFacetStrictness:
         outcomes = set()
         for sigma in list(admissible_sign_vectors(9))[::4]:
             p = build_pair(params, sigma, s).p
-            got = strictness_check(p, params, s.inverse, sigma)
-            assert got == facet_strictness_oracle(p, params, s.inverse, sigma), sigma
+            got = strictness_check(p, params, 1 / s.factor, sigma)
+            assert got == facet_strictness_oracle(p, params, 1 / s.factor, sigma), sigma
             outcomes.add(got)
         assert outcomes == ({False, True} if passing else {False})
 
@@ -220,7 +225,7 @@ class TestFacetStrictness:
         # around a passing constructed point, each perturbation breaks exactly
         # one condition, so every branch of the check is shown to fire
         params = default_params(d)
-        ell = DEFAULT_STRETCH.inverse
+        ell = 1 / DEFAULT_STRETCH.factor
         for sigma in spread(admissible_sign_vectors(d)):
             points = facet_test_points(params, ell, sigma)
             assert strictness_check(points["constructed"], params, ell, sigma)
@@ -301,7 +306,7 @@ class TestSupportDecomposition:
             support_decomposition(p * 2, sigma, params4, DEFAULT_STRETCH)
         unit = StretchFactor(1)
         p = build_pair(params4, sigma, unit).p
-        assert sum(facet_weights(params4, sigma, stretch(p, 1))) == 1
+        assert sum(facet_weights_reference(params4, sigma, stretch(p, 1))) == 1
         with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\(1, 1, 1, 1\) at L=1$"):
             support_decomposition(p, sigma, params4, unit)
 
@@ -331,6 +336,52 @@ class TestSupportDecomposition:
         calib = instance4.calibration
         for pair, decomp in constructions4:
             assert decomp.mu_sigma <= calib.mu_bar <= mu_of_q(pair.q[-1], calib)
+
+
+# the paper's (eps, gamma) and the benchmark's other eight (perfbench/run.py PAIRS)
+REFERENCE_PARAMS = (
+    (F(1, 3), F(1, 16)), (F(3, 8), F(1, 16)), (F(1, 3), F(1, 15)), (F(1, 3), F(1, 14)),
+    (F(5, 16), F(1, 16)), (F(3, 8), F(1, 15)), (F(2, 5), F(1, 16)), (F(2, 5), F(1, 15)),
+    (F(5, 14), F(1, 16)),
+)
+
+
+class TestIntegerConstructionMatchesFractionReference:
+    """build_pair and support_decomposition against `oracles.construction_reference`."""
+
+    @pytest.mark.parametrize("eps,gamma", REFERENCE_PARAMS)
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_every_sigma_at_the_chosen_stretch_and_below(self, d, eps, gamma):
+        params = GoldfarbParams(d, eps, gamma)
+        chosen = choose_stretch(params).factor
+        factors = (chosen, chosen / 2, chosen / 4)
+        first_failure = dict.fromkeys(factors)
+        for sigma in admissible_sign_vectors(d):
+            p_shadow, q, slack, at = construction_reference(params, sigma, factors)
+            for factor, (p, alphas) in zip(factors, at):
+                s = StretchFactor(factor)
+                pair = build_pair(params, sigma, s)
+                assert (pair.p_shadow, pair.q, pair.slack, pair.p) == (p_shadow, q, slack, p)
+                if alphas is None:
+                    message = f"facet strictness fails for sigma={sigma} at L={factor}"
+                    with pytest.raises(StrictnessError) as failed:
+                        support_decomposition(pair.p, sigma, params, s)
+                    assert str(failed.value) == message
+                    first_failure[factor] = first_failure[factor] or message
+                else:
+                    decomp = support_decomposition(pair.p, sigma, params, s)
+                    assert (decomp.alphas, decomp.mu_sigma) == (alphas, max(alphas)), sigma
+        for factor, message in first_failure.items():
+            s = StretchFactor(factor)
+            if message is None:
+                assert len(admissible_constructions(params, s)) == 2 ** (d - 2)
+            else:
+                with pytest.raises(StrictnessError) as failed:
+                    admissible_constructions(params, s)
+                assert str(failed.value) == message
+        # the search returns a passing factor, and the one it doubled past fails
+        assert first_failure[chosen] is None
+        assert chosen == 20000 or first_failure[chosen / 2] is not None
 
 
 class TestCalibration:
@@ -427,7 +478,7 @@ class TestInstance:
     def test_plus_class_spans_stretched_dual_cube(self, instance4, params4):
         # membership in the stretched dual cube is exactly the system
         # v_tau(1/L) . x <= 1; all plus points satisfy it, each tight somewhere
-        ell = DEFAULT_STRETCH.inverse
+        ell = 1 / DEFAULT_STRETCH.factor
         normals = [stretch(v.coords, ell) for v in cube_vertices(params4)]
         for pt in instance4.plus_points:
             values = [n.dot(pt) for n in normals]
@@ -435,7 +486,7 @@ class TestInstance:
             assert any(v == 1 for v in values)
 
     def test_line_disjoint_from_stretched_dual_cube(self, instance4, params4):
-        ell = DEFAULT_STRETCH.inverse
+        ell = 1 / DEFAULT_STRETCH.factor
         normals = [stretch(v.coords, ell) for v in cube_vertices(params4)]
         probes = [instance4.calibration.u_left, instance4.calibration.u_right] + [
             line_point(4, F(t)) for t in (-50, -1, 0, 3, 50)

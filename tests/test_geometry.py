@@ -5,8 +5,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import convex_hull_2d, membership, unit, zero
-from svmpath.construct import build_p_stretched, stretch
+from oracles import build_p_stretched_reference, convex_hull_2d, membership, unit, zero
+from svmpath.construct import stretch
 from svmpath.geometry import (
     DegenerateHullError,
     SingularMatrixError,
@@ -163,28 +163,29 @@ class TestSolveGeneral:
 
 
 class TestProjection:
-    # construct.build_p_stretched at ell = 1 projects q onto the hyperplane a . x = 1
+    # the Fraction projection behind construct.build_pair: at ell = 1 it projects
+    # q onto the hyperplane a . x = 1
 
     def test_unit_normal(self):
         d = 5
         a = unit(d, d - 2)
         q = Vec((0, 0, 0, 2, 0))
-        assert build_p_stretched(q, a, 1) == Vec((0, 0, 0, 1, 0))
+        assert build_p_stretched_reference(q, a, 1) == Vec((0, 0, 0, 1, 0))
 
     def test_reprojection_is_identity(self):
         a = Vec((0, 0, 1, 1))
-        p = build_p_stretched(Vec((0, 0, 2, 0)), a, 1)
-        assert build_p_stretched(p, a, 1) == p
+        p = build_p_stretched_reference(Vec((0, 0, 2, 0)), a, 1)
+        assert build_p_stretched_reference(p, a, 1) == p
 
     def test_two_coordinate_normal(self):
         a = Vec((0, 0, 1, 1))
         q = Vec((0, 0, 2, 0))
         assert 1 - a.dot(q) == -1
-        assert build_p_stretched(q, a, 1) == Vec((0, 0, F(3, 2), F(-1, 2)))
+        assert build_p_stretched_reference(q, a, 1) == Vec((0, 0, F(3, 2), F(-1, 2)))
 
     def test_zero_normal_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            build_p_stretched(Vec((1, 2)), zero(2), 1)
+            build_p_stretched_reference(Vec((1, 2)), zero(2), 1)
 
     @settings(max_examples=80)
     @given(st.integers(2, 5), st.data())
@@ -192,7 +193,7 @@ class TestProjection:
         ell = data.draw(st.fractions(min_value=F(1, 100), max_value=4, max_denominator=100))
         a = data.draw(vec_strategy(dim).filter(lambda v: any(stretch(v, ell))))
         q = data.draw(vec_strategy(dim))
-        p = build_p_stretched(q, a, ell)
+        p = build_p_stretched_reference(q, a, ell)
         a_ell = stretch(a, ell)
         assert a_ell.dot(p) == 1
         # p - q is a multiple of a_ell: all 2x2 minors vanish

@@ -7,6 +7,7 @@ from conftest import default_params, spread
 from oracles import (
     convex_hull_2d,
     cube_vertex,
+    facet_weights_reference,
     fraction_shadow,
     is_extreme_point,
     membership,
@@ -214,7 +215,8 @@ class TestDualVertices:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_facet_weights_invert_the_dual_combination(self, d):
-        # any weights over sigma's d facet duals come back from their combination
+        # any weights over sigma's d facet duals come back from their combination,
+        # as integers over one positive denominator and from the Fraction reference
         params = GoldfarbParams(d, F(3, 8), F(1, 15))
         alphas = tuple(F(k, k + 2) - F(1, 3) for k in range(1, d + 1))
         for sigma in sign_vectors(d):
@@ -222,14 +224,19 @@ class TestDualVertices:
                 (dual_vertex(params, k, s).coords * a for k, s, a in zip(range(1, d + 1), sigma, alphas)),
                 zero(d),
             )
-            assert facet_weights(params, sigma, x) == alphas
+            den, (X,) = common_denominator([x])
+            for scale in (1, 7):  # a denominator that is not the least one
+                W, wden = facet_weights(params, sigma, ([scale * c for c in X], scale * den))
+                assert all(type(w) is int for w in W) and type(wden) is int and wden > 0
+                assert tuple(F(w, wden) for w in W) == alphas
+            assert facet_weights_reference(params, sigma, x) == alphas
 
     def test_facet_weights_reject_bad_shapes(self):
         params = default_params(3)
         with pytest.raises(ValueError, match="sigma"):
-            facet_weights(params, (1, 0, 1), zero(3))
+            facet_weights(params, (1, 0, 1), ((0, 0, 0), 1))
         with pytest.raises(ValueError, match="coordinates"):
-            facet_weights(params, (1, 1, 1), zero(2))
+            facet_weights(params, (1, 1, 1), ((0, 0), 1))
 
 
 class TestShadow:

@@ -220,6 +220,19 @@ class TestSolverMatchesPointSpaceLoop:
         assert fallbacks > 0
 
 
+def base_slope(piece) -> tuple:
+    """(base, slope): (x_F, lam_+, lam_-) at mu = 0 and its mu-coefficients, as Fractions.
+
+    Read off the piece's integers: each free coefficient (A + mu B) / C, each
+    class multiplier R0 / D0 + mu R1 / D1.
+    """
+    lams = piece._lams
+    return (
+        tuple([F(A, C) for A, _B, C in piece.alphas] + [F(R0, D0) for R0, D0, _R1, _D1 in lams]),
+        tuple([F(B, C) for _A, B, C in piece.alphas] + [F(R1, D1) for _R0, _D0, R1, D1 in lams]),
+    )
+
+
 def piece_events(piece, qp) -> dict:
     """mu in [1/2, 1] -> kinds of the constraints the piece's optimum meets there.
 
@@ -235,7 +248,7 @@ def piece_events(piece, qp) -> dict:
         x = [F(0)] * len(signed)
         for h in piece.at_hi:
             x[h] = mu
-        for i, b, s in zip(piece.free, piece.base, piece.slope):
+        for i, b, s in zip(piece.free, *base_slope(piece)):
             x[i] = b + mu * s
         w = zero(len(signed[0]))
         for a, s in zip(x, signed):
@@ -245,7 +258,8 @@ def piece_events(piece, qp) -> dict:
         return {k: grads[k] - lam[k >= n_plus] for k in piece.at_lo + piece.at_hi}
 
     roots = []
-    for b, s in zip(piece.base[: len(piece.free)], piece.slope):
+    base, slope = base_slope(piece)
+    for b, s in zip(base[: len(piece.free)], slope):
         if s:
             roots.append((-b / s, "free"))
         if s != 1:
@@ -649,8 +663,9 @@ class TestTableMatchesFractionReference:
                 continue
             assert unique_optimum_reference(qp, sol)
             m = len(piece.free)
+            base, slope = base_slope(piece)
             for c, (_signed, _grads, lo, hi) in enumerate(multiplier_ranges_reference(qp, sol)):
-                lam = 2 * (piece.base[m + c] + qp.mu * piece.slope[m + c])
+                lam = 2 * (base[m + c] + qp.mu * slope[m + c])
                 assert lo <= lam and (hi is None or lam <= hi)
         assert verdicts == {True, False}
 
@@ -691,7 +706,7 @@ class TestPieceMatchesFractionReference:
         m = len(piece.free)
         assert piece.free == ref.free
         assert [(F(A, C), F(B, C)) for A, B, C in piece.alphas] == list(zip(ref.base[:m], ref.slope[:m]))
-        assert (piece.base, piece.slope) == (ref.base, ref.slope)
+        assert base_slope(piece) == (ref.base, ref.slope)
         assert (piece.lo, piece.hi, piece.lo_closed, piece.hi_closed) == (
             ref.lo, ref.hi, ref.lo_closed, ref.hi_closed
         )
@@ -900,7 +915,7 @@ class TestCertificates:
             assert cert.pair.alpha_minus == (mu, 1 - mu)
             assert sorted(a for a in cert.pair.alpha_plus if a) == sorted(decomp.alphas)
             assert cert.facet_multiplier == relaxed_facet_multiplier(
-                pair, params4, DEFAULT_STRETCH.inverse
+                pair, params4, 1 / DEFAULT_STRETCH.factor
             ) > 0
 
     def test_perturbed_point_breaks_stationarity(self, instance4, constructions4):
