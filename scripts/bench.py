@@ -10,9 +10,6 @@ instance over [8/10, 1] in a fresh interpreter (`sweep.path_pieces`) and
 records its piece count, `2^d - 2` on these instances, and `walk_s`, the
 walk's own time without start-up or file reading. A command that fails
 ends the ladder.
-It also records `import_s`, the median wall time of IMPORT_RUNS fresh
-interpreters that only run `import svmpath.cli`: the start-up every command
-pays before it does any work.
 
 The result is stored under --label in the JSON file --out, next to the
 entries other runs stored there under other labels, so two checkouts can be
@@ -26,7 +23,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,7 +30,6 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-IMPORT_RUNS = 5
 # run as `python -c WALK INSTANCE`: one JSON line with the walk's piece count and seconds
 WALK = """
 import json, sys, time
@@ -60,17 +55,6 @@ def timed(args, src: Path, cwd: Path) -> tuple:
     if proc.returncode:
         print(f"{' '.join(args)}: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
     return proc.returncode, wall, proc.stdout
-
-
-def import_seconds(src: Path, cwd: Path) -> float:
-    """Median wall seconds of IMPORT_RUNS fresh interpreters importing `svmpath.cli`."""
-    walls = []
-    for _ in range(IMPORT_RUNS):
-        code, wall, _ = timed(["-c", "import svmpath.cli"], src, cwd)
-        if code:
-            raise SystemExit(f"import svmpath.cli failed with exit {code}")
-        walls.append(wall)
-    return statistics.median(walls)
 
 
 def rung(d: int, src: Path, wd: Path) -> dict:
@@ -113,8 +97,6 @@ def main() -> int:
     rows = []
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        import_s = import_seconds(src, Path(tmp))
-        print(json.dumps({"import_s": round(import_s, 4)}), flush=True)
         for d in range(3, args.max_d + 1):
             row = rung(d, src, Path(tmp))
             rows.append(row)
@@ -128,7 +110,6 @@ def main() -> int:
     doc.setdefault("runs", {})[args.label] = {
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-        "import_s": round(import_s, 4),
         "rows": rows,
     }
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

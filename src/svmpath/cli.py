@@ -14,7 +14,6 @@ from pathlib import Path
 from .construct import (
     CalibrationError,
     StretchFactor,
-    StretchSearchError,
     StrictnessError,
     admissible_constructions,
     build_instance,
@@ -251,7 +250,6 @@ def main(argv=None) -> int:
         CertificateError,
         SweepMismatchError,
         StrictnessError,
-        StretchSearchError,
         SolverStalledError,
         ShadowPropertyError,
     ) as exc:

@@ -34,14 +34,9 @@ class CalibrationError(Exception):
 class StrictnessError(Exception):
     """A constructed point is not strictly inside every facet but its own.
 
-    Equivalently, it is not a positive convex combination of its facet's d
-    vertices. Signals that the stretch factor is too small for the
-    construction (or a bug); callers react by growing the stretch factor.
+    Equivalently, it is not a positive convex combination of its facet's d vertices:
+    L^2 is not above `stretch_threshold`, or no L is large enough (or a bug).
     """
-
-
-class StretchSearchError(RuntimeError):
-    """The doubling search ran out of doublings without an admissible stretch factor."""
 
 
 class StretchFactor(FrozenRecord):
@@ -173,7 +168,7 @@ MINUS_LABELS = ("left", "right")
 
 @lru_cache(maxsize=None)
 def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
-    """(p_shadow, q, slack, (V, S1, S2, H, g, Qd)): the part of a pair that no stretch changes.
+    """(p_shadow, q, slack, (V, S1, S2, H, g, Qd), (U, W, top)): the part of a pair that no stretch changes.
 
     The shadow point a moves along v(0) = stretch(v_sigma, 0) to the line,
     q = a - v(0) slack / ||v(0)||^2 with q[-2] = 2, so q = (0, ..., 0, 2, q_d)
@@ -181,6 +176,11 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     since a_(d-1) <= 1. For `build_pair`, v = V / D as an integer row,
     S1 = sum of V_k^2 over k <= d-2, S2 = V_(d-1)^2 + V_d^2, and
     slack D = H / g and q_d = Qd / g over one g.
+
+    The facet weights of p are affine in t = 1/L^2: with X0 = (0, ..., 0,
+    2 g S2 + H V_(d-1), Qd S2 + H V_d) and X1 = (H V_1, ..., H V_(d-2),
+    2 g S1, Qd S1), g (t S1 + S2) stretch(p, 1/L) = X0 + t X1, whose
+    `facet_weights` are (U + t W, top) for those (U, top) of X0 and W of X1.
     """
     a = shadow_certificate(params, sigma).vector
     vertex = cube_vertices(params)[sign_index(sigma)].coords
@@ -195,7 +195,9 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     g = lcm(h.denominator, q_d.denominator)
     H, Qd = h.numerator * (g // h.denominator), q_d.numerator * (g // q_d.denominator)
     S1, S2 = sum([v * v for v in V[:-2]]), V[-2] * V[-2] + V[-1] * V[-1]
-    return a, line_point(len(V), q_d), slack, (V, S1, S2, H, g, Qd)
+    U, top = facet_weights(params, sigma, [0] * (len(V) - 2) + [2 * g * S2 + H * V[-2], Qd * S2 + H * V[-1]])
+    W, _ = facet_weights(params, sigma, [H * v for v in V[:-2]] + [2 * g * S1, Qd * S1])
+    return a, line_point(len(V), q_d), slack, (V, S1, S2, H, g, Qd), (U, W, top)
 
 
 def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> ConstructedPair:
@@ -209,7 +211,7 @@ def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> Cons
     sigma = tuple(sigma)
     if sigma[-2] != 1 or sigma[-1] != 1:
         raise ValueError("pair construction needs the last two signs to be +1")
-    p_shadow, q, slack, (V, S1, S2, H, g, Qd) = _unstretched_pair(params, sigma)
+    p_shadow, q, slack, (V, S1, S2, H, g, Qd), _ = _unstretched_pair(params, sigma)
     n, m = s.factor.numerator, s.factor.denominator
     N = m * m * S1 + n * n * S2
     E, top, side = g * N, H * m * n, H * n * n
@@ -236,31 +238,26 @@ def facet_strictness_check(weights: tuple) -> bool:
     return sum(W) == den and all(w > 0 for w in W)
 
 
-def support_decomposition(
-    p: Vec, sigma: SignVec, params: GoldfarbParams, s: StretchFactor
-) -> SupportDecomposition:
-    """Solve the d x d system sum_k alpha_k w_(k, sigma_k)(L) = p exactly.
+def support_decomposition(sigma: SignVec, params: GoldfarbParams, s: StretchFactor) -> SupportDecomposition:
+    """The weights alpha with sum_k alpha_k w_(k, sigma_k)(L) = p for sigma's constructed p.
 
     Unstretching both sides by 1/L gives the same weights over the
-    unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L), whose
-    banded triangular system `facet_weights` solves in integers; its
-    diagonal never vanishes. The weights are positive and sum to 1 exactly
-    when p is strictly inside every facet but its own
-    (`facet_strictness_check`); StrictnessError is raised otherwise, before
-    any weight becomes a Fraction. The largest weight, mu_sigma, is below 1.
+    unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L): the
+    affine weights of `_unstretched_pair` at t = 1/L^2, which for L = n / m
+    are the integers n^2 U + m^2 W over g (m^2 S1 + n^2 S2) top. They are
+    positive and sum to 1 exactly when p is strictly inside every facet but
+    its own (`facet_strictness_check`); StrictnessError is raised otherwise,
+    before any weight becomes a Fraction. The largest, mu_sigma, is below 1.
     """
     sigma = tuple(sigma)
-    cube_vertices(params)  # the z_k(tau) > 0 guard that the cone form rests on
-    # stretch(p, 1/L) over e n, for the lcm e of p's denominators and L = n / m
-    e, n, m = lcm(*[c.denominator for c in p]), s.factor.numerator, s.factor.denominator
-    last = len(p) - 2
-    X = [c.numerator * (e // c.denominator) * (m if k < last else n) for k, c in enumerate(p)]
-    weights = facet_weights(params, sigma, (X, e * n))
-    if not facet_strictness_check(weights):
+    *_, (_, S1, S2, _, g, _), (U, W, top) = _unstretched_pair(params, sigma)
+    nn, mm = s.factor.numerator ** 2, s.factor.denominator ** 2
+    A = [nn * u + mm * w for u, w in zip(U, W)]
+    den = g * (mm * S1 + nn * S2) * top
+    if not facet_strictness_check((A, den)):
         raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
-    W, den = weights
-    alphas = tuple([Fraction(w, den) for w in W])
-    return SupportDecomposition(sigma, alphas, alphas[W.index(max(W))])
+    alphas = tuple([Fraction(a, den) for a in A])
+    return SupportDecomposition(sigma, alphas, alphas[A.index(max(A))])
 
 
 def calibrate(pairs: Iterable[ConstructedPair], decomps: Iterable[SupportDecomposition]) -> Calibration:
@@ -303,14 +300,12 @@ def mu_of_q(q_last: Fraction, calib: Calibration) -> Fraction:
 def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
     """(pair, decomposition) for every admissible sigma, lexicographic order.
 
-    Raises StrictnessError when the stretch factor is not large enough for
-    the construction to go through.
+    Raises StrictnessError when L^2 <= `stretch_threshold`.
     """
-    out = []
-    for sigma in admissible_sign_vectors(params.dim):
-        pair = build_pair(params, sigma, s)
-        out.append((pair, support_decomposition(pair.p, sigma, params, s)))
-    return tuple(out)
+    return tuple(
+        (build_pair(params, sigma, s), support_decomposition(sigma, params, s))
+        for sigma in admissible_sign_vectors(params.dim)
+    )
 
 
 def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
@@ -330,31 +325,37 @@ def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
     )
 
 
-def choose_stretch(
-    params: GoldfarbParams, start=20000, max_doublings: int = 64
-) -> StretchFactor:
-    """First admissible stretch factor among start * 2^k, k = 0..max_doublings.
+def stretch_threshold(params: GoldfarbParams) -> Fraction:
+    """1/t*: a stretch factor L passes exactly when L^2 > 1/t*.
 
-    Tries `start`, then doubles, and returns the first factor at which
-    `admissible_constructions` goes through: every constructed point strictly
-    inside all facets but its own, that is every decomposition weight
-    positive. That is the first passing power-of-two multiple of `start`, not
-    necessarily the smallest. Raises StretchSearchError, naming the last factor tried and its
-    failure, when no factor passes.
+    Sigma passes at t = 1/L^2 when each affine weight U_k + t W_k of
+    `_unstretched_pair` is positive; they sum to g (t S1 + S2) top. If every
+    U_k > 0, only a W_k < 0 bounds t, by 1/t > -W_k / U_k, so 1/t* is the
+    largest such ratio over all sigma (0 if none), found by integer
+    cross-multiplication. A U_k <= 0 fails at every large enough L: then
+    StrictnessError names its sigma.
     """
-    factor = Fraction(start)
-    for _ in range(max_doublings + 1):
-        s = StretchFactor(factor)
-        try:
-            admissible_constructions(params, s)
-            return s
-        except StrictnessError as exc:
-            failure = exc
-            factor *= 2
-    raise StretchSearchError(
-        f"no passing stretch factor after {max_doublings} doublings; "
-        f"last tried L={s.factor}: {failure}"
-    )
+    num, den = 0, 1
+    for sigma in admissible_sign_vectors(params.dim):
+        *_, (U, W, _) = _unstretched_pair(params, sigma)
+        for u, w in zip(U, W):
+            if u <= 0:
+                raise StrictnessError(f"facet strictness fails for sigma={sigma} at every large L")
+            if w < 0 and -w * den > num * u:
+                num, den = -w, u
+    return Fraction(num, den)
+
+
+def choose_stretch(params: GoldfarbParams) -> StretchFactor:
+    """The first 20000 * 2^k (20000 is the paper's stretch) whose square exceeds `stretch_threshold`.
+
+    Every sigma passes there; at half of it, if above 20000, some sigma
+    fails. Raises StrictnessError, naming a sigma, when every large factor fails.
+    """
+    factor, threshold = 20000, stretch_threshold(params)
+    while factor * factor <= threshold:
+        factor *= 2
+    return StretchFactor(factor)
 
 
 def generate_2d_arc_instance(n_plus: int) -> SvmInstance:

@@ -184,21 +184,20 @@ def _integer_bands(params: GoldfarbParams) -> tuple:
     return m, rows, m ** params.dim
 
 
-def facet_weights(params: GoldfarbParams, sigma: SignVec, x: tuple) -> tuple:
-    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == X / den over the dual vertices.
+def facet_weights(params: GoldfarbParams, sigma: SignVec, X: list) -> tuple:
+    """The weights alpha with sum_k alpha_k w_(k, sigma_k) == X over the dual vertices.
 
-    x = (X, den) is integers over a positive denominator, and so are the
-    weights, (W, den m^d). The dual w_(k, s) = normal / rhs_k of facet (k, s)
+    X is an integer vector, and the weights are integers over one positive
+    denominator, (W, m^d). The dual w_(k, s) = normal / rhs_k of facet (k, s)
     touches only the coordinates k-2..k, so the matrix with columns
     w_(k, sigma_k) is upper triangular with bandwidth 3 and diagonal
     sigma_k / rhs_k. With alpha_k = rhs_k * beta_k, row i reads
-    x_i = sigma_i beta_i + a_(i+1) beta_(i+1) + b_(i+2) beta_(i+2), solved from
+    X_i = sigma_i beta_i + a_(i+1) beta_(i+1) + b_(i+2) beta_(i+2), solved from
     the last row up in O(d) steps on the bands as integers A, B, R over their
-    lcm m: beta_i = Y_i / (den m^(d-1-i)) and
+    lcm m: beta_i = Y_i / m^(d-1-i) and
     Y_i = sigma_i (m^(d-1-i) X_i - A_(i+1) Y_(i+1) - m B_(i+2) Y_(i+2)).
     """
     d = params.dim
-    X, den = x
     if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
         raise ValueError("sigma must be a length-dim vector over {-1, +1}")
     if len(X) != d:
@@ -208,7 +207,7 @@ def facet_weights(params: GoldfarbParams, sigma: SignVec, x: tuple) -> tuple:
     for i in range(d - 1, -1, -1):
         rest = power * X[i] - bands[i + 1][0] * Y[i + 1] - bands[i + 2][1] * Y[i + 2]
         Y[i], power = (rest if sigma[i] == 1 else -rest), power * m
-    return tuple([band[2] * y for band, y in zip(bands, Y[:d])]), den * top
+    return tuple([band[2] * y for band, y in zip(bands, Y[:d])]), top
 
 
 @lru_cache(maxsize=None)

@@ -845,16 +845,25 @@ def piece_reference(table, working):
     )
 
 
+def point_weights(p, params, ell, sigma) -> tuple:
+    """(W, den): the integer `facet_weights` of stretch(p, ell) over sigma's facet duals.
+
+    `construct.support_decomposition` forms the same weights for the
+    constructed p only; this solves for any point p and any ell.
+    """
+    den, (X,) = common_denominator([stretch(p, ell)])
+    W, top = facet_weights(params, tuple(sigma), X)
+    return W, den * top
+
+
 def strictness_check(p, params, ell, sigma) -> bool:
     """The library's cone-form check of p on the sigma-facet stretched by 1/ell.
 
     `construct.support_decomposition` applies `facet_strictness_check` to the
-    facet weights of the point it decomposes; this composes the same two
-    steps for any point and any ell, so the oracle above can be compared
-    with it.
+    facet weights of the constructed p; this applies it to `point_weights`,
+    so the oracle above can be compared with it at any point.
     """
-    den, (X,) = common_denominator([stretch(p, ell)])
-    return facet_strictness_check(facet_weights(params, tuple(sigma), (X, den)))
+    return facet_strictness_check(point_weights(p, params, ell, sigma))
 
 
 def mu_from_nu(nu, n: int) -> Fraction:

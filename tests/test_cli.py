@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 from fractions import Fraction as F
@@ -107,14 +106,19 @@ class TestGenRefuses:
         assert_one_line_failure(result, "verification failure", "all q positions coincide")
         assert not out.exists()
 
-    def test_stretch_search_exhausted(self, tmp_path, capsys, monkeypatch):
-        short = functools.partial(
-            construct.choose_stretch, start=F(1, 10 ** 9), max_doublings=2
-        )
-        monkeypatch.setattr(cli, "choose_stretch", short)
+    def test_no_stretch_factor_passes(self, tmp_path, capsys, monkeypatch):
+        # one weight of one sigma made nonpositive at t = 1/L^2 = 0, so every
+        # large stretch factor fails and `auto` has none to choose
+        unstretched = construct._unstretched_pair
+
+        def forced(params, sigma):
+            *rest, (U, W, top) = unstretched(params, sigma)
+            return (*rest, ((0,) + U[1:] if sigma == (1, -1, 1, 1) else U, W, top))
+
+        monkeypatch.setattr(construct, "_unstretched_pair", forced)
         out = tmp_path / "d4.inst"
         result = run(["gen", "--d", "4", "--stretch", "auto", "--out", str(out)], capsys)
-        assert_one_line_failure(result, "no passing stretch factor", "L=1/250000000", "sigma=")
+        assert_one_line_failure(result, "verification failure", "sigma=(1, -1, 1, 1)", "every large L")
         assert not out.exists()
 
 
@@ -426,6 +430,8 @@ class TestPinnedInstances:
             (7, "e0e951f28615634774f5637cebd6b33a7cce03c256b195d9985929daf3b09729"),
             (8, "867e5f26fc9a6b60d6fdae0f69b0476aa3708575f0e880dd01683d50fd4052ea"),
             (9, "057657423854d17ebd02437b68a8942ba2306aa3a1a8c3bbbde65d53a5758b42"),
+            (10, "045c7cae92b3ade829108993954af90afb736832c7b22f9b9f3877c1353df088"),
+            (11, "7c9727434b84d83ab86839ef67ebe96c4891c55547f7008c8483fa68460c8a1e"),
         ],
     )
     def test_auto_stretch(self, tmp_path, capsys, d, digest):

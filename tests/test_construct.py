@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from oracles import (
     cube_vertex,
     facet_strictness_oracle,
     facet_weights_reference,
+    point_weights,
     reduced_hull_segment,
     strictness_check,
     zero,
@@ -26,10 +28,12 @@ from svmpath.construct import (
     build_pair,
     calibrate,
     choose_stretch,
+    facet_strictness_check,
     generate_2d_arc_instance,
     line_point,
     mu_of_q,
     stretch,
+    stretch_threshold,
     support_decomposition,
 )
 from svmpath.geometry import Vec, hull_chain, solve_linear_system
@@ -268,9 +272,11 @@ class TestSupportDecomposition:
         barycenter = zero(4)
         for c in cols:
             barycenter = barycenter + c * F(1, 4)
-        decomp = support_decomposition(barycenter, sigma, params4, DEFAULT_STRETCH)
-        assert decomp.alphas == (F(1, 4),) * 4
-        assert decomp.mu_sigma == F(1, 4)
+        W, den = point_weights(barycenter, params4, 1 / DEFAULT_STRETCH.factor, sigma)
+        assert facet_strictness_check((W, den))
+        alphas = tuple(F(w, den) for w in W)
+        assert alphas == (F(1, 4),) * 4
+        assert max(alphas) == F(1, 4)
 
     def test_reconstruction_exact_and_weights_positive(self, constructions4, params4):
         duals = {(w.k, w.s): w for w in dual_vertices(params4)}
@@ -296,39 +302,48 @@ class TestSupportDecomposition:
                 for k in range(d)
             ]
             dense = solve_linear_system([[c[i] for c in cols] for i in range(d)], p)
-            assert support_decomposition(p, sigma, params, DEFAULT_STRETCH).alphas == tuple(dense)
+            W, den = point_weights(p, params, 1 / DEFAULT_STRETCH.factor, sigma)
+            assert tuple(F(w, den) for w in W) == tuple(dense)
+            assert support_decomposition(sigma, params, DEFAULT_STRETCH).alphas == tuple(dense)
 
     def test_failing_branches_name_sigma_and_stretch(self, params4):
         # weights summing to 2 (p off the sigma-facet), then a nonpositive weight
         sigma = (1, 1, 1, 1)
         p = build_pair(params4, sigma, DEFAULT_STRETCH).p
-        with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\(1, 1, 1, 1\) at L=20000$"):
-            support_decomposition(p * 2, sigma, params4, DEFAULT_STRETCH)
+        W, den = point_weights(p * 2, params4, 1 / DEFAULT_STRETCH.factor, sigma)
+        assert sum(W) == 2 * den and all(w > 0 for w in W)
+        assert not facet_strictness_check((W, den))
         unit = StretchFactor(1)
         p = build_pair(params4, sigma, unit).p
         assert sum(facet_weights_reference(params4, sigma, stretch(p, 1))) == 1
+        assert not facet_strictness_check(point_weights(p, params4, 1, sigma))
         with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\(1, 1, 1, 1\) at L=1$"):
-            support_decomposition(p, sigma, params4, unit)
+            support_decomposition(sigma, params4, unit)
+        # d = 9 needs more than 20000, and the failure names the factor
+        with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\([-, 1]+\) at L=20000$"):
+            admissible_constructions(default_params(9), DEFAULT_STRETCH)
 
-    def test_one_facet_solve_per_sigma_per_try(self, monkeypatch):
-        # the weights that decide strictness are the decomposition's: one
-        # banded solve per admissible sigma, whether the stretch passes or not
+    def test_two_facet_solves_per_sigma_per_params(self, monkeypatch):
+        # the weights at every stretch are affine in 1/L^2, with both parts
+        # from one banded solve each per admissible sigma: no stretch factor,
+        # passing or failing, and no threshold costs another solve
         solved = []
 
-        def counted(params, sigma, x):
+        def counted(params, sigma, X):
             solved.append(sigma)
-            return facet_weights(params, sigma, x)
+            return facet_weights(params, sigma, X)
 
         monkeypatch.setattr(construct, "facet_weights", counted)
         # parameters no other test uses, so no cached construction hides a solve
         params = GoldfarbParams(5, F(3, 10), F(1, 23))
         admissible_constructions(params, DEFAULT_STRETCH)
-        assert solved == list(admissible_sign_vectors(5))
+        assert solved == [sigma for sigma in admissible_sign_vectors(5) for _ in range(2)]
         del solved[:]
         with pytest.raises(StrictnessError):
             admissible_constructions(params, StretchFactor(1))
-        # a failing try stops at its first failing sigma, after one solve
-        assert len(solved) == 1
+        admissible_constructions(params, StretchFactor(F(40001, 3)))
+        choose_stretch(params)
+        assert solved == []
 
     def test_weights_witness_reduced_hull_membership(self, constructions4, instance4):
         # every breakpoint point lies in the capped hull at its own mu value:
@@ -365,11 +380,11 @@ class TestIntegerConstructionMatchesFractionReference:
                 if alphas is None:
                     message = f"facet strictness fails for sigma={sigma} at L={factor}"
                     with pytest.raises(StrictnessError) as failed:
-                        support_decomposition(pair.p, sigma, params, s)
+                        support_decomposition(sigma, params, s)
                     assert str(failed.value) == message
                     first_failure[factor] = first_failure[factor] or message
                 else:
-                    decomp = support_decomposition(pair.p, sigma, params, s)
+                    decomp = support_decomposition(sigma, params, s)
                     assert (decomp.alphas, decomp.mu_sigma) == (alphas, max(alphas)), sigma
         for factor, message in first_failure.items():
             s = StretchFactor(factor)
@@ -379,7 +394,7 @@ class TestIntegerConstructionMatchesFractionReference:
                 with pytest.raises(StrictnessError) as failed:
                     admissible_constructions(params, s)
                 assert str(failed.value) == message
-        # the search returns a passing factor, and the one it doubled past fails
+        # the chosen factor passes, and the one it doubled past fails
         assert first_failure[chosen] is None
         assert chosen == 20000 or first_failure[chosen / 2] is not None
 
@@ -510,16 +525,45 @@ class TestChooseStretch:
     def test_default_start_passes_unchanged_d4(self, params4):
         assert choose_stretch(params4).factor == 20000
 
-    def test_tiny_start_doubles_until_valid(self):
-        params = default_params(4)
-        s = choose_stretch(params, start=1)
-        assert s.factor > 1
-        # the returned factor passes, so restarting there is idempotent
-        assert choose_stretch(params, start=s.factor).factor == s.factor
+    @pytest.mark.parametrize("eps,gamma", REFERENCE_PARAMS)
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_threshold_is_sharp(self, d, eps, gamma):
+        # a factor passes exactly when its square exceeds 1/t*: every sigma
+        # passes just above sqrt(1/t*), some sigma fails at or just below it
+        params = GoldfarbParams(d, eps, gamma)
+        threshold = stretch_threshold(params)
+        scale = 2 ** 40
+        root = isqrt(threshold.numerator * scale * scale // threshold.denominator)
+        below, above = F(root, scale), F(root + 1, scale)
+        assert below * below <= threshold < above * above
+        for sigma in admissible_sign_vectors(d):
+            assert min(support_decomposition(sigma, params, StretchFactor(above)).alphas) > 0
+        with pytest.raises(StrictnessError):
+            admissible_constructions(params, StretchFactor(below))
+        # the chosen factor is the first doubling of 20000 past the threshold
+        chosen = choose_stretch(params).factor
+        assert chosen * chosen > threshold
+        assert chosen == 20000 or (chosen / 2) ** 2 <= threshold
 
-    def test_doubling_cap_raises(self, params4):
-        with pytest.raises(RuntimeError):
-            choose_stretch(params4, start=F(1, 10 ** 9), max_doublings=2)
+    def test_factor_at_the_threshold_is_doubled_past(self, monkeypatch):
+        # L^2 == 1/t* leaves a weight at 0, so that factor fails
+        monkeypatch.setattr(construct, "stretch_threshold", lambda params: F(20000 ** 2))
+        assert choose_stretch(default_params(4)).factor == 40000
+
+    def test_no_threshold_when_a_weight_does_not_stay_positive(self, monkeypatch):
+        # a weight that is not positive at t = 1/L^2 -> 0 fails at every large L
+        unstretched = construct._unstretched_pair
+
+        def forced(params, sigma):
+            *rest, (U, W, top) = unstretched(params, sigma)
+            return (*rest, ((0,) + U[1:] if sigma == (-1, 1, 1, 1) else U, W, top))
+
+        monkeypatch.setattr(construct, "_unstretched_pair", forced)
+        message = r"^facet strictness fails for sigma=\(-1, 1, 1, 1\) at every large L$"
+        with pytest.raises(StrictnessError, match=message):
+            stretch_threshold(default_params(4))
+        with pytest.raises(StrictnessError, match=message):
+            choose_stretch(default_params(4))
 
 
 class TestArcDemo:

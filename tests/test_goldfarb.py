@@ -162,7 +162,7 @@ class TestCubeVertices:
         with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
             cube_vertex(params, (1, 1, 1))
         with pytest.raises(ValueError, match="z_2"):
-            support_decomposition(Vec((0, 2, 1)), (1, 1, 1), params, StretchFactor(1))
+            support_decomposition((1, 1, 1), params, StretchFactor(1))
 
 
 class TestDualVertices:
@@ -226,17 +226,17 @@ class TestDualVertices:
             )
             den, (X,) = common_denominator([x])
             for scale in (1, 7):  # a denominator that is not the least one
-                W, wden = facet_weights(params, sigma, ([scale * c for c in X], scale * den))
-                assert all(type(w) is int for w in W) and type(wden) is int and wden > 0
-                assert tuple(F(w, wden) for w in W) == alphas
+                W, top = facet_weights(params, sigma, [scale * c for c in X])
+                assert all(type(w) is int for w in W) and type(top) is int and top > 0
+                assert tuple(F(w, scale * den * top) for w in W) == alphas
             assert facet_weights_reference(params, sigma, x) == alphas
 
     def test_facet_weights_reject_bad_shapes(self):
         params = default_params(3)
         with pytest.raises(ValueError, match="sigma"):
-            facet_weights(params, (1, 0, 1), ((0, 0, 0), 1))
+            facet_weights(params, (1, 0, 1), [0, 0, 0])
         with pytest.raises(ValueError, match="coordinates"):
-            facet_weights(params, (1, 1, 1), ((0, 0), 1))
+            facet_weights(params, (1, 1, 1), [0, 0])
 
 
 class TestShadow:
