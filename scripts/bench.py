@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time the command line over a ladder of dimensions and record it as JSON.
 
-For each d from 3 to --max-d the script runs, each in a fresh interpreter,
-`svmpath gen --d d --stretch auto`, `svmpath verify` of that instance and
-`svmpath sweep` of it at the CLI defaults. It records each command's wall
-time (interpreter start included), the sweep's bend count and distinct
-support sets, and the exit codes. It then walks the exact path of that
-instance over [8/10, 1] in a fresh interpreter (`sweep.path_pieces`) and
-records its piece count, `2^d - 2` on these instances, and `walk_s`, the
-walk's own time without start-up or file reading. A command that fails
-ends the ladder.
+For each d from 3 to --max-d the script runs, each in a fresh
+interpreter, `svmpath gen --d d --stretch auto`, `svmpath verify` of that
+instance and `svmpath sweep` of it at the CLI defaults. It records each
+command's wall time (interpreter start included) and peak resident set
+size (`gen_rss_mb`, ...: the command's own, from `os.wait4`), the sweep's
+bend count and distinct support sets, and the exit codes. It then walks the
+exact path of that instance over [8/10, 1] in a fresh interpreter
+(`sweep.path_pieces`) and records its piece count, `2^d - 2` on these
+instances, and `walk_s`, the walk's own time without start-up or file
+reading. A command that fails ends the ladder.
 
 The result is stored under --label in the JSON file --out, next to the
 entries other runs stored there under other labels, so two checkouts can be
@@ -44,17 +45,26 @@ print(json.dumps({"pieces": len(pieces), "walk_s": round(time.perf_counter() - s
 
 
 def timed(args, src: Path, cwd: Path) -> tuple:
-    """(exit code, wall seconds, stdout) of `python *args` in a fresh interpreter with `src` on its path."""
+    """(exit code, wall seconds, peak RSS in MB, stdout) of `python *args` in a fresh interpreter.
+
+    The interpreter has `src` on its path. Its output goes to temporary
+    files, so the script can reap it with `os.wait4`, whose resource usage
+    is the command's own.
+    """
     env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, *args],
-        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    wall = time.perf_counter() - start
-    if proc.returncode:
-        print(f"{' '.join(args)}: exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
-    return proc.returncode, wall, proc.stdout
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if code:
+        print(f"{' '.join(args)}: exit {code}: {stderr.strip()}", file=sys.stderr)
+    # ru_maxrss is in KiB on Linux
+    return code, wall, usage.ru_maxrss / 1024, stdout
 
 
 def rung(d: int, src: Path, wd: Path) -> dict:
@@ -67,16 +77,17 @@ def rung(d: int, src: Path, wd: Path) -> dict:
         ("sweep", ["sweep", str(inst), "--out", str(report)]),
     )
     for name, argv in steps:
-        code, wall, _ = timed(["-m", "svmpath.cli", *argv], src, wd)
+        code, wall, rss, _ = timed(["-m", "svmpath.cli", *argv], src, wd)
         row[f"{name}_exit"] = code
         row[f"{name}_s"] = round(wall, 3)
+        row[f"{name}_rss_mb"] = round(rss, 1)
         if code:
             return row
     doc = json.loads(report.read_text(encoding="utf-8"))
     row["bends"] = doc["bend_count"]
     row["distinct_support_sets"] = doc["distinct_support_sets"]
     row["lower_bound"] = doc["lower_bound"]
-    code, _, out = timed(["-c", WALK, str(inst)], src, wd)
+    code, _, _, out = timed(["-c", WALK, str(inst)], src, wd)
     row["walk_exit"] = code
     if not code:
         row.update(json.loads(out))

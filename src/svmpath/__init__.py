@@ -25,12 +25,10 @@ from .construct import (
 )
 from .geometry import Vec, solve_linear_system
 from .goldfarb import (
-    CubeVertex,
     DualVertex,
     GoldfarbParams,
     ShadowCertificate,
     admissible_sign_vectors,
-    cube_vertices,
     dual_vertices,
     shadow_certificate,
     shadow_polygon,

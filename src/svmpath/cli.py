@@ -40,6 +40,7 @@ from .sweep import SweepMismatchError, sweep_constructed, sweep_refined
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+MAX_DIM = 16  # of gen and verify; verify holds 2^(d-2) certificates, 335 MB at d = 14
 
 
 def _rational(flag: str, token: str) -> Fraction:
@@ -76,6 +77,9 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
 def cmd_gen(args) -> int:
     if _refuse_unwritable("gen", ("--out", args.out)):
         return EXIT_INPUT
+    if args.d > MAX_DIM:
+        print(f"gen: 2^(d-2) breakpoints; --d is capped at {MAX_DIM}", file=sys.stderr)
+        return EXIT_INPUT
     params = _params_from_args(args)
     if params.dim < 2:
         print("gen: need --d >= 2 to place the two-point class", file=sys.stderr)
@@ -107,6 +111,9 @@ def cmd_verify(args) -> int:
     instance = read_instance(args.instance)
     if instance.params is None:
         print("verify: only constructed instances carry certificates", file=sys.stderr)
+        return EXIT_INPUT
+    if instance.params.dim > MAX_DIM:
+        print(f"verify: header d {instance.params.dim}; d is capped at {MAX_DIM}", file=sys.stderr)
         return EXIT_INPUT
 
     fresh = regenerate(instance)

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 from typing import Iterable, Optional
 
-from .geometry import FrozenRecord, PointTable, Vec, common_denominator
+from .geometry import FrozenRecord, PointTable, Vec
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
     admissible_sign_vectors,
-    cube_vertices,
     dual_vertices,
     facet_weights,
     shadow_certificate,
-    sign_index,
+    vertex_row,
 )
 
 
@@ -168,14 +167,15 @@ MINUS_LABELS = ("left", "right")
 
 @lru_cache(maxsize=None)
 def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
-    """(p_shadow, q, slack, (V, S1, S2, H, g, Qd), (U, W, top)): the part of a pair that no stretch changes.
+    """(p_shadow, (V, D, S1, S2, H, g, Qd), (U, W, top)): the part of a pair that no stretch changes.
 
     The shadow point a moves along v(0) = stretch(v_sigma, 0) to the line,
     q = a - v(0) slack / ||v(0)||^2 with q[-2] = 2, so q = (0, ..., 0, 2, q_d)
     for q_d = a_d - (a_(d-1) - 2) v_d / v_(d-1), and slack = 1 - v(0) . q < 0
-    since a_(d-1) <= 1. For `build_pair`, v = V / D as an integer row,
-    S1 = sum of V_k^2 over k <= d-2, S2 = V_(d-1)^2 + V_d^2, and
-    slack D = H / g and q_d = Qd / g over one g.
+    since a_(d-1) <= 1. Here v = V / D is `vertex_row`'s integer row,
+    S1 = sum of V_k^2 over k <= d-2, S2 = V_(d-1)^2 + V_d^2, and slack D =
+    H / g and q_d = Qd / g, over r1 r2 V_(d-1) for a_(d-1) = n1 / r1 and
+    a_d = n2 / r2, then over their least g; `build_pair` makes Fractions.
 
     The facet weights of p are affine in t = 1/L^2: with X0 = (0, ..., 0,
     2 g S2 + H V_(d-1), Qd S2 + H V_d) and X1 = (H V_1, ..., H V_(d-2),
@@ -183,21 +183,21 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     `facet_weights` are (U + t W, top) for those (U, top) of X0 and W of X1.
     """
     a = shadow_certificate(params, sigma).vector
-    vertex = cube_vertices(params)[sign_index(sigma)].coords
-    if vertex[-2] <= 0:
+    V, D = vertex_row(params, sigma)
+    if V[-2] <= 0:
         raise ValueError("vertex must have positive second-to-last coordinate")
-    q_d = a[-1] - (a[-2] - 2) * vertex[-1] / vertex[-2]
-    slack = 1 - 2 * vertex[-2] - q_d * vertex[-1]
-    if slack >= 0:
+    (n1, r1), (n2, r2) = a[-2].as_integer_ratio(), a[-1].as_integer_ratio()
+    g = r1 * r2 * V[-2]
+    Qd = n2 * r1 * V[-2] - (n1 - 2 * r1) * r2 * V[-1]
+    H = g * (D - 2 * V[-2]) - Qd * V[-1]
+    if H >= 0:
         raise ValueError("slack must be negative")
-    D, (V,) = common_denominator([vertex])
-    h = slack * D
-    g = lcm(h.denominator, q_d.denominator)
-    H, Qd = h.numerator * (g // h.denominator), q_d.numerator * (g // q_d.denominator)
+    c = gcd(g, H, Qd)
+    g, H, Qd = g // c, H // c, Qd // c
     S1, S2 = sum([v * v for v in V[:-2]]), V[-2] * V[-2] + V[-1] * V[-1]
     U, top = facet_weights(params, sigma, [0] * (len(V) - 2) + [2 * g * S2 + H * V[-2], Qd * S2 + H * V[-1]])
     W, _ = facet_weights(params, sigma, [H * v for v in V[:-2]] + [2 * g * S1, Qd * S1])
-    return a, line_point(len(V), q_d), slack, (V, S1, S2, H, g, Qd), (U, W, top)
+    return a, (V, D, S1, S2, H, g, Qd), (U, W, top)
 
 
 def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> ConstructedPair:
@@ -211,12 +211,13 @@ def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> Cons
     sigma = tuple(sigma)
     if sigma[-2] != 1 or sigma[-1] != 1:
         raise ValueError("pair construction needs the last two signs to be +1")
-    p_shadow, q, slack, (V, S1, S2, H, g, Qd), _ = _unstretched_pair(params, sigma)
+    p_shadow, (V, D, S1, S2, H, g, Qd), _ = _unstretched_pair(params, sigma)
     n, m = s.factor.numerator, s.factor.denominator
     N = m * m * S1 + n * n * S2
     E, top, side = g * N, H * m * n, H * n * n
     P = [top * v for v in V[:-2]] + [2 * E + side * V[-2], Qd * N + side * V[-1]]
-    return ConstructedPair(sigma, p_shadow, q, Vec([Fraction(c, E) for c in P]), slack)
+    q = line_point(len(V), Fraction(Qd, g))
+    return ConstructedPair(sigma, p_shadow, q, Vec([Fraction(c, E) for c in P]), Fraction(H, g * D))
 
 
 def facet_strictness_check(weights: tuple) -> bool:
@@ -227,8 +228,9 @@ def facet_strictness_check(weights: tuple) -> bool:
     `facet_weights` of p' = stretch(p, ell). The sigma-facet duals satisfy
     w_(k, s) . v_tau = 1 when tau_k = s and 1 - 2 z_k(tau) / rhs_k otherwise,
     so p' . v_tau = sum(alpha) - 2 sum over the flipped k of
-    alpha_k z_k(tau) / rhs_k. With every z_k(tau) > 0 (`cube_vertices`
-    raises otherwise), positive weights summing to 1 make p tight at sigma
+    alpha_k z_k(tau) / rhs_k. With every z_k(tau) > 0 (the shadow ring's
+    Gray-code pass, `goldfarb._shadow_data`, checks each one and raises
+    otherwise), positive weights summing to 1 make p tight at sigma
     and strict at every other tau; and if some alpha_k <= 0, the neighbour
     that flips only sign k has p' . v_tau >= sum(alpha). So the check is
     sum(alpha) == 1 and all(alpha > 0), in O(d): with den > 0,
@@ -250,7 +252,7 @@ def support_decomposition(sigma: SignVec, params: GoldfarbParams, s: StretchFact
     before any weight becomes a Fraction. The largest, mu_sigma, is below 1.
     """
     sigma = tuple(sigma)
-    *_, (_, S1, S2, _, g, _), (U, W, top) = _unstretched_pair(params, sigma)
+    _, (_, _, S1, S2, _, g, _), (U, W, top) = _unstretched_pair(params, sigma)
     nn, mm = s.factor.numerator ** 2, s.factor.denominator ** 2
     A = [nn * u + mm * w for u, w in zip(U, W)]
     den = g * (mm * S1 + nn * S2) * top

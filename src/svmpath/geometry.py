@@ -1,4 +1,4 @@
-"""Exact rational vectors, point tables, linear systems and the 2D hull chain.
+"""Exact rational vectors, point tables and linear systems.
 
 Nothing here ever rounds, and every comparison is exact. A `Vec` holds
 `fractions.Fraction`s, a `PointTable` integer numerators over per-point
@@ -15,10 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 class SingularMatrixError(Exception):
     """The linear system has no unique solution."""
-
-
-class DegenerateHullError(Exception):
-    """Hull input is collinear or has fewer than three distinct points."""
 
 
 class FrozenInstanceError(AttributeError):
@@ -97,45 +93,6 @@ class Vec(tuple):
 
     def norm_sq(self) -> Fraction:
         return self.dot(self)
-
-
-def orient2d(o: Sequence, a: Sequence, b: Sequence) -> Fraction:
-    """Signed area cross product; > 0 iff o->a->b turns counterclockwise."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def hull_chain(points: Iterable[Sequence]) -> list:
-    """The strictly convex counterclockwise hull of `points` as a list of them.
-
-    Monotone chain with exact orientation signs, on points of any exact type.
-    Interior points and points in the relative interior of hull edges are
-    dropped. The hull is returned as the input points themselves, so integer
-    points stay integers. Sorting and orientation signs do not change under a
-    positive scale, so integer points scaled by one common positive factor
-    give the hull of the unscaled points in the same order. Raises
-    DegenerateHullError when all points are collinear or fewer than three
-    are distinct.
-    """
-    pts = sorted(set(map(tuple, points)))
-    if pts and len(pts[0]) != 2:
-        raise ValueError("hull_chain expects 2D points")
-    if len(pts) < 3:
-        raise DegenerateHullError("need at least three distinct points")
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) > 1 and orient2d(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateHullError("all points are collinear")
-    return hull
 
 
 def _integer_rows(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:

@@ -1,32 +1,36 @@
-"""The perturbed cube, its vertices, the polar-dual vertices, and shadow points.
+"""The perturbed cube, its polar-dual vertices, and its shadow ring.
 
 The cube is the solution set of 2d inequalities arranged in opposite pairs
 indexed by (k, s) for k = 1..d and s in {-1, +1}; each inequality divided by
 its right-hand side is a dual vertex. The 2^d vertices are indexed by sign
-vectors sigma in {-1, +1}^d; the recursion below computes them directly, once
-per parameter set. Projecting to the last two coordinates keeps all 2^d
-vertices on the hull boundary, which is what the whole construction exploits.
-The shadow is kept as one ring of integer points, den times the projections,
-and each shadow certificate is read off its two neighbours on that ring.
+vectors sigma in {-1, +1}^d. No table of them is built: an integer recursion
+gives any one vertex in O(d). Projected to the last two coordinates, the
+vertices lie on the shadow ring in reflected Gray-code order, which is what
+the whole construction exploits. One pass along that order, cached per
+parameter set, proves the ring strictly convex with every vertex on it, and
+each shadow certificate is read off sigma's two ring neighbours.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Iterator
+from itertools import chain, product
+from math import gcd
+from typing import Iterable, Iterator, Optional
 
-from .geometry import FrozenRecord, Vec, common_denominator, hull_chain
+from .geometry import FrozenRecord, Vec, common_denominator
 
 SignVec = tuple  # entries in {-1, +1}
+_ZERO = Fraction(0)
 
 
 class ShadowPropertyError(Exception):
-    """A projected vertex is not a hull vertex of the 2D shadow.
+    """The Gray-code ring of projected vertices is not strictly convex.
 
-    This would falsify the shadow property for the given parameters, so it is
-    surfaced loudly instead of being silently patched over.
+    Some vertex would then not be a vertex of the 2D shadow in ring order,
+    which would falsify the shadow property for the given parameters, so it
+    is surfaced loudly instead of being silently patched over.
     """
 
 
@@ -62,14 +66,6 @@ class GoldfarbParams(FrozenRecord):
 
     def __hash__(self):
         return self._hash
-
-
-class CubeVertex(FrozenRecord):
-    __slots__ = _fields = ("sigma", "coords")
-
-    def __init__(self, sigma: SignVec, coords: Vec):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "coords", coords)
 
 
 class DualVertex(FrozenRecord):
@@ -119,11 +115,6 @@ def facet_order(dim: int) -> tuple:
     return tuple((k, s) for k in range(1, dim + 1) for s in (-1, 1))
 
 
-def sign_index(sigma: SignVec) -> int:
-    """Position of sigma in `sign_vectors` order: its signs read as bits, -1 as 0."""
-    return int("".join("1" if s == 1 else "0" for s in sigma), 2)
-
-
 @lru_cache(maxsize=None)
 def _pair_bands(params: GoldfarbParams) -> tuple:
     """(a_k, b_k, rhs_k) for k = 1..d: the cube inequalities of pair k.
@@ -154,31 +145,12 @@ def _pair_normal_rhs(params: GoldfarbParams, k: int, s: int) -> tuple:
     return Vec(normal), rhs
 
 
-def _bound(params: GoldfarbParams, x: list) -> Fraction:
-    """z_k = |x_k| at every vertex whose first k-1 coordinates are x, k = len(x) + 1.
-
-    z_k = rhs_k - a_k*x_{k-1} - b_k*x_{k-2}, the slack pair k leaves for x_k.
-    Raises ValueError when z_k <= 0. Valid parameters never give one, but
-    every incidence argument (each vertex on exactly d facets, the cone form
-    of `construct.facet_strictness_check`) rests on z_k > 0, so it is
-    checked here rather than assumed.
-    """
-    k = len(x) + 1
-    a, b, z = _pair_bands(params)[k - 1]
-    if k >= 2:
-        z -= a * x[k - 2]
-    if k >= 3:
-        z -= b * x[k - 3]
-    if z <= 0:
-        raise ValueError(
-            f"cube bound z_{k} = {z} <= 0: eps = {params.eps}, gamma = {params.gamma} give no cube"
-        )
-    return z
-
-
 @lru_cache(maxsize=None)
 def _integer_bands(params: GoldfarbParams) -> tuple:
-    """(m, rows, m^d): rows (A_k, m B_k, m^k R_k), the bands over their lcm m, and two of 0."""
+    """(m, rows, m^d): row k-1 holds pair k's bands over their lcm m, (A_k, m B_k, m^(k-1) R_k).
+
+    Two rows of zeros follow, for `facet_weights`.
+    """
     m, rows = common_denominator(_pair_bands(params))
     rows = [(A, m * B, m ** k * R) for k, (A, B, R) in enumerate(rows)] + [(0, 0, 0)] * 2
     return m, rows, m ** params.dim
@@ -211,40 +183,6 @@ def facet_weights(params: GoldfarbParams, sigma: SignVec, X: list) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def cube_vertices(params: GoldfarbParams) -> tuple:
-    """All 2^d vertices in `sign_vectors` order, built once per parameter set.
-
-    The vertex of sigma sits at position `sign_index(sigma)`, and its
-    coordinates follow the bound recursion x_k = sigma_k * z_k. Its first k
-    coordinates depend only on sigma's first k signs, so the recursion runs
-    on a prefix tree: level k extends every sign prefix
-    of length k-1 once, by -z_k and then by +z_k, which keeps `sign_vectors`
-    order and takes 2^d - 1 bound steps for the whole cube. Raises
-    ValueError at the first bound z_k <= 0.
-    """
-    level = [((), [])]
-    for _ in range(params.dim):
-        grown = []
-        for sigma, x in level:
-            z = _bound(params, x)
-            grown.append((sigma + (-1,), x + [-z]))
-            grown.append((sigma + (1,), x + [z]))
-        level = grown
-    return tuple(CubeVertex(sigma, Vec(x)) for sigma, x in level)
-
-
-@lru_cache(maxsize=None)
-def shadow_table(params: GoldfarbParams) -> tuple:
-    """(den, rows): the 2^d projected vertices as integer pairs over one common denominator.
-
-    Row i is den * (v_tau[-2], v_tau[-1]) for the i-th sign vector tau of
-    `sign_vectors`, so the hull ring and the certificates are built on
-    integers instead of Fractions.
-    """
-    return common_denominator(v.coords[-2:] for v in cube_vertices(params))
-
-
-@lru_cache(maxsize=None)
 def dual_vertices(params: GoldfarbParams) -> tuple:
     """The 2d vertices of the dual cube, one per facet, in canonical order.
 
@@ -260,62 +198,157 @@ def dual_vertices(params: GoldfarbParams) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _shadow_data(params: GoldfarbParams):
-    """(ring, hull position by sigma): the 2D shadow.
+def _vertex(params: GoldfarbParams, sigma, X: Optional[list] = None, start: int = 0) -> list:
+    """X with X[k + 1] = m^k x_k of sigma's vertex, k = 1..d, keeping its first `start` ones.
 
-    The ring is the hull of the integer rows of `shadow_table`, den times
-    the projections, in counterclockwise order: sorting and orientation
-    signs do not change under the positive scale den, so the monotone chain
-    visits the projections in the same order as on the Fractions, and the
-    ring is strictly convex. It is the package's one shadow polygon. Sigmas
-    whose projected vertex is not a hull vertex have no position.
+    X has d + 2 entries, two zeros first. On the bands over their lcm m
+    (`_integer_bands`), the bound recursion x_k = sigma_k z_k reads
+    X_k = sigma_k Z_k for Z_k = m^k z_k = m^(k-1) R_k - A_k X_(k-1) - m B_k X_(k-2),
+    so a vertex's first k coordinates depend only on its first k signs.
+    Raises ValueError, naming sigma, at a bound z_k <= 0: valid parameters
+    give none, but every incidence argument (each vertex on exactly d facets,
+    `construct.facet_strictness_check`'s cone form) rests on z_k > 0.
+    """
+    m, rows, _ = _integer_bands(params)
+    X = X or [0] * (params.dim + 2)
+    for k in range(start, params.dim):
+        A, mB, R = rows[k]
+        Z = R - A * X[k + 1] - mB * X[k]
+        if Z <= 0:
+            raise ValueError(
+                f"cube bound z_{k + 1} = {Fraction(Z, m ** (k + 1))} <= 0 at sigma={tuple(sigma)}: "
+                f"eps = {params.eps}, gamma = {params.gamma} give no cube"
+            )
+        X[k + 2] = Z if sigma[k] == 1 else -Z
+    return X
+
+
+def vertex_row(params: GoldfarbParams, sigma: SignVec) -> tuple:
+    """(V, D): sigma's cube vertex as an integer row V over its least denominator D, in O(d)."""
+    d, (m, _, top) = params.dim, _integer_bands(params)
+    V = [x * m ** (d - k) for k, x in enumerate(_vertex(params, sigma)[2:], 1)]
+    c = gcd(top, *V)
+    return [v // c for v in V], top // c
+
+
+def _gray_rank(sigma: SignVec) -> int:
+    """sigma's position on the ring: the inverse Gray code of its signs, sign k as bit k-1."""
+    g = rank = sum([1 << k for k, s in enumerate(sigma) if s == 1])
+    while g := g >> 1:
+        rank ^= g
+    return rank
+
+
+def _gray_sigma(rank: int, dim: int) -> SignVec:
+    """The sign vector at ring position `rank`: bit k-1 of rank's Gray code is sign k."""
+    g = rank ^ rank >> 1
+    return tuple([1 if g >> k & 1 else -1 for k in range(dim)])
+
+
+def _gray_ring(params: GoldfarbParams) -> Iterator[tuple]:
+    """(sigma, m^d (x_(d-1), x_d)) for the 2^d vertices in reflected Gray-code order.
+
+    From (-1, ..., -1), step i flips sign j + 1 for j the lowest set bit of
+    i, so sigma comes at step `_gray_rank(sigma)`, and recomputes the vertex
+    from that coordinate on: O(d) integers are kept.
+    """
+    d, m = params.dim, _integer_bands(params)[0]
+    sigma = [-1] * d
+    X = _vertex(params, sigma)
+    yield tuple(sigma), (m * X[-2], X[-1])
+    for i in range(1, 1 << d):
+        j = (i & -i).bit_length() - 1
+        sigma[j] = -sigma[j]
+        _vertex(params, sigma, X, j)
+        yield tuple(sigma), (m * X[-2], X[-1])
+
+
+def _upper(dx, dy) -> bool:
+    """Whether direction (dx, dy) has angle in [0, pi)."""
+    return dy > 0 or (dy == 0 and dx > 0)
+
+
+def _check_convex_ring(ring: Iterable) -> None:
+    """Raise ShadowPropertyError, naming a sigma, unless the closed ring is strictly convex.
+
+    `ring` yields (sigma, point) pairs of exact 2D points, in order. Each
+    consecutive triple must turn strictly left, so the edge direction turns
+    by less than pi at each vertex and by a positive multiple of 2 pi in all;
+    it passes angle 0 once per full turn, and a second pass raises. Turning
+    strictly left by 2 pi in all, the ring is strictly convex and
+    counterclockwise: its points are distinct, each a vertex of their hull.
+    """
+    it = iter(ring)
+    first = [next(it), next(it)]
+    (_, (ax, ay)), (name, (bx, by)) = first
+    ex, ey, winds = bx - ax, by - ay, 0
+    for sigma, (cx, cy) in chain(it, first):
+        fx, fy = cx - bx, cy - by
+        if ex * fy - ey * fx <= 0:
+            raise ShadowPropertyError(f"the shadow ring does not turn left at sigma={name}")
+        if _upper(fx, fy) and not _upper(ex, ey):
+            winds += 1
+            if winds > 1:
+                raise ShadowPropertyError(f"the shadow ring winds around twice, at sigma={name}")
+        name, bx, by, ex, ey = sigma, cx, cy, fx, fy
+
+
+@lru_cache(maxsize=None)
+def _shadow_data(params: GoldfarbParams) -> int:
+    """m^d, the shadow ring's denominator, after one Gray-code pass has proven the ring.
+
+    The pass (`_gray_ring`) checks every bound z_k > 0, and
+    `_check_convex_ring` its points as they come. So all 2^d projected
+    vertices are the vertices of the 2D shadow, counterclockwise in Gray-code
+    order. The pass keeps O(d) integers, and only its result is cached.
     """
     if params.dim < 2:
         raise ValueError("shadow projection needs dim >= 2")
-    _den, rows = shadow_table(params)
-    owner = {}
-    for v, pt in zip(cube_vertices(params), rows):
-        if pt in owner:
-            raise ShadowPropertyError(f"two vertices share the shadow point {v.coords[-2:]}")
-        owner[pt] = v.sigma
-    points = tuple(hull_chain(owner))
-    return points, {owner[pt]: i for i, pt in enumerate(points)}
+    _check_convex_ring(_gray_ring(params))
+    return _integer_bands(params)[2]
 
 
 def shadow_polygon(params: GoldfarbParams) -> tuple:
-    """The hull ring: den times the projections as integer pairs, 2^d of them for valid params."""
-    return _shadow_data(params)[0]
+    """The proven ring for drawing: m^d times the projections, 2^d integer pairs.
+
+    Counterclockwise from its lexicographically least point, where a
+    monotone-chain hull starts.
+    """
+    _shadow_data(params)
+    ring = [pt for _sigma, pt in _gray_ring(params)]
+    i = ring.index(min(ring))
+    return tuple(ring[i:] + ring[:i])
 
 
 def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertificate:
     """Strictly supporting inequality a . x <= 1 at the projection of v_sigma.
 
-    Construction: at the hull vertex, sum the outward normals of the two
+    Construction: at the ring vertex, sum the outward normals of the two
     incident edges, each rescaled by its 1-norm, then scale the embedded
     direction so a . v_sigma = 1. Summing two edge normals gives a direction
-    whose supporting line touches the hull at that vertex only.
+    whose supporting line touches the ring at that vertex only.
 
-    The normals come from the integer ring, den times the projections: den
-    cancels in each normal over its 1-norm and in a = den n / (n . pt). The
-    ring is strictly convex, so a is tight at v_sigma and below 1 at both ring
-    neighbours, and so at every other vertex, which lies in the cone they span.
+    sigma's ring neighbours sit at Gray ranks r - 1 and r + 1 around its
+    rank r: three O(d) recursions give the ring points. With edges e into
+    and f out of sigma's point pt, the integer n = |f|_1 (e_y, -e_x) +
+    |e|_1 (f_y, -f_x) is the sum of the outward normals over their 1-norms
+    times |e|_1 |f|_1 > 0, and a = m^d n / (n . pt): the ring's scale m^d
+    cancels. `_shadow_data` proves the ring strictly convex, so a is tight
+    at v_sigma and below 1 at both ring neighbours, and so at every other
+    vertex, which lies in the cone they span.
     """
-    points, pos = _shadow_data(params)
-    sigma = tuple(sigma)
-    if sigma not in pos:
-        raise ShadowPropertyError(f"projected vertex for sigma={sigma} is not a hull vertex")
-    i = pos[sigma]
-    prev_pt, pt, next_pt = points[i - 1], points[i], points[(i + 1) % len(points)]
-    normals = []
-    for a, b in ((prev_pt, pt), (pt, next_pt)):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        outward = Vec((dy, -dx))  # CCW boundary keeps the interior on the left
-        normals.append(outward * Fraction(1, abs(dy) + abs(dx)))
-    n = normals[0] + normals[1]
-    scale = n.dot(pt)
+    den, m = _shadow_data(params), _integer_bands(params)[0]
+    d, sigma = params.dim, tuple(sigma)
+    if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
+        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
+    r, n = _gray_rank(sigma), 1 << d
+    prv, cur, nxt = [_vertex(params, _gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
+    bx, by = m * cur[-2], cur[-1]
+    ex, ey, fx, fy = bx - m * prv[-2], by - prv[-1], m * nxt[-2] - bx, nxt[-1] - by
+    le, lf = abs(ex) + abs(ey), abs(fx) + abs(fy)
+    nx, ny = lf * ey + le * fy, -lf * ex - le * fx
+    scale = nx * bx + ny * by
     if scale <= 0:
         raise ShadowPropertyError("support scale must be positive (origin interior)")
-    den = shadow_table(params)[0]
-    vector = Vec([Fraction(0)] * (params.dim - 2) + [n[0] * den / scale, n[1] * den / scale])
+    vector = Vec([_ZERO] * (d - 2) + [Fraction(den * nx, scale), Fraction(den * ny, scale)])
     return ShadowCertificate(sigma, vector)

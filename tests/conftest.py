@@ -7,6 +7,15 @@ from svmpath.goldfarb import GoldfarbParams
 
 DEFAULT_STRETCH = StretchFactor(20000)
 
+# the paper's (eps, gamma) and the benchmark's other eight (perfbench/run.py PAIRS)
+REFERENCE_PARAMS = tuple(
+    (Fraction(eps), Fraction(gamma))
+    for eps, gamma in (
+        ("1/3", "1/16"), ("3/8", "1/16"), ("1/3", "1/15"), ("1/3", "1/14"), ("5/16", "1/16"),
+        ("3/8", "1/15"), ("2/5", "1/16"), ("2/5", "1/15"), ("5/14", "1/16"),
+    )
+)
+
 
 def default_params(dim: int) -> GoldfarbParams:
     return GoldfarbParams(dim, Fraction(1, 3), Fraction(1, 16))

@@ -6,7 +6,7 @@ scratch, uniqueness of an optimum is decided by Fourier-Motzkin over the
 directions of its optimal face, hull extremeness is decided by exhaustive
 triangle membership, the two facet-incidence checks rebuild every cube vertex
 as Fractions instead of reading the library's facet weights or its integer
-shadow table, and the facet multiplier of a breakpoint comes from the
+Gray-code ring, and the facet multiplier of a breakpoint comes from the
 single-facet relaxation rather than the instance QP. The reference solver rebuilds its normal
 equations and gradients from Fraction point coordinates on every iteration,
 and the reference KKT check, multiplier ranges and uniqueness test take
@@ -18,9 +18,11 @@ reference sweep takes every record from the solver's loop, without the
 chain of affine pieces the library sweep walks, and the piece reference
 solves a piece's normal equations on Fraction differences and scans its
 interval in Fractions, where the library's piece works in integers. The shadow references build
-each cube vertex on its own (`cube_vertex`) and the shadow as a Fraction
-`Polygon2`, whose constructor checks strict convexity, where the library
-keeps one integer hull ring; the certificate reference takes its edge
+each cube vertex on its own (`cube_vertex`), all 2^d of them as a table
+(`cube_vertices`), and the shadow as the Fraction `Polygon2` of their
+projections' monotone-chain hull (`hull_chain`), whose constructor checks
+strict convexity, where the library walks one integer ring in Gray-code
+order and keeps none of it; the certificate reference takes its edge
 normals on that Fraction polygon. The construction references build q, p
 and the facet weights in Fraction vectors, where the library clears them to
 integers over one denominator. All are exact.
@@ -38,13 +40,9 @@ from itertools import combinations, product
 from types import SimpleNamespace
 
 from svmpath.construct import facet_strictness_check, stretch
-from svmpath.geometry import (
-    FrozenRecord, SingularMatrixError, Vec, common_denominator, hull_chain, orient2d,
-)
+from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, common_denominator
 from svmpath.goldfarb import (
-    CubeVertex,
     ShadowCertificate,
-    _bound,
     _pair_bands,
     facet_weights,
     shadow_certificate,
@@ -404,6 +402,11 @@ def sweep_refined_oracle(instance, mu_lo, mu_hi, steps: int, depth: int):
     return _report(grid + extra, instance_lower_bound(instance))
 
 
+def orient2d(o, a, b):
+    """Signed area cross product; > 0 iff o->a->b turns counterclockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def point_in_triangle(p, a, b, c) -> bool:
     """Exact closed-triangle membership via three orientation signs."""
     d1 = orient2d(a, b, p)
@@ -432,18 +435,51 @@ def is_extreme_point(p, others) -> bool:
     )
 
 
-def cube_vertex(params, sigma) -> CubeVertex:
-    """Vertex indexed by sigma, via the bound recursion with x_k = sigma_k * z_k.
+class CubeVertex(FrozenRecord):
+    __slots__ = _fields = ("sigma", "coords")
 
-    One sigma at a time, where `goldfarb.cube_vertices` builds the whole cube
-    on a prefix tree of signs.
+    def __init__(self, sigma, coords: Vec):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "coords", coords)
+
+
+def cube_bound(params, x) -> Fraction:
+    """z_k = |x_k| at every vertex whose first k-1 coordinates are x, k = len(x) + 1.
+
+    z_k = rhs_k - a_k*x_{k-1} - b_k*x_{k-2} on the Fraction bands, the slack
+    pair k leaves for x_k. Raises ValueError when z_k <= 0.
+    """
+    k = len(x) + 1
+    a, b, z = _pair_bands(params)[k - 1]
+    if k >= 2:
+        z -= a * x[k - 2]
+    if k >= 3:
+        z -= b * x[k - 3]
+    if z <= 0:
+        raise ValueError(
+            f"cube bound z_{k} = {z} <= 0: eps = {params.eps}, gamma = {params.gamma} give no cube"
+        )
+    return z
+
+
+def cube_vertex(params, sigma) -> CubeVertex:
+    """Vertex indexed by sigma, via the bound recursion with x_k = sigma_k * z_k, on Fractions.
+
+    One sigma at a time, where the library's integer recursion
+    (`goldfarb.vertex_row`) clears the bands to integers first.
     """
     if len(sigma) != params.dim or any(s not in (-1, 1) for s in sigma):
         raise ValueError("sigma must be a length-dim vector over {-1, +1}")
     x = []
     for s in sigma:
-        x.append(s * _bound(params, x))
+        x.append(s * cube_bound(params, x))
     return CubeVertex(tuple(sigma), Vec(x))
+
+
+@lru_cache(maxsize=None)
+def cube_vertices(params) -> tuple:
+    """All 2^d vertices in `sign_vectors` order, each by `cube_vertex`."""
+    return tuple(cube_vertex(params, tau) for tau in sign_vectors(params.dim))
 
 
 def project_shadow(x) -> Vec:
@@ -476,8 +512,44 @@ class Polygon2(FrozenRecord):
         return len(self.vertices)
 
 
+class DegenerateHullError(Exception):
+    """Hull input is collinear or has fewer than three distinct points."""
+
+
+def hull_chain(points) -> list:
+    """The strictly convex counterclockwise hull of `points` as a list of them.
+
+    Monotone chain with exact orientation signs, on points of any exact type,
+    starting at the lexicographically least point. Interior points and
+    points in the relative interior of hull edges are dropped. The hull is
+    returned as the input points themselves, so integer points stay
+    integers. Raises DegenerateHullError when all points are collinear or
+    fewer than three are distinct.
+    """
+    pts = sorted(set(map(tuple, points)))
+    if pts and len(pts[0]) != 2:
+        raise ValueError("hull_chain expects 2D points")
+    if len(pts) < 3:
+        raise DegenerateHullError("need at least three distinct points")
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and orient2d(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(reversed(pts))
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise DegenerateHullError("all points are collinear")
+    return hull
+
+
 def convex_hull_2d(points) -> Polygon2:
-    """Counterclockwise Fraction hull by the library's monotone chain, checked by Polygon2.
+    """Counterclockwise Fraction hull by the monotone chain, checked by Polygon2.
 
     Interior points and points in the relative interior of hull edges are
     dropped. Raises DegenerateHullError when all points are collinear or
@@ -516,7 +588,7 @@ def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
 @lru_cache(maxsize=None)
 def fraction_vertices(params) -> tuple:
     """(tau, v_tau) for every tau, each vertex rebuilt by the per-sigma recursion."""
-    return tuple((tau, cube_vertex(params, tau).coords) for tau in sign_vectors(params.dim))
+    return tuple((v.sigma, v.coords) for v in cube_vertices(params))
 
 
 def facet_strictness_oracle(p, params, ell, sigma) -> bool:

@@ -12,7 +12,9 @@ import pytest
 
 from oracles import (
     Polygon2,
+    cube_vertices,
     enumerate_min_objective,
+    fraction_shadow,
     reduced_hull_segment,
     relaxed_facet_multiplier,
 )
@@ -25,13 +27,7 @@ from svmpath.construct import (
     mu_of_q,
 )
 from svmpath.geometry import Vec
-from svmpath.goldfarb import (
-    GoldfarbParams,
-    cube_vertices,
-    dual_vertices,
-    shadow_polygon,
-    shadow_table,
-)
+from svmpath.goldfarb import GoldfarbParams, _shadow_data, dual_vertices, shadow_polygon
 from svmpath.qp import ReducedHullQP, build_kkt_certificate, solve_reduced_distance, support_set
 from svmpath.sweep import path_pieces, sweep_constructed, sweep_refined
 
@@ -90,13 +86,16 @@ def test_criterion_2_grid_sweep_bend_counts(built):
 def test_criterion_3_shadow_vertex_counts():
     for d in range(2, 13):
         ring = shadow_polygon(_params(d))
-        den, _rows = shadow_table(_params(d))
+        den = _shadow_data(_params(d))
         assert len(ring) == 2 ** d
-        # the Fraction polygon of the ring's projections checks strict convexity
-        assert len(Polygon2(Vec(pt) * F(1, den) for pt in ring)) == 2 ** d
+        # the Fraction polygon of the ring's projections checks strict convexity,
+        # and it is the oracle's hull of all 2^d projected vertices
+        polygon = Polygon2(Vec(pt) * F(1, den) for pt in ring)
+        assert len(polygon) == 2 ** d
+        assert polygon == fraction_shadow(_params(d))[0]
     assert len(shadow_polygon(_params(8))) == 256
     print("\nACCEPTANCE 3 PASS: shadow polygon has exactly 2^d vertices for d=2..12, "
-          "strictly convex")
+          "strictly convex, equal to the oracle hull")
 
 
 def test_criterion_4_kkt_certificates(built):

@@ -6,7 +6,9 @@ import pytest
 
 from svmpath import cli, construct, qp, sweep
 from svmpath.cli import main
-from svmpath.goldfarb import ShadowPropertyError
+from svmpath.construct import Calibration, StretchFactor, SvmInstance, line_point
+from svmpath.geometry import Vec
+from svmpath.goldfarb import GoldfarbParams, ShadowPropertyError, facet_order
 from svmpath.instance_io import (
     format_rational,
     parse_rational,
@@ -175,6 +177,59 @@ class TestVerify:
         run(["gen-arc", "--n-plus", "6", "--out", str(out)], capsys)
         code, _, _ = run(["verify", str(out)], capsys)
         assert code == 2
+
+
+def refuse_construction(monkeypatch) -> None:
+    """Make building or regenerating any constructed instance fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the construction ran")
+
+    for name in ("build_instance", "choose_stretch", "regenerate", "admissible_constructions"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def header_only_instance(d: int) -> str:
+    """A well-formed constructed instance file with header d, its rows all zero."""
+    calibration = Calibration(F(1, 2), F(0), F(1), line_point(d, 0), line_point(d, 2))
+    instance = SvmInstance(
+        tuple(Vec([0] * d) for _ in range(2 * d)), facet_order(d),
+        (calibration.u_left, calibration.u_right),
+        GoldfarbParams(d), StretchFactor(20000), calibration,
+    )
+    return serialize_instance(instance)
+
+
+class TestDimCap:
+    """gen and verify refuse a d above cli.MAX_DIM before any construction."""
+
+    @pytest.mark.parametrize("d", [cli.MAX_DIM + 1, 40])
+    def test_gen_refuses_above_the_cap(self, tmp_path, capsys, monkeypatch, d):
+        refuse_construction(monkeypatch)
+        out = tmp_path / "big.inst"
+        code, stdout, stderr = run(["gen", "--d", str(d), "--stretch", "auto", "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        assert stderr == f"gen: 2^(d-2) breakpoints; --d is capped at {cli.MAX_DIM}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", [cli.MAX_DIM + 1, 40])
+    def test_verify_refuses_a_header_above_the_cap(self, tmp_path, capsys, monkeypatch, d):
+        inst = tmp_path / "big.inst"
+        inst.write_text(header_only_instance(d))
+        assert read_instance(inst).params.dim == d
+        refuse_construction(monkeypatch)
+        code, stdout, stderr = run(["verify", str(inst)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == f"verify: header d {d}; d is capped at {cli.MAX_DIM}\n"
+
+    def test_the_cap_itself_is_accepted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DIM", 3)
+        inst = tmp_path / "d3.inst"
+        assert run(["gen", "--d", "3", "--out", str(inst)], capsys)[0] == 0
+        assert run(["verify", str(inst)], capsys)[0] == 0
+        assert run(["gen", "--d", "4", "--out", str(tmp_path / "d4.inst")], capsys)[0] == 2
+        inst.write_text(header_only_instance(4))
+        assert run(["verify", str(inst)], capsys)[0] == 2
 
 
 class TestSweepCommand:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_STRETCH, default_params, spread
+from conftest import DEFAULT_STRETCH, REFERENCE_PARAMS, default_params, spread
 from oracles import (
     build_p_stretched_reference,
     construction_reference,
     cube_vertex,
+    cube_vertices,
     facet_strictness_oracle,
     facet_weights_reference,
+    hull_chain,
     point_weights,
     reduced_hull_segment,
     strictness_check,
@@ -36,11 +38,11 @@ from svmpath.construct import (
     stretch_threshold,
     support_decomposition,
 )
-from svmpath.geometry import Vec, hull_chain, solve_linear_system
+from svmpath.geometry import Vec, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
+    ShadowCertificate,
     admissible_sign_vectors,
-    cube_vertices,
     dual_vertices,
     facet_weights,
     shadow_certificate,
@@ -152,6 +154,18 @@ class TestBuildQ:
     def test_wrong_sign_vector_rejected(self, params4):
         with pytest.raises(ValueError):
             build_pair(params4, (1, 1, -1, 1), DEFAULT_STRETCH)
+
+    @pytest.mark.parametrize("a_second_last", [F(2), F(3)])
+    def test_nonnegative_slack_rejected(self, params4, monkeypatch, a_second_last):
+        # a shadow point tight at v with a_(d-1) >= 2 puts q's line at or
+        # before it, so the slack (a_(d-1) - 2) ||v(0)||^2 / v_(d-1) is not negative
+        sigma = (1, 1, 1, 1)
+        v = cube_vertex(params4, sigma).coords
+        a_last = (1 - a_second_last * v[2]) / v[3]
+        forged = ShadowCertificate(sigma, Vec([0, 0, a_second_last, a_last]))
+        monkeypatch.setattr(construct, "shadow_certificate", lambda params, sigma: forged)
+        with pytest.raises(ValueError, match="slack must be negative"):
+            construct._unstretched_pair.__wrapped__(params4, sigma)
 
 
 class TestBuildPStretched:
@@ -351,14 +365,6 @@ class TestSupportDecomposition:
         calib = instance4.calibration
         for pair, decomp in constructions4:
             assert decomp.mu_sigma <= calib.mu_bar <= mu_of_q(pair.q[-1], calib)
-
-
-# the paper's (eps, gamma) and the benchmark's other eight (perfbench/run.py PAIRS)
-REFERENCE_PARAMS = (
-    (F(1, 3), F(1, 16)), (F(3, 8), F(1, 16)), (F(1, 3), F(1, 15)), (F(1, 3), F(1, 14)),
-    (F(5, 16), F(1, 16)), (F(3, 8), F(1, 15)), (F(2, 5), F(1, 16)), (F(2, 5), F(1, 15)),
-    (F(5, 14), F(1, 16)),
-)
 
 
 class TestIntegerConstructionMatchesFractionReference:

@@ -5,14 +5,20 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import build_p_stretched_reference, convex_hull_2d, membership, unit, zero
+from oracles import (
+    DegenerateHullError,
+    build_p_stretched_reference,
+    convex_hull_2d,
+    hull_chain,
+    membership,
+    orient2d,
+    unit,
+    zero,
+)
 from svmpath.construct import stretch
 from svmpath.geometry import (
-    DegenerateHullError,
     SingularMatrixError,
     Vec,
-    hull_chain,
-    orient2d,
     solve_linear_system,
     solve_linear_system_general,
     solve_linear_systems,

@@ -1,16 +1,18 @@
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 
-from conftest import default_params, spread
+from conftest import REFERENCE_PARAMS, default_params, spread
 from oracles import (
-    convex_hull_2d,
     cube_vertex,
+    cube_vertices,
     facet_weights_reference,
     fraction_shadow,
     is_extreme_point,
     membership,
+    orient2d,
     project_shadow,
     shadow_certificate_oracle,
     shadow_certificate_reference,
@@ -22,16 +24,23 @@ from svmpath.geometry import Vec, common_denominator, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
     ShadowCertificate,
+    ShadowPropertyError,
+    _check_convex_ring,
+    _gray_rank,
+    _gray_ring,
+    _gray_sigma,
+    _integer_bands,
     _pair_normal_rhs,
     _shadow_data,
-    cube_vertices,
+    _vertex,
+    admissible_sign_vectors,
     dual_vertices,
     facet_order,
     facet_weights,
     shadow_certificate,
     shadow_polygon,
-    shadow_table,
     sign_vectors,
+    vertex_row,
 )
 
 
@@ -137,28 +146,37 @@ class TestCubeVertices:
     @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
     def test_signs_match_sigma(self, d):
         params = default_params(d)
-        for v in cube_vertices(params):
-            for coord, s in zip(v.coords, v.sigma):
+        for sigma in sign_vectors(d):
+            V, _D = vertex_row(params, sigma)
+            for coord, s in zip(V, sigma):
                 assert (coord > 0) == (s == 1) and coord != 0
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_vertices_pairwise_distinct(self, d):
-        coords = [v.coords for v in cube_vertices(default_params(d))]
+        params = default_params(d)
+        coords = [Vec(V) * F(1, D) for V, D in (vertex_row(params, s) for s in sign_vectors(d))]
         assert len(set(coords)) == 2 ** d
 
     @pytest.mark.parametrize("d", range(1, 11))
-    def test_prefix_tree_equals_per_sigma_recursion(self, d):
-        params = default_params(d)
-        assert cube_vertices(params) == tuple(cube_vertex(params, s) for s in sign_vectors(d))
+    def test_integer_recursion_equals_fraction_recursion(self, d):
+        # the integer row over its least denominator is the Fraction vertex
+        params = GoldfarbParams(d, F(3, 8), F(1, 15))
+        for sigma in sign_vectors(d):
+            V, D = vertex_row(params, sigma)
+            assert all(type(v) is int for v in V) and D > 0 and gcd(D, *V) == 1
+            assert Vec(V) * F(1, D) == cube_vertex(params, sigma).coords
 
     def test_nonpositive_bound_raises(self):
         # eps = 9/10 breaks eps < 1/2, so validation is bypassed; x_1 = +1 then
         # gives z_2 = 1 - eps - eps < 0, and the support decomposition, whose
-        # cone-form strictness check rests on z_k > 0, refuses to run
+        # cone-form strictness check rests on z_k > 0, refuses to run. The ring
+        # pass meets it at its second vertex, (+1, -1, -1)
         params = GoldfarbParams(3)
         object.__setattr__(params, "eps", F(9, 10))
-        with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
-            cube_vertices(params)
+        with pytest.raises(ValueError, match=r"z_2 = -4/5 <= 0 at sigma=\(1, -1, -1\)"):
+            _shadow_data(params)
+        with pytest.raises(ValueError, match=r"z_2 = -4/5 <= 0 at sigma=\(1, 1, 1\)"):
+            vertex_row(params, (1, 1, 1))
         with pytest.raises(ValueError, match="z_2 = -4/5 <= 0"):
             cube_vertex(params, (1, 1, 1))
         with pytest.raises(ValueError, match="z_2"):
@@ -279,30 +297,98 @@ class TestShadow:
             assert point[-2] <= 1
 
 
+def ring_point(params, sigma) -> tuple:
+    """sigma's point on the integer ring, m^d (x_(d-1), x_d), from its own recursion."""
+    X = _vertex(params, sigma)
+    return _integer_bands(params)[0] * X[-2], X[-1]
+
+
 class TestShadowHull:
-    @pytest.mark.parametrize("d", range(2, 10))
-    def test_integer_ring_equals_fraction_hull(self, d):
-        # the ring, divided by den, is the Fraction hull of the projections,
-        # point for point, and Polygon2 finds it strictly convex
-        params = default_params(d)
-        points, pos = _shadow_data(params)
-        den, _rows = shadow_table(params)
-        projections = {project_shadow(v.coords): v.sigma for v in cube_vertices(params)}
-        expected = convex_hull_2d(projections)
-        assert shadow_polygon(params) is points
-        assert all(type(c) is int for pt in points for c in pt)
-        assert tuple(Vec(pt) * F(1, den) for pt in points) == expected.vertices
-        assert pos == {projections[pt]: i for i, pt in enumerate(expected.vertices)}
-        assert len(points) == 2 ** d
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_ring_walks_the_reflected_gray_code(self, d):
+        # from (-1, ..., -1), step i flips the sign of the lowest set bit of i
+        sigmas = [sigma for sigma, _pt in _gray_ring(default_params(d))]
+        assert sigmas[0] == (-1,) * d and len(set(sigmas)) == 2 ** d
+        for i in range(1, 2 ** d):
+            flipped = [k for k in range(d) if sigmas[i][k] != sigmas[i - 1][k]]
+            assert flipped == [(i & -i).bit_length() - 1]
+        for i, sigma in enumerate(sigmas):
+            assert _gray_rank(sigma) == i and _gray_sigma(i, d) == sigma
 
     @pytest.mark.parametrize("d", [2, 3, 6, 9])
-    def test_shadow_table_rows_are_den_times_the_projections(self, d):
+    def test_ring_points_are_den_times_the_projections(self, d):
         params = default_params(d)
-        den, rows = shadow_table(params)
-        assert den > 0 and len(rows) == 2 ** d
-        for v, row in zip(cube_vertices(params), rows):
-            assert len(row) == 2 and all(type(c) is int for c in row)
-            assert Vec(row) == project_shadow(v.coords) * den
+        den = _shadow_data(params)
+        assert den > 0
+        for sigma, pt in _gray_ring(params):
+            assert len(pt) == 2 and all(type(c) is int for c in pt)
+            assert Vec(pt) == project_shadow(cube_vertex(params, sigma).coords) * den
+            assert ring_point(params, sigma) == pt
+
+    @pytest.mark.parametrize("eps,gamma", REFERENCE_PARAMS)
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_ring_and_certificates_equal_the_oracle(self, d, eps, gamma):
+        # the Gray ring is the Fraction hull of the projections in its order,
+        # point for point, and every admissible certificate is the one built
+        # on that hull
+        params = GoldfarbParams(d, eps, gamma)
+        hull, pos = fraction_shadow(params)
+        den = _shadow_data(params)
+        assert tuple(Vec(pt) * F(1, den) for pt in shadow_polygon(params)) == hull.vertices
+        start = pos[(-1,) * d]
+        ranks = [pos[sigma] for sigma, _pt in _gray_ring(params)]
+        assert ranks == [(start + i) % 2 ** d for i in range(2 ** d)]
+        for sigma in admissible_sign_vectors(d):
+            assert shadow_certificate(params, sigma) == shadow_certificate_reference(params, sigma)
+
+
+def forged_ring(points) -> list:
+    """(sigma, point) pairs for a test ring, sigma the sign vector of each point's index."""
+    return [(tuple(1 if i >> k & 1 else -1 for k in range(3)), pt) for i, pt in enumerate(points)]
+
+
+class TestRingChecks:
+    """Each check of the ring pass fails on a forged input, naming a sigma."""
+
+    @pytest.mark.parametrize("eps,z2", [(F(9, 10), "-4/5"), (F(1, 2), "0")])
+    def test_nonpositive_band_raises(self, eps, z2):
+        # the forged band of pair 2 leaves z_2 = 1 - 2 eps at x_1 = +1, first
+        # met at the ring's second vertex; a bound of exactly 0 fails as well
+        params = GoldfarbParams(4)
+        object.__setattr__(params, "eps", eps)
+        with pytest.raises(ValueError, match=rf"z_2 = {z2} <= 0 at sigma=\(1, -1, -1, -1\)"):
+            _shadow_data(params)
+
+    def test_convex_counterclockwise_ring_passes(self):
+        _check_convex_ring(forged_ring([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)]))
+
+    def test_collinear_turn_raises(self):
+        # (1, 0), index 1, sits on the edge from (0, 0) to (2, 0)
+        ring = forged_ring([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+        message = r"does not turn left at sigma=\(1, -1, -1\)"
+        with pytest.raises(ShadowPropertyError, match=message):
+            _check_convex_ring(ring)
+
+    def test_reflex_turn_raises(self):
+        # (1, 1), index 2, is dented into the square
+        ring = forged_ring([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)])
+        message = r"does not turn left at sigma=\(-1, 1, -1\)"
+        with pytest.raises(ShadowPropertyError, match=message):
+            _check_convex_ring(ring)
+
+    def test_clockwise_ring_raises(self):
+        ring = forged_ring([(0, 0), (0, 2), (2, 2), (2, 0)])
+        with pytest.raises(ShadowPropertyError, match=r"turn left at sigma=\(1, -1, -1\)"):
+            _check_convex_ring(ring)
+
+    def test_pentagram_raises(self):
+        # a pentagon's vertices taken two apart turn left at every vertex but
+        # wind around twice; the second pass of angle 0 is at index 4, (-8, -6)
+        pentagon = [(10, 0), (3, 10), (-8, 6), (-8, -6), (3, -10)]
+        star = [pentagon[2 * i % 5] for i in range(5)]
+        assert all(orient2d(star[i - 2], star[i - 1], star[i]) > 0 for i in range(5))
+        with pytest.raises(ShadowPropertyError, match=r"winds around twice, at sigma=\(-1, -1, 1\)"):
+            _check_convex_ring(forged_ring(star))
 
 
 def hull_neighbours(params, sigma) -> tuple:
@@ -351,12 +437,12 @@ def integer_check_passes(cert, params) -> bool:
     exhaustive oracle does. With a = (a1, a2) / den_a and a ring point
     V = den * v, a . v == 1 reads a1 * V1 + a2 * V2 == den * den_a.
     """
-    points, pos = _shadow_data(params)
-    den, _rows = shadow_table(params)
+    d, den = params.dim, _shadow_data(params)
     den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
     one = den * den_a
-    i = pos[cert.sigma]
-    prev_pt, pt, next_pt = points[i - 1], points[i], points[(i + 1) % len(points)]
+    r = _gray_rank(cert.sigma)
+    ring = [ring_point(params, _gray_sigma(i % 2 ** d, d)) for i in (r - 1, r, r + 1)]
+    prev_pt, pt, next_pt = ring
     return (
         a1 * pt[0] + a2 * pt[1] == one
         and a1 * prev_pt[0] + a2 * prev_pt[1] < one

@@ -538,6 +538,24 @@ class TestWalk:
         assert fresh.successor() is None and fresh.successor() is None
         assert builds == [working[1]]
 
+    def test_single_point_successor_is_refused(self, instance4, monkeypatch):
+        # a candidate that starts at hi but whose interval is the single point
+        # [hi, hi] does not reach above hi, so the walk stops there
+        pieces = path_pieces(instance4, F(51, 100), F(1))
+        working = (pieces[0].at_lo, pieces[0].at_hi)
+        build = Piece.build.__func__
+
+        def single_point(cls, table, working):
+            piece = build(cls, table, working)
+            piece.lo = piece.hi = hi
+            return piece
+
+        fresh = Piece.build(instance4.table, working)
+        hi = fresh.hi
+        assert hi is not None and len(fresh.events) == 1
+        self.count_builds(monkeypatch, stub=single_point)
+        assert fresh.successor() is None
+
     def test_start_off_another_point_set_runs_the_loop(self, instance4):
         arc = generate_2d_arc_instance(8)
         # both have ten points, so the coefficients would fit as a warm start

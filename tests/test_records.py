@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import svmpath
-from oracles import Polygon2, replace
+from oracles import CubeVertex, Polygon2, replace
 from svmpath import construct
 from svmpath.construct import (
     Calibration,
@@ -30,7 +30,7 @@ from svmpath.construct import (
     SvmInstance,
 )
 from svmpath.geometry import FrozenInstanceError, PointTable, Vec
-from svmpath.goldfarb import CubeVertex, DualVertex, GoldfarbParams, ShadowCertificate
+from svmpath.goldfarb import DualVertex, GoldfarbParams, ShadowCertificate
 from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
 

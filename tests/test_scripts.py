@@ -36,7 +36,10 @@ def test_bench_ladder_up_to_d4(tmp_path):
     rows = runs["here"]["rows"]
     assert [row["d"] for row in rows] == [3, 4]
     for row in rows:
-        assert all(row[f"{cmd}_exit"] == 0 and row[f"{cmd}_s"] > 0 for cmd in ("gen", "verify", "sweep"))
+        for cmd in ("gen", "verify", "sweep"):
+            assert row[f"{cmd}_exit"] == 0 and row[f"{cmd}_s"] > 0
+            # each command's own peak RSS: at least the interpreter's
+            assert 5 < row[f"{cmd}_rss_mb"] < 500
         assert row["bends"] > row["lower_bound"] == 2 ** row["d"] // 4
         assert row["distinct_support_sets"] >= row["lower_bound"]
         assert row["walk_exit"] == 0 and row["walk_s"] >= 0
