@@ -189,7 +189,7 @@ def cmd_shadow_svg(args) -> int:
         return EXIT_INPUT
     params = _params_from_args(args)
     if params.dim > 12:
-        print("shadow-svg: hull size 2^d; --d is capped at 12", file=sys.stderr)
+        print("shadow-svg: 2^d ring vertices; --d is capped at 12", file=sys.stderr)
         return EXIT_INPUT
     write_shadow_svg(params, args.out)
     print(f"wrote {args.out}: {2 ** params.dim} vertices")

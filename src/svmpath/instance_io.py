@@ -39,10 +39,14 @@ def parse_rational(token: str) -> Fraction:
 
     Exponent notation is refused. `Fraction` reads `1e-3000000` too, as a
     3000001-digit denominator, and a sweep of an instance with that
-    coordinate runs for minutes.
+    coordinate runs for minutes. So are digit separators and non-ASCII
+    characters: `Fraction` reads `1_000` from Python 3.11 on, and digits of
+    any script (`١٢` is 12), so the same file would read differently.
     """
     if "e" in token or "E" in token:
         raise InstanceFormatError(f"bad rational token {token!r}: no exponent notation")
+    if "_" in token or not token.isascii():
+        raise InstanceFormatError(f"bad rational token {token!r}: ASCII digits only, no '_'")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -4,21 +4,22 @@ JSON reports keep every rational exact as {"num": ..., "den": ...} string
 pairs. The CSV export is a convenience view with decimal approximations and is
 explicitly marked as such, carrying its precision in every row.
 
-`sweep_report_json` is the one definition of a report's fields, and
 `write_sweep_report` writes exactly the bytes of `json.dumps(doc, indent=2)`
-and a newline. It lays the text out itself: with `indent` set, the standard
-library encodes in pure Python, one generator per container, which took
-most of the time of writing a 737-record report. A sweep's records hold few
-distinct support sets, so both exports sort each set's labels once
-(`_per_support`), records share the resulting label lists, and the writer
-lays out each shared list once per indent.
+and a newline, for a document of fixed shape. With `indent` set, the
+standard library encodes in pure Python, one generator per container, which
+took most of the time of writing a 737-record report. So each record is one
+`%`-template with its rationals' numerators and denominators, and only the
+other top-level values and the label lists go through `json.dumps`, indented
+deeper by adding spaces after each newline: `json.dumps` escapes a newline
+in a string, so each newline it writes is layout. A sweep's records hold few
+distinct support sets, so both exports sort and lay out each set's labels
+once (`_per_support`).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .goldfarb import GoldfarbParams, shadow_polygon
@@ -32,9 +33,7 @@ def rational_json(x) -> dict:
 
 
 def _label_json(label):
-    if isinstance(label, tuple):
-        return list(label)
-    return label
+    return list(label) if isinstance(label, tuple) else label
 
 
 def _per_support(report: SweepReport, layout) -> list:
@@ -54,106 +53,67 @@ def _per_support(report: SweepReport, layout) -> list:
     return out
 
 
+def _dumped(value, depth: int) -> str:
+    """`value` as `json.dumps(..., indent=2)` writes it `depth` levels deep in a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 def _json_labels(support_plus, support_minus) -> tuple:
-    return sorted((_label_json(l) for l in support_plus), key=str), sorted(support_minus)
+    """Both label lists of a support, sorted and laid out at a record's depth."""
+    plus = sorted((_label_json(l) for l in support_plus), key=str)
+    return _dumped(plus, 3), _dumped(sorted(support_minus), 3)
 
 
-def sweep_report_json(report: SweepReport, meta: dict | None = None) -> dict:
-    """The report as a JSON document; records with one support set share its label lists."""
-    records = [
-        {
-            "mu": rational_json(r.mu),
-            "objective": rational_json(r.objective),
-            "support_plus": plus,
-            "support_minus": minus,
-        }
+_RECORD = """
+    {
+      "mu": {
+        "num": "%d",
+        "den": "%d"
+      },
+      "objective": {
+        "num": "%d",
+        "den": "%d"
+      },
+      "support_plus": %s,
+      "support_minus": %s
+    }"""
+
+_RECORDS = object()  # stands for the records list among the document's values
+
+
+def _records_text(report: SweepReport) -> str:
+    records = ",".join(
+        _RECORD % (r.mu.numerator, r.mu.denominator,
+                   r.objective.numerator, r.objective.denominator, plus, minus)
         for r, (plus, minus) in zip(report.records, _per_support(report, _json_labels))
-    ]
+    )
+    return "[" + records + "\n  ]" if records else "[]"
+
+
+def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> None:
+    """Write the report's document as `json.dumps(doc, indent=2)` does, and a newline.
+
+    The document holds `exact`, the three counts and the records, updated by
+    `meta` as `dict.update` does: a meta key that names one of them replaces
+    its value in place. Keys must be strings (a TypeError otherwise), where
+    `json.dumps` would write an int key as a string.
+    """
     doc = {
         "exact": True,
         "bend_count": report.bend_count,
         "distinct_support_sets": report.distinct_support_sets,
         "lower_bound": report.lower_bound,
-        "records": records,
+        "records": _RECORDS,
     }
     if meta:
         doc.update(meta)
-    return doc
-
-
-def _indented(value, indent: str, out: list, laid: dict) -> None:
-    """Append `value` as `json.dumps(value, indent=2)` writes it at `indent`, a newline and spaces.
-
-    Dict keys must be strings (a TypeError otherwise). Strings and ints, the
-    bulk of a report, are written inline by json's C string escape and
-    `int.__repr__`, other scalars by `json.dumps`. Lists and dicts have a
-    loop each: one shared loop over (key, item) pairs is a third slower.
-    Lists are laid out by `_list_text`, once per identity and indent.
-    """
-    if isinstance(value, (list, tuple)):
-        out.append(_list_text(value, indent, laid))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        head = "{" + inner
-        for key, item in value.items():
-            head += encode_basestring_ascii(key) + ": "
-            kind = type(item)
-            if kind is str:
-                out.append(head + encode_basestring_ascii(item))
-            elif kind is int:
-                out.append(head + int.__repr__(item))
-            else:
-                out.append(head)
-                _indented(item, inner, out, laid)
-            head = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, int) and not isinstance(value, bool):
-        out.append(int.__repr__(value))
-    else:
-        out.append(json.dumps(value))
-
-
-def _list_text(value, indent: str, laid: dict) -> str:
-    """A list or tuple as `_indented` lays it out at `indent`, built once per (id, indent).
-
-    `laid` maps (id, indent) to the text, so the label lists that records
-    share are laid out once. One `laid` serves one document, whose lists all
-    stay alive while it is written, so no two of them share an id.
-    """
-    if not value:
-        return "[]"
-    key = (id(value), indent)
-    text = laid.get(key)
-    if text is None:
-        part = []
-        inner = indent + "  "
-        head = "[" + inner
-        for item in value:
-            kind = type(item)
-            if kind is str:
-                part.append(head + encode_basestring_ascii(item))
-            elif kind is int:
-                part.append(head + int.__repr__(item))
-            else:
-                part.append(head)
-                _indented(item, inner, part, laid)
-            head = "," + inner
-        part.append(indent + "]")
-        text = laid[key] = "".join(part)
-    return text
-
-
-def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> None:
-    """Write `json.dumps(sweep_report_json(report, meta), indent=2)` and a newline, byte for byte."""
-    out = []
-    _indented(sweep_report_json(report, meta), "\n", out, {})
-    out.append("\n")
-    Path(path).write_text("".join(out), encoding="utf-8")
+    items = []
+    for key, value in doc.items():
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        text = _records_text(report) if value is _RECORDS else _dumped(value, 1)
+        items.append(json.dumps(key) + ": " + text)
+    Path(path).write_text("{\n  " + ",\n  ".join(items) + "\n}\n", encoding="utf-8")
 
 
 def _approx(x: Fraction, precision: int) -> str:
@@ -182,7 +142,7 @@ def sweep_report_csv(report: SweepReport, precision: int = 12) -> str:
 def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str:
     """SVG 1.1 drawing of the shadow polygon, vertex count in the title.
 
-    Drawn from the integer hull ring, den times the projections: the drawing
+    Drawn from the Gray-code shadow ring, den times the projections: the drawing
     is fitted to the view box, so it is the same under any positive scale.
     Coordinates are rendered as decimals with `digits` significant digits;
     this is display only, the polygon itself is computed exactly.

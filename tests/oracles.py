@@ -25,7 +25,9 @@ strict convexity, where the library walks one integer ring in Gray-code
 order and keeps none of it; the certificate reference takes its edge
 normals on that Fraction polygon. The construction references build q, p
 and the facet weights in Fraction vectors, where the library clears them to
-integers over one denominator. All are exact.
+integers over one denominator. The sweep report reference builds the
+report's document as a dict for `json.dumps`, where the library writes each
+record from a text template. All are exact.
 
 The last eight functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
@@ -490,8 +492,9 @@ def project_shadow(x) -> Vec:
 class Polygon2(FrozenRecord):
     """Strictly convex polygon of Fraction vertices in counterclockwise order.
 
-    The reference for the library's integer hull ring: the constructor checks
-    strict convexity on the Fractions themselves.
+    The reference for the library's integer Gray-code shadow ring
+    (`goldfarb.shadow_polygon`): the constructor checks strict convexity on
+    the Fractions themselves.
     """
 
     __slots__ = _fields = ("vertices",)
@@ -916,6 +919,38 @@ def piece_reference(table, working):
         w1=w1,
     )
 
+
+def sweep_report_json(report, meta=None) -> dict:
+    """The reference document of a sweep report: `json.dumps(doc, indent=2)` is the report's text.
+
+    Each record's labels are sorted on their own, where the library sorts and
+    lays out each distinct support once and writes each record from a template.
+    """
+
+    def rational(x):
+        return {"num": str(x.numerator), "den": str(x.denominator)}
+
+    def label(l):
+        return list(l) if isinstance(l, tuple) else l
+
+    doc = {
+        "exact": True,
+        "bend_count": report.bend_count,
+        "distinct_support_sets": report.distinct_support_sets,
+        "lower_bound": report.lower_bound,
+        "records": [
+            {
+                "mu": rational(r.mu),
+                "objective": rational(r.objective),
+                "support_plus": sorted((label(l) for l in r.support_plus), key=str),
+                "support_minus": sorted(r.support_minus),
+            }
+            for r in report.records
+        ],
+    }
+    if meta:
+        doc.update(meta)
+    return doc
 
 def point_weights(p, params, ell, sigma) -> tuple:
     """(W, den): the integer `facet_weights` of stretch(p, ell) over sigma's facet duals.

@@ -526,6 +526,7 @@ class TestShadowSvgCommand:
     def test_dim_cap(self, tmp_path, capsys):
         code, _, stderr = run(["shadow-svg", "--d", "13", "--out", str(tmp_path / "x.svg")], capsys)
         assert code == 2
+        assert stderr == "shadow-svg: 2^d ring vertices; --d is capped at 12\n"
 
 
 class TestPinnedShadowSvg:

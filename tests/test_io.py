@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
-from oracles import rational_from_json
+from oracles import rational_from_json, sweep_report_json
+from svmpath.cli import main
 from svmpath.construct import build_instance, generate_2d_arc_instance
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.instance_io import (
@@ -19,16 +20,18 @@ from svmpath.instance_io import (
     write_instance,
 )
 from svmpath.geometry import Vec
-from svmpath import report_io
 from svmpath.qp import OptimalPair
 from svmpath.report_io import (
     rational_json,
     shadow_svg,
     sweep_report_csv,
-    sweep_report_json,
     write_sweep_report,
 )
 from svmpath.sweep import SweepRecord, SweepReport, sweep_grid, sweep_refined
+
+
+# a digit separator, and 12 in Arabic-Indic digits
+NOT_ASCII_DIGITS = ["1_000", "\u0661\u0662"]
 
 
 class TestRationalTokens:
@@ -53,6 +56,29 @@ class TestRationalTokens:
 
     def test_decimals_still_read(self):
         assert parse_rational("0.8") == F(4, 5) and parse_rational("-2") == -2
+        assert parse_rational("3/4") == F(3, 4) and parse_rational(".5") == F(1, 2)
+
+    @pytest.mark.parametrize("token", NOT_ASCII_DIGITS)
+    def test_separators_and_other_digits_refused(self, token):
+        # Fraction reads "1_000" as 1000 from Python 3.11 on, and any script's digits
+        with pytest.raises(InstanceFormatError, match=f"bad rational token '{token}': ASCII digits only"):
+            parse_rational(token)
+
+    @pytest.mark.parametrize("token", NOT_ASCII_DIGITS)
+    def test_refused_in_a_file_and_as_a_flag(self, tmp_path, capsys, instance3, token):
+        lines = serialize_instance(instance3).splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("+1 "))
+        tokens = lines[row].split()
+        tokens[1] = token
+        lines[row] = " ".join(tokens)
+        with pytest.raises(InstanceFormatError, match=f"bad rational token '{token}'"):
+            parse_instance("\n".join(lines))
+        out = tmp_path / "d3.inst"
+        assert main(["gen", "--d", "3", "--eps", token, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"--eps: bad rational token '{token}': ASCII digits only" in captured.err
+        assert not out.exists()
 
 
 class TestInstanceFiles:
@@ -120,16 +146,17 @@ def report():
 
 class TestSweepReports:
 
-    def test_json_rationals_exact(self, report):
-        doc = sweep_report_json(report)
+    def test_json_rationals_exact(self, tmp_path, report):
+        write_sweep_report(report, tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["exact"] is True
         for rec, rec_doc in zip(report.records, doc["records"]):
             assert rational_from_json(rec_doc["mu"]) == rec.mu
             assert rational_from_json(rec_doc["objective"]) == rec.objective
-        json.dumps(doc)  # must be serializable as-is
 
-    def test_json_counts(self, report):
-        doc = sweep_report_json(report, meta={"steps": 5})
+    def test_json_counts(self, tmp_path, report):
+        write_sweep_report(report, tmp_path / "r.json", meta={"steps": 5})
+        doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["bend_count"] == report.bend_count
         assert doc["steps"] == 5
 
@@ -169,12 +196,12 @@ def _equal_support_report():
     return SweepReport(records, 2, 2, 0)
 
 
-# one list object at several depths of a document: laid out once per indent
+# one list object at several depths of a document
 SHARED = [[1, -1], "x", {"k": [2]}]
 
 
 class TestReportWriter:
-    """write_sweep_report writes json.dumps(sweep_report_json(...), indent=2) byte for byte."""
+    """write_sweep_report writes json.dumps(oracles.sweep_report_json(...), indent=2) byte for byte."""
 
     REPORTS = {
         "arc_int_labels": lambda: sweep_grid(generate_2d_arc_instance(8), F(3, 4), F(1), 5),
@@ -183,6 +210,7 @@ class TestReportWriter:
         ),
         "empty_support": _empty_support_report,
         "equal_supports": _equal_support_report,
+        "no_records": lambda: SweepReport((), 0, 0, 0),
     }
     METAS = {
         "none": None,
@@ -206,6 +234,8 @@ class TestReportWriter:
         # the records list replaced: laid out as any other list
         "records_replaced": {"records": [SHARED, {"support_plus": SHARED}, [[1, -1]]]},
         "records_emptied": {"records": []},
+        # a count replaced keeps its place ahead of the records, as dict.update does
+        "bend_count_replaced": {"bend_count": "unset", "tail": 1},
     }
 
     @pytest.mark.parametrize("meta", list(METAS), ids=list(METAS))
@@ -217,29 +247,7 @@ class TestReportWriter:
         expected = json.dumps(sweep_report_json(report, meta), indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
-    def test_records_with_equal_but_distinct_label_lists(self, tmp_path, monkeypatch):
-        # a document whose records share no label list, each list equal to
-        # others and some of them empty, still lays out byte for byte
-        report = _equal_support_report()
-        shared = sweep_report_json(report)
-        doc = json.loads(json.dumps(shared))
-        assert doc == shared
-        assert doc["records"][0]["support_plus"] is not doc["records"][1]["support_plus"]
-        monkeypatch.setattr(report_io, "sweep_report_json", lambda report, meta=None: doc)
-        write_sweep_report(report, tmp_path / "r.json")
-        assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=2) + "\n"
-
-    def test_one_list_at_many_indents(self):
-        # the memo is keyed by identity and indent: the same list laid out at
-        # another depth gets that depth's indent
-        doc = {"a": SHARED, "b": [SHARED, [SHARED]], "c": {"d": {"e": SHARED}}, "f": SHARED}
-        laid = {}
-        out = []
-        report_io._indented(doc, "\n", out, laid)
-        assert "".join(out) == json.dumps(doc, indent=2)
-        assert {indent for key, indent in laid if key == id(SHARED)} == {"\n  ", "\n    ", "\n      "}
-
-    def test_csv_and_json_share_one_label_order(self):
+    def test_csv_and_json_share_one_label_order(self, tmp_path):
         # labels (1, 2) and (1, 23) sort one way as tuples and the other as
         # lists, by str: both exports sort by str of the list form
         pair = _empty_support_report().records[0].pair
@@ -248,7 +256,8 @@ class TestReportWriter:
         report = SweepReport(records, 0, 1, 0)
         rows = sweep_report_csv(report).splitlines()[2:]
         assert [row.split(",")[2] for row in rows] == ["[1; 23] [1; 2]"] * 2
-        doc = sweep_report_json(report)
+        write_sweep_report(report, tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text())
         assert [r["support_plus"] for r in doc["records"]] == [[[1, 23], [1, 2]]] * 2
 
     def test_non_string_key_refused(self, tmp_path, report):
