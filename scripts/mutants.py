@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Check that the tests can fail: run them against textual mutants of the package.
+
+    python scripts/mutants.py
+
+Each mutant replaces one snippet of one module under `src/svmpath/` that
+must occur there exactly once. For each mutant the script copies `src/` into
+a temporary directory, applies the mutant to the copy, and runs the test
+files named with it (`python -m pytest -x -q`) with `PYTHONPATH` on that
+copy. A failing run kills the mutant; a passing run means no test tells the
+mutant from the package, and the mutant survives. The unmutated copy runs
+first and must pass.
+
+It prints one line per mutant and exits 0 when every mutant is killed, 1
+naming each survivor, and 2 when the unmutated copy fails or a snippet is not
+found exactly once (the source moved on: update the list). Standard library
+only; each mutant takes one run of its test files, about 20 s for the walk's.
+
+The solver reads a piece off the loop's answer, and a start's walk off its
+last piece, through `Piece.optimum`, which answers None where the piece does
+not cover mu: that `covers` test is the read-off's, and
+`optimum-without-covers` removes it.
+
+Equivalent mutants, which no test can kill, stay off the list, with the
+reason here: none so far.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+WALK_TESTS = ("tests/test_qp.py", "tests/test_sweep.py")
+
+# (name, module under src/svmpath, snippet, replacement, test files)
+MUTANTS = (
+    (
+        "optimum-without-covers",
+        "qp.py",
+        "if not self.covers(mu):\n            return None",
+        "pass",
+        WALK_TESTS,
+    ),
+    (
+        "walk-above-hi-only",
+        "qp.py",
+        "piece.hi is not None and mu >= piece.hi",
+        "piece.hi is not None and mu > piece.hi",
+        WALK_TESTS,
+    ),
+    (
+        "successor-need-not-abut",
+        "qp.py",
+        "(nxt.lo != self.hi or (nxt.hi is not None and nxt.hi <= self.hi))",
+        "(nxt.hi is not None and nxt.hi <= self.hi)",
+        WALK_TESTS,
+    ),
+    (
+        "successor-single-point",
+        "qp.py",
+        "nxt.hi is not None and nxt.hi <= self.hi",
+        "nxt.hi is not None and nxt.hi < self.hi",
+        WALK_TESTS,
+    ),
+    (
+        "covers-lo-closedness-flipped",
+        "qp.py",
+        "side < 0 or (side == 0 and not self.lo_closed)",
+        "side < 0 or (side == 0 and self.lo_closed)",
+        WALK_TESTS,
+    ),
+    (
+        "covers-hi-closedness-flipped",
+        "qp.py",
+        "side > 0 or (side == 0 and self.hi_closed)",
+        "side > 0 or (side == 0 and not self.hi_closed)",
+        WALK_TESTS,
+    ),
+)
+
+
+def run_tests(src: Path, tests) -> bool:
+    """Whether `tests` pass with the package imported from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode == 0
+
+
+def copy_src(into: Path) -> Path:
+    copy = into / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def main() -> int:
+    for name, module, snippet, _replacement, _tests in MUTANTS:
+        count = (SRC / "svmpath" / module).read_text(encoding="utf-8").count(snippet)
+        if count != 1:
+            print(f"{name}: snippet found {count} times in {module}, not once", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        if not run_tests(copy_src(Path(tmp)), sorted({t for m in MUTANTS for t in m[4]})):
+            print("the unmutated package fails its tests", file=sys.stderr)
+            return 2
+
+    survivors = []
+    for name, module, snippet, replacement, tests in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(Path(tmp))
+            path = src / "svmpath" / module
+            path.write_text(
+                path.read_text(encoding="utf-8").replace(snippet, replacement), encoding="utf-8"
+            )
+            killed = not run_tests(src, tests)
+        print(f"{name}: {'killed' if killed else 'SURVIVED'}", flush=True)
+        if not killed:
+            survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

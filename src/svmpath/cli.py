@@ -23,6 +23,7 @@ from .construct import (
 from .goldfarb import GoldfarbParams, ShadowPropertyError
 from .instance_io import (
     InstanceFormatError,
+    parse_integer,
     parse_rational,
     read_instance,
     regenerate,
@@ -43,16 +44,16 @@ EXIT_INPUT = 2
 MAX_DIM = 16  # of gen and verify; verify holds 2^(d-2) certificates, 335 MB at d = 14
 
 
-def _rational(flag: str, token: str) -> Fraction:
-    """The flag's value as a rational; a bad token is an input error naming the flag."""
+def _flag(flag: str, token: str, parse=parse_rational):
+    """The flag's token read by `parse`; a bad token is an input error naming the flag."""
     try:
-        return parse_rational(token)
+        return parse(token)
     except InstanceFormatError as exc:
         raise InstanceFormatError(f"{flag}: {exc}") from None
 
 
-def _params_from_args(args) -> GoldfarbParams:
-    return GoldfarbParams(args.d, _rational("--eps", args.eps), _rational("--gamma", args.gamma))
+def _params_from_args(d: int, args) -> GoldfarbParams:
+    return GoldfarbParams(d, _flag("--eps", args.eps), _flag("--gamma", args.gamma))
 
 
 def _refuse_unwritable(command: str, *outputs) -> bool:
@@ -77,10 +78,11 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
 def cmd_gen(args) -> int:
     if _refuse_unwritable("gen", ("--out", args.out)):
         return EXIT_INPUT
-    if args.d > MAX_DIM:
+    d = _flag("--d", args.d, parse_integer)
+    if d > MAX_DIM:
         print(f"gen: 2^(d-2) breakpoints; --d is capped at {MAX_DIM}", file=sys.stderr)
         return EXIT_INPUT
-    params = _params_from_args(args)
+    params = _params_from_args(d, args)
     if params.dim < 2:
         print("gen: need --d >= 2 to place the two-point class", file=sys.stderr)
         return EXIT_INPUT
@@ -89,7 +91,7 @@ def cmd_gen(args) -> int:
     if args.stretch == "auto":
         stretch_factor = choose_stretch(params)
     else:
-        stretch_factor = StretchFactor(_rational("--stretch", args.stretch))
+        stretch_factor = StretchFactor(_flag("--stretch", args.stretch))
     instance = build_instance(params, stretch_factor)
     write_instance(instance, args.out)
     count = 2 ** params.dim // 4
@@ -101,7 +103,7 @@ def cmd_gen(args) -> int:
 def cmd_gen_arc(args) -> int:
     if _refuse_unwritable("gen-arc", ("--out", args.out)):
         return EXIT_INPUT
-    instance = generate_2d_arc_instance(args.n_plus)
+    instance = generate_2d_arc_instance(_flag("--n-plus", args.n_plus, parse_integer))
     write_instance(instance, args.out)
     print(f"wrote {args.out}: n={instance.n_points} points (2D arc demo)")
     return EXIT_OK
@@ -148,15 +150,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    for flag, value, least in (
+    counts = []
+    for flag, token, least in (
         ("--steps", args.steps, 2),
         ("--refine", args.refine, 0),
         ("--precision", args.precision, 0),
     ):
-        if value < least:
-            print(f"sweep: {flag} must be >= {least}, got {value}", file=sys.stderr)
+        counts.append(_flag(flag, token, parse_integer))
+        if counts[-1] < least:
+            print(f"sweep: {flag} must be >= {least}, got {counts[-1]}", file=sys.stderr)
             return EXIT_INPUT
-    mu_lo, mu_hi = _rational("--mu-lo", args.mu_lo), _rational("--mu-hi", args.mu_hi)
+    steps, refine, precision = counts
+    mu_lo, mu_hi = _flag("--mu-lo", args.mu_lo), _flag("--mu-hi", args.mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         print(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "
               f"--mu-hi {args.mu_hi}", file=sys.stderr)
@@ -164,17 +169,17 @@ def cmd_sweep(args) -> int:
     if _refuse_unwritable("sweep", ("--out", args.out), ("--csv", args.csv)):
         return EXIT_INPUT
     instance = read_instance(args.instance)
-    report = sweep_refined(instance, mu_lo, mu_hi, args.steps, args.refine)
+    report = sweep_refined(instance, mu_lo, mu_hi, steps, refine)
     meta = {
         "instance": str(args.instance),
         "mu_lo": rational_json(mu_lo),
         "mu_hi": rational_json(mu_hi),
-        "steps": args.steps,
-        "refine_depth": args.refine,
+        "steps": steps,
+        "refine_depth": refine,
     }
     write_sweep_report(report, args.out, meta)
     if args.csv:
-        Path(args.csv).write_text(sweep_report_csv(report, args.precision), encoding="utf-8")
+        Path(args.csv).write_text(sweep_report_csv(report, precision), encoding="utf-8")
     n = instance.n_points
     print(
         f"bends={report.bend_count} (lower bound {report.lower_bound}), "
@@ -187,7 +192,7 @@ def cmd_sweep(args) -> int:
 def cmd_shadow_svg(args) -> int:
     if _refuse_unwritable("shadow-svg", ("--out", args.out)):
         return EXIT_INPUT
-    params = _params_from_args(args)
+    params = _params_from_args(_flag("--d", args.d, parse_integer), args)
     if params.dim > 12:
         print("shadow-svg: 2^d ring vertices; --d is capped at 12", file=sys.stderr)
         return EXIT_INPUT
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a constructed instance file")
-    gen.add_argument("--d", type=int, required=True)
+    gen.add_argument("--d", required=True)
     gen.add_argument("--eps", default="1/3")
     gen.add_argument("--gamma", default="1/16")
     gen.add_argument("--stretch", default="20000", help="stretch factor, or 'auto'")
@@ -212,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     arc = sub.add_parser("gen-arc", help="generate the 2D arc demo instance")
-    arc.add_argument("--n-plus", type=int, default=20)
+    arc.add_argument("--n-plus", default="20")
     arc.add_argument("--out", required=True)
     arc.set_defaults(func=cmd_gen_arc)
 
@@ -224,15 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("instance")
     swp.add_argument("--mu-lo", default="8/10")
     swp.add_argument("--mu-hi", default="1")
-    swp.add_argument("--steps", type=int, default=512)
-    swp.add_argument("--refine", type=int, default=6)
+    swp.add_argument("--steps", default="512")
+    swp.add_argument("--refine", default="6")
     swp.add_argument("--out", required=True)
     swp.add_argument("--csv", default=None, help="also write an approximate CSV view")
-    swp.add_argument("--precision", type=int, default=12)
+    swp.add_argument("--precision", default="12")
     swp.set_defaults(func=cmd_sweep)
 
     svg = sub.add_parser("shadow-svg", help="draw the 2D shadow polygon")
-    svg.add_argument("--d", type=int, required=True)
+    svg.add_argument("--d", required=True)
     svg.add_argument("--eps", default="1/3")
     svg.add_argument("--gamma", default="1/16")
     svg.add_argument("--out", required=True)

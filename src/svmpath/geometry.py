@@ -66,18 +66,22 @@ class FrozenRecord:
 
 
 class Vec(tuple):
-    """Immutable vector of exact rationals with componentwise arithmetic."""
+    """Immutable vector of exact rationals: negation and scaling by a rational on the right.
+
+    That is all the arithmetic the package does on points: it sums and dots
+    the integer point tables instead. `+` and `r * v` raise TypeError rather
+    than concatenate or repeat the coordinates; componentwise sums and dot
+    products live with the references in tests/oracles.py.
+    """
+
+    # None marks an operation as not available: without these, tuple's
+    # concatenation and repetition would answer in their place
+    __add__ = __radd__ = __rmul__ = None
 
     def __new__(cls, coords: Iterable) -> "Vec":
         # a list: tuple() of a generator resizes a tuple, which CPython then keeps
         # on its tuple free lists, one per call
         return super().__new__(cls, [c if type(c) is Fraction else Fraction(c) for c in coords])
-
-    def __add__(self, other):
-        return Vec(a + b for a, b in zip(self, other, strict=True))
-
-    def __sub__(self, other):
-        return Vec(a - b for a, b in zip(self, other, strict=True))
 
     def __neg__(self):
         return Vec(-a for a in self)
@@ -85,14 +89,6 @@ class Vec(tuple):
     def __mul__(self, factor):
         f = factor if type(factor) is Fraction else Fraction(factor)
         return Vec(f * a for a in self)
-
-    __rmul__ = __mul__
-
-    def dot(self, other) -> Fraction:
-        return sum((a * b for a, b in zip(self, other, strict=True)), Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
 
 
 def _integer_rows(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:

@@ -45,12 +45,22 @@ def parse_rational(token: str) -> Fraction:
     """
     if "e" in token or "E" in token:
         raise InstanceFormatError(f"bad rational token {token!r}: no exponent notation")
+    return _read(Fraction, "rational", token)
+
+
+def parse_integer(token: str) -> int:
+    """The integer of a token such as `12` or `-3`; `int` also reads `0_3` and `٣` (3) as 3."""
+    return _read(int, "integer", token)
+
+
+def _read(kind, name: str, token: str):
+    """kind(token) of an ASCII token without '_', else an InstanceFormatError naming the token."""
     if "_" in token or not token.isascii():
-        raise InstanceFormatError(f"bad rational token {token!r}: ASCII digits only, no '_'")
+        raise InstanceFormatError(f"bad {name} token {token!r}: ASCII digits only, no '_'")
     try:
-        return Fraction(token)
+        return kind(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceFormatError(f"bad rational token {token!r}") from exc
+        raise InstanceFormatError(f"bad {name} token {token!r}") from exc
 
 
 def serialize_instance(instance: SvmInstance) -> str:
@@ -98,10 +108,9 @@ def parse_instance(text: str) -> SvmInstance:
             raise InstanceFormatError(f"line {lineno}: cannot parse {raw!r}")
 
     kind = header.get("kind", "goldfarb")
-    try:
-        dim = int(header["d"])
-    except (KeyError, ValueError) as exc:
-        raise InstanceFormatError("missing or bad 'd' header") from exc
+    if "d" not in header:
+        raise InstanceFormatError("missing 'd' header")
+    dim = parse_integer(header["d"])
     if dim < 1:
         raise InstanceFormatError(f"header d {header['d']}: need d >= 1")
     for row in plus_rows + minus_rows:

@@ -46,9 +46,11 @@ first read, which a sweep never does.
 At its upper event a piece pivots one coefficient and builds its
 `successor` once, so the pieces of a point set form one chain, the exact
 path, walked from piece to piece as SVMpath walks its breakpoints (Hastie,
-Rosset, Tibshirani & Zhu, JMLR 5, 2004). The only hint the solver takes is
-its warm start: `solve_reduced_distance` walks the chain from the piece a
-start was read off, and where the chain stops the loop runs from the start's
+Rosset, Tibshirani & Zhu, JMLR 5, 2004). Every walk starts in the solver:
+where the loop answers, `solve_reduced_distance` reads its optimum off the
+piece of its working set, if that piece covers mu. The only hint the solver
+takes is its warm start: it walks the chain from the piece a start was read
+off (`Piece.walk`), and where the chain stops the loop runs from the start's
 coefficients.
 
 The piece is also the one optimality certificate. A constructed breakpoint
@@ -63,7 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional
+from typing import Iterator, Optional
 
 from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
 from .geometry import (
@@ -218,12 +220,12 @@ def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPa
 def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = None) -> OptimalPair:
     """Exact global optimum of the reduced-hull distance problem.
 
-    A `start` read off a piece of this point set walks first: from its piece,
-    while this mu lies at or above a piece's upper end and outside it, to
-    that piece's `successor`. The first piece that covers mu answers, only
-    with the unique optimum (see `Piece.optimum`), which is the pair the loop
-    would return from any start. A start read off another point set's piece
-    does not walk.
+    A `start` read off a piece of this point set walks first (`Piece.walk`):
+    from its piece, while this mu lies at or above a piece's upper end and
+    outside it, to that piece's `successor`. The first piece that covers mu
+    answers, only with the unique optimum (see `Piece.optimum`), which is the
+    pair the loop would return from any start. A start read off another
+    point set's piece does not walk.
 
     Otherwise the loop runs. `start` may carry coefficients from a
     neighbouring solve (warm start); they are used only when exactly
@@ -238,16 +240,18 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     conditions. The multiplier test reads the gradients s_k . w, half the
     objective's 2 s_k . w; a positive factor changes no comparison, so the
     class multiplier, every sign and the lowest-index tie-break are those of
-    the true gradients.
+    the true gradients. Where the piece of the loop's working set covers mu,
+    the loop's optimum is read off it, the same pair, so that the next solve
+    walks on from that piece: the only place a walk starts. Elsewhere the
+    loop's pair carries no piece.
     """
     table, mu = qp.table, qp.mu
-    piece = None if start is None else start.piece
-    if piece is not None and piece.table is not table:
-        piece = None
-    while piece is not None and not piece.covers(mu):
-        piece = piece.successor() if piece.hi is not None and mu >= piece.hi else None
-    if piece is not None:
-        return piece.optimum(qp)
+    if start is not None and start.piece is not None and start.piece.table is table:
+        for piece in start.piece.walk(mu):
+            pass
+        pair = piece.optimum(qp)
+        if pair is not None:
+            return pair
     n, n_plus = len(table.nums), len(qp.plus_points)
     classes = (tuple(range(n_plus)), tuple(range(n_plus, n)))
     x = _initial_point(qp, classes, n, start)
@@ -317,7 +321,10 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                     if wrong and (drop is None or i < drop):
                         drop = i
         if drop is None:
-            return _finish(table, x)
+            pair = _finish(table, x)
+            piece = Piece.build(table, working_set(pair, mu))
+            read = piece.optimum(qp) if piece is not None else None
+            return read if read is not None else pair
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
@@ -610,6 +617,18 @@ class Piece:
             plus.difference([i for i in vanished if i < n_plus]),
             minus.difference([i - n_plus for i in vanished if i >= n_plus]),
         )
+
+    def walk(self, mu) -> Iterator["Piece"]:
+        """This piece, then its successors while mu lies at or above a piece's hi and outside it.
+
+        The last piece yielded covers mu, unless the chain stops first
+        (`successor` gives None) or mu lies outside a piece and below its hi.
+        """
+        piece = self
+        while piece is not None:
+            yield piece
+            advance = not piece.covers(mu) and piece.hi is not None and mu >= piece.hi
+            piece = piece.successor() if advance else None
 
     def successor(self) -> Optional["Piece"]:
         """The piece that follows this one past hi, or None where a walk must stop.

@@ -9,15 +9,15 @@ fixed and the optimum is a `qp.Piece`, affine in mu on an exact interval, and
 at its upper event each piece gives the next (`qp.Piece.successor`): the
 chain of pieces is the path. Each record warm-starts from its lower
 neighbour, a grid point from the one below it and a bisection midpoint from
-its lower end. A warm start read off a piece walks the chain up to the piece
-that covers the record's mu (`qp.solve_reduced_distance`), and a piece
-answers only with the unique optimum. The chain stops at a tied event, at a
-working set without a piece, or where the next interval does not start at
-the event; there the loop runs from the same warm start, so at a non-unique
-optimum the record is still the loop's. Where the loop answered, the record
-reads its optimum off the piece of its working set, if that piece covers mu,
-and the next record walks on from there: the only place a walk starts.
-Either way each record is the one the loop alone gives.
+its lower end, and the solver walks (`qp.solve_reduced_distance`): a warm
+start read off a piece walks the chain up to the piece that covers the
+record's mu, and a piece answers only with the unique optimum. The chain
+stops at a tied event, at a working set without a piece, or where the next
+interval does not start at the event; there the loop runs from the same warm
+start, so at a non-unique optimum the record is still the loop's. Where the
+loop answers, the solver reads its optimum off the piece of its working set,
+if that piece covers mu, and the next record walks on from there. Either way
+each record is the one the loop alone gives.
 
 A record read off a piece costs the pieces its walk passes, the interval
 test, its objective and its support (`qp.support_set`, which reads it off the
@@ -37,12 +37,10 @@ from .construct import MINUS_LABELS, SvmInstance
 from .geometry import FrozenRecord
 from .qp import (
     OptimalPair,
-    Piece,
     ReducedHullQP,
     SolverStalledError,
     solve_reduced_distance,
     support_set,
-    working_set,
 )
 
 
@@ -99,63 +97,30 @@ def _solve_record(
         pair = solve_reduced_distance(qp, start=warm)
     except SolverStalledError as exc:
         raise SolverStalledError(f"at mu = {mu}: {exc}") from exc
-    if pair.piece is None:
-        # the loop answered: the next record walks on from its piece
-        pair = _read_off_piece(qp, pair)
+    return _record(instance, qp.mu, pair, labels)
+
+
+def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair, labels: dict) -> SweepRecord:
+    """The record of `pair` at mu; `labels` keeps each index support's labels."""
     support = support_set(pair)
     if support not in labels:
-        labels[support] = _labelled(instance, support)
+        plus, minus = support
+        labels[support] = (
+            frozenset([instance.plus_labels[i] for i in plus]),
+            frozenset([MINUS_LABELS[i] for i in minus]),
+        )
     plus, minus = labels[support]
-    return SweepRecord(qp.mu, plus, minus, pair.objective, pair)
-
-
-def _read_off_piece(qp: ReducedHullQP, pair: OptimalPair) -> OptimalPair:
-    """The loop's optimum read off the piece of its working set, if that piece covers qp.mu.
-
-    The pair it returns starts a walk: its piece's successors follow.
-    """
-    piece = Piece.build(qp.table, working_set(pair, qp.mu))
-    if piece is not None and piece.covers(qp.mu):
-        return piece.optimum(qp)
-    return pair
+    return SweepRecord(mu, plus, minus, pair.objective, pair)
 
 
 def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
-    """The pieces of one walk from the loop's optimum at mu_lo up to mu_hi, in increasing mu.
+    """The pieces of one walk from the solver's optimum at mu_lo up to mu_hi, in increasing mu.
 
     They cover [mu_lo, mu_hi] unless the walk stopped (see `qp.Piece.successor`),
-    and are empty when the loop's optimum lies on no piece of its working set.
+    and are empty when the optimum at mu_lo lies on no piece of its working set.
     """
-    mu_hi = Fraction(mu_hi)
-    qp = ReducedHullQP.from_instance(instance, mu_lo)
-    piece = _read_off_piece(qp, solve_reduced_distance(qp)).piece
-    pieces = []
-    while piece is not None:
-        pieces.append(piece)
-        if piece.covers(mu_hi) or piece.hi is None or piece.hi > mu_hi:
-            break
-        piece = piece.successor()
-    return tuple(pieces)
-
-
-def _labelled(instance: SvmInstance, support: tuple) -> tuple:
-    """(plus labels, minus labels) of an index support as `support_set` gives it."""
-    plus, minus = support
-    return (
-        frozenset([instance.plus_labels[i] for i in plus]),
-        frozenset([MINUS_LABELS[i] for i in minus]),
-    )
-
-
-def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair) -> SweepRecord:
-    plus, minus = _labelled(instance, support_set(pair))
-    return SweepRecord(
-        mu=mu if type(mu) is Fraction else Fraction(mu),
-        support_plus=plus,
-        support_minus=minus,
-        objective=pair.objective,
-        pair=pair,
-    )
+    piece = solve_reduced_distance(ReducedHullQP.from_instance(instance, mu_lo)).piece
+    return () if piece is None else tuple(piece.walk(Fraction(mu_hi)))
 
 
 def _report(records: Iterable[SweepRecord], lower_bound: int) -> SweepReport:
@@ -252,10 +217,10 @@ def sweep_constructed(instance: SvmInstance, certificates: Sequence) -> SweepRep
     """
     if instance.calibration is None:
         raise ValueError("constructed sweep needs a calibrated instance")
-    records = []
+    records, labels = [], {}
     by_mu, by_support = {}, {}
     for cert in certificates:
-        rec = _record(instance, cert.mu, cert.pair)
+        rec = _record(instance, cert.mu, cert.pair, labels)
         if rec.mu in by_mu:
             raise SweepMismatchError(cert.sigma, f"shares its mu with sigma={by_mu[rec.mu]}")
         if rec.support in by_support:

@@ -29,11 +29,12 @@ integers over one denominator. The sweep report reference builds the
 report's document as a dict for `json.dumps`, where the library writes each
 record from a text template. All are exact.
 
-The last eight functions are helpers that only tests need: the library's
+The last functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
 reduced hull, the JSON rational reader, a record copy with some fields
-changed, the zero and unit vectors, and the support of a pair's
-coefficients.
+changed, the zero and unit vectors, the componentwise sum and difference, dot
+product and squared norm of Fraction vectors, which `Vec` leaves out since no
+command runs them, and the support of a pair's coefficients.
 """
 
 from fractions import Fraction
@@ -250,6 +251,11 @@ def _initial_point(qp, classes, n: int, start):
     return x
 
 
+def loop_start(pair: OptimalPair) -> OptimalPair:
+    """The pair's coefficients alone: a warm start with no piece, so the loop runs from them."""
+    return OptimalPair(None, None, pair.alpha_plus, pair.alpha_minus, pair.objective)
+
+
 def solve_reduced_distance_oracle(qp, start=None) -> OptimalPair:
     """Reference for qp.solve_reduced_distance: the point-space active-set loop.
 
@@ -364,12 +370,11 @@ def _finish(qp, pts, n_plus: int, x) -> OptimalPair:
     q = zero(d)
     for i in range(n_plus):
         if x[i]:
-            p = p + pts[i] * x[i]
+            p = vec_add(p, pts[i] * x[i])
     for i in range(n_plus, len(pts)):
         if x[i]:
-            q = q + pts[i] * x[i]
-    diff = p - q
-    return OptimalPair(p, q, tuple(x[:n_plus]), tuple(x[n_plus:]), diff.norm_sq())
+            q = vec_add(q, pts[i] * x[i])
+    return OptimalPair(p, q, tuple(x[:n_plus]), tuple(x[n_plus:]), norm_sq(vec_sub(p, q)))
 
 
 
@@ -378,13 +383,16 @@ def sweep_refined_oracle(instance, mu_lo, mu_hi, steps: int, depth: int):
 
     The grid ascends in mu, each solve warm-started from its predecessor, and
     each bisection midpoint warm-starts from its lower neighbour, but every
-    warm start is a loop's pair, read off no piece, so every record is the
-    loop's `solve_reduced_distance(qp, start=warm)`.
+    warm start is only its coefficients, with no piece to walk from, so every
+    record is the loop's `solve_reduced_distance(qp, start=warm)`.
     """
+    labels = {}
 
     def solve(mu, warm):
         qp = ReducedHullQP.from_instance(instance, mu)
-        return _record(instance, mu, solve_reduced_distance(qp, start=warm))
+        if warm is not None:
+            warm = loop_start(warm)
+        return _record(instance, mu, solve_reduced_distance(qp, start=warm), labels)
 
     grid = []
     for mu in grid_values(Fraction(mu_lo), Fraction(mu_hi), steps):
@@ -583,8 +591,8 @@ def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
     n = zero(2)
     for a, b in ((prev_pt, pt), (pt, next_pt)):
         dx, dy = b[0] - a[0], b[1] - a[1]
-        n = n + Vec((dy, -dx)) * (1 / (abs(dy) + abs(dx)))
-    scale = n.dot(pt)
+        n = vec_add(n, Vec((dy, -dx)) * (1 / (abs(dy) + abs(dx))))
+    scale = dot(n, pt)
     return ShadowCertificate(tuple(sigma), Vec([0] * (params.dim - 2) + [n[0] / scale, n[1] / scale]))
 
 
@@ -599,7 +607,7 @@ def facet_strictness_oracle(p, params, ell, sigma) -> bool:
     ell = Fraction(ell)
     sigma = tuple(sigma)
     for tau, vertex in fraction_vertices(params):
-        value = stretch(vertex, ell).dot(p)
+        value = dot(stretch(vertex, ell), p)
         if tau == sigma:
             if value != 1:
                 return False
@@ -613,7 +621,7 @@ def shadow_certificate_oracle(cert, params) -> bool:
     strictly below 1 at every other projected vertex, one Fraction dot each."""
     n2 = Vec(cert.vector[-2:])
     for tau, vertex in fraction_vertices(params):
-        value = n2.dot(project_shadow(vertex))
+        value = dot(n2, project_shadow(vertex))
         if tau == cert.sigma:
             if value != 1:
                 return False
@@ -627,7 +635,7 @@ def membership(inequalities, x) -> tuple:
     whether all of them hold, and which hold with equality."""
     if any(len(normal) != len(x) for normal, _rhs in inequalities):
         raise ValueError("point dimension mismatch")
-    values = [(Vec(normal).dot(x), rhs) for normal, rhs in inequalities]
+    values = [(dot(normal, x), rhs) for normal, rhs in inequalities]
     return all(v <= rhs for v, rhs in values), tuple(v == rhs for v, rhs in values)
 
 
@@ -676,9 +684,9 @@ def build_q_reference(cert_point, vertex) -> tuple:
     v0 = stretch(vertex, 0)
     if vertex[d - 2] <= 0:
         raise ValueError("vertex must have positive second-to-last coordinate")
-    nsq = v0.norm_sq()
+    nsq = norm_sq(v0)
     slack = (cert_point[d - 2] - 2) * nsq / v0[d - 2]
-    q = cert_point - v0 * (slack / nsq)
+    q = vec_sub(cert_point, v0 * (slack / nsq))
     if slack >= 0:
         raise ValueError("slack must be negative")
     return q, slack
@@ -688,8 +696,8 @@ def build_p_stretched_reference(q, vertex, ell) -> Vec:
     """Project q onto the stretched facet hyperplane v(ell) . x = 1, in Fraction vectors."""
     ell = Fraction(ell)
     v_ell = stretch(vertex, ell)
-    slack = 1 - v_ell.dot(q)
-    return q + v_ell * (slack / v_ell.norm_sq())
+    slack = 1 - dot(v_ell, q)
+    return vec_add(q, v_ell * (slack / norm_sq(v_ell)))
 
 
 def facet_weights_reference(params, sigma, x) -> tuple:
@@ -741,9 +749,9 @@ def relaxed_facet_multiplier(pair, params, ell) -> Fraction:
     slackness.
     """
     v_ell = stretch(cube_vertex(params, pair.sigma).coords, ell)
-    lam = -2 * pair.slack / v_ell.norm_sq()
-    assert not any((pair.p - pair.q) * 2 + v_ell * lam)
-    assert v_ell.dot(pair.p) == 1
+    lam = -2 * pair.slack / norm_sq(v_ell)
+    assert not any(vec_add(vec_sub(pair.p, pair.q) * 2, v_ell * lam))
+    assert dot(v_ell, pair.p) == 1
     return lam
 
 
@@ -770,7 +778,7 @@ def kkt_check_reference(qp, candidate) -> bool:
         for i, a in enumerate(alphas):
             if not 0 <= a <= qp.mu:
                 violations.append(f"class {label}: coefficient {i} = {a} outside [0, {qp.mu}]")
-        combination = sum((pt * a for pt, a in zip(points, alphas)), zero(len(points[0])))
+        combination = vec_add(zero(len(points[0])), *[pt * a for pt, a in zip(points, alphas)])
         if combination != stored:
             violations.append(f"class {label}: stored point is not the coefficient combination")
     if violations:
@@ -791,14 +799,14 @@ def multiplier_ranges_reference(qp, candidate) -> tuple:
     (None when every coefficient sits at mu). KKT holds iff lo <= hi in each
     class; a free coefficient pins lo == hi.
     """
-    w = candidate.p - candidate.q
+    w = vec_sub(candidate.p, candidate.q)
     out = []
     for sign, alphas, points in (
         (1, candidate.alpha_plus, qp.plus_points),
         (-1, candidate.alpha_minus, qp.minus_points),
     ):
         signed = tuple(pt * sign for pt in points)
-        grads = tuple(2 * s.dot(w) for s in signed)
+        grads = tuple(2 * dot(s, w) for s in signed)
         lo = max(g for g, a in zip(grads, alphas) if a > 0)
         hi = min((g for g, a in zip(grads, alphas) if a < qp.mu), default=None)
         out.append((signed, grads, lo, hi))
@@ -824,8 +832,8 @@ def unique_optimum_reference(qp, candidate) -> bool:
         if lo != hi:
             continue
         movable = [s for s, g in zip(signed, grads) if g == lo]
-        diffs.extend(s - movable[0] for s in movable[1:])
-    gram = [[a.dot(b) for b in diffs] for a in diffs]
+        diffs.extend(vec_sub(s, movable[0]) for s in movable[1:])
+    gram = [[dot(a, b) for b in diffs] for a in diffs]
     try:
         solve_linear_system(gram, [0] * len(diffs))
     except SingularMatrixError:
@@ -858,16 +866,16 @@ def piece_reference(table, working):
         return None
     refs = [members[0] for members in classes]
     capped = [sum(h < n_plus for h in at_hi), sum(h >= n_plus for h in at_hi)]
-    c0 = signed[refs[0]] + signed[refs[1]]
-    c1 = sum((signed[h] for h in at_hi), zero(dim))
+    c0 = vec_add(signed[refs[0]], signed[refs[1]])
+    c1 = vec_add(zero(dim), *[signed[h] for h in at_hi])
     for r, c in zip(refs, capped):
-        c1 = c1 - signed[r] * c
+        c1 = vec_sub(c1, signed[r] * c)
     directions = [(i, members[0]) for members in classes for i in members[1:]]
-    diffs = [signed[i] - signed[r] for i, r in directions]
-    gram = [[a.dot(b) for b in diffs] for a in diffs]
+    diffs = [vec_sub(signed[i], signed[r]) for i, r in directions]
+    gram = [[dot(a, b) for b in diffs] for a in diffs]
     try:
-        t0 = solve_linear_system(gram, [-u.dot(c0) for u in diffs])
-        t1 = solve_linear_system(gram, [-u.dot(c1) for u in diffs])
+        t0 = solve_linear_system(gram, [-dot(u, c0) for u in diffs])
+        t1 = solve_linear_system(gram, [-dot(u, c1) for u in diffs])
     except SingularMatrixError:
         return None
     x0 = {i: t for (i, _r), t in zip(directions, t0)}
@@ -875,10 +883,9 @@ def piece_reference(table, working):
     for members, r, c in zip(classes, refs, capped):
         x0[r] = 1 - sum((x0[i] for i in members[1:]), Fraction(0))
         x1[r] = -c - sum((x1[i] for i in members[1:]), Fraction(0))
-    w0 = sum((signed[i] * x0[i] for i in free), zero(dim))
-    w1 = sum((signed[i] * x1[i] for i in free), zero(dim))
-    w1 = sum((signed[h] for h in at_hi), w1)
-    lams = [(signed[r].dot(w0), signed[r].dot(w1)) for r in refs]
+    w0 = vec_add(zero(dim), *[signed[i] * x0[i] for i in free])
+    w1 = vec_add(zero(dim), *[signed[i] * x1[i] for i in free], *[signed[h] for h in at_hi])
+    lams = [(dot(signed[r], w0), dot(signed[r], w1)) for r in refs]
     conditions = []
     for i in free:
         conditions.append((x0[i], x1[i], True, (i, AT_LO)))
@@ -886,7 +893,7 @@ def piece_reference(table, working):
     for indices, sign in ((at_lo, 1), (at_hi, -1)):
         for k in indices:
             l0, l1 = lams[k >= n_plus]
-            gap0, gap1 = signed[k].dot(w0) - l0, signed[k].dot(w1) - l1
+            gap0, gap1 = dot(signed[k], w0) - l0, dot(signed[k], w1) - l1
             conditions.append((sign * gap0, sign * gap1, False, (k, None)))
     lo = hi = None
     lo_closed = hi_closed = True
@@ -990,8 +997,8 @@ def reduced_hull_segment(u_left, u_right, mu) -> tuple:
     mu = Fraction(mu)
     if not Fraction(1, 2) <= mu <= 1:
         raise ValueError(f"mu {mu} outside [1/2, 1]")
-    left = u_left * mu + u_right * (1 - mu)
-    right = u_right * mu + u_left * (1 - mu)
+    left = vec_add(u_left * mu, u_right * (1 - mu))
+    right = vec_add(u_right * mu, u_left * (1 - mu))
     return left, right
 
 
@@ -1018,6 +1025,24 @@ def zero(dim: int) -> Vec:
 
 def unit(dim: int, axis: int) -> Vec:
     return Vec(Fraction(1) if i == axis else Fraction(0) for i in range(dim))
+
+
+def vec_add(first, *rest) -> Vec:
+    """The componentwise sum of equal-length vectors; `+` on a Vec concatenates, as on a tuple."""
+    return Vec([sum(column, Fraction(0)) for column in zip(first, *rest, strict=True)])
+
+
+def vec_sub(a, b) -> Vec:
+    return Vec([x - y for x, y in zip(a, b, strict=True)])
+
+
+def dot(a, b) -> Fraction:
+    """The exact inner product, one Fraction product per coordinate."""
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def norm_sq(v) -> Fraction:
+    return dot(v, v)
 
 
 def coefficient_support(pair) -> tuple:

@@ -13,10 +13,13 @@ import pytest
 from oracles import (
     Polygon2,
     cube_vertices,
+    dot,
     enumerate_min_objective,
     fraction_shadow,
     reduced_hull_segment,
     relaxed_facet_multiplier,
+    vec_add,
+    vec_sub,
 )
 from test_qp import small_instances
 from svmpath.construct import (
@@ -134,7 +137,7 @@ def test_criterion_6_construction_invariants(built):
         duals = dual_vertices(params)
         for vertex in cube_vertices(params):
             for w in duals:
-                value = w.coords.dot(vertex.coords)
+                value = dot(w.coords, vertex.coords)
                 assert (value == 1) == (vertex.sigma[w.k - 1] == w.s)
                 assert value <= 1
 
@@ -148,13 +151,13 @@ def test_criterion_6_construction_invariants(built):
             rebuilt = instance.plus_points[0] * 0
             for k in range(1, d + 1):
                 idx = instance.plus_labels.index((k, pair.sigma[k - 1]))
-                rebuilt = rebuilt + instance.plus_points[idx] * decomp.alphas[k - 1]
+                rebuilt = vec_add(rebuilt, instance.plus_points[idx] * decomp.alphas[k - 1])
             assert rebuilt == pair.p
             left, right = reduced_hull_segment(
                 calib.u_left, calib.u_right, mu_of_q(pair.q[-1], calib)
             )
             assert left == pair.q
-            assert right == calib.u_left + calib.u_right - pair.q
+            assert right == vec_sub(vec_add(calib.u_left, calib.u_right), pair.q)
 
         assert mu_of_q(calib.q_min, calib) == 1
         assert mu_of_q(calib.q_max, calib) == calib.mu_bar

@@ -11,12 +11,16 @@ from oracles import (
     construction_reference,
     cube_vertex,
     cube_vertices,
+    dot,
     facet_strictness_oracle,
     facet_weights_reference,
     hull_chain,
+    norm_sq,
     point_weights,
     reduced_hull_segment,
     strictness_check,
+    vec_add,
+    vec_sub,
     zero,
 )
 from svmpath import construct
@@ -67,15 +71,15 @@ def facet_test_points(params, ell, sigma) -> dict:
     normals = {v.sigma: stretch(v.coords, ell) for v in cube_vertices(params)}
     own = normals[sigma]
     toward = normals[(-sigma[0],) + sigma[1:]]
-    u = toward - own * (toward.dot(own) / own.norm_sq())
+    u = vec_sub(toward, own * (dot(toward, own) / norm_sq(own)))
     t = min(
-        (1 - n.dot(p)) / n.dot(u) for tau, n in normals.items() if tau != sigma and n.dot(u) > 0
+        (1 - dot(n, p)) / dot(n, u) for tau, n in normals.items() if tau != sigma and dot(n, u) > 0
     )
     return {
         "constructed": p,
         "not tight on sigma": p * (1 - F(1, 10 ** 6)),
-        "tight on another facet": p + u * t,
-        "outside another facet": p + u * (2 * t),
+        "tight on another facet": vec_add(p, u * t),
+        "outside another facet": vec_add(p, u * (2 * t)),
     }
 
 
@@ -107,8 +111,8 @@ class TestStretch:
         L = F(17, 3)
         for w in dual_vertices(params):
             for v in cube_vertices(params):
-                plain = w.coords.dot(v.coords)
-                transformed = stretch(w.coords, L).dot(stretch(v.coords, 1 / L))
+                plain = dot(w.coords, v.coords)
+                transformed = dot(stretch(w.coords, L), stretch(v.coords, 1 / L))
                 assert (plain == 1) == (transformed == 1)
                 assert (plain < 1) == (transformed < 1)
 
@@ -131,8 +135,8 @@ class TestBuildQ:
             pair = build_pair(params, sigma, s)
             vertex = cube_vertex(params, sigma).coords
             assert pair.q[d - 2] == 2
-            assert pair.slack == 1 - stretch(vertex, 0).dot(pair.q)
-            assert stretch(vertex, 1 / s.factor).dot(pair.p) == 1
+            assert pair.slack == 1 - dot(stretch(vertex, 0), pair.q)
+            assert dot(stretch(vertex, 1 / s.factor), pair.p) == 1
 
     def test_frozen_d4_value(self, params4):
         pair = build_pair(params4, (1, 1, 1, 1), DEFAULT_STRETCH)
@@ -145,11 +149,11 @@ class TestBuildQ:
         sigma = (-1, 1, 1, 1)
         cert = shadow_certificate(params4, sigma).vector
         v0 = stretch(cube_vertex(params4, sigma).coords, 0)
-        slack = (cert[-2] - 2) * v0.norm_sq() / v0[-2]
-        expected_q = cert - v0 * (slack / v0.norm_sq())
+        slack = (cert[-2] - 2) * norm_sq(v0) / v0[-2]
+        expected_q = vec_sub(cert, v0 * (slack / norm_sq(v0)))
         pair = build_pair(params4, sigma, DEFAULT_STRETCH)
         assert pair.q == expected_q and pair.slack == slack
-        assert slack == 1 - v0.dot(pair.q)
+        assert slack == 1 - dot(v0, pair.q)
 
     def test_wrong_sign_vector_rejected(self, params4):
         with pytest.raises(ValueError):
@@ -182,15 +186,15 @@ class TestBuildPStretched:
         sigma = (1, -1, 1, 1)
         pair = build_pair(params4, sigma, StretchFactor(1 / ell))
         vertex = cube_vertex(params4, sigma).coords
-        assert stretch(vertex, ell).dot(pair.p) == 1
+        assert dot(stretch(vertex, ell), pair.p) == 1
 
     def test_displacement_is_negative_multiple_of_stretched_vertex(self, constructions4, params4):
         ell = 1 / DEFAULT_STRETCH.factor
         for pair, _ in constructions4:
             v_ell = stretch(cube_vertex(params4, pair.sigma).coords, ell)
-            diff = pair.p - pair.q
+            diff = vec_sub(pair.p, pair.q)
             # diff == slack * v_ell / ||v_ell||^2 with slack < 0
-            assert diff * v_ell.norm_sq() == v_ell * pair.slack
+            assert diff * norm_sq(v_ell) == v_ell * pair.slack
 
 
 class TestFacetStrictness:
@@ -249,7 +253,7 @@ class TestFacetStrictness:
             assert strictness_check(points["constructed"], params, ell, sigma)
             branches = {}
             for what, p in points.items():
-                values = {v.sigma: stretch(v.coords, ell).dot(p) for v in cube_vertices(params)}
+                values = {v.sigma: dot(stretch(v.coords, ell), p) for v in cube_vertices(params)}
                 others = max(v for tau, v in values.items() if tau != sigma)
                 branches[what] = (values[sigma] == 1, others < 1, others <= 1)
                 if what != "constructed":
@@ -271,7 +275,7 @@ class TestFacetStrictness:
         neighbor = (-1, 1, 1, 1)
         duals = dual_vertices(params4)
         shared = [w.coords for w in duals if w.s == sigma[w.k - 1] and w.k != 1]
-        mid = (shared[0] + shared[1]) * F(1, 2)
+        mid = vec_add(shared[0], shared[1]) * F(1, 2)
         assert not strictness_check(mid, params4, 0, sigma)
         del neighbor
 
@@ -285,7 +289,7 @@ class TestSupportDecomposition:
         ]
         barycenter = zero(4)
         for c in cols:
-            barycenter = barycenter + c * F(1, 4)
+            barycenter = vec_add(barycenter, c * F(1, 4))
         W, den = point_weights(barycenter, params4, 1 / DEFAULT_STRETCH.factor, sigma)
         assert facet_strictness_check((W, den))
         alphas = tuple(F(w, den) for w in W)
@@ -300,7 +304,7 @@ class TestSupportDecomposition:
                 stretch(duals[k, s].coords, DEFAULT_STRETCH.factor)
                 for k, s in enumerate(pair.sigma, start=1)
             ]
-            assert sum((w * a for w, a in zip(support, decomp.alphas)), zero(4)) == pair.p
+            assert vec_add(*[w * a for w, a in zip(support, decomp.alphas)]) == pair.p
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
             assert decomp.mu_sigma == max(decomp.alphas) < 1
@@ -476,7 +480,7 @@ class TestReducedHullSegment:
     def test_half_cap_degenerates_to_midpoint(self, instance4):
         c = instance4.calibration
         left, right = reduced_hull_segment(c.u_left, c.u_right, F(1, 2))
-        assert left == right == (c.u_left + c.u_right) * F(1, 2)
+        assert left == right == vec_add(c.u_left, c.u_right) * F(1, 2)
 
     def test_breakpoint_cap_pins_left_endpoint_at_q(self, constructions4, instance4):
         c = instance4.calibration
@@ -484,7 +488,7 @@ class TestReducedHullSegment:
             mu = mu_of_q(pair.q[-1], c)
             left, right = reduced_hull_segment(c.u_left, c.u_right, mu)
             assert left == pair.q
-            assert right == c.u_left + c.u_right - pair.q
+            assert right == vec_sub(vec_add(c.u_left, c.u_right), pair.q)
 
     def test_out_of_range_rejected(self, instance4):
         c = instance4.calibration
@@ -502,7 +506,7 @@ class TestInstance:
         ell = 1 / DEFAULT_STRETCH.factor
         normals = [stretch(v.coords, ell) for v in cube_vertices(params4)]
         for pt in instance4.plus_points:
-            values = [n.dot(pt) for n in normals]
+            values = [dot(n, pt) for n in normals]
             assert all(v <= 1 for v in values)
             assert any(v == 1 for v in values)
 
@@ -513,7 +517,7 @@ class TestInstance:
             line_point(4, F(t)) for t in (-50, -1, 0, 3, 50)
         ]
         for x in probes:
-            assert any(n.dot(x) > 1 for n in normals)
+            assert any(dot(n, x) > 1 for n in normals)
 
     def test_d8_instance_builds(self):
         inst = build_instance(default_params(8), DEFAULT_STRETCH)

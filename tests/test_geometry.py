@@ -9,10 +9,14 @@ from oracles import (
     DegenerateHullError,
     build_p_stretched_reference,
     convex_hull_2d,
+    dot,
     hull_chain,
     membership,
+    norm_sq,
     orient2d,
     unit,
+    vec_add,
+    vec_sub,
     zero,
 )
 from svmpath.construct import stretch
@@ -186,7 +190,7 @@ class TestProjection:
     def test_two_coordinate_normal(self):
         a = Vec((0, 0, 1, 1))
         q = Vec((0, 0, 2, 0))
-        assert 1 - a.dot(q) == -1
+        assert 1 - dot(a, q) == -1
         assert build_p_stretched_reference(q, a, 1) == Vec((0, 0, F(3, 2), F(-1, 2)))
 
     def test_zero_normal_rejected(self):
@@ -201,9 +205,9 @@ class TestProjection:
         q = data.draw(vec_strategy(dim))
         p = build_p_stretched_reference(q, a, ell)
         a_ell = stretch(a, ell)
-        assert a_ell.dot(p) == 1
+        assert dot(a_ell, p) == 1
         # p - q is a multiple of a_ell: all 2x2 minors vanish
-        diff = p - q
+        diff = vec_sub(p, q)
         for i in range(dim):
             for j in range(i + 1, dim):
                 assert diff[i] * a_ell[j] == diff[j] * a_ell[i]
@@ -288,4 +292,21 @@ class TestRationalNormalForm:
     def test_vector_ops_exact(self):
         v = Vec((F(1, 3), F(2, 5)))
         w = Vec((F(1, 6), F(3, 5)))
-        assert (v + w).dot(v - w) == v.norm_sq() - w.norm_sq()
+        assert dot(vec_add(v, w), vec_sub(v, w)) == norm_sq(v) - norm_sq(w)
+        assert -v == v * -1 == Vec((F(-1, 3), F(-2, 5)))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda v, w: v + w,
+            lambda v, w: sum((v, w), Vec((0, 0))),
+            lambda v, w: sum((v, w)),
+            lambda v, w: 2 * v,
+            lambda v, w: F(2) * v,
+        ],
+        ids=["vec-plus-vec", "sum-from-zero-vec", "sum-from-int", "int-times-vec", "fraction-times-vec"],
+    )
+    def test_tuple_arithmetic_raises(self, op):
+        # concatenation or repetition would be a wrong vector, not an error
+        with pytest.raises(TypeError):
+            op(Vec((1, 2)), Vec((3, 4)))

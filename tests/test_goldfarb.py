@@ -8,6 +8,7 @@ from conftest import REFERENCE_PARAMS, default_params, spread
 from oracles import (
     cube_vertex,
     cube_vertices,
+    dot,
     facet_weights_reference,
     fraction_shadow,
     is_extreme_point,
@@ -17,6 +18,7 @@ from oracles import (
     shadow_certificate_oracle,
     shadow_certificate_reference,
     unit,
+    vec_add,
     zero,
 )
 from svmpath.construct import StretchFactor, support_decomposition
@@ -207,7 +209,7 @@ class TestDualVertices:
         duals = dual_vertices(params)
         for v in cube_vertices(params):
             for w in duals:
-                value = w.coords.dot(v.coords)
+                value = dot(w.coords, v.coords)
                 if v.sigma[w.k - 1] == w.s:
                     assert value == 1
                 else:
@@ -222,7 +224,7 @@ class TestDualVertices:
         duals = dual_vertices(params)
 
         def dual_side_contains(x):
-            return all(w.coords.dot(x) <= 1 for w in duals)
+            return all(dot(w.coords, x) <= 1 for w in duals)
 
         for v in cube_vertices(params):
             assert membership(cube, v.coords)[0] and dual_side_contains(v.coords)
@@ -238,9 +240,8 @@ class TestDualVertices:
         params = GoldfarbParams(d, F(3, 8), F(1, 15))
         alphas = tuple(F(k, k + 2) - F(1, 3) for k in range(1, d + 1))
         for sigma in sign_vectors(d):
-            x = sum(
-                (dual_vertex(params, k, s).coords * a for k, s, a in zip(range(1, d + 1), sigma, alphas)),
-                zero(d),
+            x = vec_add(
+                *[dual_vertex(params, k, s).coords * a for k, s, a in zip(range(1, d + 1), sigma, alphas)]
             )
             den, (X,) = common_denominator([x])
             for scale in (1, 7):  # a denominator that is not the least one
@@ -273,10 +274,10 @@ class TestShadow:
         for sigma in sign_vectors(4):
             cert = shadow_certificate(params4, sigma)
             assert cert.vector[0] == 0 and cert.vector[1] == 0
-            assert cert.vector.dot(vertices[sigma]) == 1
+            assert dot(cert.vector, vertices[sigma]) == 1
             for tau, other in vertices.items():
                 if tau != sigma:
-                    assert cert.vector.dot(other) < 1
+                    assert dot(cert.vector, other) < 1
 
     def test_certificate_lies_in_bounded_slab(self):
         # every supporting point in the shadow plane has second-to-last
@@ -293,7 +294,7 @@ class TestShadow:
         duals = dual_vertices(params)
         for sigma in sign_vectors(5):
             point = shadow_certificate(params, sigma).vector
-            assert all(point.dot(v.coords) <= 1 for v in cube_vertices(params))
+            assert all(dot(point, v.coords) <= 1 for v in cube_vertices(params))
             assert point[-2] <= 1
 
 
@@ -414,7 +415,7 @@ def certificate_variants(params, sigma) -> dict:
     )
     cert = shadow_certificate(params, sigma)
     beyond = project_shadow(shadow_certificate(params, nxt_sigma).vector)
-    assert beyond.dot(pt) > 0
+    assert dot(beyond, pt) > 0
 
     def embed(a):
         return ShadowCertificate(sigma, Vec([0] * (d - 2) + list(a[-2:])))
@@ -425,7 +426,7 @@ def certificate_variants(params, sigma) -> dict:
         "above own vertex": embed(cert.vector * (1 + F(1, 10 ** 6))),
         "tight at the previous vertex": embed(solve_linear_system([prv, pt], [1, 1])),
         "tight at the next vertex": embed(solve_linear_system([pt, nxt], [1, 1])),
-        "above the next vertex": embed(beyond * (1 / beyond.dot(pt))),
+        "above the next vertex": embed(beyond * (1 / dot(beyond, pt))),
     }
 
 

@@ -13,6 +13,7 @@ from svmpath.instance_io import (
     InstanceFormatError,
     format_rational,
     parse_instance,
+    parse_integer,
     parse_rational,
     read_instance,
     regenerate,
@@ -78,6 +79,58 @@ class TestRationalTokens:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert f"--eps: bad rational token '{token}': ASCII digits only" in captured.err
+        assert not out.exists()
+
+
+class TestIntegerTokens:
+    """The header d and the integer flags read ASCII digits only, as rational tokens do."""
+
+    # 3 with a digit separator, and 3 in Arabic-Indic digits: int() reads both
+    TOKENS = ["0_3", "\u0663"]
+
+    def test_ascii_integers_read(self):
+        assert parse_integer("12") == 12 and parse_integer("-3") == -3
+        with pytest.raises(InstanceFormatError, match="bad integer token '3/4'"):
+            parse_integer("3/4")
+
+    @staticmethod
+    def refused(argv, capsys, token) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"bad integer token '{token}': ASCII digits only" in captured.err
+        return captured.err
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_header_d_refused(self, tmp_path, capsys, instance3, token):
+        text = serialize_instance(instance3)
+        assert "\nd 3\n" in text
+        path = tmp_path / "d3.inst"
+        path.write_text(text.replace("\nd 3\n", f"\nd {token}\n"), encoding="utf-8")
+        with pytest.raises(InstanceFormatError, match=f"bad integer token '{token}'"):
+            read_instance(path)
+        self.refused(["verify", str(path)], capsys, token)
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_gen_dim_refused(self, tmp_path, capsys, token):
+        out = tmp_path / "d3.inst"
+        assert "--d: " in self.refused(["gen", "--d", token, "--out", str(out)], capsys, token)
+        assert not out.exists()
+        assert main(["gen", "--d", "3", "--out", str(out)]) == 0
+        assert read_instance(out).params.dim == 3
+
+    @pytest.mark.parametrize("flag", ["--steps", "--refine", "--precision"])
+    def test_sweep_counts_refused(self, tmp_path, capsys, instance3, flag):
+        inst, report = tmp_path / "d3.inst", tmp_path / "r.json"
+        write_instance(instance3, inst)
+        argv = ["sweep", str(inst), flag, "5_12", "--out", str(report)]
+        assert f"{flag}: " in self.refused(argv, capsys, "5_12")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command, flag", [("gen-arc", "--n-plus"), ("shadow-svg", "--d")])
+    def test_other_flags_refused(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        assert f"{flag}: " in self.refused([command, flag, "\u0668", "--out", str(out)], capsys, "\u0668")
         assert not out.exists()
 
 

@@ -14,10 +14,13 @@ import oracles
 from conftest import DEFAULT_STRETCH, default_params
 from oracles import (
     coefficient_support,
+    dot,
     enumerate_min_objective,
     kkt_check_reference,
+    loop_start,
     mu_from_nu,
     multiplier_ranges_reference,
+    norm_sq,
     piece_reference,
     relaxed_facet_multiplier,
     replace,
@@ -25,7 +28,8 @@ from oracles import (
     unique_optimum_oracle,
     unique_optimum_reference,
     unit,
-    zero,
+    vec_add,
+    vec_sub,
 )
 from svmpath import qp as qp_module
 from svmpath.construct import (
@@ -53,7 +57,14 @@ from svmpath.sweep import grid_values, path_pieces, sweep_grid
 
 
 # sha256 of the walks' (at_lo, at_hi, lo, hi, events) over [51/100, 1]
-D8_CHAIN = "1bd85a15b9508a4e94ecc9d7cf5360f960c6d4b38527d3ad24268f23a0b9759c"
+CHAINS = {
+    3: "b1636a25aca2254ce20eee0dd033877f78eca31392909cb23df9956c899df8ff",
+    4: "dc7ff39729584120111a31caedec9a8e7c9917443135277a0094c8e036ff3c74",
+    5: "2d7fb1f2f51d961418f03c7cd6f671751db006ad7edce994a86dca135246c66a",
+    6: "8603338edb51ceee6add31b627004d6022f3facfc170bbd5516e292933825fd0",
+    7: "745c5e7c960ba843224c7aa4bf07d4fe005a6a828a04b8fa3eee1358efa54473",
+    8: "1bd85a15b9508a4e94ecc9d7cf5360f960c6d4b38527d3ad24268f23a0b9759c",
+}
 ARC60_CHAIN = "b90c15c5dd1ce516ee2184ea581fd58e0c9602d63121fcd986e3c2ba1b541371"
 
 
@@ -92,7 +103,7 @@ class TestSolver:
         )
         sol = solve_reduced_distance(qp)
         assert sol.objective == 1
-        assert sol.p - sol.q == Vec((0, 1))
+        assert vec_sub(sol.p, sol.q) == Vec((0, 1))
 
     def test_oracle_equivalence_on_deterministic_instances(self):
         for qp in small_instances(60):
@@ -146,7 +157,7 @@ class TestSolver:
             qp = ReducedHullQP.from_instance(instance4, mu)
             sol = solve_reduced_distance(qp)
             assert sol.p == pair.p and sol.q == pair.q
-            assert sol.objective == (pair.p - pair.q).norm_sq()
+            assert sol.objective == norm_sq(vec_sub(pair.p, pair.q))
 
 
 class TestSolverMatchesPointSpaceLoop:
@@ -174,6 +185,8 @@ class TestSolverMatchesPointSpaceLoop:
             counted(module, "solve_linear_system_general")
 
         def solve(qp, start=None):
+            if start is not None:
+                start = loop_start(start)
             counts.clear()
             sol = solve_reduced_distance(qp, start=start)
             assert sol == solve_reduced_distance_oracle(qp, start=start)
@@ -250,10 +263,8 @@ def piece_events(piece, qp) -> dict:
             x[h] = mu
         for i, b, s in zip(piece.free, *base_slope(piece)):
             x[i] = b + mu * s
-        w = zero(len(signed[0]))
-        for a, s in zip(x, signed):
-            w = w + s * a
-        grads = [s.dot(w) for s in signed]
+        w = vec_add(*[s * a for a, s in zip(x, signed)])
+        grads = [dot(s, w) for s in signed]
         lam = [grads[min(i for i in piece.free if (i >= n_plus) == c)] for c in (False, True)]
         return {k: grads[k] - lam[k >= n_plus] for k in piece.at_lo + piece.at_hi}
 
@@ -538,25 +549,46 @@ class TestWalk:
         assert fresh.successor() is None and fresh.successor() is None
         assert builds == [working[1]]
 
-    def test_single_point_successor_is_refused(self, instance4, monkeypatch):
-        # a candidate that starts at hi but whose interval is the single point
-        # [hi, hi] does not reach above hi, so the walk stops there
+    @pytest.mark.parametrize("where", ["single-point", "gap", "overlap"])
+    def test_successor_that_does_not_abut_is_refused(self, instance4, monkeypatch, where):
+        # the candidate's interval is the single point [hi, hi], which does not
+        # reach above hi, or it reaches above hi but starts above it (a gap) or
+        # below it (an overlap); the walk stops there
         pieces = path_pieces(instance4, F(51, 100), F(1))
         working = (pieces[0].at_lo, pieces[0].at_hi)
         build = Piece.build.__func__
 
-        def single_point(cls, table, working):
+        def moved(cls, table, working):
             piece = build(cls, table, working)
-            piece.lo = piece.hi = hi
+            assert piece.lo == hi < piece.hi
+            if where == "single-point":
+                piece.hi = hi
+            else:
+                piece.lo = (hi + piece.hi) / 2 if where == "gap" else pieces[0].lo
             return piece
 
         fresh = Piece.build(instance4.table, working)
         hi = fresh.hi
         assert hi is not None and len(fresh.events) == 1
-        self.count_builds(monkeypatch, stub=single_point)
+        nxt = fresh.successor()
+        assert (nxt.at_lo, nxt.at_hi, nxt.lo) == (pieces[1].at_lo, pieces[1].at_hi, hi)
+        fresh = Piece.build(instance4.table, working)
+        self.count_builds(monkeypatch, stub=moved)
         assert fresh.successor() is None
 
-    def test_start_off_another_point_set_runs_the_loop(self, instance4):
+    @staticmethod
+    def count_loops(monkeypatch) -> list:
+        """From now on, the pair of each answer of the loop, before it is read off a piece."""
+        pairs, finish = [], qp_module._finish
+
+        def counted(table, x):
+            pairs.append(finish(table, x))
+            return pairs[-1]
+
+        monkeypatch.setattr(qp_module, "_finish", counted)
+        return pairs
+
+    def test_start_off_another_point_set_runs_the_loop(self, instance4, monkeypatch):
         arc = generate_2d_arc_instance(8)
         # both have ten points, so the coefficients would fit as a warm start
         assert len(arc.table.nums) == len(instance4.table.nums)
@@ -565,14 +597,42 @@ class TestWalk:
         piece = path_pieces(instance4, F(51, 100), F(1))[3]
         mu = (piece.lo + piece.hi) / 2
         qp = ReducedHullQP.from_instance(instance4, mu)
+        loops = self.count_loops(monkeypatch)
         pair = solve_reduced_distance(qp, start=start)
-        assert pair.piece is None
-        assert pair == solve_reduced_distance(qp)
+        # the loop ran, and its answer was read off a piece of the query's table
+        assert len(loops) == 1 and pair.piece.table is instance4.table
+        assert pair == loops[0] == solve_reduced_distance(qp)
         # a table of equal points is another point set too
         own = PointTable(instance4.plus_points, instance4.minus_points)
         start = piece.optimum(qp)
+        loops.clear()
         pair = solve_reduced_distance(ReducedHullQP(own, mu), start=start)
-        assert pair.piece is None and pair == start
+        assert len(loops) == 1 and pair.piece.table is own and pair == start
+
+    def test_loop_answer_carries_the_piece_that_covers_mu(self, monkeypatch):
+        # cold solves on the tiny instances and at mu_lo on the constructions
+        qps = small_instances(200) + [
+            ReducedHullQP.from_instance(build_instance(default_params(d), DEFAULT_STRETCH), F(51, 100))
+            for d in range(3, 9)
+        ]
+        loops = self.count_loops(monkeypatch)
+        kinds = set()
+        for qp in qps:
+            loops.clear()
+            answer = solve_reduced_distance(qp)
+            (pair,) = loops
+            piece = Piece.build(qp.table, working_set(pair, qp.mu))
+            covered = piece is not None and piece.covers(qp.mu)
+            kinds.add("none" if piece is None else "covers" if covered else "misses")
+            # a piece exactly when the working set's piece covers mu, and its optimum is the loop's pair
+            assert (answer.piece is not None) == covered
+            if covered:
+                assert (answer.piece.at_lo, answer.piece.at_hi) == (piece.at_lo, piece.at_hi)
+                assert answer.piece.table is qp.table and answer.mu == qp.mu
+                assert answer == pair
+            else:
+                assert answer is pair
+        assert kinds == {"none", "covers", "misses"}
 
 
 def count_point_builds(monkeypatch) -> list:
@@ -613,7 +673,7 @@ class TestPointTable:
         rng = random.Random(n)
         x = [F(rng.randint(0, 5), rng.randint(1, 7)) for _ in range(n)]
         W, den = table.cleared_sum(enumerate(x))
-        w = sum((s * v for s, v in zip(signed, x)), zero(len(signed[0])))
+        w = vec_add(*[s * v for s, v in zip(signed, x)])
         assert Vec(F(c, den) for c in W) == w
         # every third point of each class free, the first of them its reference
         free_by_class = [list(range(0, n_plus, 3)), list(range(n_plus, n, 3))]
@@ -621,14 +681,14 @@ class TestPointTable:
             table, free_by_class, [W]
         )
         assert directions == [(i, free[0]) for free in free_by_class for i in free[1:]]
-        vecs = [signed[i] - signed[r] for i, r in directions]
+        vecs = [vec_sub(signed[i], signed[r]) for i, r in directions]
         for c, u, v in zip(scales, diffs, vecs):
             assert type(c) is int and c > 0 and all(type(e) is int for e in u)
             assert Vec(u) * F(1, c) == v
         # N = (u_a . u_b) and rhs = -u_a . W, with u_a = c_a (s_i - s_r) and W = den w
         assert all(type(e) is int for row in normal for e in row + rhs)
-        assert normal == [[a.dot(b) * ca * cb for b, cb in zip(vecs, scales)] for a, ca in zip(vecs, scales)]
-        assert rhs == [-a.dot(w) * c * den for a, c in zip(vecs, scales)]
+        assert normal == [[dot(a, b) * ca * cb for b, cb in zip(vecs, scales)] for a, ca in zip(vecs, scales)]
+        assert rhs == [-dot(a, w) * c * den for a, c in zip(vecs, scales)]
 
     def test_built_once_and_outside_equality(self, instance4):
         assert instance4.table is instance4.table
@@ -740,7 +800,7 @@ class TestPieceMatchesFractionReference:
             mus = [F(1, 2)]
         n_plus = len(table.plus_points)
         for mu in mus:
-            assert piece_objective(piece, mu) == (ref.w0 + ref.w1 * mu).norm_sq()
+            assert piece_objective(piece, mu) == norm_sq(vec_add(ref.w0, ref.w1 * mu))
             if mu > 0 and piece.covers(mu):
                 x = {h: mu for h in piece.at_hi}
                 x.update({i: b + s * mu for i, b, s in zip(ref.free, ref.base, ref.slope)})
@@ -758,8 +818,7 @@ class TestPieceMatchesFractionReference:
         assert pieces and pieces[-1].covers(F(1))
         for piece in pieces:
             assert self.check(instance.table, (piece.at_lo, piece.at_hi)) is not None
-        if d == 8:
-            assert chain_digest(pieces) == D8_CHAIN
+        assert len(pieces) == 2 ** d - 2 and chain_digest(pieces) == CHAINS[d]
 
     def test_arc_walk(self):
         instance = generate_2d_arc_instance(60)
@@ -845,7 +904,7 @@ class TestSupportSet:
         plus, minus = support_set(sol)
         # independent oracle: closest pair of points across classes
         best = min(
-            ((p - q).norm_sq(), i, j)
+            (norm_sq(vec_sub(p, q)), i, j)
             for i, p in enumerate(inst.plus_points)
             for j, q in enumerate(inst.minus_points)
         )
@@ -862,12 +921,10 @@ class TestKktCheckGeneral:
     def test_uniform_weights_fail_on_constructed_instance(self, instance4):
         qp = ReducedHullQP.from_instance(instance4, F(1))
         n_plus = len(instance4.plus_points)
-        p = zero(4)
-        for pt in instance4.plus_points:
-            p = p + pt * F(1, n_plus)
-        q = (instance4.minus_points[0] + instance4.minus_points[1]) * F(1, 2)
+        p = vec_add(*instance4.plus_points) * F(1, n_plus)
+        q = vec_add(*instance4.minus_points) * F(1, 2)
         uniform = OptimalPair(
-            p, q, (F(1, n_plus),) * n_plus, (F(1, 2), F(1, 2)), (p - q).norm_sq()
+            p, q, (F(1, n_plus),) * n_plus, (F(1, 2), F(1, 2)), norm_sq(vec_sub(p, q))
         )
         assert not kkt_check_reference(qp, uniform)
         assert uniform.objective > solve_reduced_distance(qp).objective
@@ -885,7 +942,7 @@ class TestKktCheckGeneral:
             # the matching line coefficients put the left reduced endpoint at q
             alpha_minus = (mu, 1 - mu)
             candidate = OptimalPair(
-                pair.p, pair.q, tuple(alpha_plus), alpha_minus, (pair.p - pair.q).norm_sq()
+                pair.p, pair.q, tuple(alpha_plus), alpha_minus, norm_sq(vec_sub(pair.p, pair.q))
             )
             assert kkt_check_reference(qp, candidate)
 
@@ -917,10 +974,8 @@ class TestKktCheckGeneral:
                     ]
                     if any(not 0 <= c <= qp.mu for c in candidate):
                         continue
-                    moved = zero(len(points[0]))
-                    for c, pt in zip(candidate, points):
-                        moved = moved + pt * c
-                    assert (moved - other).norm_sq() >= sol.objective
+                    moved = vec_add(*[pt * c for c, pt in zip(candidate, points)])
+                    assert norm_sq(vec_sub(moved, other)) >= sol.objective
 
 
 class TestCertificates:
@@ -938,7 +993,7 @@ class TestCertificates:
 
     def test_perturbed_point_breaks_stationarity(self, instance4, constructions4):
         pair, decomp = constructions4[0]
-        moved = replace(pair, p=pair.p + unit(4, 0) * F(1, 1000))
+        moved = replace(pair, p=vec_add(pair.p, unit(4, 0) * F(1, 1000)))
         with pytest.raises(
             CertificateError,
             match=rf"differs from the optimum of its piece for sigma={re.escape(str(pair.sigma))} at mu=",
@@ -1036,9 +1091,9 @@ class TestUniqueOptimum:
     )
     def test_flat_face_not_unique(self, plus, minus, alpha_plus, alpha_minus, mu):
         qp = ReducedHullQP(PointTable(plus, minus), mu)
-        p = sum((v * a for v, a in zip(qp.plus_points, alpha_plus)), zero(2))
-        q = sum((v * a for v, a in zip(qp.minus_points, alpha_minus)), zero(2))
-        candidate = OptimalPair(p, q, alpha_plus, alpha_minus, (p - q).norm_sq())
+        p = vec_add(*[v * a for v, a in zip(qp.plus_points, alpha_plus)])
+        q = vec_add(*[v * a for v, a in zip(qp.minus_points, alpha_minus)])
+        candidate = OptimalPair(p, q, alpha_plus, alpha_minus, norm_sq(vec_sub(p, q)))
         assert kkt_check_reference(qp, candidate)
         assert solve_reduced_distance(qp).objective == candidate.objective
         assert not unique_optimum_oracle(qp, candidate)
