@@ -21,8 +21,17 @@ last piece, through `Piece.optimum`, which answers None where the piece does
 not cover mu: that `covers` test is the read-off's, and
 `optimum-without-covers` removes it.
 
+The calibration pass of `build_instance` (its running extremes and the
+strictness check of `_weights`, which it shares with `support_decomposition`)
+and the shadow ring pass (where it keeps each admissible support) have
+mutants of their own, killed by `tests/test_construct.py` and
+`tests/test_goldfarb.py`.
+
 Equivalent mutants, which no test can kill, stay off the list, with the
-reason here: none so far.
+reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
+ey, bx, by)`, gives the same support: n = |f|_1 (e_y, -e_x) + |e|_1 (f_y,
+-f_x) is symmetric in e and f. `ring-support-misplaced` keys it to the next
+vertex instead.
 """
 
 import os
@@ -35,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WALK_TESTS = ("tests/test_qp.py", "tests/test_sweep.py")
+CONSTRUCT_TESTS = ("tests/test_construct.py",)
+RING_TESTS = ("tests/test_goldfarb.py",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -79,6 +90,43 @@ MUTANTS = (
         "side > 0 or (side == 0 and self.hi_closed)",
         "side > 0 or (side == 0 and not self.hi_closed)",
         WALK_TESTS,
+    ),
+    (
+        "calibration-mu-bar-running-minimum",
+        "construct.py",
+        "if max(A) * mu[1] > mu[0] * den:",
+        "if max(A) * mu[1] < mu[0] * den:",
+        CONSTRUCT_TESTS,
+    ),
+    (
+        "calibration-q-extremes-swapped",
+        "construct.py",
+        "Qd * lo[1] < lo[0] * g:\n            lo = (Qd, g)\n        if hi is None or Qd * hi[1] > hi[0] * g:",
+        "Qd * lo[1] > lo[0] * g:\n            lo = (Qd, g)\n        if hi is None or Qd * hi[1] < hi[0] * g:",
+        CONSTRUCT_TESTS,
+    ),
+    (
+        "weights-without-strictness",
+        "construct.py",
+        "if not facet_strictness_check((A, den)):\n"
+        "        raise StrictnessError(f\"facet strictness fails for sigma={sigma} at L={s.factor}\")\n"
+        "    return A, den",
+        "return A, den",
+        CONSTRUCT_TESTS,
+    ),
+    (
+        "ring-support-misplaced",
+        "goldfarb.py",
+        "supports[name] = _support(ex, ey, fx, fy, bx, by)",
+        "supports[sigma] = _support(ex, ey, fx, fy, bx, by)",
+        RING_TESTS,
+    ),
+    (
+        "ring-filter-inverted",
+        "goldfarb.py",
+        "if name[-2:] == (1, 1):",
+        "if name[-2:] != (1, 1):",
+        RING_TESTS,
     ),
 )
 

@@ -14,7 +14,6 @@ from .construct import (
     SvmInstance,
     admissible_constructions,
     build_instance,
-    calibrate,
     choose_stretch,
     facet_strictness_check,
     generate_2d_arc_instance,

@@ -3,8 +3,8 @@
 For each admissible sign vector sigma (last two entries +1) the construction
 produces a point q_sigma on the vertical line {x : x_1 = ... = x_{d-2} = 0,
 x_{d-1} = 2} and its projection p_sigma onto the sigma-facet of the stretched
-dual cube. Calibrating two extra points on that line turns the family of pairs
-into a single SVM instance whose solution path visits every pair.
+dual cube. Two extra points on that line, calibrated in one integer pass over
+the sigmas, turn the family into a single SVM instance whose path visits every pair.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 from .geometry import FrozenRecord, PointTable, Vec
 from .goldfarb import (
@@ -233,11 +233,25 @@ def facet_strictness_check(weights: tuple) -> bool:
     otherwise), positive weights summing to 1 make p tight at sigma
     and strict at every other tau; and if some alpha_k <= 0, the neighbour
     that flips only sign k has p' . v_tau >= sum(alpha). So the check is
-    sum(alpha) == 1 and all(alpha > 0), in O(d): with den > 0,
-    sum(W) == den and all(W > 0).
+    sum(alpha) == 1 and all(alpha > 0), in O(d): with den > 0, sum(W) == den
+    and all(W > 0). `_weights` checks each sigma so, for the calibration pass.
     """
     W, den = weights
     return sum(W) == den and all(w > 0 for w in W)
+
+
+def _weights(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> tuple:
+    """(A, den): sigma's weights at L = n / m, n^2 U + m^2 W over den = g (m^2 S1 + n^2 S2) top.
+
+    StrictnessError is raised unless they pass `facet_strictness_check`.
+    """
+    _, (_, _, S1, S2, _, g, _), (U, W, top) = _unstretched_pair(params, sigma)
+    nn, mm = s.factor.numerator ** 2, s.factor.denominator ** 2
+    A = [nn * u + mm * w for u, w in zip(U, W)]
+    den = g * (mm * S1 + nn * S2) * top
+    if not facet_strictness_check((A, den)):
+        raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
+    return A, den
 
 
 def support_decomposition(sigma: SignVec, params: GoldfarbParams, s: StretchFactor) -> SupportDecomposition:
@@ -245,44 +259,14 @@ def support_decomposition(sigma: SignVec, params: GoldfarbParams, s: StretchFact
 
     Unstretching both sides by 1/L gives the same weights over the
     unstretched duals, sum_k alpha_k w_(k, sigma_k) = stretch(p, 1/L): the
-    affine weights of `_unstretched_pair` at t = 1/L^2, which for L = n / m
-    are the integers n^2 U + m^2 W over g (m^2 S1 + n^2 S2) top. They are
+    integer `_weights`, made Fractions only once they pass. They are
     positive and sum to 1 exactly when p is strictly inside every facet but
-    its own (`facet_strictness_check`); StrictnessError is raised otherwise,
-    before any weight becomes a Fraction. The largest, mu_sigma, is below 1.
+    its own (`facet_strictness_check`). The largest, mu_sigma, is below 1.
     """
     sigma = tuple(sigma)
-    _, (_, _, S1, S2, _, g, _), (U, W, top) = _unstretched_pair(params, sigma)
-    nn, mm = s.factor.numerator ** 2, s.factor.denominator ** 2
-    A = [nn * u + mm * w for u, w in zip(U, W)]
-    den = g * (mm * S1 + nn * S2) * top
-    if not facet_strictness_check((A, den)):
-        raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
+    A, den = _weights(params, sigma, s)
     alphas = tuple([Fraction(a, den) for a in A])
     return SupportDecomposition(sigma, alphas, alphas[A.index(max(A))])
-
-
-def calibrate(pairs: Iterable[ConstructedPair], decomps: Iterable[SupportDecomposition]) -> Calibration:
-    """Fix the two line points from the extreme q positions and the largest weight.
-
-    u_left sits at q_min; u_right at q_min + (q_max - q_min) / (1 - mu_bar).
-    With a single pair (dim 2) the span degenerates to zero, so a unit
-    numerator stands in for q_max - q_min to keep the two points distinct.
-    """
-    pairs = list(pairs)
-    decomps = list(decomps)
-    if not pairs:
-        raise ValueError("calibration needs at least one pair")
-    mu_bar = max(Fraction(1, 2), max(dc.mu_sigma for dc in decomps))
-    q_last = [pr.q[-1] for pr in pairs]
-    q_min, q_max = min(q_last), max(q_last)
-    if q_min == q_max and len(pairs) > 1:
-        raise CalibrationError("all q positions coincide across distinct pairs")
-    dim = len(pairs[0].q)
-    span = (q_max - q_min) if q_max > q_min else Fraction(1)
-    u_left = line_point(dim, q_min)
-    u_right = line_point(dim, q_min + span / (1 - mu_bar))
-    return Calibration(mu_bar, q_min, q_max, u_left, u_right)
 
 
 def mu_of_q(q_last: Fraction, calib: Calibration) -> Fraction:
@@ -311,20 +295,32 @@ def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
 
 
 def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
-    """The full 2d + 2 point instance with calibration embedded."""
-    constructions = admissible_constructions(params, s)
-    calib = calibrate([c[0] for c in constructions], [c[1] for c in constructions])
-    duals = dual_vertices(params)
+    """The full 2d + 2 point instance, calibrated in one integer pass over the admissible sigmas.
+
+    It builds no pair. In lexicographic order it reads each sigma's
+    `_weights` A over den (raising at the first sigma that fails) and
+    q_d = Qd / g, and keeps the extreme q_d and, as mu_bar, the largest weight
+    or 1/2, cross-multiplying over the positive den and g. u_left sits at q_min,
+    u_right at q_min + span / (1 - mu_bar), span = q_max - q_min (1 at dim 2).
+    """
+    mu, lo, hi = (1, 2), None, None
+    for sigma in admissible_sign_vectors(params.dim):
+        A, den = _weights(params, sigma, s)
+        *_, g, Qd = _unstretched_pair(params, sigma)[1]
+        if max(A) * mu[1] > mu[0] * den:
+            mu = (max(A), den)
+        if lo is None or Qd * lo[1] < lo[0] * g:
+            lo = (Qd, g)
+        if hi is None or Qd * hi[1] > hi[0] * g:
+            hi = (Qd, g)
+    mu_bar, q_min, q_max = Fraction(*mu), Fraction(*lo), Fraction(*hi)
+    if q_min == q_max and params.dim > 2:
+        raise CalibrationError("all q positions coincide across distinct pairs")
+    span, d = (q_max - q_min) if q_max > q_min else Fraction(1), params.dim
+    u_left, u_right = line_point(d, q_min), line_point(d, q_min + span / (1 - mu_bar))
+    calib, duals = Calibration(mu_bar, q_min, q_max, u_left, u_right), dual_vertices(params)
     plus_points = tuple(stretch(w.coords, s.factor) for w in duals)
-    plus_labels = tuple((w.k, w.s) for w in duals)
-    return SvmInstance(
-        plus_points=plus_points,
-        plus_labels=plus_labels,
-        minus_points=(calib.u_left, calib.u_right),
-        params=params,
-        stretch=s,
-        calibration=calib,
-    )
+    return SvmInstance(plus_points, tuple((w.k, w.s) for w in duals), (u_left, u_right), params, s, calib)
 
 
 def stretch_threshold(params: GoldfarbParams) -> Fraction:
@@ -379,8 +375,4 @@ def generate_2d_arc_instance(n_plus: int) -> SvmInstance:
         one = 1 + t * t
         pts.append(Vec((-1 + 2 * (1 - t * t) / one, 4 * t / one)))
     minus = (Vec((Fraction(2), Fraction(-25))), Vec((Fraction(2), Fraction(-1, 4))))
-    return SvmInstance(
-        plus_points=tuple(pts),
-        plus_labels=tuple(range(n_plus)),
-        minus_points=minus,
-    )
+    return SvmInstance(tuple(pts), tuple(range(n_plus)), minus)

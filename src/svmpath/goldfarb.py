@@ -8,7 +8,7 @@ gives any one vertex in O(d). Projected to the last two coordinates, the
 vertices lie on the shadow ring in reflected Gray-code order, which is what
 the whole construction exploits. One pass along that order, cached per
 parameter set, proves the ring strictly convex with every vertex on it, and
-each shadow certificate is read off sigma's two ring neighbours.
+keeps the shadow support of each admissible sigma, off its two ring edges.
 """
 
 from __future__ import annotations
@@ -268,7 +268,15 @@ def _upper(dx, dy) -> bool:
     return dy > 0 or (dy == 0 and dx > 0)
 
 
-def _check_convex_ring(ring: Iterable) -> None:
+def _support(ex, ey, fx, fy, bx, by) -> tuple:
+    """(n_x, n_y, n . b) at ring point b with edges e into and f out of it, for the integer
+    n = |f|_1 (e_y, -e_x) + |e|_1 (f_y, -f_x): the outward normals over their 1-norms, times both."""
+    le, lf = abs(ex) + abs(ey), abs(fx) + abs(fy)
+    nx, ny = lf * ey + le * fy, -lf * ex - le * fx
+    return nx, ny, nx * bx + ny * by
+
+
+def _check_convex_ring(ring: Iterable) -> dict:
     """Raise ShadowPropertyError, naming a sigma, unless the closed ring is strictly convex.
 
     `ring` yields (sigma, point) pairs of exact 2D points, in order. Each
@@ -277,11 +285,12 @@ def _check_convex_ring(ring: Iterable) -> None:
     it passes angle 0 once per full turn, and a second pass raises. Turning
     strictly left by 2 pi in all, the ring is strictly convex and
     counterclockwise: its points are distinct, each a vertex of their hull.
+    Returns the `_support` of each sigma ending (+1, +1), in ring order.
     """
     it = iter(ring)
     first = [next(it), next(it)]
     (_, (ax, ay)), (name, (bx, by)) = first
-    ex, ey, winds = bx - ax, by - ay, 0
+    ex, ey, winds, supports = bx - ax, by - ay, 0, {}
     for sigma, (cx, cy) in chain(it, first):
         fx, fy = cx - bx, cy - by
         if ex * fy - ey * fx <= 0:
@@ -290,22 +299,24 @@ def _check_convex_ring(ring: Iterable) -> None:
             winds += 1
             if winds > 1:
                 raise ShadowPropertyError(f"the shadow ring winds around twice, at sigma={name}")
+        if name[-2:] == (1, 1):
+            supports[name] = _support(ex, ey, fx, fy, bx, by)
         name, bx, by, ex, ey = sigma, cx, cy, fx, fy
+    return supports
 
 
 @lru_cache(maxsize=None)
-def _shadow_data(params: GoldfarbParams) -> int:
-    """m^d, the shadow ring's denominator, after one Gray-code pass has proven the ring.
+def _shadow_data(params: GoldfarbParams) -> tuple:
+    """(m^d, supports): the ring's denominator, and the admissible supports of one Gray-code pass.
 
     The pass (`_gray_ring`) checks every bound z_k > 0, and
     `_check_convex_ring` its points as they come. So all 2^d projected
     vertices are the vertices of the 2D shadow, counterclockwise in Gray-code
-    order. The pass keeps O(d) integers, and only its result is cached.
+    order. The pass keeps O(d) integers, and three per admissible sigma.
     """
     if params.dim < 2:
         raise ValueError("shadow projection needs dim >= 2")
-    _check_convex_ring(_gray_ring(params))
-    return _integer_bands(params)[2]
+    return _integer_bands(params)[2], _check_convex_ring(_gray_ring(params))
 
 
 def shadow_polygon(params: GoldfarbParams) -> tuple:
@@ -328,26 +339,24 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertific
     direction so a . v_sigma = 1. Summing two edge normals gives a direction
     whose supporting line touches the ring at that vertex only.
 
-    sigma's ring neighbours sit at Gray ranks r - 1 and r + 1 around its
-    rank r: three O(d) recursions give the ring points. With edges e into
-    and f out of sigma's point pt, the integer n = |f|_1 (e_y, -e_x) +
-    |e|_1 (f_y, -f_x) is the sum of the outward normals over their 1-norms
-    times |e|_1 |f|_1 > 0, and a = m^d n / (n . pt): the ring's scale m^d
-    cancels. `_shadow_data` proves the ring strictly convex, so a is tight
-    at v_sigma and below 1 at both ring neighbours, and so at every other
-    vertex, which lies in the cone they span.
+    An admissible sigma's integer `_support` n at its ring point pt comes from
+    `_shadow_data`'s pass; any other's from its ring neighbours at Gray ranks
+    r - 1 and r + 1 around its rank r, three O(d) recursions. Then
+    a = m^d n / (n . pt): the ring's scale m^d cancels. `_shadow_data` proves
+    the ring strictly convex, so a is tight at v_sigma and below 1 at both
+    ring neighbours, and so at every other vertex, in the cone they span.
     """
-    den, m = _shadow_data(params), _integer_bands(params)[0]
+    den, supports = _shadow_data(params)
     d, sigma = params.dim, tuple(sigma)
     if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
         raise ValueError("sigma must be a length-dim vector over {-1, +1}")
-    r, n = _gray_rank(sigma), 1 << d
-    prv, cur, nxt = [_vertex(params, _gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
-    bx, by = m * cur[-2], cur[-1]
-    ex, ey, fx, fy = bx - m * prv[-2], by - prv[-1], m * nxt[-2] - bx, nxt[-1] - by
-    le, lf = abs(ex) + abs(ey), abs(fx) + abs(fy)
-    nx, ny = lf * ey + le * fy, -lf * ex - le * fx
-    scale = nx * bx + ny * by
+    support = supports.get(sigma)
+    if support is None:
+        r, n, m = _gray_rank(sigma), 1 << d, _integer_bands(params)[0]
+        ring = [_vertex(params, _gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
+        (ax, ay), (bx, by), (cx, cy) = [(m * X[-2], X[-1]) for X in ring]
+        support = _support(bx - ax, by - ay, cx - bx, cy - by, bx, by)
+    nx, ny, scale = support
     if scale <= 0:
         raise ShadowPropertyError("support scale must be positive (origin interior)")
     vector = Vec([_ZERO] * (d - 2) + [Fraction(den * nx, scale), Fraction(den * ny, scale)])

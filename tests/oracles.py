@@ -23,9 +23,13 @@ each cube vertex on its own (`cube_vertex`), all 2^d of them as a table
 projections' monotone-chain hull (`hull_chain`), whose constructor checks
 strict convexity, where the library walks one integer ring in Gray-code
 order and keeps none of it; the certificate reference takes its edge
-normals on that Fraction polygon. The construction references build q, p
+normals on that Fraction polygon, and the three-vertex reference
+(`three_vertex_certificate`) recomputes sigma's two ring neighbours where the
+library reads its support off the ring pass. The construction references build q, p
 and the facet weights in Fraction vectors, where the library clears them to
-integers over one denominator. The sweep report reference builds the
+integers over one denominator, and the calibration reference (`calibrate`)
+reads the extremes off those Fraction pairs and decompositions, where the
+library takes them in one integer pass. The sweep report reference builds the
 report's document as a dict for `json.dumps`, where the library writes each
 record from a text template. All are exact.
 
@@ -42,11 +46,22 @@ from functools import lru_cache
 from itertools import combinations, product
 from types import SimpleNamespace
 
-from svmpath.construct import facet_strictness_check, stretch
+from svmpath.construct import (
+    Calibration,
+    CalibrationError,
+    facet_strictness_check,
+    line_point,
+    stretch,
+)
 from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, common_denominator
 from svmpath.goldfarb import (
     ShadowCertificate,
+    ShadowPropertyError,
+    _gray_rank,
+    _gray_sigma,
+    _integer_bands,
     _pair_bands,
+    _vertex,
     facet_weights,
     shadow_certificate,
     sign_vectors,
@@ -596,6 +611,28 @@ def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
     return ShadowCertificate(tuple(sigma), Vec([0] * (params.dim - 2) + [n[0] / scale, n[1] / scale]))
 
 
+def three_vertex_certificate(params, sigma) -> ShadowCertificate:
+    """Reference for goldfarb.shadow_certificate that recomputes sigma's ring neighbours.
+
+    The ring points at Gray ranks r - 1, r and r + 1 around sigma's rank r
+    come from three `_vertex` recursions; the support n = |f|_1 (e_y, -e_x) +
+    |e|_1 (f_y, -f_x) of the edges e into and f out of sigma's point pt is
+    then scaled to a = m^d n / (n . pt).
+    """
+    (m, _, den), d, sigma = _integer_bands(params), params.dim, tuple(sigma)
+    r, n = _gray_rank(sigma), 1 << d
+    prv, cur, nxt = [_vertex(params, _gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
+    bx, by = m * cur[-2], cur[-1]
+    ex, ey, fx, fy = bx - m * prv[-2], by - prv[-1], m * nxt[-2] - bx, nxt[-1] - by
+    le, lf = abs(ex) + abs(ey), abs(fx) + abs(fy)
+    nx, ny = lf * ey + le * fy, -lf * ex - le * fx
+    scale = nx * bx + ny * by
+    if scale <= 0:
+        raise ShadowPropertyError("support scale must be positive (origin interior)")
+    vector = Vec([Fraction(0)] * (d - 2) + [Fraction(den * nx, scale), Fraction(den * ny, scale)])
+    return ShadowCertificate(sigma, vector)
+
+
 @lru_cache(maxsize=None)
 def fraction_vertices(params) -> tuple:
     """(tau, v_tau) for every tau, each vertex rebuilt by the per-sigma recursion."""
@@ -738,6 +775,29 @@ def construction_reference(params, sigma, factors) -> tuple:
         alphas = facet_weights_reference(params, sigma, stretch(p, ell))
         at.append((p, alphas if sum(alphas) == 1 and all(a > 0 for a in alphas) else None))
     return p_shadow, q, slack, at
+
+
+def calibrate(pairs, decomps) -> Calibration:
+    """Reference for build_instance's calibration, read off Fraction pairs and decompositions.
+
+    mu_bar is the largest decomposition weight, or 1/2 if larger; u_left sits
+    at the least q position, u_right at q_min + (q_max - q_min) / (1 - mu_bar).
+    With a single pair (dim 2) the span degenerates to zero, so a unit
+    numerator stands in for q_max - q_min to keep the two points distinct.
+    """
+    pairs, decomps = list(pairs), list(decomps)
+    if not pairs:
+        raise ValueError("calibration needs at least one pair")
+    mu_bar = max(Fraction(1, 2), max(dc.mu_sigma for dc in decomps))
+    q_last = [pr.q[-1] for pr in pairs]
+    q_min, q_max = min(q_last), max(q_last)
+    if q_min == q_max and len(pairs) > 1:
+        raise CalibrationError("all q positions coincide across distinct pairs")
+    dim = len(pairs[0].q)
+    span = (q_max - q_min) if q_max > q_min else Fraction(1)
+    return Calibration(
+        mu_bar, q_min, q_max, line_point(dim, q_min), line_point(dim, q_min + span / (1 - mu_bar))
+    )
 
 
 def relaxed_facet_multiplier(pair, params, ell) -> Fraction:

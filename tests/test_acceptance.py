@@ -89,7 +89,7 @@ def test_criterion_2_grid_sweep_bend_counts(built):
 def test_criterion_3_shadow_vertex_counts():
     for d in range(2, 13):
         ring = shadow_polygon(_params(d))
-        den = _shadow_data(_params(d))
+        den = _shadow_data(_params(d))[0]
         assert len(ring) == 2 ** d
         # the Fraction polygon of the ring's projections checks strict convexity,
         # and it is the oracle's hull of all 2^d projected vertices

@@ -97,11 +97,11 @@ class TestGenRefuses:
         assert not out.exists()
 
     def test_calibration_failure(self, tmp_path, capsys, monkeypatch):
-        # every pair replaced by the first, so the real calibration finds all
-        # q positions equal
-        calibrate = construct.calibrate
+        # every sigma reads the first one's integers, so the calibration pass
+        # finds all q positions equal
+        unstretched = construct._unstretched_pair
         monkeypatch.setattr(
-            construct, "calibrate", lambda pairs, decomps: calibrate([pairs[0]] * len(pairs), decomps)
+            construct, "_unstretched_pair", lambda params, sigma: unstretched(params, (-1, -1, 1, 1))
         )
         out = tmp_path / "d4.inst"
         result = run(["gen", "--d", "4", "--out", str(out)], capsys)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import DEFAULT_STRETCH, REFERENCE_PARAMS, default_params, spread
 from oracles import (
     build_p_stretched_reference,
+    calibrate,
     construction_reference,
     cube_vertex,
     cube_vertices,
@@ -32,7 +33,6 @@ from svmpath.construct import (
     admissible_constructions,
     build_instance,
     build_pair,
-    calibrate,
     choose_stretch,
     facet_strictness_check,
     generate_2d_arc_instance,
@@ -417,7 +417,7 @@ class TestCalibration:
         c = instance4.calibration
         assert c.u_right[-1] - c.u_left[-1] == (c.q_max - c.q_min) / (1 - c.mu_bar)
 
-    def test_frozen_d4_mu_bar_against_independent_solves(self, params4, constructions4):
+    def test_frozen_d4_mu_bar_against_independent_solves(self, params4, constructions4, instance4):
         # independent route: raw linear solves per sigma, then the max
         duals = dual_vertices(params4)
         mus = []
@@ -431,7 +431,7 @@ class TestCalibration:
             alphas = solve_linear_system(matrix, pair.p)
             mus.append(max(alphas))
         expected = max(F(1, 2), max(mus))
-        calib = calibrate([c[0] for c in constructions4], [c[1] for c in constructions4])
+        calib = instance4.calibration
         assert calib.mu_bar == expected == F(9615407277421, 10027093130432)
         assert calib.q_min == F(107, 126)
         assert calib.q_max == F(130597, 32004)
@@ -445,9 +445,43 @@ class TestCalibration:
         # dim 2 has a single admissible sigma; the span falls back to one unit
         params = default_params(2)
         cons = admissible_constructions(params, DEFAULT_STRETCH)
-        calib = calibrate([c[0] for c in cons], [c[1] for c in cons])
+        calib = build_instance(params, DEFAULT_STRETCH).calibration
+        assert calib == calibrate([c[0] for c in cons], [c[1] for c in cons])
         assert calib.u_left != calib.u_right
+        assert calib.u_right[-1] - calib.u_left[-1] == 1 / (1 - calib.mu_bar)
         assert mu_of_q(calib.q_min, calib) == 1
+
+    @pytest.mark.parametrize("eps,gamma", REFERENCE_PARAMS)
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_integer_pass_equals_the_fraction_reference(self, d, eps, gamma):
+        # build_instance's one integer pass against the Fraction calibration
+        # of every pair and decomposition, at the chosen stretch, at half of
+        # it and at 1: the same calibration, or the same first failure
+        params = GoldfarbParams(d, eps, gamma)
+        chosen = choose_stretch(params).factor
+        for factor in (chosen, chosen / 2, 1):
+            s = StretchFactor(factor)
+            try:
+                cons = admissible_constructions(params, s)
+            except StrictnessError as failed:
+                with pytest.raises(StrictnessError) as also:
+                    build_instance(params, s)
+                assert str(also.value) == str(failed)
+                continue
+            expected = calibrate([c[0] for c in cons], [c[1] for c in cons])
+            assert build_instance(params, s).calibration == expected
+
+    def test_gen_builds_no_pair(self, monkeypatch):
+        # the calibration reads the cached integers only; parameters no other
+        # test uses, so nothing is cached before
+        def refused(*args):
+            raise AssertionError("build_instance built a Fraction pair")
+
+        for name in ("admissible_constructions", "build_pair", "support_decomposition"):
+            monkeypatch.setattr(construct, name, refused)
+        params = GoldfarbParams(6, F(3, 10), F(1, 25))
+        calib = build_instance(params, choose_stretch(params)).calibration
+        assert F(1, 2) <= calib.mu_bar < 1 and calib.q_min < calib.q_max
 
 
 class TestMuOfQ:

@@ -17,6 +17,7 @@ from oracles import (
     project_shadow,
     shadow_certificate_oracle,
     shadow_certificate_reference,
+    three_vertex_certificate,
     unit,
     vec_add,
     zero,
@@ -319,7 +320,7 @@ class TestShadowHull:
     @pytest.mark.parametrize("d", [2, 3, 6, 9])
     def test_ring_points_are_den_times_the_projections(self, d):
         params = default_params(d)
-        den = _shadow_data(params)
+        den = _shadow_data(params)[0]
         assert den > 0
         for sigma, pt in _gray_ring(params):
             assert len(pt) == 2 and all(type(c) is int for c in pt)
@@ -334,7 +335,7 @@ class TestShadowHull:
         # on that hull
         params = GoldfarbParams(d, eps, gamma)
         hull, pos = fraction_shadow(params)
-        den = _shadow_data(params)
+        den = _shadow_data(params)[0]
         assert tuple(Vec(pt) * F(1, den) for pt in shadow_polygon(params)) == hull.vertices
         start = pos[(-1,) * d]
         ranks = [pos[sigma] for sigma, _pt in _gray_ring(params)]
@@ -438,7 +439,7 @@ def integer_check_passes(cert, params) -> bool:
     exhaustive oracle does. With a = (a1, a2) / den_a and a ring point
     V = den * v, a . v == 1 reads a1 * V1 + a2 * V2 == den * den_a.
     """
-    d, den = params.dim, _shadow_data(params)
+    d, den = params.dim, _shadow_data(params)[0]
     den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
     one = den * den_a
     r = _gray_rank(cert.sigma)
@@ -474,6 +475,25 @@ class TestShadowCertificateCheck:
         params = default_params(d)
         for sigma in sign_vectors(d):
             assert shadow_certificate_oracle(shadow_certificate(params, sigma), params), sigma
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_certificate_equals_the_three_vertex_computation(self, d):
+        # an admissible sigma reads its support off the ring pass, any other
+        # recomputes its two ring neighbours; both give the reference's
+        params = default_params(d)
+        for sigma in sign_vectors(d):
+            assert shadow_certificate(params, sigma) == three_vertex_certificate(params, sigma)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_ring_pass_keeps_each_admissible_support_in_ring_order(self, d):
+        params = default_params(d)
+        den, supports = _shadow_data(params)
+        ring = [sigma for sigma, _pt in _gray_ring(params)]
+        assert list(supports) == [sigma for sigma in ring if sigma[-2:] == (1, 1)]
+        assert sorted(supports) == sorted(admissible_sign_vectors(d))
+        for sigma, (nx, ny, scale) in supports.items():
+            vector = three_vertex_certificate(params, sigma).vector
+            assert vector[-2:] == (F(den * nx, scale), F(den * ny, scale))
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_certificate_equals_fraction_construction(self, d):
