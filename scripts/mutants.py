@@ -27,6 +27,11 @@ and the shadow ring pass (where it keeps each admissible support) have
 mutants of their own, killed by `tests/test_construct.py` and
 `tests/test_goldfarb.py`.
 
+Two mutants guard what a fresh `gen` process loads and how it fails, which
+only a test in a fresh interpreter can see: `cli-imports-qp` imports the
+solver with the command line, and `strictness-not-a-failure` takes
+`StrictnessError` out of the `VerificationFailure` base that `main` catches.
+
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
 ey, bx, by)`, gives the same support: n = |f|_1 (e_y, -e_x) + |e|_1 (f_y,
@@ -46,6 +51,10 @@ SRC = ROOT / "src"
 WALK_TESTS = ("tests/test_qp.py", "tests/test_sweep.py")
 CONSTRUCT_TESTS = ("tests/test_construct.py",)
 RING_TESTS = ("tests/test_goldfarb.py",)
+FOOTPRINT_TESTS = ("tests/test_records.py::test_command_loads_only_its_own_modules",)
+FRESH_FAILURE_TESTS = (
+    "tests/test_cli.py::TestGenRefuses::test_unit_stretch_without_the_solver_loaded",
+)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -127,6 +136,20 @@ MUTANTS = (
         "if name[-2:] == (1, 1):",
         "if name[-2:] != (1, 1):",
         RING_TESTS,
+    ),
+    (
+        "cli-imports-qp",
+        "cli.py",
+        "from .geometry import VerificationFailure\n",
+        "from . import qp\nfrom .geometry import VerificationFailure\n",
+        FOOTPRINT_TESTS,
+    ),
+    (
+        "strictness-not-a-failure",
+        "construct.py",
+        "class StrictnessError(VerificationFailure):",
+        "class StrictnessError(Exception):",
+        FRESH_FAILURE_TESTS,
     ),
 )
 

@@ -1,18 +1,25 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
+
+Importing this module loads only what `gen` and `gen-arc` use: `construct`,
+`goldfarb`, `geometry` and `instance_io`. `verify` and `sweep` import `qp`,
+`sweep`, `report_io` and `json` when they run, `shadow-svg` only the last
+two. Four names of those modules stay names of this module, as forwarders
+that import their module on first call: `build_kkt_certificate`,
+`sweep_constructed`, `sweep_refined` and `write_sweep_report`. The commands
+call them through this module's globals, so a wrapper or test patch set on
+`cli` still sees each call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .construct import (
-    CalibrationError,
     StretchFactor,
     StrictnessError,
     admissible_constructions,
@@ -20,7 +27,8 @@ from .construct import (
     choose_stretch,
     generate_2d_arc_instance,
 )
-from .goldfarb import GoldfarbParams, ShadowPropertyError
+from .geometry import VerificationFailure
+from .goldfarb import GoldfarbParams
 from .instance_io import (
     InstanceFormatError,
     parse_integer,
@@ -29,14 +37,6 @@ from .instance_io import (
     regenerate,
     write_instance,
 )
-from .qp import CertificateError, SolverStalledError, build_kkt_certificate, nu_from_mu
-from .report_io import (
-    rational_json,
-    sweep_report_csv,
-    write_shadow_svg,
-    write_sweep_report,
-)
-from .sweep import SweepMismatchError, sweep_constructed, sweep_refined
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -75,6 +75,27 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
     return False
 
 
+# Forwarders that load their module on first call; see the module docstring.
+def build_kkt_certificate(instance, pair, decomp):
+    from .qp import build_kkt_certificate
+    return build_kkt_certificate(instance, pair, decomp)
+
+
+def sweep_constructed(instance, certificates):
+    from .sweep import sweep_constructed
+    return sweep_constructed(instance, certificates)
+
+
+def sweep_refined(instance, mu_lo, mu_hi, steps, depth):
+    from .sweep import sweep_refined
+    return sweep_refined(instance, mu_lo, mu_hi, steps, depth)
+
+
+def write_sweep_report(report, path, meta=None):
+    from .report_io import write_sweep_report
+    return write_sweep_report(report, path, meta)
+
+
 def cmd_gen(args) -> int:
     if _refuse_unwritable("gen", ("--out", args.out)):
         return EXIT_INPUT
@@ -110,6 +131,12 @@ def cmd_gen_arc(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
+    from .qp import CertificateError
+    from .report_io import rational_json
+    from .sweep import SweepMismatchError
+
     instance = read_instance(args.instance)
     if instance.params is None:
         print("verify: only constructed instances carry certificates", file=sys.stderr)
@@ -150,6 +177,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .qp import nu_from_mu
+    from .report_io import rational_json, sweep_report_csv
+
     counts = []
     for flag, token, least in (
         ("--steps", args.steps, 2),
@@ -196,6 +226,8 @@ def cmd_shadow_svg(args) -> int:
     if params.dim > 12:
         print("shadow-svg: 2^d ring vertices; --d is capped at 12", file=sys.stderr)
         return EXIT_INPUT
+    from .report_io import write_shadow_svg
+
     write_shadow_svg(params, args.out)
     print(f"wrote {args.out}: {2 ** params.dim} vertices")
     return EXIT_OK
@@ -257,14 +289,7 @@ def main(argv=None) -> int:
     except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        CalibrationError,
-        CertificateError,
-        SweepMismatchError,
-        StrictnessError,
-        SolverStalledError,
-        ShadowPropertyError,
-    ) as exc:
+    except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

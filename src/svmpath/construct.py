@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .geometry import FrozenRecord, PointTable, Vec
+from .geometry import FrozenRecord, PointTable, Vec, VerificationFailure
 from .goldfarb import (
     GoldfarbParams,
     SignVec,
@@ -26,11 +26,11 @@ from .goldfarb import (
 )
 
 
-class CalibrationError(Exception):
+class CalibrationError(VerificationFailure):
     """q_min == q_max across several pairs, contradicting their distinctness."""
 
 
-class StrictnessError(Exception):
+class StrictnessError(VerificationFailure):
     """A constructed point is not strictly inside every facet but its own.
 
     Equivalently, it is not a positive convex combination of its facet's d vertices:

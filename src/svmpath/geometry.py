@@ -13,6 +13,10 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 
+class VerificationFailure(Exception):
+    """A construction, certificate or sweep check failed: the command exits 1."""
+
+
 class SingularMatrixError(Exception):
     """The linear system has no unique solution."""
 

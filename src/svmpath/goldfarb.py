@@ -19,13 +19,13 @@ from itertools import chain, product
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
-from .geometry import FrozenRecord, Vec, common_denominator
+from .geometry import FrozenRecord, Vec, VerificationFailure, common_denominator
 
 SignVec = tuple  # entries in {-1, +1}
 _ZERO = Fraction(0)
 
 
-class ShadowPropertyError(Exception):
+class ShadowPropertyError(VerificationFailure):
     """The Gray-code ring of projected vertices is not strictly convex.
 
     Some vertex would then not be a vertex of the 2D shadow in ring order,

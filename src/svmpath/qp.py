@@ -73,6 +73,7 @@ from .geometry import (
     PointTable,
     SingularMatrixError,
     Vec,
+    VerificationFailure,
     solve_linear_system,
     solve_linear_system_general,
     solve_linear_systems,
@@ -83,11 +84,11 @@ AT_LO, AT_HI = 0, 1
 _UNWALKED = object()
 
 
-class SolverStalledError(Exception):
+class SolverStalledError(VerificationFailure):
     """Iteration cap exceeded; the solver never returns an unverified answer."""
 
 
-class CertificateError(Exception):
+class CertificateError(VerificationFailure):
     """A breakpoint is not the unique optimum at its mu; names sigma and mu."""
 
 

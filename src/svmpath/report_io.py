@@ -21,9 +21,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .goldfarb import GoldfarbParams, shadow_polygon
-from .sweep import SweepReport
+
+if TYPE_CHECKING:  # annotations only, so shadow-svg loads neither sweep nor qp
+    from .sweep import SweepReport
 
 
 def rational_json(x) -> dict:

@@ -34,7 +34,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .construct import MINUS_LABELS, SvmInstance
-from .geometry import FrozenRecord
+from .geometry import FrozenRecord, VerificationFailure
 from .qp import (
     OptimalPair,
     ReducedHullQP,
@@ -44,7 +44,7 @@ from .qp import (
 )
 
 
-class SweepMismatchError(Exception):
+class SweepMismatchError(VerificationFailure):
     """Two certified breakpoints share a mu or a support set."""
 
     def __init__(self, sigma, detail: str):

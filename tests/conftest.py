@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import svmpath
 from svmpath.construct import StretchFactor, admissible_constructions, build_instance
 from svmpath.goldfarb import GoldfarbParams
 
 DEFAULT_STRETCH = StretchFactor(20000)
+SRC = Path(svmpath.__file__).resolve().parent.parent
 
 # the paper's (eps, gamma) and the benchmark's other eight (perfbench/run.py PAIRS)
 REFERENCE_PARAMS = tuple(
@@ -15,6 +21,26 @@ REFERENCE_PARAMS = tuple(
         ("3/8", "1/15"), ("2/5", "1/16"), ("2/5", "1/15"), ("5/14", "1/16"),
     )
 )
+
+
+def fresh_python(*args, **env) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh interpreter that imports the package from SRC."""
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def fresh_cli(*argv, loaded=()) -> subprocess.CompletedProcess:
+    """`svmpath *argv` in a fresh interpreter, which then prints the names in `loaded` it imported."""
+    code = (
+        "import sys\n"
+        "from svmpath.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print([name for name in {tuple(loaded)!r} if name in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+    return fresh_python("-c", code, *argv)
 
 
 def default_params(dim: int) -> GoldfarbParams:

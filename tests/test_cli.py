@@ -4,12 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from svmpath import cli, construct, qp, sweep
+from conftest import fresh_cli, fresh_python
+from svmpath import cli, construct, qp, report_io, sweep
 from svmpath.cli import main
-from svmpath.construct import Calibration, StretchFactor, SvmInstance, line_point
-from svmpath.geometry import Vec
+from svmpath.construct import (
+    Calibration,
+    CalibrationError,
+    StretchFactor,
+    StrictnessError,
+    SvmInstance,
+    line_point,
+)
+from svmpath.geometry import Vec, VerificationFailure
 from svmpath.goldfarb import GoldfarbParams, ShadowPropertyError, facet_order
 from svmpath.instance_io import (
+    InstanceFormatError,
     format_rational,
     parse_rational,
     read_instance,
@@ -81,6 +90,18 @@ class TestGenRefuses:
         out = tmp_path / "d5.inst"
         result = run(["gen", "--d", "5", "--stretch", "1", "--out", str(out)], capsys)
         assert_one_line_failure(result, "sigma=", "L=1")
+        assert not out.exists()
+
+    def test_unit_stretch_without_the_solver_loaded(self, tmp_path):
+        # main catches the one base class, so a process that never imported
+        # qp or sweep reports the failure in one line, not a NameError
+        out = tmp_path / "d5.inst"
+        proc = fresh_cli("gen", "--d", "5", "--stretch", "1", "--out", str(out), loaded=["svmpath.qp"])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "verification failure: facet strictness fails for sigma=(-1, -1, -1, 1, 1) at L=1\n"
+        )
+        assert proc.stdout == "[]\n"
         assert not out.exists()
 
     def test_shadow_property_failure(self, tmp_path, capsys, monkeypatch):
@@ -577,8 +598,10 @@ class TestOutputErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("constructed before checking --out")
 
-        for name in ("choose_stretch", "build_instance", "generate_2d_arc_instance", "write_shadow_svg"):
+        for name in ("choose_stretch", "build_instance", "generate_2d_arc_instance"):
             monkeypatch.setattr(cli, name, refuse)
+        # shadow-svg imports report_io when it runs and reads the name there
+        monkeypatch.setattr(report_io, "write_shadow_svg", refuse)
         for bad in (tmp_path / "nodir" / "out", tmp_path):
             code, stdout, stderr = run(argv + ["--out", str(bad)], capsys)
             assert code == 2 and stdout == ""
@@ -646,3 +669,89 @@ class TestArgumentErrors:
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert "bad rational token '1e-3000000'" in stderr
         assert not out.exists()
+
+
+HELP = {
+    "svmpath": """\
+usage: svmpath [-h] {gen,gen-arc,verify,sweep,shadow-svg} ...
+
+Exact worst-case SVM regularization-path instances
+
+positional arguments:
+  {gen,gen-arc,verify,sweep,shadow-svg}
+    gen                 generate a constructed instance file
+    gen-arc             generate the 2D arc demo instance
+    verify              re-derive and certify an instance file
+    sweep               sweep the regularization parameter
+    shadow-svg          draw the 2D shadow polygon
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "gen": """\
+usage: svmpath gen [-h] --d D [--eps EPS] [--gamma GAMMA] [--stretch STRETCH]
+                   --out OUT
+
+options:
+  -h, --help         show this help message and exit
+  --d D
+  --eps EPS
+  --gamma GAMMA
+  --stretch STRETCH  stretch factor, or 'auto'
+  --out OUT
+""",
+    "verify": """\
+usage: svmpath verify [-h] instance
+
+positional arguments:
+  instance
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "sweep": """\
+usage: svmpath sweep [-h] [--mu-lo MU_LO] [--mu-hi MU_HI] [--steps STEPS]
+                     [--refine REFINE] --out OUT [--csv CSV]
+                     [--precision PRECISION]
+                     instance
+
+positional arguments:
+  instance
+
+options:
+  -h, --help            show this help message and exit
+  --mu-lo MU_LO
+  --mu-hi MU_HI
+  --steps STEPS
+  --refine REFINE
+  --out OUT
+  --csv CSV             also write an approximate CSV view
+  --precision PRECISION
+""",
+}
+
+
+class TestMain:
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_is_pinned(self, command):
+        argv = ["--help"] if command == "svmpath" else [command, "--help"]
+        proc = fresh_python("-m", "svmpath.cli", *argv, COLUMNS="80", NO_COLOR="1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == HELP[command]
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            CalibrationError,
+            StrictnessError,
+            ShadowPropertyError,
+            qp.SolverStalledError,
+            qp.CertificateError,
+            sweep.SweepMismatchError,
+        ],
+        ids=lambda error: error.__name__,
+    )
+    def test_exit_1_errors_share_one_base(self, error):
+        # main maps VerificationFailure to exit 1 and the three input errors to exit 2
+        assert issubclass(error, VerificationFailure)
+        assert not issubclass(error, (InstanceFormatError, OSError, ValueError))

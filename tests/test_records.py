@@ -6,20 +6,18 @@ dataclass printed. The oracles' `Polygon2` is built on the same
 `FrozenRecord` and has its sample here too. A pair read off a piece, which
 builds its coefficients and then p and q on first read, does all of that as
 the pair of every field given eagerly. Importing the package or its command
-line loads neither `dataclasses` nor `inspect`.
+line loads neither `dataclasses` nor `inspect`; `gen` and `gen-arc` load neither
+the solver, the sweep, the report writer nor `json`, and `shadow-svg` neither
+the solver nor the sweep.
 """
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
-import svmpath
+from conftest import fresh_cli, fresh_python
 from oracles import CubeVertex, Polygon2, replace
 from svmpath import construct
 from svmpath.construct import (
@@ -34,18 +32,34 @@ from svmpath.goldfarb import DualVertex, GoldfarbParams, ShadowCertificate
 from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
 
-SRC = Path(svmpath.__file__).resolve().parent.parent
-
 
 @pytest.mark.parametrize("module", ["svmpath.cli", "svmpath"])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     code = f"import sys, {module}; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = fresh_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+SOLVER = ("svmpath.qp", "svmpath.sweep")
+REPORTS = ("svmpath.report_io", "json")
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["gen", "--d", "4", "--stretch", "auto"], SOLVER + REPORTS),
+        (["gen-arc", "--n-plus", "6"], SOLVER + REPORTS),
+        (["shadow-svg", "--d", "3"], SOLVER),
+    ],
+    ids=["gen", "gen-arc", "shadow-svg"],
+)
+def test_command_loads_only_its_own_modules(tmp_path, argv, unused):
+    out = tmp_path / "out"
+    proc = fresh_cli(*argv, "--out", str(out), loaded=unused)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"wrote {out}: ")
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 TABLE = PointTable([Vec([1, 0]), Vec([2, 1])], [Vec([0, F(1, 2)]), Vec([1, 1])])
