@@ -32,6 +32,13 @@ only a test in a fresh interpreter can see: `cli-imports-qp` imports the
 solver with the command line, and `strictness-not-a-failure` takes
 `StrictnessError` out of the `VerificationFailure` base that `main` catches.
 
+A certificate compares the optimum's plus coefficients with the
+decomposition weights, and no points: `certificate-ignores-weights` drops
+that comparison. The points it leaves out are checked by a test that sums
+the optimum's coefficients times the points and compares them with
+`build_pair`'s p and q; `pair-p-misbuilt` flips a sign in that p, and only
+that test is run against it.
+
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
 ey, bx, by)`, gives the same support: n = |f|_1 (e_y, -e_x) + |e|_1 (f_y,
@@ -55,6 +62,8 @@ FOOTPRINT_TESTS = ("tests/test_records.py::test_command_loads_only_its_own_modul
 FRESH_FAILURE_TESTS = (
     "tests/test_cli.py::TestGenRefuses::test_unit_stretch_without_the_solver_loaded",
 )
+WEIGHT_TESTS = ("tests/test_qp.py::TestCertificates::test_perturbed_weight_breaks_stationarity",)
+POINT_TESTS = ("tests/test_qp.py::TestCertificates::test_optimum_points_are_the_constructed_pair",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -150,6 +159,21 @@ MUTANTS = (
         "class StrictnessError(VerificationFailure):",
         "class StrictnessError(Exception):",
         FRESH_FAILURE_TESTS,
+    ),
+    (
+        "certificate-ignores-weights",
+        "qp.py",
+        "if optimum.alpha_plus != tuple(alpha_plus):\n"
+        "        raise CertificateError(f\"candidate differs from the optimum of its piece for {where}\")",
+        "pass",
+        WEIGHT_TESTS,
+    ),
+    (
+        "pair-p-misbuilt",
+        "construct.py",
+        "2 * E + side * V[-2]",
+        "2 * E - side * V[-2]",
+        POINT_TESTS,
     ),
 )
 

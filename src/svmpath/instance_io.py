@@ -2,10 +2,12 @@
 
 UTF-8 text, '#' starts a comment, header lines are `key value`, and each point
 row is a class label (+1 or -1) followed by d coordinates written as
-numerator/denominator tokens. Serialization and parsing round-trip bit-exactly;
-constructed instances keep their cube parameters, stretch factor and
-calibration in the header, and point rows appear in canonical facet order so
-labels are positional.
+numerator/denominator tokens. Each kind of instance has its own header keys
+(`HEADER_KEYS`): any other key, or a key given twice, is refused with its
+line, so a mislabelled two-token point row is never read as a header.
+Serialization and parsing round-trip bit-exactly; constructed instances keep
+their cube parameters, stretch factor and calibration in the header, and
+point rows appear in canonical facet order so labels are positional.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from .goldfarb import GoldfarbParams, facet_order
 
 class InstanceFormatError(Exception):
     """The instance file does not parse or is internally inconsistent."""
+
+
+HEADER_KEYS = {
+    "goldfarb": ("kind", "d", "eps", "gamma", "L", "mu_bar", "q_min", "q_max"),
+    "arc": ("kind", "d", "n_plus"),
+}
 
 
 def format_rational(x) -> str:
@@ -91,7 +99,7 @@ def serialize_instance(instance: SvmInstance) -> str:
 
 
 def parse_instance(text: str) -> SvmInstance:
-    header = {}
+    header, header_lines = {}, {}
     plus_rows = []
     minus_rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -103,11 +111,19 @@ def parse_instance(text: str) -> SvmInstance:
             target = plus_rows if tokens[0] == "+1" else minus_rows
             target.append(Vec(parse_rational(t) for t in tokens[1:]))
         elif len(tokens) == 2:
+            if tokens[0] in header:
+                raise InstanceFormatError(f"line {lineno}: header key {tokens[0]!r} given twice")
             header[tokens[0]] = tokens[1]
+            header_lines[tokens[0]] = lineno
         else:
             raise InstanceFormatError(f"line {lineno}: cannot parse {raw!r}")
 
     kind = header.get("kind", "goldfarb")
+    if kind not in HEADER_KEYS:
+        raise InstanceFormatError(f"unknown instance kind {kind!r}")
+    for key, lineno in header_lines.items():
+        if key not in HEADER_KEYS[kind]:
+            raise InstanceFormatError(f"line {lineno}: unknown header key {key!r} for kind {kind}")
     if "d" not in header:
         raise InstanceFormatError("missing 'd' header")
     dim = parse_integer(header["d"])
@@ -120,16 +136,14 @@ def parse_instance(text: str) -> SvmInstance:
         raise InstanceFormatError(f"expected exactly 2 points labeled -1, got {len(minus_rows)}")
 
     if kind == "arc":
-        count = str(len(plus_rows))
-        if header.get("n_plus", count) != count:
+        count = len(plus_rows)
+        if "n_plus" in header and parse_integer(header["n_plus"]) != count:
             raise InstanceFormatError(f"header n_plus {header['n_plus']} but {count} points labeled +1")
         return SvmInstance(
             plus_points=tuple(plus_rows),
             plus_labels=tuple(range(len(plus_rows))),
             minus_points=tuple(minus_rows),
         )
-    if kind != "goldfarb":
-        raise InstanceFormatError(f"unknown instance kind {kind!r}")
 
     try:
         params = GoldfarbParams(

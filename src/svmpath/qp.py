@@ -39,9 +39,8 @@ pair. A piece keeps its coefficients as integers: at a given mu its objective
 is one Fraction, and so is each free alpha, built on first read. A pair read
 off a piece keeps its piece, and `support_set` reads its support off the piece
 (`Piece.support`): the coefficients at mu and the free ones whose numerator
-does not vanish. A pair's p and q have one definition, whichever solve gave
-the pair: its coefficients times the points of the table, summed only when
-first read, which a sweep never does.
+does not vanish. A pair is its coefficients and its objective: the points
+p and q they weight are not built, since no command reads them.
 
 At its upper event a piece pivots one coefficient and builds its
 `successor` once, so the pieces of a point set form one chain, the exact
@@ -55,9 +54,9 @@ coefficients.
 
 The piece is also the one optimality certificate. A constructed breakpoint
 is certified without running the loop: `build_kkt_certificate` builds the
-piece of the construction's working set and accepts the candidate built from
-the construction only when that piece covers the breakpoint's mu and its
-optimum there is the candidate.
+piece of the construction's working set and accepts the construction only
+when that piece covers the breakpoint's mu and its optimum there puts the
+construction's decomposition weights on the sigma-facet points.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .geometry import (
     FrozenRecord,
     PointTable,
     SingularMatrixError,
-    Vec,
     VerificationFailure,
     solve_linear_system,
     solve_linear_system_general,
@@ -124,32 +122,27 @@ class ReducedHullQP(FrozenRecord):
 
 
 class OptimalPair(FrozenRecord):
-    """Solved distance pair with its dual coefficients and exact objective.
+    """Solved distance pair: its dual coefficients and exact objective.
 
-    p = sum alpha_plus_i x_i and q = sum alpha_minus_j y_j over the points of
-    the two classes. A solved pair builds the fields a sweep does not read
-    on their first read. The loop's pair carries its point table and sums
-    p and q from its coefficients. A pair read off a piece keeps that
-    `piece` and `mu`: it first reads its coefficients off the piece at mu
-    (`Piece.coefficients`), then sums p and q as the loop's pair does, and
-    keeps both after every read, so a warm start walks on from its piece
-    and `support_set` reads the support off it. None of these is a field:
+    The coefficients weight the points of the two classes, p = sum
+    alpha_plus_i x_i and q = sum alpha_minus_j y_j, which no command builds.
+    A pair read off a piece keeps that `piece` and `mu`: it reads its
+    coefficients off the piece at mu (`Piece.coefficients`) on their first
+    read and keeps them, so a warm start walks on from its piece and
+    `support_set` reads the support off it without them. Neither is a field:
     the pair compares, hashes, prints, copies and pickles as the pair with
     every field given, and a copy is that eager pair, with no piece.
     """
 
-    _fields = ("p", "q", "alpha_plus", "alpha_minus", "objective")
-    __slots__ = ("_p", "_q", "_alpha_plus", "_alpha_minus", "objective", "_table", "piece", "mu")
+    _fields = ("alpha_plus", "alpha_minus", "objective")
+    __slots__ = ("_alpha_plus", "_alpha_minus", "objective", "piece", "mu")
 
-    def __init__(self, p: Vec, q: Vec, alpha_plus: tuple, alpha_minus: tuple, objective: Fraction,
-                 table: Optional[PointTable] = None, piece: Optional["Piece"] = None, mu=None):
+    def __init__(self, alpha_plus: Optional[tuple], alpha_minus: Optional[tuple], objective: Fraction,
+                 *, piece: Optional["Piece"] = None, mu=None):
         _set = object.__setattr__
-        _set(self, "_p", p)
-        _set(self, "_q", q)
         _set(self, "_alpha_plus", alpha_plus)
         _set(self, "_alpha_minus", alpha_minus)
         _set(self, "objective", objective)
-        _set(self, "_table", table)
         _set(self, "piece", piece)
         _set(self, "mu", mu)
 
@@ -160,20 +153,6 @@ class OptimalPair(FrozenRecord):
             object.__setattr__(self, "_alpha_minus", alpha_minus)
         return self._alpha_plus, self._alpha_minus
 
-    def _points(self) -> tuple:
-        table = self._table
-        if table is not None:
-            alpha_plus, alpha_minus = self._coefficients()
-            P, den_p = table.cleared_sum(enumerate(alpha_plus))
-            # the table's minus points are negated
-            Q, den_q = table.cleared_sum(enumerate(alpha_minus, len(alpha_plus)))
-            object.__setattr__(self, "_p", Vec([Fraction(c, den_p) for c in P]))
-            object.__setattr__(self, "_q", Vec([Fraction(-c, den_q) for c in Q]))
-            object.__setattr__(self, "_table", None)
-        return self._p, self._q
-
-    p = property(lambda self: self._points()[0])
-    q = property(lambda self: self._points()[1])
     alpha_plus = property(lambda self: self._coefficients()[0])
     alpha_minus = property(lambda self: self._coefficients()[1])
 
@@ -244,7 +223,8 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     the true gradients. Where the piece of the loop's working set covers mu,
     the loop's optimum is read off it, the same pair, so that the next solve
     walks on from that piece: the only place a walk starts. Elsewhere the
-    loop's pair carries no piece.
+    loop's pair carries no piece, and only there is its objective summed
+    from the coefficients (`_finish`).
     """
     table, mu = qp.table, qp.mu
     if start is not None and start.piece is not None and start.piece.table is table:
@@ -322,10 +302,9 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                     if wrong and (drop is None or i < drop):
                         drop = i
         if drop is None:
-            pair = _finish(table, x)
-            piece = Piece.build(table, working_set(pair, mu))
-            read = piece.optimum(qp) if piece is not None else None
-            return read if read is not None else pair
+            piece = Piece.build(table, working_set(x, mu))
+            pair = piece.optimum(qp) if piece is not None else None
+            return pair if pair is not None else _finish(table, x)
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
@@ -357,17 +336,17 @@ def _normal_equations(table: PointTable, free_by_class, sums) -> tuple:
 
 
 def _finish(table: PointTable, x) -> OptimalPair:
-    """The pair at coefficients x with ||p - q||^2 from the integer points; p, q on first read."""
+    """The pair at coefficients x with ||p - q||^2 from the integer points."""
     n_plus = len(table.plus_points)
     W, den_w = table.cleared_sum(enumerate(x))
     objective = Fraction(sum(c * c for c in W), den_w * den_w)
-    return OptimalPair(None, None, tuple(x[:n_plus]), tuple(x[n_plus:]), objective, table=table)
+    return OptimalPair(tuple(x[:n_plus]), tuple(x[n_plus:]), objective)
 
 
-def working_set(pair: OptimalPair, mu) -> tuple:
-    """(indices at 0, indices at mu) of the pair's coefficients, plus class first."""
+def working_set(x, mu) -> tuple:
+    """(indices at 0, indices at mu) of the coefficients x, plus class first."""
     at_lo, at_hi = [], []
-    for i, a in enumerate(pair.alpha_plus + pair.alpha_minus):
+    for i, a in enumerate(x):
         if not a:
             at_lo.append(i)
         elif a == mu:
@@ -408,7 +387,7 @@ class Piece:
     hi, as (index, new state): a free coefficient reaching 0 or mu becomes
     AT_LO or AT_HI, a bound coefficient whose gradient meets its multiplier
     becomes free (None). The objective (quadratic) is kept as integer
-    coefficients of mu; p and q are the coefficients times the table's points.
+    coefficients of mu.
     """
 
     __slots__ = (
@@ -566,9 +545,8 @@ class Piece:
         optimum, the one the loop returns.
 
         The objective is one Fraction of integer numerators, computed here.
-        The pair's coefficients (`coefficients`) and then its p and q are
-        built only when first read; a sweep reads the support off the piece
-        (`support`) instead.
+        The pair's coefficients (`coefficients`) are built only when first
+        read; a sweep reads the support off the piece (`support`) instead.
         """
         if qp.table is not self.table:
             raise ValueError("piece belongs to another point set")
@@ -580,7 +558,7 @@ class Piece:
         objective = Fraction(
             (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
         )
-        return OptimalPair(None, None, None, None, objective, table=self.table, piece=self, mu=mu)
+        return OptimalPair(None, None, objective, piece=self, mu=mu)
 
     def coefficients(self, mu: Fraction) -> tuple:
         """(alpha_plus, alpha_minus) of the piece's pair at a mu it covers.
@@ -684,15 +662,20 @@ def build_kkt_certificate(
     stays free even at mu = 1, where its weight is 0, so that the minus class
     keeps a free coefficient. The candidate is certified when the piece
     exists, covers mu, and its optimum there, the unique optimum of the
-    instance QP (`Piece.optimum`), is the candidate. Otherwise
-    CertificateError names sigma and mu.
+    instance QP (`Piece.optimum`), has the candidate's plus coefficients.
+    Otherwise CertificateError names sigma and mu.
+
+    The minus coefficients are not compared: on this working set they are
+    (mu, 1 - mu) at every mu, since left is pinned at mu and right, the
+    class's only free coefficient, takes what the class sum leaves. Nor are
+    p and q, which these coefficients fix: the tests check `build_pair`'s
+    against the sums of the coefficients times the points.
     """
     mu = mu_of_q(pair.q[-1], instance.calibration)
     n_plus = len(instance.plus_points)
     alpha_plus = [Fraction(0)] * n_plus
     for k, (s, a) in enumerate(zip(pair.sigma, decomp.alphas), start=1):
         alpha_plus[instance.plus_labels.index((k, s))] = a
-    candidate = (pair.p, pair.q, tuple(alpha_plus), (mu, 1 - mu))
     where = f"sigma={pair.sigma} at mu={mu}"
     at_lo = tuple(i for i, a in enumerate(alpha_plus) if not a)
     piece = Piece.build(instance.table, (at_lo, (n_plus,)))
@@ -701,7 +684,7 @@ def build_kkt_certificate(
     if not piece.covers(mu):
         raise CertificateError(f"piece of the working set does not cover {where}")
     optimum = piece.optimum(ReducedHullQP.from_instance(instance, mu))
-    if (optimum.p, optimum.q, optimum.alpha_plus, optimum.alpha_minus) != candidate:
+    if optimum.alpha_plus != tuple(alpha_plus):
         raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
     # lam_+ = R0 / D0 + mu R1 / D1, the plus class's multiplier, as one Fraction
     R0, D0, R1, D1 = piece._lams[0]

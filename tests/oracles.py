@@ -11,9 +11,11 @@ single-facet relaxation rather than the instance QP. The reference solver rebuil
 equations and gradients from Fraction point coordinates on every iteration,
 and the reference KKT check, multiplier ranges and uniqueness test take
 Fraction vector dot products, instead of reading the instance's point table
-(its integer points). Every linear system here, regular or
-flat, and every nullspace basis is solved by the Fraction reduced row
-echelon form below, not by the library's fraction-free elimination. The
+(its integer points). `pair_points` sums the points p and q that a solved
+pair's coefficients weight, which the library never builds. Every linear
+system here, regular or flat, and every nullspace basis is solved by the
+Fraction reduced row echelon form below, not by the library's fraction-free
+elimination. The
 reference sweep takes every record from the solver's loop, without the
 chain of affine pieces the library sweep walks, and the piece reference
 solves a piece's normal equations on Fraction differences and scans its
@@ -268,7 +270,22 @@ def _initial_point(qp, classes, n: int, start):
 
 def loop_start(pair: OptimalPair) -> OptimalPair:
     """The pair's coefficients alone: a warm start with no piece, so the loop runs from them."""
-    return OptimalPair(None, None, pair.alpha_plus, pair.alpha_minus, pair.objective)
+    return OptimalPair(pair.alpha_plus, pair.alpha_minus, pair.objective)
+
+
+def pair_points(qp, pair) -> tuple:
+    """(p, q): each class's Fraction coefficients times its Fraction points, summed.
+
+    The library keeps a pair's coefficients only; this is the point pair
+    they weight, p = sum alpha_plus_i x_i and q = sum alpha_minus_j y_j.
+    """
+    return tuple(
+        vec_add(zero(len(points[0])), *[pt * a for pt, a in zip(points, alphas, strict=True)])
+        for alphas, points in (
+            (pair.alpha_plus, qp.plus_points),
+            (pair.alpha_minus, qp.minus_points),
+        )
+    )
 
 
 def solve_reduced_distance_oracle(qp, start=None) -> OptimalPair:
@@ -373,23 +390,17 @@ def solve_reduced_distance_oracle(qp, start=None) -> OptimalPair:
                     if slack < 0 and (drop is None or i < drop):
                         drop = i
         if drop is None:
-            return _finish(qp, pts, n_plus, x)
+            return _finish(qp, n_plus, x)
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
 
 
-def _finish(qp, pts, n_plus: int, x) -> OptimalPair:
-    d = len(pts[0])
-    p = zero(d)
-    q = zero(d)
-    for i in range(n_plus):
-        if x[i]:
-            p = vec_add(p, pts[i] * x[i])
-    for i in range(n_plus, len(pts)):
-        if x[i]:
-            q = vec_add(q, pts[i] * x[i])
-    return OptimalPair(p, q, tuple(x[:n_plus]), tuple(x[n_plus:]), norm_sq(vec_sub(p, q)))
+def _finish(qp, n_plus: int, x) -> OptimalPair:
+    """The pair at coefficients x, its objective ||p - q||^2 summed by `pair_points`."""
+    coefficients = tuple(x[:n_plus]), tuple(x[n_plus:])
+    p, q = pair_points(qp, OptimalPair(*coefficients, None))
+    return OptimalPair(*coefficients, norm_sq(vec_sub(p, q)))
 
 
 
@@ -819,16 +830,15 @@ def kkt_check_reference(qp, candidate) -> bool:
     """Necessary-and-sufficient optimality check for a feasible candidate.
 
     Verifies feasibility exactly, raising ValueError with the violated
-    constraints otherwise: the coefficient counts, sums and bounds, and that
-    the stored p and q are the Fraction coefficient combinations of the
-    points. Then decides whether per-class multipliers exist: within each
-    class every free coefficient must see the same gradient lam, coefficients
-    at 0 must see gradient >= lam, and coefficients at mu gradient <= lam.
+    constraints otherwise: the coefficient counts, sums and bounds. Then
+    decides whether per-class multipliers exist: within each class every free
+    coefficient must see the same gradient lam, coefficients at 0 must see
+    gradient >= lam, and coefficients at mu gradient <= lam.
     """
     violations = []
-    for label, alphas, points, stored in (
-        ("+", candidate.alpha_plus, qp.plus_points, candidate.p),
-        ("-", candidate.alpha_minus, qp.minus_points, candidate.q),
+    for label, alphas, points in (
+        ("+", candidate.alpha_plus, qp.plus_points),
+        ("-", candidate.alpha_minus, qp.minus_points),
     ):
         if len(alphas) != len(points):
             violations.append(f"class {label}: wrong coefficient count")
@@ -838,9 +848,6 @@ def kkt_check_reference(qp, candidate) -> bool:
         for i, a in enumerate(alphas):
             if not 0 <= a <= qp.mu:
                 violations.append(f"class {label}: coefficient {i} = {a} outside [0, {qp.mu}]")
-        combination = vec_add(zero(len(points[0])), *[pt * a for pt, a in zip(points, alphas)])
-        if combination != stored:
-            violations.append(f"class {label}: stored point is not the coefficient combination")
     if violations:
         raise ValueError("; ".join(violations))
     ranges = multiplier_ranges_reference(qp, candidate)
@@ -859,7 +866,7 @@ def multiplier_ranges_reference(qp, candidate) -> tuple:
     (None when every coefficient sits at mu). KKT holds iff lo <= hi in each
     class; a free coefficient pins lo == hi.
     """
-    w = vec_sub(candidate.p, candidate.q)
+    w = vec_sub(*pair_points(qp, candidate))
     out = []
     for sign, alphas, points in (
         (1, candidate.alpha_plus, qp.plus_points),

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -20,7 +21,6 @@ from svmpath.instance_io import (
     serialize_instance,
     write_instance,
 )
-from svmpath.geometry import Vec
 from svmpath.qp import OptimalPair
 from svmpath.report_io import (
     rational_json,
@@ -178,10 +178,62 @@ class TestInstanceFiles:
         assert "n_plus 6" in text
         with pytest.raises(InstanceFormatError, match="n_plus 7 but 6 points"):
             parse_instance(text.replace("n_plus 6", "n_plus 7"))
-        with pytest.raises(InstanceFormatError, match="n_plus six but 6 points"):
+        with pytest.raises(InstanceFormatError, match="bad integer token 'six'"):
             parse_instance(text.replace("n_plus 6", "n_plus six"))
         # the header is optional in a hand-written file
         assert parse_instance(text.replace("n_plus 6\n", "")) == generate_2d_arc_instance(6)
+
+    def test_arc_n_plus_read_as_an_integer(self):
+        # as the header d is: a leading zero reads, a separator does not
+        text = serialize_instance(generate_2d_arc_instance(8))
+        assert "\nd 2\n" in text and "\nn_plus 8\n" in text
+        padded = text.replace("\nd 2\n", "\nd 02\n").replace("\nn_plus 8\n", "\nn_plus 08\n")
+        assert parse_instance(padded) == generate_2d_arc_instance(8)
+        with pytest.raises(InstanceFormatError, match="bad integer token '0_8'"):
+            parse_instance(text.replace("\nn_plus 8\n", "\nn_plus 0_8\n"))
+
+    @staticmethod
+    def refused(tmp_path, capsys, text, message):
+        """The file of `text` is refused by `parse_instance` and by `sweep` with exit 2."""
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_instance(text)
+        path, out = tmp_path / "bad.inst", tmp_path / "r.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["sweep", str(path), "--steps", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and re.search(message, captured.err)
+        assert not out.exists()
+
+    def test_mislabelled_arc_row_refused(self, tmp_path, capsys):
+        # a d = 1 row labelled 1 for +1 has two tokens, as a header line has;
+        # read as a header, the sweep would run on the other two plus points
+        text = "kind arc\nd 1\n+1 3\n+1 5\n1 7\n-1 0\n-1 -1\n"
+        self.refused(tmp_path, capsys, text, "line 5: unknown header key '1' for kind arc")
+
+    @pytest.mark.parametrize("kind", ["goldfarb", "arc"])
+    def test_unknown_header_key_refused(self, tmp_path, capsys, instance3, kind):
+        instance = instance3 if kind == "goldfarb" else generate_2d_arc_instance(6)
+        lines = serialize_instance(instance).splitlines()
+        lines.insert(3, "mu_lo 3/4")
+        message = rf"line 4: unknown header key 'mu_lo' for kind {kind}"
+        self.refused(tmp_path, capsys, "\n".join(lines) + "\n", message)
+
+    def test_other_kinds_keys_refused(self):
+        # each kind's keys are the only ones it reads
+        arc = serialize_instance(generate_2d_arc_instance(6))
+        with pytest.raises(InstanceFormatError, match="unknown header key 'eps' for kind arc"):
+            parse_instance(arc.replace("\nd 2\n", "\nd 2\neps 1/3\n"))
+        goldfarb = serialize_instance(build_instance(default_params(3), DEFAULT_STRETCH))
+        with pytest.raises(InstanceFormatError, match="unknown header key 'n_plus' for kind goldfarb"):
+            parse_instance(goldfarb.replace("\nd 3\n", "\nd 3\nn_plus 6\n"))
+
+    @pytest.mark.parametrize("key, value", [("d", "3"), ("eps", "1/3"), ("kind", "goldfarb")])
+    def test_repeated_header_key_refused(self, tmp_path, capsys, instance3, key, value):
+        lines = serialize_instance(instance3).splitlines()
+        first = next(i for i, line in enumerate(lines) if line.split()[0] == key)
+        lines.insert(first + 1, f"{key} {value}")
+        message = rf"line {first + 2}: header key '{key}' given twice"
+        self.refused(tmp_path, capsys, "\n".join(lines) + "\n", message)
 
     def test_missing_header_rejected(self):
         with pytest.raises(InstanceFormatError):
@@ -226,7 +278,7 @@ class TestSweepReports:
 
 
 def _empty_support_report():
-    pair = OptimalPair(Vec((0,)), Vec((0,)), (F(1),), (F(1, 2), F(1, 2)), F(0))
+    pair = OptimalPair((F(1),), (F(1, 2), F(1, 2)), F(0))
     records = (
         SweepRecord(F(1), frozenset(), frozenset({"left"}), F(0), pair),
         SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset(), F(-1, 3), pair),
@@ -236,7 +288,7 @@ def _empty_support_report():
 
 def _equal_support_report():
     # equal supports held by distinct frozensets, and a record with no label at all
-    pair = OptimalPair(Vec((0,)), Vec((0,)), (F(1),), (F(1, 2), F(1, 2)), F(0))
+    pair = OptimalPair((F(1),), (F(1, 2), F(1, 2)), F(0))
     supports = [
         (frozenset({(1, -1), (2, 1)}), frozenset({"left", "right"})),
         (frozenset({(2, 1), (1, -1)}), frozenset({"right", "left"})),

@@ -21,13 +21,13 @@ from oracles import (
     mu_from_nu,
     multiplier_ranges_reference,
     norm_sq,
+    pair_points,
     piece_reference,
     relaxed_facet_multiplier,
     replace,
     solve_reduced_distance_oracle,
     unique_optimum_oracle,
     unique_optimum_reference,
-    unit,
     vec_add,
     vec_sub,
 )
@@ -40,6 +40,7 @@ from svmpath.construct import (
     mu_of_q,
 )
 from svmpath.geometry import PointTable, Vec
+from svmpath.goldfarb import GoldfarbParams
 from svmpath.qp import (
     AT_HI,
     AT_LO,
@@ -66,6 +67,11 @@ CHAINS = {
     8: "1bd85a15b9508a4e94ecc9d7cf5360f960c6d4b38527d3ad24268f23a0b9759c",
 }
 ARC60_CHAIN = "b90c15c5dd1ce516ee2184ea581fd58e0c9602d63121fcd986e3c2ba1b541371"
+
+
+def working_set_of(pair, mu) -> tuple:
+    """`working_set` of a solved pair's coefficients, plus class first."""
+    return working_set(pair.alpha_plus + pair.alpha_minus, mu)
 
 
 def small_instances(count=200, seed=20260808):
@@ -103,7 +109,7 @@ class TestSolver:
         )
         sol = solve_reduced_distance(qp)
         assert sol.objective == 1
-        assert vec_sub(sol.p, sol.q) == Vec((0, 1))
+        assert vec_sub(*pair_points(qp, sol)) == Vec((0, 1))
 
     def test_oracle_equivalence_on_deterministic_instances(self):
         for qp in small_instances(60):
@@ -156,7 +162,7 @@ class TestSolver:
             mu = mu_of_q(pair.q[-1], instance4.calibration)
             qp = ReducedHullQP.from_instance(instance4, mu)
             sol = solve_reduced_distance(qp)
-            assert sol.p == pair.p and sol.q == pair.q
+            assert pair_points(qp, sol) == (pair.p, pair.q)
             assert sol.objective == norm_sq(vec_sub(pair.p, pair.q))
 
 
@@ -294,7 +300,7 @@ class TestPiece:
         """(mu, piece) for each working set of a grid sweep that has a piece."""
         out = {}
         for rec in sweep_grid(instance, F(1, 2), F(1), steps).records:
-            working = working_set(rec.pair, rec.mu)
+            working = working_set_of(rec.pair, rec.mu)
             if working not in out:
                 qp = ReducedHullQP.from_instance(instance, rec.mu)
                 piece = Piece.build(qp.table, working)
@@ -439,7 +445,7 @@ class TestPiece:
         # gradient meets its multiplier: the end is open
         instance = SvmInstance((Vec((3, -3)), Vec((1, 1))), (), (Vec((0, -2)), Vec((0, 0))))
         qp = self.at(instance, F(11, 20))
-        piece = Piece.build(qp.table, working_set(solve_reduced_distance(qp), qp.mu))
+        piece = Piece.build(qp.table, working_set_of(solve_reduced_distance(qp), qp.mu))
         assert piece.lo == F(1, 2) and not piece.lo_closed
         assert piece_events(piece, qp)[piece.lo] == {"free", "hi"}
         self.check_interval(piece, qp)
@@ -466,33 +472,25 @@ class TestPiece:
         with pytest.raises(ValueError, match="another point set"):
             piece.optimum(ReducedHullQP(PointTable(qp.plus_points, qp.minus_points), F(1, 2)))
 
-    def test_lazy_pairs_equal_the_eager_reference(self, instance4, monkeypatch):
-        # the piece's pair and the loop's build p and q on first read, once,
-        # and then compare, hash and print as the reference solver's pair,
-        # whose p and q are summed eagerly from Fraction points
+    def test_lazy_pairs_equal_the_eager_reference(self, instance4):
+        # the piece's pair builds its coefficients on first read, and the
+        # piece's pair and the loop's compare, hash and print as the
+        # reference solver's pair, whose coefficients are given eagerly
         cases = self.valid_pieces(instance4, 32)
         assert cases
-        builds = count_point_builds(monkeypatch)
         for mu, piece in cases:
             qp = self.at(instance4, mu)
-            lazy, loop = piece.optimum(qp), solve_reduced_distance(qp)
             eager = solve_reduced_distance_oracle(qp)
-            assert builds == []
-            assert lazy.p == eager.p and lazy.q == eager.q
-            assert loop.q == eager.q and loop.p == eager.p
-            lazy.p, lazy.q, loop.p
-            assert [id(pair) for pair in builds] == [id(lazy), id(loop)]
-            del builds[:]
             for fresh in (piece.optimum(qp), solve_reduced_distance(qp)):
                 assert fresh == eager and eager == fresh and hash(fresh) == hash(eager)
             assert repr(piece.optimum(qp)) == repr(solve_reduced_distance(qp)) == repr(eager)
             assert len({piece.optimum(qp), solve_reduced_distance(qp), eager}) == 1
-            del builds[:]
+        lazy = piece.optimum(qp)
         with pytest.raises(AttributeError):
-            lazy.p = eager.p
+            lazy.alpha_plus = eager.alpha_plus
         with pytest.raises(AttributeError):
             lazy.objective = F(0)
-        assert lazy != (lazy.p, lazy.q, lazy.alpha_plus, lazy.alpha_minus, lazy.objective)
+        assert lazy != (lazy.alpha_plus, lazy.alpha_minus, lazy.objective)
 
 
 class TestWalk:
@@ -577,16 +575,22 @@ class TestWalk:
         assert fresh.successor() is None
 
     @staticmethod
-    def count_loops(monkeypatch) -> list:
-        """From now on, the pair of each answer of the loop, before it is read off a piece."""
-        pairs, finish = [], qp_module._finish
+    def count_loops(monkeypatch) -> tuple:
+        """From now on, the coefficients each loop run ends at, and each pair `_finish` builds."""
+        ends, finished = [], []
+        working, finish = qp_module.working_set, qp_module._finish
+
+        def ended(x, mu):
+            ends.append(tuple(x))
+            return working(x, mu)
 
         def counted(table, x):
-            pairs.append(finish(table, x))
-            return pairs[-1]
+            finished.append(finish(table, x))
+            return finished[-1]
 
+        monkeypatch.setattr(qp_module, "working_set", ended)
         monkeypatch.setattr(qp_module, "_finish", counted)
-        return pairs
+        return ends, finished
 
     def test_start_off_another_point_set_runs_the_loop(self, instance4, monkeypatch):
         arc = generate_2d_arc_instance(8)
@@ -597,11 +601,11 @@ class TestWalk:
         piece = path_pieces(instance4, F(51, 100), F(1))[3]
         mu = (piece.lo + piece.hi) / 2
         qp = ReducedHullQP.from_instance(instance4, mu)
-        loops = self.count_loops(monkeypatch)
+        loops, _finished = self.count_loops(monkeypatch)
         pair = solve_reduced_distance(qp, start=start)
         # the loop ran, and its answer was read off a piece of the query's table
         assert len(loops) == 1 and pair.piece.table is instance4.table
-        assert pair == loops[0] == solve_reduced_distance(qp)
+        assert pair == solve_reduced_distance(qp) == solve_reduced_distance_oracle(qp)
         # a table of equal points is another point set too
         own = PointTable(instance4.plus_points, instance4.minus_points)
         start = piece.optimum(qp)
@@ -615,38 +619,28 @@ class TestWalk:
             ReducedHullQP.from_instance(build_instance(default_params(d), DEFAULT_STRETCH), F(51, 100))
             for d in range(3, 9)
         ]
-        loops = self.count_loops(monkeypatch)
+        ends, finished = self.count_loops(monkeypatch)
         kinds = set()
         for qp in qps:
-            loops.clear()
+            ends.clear()
+            finished.clear()
             answer = solve_reduced_distance(qp)
-            (pair,) = loops
-            piece = Piece.build(qp.table, working_set(pair, qp.mu))
+            (x,) = ends
+            piece = Piece.build(qp.table, working_set(x, qp.mu))
             covered = piece is not None and piece.covers(qp.mu)
             kinds.add("none" if piece is None else "covers" if covered else "misses")
-            # a piece exactly when the working set's piece covers mu, and its optimum is the loop's pair
+            # a piece exactly when the working set's piece covers mu, and its
+            # optimum is the loop's; only where none answers does `_finish` run
             assert (answer.piece is not None) == covered
+            assert answer.alpha_plus + answer.alpha_minus == x
+            assert answer.objective == norm_sq(vec_sub(*pair_points(qp, answer)))
             if covered:
                 assert (answer.piece.at_lo, answer.piece.at_hi) == (piece.at_lo, piece.at_hi)
                 assert answer.piece.table is qp.table and answer.mu == qp.mu
-                assert answer == pair
+                assert finished == []
             else:
-                assert answer is pair
+                assert len(finished) == 1 and answer is finished[0]
         assert kinds == {"none", "covers", "misses"}
-
-
-def count_point_builds(monkeypatch) -> list:
-    """From now on, each OptimalPair whose p and q get built, once per build."""
-    builds = []
-    points = OptimalPair._points
-
-    def counted(pair):
-        if pair._table is not None:
-            builds.append(pair)
-        return points(pair)
-
-    monkeypatch.setattr(OptimalPair, "_points", counted)
-    return builds
 
 
 def signed_vecs(table) -> list:
@@ -714,7 +708,7 @@ class TestPointTable:
                 own = PointTable(inst.plus_points, inst.minus_points)
                 fresh = solve_reduced_distance(ReducedHullQP(own, mu))
                 assert sol == fresh
-                piece = Piece.build(qp.table, working_set(sol, mu))
+                piece = Piece.build(qp.table, working_set_of(sol, mu))
                 if piece is not None and piece.covers(mu):
                     sol = piece.optimum(qp)
                     assert sol == fresh
@@ -734,7 +728,7 @@ class TestTableMatchesFractionReference:
         for qp in small_instances(200):
             sol = solve_reduced_distance(qp)
             assert kkt_check_reference(qp, sol)
-            piece = Piece.build(qp.table, working_set(sol, qp.mu))
+            piece = Piece.build(qp.table, working_set_of(sol, qp.mu))
             covered = piece is not None and piece.covers(qp.mu)
             verdicts.add(covered)
             if not covered:
@@ -834,7 +828,7 @@ class TestPieceMatchesFractionReference:
         verdicts = set()
         for qp in small_instances(200):
             sol = solve_reduced_distance(qp)
-            verdicts.add(self.check(qp.table, working_set(sol, qp.mu)) is None)
+            verdicts.add(self.check(qp.table, working_set_of(sol, qp.mu)) is None)
         assert verdicts == {True, False}
 
     def test_every_working_set_of_small_instances(self):
@@ -885,7 +879,7 @@ class TestPieceFractions:
 
 class TestSupportSet:
     def test_strictly_positive_entries_only(self):
-        pair = OptimalPair(Vec((0,)), Vec((0,)), (F(1), F(0)), (F(1),), F(0))
+        pair = OptimalPair((F(1), F(0)), (F(1),), F(0))
         plus, minus = support_set(pair)
         assert plus == {0} and minus == {0}
 
@@ -923,9 +917,7 @@ class TestKktCheckGeneral:
         n_plus = len(instance4.plus_points)
         p = vec_add(*instance4.plus_points) * F(1, n_plus)
         q = vec_add(*instance4.minus_points) * F(1, 2)
-        uniform = OptimalPair(
-            p, q, (F(1, n_plus),) * n_plus, (F(1, 2), F(1, 2)), norm_sq(vec_sub(p, q))
-        )
+        uniform = OptimalPair((F(1, n_plus),) * n_plus, (F(1, 2), F(1, 2)), norm_sq(vec_sub(p, q)))
         assert not kkt_check_reference(qp, uniform)
         assert uniform.objective > solve_reduced_distance(qp).objective
 
@@ -941,23 +933,23 @@ class TestKktCheckGeneral:
                 alpha_plus[idx] = decomp.alphas[k - 1]
             # the matching line coefficients put the left reduced endpoint at q
             alpha_minus = (mu, 1 - mu)
-            candidate = OptimalPair(
-                pair.p, pair.q, tuple(alpha_plus), alpha_minus, norm_sq(vec_sub(pair.p, pair.q))
-            )
+            candidate = OptimalPair(tuple(alpha_plus), alpha_minus, norm_sq(vec_sub(pair.p, pair.q)))
+            assert pair_points(qp, candidate) == (pair.p, pair.q)
             assert kkt_check_reference(qp, candidate)
 
     def test_infeasible_candidate_raises_with_violations(self):
         qp = ReducedHullQP(PointTable([Vec((0,)), Vec((2,))], [Vec((5,)), Vec((6,))]), F(1, 2))
-        bad = OptimalPair(Vec((0,)), Vec((5,)), (F(1), F(0)), (F(1), F(0)), F(25))
+        bad = OptimalPair((F(1), F(0)), (F(1), F(0)), F(25))
         with pytest.raises(ValueError, match="coefficient 0 = 1 outside"):
             kkt_check_reference(qp, bad)
 
     def test_single_flip_never_improves(self):
         for qp in small_instances(25, seed=99):
             sol = solve_reduced_distance(qp)
+            p, q = pair_points(qp, sol)
             for cls_alphas, points, other in (
-                (sol.alpha_plus, qp.plus_points, sol.q),
-                (sol.alpha_minus, qp.minus_points, sol.p),
+                (sol.alpha_plus, qp.plus_points, q),
+                (sol.alpha_minus, qp.minus_points, p),
             ):
                 n = len(cls_alphas)
                 if n == 1:
@@ -984,21 +976,36 @@ class TestCertificates:
             cert = build_kkt_certificate(instance4, pair, decomp)
             mu = mu_of_q(pair.q[-1], instance4.calibration)
             assert cert.sigma == pair.sigma and cert.mu == mu
-            assert cert.pair.p == pair.p and cert.pair.q == pair.q
             assert cert.pair.alpha_minus == (mu, 1 - mu)
             assert sorted(a for a in cert.pair.alpha_plus if a) == sorted(decomp.alphas)
             assert cert.facet_multiplier == relaxed_facet_multiplier(
                 pair, params4, 1 / DEFAULT_STRETCH.factor
             ) > 0
 
-    def test_perturbed_point_breaks_stationarity(self, instance4, constructions4):
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
+    def test_optimum_points_are_the_constructed_pair(self, d, eps, gamma):
+        # the certificate compares coefficients only: the points they weight,
+        # summed in Fractions, are `build_pair`'s p and q
+        params = GoldfarbParams(d, eps, gamma)
+        instance = build_instance(params, DEFAULT_STRETCH)
+        for pair, decomp in admissible_constructions(params, DEFAULT_STRETCH):
+            cert = build_kkt_certificate(instance, pair, decomp)
+            qp = ReducedHullQP.from_instance(instance, cert.mu)
+            assert pair_points(qp, cert.pair) == (pair.p, pair.q)
+
+    def test_perturbed_weight_breaks_stationarity(self, instance4, constructions4):
+        # half of one support weight moves to another: the sum stays 1 and
+        # the working set is the same, but the piece's optimum keeps its weights
         pair, decomp = constructions4[0]
-        moved = replace(pair, p=vec_add(pair.p, unit(4, 0) * F(1, 1000)))
+        half = decomp.alphas[1] / 2
+        moved = replace(decomp, alphas=(decomp.alphas[0] + half, half) + decomp.alphas[2:])
+        assert sum(moved.alphas) == 1
         with pytest.raises(
             CertificateError,
             match=rf"differs from the optimum of its piece for sigma={re.escape(str(pair.sigma))} at mu=",
         ):
-            build_kkt_certificate(instance4, moved, decomp)
+            build_kkt_certificate(instance4, pair, moved)
 
     def test_other_sigmas_decomposition_rejected(self, instance4, constructions4):
         (pair, _), (_, other) = constructions4[:2]
@@ -1093,7 +1100,7 @@ class TestUniqueOptimum:
         qp = ReducedHullQP(PointTable(plus, minus), mu)
         p = vec_add(*[v * a for v, a in zip(qp.plus_points, alpha_plus)])
         q = vec_add(*[v * a for v, a in zip(qp.minus_points, alpha_minus)])
-        candidate = OptimalPair(p, q, alpha_plus, alpha_minus, norm_sq(vec_sub(p, q)))
+        candidate = OptimalPair(alpha_plus, alpha_minus, norm_sq(vec_sub(p, q)))
         assert kkt_check_reference(qp, candidate)
         assert solve_reduced_distance(qp).objective == candidate.objective
         assert not unique_optimum_oracle(qp, candidate)
@@ -1105,7 +1112,7 @@ class TestUniqueOptimum:
         covered = not_unique = 0
         for qp in small_instances(200):
             sol = solve_reduced_distance(qp)
-            piece = Piece.build(qp.table, working_set(sol, qp.mu))
+            piece = Piece.build(qp.table, working_set_of(sol, qp.mu))
             if piece is not None and piece.covers(qp.mu):
                 assert piece.optimum(qp) == sol
                 assert unique_optimum_oracle(qp, sol)

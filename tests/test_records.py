@@ -4,8 +4,8 @@ Every record compares, hashes, prints, copies and refuses assignment as the
 frozen dataclass of its fields did; the reprs pinned below are the ones that
 dataclass printed. The oracles' `Polygon2` is built on the same
 `FrozenRecord` and has its sample here too. A pair read off a piece, which
-builds its coefficients and then p and q on first read, does all of that as
-the pair of every field given eagerly. Importing the package or its command
+builds its coefficients on first read, does all of that as the pair of
+every field given eagerly. Importing the package or its command
 line loads neither `dataclasses` nor `inspect`; `gen` and `gen-arc` load neither
 the solver, the sweep, the report writer nor `json`, and `shadow-svg` neither
 the solver nor the sweep.
@@ -18,7 +18,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fresh_cli, fresh_python
-from oracles import CubeVertex, Polygon2, replace
+from oracles import CubeVertex, Polygon2, pair_points, replace
 from svmpath import construct
 from svmpath.construct import (
     Calibration,
@@ -63,25 +63,21 @@ def test_command_loads_only_its_own_modules(tmp_path, argv, unused):
 
 
 TABLE = PointTable([Vec([1, 0]), Vec([2, 1])], [Vec([0, F(1, 2)]), Vec([1, 1])])
-PAIR = OptimalPair(Vec([1, 0]), Vec([0, F(1, 2)]), (F(1), F(0)), (F(1),), F(5, 4))
+PAIR = OptimalPair((F(1), F(0)), (F(1),), F(5, 4))
 RECORD = SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset({"left"}), F(5, 4), PAIR)
 # the piece of TABLE with plus point 0 and minus point 1 at mu, on [1/2, 5/7]
 PIECE = Piece.build(TABLE, ((), (0, 3)))
-PIECE_PAIR = OptimalPair(
-    Vec([F(4, 3), F(1, 3)]), Vec([F(2, 3), F(5, 6)]), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), F(25, 36)
-)
+PIECE_PAIR = OptimalPair((F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), F(25, 36))
 PIECE_PAIR_REPR = (
-    "OptimalPair(p=(Fraction(4, 3), Fraction(1, 3)), q=(Fraction(2, 3), Fraction(5, 6)), "
-    "alpha_plus=(Fraction(2, 3), Fraction(1, 3)), alpha_minus=(Fraction(1, 3), Fraction(2, 3)), "
-    "objective=Fraction(25, 36))"
+    "OptimalPair(alpha_plus=(Fraction(2, 3), Fraction(1, 3)), "
+    "alpha_minus=(Fraction(1, 3), Fraction(2, 3)), objective=Fraction(25, 36))"
 )
 CALIBRATION = Calibration(F(1, 2), F(-3), F(-1), Vec([0, 2, -3]), Vec([0, 2, 5]))
 
 # name -> (record, its repr as the frozen dataclass printed it); <table>
 # stands for the repr of TABLE, which has no fields to print
 PAIR_REPR = (
-    "OptimalPair(p=(Fraction(1, 1), Fraction(0, 1)), q=(Fraction(0, 1), Fraction(1, 2)), "
-    "alpha_plus=(Fraction(1, 1), Fraction(0, 1)), alpha_minus=(Fraction(1, 1),), "
+    "OptimalPair(alpha_plus=(Fraction(1, 1), Fraction(0, 1)), alpha_minus=(Fraction(1, 1),), "
     "objective=Fraction(5, 4))"
 )
 RECORD_REPR = (
@@ -165,7 +161,8 @@ SAMPLES = {
 }
 # samples built unread for each test: the pair of PIECE at mu = 2/3 holds
 # the piece and mu, and builds its coefficients on a first read
-FRESH = {"OptimalPair.piece": lambda: PIECE.optimum(ReducedHullQP(TABLE, F(2, 3)))}
+PIECE_QP = ReducedHullQP(TABLE, F(2, 3))
+FRESH = {"OptimalPair.piece": lambda: PIECE.optimum(PIECE_QP)}
 
 
 def other_value(value):
@@ -203,7 +200,7 @@ class TestValueSemantics:
         for name in record._fields:
             value = other_value(getattr(record, name))
             changed = copy.copy(record)
-            # OptimalPair keeps p and q in private slots behind properties
+            # OptimalPair keeps its coefficients in private slots behind properties
             slot = name if name in type(record).__slots__ else "_" + name
             object.__setattr__(changed, slot, value)
             assert changed != record and record != changed, name
@@ -259,7 +256,7 @@ class TestPairReadOffAPiece:
             lambda pair: copy.deepcopy(pair) == PIECE_PAIR,
             lambda pair: pickle.loads(pickle.dumps(pair)) == PIECE_PAIR,
             lambda pair: pair.alpha_plus + pair.alpha_minus == PIECE_PAIR.alpha_plus + PIECE_PAIR.alpha_minus,
-            lambda pair: (pair.p, pair.q) == (PIECE_PAIR.p, PIECE_PAIR.q),
+            lambda pair: pair_points(PIECE_QP, pair) == (Vec([F(4, 3), F(1, 3)]), Vec([F(2, 3), F(5, 6)])),
         ],
         ids=["eq", "eq_reflected", "hash", "set", "repr", "copy", "deepcopy", "pickle", "alphas", "points"],
     )
@@ -273,7 +270,7 @@ class TestPairReadOffAPiece:
 
     def test_copies_are_eager(self):
         for clone in (copy.copy(self.fresh()), pickle.loads(pickle.dumps(self.fresh()))):
-            assert clone.piece is None and clone._table is None and clone == PIECE_PAIR
+            assert clone.piece is None and clone == PIECE_PAIR
 
     def test_unread_pair_refuses_assignment(self):
         pair = self.fresh()

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import DEFAULT_STRETCH, default_params
 from oracles import coefficient_support, replace, sweep_refined_oracle
-from test_qp import count_point_builds, small_instances
+from test_qp import small_instances
 from svmpath.construct import (
     MINUS_LABELS,
     SvmInstance,
@@ -168,19 +168,6 @@ class TestRefinedSweep:
 
 
 class TestLazyPairs:
-    def test_sweep_builds_no_p_or_q(self, instance4, monkeypatch, tmp_path):
-        # the records and the report read only alphas, objectives and
-        # supports, so no pair's p or q is ever built
-        builds = count_point_builds(monkeypatch)
-        report = sweep_refined(instance4, F(8, 10), F(1), 64, 3)
-        write_sweep_report(report, tmp_path / "r.json", {"d": 4, "steps": 64})
-        assert builds == []
-        # every record's pair, off a piece or from the loop, builds once, when read
-        for rec in report.records:
-            rec.pair.p, rec.pair.q, rec.pair.q
-        assert [id(pair) for pair in builds] == [id(rec.pair) for rec in report.records]
-
-
     def test_records_off_pieces_build_no_coefficients(self, instance4, tmp_path):
         # a record read off a piece takes its support from the piece, and the
         # reports read none of its pair's coefficients: the loop solves the
@@ -237,19 +224,19 @@ class TestPiecesMatchTheLoop:
 
     @pytest.fixture
     def tally(self, monkeypatch):
-        """Loop runs (calls of `qp._finish`) and `Piece.build` calls from now on."""
+        """Loop runs (calls of `qp._initial_point`) and `Piece.build` calls from now on."""
         counts = {"loops": 0, "built": 0}
-        finish, build = qp_module._finish, Piece.build.__func__
+        initial, build = qp_module._initial_point, Piece.build.__func__
 
-        def finished(table, x):
+        def started(qp, classes, n, start):
             counts["loops"] += 1
-            return finish(table, x)
+            return initial(qp, classes, n, start)
 
         def built(cls, table, working):
             counts["built"] += 1
             return build(cls, table, working)
 
-        monkeypatch.setattr(qp_module, "_finish", finished)
+        monkeypatch.setattr(qp_module, "_initial_point", started)
         monkeypatch.setattr(Piece, "build", classmethod(built))
         return counts
 
@@ -259,11 +246,9 @@ class TestPiecesMatchTheLoop:
         report = sweep_refined(instance, F(1, 2), F(1), steps, depth)
         loops, built = tally["loops"], tally["built"]
         oracle = sweep_refined_oracle(instance, F(1, 2), F(1), steps, depth)
+        # every pair's coefficients, built on first read from a piece's
+        # integers, are the loop's
         assert report == oracle
-        # p and q, built on first read from a piece's integer coefficients,
-        # are the loop's
-        for got, want in zip(report.records, oracle.records, strict=True):
-            assert (got.pair.p, got.pair.q) == (want.pair.p, want.pair.q)
         # the loop solves the two lowest grid points: at mu = 1/2 both minus
         # coefficients sit at mu, so no piece exists there, and the walk
         # starts from the second; every other record is read off the
