@@ -35,9 +35,20 @@ solver with the command line, and `strictness-not-a-failure` takes
 A certificate compares the optimum's plus coefficients with the
 decomposition weights, and no points: `certificate-ignores-weights` drops
 that comparison. The points it leaves out are checked by a test that sums
-the optimum's coefficients times the points and compares them with
-`build_pair`'s p and q; `pair-p-misbuilt` flips a sign in that p, and only
-that test is run against it.
+the optimum's coefficients times the points and compares them with the
+Fraction construction's p and q in `tests/oracles.py`. No module builds p:
+the integer rows X0 and X1 of `_unstretched_pair` fix its weights, and
+`pair-p-misbuilt` flips a sign in X0; only that test is run against it.
+
+`strictness-not-strict` lets a zero weight pass `facet_strictness_check`, so
+a point on two facets would count as strictly inside all but its own; the
+strictness tests' points tight on another facet kill it. `gap-sign-flipped`
+flips the sign of the gaps of the coefficients at mu in `Piece._measure`.
+Only the duality-gap tests, which share no code with the pieces, are run
+against it. They kill it by their walk's coverage of [51/100, 1] and by
+their certificates: with the flip, the loop's answer at 51/100 lies on no
+piece, so the walk is empty, and no certificate's piece covers its mu. The
+gap itself stays 0 on every piece the mutant still accepts.
 
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
@@ -64,6 +75,8 @@ FRESH_FAILURE_TESTS = (
 )
 WEIGHT_TESTS = ("tests/test_qp.py::TestCertificates::test_perturbed_weight_breaks_stationarity",)
 POINT_TESTS = ("tests/test_qp.py::TestCertificates::test_optimum_points_are_the_constructed_pair",)
+STRICTNESS_TESTS = ("tests/test_construct.py::TestFacetStrictness",)
+GAP_TESTS = ("tests/test_qp.py::TestDualityGap",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -171,9 +184,23 @@ MUTANTS = (
     (
         "pair-p-misbuilt",
         "construct.py",
-        "2 * E + side * V[-2]",
-        "2 * E - side * V[-2]",
+        "2 * g * S2 + H * V[-2]",
+        "2 * g * S2 - H * V[-2]",
         POINT_TESTS,
+    ),
+    (
+        "strictness-not-strict",
+        "construct.py",
+        "all(w > 0 for w in W)",
+        "all(w >= 0 for w in W)",
+        STRICTNESS_TESTS,
+    ),
+    (
+        "gap-sign-flipped",
+        "qp.py",
+        "((self.at_lo, 1), (self.at_hi, -1))",
+        "((self.at_lo, 1), (self.at_hi, 1))",
+        GAP_TESTS,
     ),
 )
 

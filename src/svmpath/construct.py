@@ -3,8 +3,11 @@
 For each admissible sign vector sigma (last two entries +1) the construction
 produces a point q_sigma on the vertical line {x : x_1 = ... = x_{d-2} = 0,
 x_{d-1} = 2} and its projection p_sigma onto the sigma-facet of the stretched
-dual cube. Two extra points on that line, calibrated in one integer pass over
-the sigmas, turn the family into a single SVM instance whose path visits every pair.
+dual cube, held as its weights over that facet's d vertices. From the shadow
+ring's integer support of sigma to q_sigma and those weights, every step is
+in integers. Two extra points on that line, calibrated in one integer pass
+over the sigmas, turn the family into a single SVM instance whose path visits
+every pair.
 """
 
 from __future__ import annotations
@@ -62,22 +65,18 @@ def line_point(dim: int, last: Fraction) -> Vec:
 
 
 class ConstructedPair(FrozenRecord):
-    """One breakpoint of the path: sigma, its shadow point, q, and p.
+    """One breakpoint of the path: sigma and q = (0, ..., 0, 2, q_d) on the construction line.
 
-    p_shadow is the unstretched supporting point in the sigma-facet; q sits on
-    the line with q[-2] = 2; p is the projection of q back onto the stretched
-    sigma-facet; slack = 1 - v_sigma(ell) . q < 0.
+    Its p, the projection of q onto the stretched sigma-facet, is no field:
+    `support_decomposition`'s weights over the stretched facet duals fix it,
+    and they are what a certificate compares.
     """
 
-    __slots__ = _fields = ("sigma", "p_shadow", "q", "p", "slack")
+    __slots__ = _fields = ("sigma", "q")
 
-    def __init__(self, sigma: SignVec, p_shadow: Vec, q: Vec, p: Vec, slack: Fraction):
-        _set = object.__setattr__
-        _set(self, "sigma", sigma)
-        _set(self, "p_shadow", p_shadow)
-        _set(self, "q", q)
-        _set(self, "p", p)
-        _set(self, "slack", slack)
+    def __init__(self, sigma: SignVec, q: Vec):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "q", q)
 
 
 class SupportDecomposition(FrozenRecord):
@@ -167,57 +166,47 @@ MINUS_LABELS = ("left", "right")
 
 @lru_cache(maxsize=None)
 def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
-    """(p_shadow, (V, D, S1, S2, H, g, Qd), (U, W, top)): the part of a pair that no stretch changes.
+    """((S1, S2, g, Qd), (U, W, top)): the part of a pair that no stretch changes.
 
-    The shadow point a moves along v(0) = stretch(v_sigma, 0) to the line,
+    The shadow point a = (0, ..., 0, N1 / S, N2 / S) of `shadow_certificate`
+    moves along v(0) = stretch(v_sigma, 0) to the line,
     q = a - v(0) slack / ||v(0)||^2 with q[-2] = 2, so q = (0, ..., 0, 2, q_d)
     for q_d = a_d - (a_(d-1) - 2) v_d / v_(d-1), and slack = 1 - v(0) . q < 0
-    since a_(d-1) <= 1. Here v = V / D is `vertex_row`'s integer row,
-    S1 = sum of V_k^2 over k <= d-2, S2 = V_(d-1)^2 + V_d^2, and slack D =
-    H / g and q_d = Qd / g, over r1 r2 V_(d-1) for a_(d-1) = n1 / r1 and
-    a_d = n2 / r2, then over their least g; `build_pair` makes Fractions.
+    since a_(d-1) <= 1. Here v = V / D is
+    `vertex_row`'s integer row, S1 = sum of V_k^2 over k <= d-2 and
+    S2 = V_(d-1)^2 + V_d^2. Over g = S V_(d-1), q_d = Qd / g for
+    Qd = N2 V_(d-1) - (N1 - 2 S) V_d, and slack D = H / g; the three are then
+    divided by their gcd, which leaves them canonical since g > 0.
 
     The facet weights of p are affine in t = 1/L^2: with X0 = (0, ..., 0,
     2 g S2 + H V_(d-1), Qd S2 + H V_d) and X1 = (H V_1, ..., H V_(d-2),
     2 g S1, Qd S1), g (t S1 + S2) stretch(p, 1/L) = X0 + t X1, whose
     `facet_weights` are (U + t W, top) for those (U, top) of X0 and W of X1.
     """
-    a = shadow_certificate(params, sigma).vector
+    N1, N2, S = shadow_certificate(params, sigma)
     V, D = vertex_row(params, sigma)
     if V[-2] <= 0:
-        raise ValueError("vertex must have positive second-to-last coordinate")
-    (n1, r1), (n2, r2) = a[-2].as_integer_ratio(), a[-1].as_integer_ratio()
-    g = r1 * r2 * V[-2]
-    Qd = n2 * r1 * V[-2] - (n1 - 2 * r1) * r2 * V[-1]
+        raise ValueError(f"vertex must have positive second-to-last coordinate at sigma={sigma}")
+    g = S * V[-2]
+    Qd = N2 * V[-2] - (N1 - 2 * S) * V[-1]
     H = g * (D - 2 * V[-2]) - Qd * V[-1]
     if H >= 0:
-        raise ValueError("slack must be negative")
+        raise ValueError(f"slack must be negative at sigma={sigma}")
     c = gcd(g, H, Qd)
     g, H, Qd = g // c, H // c, Qd // c
     S1, S2 = sum([v * v for v in V[:-2]]), V[-2] * V[-2] + V[-1] * V[-1]
     U, top = facet_weights(params, sigma, [0] * (len(V) - 2) + [2 * g * S2 + H * V[-2], Qd * S2 + H * V[-1]])
     W, _ = facet_weights(params, sigma, [H * v for v in V[:-2]] + [2 * g * S1, Qd * S1])
-    return a, (V, D, S1, S2, H, g, Qd), (U, W, top)
+    return (S1, S2, g, Qd), (U, W, top)
 
 
-def build_pair(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> ConstructedPair:
-    """Assemble the breakpoint pair for one admissible sigma.
-
-    Only p depends on the stretch factor: it projects q onto the facet
-    v(1/L) . x = 1, p = q + v(1/L) slack / ||v(1/L)||^2 (v(1/L) . q = v(0) . q).
-    With L = n / m, ||v(1/L)||^2 = N / (n D)^2 for N = m^2 S1 + n^2 S2, so p
-    is one integer vector over g N.
-    """
+def build_pair(params: GoldfarbParams, sigma: SignVec) -> ConstructedPair:
+    """The breakpoint pair of one admissible sigma: its q, which no stretch changes."""
     sigma = tuple(sigma)
     if sigma[-2] != 1 or sigma[-1] != 1:
         raise ValueError("pair construction needs the last two signs to be +1")
-    p_shadow, (V, D, S1, S2, H, g, Qd), _ = _unstretched_pair(params, sigma)
-    n, m = s.factor.numerator, s.factor.denominator
-    N = m * m * S1 + n * n * S2
-    E, top, side = g * N, H * m * n, H * n * n
-    P = [top * v for v in V[:-2]] + [2 * E + side * V[-2], Qd * N + side * V[-1]]
-    q = line_point(len(V), Fraction(Qd, g))
-    return ConstructedPair(sigma, p_shadow, q, Vec([Fraction(c, E) for c in P]), Fraction(H, g * D))
+    *_, g, Qd = _unstretched_pair(params, sigma)[0]
+    return ConstructedPair(sigma, line_point(params.dim, Fraction(Qd, g)))
 
 
 def facet_strictness_check(weights: tuple) -> bool:
@@ -245,7 +234,7 @@ def _weights(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> tuple:
 
     StrictnessError is raised unless they pass `facet_strictness_check`.
     """
-    _, (_, _, S1, S2, _, g, _), (U, W, top) = _unstretched_pair(params, sigma)
+    (S1, S2, g, _), (U, W, top) = _unstretched_pair(params, sigma)
     nn, mm = s.factor.numerator ** 2, s.factor.denominator ** 2
     A = [nn * u + mm * w for u, w in zip(U, W)]
     den = g * (mm * S1 + nn * S2) * top
@@ -289,7 +278,7 @@ def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
     Raises StrictnessError when L^2 <= `stretch_threshold`.
     """
     return tuple(
-        (build_pair(params, sigma, s), support_decomposition(sigma, params, s))
+        (build_pair(params, sigma), support_decomposition(sigma, params, s))
         for sigma in admissible_sign_vectors(params.dim)
     )
 
@@ -306,7 +295,7 @@ def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
     mu, lo, hi = (1, 2), None, None
     for sigma in admissible_sign_vectors(params.dim):
         A, den = _weights(params, sigma, s)
-        *_, g, Qd = _unstretched_pair(params, sigma)[1]
+        *_, g, Qd = _unstretched_pair(params, sigma)[0]
         if max(A) * mu[1] > mu[0] * den:
             mu = (max(A), den)
         if lo is None or Qd * lo[1] < lo[0] * g:

@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Optional
 from .geometry import FrozenRecord, Vec, VerificationFailure, common_denominator
 
 SignVec = tuple  # entries in {-1, +1}
-_ZERO = Fraction(0)
 
 
 class ShadowPropertyError(VerificationFailure):
@@ -78,22 +77,6 @@ class DualVertex(FrozenRecord):
         _set(self, "k", k)
         _set(self, "s", s)
         _set(self, "coords", coords)
-
-
-class ShadowCertificate(FrozenRecord):
-    """A supporting point/normal a with a . v_sigma = 1 and a . v_tau < 1 otherwise.
-
-    The vector lives in the plane spanned by the last two coordinates (all
-    earlier entries are exactly zero), so it is simultaneously a point of the
-    dual cube and the normal of a line strictly supporting the shadow polygon
-    at the projection of v_sigma.
-    """
-
-    __slots__ = _fields = ("sigma", "vector")
-
-    def __init__(self, sigma: SignVec, vector: Vec):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "vector", vector)
 
 
 def sign_vectors(dim: int) -> Iterator[SignVec]:
@@ -231,25 +214,12 @@ def vertex_row(params: GoldfarbParams, sigma: SignVec) -> tuple:
     return [v // c for v in V], top // c
 
 
-def _gray_rank(sigma: SignVec) -> int:
-    """sigma's position on the ring: the inverse Gray code of its signs, sign k as bit k-1."""
-    g = rank = sum([1 << k for k, s in enumerate(sigma) if s == 1])
-    while g := g >> 1:
-        rank ^= g
-    return rank
-
-
-def _gray_sigma(rank: int, dim: int) -> SignVec:
-    """The sign vector at ring position `rank`: bit k-1 of rank's Gray code is sign k."""
-    g = rank ^ rank >> 1
-    return tuple([1 if g >> k & 1 else -1 for k in range(dim)])
-
-
 def _gray_ring(params: GoldfarbParams) -> Iterator[tuple]:
     """(sigma, m^d (x_(d-1), x_d)) for the 2^d vertices in reflected Gray-code order.
 
     From (-1, ..., -1), step i flips sign j + 1 for j the lowest set bit of
-    i, so sigma comes at step `_gray_rank(sigma)`, and recomputes the vertex
+    i, so step i reaches the sigma whose +1 signs are the set bits of the
+    Gray code i ^ (i >> 1), sign k as bit k - 1, and recomputes the vertex
     from that coordinate on: O(d) integers are kept.
     """
     d, m = params.dim, _integer_bands(params)[0]
@@ -331,33 +301,26 @@ def shadow_polygon(params: GoldfarbParams) -> tuple:
     return tuple(ring[i:] + ring[:i])
 
 
-def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> ShadowCertificate:
-    """Strictly supporting inequality a . x <= 1 at the projection of v_sigma.
+def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> tuple:
+    """(N1, N2, S), S > 0: the strictly supporting point a = (0, ..., 0, N1 / S, N2 / S) at v_sigma.
 
-    Construction: at the ring vertex, sum the outward normals of the two
-    incident edges, each rescaled by its 1-norm, then scale the embedded
-    direction so a . v_sigma = 1. Summing two edge normals gives a direction
-    whose supporting line touches the ring at that vertex only.
-
-    An admissible sigma's integer `_support` n at its ring point pt comes from
-    `_shadow_data`'s pass; any other's from its ring neighbours at Gray ranks
-    r - 1 and r + 1 around its rank r, three O(d) recursions. Then
-    a = m^d n / (n . pt): the ring's scale m^d cancels. `_shadow_data` proves
-    the ring strictly convex, so a is tight at v_sigma and below 1 at both
-    ring neighbours, and so at every other vertex, in the cone they span.
+    a . v_sigma = 1 and a . v_tau < 1 at every other vertex. All but its last
+    two entries are zero, so a is at once a point of the dual cube and the
+    normal of a line touching the shadow at the projection of v_sigma only.
+    At that ring point pt, `_shadow_data`'s pass sums the outward normals of
+    the two incident edges, each rescaled by its 1-norm, to the integer
+    `_support` n; then a = m^d n / (n . pt), as the ring is m^d times the
+    projections. `_shadow_data` proves the ring strictly convex, so a is
+    tight at v_sigma and below 1 at both ring neighbours, and so at every
+    other vertex, in the cone they span. Only an admissible sigma has its
+    support kept; any other raises ValueError, naming it.
     """
     den, supports = _shadow_data(params)
-    d, sigma = params.dim, tuple(sigma)
-    if len(sigma) != d or any(s not in (-1, 1) for s in sigma):
-        raise ValueError("sigma must be a length-dim vector over {-1, +1}")
+    sigma = tuple(sigma)
     support = supports.get(sigma)
     if support is None:
-        r, n, m = _gray_rank(sigma), 1 << d, _integer_bands(params)[0]
-        ring = [_vertex(params, _gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
-        (ax, ay), (bx, by), (cx, cy) = [(m * X[-2], X[-1]) for X in ring]
-        support = _support(bx - ax, by - ay, cx - bx, cy - by, bx, by)
+        raise ValueError(f"sigma={sigma} is not an admissible sign vector of length {params.dim}")
     nx, ny, scale = support
     if scale <= 0:
-        raise ShadowPropertyError("support scale must be positive (origin interior)")
-    vector = Vec([_ZERO] * (d - 2) + [Fraction(den * nx, scale), Fraction(den * ny, scale)])
-    return ShadowCertificate(sigma, vector)
+        raise ShadowPropertyError(f"support scale must be positive (origin interior) at sigma={sigma}")
+    return den * nx, den * ny, scale

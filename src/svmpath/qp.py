@@ -668,8 +668,9 @@ def build_kkt_certificate(
     The minus coefficients are not compared: on this working set they are
     (mu, 1 - mu) at every mu, since left is pinned at mu and right, the
     class's only free coefficient, takes what the class sum leaves. Nor are
-    p and q, which these coefficients fix: the tests check `build_pair`'s
-    against the sums of the coefficients times the points.
+    p and q, which these coefficients fix and no module builds: the tests
+    check the sums of the coefficients times the points against the Fraction
+    construction of the test oracles.
     """
     mu = mu_of_q(pair.q[-1], instance.calibration)
     n_plus = len(instance.plus_points)

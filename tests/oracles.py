@@ -26,14 +26,18 @@ projections' monotone-chain hull (`hull_chain`), whose constructor checks
 strict convexity, where the library walks one integer ring in Gray-code
 order and keeps none of it; the certificate reference takes its edge
 normals on that Fraction polygon, and the three-vertex reference
-(`three_vertex_certificate`) recomputes sigma's two ring neighbours where the
-library reads its support off the ring pass. The construction references build q, p
-and the facet weights in Fraction vectors, where the library clears them to
-integers over one denominator, and the calibration reference (`calibrate`)
+(`three_vertex_certificate`) recomputes sigma's two ring neighbours, for any
+sigma, where the library reads an admissible sigma's integer support off the
+ring pass. The construction references build the shadow point, q, the slack,
+p and the facet weights in Fraction vectors, where the library keeps q and
+the weights only, in integers over one denominator, and the calibration reference (`calibrate`)
 reads the extremes off those Fraction pairs and decompositions, where the
 library takes them in one integer pass. The sweep report reference builds the
 report's document as a dict for `json.dumps`, where the library writes each
-record from a text template. All are exact.
+record from a text template. The duality gap (`duality_gap`) decides whether
+feasible coefficients are optimal from the capped-simplex extremes of each
+class along w = p - q, with no working set or multiplier, where the library
+proves an optimum by its piece. All are exact.
 
 The last functions are helpers that only tests need: the library's
 strictness check of a point, the inverse parameter conversion, the two-point
@@ -57,10 +61,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, common_denominator
 from svmpath.goldfarb import (
-    ShadowCertificate,
     ShadowPropertyError,
-    _gray_rank,
-    _gray_sigma,
     _integer_bands,
     _pair_bands,
     _vertex,
@@ -603,12 +604,13 @@ def fraction_shadow(params) -> tuple:
     return hull, {owner[pt]: i for i, pt in enumerate(hull.vertices)}
 
 
-def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
-    """Reference for goldfarb.shadow_certificate, built on the Fraction hull.
+def shadow_certificate_reference(params, sigma) -> Vec:
+    """Reference for goldfarb.shadow_certificate's point, built on the Fraction hull.
 
     At sigma's vertex pt of the Polygon2 hull, the outward normals of the two
     incident edges, each divided by its 1-norm, are summed to n; the
-    certificate is n / (n . pt) in the last two coordinates.
+    supporting point is n / (n . pt) in the last two coordinates, 0 elsewhere.
+    Any sigma has one.
     """
     hull, pos = fraction_shadow(params)
     vs = hull.vertices
@@ -619,29 +621,49 @@ def shadow_certificate_reference(params, sigma) -> ShadowCertificate:
         dx, dy = b[0] - a[0], b[1] - a[1]
         n = vec_add(n, Vec((dy, -dx)) * (1 / (abs(dy) + abs(dx))))
     scale = dot(n, pt)
-    return ShadowCertificate(tuple(sigma), Vec([0] * (params.dim - 2) + [n[0] / scale, n[1] / scale]))
+    return Vec([0] * (params.dim - 2) + [n[0] / scale, n[1] / scale])
 
 
-def three_vertex_certificate(params, sigma) -> ShadowCertificate:
-    """Reference for goldfarb.shadow_certificate that recomputes sigma's ring neighbours.
+def gray_rank(sigma) -> int:
+    """sigma's position on the shadow ring: the inverse Gray code of its signs, sign k as bit k-1."""
+    g = rank = sum([1 << k for k, s in enumerate(sigma) if s == 1])
+    while g := g >> 1:
+        rank ^= g
+    return rank
 
-    The ring points at Gray ranks r - 1, r and r + 1 around sigma's rank r
-    come from three `_vertex` recursions; the support n = |f|_1 (e_y, -e_x) +
-    |e|_1 (f_y, -f_x) of the edges e into and f out of sigma's point pt is
-    then scaled to a = m^d n / (n . pt).
+
+def gray_sigma(rank: int, dim: int) -> tuple:
+    """The sign vector at ring position `rank`: bit k-1 of rank's Gray code is sign k."""
+    g = rank ^ rank >> 1
+    return tuple([1 if g >> k & 1 else -1 for k in range(dim)])
+
+
+def shadow_point(params, sigma) -> Vec:
+    """The library's supporting point of an admissible sigma, (0, ..., 0, N1 / S, N2 / S) as Fractions."""
+    N1, N2, S = shadow_certificate(params, sigma)
+    return Vec([Fraction(0)] * (params.dim - 2) + [Fraction(N1, S), Fraction(N2, S)])
+
+
+def three_vertex_certificate(params, sigma) -> Vec:
+    """Reference for goldfarb.shadow_certificate's point that recomputes sigma's ring neighbours.
+
+    Any sigma has one; the library keeps the support of admissible sigmas
+    only, off its ring pass. The ring points at Gray ranks r - 1, r and r + 1
+    around sigma's rank r come from three `_vertex` recursions; the support
+    n = |f|_1 (e_y, -e_x) + |e|_1 (f_y, -f_x) of the edges e into and f out
+    of sigma's point pt is then scaled to a = m^d n / (n . pt).
     """
     (m, _, den), d, sigma = _integer_bands(params), params.dim, tuple(sigma)
-    r, n = _gray_rank(sigma), 1 << d
-    prv, cur, nxt = [_vertex(params, _gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
+    r, n = gray_rank(sigma), 1 << d
+    prv, cur, nxt = [_vertex(params, gray_sigma(i % n, d)) for i in (r - 1, r, r + 1)]
     bx, by = m * cur[-2], cur[-1]
     ex, ey, fx, fy = bx - m * prv[-2], by - prv[-1], m * nxt[-2] - bx, nxt[-1] - by
     le, lf = abs(ex) + abs(ey), abs(fx) + abs(fy)
     nx, ny = lf * ey + le * fy, -lf * ex - le * fx
     scale = nx * bx + ny * by
     if scale <= 0:
-        raise ShadowPropertyError("support scale must be positive (origin interior)")
-    vector = Vec([Fraction(0)] * (d - 2) + [Fraction(den * nx, scale), Fraction(den * ny, scale)])
-    return ShadowCertificate(sigma, vector)
+        raise ShadowPropertyError(f"support scale must be positive (origin interior) at sigma={sigma}")
+    return Vec([Fraction(0)] * (d - 2) + [Fraction(den * nx, scale), Fraction(den * ny, scale)])
 
 
 @lru_cache(maxsize=None)
@@ -664,13 +686,13 @@ def facet_strictness_oracle(p, params, ell, sigma) -> bool:
     return True
 
 
-def shadow_certificate_oracle(cert, params) -> bool:
-    """Whether a shadow certificate is tight at its own projected vertex and
+def shadow_certificate_oracle(params, sigma, point) -> bool:
+    """Whether a supporting point of sigma is tight at sigma's projected vertex and
     strictly below 1 at every other projected vertex, one Fraction dot each."""
-    n2 = Vec(cert.vector[-2:])
+    n2, sigma = project_shadow(point), tuple(sigma)
     for tau, vertex in fraction_vertices(params):
         value = dot(n2, project_shadow(vertex))
-        if tau == cert.sigma:
+        if tau == sigma:
             if value != 1:
                 return False
         elif value >= 1:
@@ -771,12 +793,13 @@ def facet_weights_reference(params, sigma, x) -> tuple:
 def construction_reference(params, sigma, factors) -> tuple:
     """(p_shadow, q, slack, [(p, alphas) per stretch factor L]) of sigma, in Fraction vectors.
 
-    The shadow point is the library's certificate (the shadow tests compare
-    it with `shadow_certificate_reference`) and the vertex `cube_vertex`'s;
-    alphas is None where the weights fail the strictness predicate,
-    sum(alpha) == 1 and all(alpha > 0).
+    The shadow point is the library's certificate (`shadow_point`; the shadow
+    tests compare it with `shadow_certificate_reference`) and the vertex
+    `cube_vertex`'s; alphas is None where the weights fail the strictness
+    predicate, sum(alpha) == 1 and all(alpha > 0). The library builds no p
+    and no slack: it keeps q and the weights, in integers.
     """
-    p_shadow = shadow_certificate(params, sigma).vector
+    p_shadow = shadow_point(params, sigma)
     vertex = cube_vertex(params, sigma).coords
     q, slack = build_q_reference(p_shadow, vertex)
     at = []
@@ -811,19 +834,64 @@ def calibrate(pairs, decomps) -> Calibration:
     )
 
 
-def relaxed_facet_multiplier(pair, params, ell) -> Fraction:
+def constructed_p(params, sigma, factor) -> Vec:
+    """sigma's p at stretch factor L: `construction_reference`'s projection of q, in Fractions."""
+    return construction_reference(params, sigma, (factor,))[3][0][0]
+
+
+def relaxed_facet_multiplier(params, sigma, factor) -> Fraction:
     """Multiplier of the sigma-facet in the single-facet relaxation of a breakpoint.
 
     The relaxation keeps only the sigma-facet v . p <= 1 on p and the line on
-    q. Its multiplier is -2 slack / ||v||^2 with v the stretched facet normal;
+    q, for `construction_reference`'s p and q at stretch factor L. Its
+    multiplier is -2 slack / ||v||^2 with v the stretched facet normal;
     the asserts are the relaxation's stationarity in p and its complementary
     slackness.
     """
-    v_ell = stretch(cube_vertex(params, pair.sigma).coords, ell)
-    lam = -2 * pair.slack / norm_sq(v_ell)
-    assert not any(vec_add(vec_sub(pair.p, pair.q) * 2, v_ell * lam))
-    assert dot(v_ell, pair.p) == 1
+    _p_shadow, q, slack, ((p, _alphas),) = construction_reference(params, sigma, (factor,))
+    v_ell = stretch(cube_vertex(params, sigma).coords, 1 / Fraction(factor))
+    lam = -2 * slack / norm_sq(v_ell)
+    assert not any(vec_add(vec_sub(p, q) * 2, v_ell * lam))
+    assert dot(v_ell, p) == 1
     return lam
+
+
+def capped_support_value(values, mu, largest: bool) -> Fraction:
+    """min (or max) of sum alpha_i values_i over 0 <= alpha_i <= mu, sum alpha_i = 1.
+
+    The capped simplex's extreme: fill the smallest (largest) values with mu
+    each, in order, until the mass 1 is spent; len(values) mu >= 1 is assumed.
+    """
+    total, left = Fraction(0), Fraction(1)
+    for v in sorted(values, reverse=largest):
+        take = min(mu, left)
+        total, left = total + take * v, left - take
+    return total
+
+
+def duality_gap(instance, mu, alpha_plus, alpha_minus) -> Fraction:
+    """||w||^2 - (h_+(w) - h_-(w)) >= 0 for w = p - q of feasible coefficients at mu.
+
+    h_+(w) is the least w . x over the plus class's reduced hull at mu (the
+    capped simplex of its points) and h_-(w) the largest over the minus
+    class's. Since w . p >= h_+(w) and w . q <= h_-(w), the gap is the sum of
+    the two nonnegative shortfalls, and it is half the Frank-Wolfe gap of
+    the objective ||p - q||^2 at these coefficients: 0 exactly when p
+    minimizes w over its hull and q maximizes it over its own, the
+    optimality condition of the distance QP (Bennett & Bredensteiner, ICML
+    2000). It uses no working set, multiplier or elimination, so it shares
+    no code with `qp.Piece`. It decides optimality only, not uniqueness.
+    Raises ValueError, naming the class, for infeasible coefficients.
+    """
+    mu = Fraction(mu)
+    classes = (("+", alpha_plus, instance.plus_points), ("-", alpha_minus, instance.minus_points))
+    for label, alphas, points in classes:
+        if len(alphas) != len(points) or sum(alphas) != 1 or not all(0 <= a <= mu for a in alphas):
+            raise ValueError(f"class {label} coefficients are not feasible at mu={mu}")
+    w = vec_sub(*pair_points(instance, SimpleNamespace(alpha_plus=alpha_plus, alpha_minus=alpha_minus)))
+    h_plus = capped_support_value([dot(w, x) for x in instance.plus_points], mu, largest=False)
+    h_minus = capped_support_value([dot(w, y) for y in instance.minus_points], mu, largest=True)
+    return norm_sq(w) - (h_plus - h_minus)
 
 
 def kkt_check_reference(qp, candidate) -> bool:

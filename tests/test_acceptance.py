@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     Polygon2,
+    construction_reference,
     cube_vertices,
     dot,
     enumerate_min_objective,
@@ -109,7 +110,7 @@ def test_criterion_4_kkt_certificates(built):
             cert = build_kkt_certificate(instance, pair, decomp)  # optimal and unique
             assert cert.sigma == pair.sigma
             assert cert.mu == mu_of_q(pair.q[-1], instance.calibration)
-            assert cert.facet_multiplier == relaxed_facet_multiplier(pair, params, 1 / s.factor) > 0
+            assert cert.facet_multiplier == relaxed_facet_multiplier(params, pair.sigma, s.factor) > 0
             total += 1
     print(f"\nACCEPTANCE 4 PASS: {total} exact unique-optimum certificates on the instance QP "
           f"across d=3..8")
@@ -142,8 +143,9 @@ def test_criterion_6_construction_invariants(built):
                 assert value <= 1
 
         for pair, decomp in cons:
-            assert pair.q[-2] == 2
-            assert pair.slack < 0
+            _p_shadow, q, slack, ((p, _alphas),) = construction_reference(params, pair.sigma, (s.factor,))
+            assert pair.q == q and pair.q[-2] == 2
+            assert slack < 0
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
             # positive weights summing to 1, d >= 2 of them: none reaches 1
@@ -152,7 +154,7 @@ def test_criterion_6_construction_invariants(built):
             for k in range(1, d + 1):
                 idx = instance.plus_labels.index((k, pair.sigma[k - 1]))
                 rebuilt = vec_add(rebuilt, instance.plus_points[idx] * decomp.alphas[k - 1])
-            assert rebuilt == pair.p
+            assert rebuilt == p
             left, right = reduced_hull_segment(
                 calib.u_left, calib.u_right, mu_of_q(pair.q[-1], calib)
             )

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fresh_cli, fresh_python
-from svmpath import cli, construct, qp, report_io, sweep
+from svmpath import cli, construct, goldfarb, qp, report_io, sweep
 from svmpath.cli import main
 from svmpath.construct import (
     Calibration,
@@ -105,16 +105,18 @@ class TestGenRefuses:
         assert not out.exists()
 
     def test_shadow_property_failure(self, tmp_path, capsys, monkeypatch):
-        def off_hull(params, sigma):
-            raise ShadowPropertyError(f"projected vertex for sigma={sigma} is not a hull vertex")
-
-        monkeypatch.setattr(construct, "shadow_certificate", off_hull)
+        # a forged ring pass whose support of the first sigma has scale 0,
+        # so the origin would not lie inside the shadow
+        params = GoldfarbParams(3, F(3, 10), F(1, 21))
+        den, supports = goldfarb._shadow_data(params)
+        forged = {**supports, (-1, 1, 1): supports[-1, 1, 1][:2] + (0,)}
+        monkeypatch.setattr(goldfarb, "_shadow_data", lambda params: (den, forged))
         out = tmp_path / "d3.inst"
         # parameters no other test uses, so no cached construction hides the failure
         result = run(
             ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/21", "--out", str(out)], capsys
         )
-        assert_one_line_failure(result, "not a hull vertex", "sigma=(-1, 1, 1)")
+        assert_one_line_failure(result, "support scale must be positive", "sigma=(-1, 1, 1)")
         assert not out.exists()
 
     def test_calibration_failure(self, tmp_path, capsys, monkeypatch):
@@ -508,11 +510,33 @@ class TestPinnedInstances:
             (9, "057657423854d17ebd02437b68a8942ba2306aa3a1a8c3bbbde65d53a5758b42"),
             (10, "045c7cae92b3ade829108993954af90afb736832c7b22f9b9f3877c1353df088"),
             (11, "7c9727434b84d83ab86839ef67ebe96c4891c55547f7008c8483fa68460c8a1e"),
+            (2, "4d88da27357fdfc7293ac16f79bd14c69c68f704ef06468f82327a82ced36703"),
+            (12, "252d6ba2e91127c3b947843dfb290d3ff238236d4779cdced6a499c7457ed6b0"),
         ],
     )
     def test_auto_stretch(self, tmp_path, capsys, d, digest):
         inst = tmp_path / f"d{d}.inst"
         assert run(["gen", "--d", str(d), "--stretch", "auto", "--out", str(inst)], capsys)[0] == 0
+        assert hashlib.sha256(inst.read_bytes()).hexdigest() == digest
+
+    # the benchmark's eight other (eps, gamma) pairs (perfbench/run.py PAIRS) at d = 6
+    @pytest.mark.parametrize(
+        "eps,gamma,digest",
+        [
+            ("3/8", "1/16", "6dacb179a9a0d4f27c466513c5a2516e8dbab67cd01fd08870a0eab380c3742f"),
+            ("1/3", "1/15", "31ae132ff5b2cc2e4ac9dca44d8983d0bcdded5a8f0cd287862b9a75ffecb52c"),
+            ("1/3", "1/14", "713017392300442131d5c61ec9eebb1c5ace2f3a9f77eda8d973a003ece1b5f1"),
+            ("5/16", "1/16", "206e74286a2ee00f0cb6d9dc32a5b2148f91cb5135650412cdf6f11e28db5787"),
+            ("3/8", "1/15", "42b731acc34442efdc442372b689ef48f2962b67a4b997b591bddb32c70010ac"),
+            ("2/5", "1/16", "2ebfd253c6beda938f38b026409346f58b7daee8a7f8c4100f9c40834f6c8be9"),
+            ("2/5", "1/15", "3f75c9a03b2bd64f692ba86762e0a17f305160d01ae7e3c6011761977d845fa2"),
+            ("5/14", "1/16", "dbd6eba1f27442386c6bc93a3c5d37caa6ba29f6e0c7f2dc96a0c5ce3c8b22d1"),
+        ],
+    )
+    def test_auto_stretch_other_parameters(self, tmp_path, capsys, eps, gamma, digest):
+        inst = tmp_path / "d6.inst"
+        argv = ["gen", "--d", "6", "--eps", eps, "--gamma", gamma, "--stretch", "auto"]
+        assert run(argv + ["--out", str(inst)], capsys)[0] == 0
         assert hashlib.sha256(inst.read_bytes()).hexdigest() == digest
 
 

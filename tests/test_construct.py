@@ -9,6 +9,7 @@ from conftest import DEFAULT_STRETCH, REFERENCE_PARAMS, default_params, spread
 from oracles import (
     build_p_stretched_reference,
     calibrate,
+    constructed_p,
     construction_reference,
     cube_vertex,
     cube_vertices,
@@ -19,6 +20,7 @@ from oracles import (
     norm_sq,
     point_weights,
     reduced_hull_segment,
+    shadow_point,
     strictness_check,
     vec_add,
     vec_sub,
@@ -45,18 +47,29 @@ from svmpath.construct import (
 from svmpath.geometry import Vec, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
-    ShadowCertificate,
     admissible_sign_vectors,
     dual_vertices,
     facet_weights,
-    shadow_certificate,
-    sign_vectors,
+    vertex_row,
 )
 
 small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=10)
 
 # the unstretched shadow plane, the paper's stretch 20000, and no stretch at all
 ORACLE_ELLS = (F(0), 1 / DEFAULT_STRETCH.factor, F(1))
+PAPER_L = DEFAULT_STRETCH.factor
+
+
+def affine_weights(params, sigma, factor) -> tuple:
+    """`_unstretched_pair`'s facet weights of p at stretch factor L, passing or not, as Fractions.
+
+    (U + t W) / (g (t S1 + S2) top) at t = 1/L^2: what `_weights` forms over
+    one denominator before its strictness check.
+    """
+    (S1, S2, g, _), (U, W, top) = construct._unstretched_pair(params, tuple(sigma))
+    t = 1 / F(factor) ** 2
+    den = g * (t * S1 + S2) * top
+    return tuple((u + t * w) / den for u, w in zip(U, W))
 
 
 def facet_test_points(params, ell, sigma) -> dict:
@@ -66,7 +79,7 @@ def facet_test_points(params, ell, sigma) -> dict:
     neighbour that flips sigma's first sign; walking from p along u first
     meets another facet at t, found by ray shooting over every facet.
     """
-    pair = build_pair(params, sigma, DEFAULT_STRETCH)
+    pair = build_pair(params, sigma)
     p = build_p_stretched_reference(pair.q, cube_vertex(params, sigma).coords, ell)
     normals = {v.sigma: stretch(v.coords, ell) for v in cube_vertices(params)}
     own = normals[sigma]
@@ -120,92 +133,117 @@ class TestStretch:
 class TestBuildQ:
     def test_line_coordinate_and_negative_slack(self, params4):
         for sigma in admissible_sign_vectors(4):
-            pair = build_pair(params4, sigma, DEFAULT_STRETCH)
+            pair = build_pair(params4, sigma)
+            _p_shadow, q, slack, _at = construction_reference(params4, sigma, ())
+            assert pair.q == q
             assert pair.q[-2] == 2
-            assert pair.slack < 0
+            assert slack < 0
             assert all(c == 0 for c in pair.q[:-2])
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     def test_exact_identities_at_auto_stretch(self, d):
-        # build_pair fixes q[d-2] = 2 with slack 1 - v(0) . q, and puts p on the
-        # stretched facet v(ell) . p = 1, for every admissible sigma
+        # build_pair fixes q[d-2] = 2, the reference's q, with slack
+        # 1 - v(0) . q; p lies on the stretched facet v(ell) . p = 1, and its
+        # weights are the library's, for every admissible sigma
         params = default_params(d)
         s = choose_stretch(params)
         for sigma in admissible_sign_vectors(d):
-            pair = build_pair(params, sigma, s)
+            pair = build_pair(params, sigma)
+            _p_shadow, q, slack, ((p, alphas),) = construction_reference(params, sigma, (s.factor,))
             vertex = cube_vertex(params, sigma).coords
-            assert pair.q[d - 2] == 2
-            assert pair.slack == 1 - dot(stretch(vertex, 0), pair.q)
-            assert dot(stretch(vertex, 1 / s.factor), pair.p) == 1
+            assert pair.q == q and pair.q[d - 2] == 2
+            assert slack == 1 - dot(stretch(vertex, 0), pair.q)
+            assert dot(stretch(vertex, 1 / s.factor), p) == 1
+            assert support_decomposition(sigma, params, s).alphas == alphas
 
     def test_frozen_d4_value(self, params4):
-        pair = build_pair(params4, (1, 1, 1, 1), DEFAULT_STRETCH)
-        assert pair.p_shadow == Vec((0, 0, F(2975, 5547), F(59, 43)))
+        sigma = (1, 1, 1, 1)
+        pair = build_pair(params4, sigma)
+        assert shadow_point(params4, sigma) == Vec((0, 0, F(2975, 5547), F(59, 43)))
         assert pair.q == Vec((0, 0, 2, F(1850552, 715563)))
-        assert pair.slack == F(-114031355, 77280804)
+        assert construction_reference(params4, sigma, ())[2] == F(-114031355, 77280804)
 
     def test_independent_formula_evaluation(self, params4):
         # recompute q from the raw projection formula, bypassing the closed form
         sigma = (-1, 1, 1, 1)
-        cert = shadow_certificate(params4, sigma).vector
+        cert = shadow_point(params4, sigma)
         v0 = stretch(cube_vertex(params4, sigma).coords, 0)
         slack = (cert[-2] - 2) * norm_sq(v0) / v0[-2]
         expected_q = vec_sub(cert, v0 * (slack / norm_sq(v0)))
-        pair = build_pair(params4, sigma, DEFAULT_STRETCH)
-        assert pair.q == expected_q and pair.slack == slack
+        pair = build_pair(params4, sigma)
+        assert pair.q == expected_q and construction_reference(params4, sigma, ())[2] == slack
         assert slack == 1 - dot(v0, pair.q)
 
     def test_wrong_sign_vector_rejected(self, params4):
         with pytest.raises(ValueError):
-            build_pair(params4, (1, 1, -1, 1), DEFAULT_STRETCH)
+            build_pair(params4, (1, 1, -1, 1))
 
     @pytest.mark.parametrize("a_second_last", [F(2), F(3)])
     def test_nonnegative_slack_rejected(self, params4, monkeypatch, a_second_last):
         # a shadow point tight at v with a_(d-1) >= 2 puts q's line at or
         # before it, so the slack (a_(d-1) - 2) ||v(0)||^2 / v_(d-1) is not negative
+        # the forged support is (N1, N2, S) with a = (N1 / S, N2 / S)
         sigma = (1, 1, 1, 1)
         v = cube_vertex(params4, sigma).coords
         a_last = (1 - a_second_last * v[2]) / v[3]
-        forged = ShadowCertificate(sigma, Vec([0, 0, a_second_last, a_last]))
+        S = a_second_last.denominator * a_last.denominator
+        forged = (int(a_second_last * S), int(a_last * S), S)
         monkeypatch.setattr(construct, "shadow_certificate", lambda params, sigma: forged)
-        with pytest.raises(ValueError, match="slack must be negative"):
+        with pytest.raises(ValueError, match=r"^slack must be negative at sigma=\(1, 1, 1, 1\)$"):
             construct._unstretched_pair.__wrapped__(params4, sigma)
+
+    def test_nonpositive_vertex_coordinate_rejected(self, params4, monkeypatch):
+        # a forged vertex row with v_(d-1) < 0 leaves q's line without a meeting point
+        def negated(params, sigma):
+            V, D = vertex_row(params, sigma)
+            return [-v for v in V], D
+
+        monkeypatch.setattr(construct, "vertex_row", negated)
+        message = r"^vertex must have positive second-to-last coordinate at sigma=\(-1, 1, 1, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            construct._unstretched_pair.__wrapped__(params4, (-1, 1, 1, 1))
 
 
 class TestBuildPStretched:
     def test_zero_inverse_factor_recovers_shadow_point(self, params4):
         # the Fraction projection at ell = 0, which no stretch factor reaches
         for sigma in admissible_sign_vectors(4):
-            pair = build_pair(params4, sigma, DEFAULT_STRETCH)
+            pair = build_pair(params4, sigma)
             vertex = cube_vertex(params4, sigma).coords
-            assert build_p_stretched_reference(pair.q, vertex, 0) == pair.p_shadow
+            assert build_p_stretched_reference(pair.q, vertex, 0) == shadow_point(params4, sigma)
 
     @settings(max_examples=25)
     @given(st.fractions(min_value=F(1, 997), max_value=F(1, 10), max_denominator=997))
     def test_tight_for_any_inverse_factor(self, params4, ell):
+        # and the library's affine weights at L = 1/ell, passing or not, are p's
         sigma = (1, -1, 1, 1)
-        pair = build_pair(params4, sigma, StretchFactor(1 / ell))
+        p = constructed_p(params4, sigma, 1 / ell)
         vertex = cube_vertex(params4, sigma).coords
-        assert dot(stretch(vertex, ell), pair.p) == 1
+        assert dot(stretch(vertex, ell), p) == 1
+        assert affine_weights(params4, sigma, 1 / ell) == facet_weights_reference(
+            params4, sigma, stretch(p, ell)
+        )
 
     def test_displacement_is_negative_multiple_of_stretched_vertex(self, constructions4, params4):
-        ell = 1 / DEFAULT_STRETCH.factor
+        ell = 1 / PAPER_L
         for pair, _ in constructions4:
             v_ell = stretch(cube_vertex(params4, pair.sigma).coords, ell)
-            diff = vec_sub(pair.p, pair.q)
+            _p_shadow, q, slack, ((p, _alphas),) = construction_reference(params4, pair.sigma, (PAPER_L,))
+            assert q == pair.q
+            diff = vec_sub(p, pair.q)
             # diff == slack * v_ell / ||v_ell||^2 with slack < 0
-            assert diff * norm_sq(v_ell) == v_ell * pair.slack
+            assert diff * norm_sq(v_ell) == v_ell * slack
 
 
 class TestFacetStrictness:
     def test_unstretched_shadow_points_pass(self, params4):
         for sigma in admissible_sign_vectors(4):
-            cert = shadow_certificate(params4, sigma)
-            assert strictness_check(cert.vector, params4, 0, sigma)
+            assert strictness_check(shadow_point(params4, sigma), params4, 0, sigma)
 
     def test_constructed_pairs_pass_exhaustively(self, constructions4, params4):
         for pair, _ in constructions4:
-            assert strictness_check(pair.p, params4, 1 / DEFAULT_STRETCH.factor, pair.sigma)
+            p = constructed_p(params4, pair.sigma, PAPER_L)
+            assert strictness_check(p, params4, 1 / PAPER_L, pair.sigma)
 
     @pytest.mark.parametrize("ell", ORACLE_ELLS)
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
@@ -236,7 +274,7 @@ class TestFacetStrictness:
         params, s = default_params(9), StretchFactor(L)
         outcomes = set()
         for sigma in list(admissible_sign_vectors(9))[::4]:
-            p = build_pair(params, sigma, s).p
+            p = constructed_p(params, sigma, s.factor)
             got = strictness_check(p, params, 1 / s.factor, sigma)
             assert got == facet_strictness_oracle(p, params, 1 / s.factor, sigma), sigma
             outcomes.add(got)
@@ -304,7 +342,8 @@ class TestSupportDecomposition:
                 stretch(duals[k, s].coords, DEFAULT_STRETCH.factor)
                 for k, s in enumerate(pair.sigma, start=1)
             ]
-            assert vec_add(*[w * a for w, a in zip(support, decomp.alphas)]) == pair.p
+            p = constructed_p(params4, pair.sigma, PAPER_L)
+            assert vec_add(*[w * a for w, a in zip(support, decomp.alphas)]) == p
             assert sum(decomp.alphas) == 1
             assert all(a > 0 for a in decomp.alphas)
             assert decomp.mu_sigma == max(decomp.alphas) < 1
@@ -314,7 +353,7 @@ class TestSupportDecomposition:
         params = default_params(d)
         duals = dual_vertices(params)
         for sigma in spread(admissible_sign_vectors(d)):
-            p = build_pair(params, sigma, DEFAULT_STRETCH).p
+            p = constructed_p(params, sigma, PAPER_L)
             cols = [
                 stretch(duals[2 * k + (1 if sigma[k] == 1 else 0)].coords, DEFAULT_STRETCH.factor)
                 for k in range(d)
@@ -327,12 +366,12 @@ class TestSupportDecomposition:
     def test_failing_branches_name_sigma_and_stretch(self, params4):
         # weights summing to 2 (p off the sigma-facet), then a nonpositive weight
         sigma = (1, 1, 1, 1)
-        p = build_pair(params4, sigma, DEFAULT_STRETCH).p
+        p = constructed_p(params4, sigma, PAPER_L)
         W, den = point_weights(p * 2, params4, 1 / DEFAULT_STRETCH.factor, sigma)
         assert sum(W) == 2 * den and all(w > 0 for w in W)
         assert not facet_strictness_check((W, den))
         unit = StretchFactor(1)
-        p = build_pair(params4, sigma, unit).p
+        p = constructed_p(params4, sigma, unit.factor)
         assert sum(facet_weights_reference(params4, sigma, stretch(p, 1))) == 1
         assert not facet_strictness_check(point_weights(p, params4, 1, sigma))
         with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\(1, 1, 1, 1\) at L=1$"):
@@ -382,11 +421,14 @@ class TestIntegerConstructionMatchesFractionReference:
         factors = (chosen, chosen / 2, chosen / 4)
         first_failure = dict.fromkeys(factors)
         for sigma in admissible_sign_vectors(d):
-            p_shadow, q, slack, at = construction_reference(params, sigma, factors)
+            _p_shadow, q, slack, at = construction_reference(params, sigma, factors)
+            assert build_pair(params, sigma).q == q and slack < 0
             for factor, (p, alphas) in zip(factors, at):
                 s = StretchFactor(factor)
-                pair = build_pair(params, sigma, s)
-                assert (pair.p_shadow, pair.q, pair.slack, pair.p) == (p_shadow, q, slack, p)
+                # the weights of p that the library forms, whether or not they pass
+                assert affine_weights(params, sigma, factor) == facet_weights_reference(
+                    params, sigma, stretch(p, 1 / factor)
+                ), (sigma, factor)
                 if alphas is None:
                     message = f"facet strictness fails for sigma={sigma} at L={factor}"
                     with pytest.raises(StrictnessError) as failed:
@@ -428,7 +470,7 @@ class TestCalibration:
                 for k in range(1, 5)
             ]
             matrix = [[cols[j][i] for j in range(4)] for i in range(4)]
-            alphas = solve_linear_system(matrix, pair.p)
+            alphas = solve_linear_system(matrix, constructed_p(params4, pair.sigma, PAPER_L))
             mus.append(max(alphas))
         expected = max(F(1, 2), max(mus))
         calib = instance4.calibration
@@ -560,7 +602,7 @@ class TestInstance:
     def test_q_and_p_pairwise_distinct_d6(self):
         cons = admissible_constructions(default_params(6), DEFAULT_STRETCH)
         qs = [c[0].q for c in cons]
-        ps = [c[0].p for c in cons]
+        ps = [constructed_p(default_params(6), c[0].sigma, PAPER_L) for c in cons]
         assert len(set(qs)) == len(qs) == 16
         assert len(set(ps)) == len(ps) == 16
 

@@ -173,8 +173,8 @@ class TestSolveGeneral:
 
 
 class TestProjection:
-    # the Fraction projection behind construct.build_pair: at ell = 1 it projects
-    # q onto the hyperplane a . x = 1
+    # the oracles' Fraction projection of q onto the stretched sigma-facet,
+    # whose weights the library keeps: at ell = 1 it projects q onto a . x = 1
 
     def test_unit_normal(self):
         d = 5

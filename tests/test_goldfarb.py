@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -11,27 +12,28 @@ from oracles import (
     dot,
     facet_weights_reference,
     fraction_shadow,
+    gray_rank,
+    gray_sigma,
     is_extreme_point,
     membership,
     orient2d,
     project_shadow,
     shadow_certificate_oracle,
     shadow_certificate_reference,
+    shadow_point,
     three_vertex_certificate,
     unit,
     vec_add,
     zero,
 )
+from svmpath import goldfarb
 from svmpath.construct import StretchFactor, support_decomposition
 from svmpath.geometry import Vec, common_denominator, solve_linear_system
 from svmpath.goldfarb import (
     GoldfarbParams,
-    ShadowCertificate,
     ShadowPropertyError,
     _check_convex_ring,
-    _gray_rank,
     _gray_ring,
-    _gray_sigma,
     _integer_bands,
     _pair_normal_rhs,
     _shadow_data,
@@ -54,6 +56,16 @@ def inequalities(params) -> list:
 
 def dual_vertex(params, k, s):
     return dual_vertices(params)[facet_order(params.dim).index((k, s))]
+
+
+def certificate(params, sigma) -> Vec:
+    """sigma's supporting point: the library's if sigma is admissible, else the three-vertex reference's.
+
+    The library keeps the support of the admissible sigmas only.
+    """
+    if tuple(sigma[-2:]) == (1, 1):
+        return shadow_point(params, sigma)
+    return three_vertex_certificate(params, sigma)
 
 
 class TestParams:
@@ -273,20 +285,19 @@ class TestShadow:
     def test_certificates_exhaustive_d4(self, params4):
         vertices = {v.sigma: v.coords for v in cube_vertices(params4)}
         for sigma in sign_vectors(4):
-            cert = shadow_certificate(params4, sigma)
-            assert cert.vector[0] == 0 and cert.vector[1] == 0
-            assert dot(cert.vector, vertices[sigma]) == 1
+            point = certificate(params4, sigma)
+            assert point[0] == 0 and point[1] == 0
+            assert dot(point, vertices[sigma]) == 1
             for tau, other in vertices.items():
                 if tau != sigma:
-                    assert dot(cert.vector, other) < 1
+                    assert dot(point, other) < 1
 
     def test_certificate_lies_in_bounded_slab(self):
         # every supporting point in the shadow plane has second-to-last
         # coordinate at most 1
         for d in (3, 4, 6):
             for sigma in sign_vectors(d):
-                cert = shadow_certificate(default_params(d), sigma)
-                assert cert.vector[-2] <= 1
+                assert certificate(default_params(d), sigma)[-2] <= 1
 
     def test_dual_cube_cross_section_bounded(self):
         # any point of the dual cube inside the shadow plane obeys the same
@@ -294,7 +305,7 @@ class TestShadow:
         params = default_params(5)
         duals = dual_vertices(params)
         for sigma in sign_vectors(5):
-            point = shadow_certificate(params, sigma).vector
+            point = certificate(params, sigma)
             assert all(dot(point, v.coords) <= 1 for v in cube_vertices(params))
             assert point[-2] <= 1
 
@@ -315,7 +326,7 @@ class TestShadowHull:
             flipped = [k for k in range(d) if sigmas[i][k] != sigmas[i - 1][k]]
             assert flipped == [(i & -i).bit_length() - 1]
         for i, sigma in enumerate(sigmas):
-            assert _gray_rank(sigma) == i and _gray_sigma(i, d) == sigma
+            assert gray_rank(sigma) == i and gray_sigma(i, d) == sigma
 
     @pytest.mark.parametrize("d", [2, 3, 6, 9])
     def test_ring_points_are_den_times_the_projections(self, d):
@@ -341,7 +352,7 @@ class TestShadowHull:
         ranks = [pos[sigma] for sigma, _pt in _gray_ring(params)]
         assert ranks == [(start + i) % 2 ** d for i in range(2 ** d)]
         for sigma in admissible_sign_vectors(d):
-            assert shadow_certificate(params, sigma) == shadow_certificate_reference(params, sigma)
+            assert shadow_point(params, sigma) == shadow_certificate_reference(params, sigma)
 
 
 def forged_ring(points) -> list:
@@ -414,24 +425,24 @@ def certificate_variants(params, sigma) -> dict:
     prv, pt, nxt = (
         project_shadow(cube_vertex(params, tau).coords) for tau in (prv_sigma, sigma, nxt_sigma)
     )
-    cert = shadow_certificate(params, sigma)
-    beyond = project_shadow(shadow_certificate(params, nxt_sigma).vector)
+    point = certificate(params, sigma)
+    beyond = project_shadow(certificate(params, nxt_sigma))
     assert dot(beyond, pt) > 0
 
     def embed(a):
-        return ShadowCertificate(sigma, Vec([0] * (d - 2) + list(a[-2:])))
+        return Vec([0] * (d - 2) + list(a[-2:]))
 
     return {
-        "valid": cert,
-        "below own vertex": embed(cert.vector * (1 - F(1, 10 ** 6))),
-        "above own vertex": embed(cert.vector * (1 + F(1, 10 ** 6))),
+        "valid": point,
+        "below own vertex": embed(point * (1 - F(1, 10 ** 6))),
+        "above own vertex": embed(point * (1 + F(1, 10 ** 6))),
         "tight at the previous vertex": embed(solve_linear_system([prv, pt], [1, 1])),
         "tight at the next vertex": embed(solve_linear_system([pt, nxt], [1, 1])),
         "above the next vertex": embed(beyond * (1 / dot(beyond, pt))),
     }
 
 
-def integer_check_passes(cert, params) -> bool:
+def integer_check_passes(params, sigma, point) -> bool:
     """Whether a . v == 1 at sigma's vertex and a . v < 1 at its two neighbours on the integer ring.
 
     The local test that `shadow_certificate`'s construction rests on: the
@@ -440,10 +451,10 @@ def integer_check_passes(cert, params) -> bool:
     V = den * v, a . v == 1 reads a1 * V1 + a2 * V2 == den * den_a.
     """
     d, den = params.dim, _shadow_data(params)[0]
-    den_a, ((a1, a2),) = common_denominator([cert.vector[-2:]])
+    den_a, ((a1, a2),) = common_denominator([point[-2:]])
     one = den * den_a
-    r = _gray_rank(cert.sigma)
-    ring = [ring_point(params, _gray_sigma(i % 2 ** d, d)) for i in (r - 1, r, r + 1)]
+    r = gray_rank(sigma)
+    ring = [ring_point(params, gray_sigma(i % 2 ** d, d)) for i in (r - 1, r, r + 1)]
     prev_pt, pt, next_pt = ring
     return (
         a1 * pt[0] + a2 * pt[1] == one
@@ -452,13 +463,18 @@ def integer_check_passes(cert, params) -> bool:
     )
 
 
+def refusal(sigma) -> str:
+    """The pattern of `shadow_certificate`'s refusal of a sigma it keeps no support of."""
+    return rf"^sigma={re.escape(str(sigma))} is not an admissible sign vector of length \d+$"
+
+
 class TestShadowCertificateCheck:
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     def test_integer_check_equals_fraction_oracle(self, d):
         params = default_params(d)
         for sigma in spread(sign_vectors(d)):
             variants = certificate_variants(params, sigma)
-            outcomes = {what: shadow_certificate_oracle(c, params) for what, c in variants.items()}
+            outcomes = {what: shadow_certificate_oracle(params, sigma, a) for what, a in variants.items()}
             assert outcomes == {
                 "valid": True,
                 "below own vertex": False,
@@ -467,22 +483,52 @@ class TestShadowCertificateCheck:
                 "tight at the next vertex": False,
                 "above the next vertex": False,
             }
-            for what, cert in variants.items():
-                assert integer_check_passes(cert, params) == outcomes[what], (sigma, what)
+            for what, point in variants.items():
+                assert integer_check_passes(params, sigma, point) == outcomes[what], (sigma, what)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
     def test_every_certificate_passes_the_exhaustive_oracle(self, d):
         params = default_params(d)
         for sigma in sign_vectors(d):
-            assert shadow_certificate_oracle(shadow_certificate(params, sigma), params), sigma
+            assert shadow_certificate_oracle(params, sigma, certificate(params, sigma)), sigma
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_certificate_equals_the_three_vertex_computation(self, d):
-        # an admissible sigma reads its support off the ring pass, any other
-        # recomputes its two ring neighbours; both give the reference's
+        # an admissible sigma reads its integer support off the ring pass and
+        # gives the reference's point; the library refuses any other, naming it
         params = default_params(d)
         for sigma in sign_vectors(d):
-            assert shadow_certificate(params, sigma) == three_vertex_certificate(params, sigma)
+            if sigma[-2:] == (1, 1):
+                assert shadow_point(params, sigma) == three_vertex_certificate(params, sigma)
+            else:
+                with pytest.raises(ValueError, match=refusal(sigma)):
+                    shadow_certificate(params, sigma)
+
+    @pytest.mark.parametrize("sigma", [(1, 1, 1), [1, 1, 1, 1, 1], (1, 1, 1, 0, 1), (2, 1, 1, 1)])
+    def test_other_shapes_refused(self, params4, sigma):
+        with pytest.raises(ValueError, match=refusal(tuple(sigma))):
+            shadow_certificate(params4, sigma)
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 9])
+    def test_integer_support_is_den_times_the_ring_support(self, d):
+        # (N1, N2, S) = (m^d n_x, m^d n_y, n . pt) for the ring pass's support
+        params = default_params(d)
+        den, supports = _shadow_data(params)
+        for sigma, (nx, ny, scale) in supports.items():
+            N1, N2, S = shadow_certificate(params, sigma)
+            assert all(type(c) is int for c in (N1, N2, S))
+            assert (N1, N2, S) == (den * nx, den * ny, scale) and S > 0
+
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_nonpositive_support_scale_names_sigma(self, monkeypatch, scale):
+        # a forged ring pass whose support for sigma puts the origin outside
+        params, sigma = default_params(4), (-1, 1, 1, 1)
+        den, supports = _shadow_data(params)
+        forged = {**supports, sigma: (1, 1, scale)}
+        monkeypatch.setattr(goldfarb, "_shadow_data", lambda params: (den, forged))
+        message = r"^support scale must be positive \(origin interior\) at sigma=\(-1, 1, 1, 1\)$"
+        with pytest.raises(ShadowPropertyError, match=message):
+            shadow_certificate(params, sigma)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_ring_pass_keeps_each_admissible_support_in_ring_order(self, d):
@@ -492,11 +538,11 @@ class TestShadowCertificateCheck:
         assert list(supports) == [sigma for sigma in ring if sigma[-2:] == (1, 1)]
         assert sorted(supports) == sorted(admissible_sign_vectors(d))
         for sigma, (nx, ny, scale) in supports.items():
-            vector = three_vertex_certificate(params, sigma).vector
+            vector = three_vertex_certificate(params, sigma)
             assert vector[-2:] == (F(den * nx, scale), F(den * ny, scale))
 
     @pytest.mark.parametrize("d", range(2, 10))
     def test_certificate_equals_fraction_construction(self, d):
         params = default_params(d)
         for sigma in sign_vectors(d):
-            assert shadow_certificate(params, sigma) == shadow_certificate_reference(params, sigma)
+            assert certificate(params, sigma) == shadow_certificate_reference(params, sigma)

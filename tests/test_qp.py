@@ -14,7 +14,10 @@ import oracles
 from conftest import DEFAULT_STRETCH, default_params
 from oracles import (
     coefficient_support,
+    constructed_p,
+    construction_reference,
     dot,
+    duality_gap,
     enumerate_min_objective,
     kkt_check_reference,
     loop_start,
@@ -36,6 +39,7 @@ from svmpath.construct import (
     SvmInstance,
     admissible_constructions,
     build_instance,
+    choose_stretch,
     generate_2d_arc_instance,
     mu_of_q,
 )
@@ -157,13 +161,14 @@ class TestSolver:
         warm = solve_reduced_distance(qp, start=cold_prev)
         assert warm.objective == cold.objective
 
-    def test_constructed_breakpoints_reproduce_exactly(self, instance4, constructions4):
+    def test_constructed_breakpoints_reproduce_exactly(self, params4, instance4, constructions4):
         for pair, _ in constructions4:
             mu = mu_of_q(pair.q[-1], instance4.calibration)
             qp = ReducedHullQP.from_instance(instance4, mu)
             sol = solve_reduced_distance(qp)
-            assert pair_points(qp, sol) == (pair.p, pair.q)
-            assert sol.objective == norm_sq(vec_sub(pair.p, pair.q))
+            p = constructed_p(params4, pair.sigma, DEFAULT_STRETCH.factor)
+            assert pair_points(qp, sol) == (p, pair.q)
+            assert sol.objective == norm_sq(vec_sub(p, pair.q))
 
 
 class TestSolverMatchesPointSpaceLoop:
@@ -922,9 +927,10 @@ class TestKktCheckGeneral:
         assert uniform.objective > solve_reduced_distance(qp).objective
 
     def test_constructed_pair_with_decomposition_weights_passes(
-        self, instance4, constructions4
+        self, params4, instance4, constructions4
     ):
         for pair, decomp in constructions4:
+            p = constructed_p(params4, pair.sigma, DEFAULT_STRETCH.factor)
             mu = mu_of_q(pair.q[-1], instance4.calibration)
             qp = ReducedHullQP.from_instance(instance4, mu)
             alpha_plus = [F(0)] * len(instance4.plus_points)
@@ -933,8 +939,8 @@ class TestKktCheckGeneral:
                 alpha_plus[idx] = decomp.alphas[k - 1]
             # the matching line coefficients put the left reduced endpoint at q
             alpha_minus = (mu, 1 - mu)
-            candidate = OptimalPair(tuple(alpha_plus), alpha_minus, norm_sq(vec_sub(pair.p, pair.q)))
-            assert pair_points(qp, candidate) == (pair.p, pair.q)
+            candidate = OptimalPair(tuple(alpha_plus), alpha_minus, norm_sq(vec_sub(p, pair.q)))
+            assert pair_points(qp, candidate) == (p, pair.q)
             assert kkt_check_reference(qp, candidate)
 
     def test_infeasible_candidate_raises_with_violations(self):
@@ -979,20 +985,23 @@ class TestCertificates:
             assert cert.pair.alpha_minus == (mu, 1 - mu)
             assert sorted(a for a in cert.pair.alpha_plus if a) == sorted(decomp.alphas)
             assert cert.facet_multiplier == relaxed_facet_multiplier(
-                pair, params4, 1 / DEFAULT_STRETCH.factor
+                params4, pair.sigma, DEFAULT_STRETCH.factor
             ) > 0
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
     def test_optimum_points_are_the_constructed_pair(self, d, eps, gamma):
         # the certificate compares coefficients only: the points they weight,
-        # summed in Fractions, are `build_pair`'s p and q
+        # summed in Fractions, are the Fraction construction's p and q
         params = GoldfarbParams(d, eps, gamma)
         instance = build_instance(params, DEFAULT_STRETCH)
         for pair, decomp in admissible_constructions(params, DEFAULT_STRETCH):
             cert = build_kkt_certificate(instance, pair, decomp)
             qp = ReducedHullQP.from_instance(instance, cert.mu)
-            assert pair_points(qp, cert.pair) == (pair.p, pair.q)
+            _p_shadow, q, _slack, ((p, _alphas),) = construction_reference(
+                params, pair.sigma, (DEFAULT_STRETCH.factor,)
+            )
+            assert pair_points(qp, cert.pair) == (p, q)
 
     def test_perturbed_weight_breaks_stationarity(self, instance4, constructions4):
         # half of one support weight moves to another: the sum stays 1 and
@@ -1063,6 +1072,71 @@ class TestCertificates:
             CertificateError, match=rf"no piece on the working set of sigma={re.escape(str(sigma))} at mu="
         ):
             build_kkt_certificate(twin, replace(pair, sigma=sigma), split)
+
+
+def walk_midpoints(instance) -> tuple:
+    """(mu, optimum) at the middle of each piece of the walk from 51/100, clipped to [51/100, 1],
+    and whether the walk covers all of [51/100, 1]."""
+    mu_lo, mu_hi = F(51, 100), F(1)
+    pieces = path_pieces(instance, mu_lo, mu_hi)
+    out = []
+    for piece in pieces:
+        lo = mu_lo if piece.lo is None else max(piece.lo, mu_lo)
+        hi = mu_hi if piece.hi is None else min(piece.hi, mu_hi)
+        mu = (lo + hi) / 2
+        out.append((mu, piece.optimum(ReducedHullQP.from_instance(instance, mu))))
+    return out, bool(pieces) and pieces[0].covers(mu_lo) and pieces[-1].covers(mu_hi)
+
+
+WALKED = {f"d{d}": (lambda d=d: build_instance(default_params(d), DEFAULT_STRETCH)) for d in range(3, 9)}
+WALKED["arc20"] = lambda: generate_2d_arc_instance(20)
+
+
+class TestDualityGap:
+    """`oracles.duality_gap`, which shares no code with the pieces, on the walk and the certificates."""
+
+    @pytest.mark.parametrize("name", list(WALKED))
+    def test_zero_at_the_middle_of_every_piece_and_positive_one_piece_on(self, name):
+        # a piece's optimum stays feasible at every larger mu, where the cap
+        # only loosens; at the middle of the next piece it is no longer optimal
+        instance = WALKED[name]()
+        middles, covered = walk_midpoints(instance)
+        for mu, pair in middles:
+            assert duality_gap(instance, mu, pair.alpha_plus, pair.alpha_minus) == 0, mu
+        assert covered and len(middles) > 1
+        for (_mu, pair), (mu, _next) in zip(middles, middles[1:]):
+            assert duality_gap(instance, mu, pair.alpha_plus, pair.alpha_minus) > 0, mu
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_zero_on_every_certificate(self, d):
+        params = default_params(d)
+        s = choose_stretch(params)
+        instance = build_instance(params, s)
+        for pair, decomp in admissible_constructions(params, s):
+            cert = build_kkt_certificate(instance, pair, decomp)
+            assert duality_gap(instance, cert.mu, cert.pair.alpha_plus, cert.pair.alpha_minus) == 0
+
+    def test_zero_exactly_where_the_reference_kkt_check_passes(self):
+        # the solver's optimum, and uniform weights, which are optimal on some
+        # tiny instances only
+        verdicts = set()
+        for qp in small_instances(60, seed=11):
+            sol = solve_reduced_distance(qp)
+            assert duality_gap(qp, qp.mu, sol.alpha_plus, sol.alpha_minus) == 0
+            n_plus, n_minus = len(qp.plus_points), len(qp.minus_points)
+            uniform = OptimalPair((F(1, n_plus),) * n_plus, (F(1, n_minus),) * n_minus, F(0))
+            gap = duality_gap(qp, qp.mu, uniform.alpha_plus, uniform.alpha_minus)
+            assert gap >= 0 and (gap == 0) == kkt_check_reference(qp, uniform)
+            verdicts.add(gap == 0)
+        assert verdicts == {True, False}
+
+    def test_infeasible_coefficients_refused(self, instance4):
+        n_plus = len(instance4.plus_points)
+        alpha_plus = (F(1),) + (F(0),) * (n_plus - 1)
+        with pytest.raises(ValueError, match=r"^class \+ coefficients are not feasible at mu=1/2$"):
+            duality_gap(instance4, F(1, 2), alpha_plus, (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match=r"^class - coefficients are not feasible at mu=1$"):
+            duality_gap(instance4, F(1), alpha_plus, (F(1, 2), F(1, 3)))
 
 
 FLAT_PLUS = [Vec((0, 1)), Vec((1, 1))]

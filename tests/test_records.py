@@ -28,7 +28,7 @@ from svmpath.construct import (
     SvmInstance,
 )
 from svmpath.geometry import FrozenInstanceError, PointTable, Vec
-from svmpath.goldfarb import DualVertex, GoldfarbParams, ShadowCertificate
+from svmpath.goldfarb import DualVertex, GoldfarbParams
 from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
 
@@ -92,11 +92,8 @@ CALIBRATION_REPR = (
 SAMPLES = {
     "StretchFactor": (StretchFactor(F(3, 2)), "StretchFactor(factor=Fraction(3, 2))"),
     "ConstructedPair": (
-        ConstructedPair((-1, 1, 1), Vec([0, 1, 1]), Vec([0, 2, 3]), Vec([F(1, 2), 1, 1]), F(-7, 5)),
-        "ConstructedPair(sigma=(-1, 1, 1), "
-        "p_shadow=(Fraction(0, 1), Fraction(1, 1), Fraction(1, 1)), "
-        "q=(Fraction(0, 1), Fraction(2, 1), Fraction(3, 1)), "
-        "p=(Fraction(1, 2), Fraction(1, 1), Fraction(1, 1)), slack=Fraction(-7, 5))",
+        ConstructedPair((-1, 1, 1), Vec([0, 2, 3])),
+        "ConstructedPair(sigma=(-1, 1, 1), q=(Fraction(0, 1), Fraction(2, 1), Fraction(3, 1)))",
     ),
     "SupportDecomposition": (
         SupportDecomposition((1, 1, 1), (F(1, 2), F(1, 3), F(1, 6)), F(1, 2)),
@@ -137,11 +134,6 @@ SAMPLES = {
     "DualVertex": (
         DualVertex(2, -1, Vec([F(1, 3), -1])),
         "DualVertex(k=2, s=-1, coords=(Fraction(1, 3), Fraction(-1, 1)))",
-    ),
-    "ShadowCertificate": (
-        ShadowCertificate((1, 1, 1), Vec([0, F(1, 4), F(3, 4)])),
-        "ShadowCertificate(sigma=(1, 1, 1), "
-        "vector=(Fraction(0, 1), Fraction(1, 4), Fraction(3, 4)))",
     ),
     "ReducedHullQP": (ReducedHullQP(TABLE, F(1, 2)), "ReducedHullQP(table=<table>, mu=Fraction(1, 2))"),
     "KktCertificate": (
@@ -213,10 +205,10 @@ class TestValueSemantics:
 
     def test_another_class_with_the_same_fields_is_unequal(self):
         sigma, coords = (1, 1), Vec([0, 1])
-        vertex, cert = CubeVertex(sigma, coords), ShadowCertificate(sigma, coords)
-        assert (vertex.sigma, vertex.coords) == (cert.sigma, cert.vector)
-        assert vertex.__eq__(cert) is NotImplemented
-        assert vertex != cert and cert != vertex
+        vertex, pair = CubeVertex(sigma, coords), ConstructedPair(sigma, coords)
+        assert (vertex.sigma, vertex.coords) == (pair.sigma, pair.q)
+        assert vertex.__eq__(pair) is NotImplemented
+        assert vertex != pair and pair != vertex
 
     def test_assignment_and_deletion_raise(self, sample):
         record, expected = sample
