@@ -27,14 +27,15 @@ and the shadow ring pass (where it keeps each admissible support) have
 mutants of their own, killed by `tests/test_construct.py` and
 `tests/test_goldfarb.py`.
 
-Two mutants guard what a fresh `gen` process loads and how it fails, which
+Three mutants guard what a fresh process loads and how it fails, which
 only a test in a fresh interpreter can see: `cli-imports-qp` imports the
-solver with the command line, and `strictness-not-a-failure` takes
-`StrictnessError` out of the `VerificationFailure` base that `main` catches.
+solver with the command line, `verify-imports-sweep` has `verify` import the
+sweep again, and `strictness-not-a-failure` takes `StrictnessError` out of
+the `VerificationFailure` base that `main` catches.
 
-A certificate compares the optimum's plus coefficients with the
-decomposition weights, and no points: `certificate-ignores-weights` drops
-that comparison. The points it leaves out are checked by a test that sums
+A certificate compares the optimum's free plus coefficients with the
+candidate's integer weights A over den, by cross-multiplication, and no
+points: `certificate-ignores-weights` drops that comparison. The points it leaves out are checked by a test that sums
 the optimum's coefficients times the points and compares them with the
 Fraction construction's p and q in `tests/oracles.py`. No module builds p:
 the integer rows X0 and X1 of `_unstretched_pair` fix its weights, and
@@ -69,7 +70,10 @@ SRC = ROOT / "src"
 WALK_TESTS = ("tests/test_qp.py", "tests/test_sweep.py")
 CONSTRUCT_TESTS = ("tests/test_construct.py",)
 RING_TESTS = ("tests/test_goldfarb.py",)
-FOOTPRINT_TESTS = ("tests/test_records.py::test_command_loads_only_its_own_modules",)
+FOOTPRINT_TESTS = (
+    "tests/test_records.py::test_command_loads_only_its_own_modules",
+    "tests/test_records.py::test_verify_loads_neither_sweep_nor_report_io",
+)
 FRESH_FAILURE_TESTS = (
     "tests/test_cli.py::TestGenRefuses::test_unit_stretch_without_the_solver_loaded",
 )
@@ -167,6 +171,13 @@ MUTANTS = (
         FOOTPRINT_TESTS,
     ),
     (
+        "verify-imports-sweep",
+        "cli.py",
+        "    from .qp import CertificateError, certify_construction\n",
+        "    from .qp import CertificateError, certify_construction\n    from .sweep import SweepMismatchError\n",
+        FOOTPRINT_TESTS,
+    ),
+    (
         "strictness-not-a-failure",
         "construct.py",
         "class StrictnessError(VerificationFailure):",
@@ -176,8 +187,8 @@ MUTANTS = (
     (
         "certificate-ignores-weights",
         "qp.py",
-        "if optimum.alpha_plus != tuple(alpha_plus):\n"
-        "        raise CertificateError(f\"candidate differs from the optimum of its piece for {where}\")",
+        "if i < n_plus and (P * e + Q * m) * den != weight[i] * C * e:\n"
+        "            raise CertificateError(f\"candidate differs from the optimum of its piece for {where}\")",
         "pass",
         WEIGHT_TESTS,
     ),

@@ -4,9 +4,10 @@
 For each dimension d the script reads the stretch threshold 1/t* (printed
 as L* = sqrt(1/t*) and the bit length of 1/t*) and the stretch factor L
 chosen past it, certifies every constructed breakpoint as the unique optimum
-of the instance at its mu (exact KKT and uniqueness certificates, ordered
-into the constructed sweep), then runs the discrete grid sweep and reports
-bend counts against the 2^d/4 lower bound. Everything runs in exact
+of the instance at its mu in the one pass `svmpath verify` makes
+(`qp.certify_construction`), counts the distinct support sets of those
+optima, then runs the discrete grid sweep and reports bend counts against
+the 2^d/4 lower bound. Everything runs in exact
 rational arithmetic; the full range up to d = 8 takes 0.7 s (2-core x86-64
 VM, Python 3.11.7).
 
@@ -24,17 +25,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from svmpath.construct import (
-    admissible_constructions,
-    build_instance,
-    choose_stretch,
-    stretch_threshold,
-)
+from svmpath.construct import build_instance, choose_stretch, stretch_threshold
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.instance_io import write_instance
-from svmpath.qp import build_kkt_certificate
+from svmpath.qp import certify_construction, support_set
 from svmpath.report_io import write_shadow_svg, write_sweep_report
-from svmpath.sweep import sweep_constructed, sweep_refined
+from svmpath.sweep import sweep_refined
 
 
 def run_dimension(d, args, out_dir):
@@ -43,11 +39,7 @@ def run_dimension(d, args, out_dir):
     threshold = stretch_threshold(params)
     s = choose_stretch(params)
     instance = build_instance(params, s)
-    certificates = [
-        build_kkt_certificate(instance, pair, decomp)
-        for pair, decomp in admissible_constructions(params, s)
-    ]
-    constructed = sweep_constructed(instance, certificates)
+    breakpoints = len({support_set(cert.pair) for cert, _weights in certify_construction(instance)})
     t1 = time.time()
     grid = sweep_refined(
         instance, Fraction(args.mu_lo), Fraction(args.mu_hi), args.steps, args.refine
@@ -62,7 +54,7 @@ def run_dimension(d, args, out_dir):
     bits = max(threshold.numerator.bit_length(), threshold.denominator.bit_length())
     print(
         f"d={d}:  L={s.factor}  L*={math.sqrt(threshold):.1f}  1/t* bits={bits}  "
-        f"breakpoints={constructed.distinct_support_sets} (=2^d/4={bound})  "
+        f"breakpoints={breakpoints} (=2^d/4={bound})  "
         f"grid bends={grid.bend_count} (>{bound}: {grid.bend_count > bound})  "
         f"distinct sets={grid.distinct_support_sets}  "
         f"[certify {t1 - t0:.1f}s, sweep {t2 - t1:.1f}s]"

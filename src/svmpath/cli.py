@@ -3,13 +3,12 @@
 Exit codes: 0 success, 1 verification failure, 2 input error.
 
 Importing this module loads only what `gen` and `gen-arc` use: `construct`,
-`goldfarb`, `geometry` and `instance_io`. `verify` and `sweep` import `qp`,
-`sweep`, `report_io` and `json` when they run, `shadow-svg` only the last
-two. Four names of those modules stay names of this module, as forwarders
-that import their module on first call: `build_kkt_certificate`,
-`sweep_constructed`, `sweep_refined` and `write_sweep_report`. The commands
-call them through this module's globals, so a wrapper or test patch set on
-`cli` still sees each call.
+`goldfarb`, `geometry` and `instance_io`. `verify` imports `qp` and `json`
+when it runs, `sweep` also `sweep` and `report_io`, `shadow-svg` only
+`report_io` and `json`. Two names of those modules stay names of this module,
+as forwarders that import their module on first call: `sweep_refined` and
+`write_sweep_report`. `sweep` calls them through this module's globals, so a
+wrapper or test patch set on `cli` still sees each call.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 from .construct import (
     StretchFactor,
     StrictnessError,
-    admissible_constructions,
+    admissible_constructions,  # perfbench/tracer.py reads it by name; no command calls it
     build_instance,
     choose_stretch,
     generate_2d_arc_instance,
@@ -33,6 +32,7 @@ from .instance_io import (
     InstanceFormatError,
     parse_integer,
     parse_rational,
+    rational_json,
     read_instance,
     regenerate,
     write_instance,
@@ -41,7 +41,7 @@ from .instance_io import (
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
-MAX_DIM = 16  # of gen and verify; verify holds 2^(d-2) certificates, 335 MB at d = 14
+MAX_DIM = 16  # of gen and verify; verify keeps no certificate: 52 MB, 6.4-7.9 s at d = 14
 
 
 def _flag(flag: str, token: str, parse=parse_rational):
@@ -76,9 +76,10 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
 
 
 # Forwarders that load their module on first call; see the module docstring.
-def build_kkt_certificate(instance, pair, decomp):
+# perfbench/tracer.py reads the first two by name; no command calls them.
+def build_kkt_certificate(instance, sigma, q_last, weights):
     from .qp import build_kkt_certificate
-    return build_kkt_certificate(instance, pair, decomp)
+    return build_kkt_certificate(instance, sigma, q_last, weights)
 
 
 def sweep_constructed(instance, certificates):
@@ -133,9 +134,7 @@ def cmd_gen_arc(args) -> int:
 def cmd_verify(args) -> int:
     import json
 
-    from .qp import CertificateError
-    from .report_io import rational_json
-    from .sweep import SweepMismatchError
+    from .qp import CertificateError, certify_construction
 
     instance = read_instance(args.instance)
     if instance.params is None:
@@ -151,25 +150,19 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
 
     summary = []
-    certificates = []
     try:
-        for pair, decomp in admissible_constructions(instance.params, instance.stretch):
-            cert = build_kkt_certificate(instance, pair, decomp)
-            certificates.append(cert)
+        for cert, (A, den) in certify_construction(instance):
             summary.append(
                 {
-                    "sigma": "".join("+" if s == 1 else "-" for s in pair.sigma),
+                    "sigma": "".join("+" if s == 1 else "-" for s in cert.sigma),
                     "mu": rational_json(cert.mu),
                     "facet_multiplier": rational_json(cert.facet_multiplier),
                     "objective": rational_json(cert.pair.objective),
-                    "support": [[k, s] for k, s in sorted(
-                        (k, pair.sigma[k - 1]) for k in range(1, instance.params.dim + 1)
-                    )],
-                    "max_weight": rational_json(decomp.mu_sigma),
+                    "support": [[k, s] for k, s in enumerate(cert.sigma, start=1)],
+                    "max_weight": rational_json(Fraction(max(A), den)),
                 }
             )
-        sweep_constructed(instance, certificates)
-    except (CertificateError, SweepMismatchError, StrictnessError) as exc:
+    except (CertificateError, StrictnessError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}))
         return EXIT_VERIFY
     print(json.dumps({"ok": True, "certificates": len(summary), "sigmas": summary}))
@@ -178,7 +171,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .qp import nu_from_mu
-    from .report_io import rational_json, sweep_report_csv
+    from .report_io import sweep_report_csv
 
     counts = []
     for flag, token, least in (

@@ -68,7 +68,7 @@ class ConstructedPair(FrozenRecord):
     """One breakpoint of the path: sigma and q = (0, ..., 0, 2, q_d) on the construction line.
 
     Its p, the projection of q onto the stretched sigma-facet, is no field:
-    `support_decomposition`'s weights over the stretched facet duals fix it,
+    its integer weights over the stretched facet duals (`_weights`) fix it,
     and they are what a certificate compares.
     """
 
@@ -200,6 +200,7 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     return (S1, S2, g, Qd), (U, W, top)
 
 
+# No command calls it; perfbench/tracer.py reads it by name and the tests compare with it.
 def build_pair(params: GoldfarbParams, sigma: SignVec) -> ConstructedPair:
     """The breakpoint pair of one admissible sigma: its q, which no stretch changes."""
     sigma = tuple(sigma)
@@ -243,6 +244,7 @@ def _weights(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> tuple:
     return A, den
 
 
+# No command calls it; perfbench/tracer.py reads it by name and the tests compare with it.
 def support_decomposition(sigma: SignVec, params: GoldfarbParams, s: StretchFactor) -> SupportDecomposition:
     """The weights alpha with sum_k alpha_k w_(k, sigma_k)(L) = p for sigma's constructed p.
 
@@ -271,6 +273,7 @@ def mu_of_q(q_last: Fraction, calib: Calibration) -> Fraction:
     return 1 - (q_last - calib.q_min) * (1 - calib.mu_bar) / (calib.q_max - calib.q_min)
 
 
+# No command calls it; perfbench/tracer.py reads it by name and the tests compare with it.
 @lru_cache(maxsize=None)
 def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
     """(pair, decomposition) for every admissible sigma, lexicographic order.

@@ -42,6 +42,13 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def rational_json(x) -> dict:
+    """x as the exact JSON object {"num": ..., "den": ...} of the reports and of `verify`."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
 def parse_rational(token: str) -> Fraction:
     """The exact rational of a token such as `3/4`, `-2` or `0.8`.
 

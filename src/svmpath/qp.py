@@ -56,7 +56,9 @@ The piece is also the one optimality certificate. A constructed breakpoint
 is certified without running the loop: `build_kkt_certificate` builds the
 piece of the construction's working set and accepts the construction only
 when that piece covers the breakpoint's mu and its optimum there puts the
-construction's decomposition weights on the sigma-facet points.
+construction's integer weights on the sigma-facet points.
+`certify_construction` certifies every breakpoint of a constructed instance
+in one pass that keeps nothing from one sigma to the next.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Optional
 
-from .construct import ConstructedPair, SupportDecomposition, SvmInstance, mu_of_q
+from .construct import SvmInstance, _unstretched_pair, _weights, mu_of_q
 from .geometry import (
     FrozenRecord,
     PointTable,
@@ -76,6 +78,7 @@ from .geometry import (
     solve_linear_system_general,
     solve_linear_systems,
 )
+from .goldfarb import admissible_sign_vectors
 
 AT_LO, AT_HI = 0, 1
 # a piece's successor before its first `successor()` call
@@ -651,18 +654,21 @@ def support_set(pair: OptimalPair) -> tuple:
 
 
 def build_kkt_certificate(
-    instance: SvmInstance, pair: ConstructedPair, decomp: SupportDecomposition
+    instance: SvmInstance, sigma: tuple, q_last: Fraction, weights: tuple
 ) -> KktCertificate:
-    """Prove the constructed pair the unique optimum of the instance at its mu.
+    """Prove sigma's constructed pair the unique optimum of the instance at its mu.
 
-    At mu = mu_of_q(q[-1]) the candidate puts the decomposition weights on
-    the plus points labeled (k, sigma_k) and (mu, 1 - mu) on (left, right).
-    Its piece is that of the construction's working set: the other plus
-    points at 0, left at mu, and the support points and right free. Right
-    stays free even at mu = 1, where its weight is 0, so that the minus class
-    keeps a free coefficient. The candidate is certified when the piece
-    exists, covers mu, and its optimum there, the unique optimum of the
-    instance QP (`Piece.optimum`), has the candidate's plus coefficients.
+    The candidate is sigma, q_d of its q on the construction line, and its
+    integer weights (A, den) over the plus points labeled (k, sigma_k), as
+    `construct._weights` reads them. At mu = mu_of_q(q_last) it puts A_k / den
+    on those points and (mu, 1 - mu) on (left, right). Its piece is that of
+    the construction's working set: the other plus points at 0, left at mu,
+    and the support points and right free. Right stays free even at mu = 1,
+    where its weight is 0, so that the minus class keeps a free coefficient.
+    The candidate is certified when the piece exists, covers mu, and its
+    optimum there, the unique optimum of the instance QP (`Piece.optimum`),
+    has the candidate's plus coefficients: each free one, (P e + Q m) / (C e)
+    at mu = m / e, equals its A_k / den by integer cross-multiplication.
     Otherwise CertificateError names sigma and mu.
 
     The minus coefficients are not compared: on this working set they are
@@ -672,25 +678,43 @@ def build_kkt_certificate(
     check the sums of the coefficients times the points against the Fraction
     construction of the test oracles.
     """
-    mu = mu_of_q(pair.q[-1], instance.calibration)
+    A, den = weights
+    mu = mu_of_q(q_last, instance.calibration)
     n_plus = len(instance.plus_points)
-    alpha_plus = [Fraction(0)] * n_plus
-    for k, (s, a) in enumerate(zip(pair.sigma, decomp.alphas), start=1):
-        alpha_plus[instance.plus_labels.index((k, s))] = a
-    where = f"sigma={pair.sigma} at mu={mu}"
-    at_lo = tuple(i for i, a in enumerate(alpha_plus) if not a)
+    index = {label: i for i, label in enumerate(instance.plus_labels)}
+    weight = {index[(k, s)]: a for k, (s, a) in enumerate(zip(sigma, A), start=1)}
+    where = f"sigma={sigma} at mu={mu}"
+    at_lo = tuple(i for i in range(n_plus) if not weight.get(i))
     piece = Piece.build(instance.table, (at_lo, (n_plus,)))
     if piece is None:
         raise CertificateError(f"no piece on the working set of {where}")
     if not piece.covers(mu):
         raise CertificateError(f"piece of the working set does not cover {where}")
+    m, e = mu.numerator, mu.denominator
+    for i, (P, Q, C) in zip(piece.free, piece.alphas):
+        if i < n_plus and (P * e + Q * m) * den != weight[i] * C * e:
+            raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
     optimum = piece.optimum(ReducedHullQP.from_instance(instance, mu))
-    if optimum.alpha_plus != tuple(alpha_plus):
-        raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
     # lam_+ = R0 / D0 + mu R1 / D1, the plus class's multiplier, as one Fraction
     R0, D0, R1, D1 = piece._lams[0]
-    lam_plus = Fraction(R0 * D1 * mu.denominator + mu.numerator * R1 * D0, D0 * D1 * mu.denominator)
-    return KktCertificate(tuple(pair.sigma), mu, optimum, -2 * lam_plus)
+    lam_plus = Fraction(R0 * D1 * e + m * R1 * D0, D0 * D1 * e)
+    return KktCertificate(tuple(sigma), mu, optimum, -2 * lam_plus)
+
+
+def certify_construction(instance: SvmInstance) -> Iterator[tuple]:
+    """(certificate, weights (A, den)) of each admissible sigma of a constructed instance.
+
+    One pass in lexicographic order, as `construct.build_instance` calibrates:
+    each sigma's candidate is read off `_weights`, which raises
+    StrictnessError naming the sigma, and q_d = Qd / g of `_unstretched_pair`,
+    and certified by `build_kkt_certificate`. Nothing is kept between sigmas,
+    so a caller that drops each certificate holds one piece at a time.
+    """
+    params, s = instance.params, instance.stretch
+    for sigma in admissible_sign_vectors(params.dim):
+        weights = _weights(params, sigma, s)
+        *_, g, Qd = _unstretched_pair(params, sigma)[0]
+        yield build_kkt_certificate(instance, sigma, Fraction(Qd, g), weights), weights
 
 
 def nu_from_mu(mu, n: int) -> Fraction:

@@ -29,12 +29,6 @@ if TYPE_CHECKING:  # annotations only, so shadow-svg loads neither sweep nor qp
     from .sweep import SweepReport
 
 
-def rational_json(x) -> dict:
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 def _label_json(label):
     return list(label) if isinstance(label, tuple) else label
 

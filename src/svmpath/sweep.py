@@ -213,7 +213,10 @@ def sweep_constructed(instance: SvmInstance, certificates: Sequence) -> SweepRep
 
     Each KktCertificate proves its pair the unique optimum at its mu, so its
     record is exact. Two certificates that share a mu or a support set
-    contradict each other; SweepMismatchError then names both sigmas.
+    contradict each other; SweepMismatchError then names both sigmas. Both
+    checks follow from the certificates: two unique optima at one mu are one
+    pair, and distinct sigmas have distinct plus supports. So `verify` does
+    not run it; the tests do, on every certificate of d = 3..8.
     """
     if instance.calibration is None:
         raise ValueError("constructed sweep needs a calibrated instance")

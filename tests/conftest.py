@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import svmpath
+from svmpath import construct
 from svmpath.construct import StretchFactor, admissible_constructions, build_instance
 from svmpath.goldfarb import GoldfarbParams
 
@@ -45,6 +46,12 @@ def fresh_cli(*argv, loaded=()) -> subprocess.CompletedProcess:
 
 def default_params(dim: int) -> GoldfarbParams:
     return GoldfarbParams(dim, Fraction(1, 3), Fraction(1, 16))
+
+
+def candidate(params: GoldfarbParams, sigma: tuple, s: StretchFactor = DEFAULT_STRETCH) -> tuple:
+    """(sigma, q_d, (A, den)): sigma's integer candidate, the arguments of `qp.build_kkt_certificate`."""
+    *_, g, Qd = construct._unstretched_pair(params, sigma)[0]
+    return sigma, Fraction(Qd, g), construct._weights(params, sigma, s)
 
 
 def spread(items) -> list:

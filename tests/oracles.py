@@ -1138,7 +1138,7 @@ def reduced_hull_segment(u_left, u_right, mu) -> tuple:
 
 
 def rational_from_json(obj) -> Fraction:
-    """The Fraction of a report_io.rational_json object."""
+    """The Fraction of an instance_io.rational_json object."""
     return Fraction(int(obj["num"]), int(obj["den"]))
 
 

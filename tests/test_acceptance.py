@@ -32,7 +32,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams, _shadow_data, dual_vertices, shadow_polygon
-from svmpath.qp import ReducedHullQP, build_kkt_certificate, solve_reduced_distance, support_set
+from svmpath.qp import ReducedHullQP, certify_construction, solve_reduced_distance, support_set
 from svmpath.sweep import path_pieces, sweep_constructed, sweep_refined
 
 DIMS = range(3, 9)
@@ -56,13 +56,13 @@ def built():
 def test_criterion_1_distinct_support_sets(built):
     elapsed_d8 = None
     for d in DIMS:
-        params, s, instance, cons = built[d]
+        params, s, instance, _cons = built[d]
         assert s.factor == 20000
         started = time.time()
         # the d=8 leg is timed end to end: stretch search, certificates, and a
         # cold exact solve at every breakpoint
         assert choose_stretch(params).factor == 20000
-        certs = [build_kkt_certificate(instance, pair, decomp) for pair, decomp in cons]
+        certs = [cert for cert, _weights in certify_construction(instance)]
         report = sweep_constructed(instance, certs)
         for cert in certs:
             solved = solve_reduced_distance(ReducedHullQP.from_instance(instance, cert.mu))
@@ -106,8 +106,12 @@ def test_criterion_4_kkt_certificates(built):
     total = 0
     for d in DIMS:
         params, s, instance, cons = built[d]
-        for pair, decomp in cons:
-            cert = build_kkt_certificate(instance, pair, decomp)  # optimal and unique
+        # optimal and unique, in one pass in the constructions' order
+        certified = list(certify_construction(instance))
+        assert len(certified) == len(cons) == 2 ** (d - 2)
+        for (pair, decomp), (cert, (A, den)) in zip(cons, certified):
+            assert tuple(F(a, den) for a in A) == decomp.alphas
+            assert F(max(A), den) == decomp.mu_sigma
             assert cert.sigma == pair.sigma
             assert cert.mu == mu_of_q(pair.q[-1], instance.calibration)
             assert cert.facet_multiplier == relaxed_facet_multiplier(params, pair.sigma, s.factor) > 0
@@ -177,13 +181,13 @@ def test_criterion_8_certified_breakpoints_on_the_walked_path(built):
     pieces_by_d = {}
     elapsed_d8 = None
     for d in DIMS:
-        _params_, _s, instance, cons = built[d]
+        _params_, _s, instance, _cons = built[d]
         started = time.time()
         pieces = path_pieces(instance, F(8, 10), F(1))
         if d == 8:
             elapsed_d8 = time.time() - started
         assert pieces[0].covers(F(8, 10)) and pieces[-1].covers(F(1))
-        certs = [build_kkt_certificate(instance, pair, decomp) for pair, decomp in cons]
+        certs = [cert for cert, _weights in certify_construction(instance)]
         # down the path in decreasing mu: each certified pair is the optimum of
         # a piece at or below the previous one's
         position = len(pieces) - 1

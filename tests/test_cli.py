@@ -158,6 +158,16 @@ class TestVerify:
         assert doc["certificates"] == 4
         assert len(doc["sigmas"]) == 4
 
+    def test_streams_without_the_constructions(self, tmp_path, capsys):
+        # each sigma is certified from its integer weights and dropped: the
+        # cached tuple of every pair and decomposition is never built
+        out = tmp_path / "d4.inst"
+        run(["gen", "--d", "4", "--out", str(out)], capsys)
+        construct.admissible_constructions.cache_clear()
+        code, stdout, _ = run(["verify", str(out)], capsys)
+        assert code == 0 and json.loads(stdout)["certificates"] == 4
+        assert construct.admissible_constructions.cache_info().currsize == 0
+
     def test_tampered_coordinate_fails(self, tmp_path, capsys):
         out = tmp_path / "d3.inst"
         run(["gen", "--d", "3", "--out", str(out)], capsys)
@@ -203,13 +213,18 @@ class TestVerify:
 
 
 def refuse_construction(monkeypatch) -> None:
-    """Make building or regenerating any constructed instance fail the test."""
+    """Make building, regenerating or certifying any constructed instance fail the test.
+
+    These are the names `gen` and `verify` call: the command line's, and the
+    solver's one pass over the sigmas, which `verify` imports when it runs.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("the construction ran")
 
-    for name in ("build_instance", "choose_stretch", "regenerate", "admissible_constructions"):
+    for name in ("build_instance", "choose_stretch", "regenerate"):
         monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(qp, "certify_construction", refuse)
 
 
 def header_only_instance(d: int) -> str:

@@ -16,6 +16,7 @@ from svmpath.instance_io import (
     parse_instance,
     parse_integer,
     parse_rational,
+    rational_json,
     read_instance,
     regenerate,
     serialize_instance,
@@ -23,7 +24,6 @@ from svmpath.instance_io import (
 )
 from svmpath.qp import OptimalPair
 from svmpath.report_io import (
-    rational_json,
     shadow_svg,
     sweep_report_csv,
     write_sweep_report,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import DEFAULT_STRETCH, default_params
+from conftest import DEFAULT_STRETCH, candidate, default_params
 from oracles import (
     coefficient_support,
     constructed_p,
@@ -36,15 +36,17 @@ from oracles import (
 )
 from svmpath import qp as qp_module
 from svmpath.construct import (
+    StretchFactor,
+    StrictnessError,
     SvmInstance,
-    admissible_constructions,
     build_instance,
     choose_stretch,
     generate_2d_arc_instance,
+    line_point,
     mu_of_q,
 )
 from svmpath.geometry import PointTable, Vec
-from svmpath.goldfarb import GoldfarbParams
+from svmpath.goldfarb import GoldfarbParams, admissible_sign_vectors
 from svmpath.qp import (
     AT_HI,
     AT_LO,
@@ -53,6 +55,7 @@ from svmpath.qp import (
     Piece,
     ReducedHullQP,
     build_kkt_certificate,
+    certify_construction,
     nu_from_mu,
     solve_reduced_distance,
     support_set,
@@ -750,8 +753,7 @@ class TestTableMatchesFractionReference:
     def test_every_certificate(self, d):
         params = default_params(d)
         instance = build_instance(params, DEFAULT_STRETCH)
-        for pair, decomp in admissible_constructions(params, DEFAULT_STRETCH):
-            cert = build_kkt_certificate(instance, pair, decomp)
+        for cert, _weights in certify_construction(instance):
             qp = ReducedHullQP.from_instance(instance, cert.mu)
             assert kkt_check_reference(qp, cert.pair)
             assert unique_optimum_reference(qp, cert.pair)
@@ -976,10 +978,13 @@ class TestKktCheckGeneral:
                     assert norm_sq(vec_sub(moved, other)) >= sol.objective
 
 
+SIGMAS4 = tuple(admissible_sign_vectors(4))
+
+
 class TestCertificates:
     def test_valid_for_all_admissible_sigmas(self, params4, instance4, constructions4):
         for pair, decomp in constructions4:
-            cert = build_kkt_certificate(instance4, pair, decomp)
+            cert = build_kkt_certificate(instance4, *candidate(params4, pair.sigma))
             mu = mu_of_q(pair.q[-1], instance4.calibration)
             assert cert.sigma == pair.sigma and cert.mu == mu
             assert cert.pair.alpha_minus == (mu, 1 - mu)
@@ -988,6 +993,12 @@ class TestCertificates:
                 params4, pair.sigma, DEFAULT_STRETCH.factor
             ) > 0
 
+    def test_one_pass_names_the_first_sigma_that_fails_strictness(self, params4):
+        instance = build_instance(params4, DEFAULT_STRETCH)
+        loose = replace(instance, stretch=StretchFactor(1))
+        with pytest.raises(StrictnessError, match=r"sigma=\(-1, -1, 1, 1\) at L=1$"):
+            next(certify_construction(loose))
+
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
     def test_optimum_points_are_the_constructed_pair(self, d, eps, gamma):
@@ -995,57 +1006,57 @@ class TestCertificates:
         # summed in Fractions, are the Fraction construction's p and q
         params = GoldfarbParams(d, eps, gamma)
         instance = build_instance(params, DEFAULT_STRETCH)
-        for pair, decomp in admissible_constructions(params, DEFAULT_STRETCH):
-            cert = build_kkt_certificate(instance, pair, decomp)
+        for cert, _weights in certify_construction(instance):
             qp = ReducedHullQP.from_instance(instance, cert.mu)
             _p_shadow, q, _slack, ((p, _alphas),) = construction_reference(
-                params, pair.sigma, (DEFAULT_STRETCH.factor,)
+                params, cert.sigma, (DEFAULT_STRETCH.factor,)
             )
             assert pair_points(qp, cert.pair) == (p, q)
 
-    def test_perturbed_weight_breaks_stationarity(self, instance4, constructions4):
-        # half of one support weight moves to another: the sum stays 1 and
-        # the working set is the same, but the piece's optimum keeps its weights
-        pair, decomp = constructions4[0]
-        half = decomp.alphas[1] / 2
-        moved = replace(decomp, alphas=(decomp.alphas[0] + half, half) + decomp.alphas[2:])
-        assert sum(moved.alphas) == 1
+    def test_perturbed_weight_breaks_stationarity(self, params4, instance4):
+        # half of one support weight moves to another: over 2 den the half
+        # stays an integer, the sum stays 1 and the working set is the same,
+        # but the piece's optimum keeps its weights
+        sigma, q_last, (A, den) = candidate(params4, SIGMAS4[0])
+        moved = [2 * A[0] + A[1], A[1]] + [2 * a for a in A[2:]]
+        assert sum(moved) == 2 * den and F(moved[1], 2 * den) == F(A[1], den) / 2
         with pytest.raises(
             CertificateError,
-            match=rf"differs from the optimum of its piece for sigma={re.escape(str(pair.sigma))} at mu=",
+            match=rf"differs from the optimum of its piece for sigma={re.escape(str(sigma))} at mu=",
         ):
-            build_kkt_certificate(instance4, pair, moved)
+            build_kkt_certificate(instance4, sigma, q_last, (moved, 2 * den))
 
-    def test_other_sigmas_decomposition_rejected(self, instance4, constructions4):
-        (pair, _), (_, other) = constructions4[:2]
-        with pytest.raises(CertificateError, match=rf"sigma={re.escape(str(pair.sigma))} at mu="):
-            build_kkt_certificate(instance4, pair, other)
+    def test_other_sigmas_weights_rejected(self, params4, instance4):
+        sigma, q_last, _weights = candidate(params4, SIGMAS4[0])
+        *_, other = candidate(params4, SIGMAS4[1])
+        with pytest.raises(CertificateError, match=rf"sigma={re.escape(str(sigma))} at mu="):
+            build_kkt_certificate(instance4, sigma, q_last, other)
 
-    def test_wrong_mu_rejected(self, instance4, constructions4):
-        pair, decomp = constructions4[1]
+    def test_wrong_mu_rejected(self, params4, instance4):
+        sigma, q_last, weights = candidate(params4, SIGMAS4[1])
         calib = instance4.calibration
         shifted = replace(instance4, calibration=replace(calib, mu_bar=(1 + calib.mu_bar) / 2))
-        wrong_mu = mu_of_q(pair.q[-1], shifted.calibration)
-        assert wrong_mu != mu_of_q(pair.q[-1], calib)
+        wrong_mu = mu_of_q(q_last, shifted.calibration)
+        assert wrong_mu != mu_of_q(q_last, calib)
         with pytest.raises(CertificateError, match=rf"sigma=.* at mu={wrong_mu}"):
-            build_kkt_certificate(shifted, pair, decomp)
+            build_kkt_certificate(shifted, sigma, q_last, weights)
 
-    def test_closer_point_breaks_optimality(self, instance4, constructions4):
+    def test_closer_point_breaks_optimality(self, params4, instance4):
         # a plus point at q itself is feasible with weight 0 but beats the pair
-        pair, decomp = constructions4[0]
+        sigma, q_last, weights = candidate(params4, SIGMAS4[0])
         extra = replace(
             instance4,
-            plus_points=instance4.plus_points + (pair.q,),
+            plus_points=instance4.plus_points + (line_point(4, q_last),),
             plus_labels=instance4.plus_labels + ("extra",),
         )
         # its gradient falls below the plus multiplier, so the piece covers no mu
         with pytest.raises(CertificateError, match="does not cover sigma="):
-            build_kkt_certificate(extra, pair, decomp)
+            build_kkt_certificate(extra, sigma, q_last, weights)
 
-    def test_duplicated_vertex_breaks_uniqueness(self, instance4, constructions4):
+    def test_duplicated_vertex_breaks_uniqueness(self, params4, instance4):
         # a copy of a support point can take over part of its weight
-        pair, decomp = constructions4[0]
-        idx = instance4.plus_labels.index((1, pair.sigma[0]))
+        sigma, q_last, weights = candidate(params4, SIGMAS4[0])
+        idx = instance4.plus_labels.index((1, sigma[0]))
         twin = replace(
             instance4,
             plus_points=instance4.plus_points + (instance4.plus_points[idx],),
@@ -1053,25 +1064,26 @@ class TestCertificates:
         )
         # at weight 0 its gradient equals the multiplier: it is not strictly bound
         with pytest.raises(CertificateError, match="does not cover sigma="):
-            build_kkt_certificate(twin, pair, decomp)
+            build_kkt_certificate(twin, sigma, q_last, weights)
 
-    def test_split_weight_leaves_no_piece(self, instance4, constructions4):
+    def test_split_weight_leaves_no_piece(self, params4, instance4):
         # a copy of a support point, labelled as a fifth facet, takes half of
-        # its weight: the optimum is unchanged, but the free points are dependent
-        pair, decomp = constructions4[0]
-        idx = instance4.plus_labels.index((1, pair.sigma[0]))
+        # its weight over 2 den: the optimum is unchanged, but the free points
+        # are dependent
+        sigma, q_last, (A, den) = candidate(params4, SIGMAS4[0])
+        idx = instance4.plus_labels.index((1, sigma[0]))
         twin = replace(
             instance4,
             plus_points=instance4.plus_points + (instance4.plus_points[idx],),
             plus_labels=instance4.plus_labels + ((5, 1),),
         )
-        half = decomp.alphas[0] / 2
-        split = replace(decomp, alphas=(half,) + decomp.alphas[1:] + (half,))
-        sigma = pair.sigma + (1,)
+        split = [A[0]] + [2 * a for a in A[1:]] + [A[0]]
+        assert sum(split) == 2 * den
+        sigma += (1,)
         with pytest.raises(
             CertificateError, match=rf"no piece on the working set of sigma={re.escape(str(sigma))} at mu="
         ):
-            build_kkt_certificate(twin, replace(pair, sigma=sigma), split)
+            build_kkt_certificate(twin, sigma, q_last, (split, 2 * den))
 
 
 def walk_midpoints(instance) -> tuple:
@@ -1112,8 +1124,7 @@ class TestDualityGap:
         params = default_params(d)
         s = choose_stretch(params)
         instance = build_instance(params, s)
-        for pair, decomp in admissible_constructions(params, s):
-            cert = build_kkt_certificate(instance, pair, decomp)
+        for cert, _weights in certify_construction(instance):
             assert duality_gap(instance, cert.mu, cert.pair.alpha_plus, cert.pair.alpha_minus) == 0
 
     def test_zero_exactly_where_the_reference_kkt_check_passes(self):
@@ -1144,9 +1155,8 @@ FLAT_MINUS = [Vec((0, 0)), Vec((1, 0))]
 
 
 class TestUniqueOptimum:
-    def test_constructed_breakpoints_unique(self, instance4, constructions4):
-        for pair, decomp in constructions4:
-            cert = build_kkt_certificate(instance4, pair, decomp)
+    def test_constructed_breakpoints_unique(self, instance4):
+        for cert, _weights in certify_construction(instance4):
             qp = ReducedHullQP.from_instance(instance4, cert.mu)
             assert unique_optimum_reference(qp, cert.pair)
             assert unique_optimum_oracle(qp, cert.pair)

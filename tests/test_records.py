@@ -7,11 +7,12 @@ dataclass printed. The oracles' `Polygon2` is built on the same
 builds its coefficients on first read, does all of that as the pair of
 every field given eagerly. Importing the package or its command
 line loads neither `dataclasses` nor `inspect`; `gen` and `gen-arc` load neither
-the solver, the sweep, the report writer nor `json`, and `shadow-svg` neither
-the solver nor the sweep.
+the solver, the sweep, the report writer nor `json`, `shadow-svg` neither
+the solver nor the sweep, and `verify` neither the sweep nor the report writer.
 """
 
 import copy
+import json
 import pickle
 from fractions import Fraction as F
 
@@ -26,9 +27,11 @@ from svmpath.construct import (
     StretchFactor,
     SupportDecomposition,
     SvmInstance,
+    build_instance,
 )
 from svmpath.geometry import FrozenInstanceError, PointTable, Vec
 from svmpath.goldfarb import DualVertex, GoldfarbParams
+from svmpath.instance_io import write_instance
 from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
 
@@ -60,6 +63,17 @@ def test_command_loads_only_its_own_modules(tmp_path, argv, unused):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"wrote {out}: ")
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_verify_loads_neither_sweep_nor_report_io(tmp_path):
+    # verify takes no --out, so it is not a case of the test above
+    inst = tmp_path / "d4.inst"
+    write_instance(build_instance(GoldfarbParams(4), StretchFactor(20000)), inst)
+    proc = fresh_cli("verify", str(inst), loaded=("svmpath.sweep", "svmpath.report_io"))
+    assert proc.returncode == 0, proc.stderr
+    first, last = proc.stdout.splitlines()
+    assert json.loads(first)["ok"] is True and json.loads(first)["certificates"] == 4
+    assert last == "[]"
 
 
 TABLE = PointTable([Vec([1, 0]), Vec([2, 1])], [Vec([0, F(1, 2)]), Vec([1, 1])])

@@ -15,7 +15,7 @@ from svmpath.construct import (
 )
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams
-from svmpath.qp import Piece, ReducedHullQP, build_kkt_certificate, support_set
+from svmpath.qp import Piece, ReducedHullQP, certify_construction, support_set
 from svmpath import qp as qp_module
 from svmpath import sweep as sweep_module
 from svmpath.report_io import sweep_report_csv, write_sweep_report
@@ -116,17 +116,16 @@ class TestRefine:
         assert [r.mu for r in out] == preorder(lo, hi, 6)
 
 
-def certificates(instance, constructions) -> list:
-    return [build_kkt_certificate(instance, pair, decomp) for pair, decomp in constructions]
+def certificates(instance) -> list:
+    return [cert for cert, _weights in certify_construction(instance)]
 
 
 class TestConstructedSweep:
     @pytest.mark.parametrize("d,expected", [(3, 2), (4, 4)])
     def test_distinct_support_count(self, d, expected):
         params = default_params(d)
-        cons = admissible_constructions(params, DEFAULT_STRETCH)
         inst = build_instance(params, DEFAULT_STRETCH)
-        report = sweep_constructed(inst, certificates(inst, cons))
+        report = sweep_constructed(inst, certificates(inst))
         assert report.distinct_support_sets == expected == 2 ** d // 4
         assert all(len(r.support_plus) == d for r in report.records)
         assert report.bend_count == expected - 1  # consecutive sets all differ
@@ -137,11 +136,11 @@ class TestConstructedSweep:
         mus = [mu_of_q(p.q[-1], calib) for p, _ in pairs]
         assert all(a > b for a, b in zip(mus, mus[1:]))
         assert all(calib.mu_bar <= m <= 1 for m in mus)
-        report = sweep_constructed(instance4, certificates(instance4, constructions4))
+        report = sweep_constructed(instance4, certificates(instance4))
         assert [r.mu for r in report.records] == mus
 
-    def test_tampered_pair_raises_named_mismatch(self, instance4, constructions4):
-        certs = certificates(instance4, constructions4)
+    def test_tampered_pair_raises_named_mismatch(self, instance4):
+        certs = certificates(instance4)
         same_mu = replace(certs[0], mu=certs[1].mu)
         with pytest.raises(SweepMismatchError, match="shares its mu") as info:
             sweep_constructed(instance4, [certs[1], same_mu] + certs[2:])
