@@ -33,6 +33,11 @@ solver with the command line, `verify-imports-sweep` has `verify` import the
 sweep again, and `strictness-not-a-failure` takes `StrictnessError` out of
 the `VerificationFailure` base that `main` catches.
 
+Every record binds its fields in `FrozenRecord.__init__`, by one zip when
+each field comes by position: `record-binds-short` drops that branch's
+length check, so a call short of a field would build a record without it;
+the tests of the calls a record refuses kill it.
+
 A certificate compares the optimum's free plus coefficients with the
 candidate's integer weights A over den, by cross-multiplication, and no
 points: `certificate-ignores-weights` drops that comparison. The points it leaves out are checked by a test that sums
@@ -43,13 +48,19 @@ the integer rows X0 and X1 of `_unstretched_pair` fix its weights, and
 
 `strictness-not-strict` lets a zero weight pass `facet_strictness_check`, so
 a point on two facets would count as strictly inside all but its own; the
-strictness tests' points tight on another facet kill it. `gap-sign-flipped`
-flips the sign of the gaps of the coefficients at mu in `Piece._measure`.
-Only the duality-gap tests, which share no code with the pieces, are run
-against it. They kill it by their walk's coverage of [51/100, 1] and by
-their certificates: with the flip, the loop's answer at 51/100 lies on no
-piece, so the walk is empty, and no certificate's piece covers its mu. The
-gap itself stays 0 on every piece the mutant still accepts.
+strictness tests' points tight on another facet kill it.
+`strictness-sum-dropped` drops the check's `sum(W) == den`, so a point off
+the sigma-facet would pass; the tests comparing the check with the Fraction
+oracle kill it. `exponent-accepted` lets `parse_rational` read exponent
+notation, which the token tests refuse.
+
+`gap-sign-flipped` flips the sign of the gaps of the coefficients at mu in
+`Piece._measure`. Only the duality-gap tests, which share no code with the
+pieces, are run against it. They kill it by their walk's coverage of
+[51/100, 1] and by their certificates: with the flip, the loop's answer at
+51/100 lies on no piece, so the walk is empty, and no certificate's piece
+covers its mu. The gap itself stays 0 on every piece the mutant still
+accepts.
 
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
@@ -81,6 +92,8 @@ WEIGHT_TESTS = ("tests/test_qp.py::TestCertificates::test_perturbed_weight_break
 POINT_TESTS = ("tests/test_qp.py::TestCertificates::test_optimum_points_are_the_constructed_pair",)
 STRICTNESS_TESTS = ("tests/test_construct.py::TestFacetStrictness",)
 GAP_TESTS = ("tests/test_qp.py::TestDualityGap",)
+RECORD_TESTS = ("tests/test_records.py::TestConstruction::test_refuses_what_the_dataclass_refused",)
+TOKEN_TESTS = ("tests/test_io.py::TestRationalTokens",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -212,6 +225,27 @@ MUTANTS = (
         "((self.at_lo, 1), (self.at_hi, -1))",
         "((self.at_lo, 1), (self.at_hi, 1))",
         GAP_TESTS,
+    ),
+    (
+        "record-binds-short",
+        "geometry.py",
+        "if kwargs or len(args) != len(fields):",
+        "if kwargs:",
+        RECORD_TESTS,
+    ),
+    (
+        "strictness-sum-dropped",
+        "construct.py",
+        "return sum(W) == den and all(w > 0 for w in W)",
+        "return all(w > 0 for w in W)",
+        STRICTNESS_TESTS,
+    ),
+    (
+        "exponent-accepted",
+        "instance_io.py",
+        'if "e" in token or "E" in token:',
+        "if False:",
+        TOKEN_TESTS,
     ),
 )
 

@@ -47,7 +47,7 @@ class StretchFactor(FrozenRecord):
     __slots__ = _fields = ("factor",)
 
     def __init__(self, factor: Fraction):
-        object.__setattr__(self, "factor", Fraction(factor))
+        super().__init__(Fraction(factor))
         if self.factor <= 0:
             raise ValueError("stretch factor must be positive")
 
@@ -74,21 +74,11 @@ class ConstructedPair(FrozenRecord):
 
     __slots__ = _fields = ("sigma", "q")
 
-    def __init__(self, sigma: SignVec, q: Vec):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "q", q)
-
 
 class SupportDecomposition(FrozenRecord):
     """Unique convex combination of p over the d facet vertices; all weights > 0."""
 
     __slots__ = _fields = ("sigma", "alphas", "mu_sigma")
-
-    def __init__(self, sigma: SignVec, alphas: tuple, mu_sigma: Fraction):
-        _set = object.__setattr__
-        _set(self, "sigma", sigma)
-        _set(self, "alphas", alphas)
-        _set(self, "mu_sigma", mu_sigma)
 
 
 class Calibration(FrozenRecord):
@@ -96,20 +86,13 @@ class Calibration(FrozenRecord):
 
     __slots__ = _fields = ("mu_bar", "q_min", "q_max", "u_left", "u_right")
 
-    def __init__(
-        self, mu_bar: Fraction, q_min: Fraction, q_max: Fraction, u_left: Vec, u_right: Vec
-    ):
-        _set = object.__setattr__
-        _set(self, "mu_bar", mu_bar)
-        _set(self, "q_min", q_min)
-        _set(self, "q_max", q_max)
-        _set(self, "u_left", u_left)
-        _set(self, "u_right", u_right)
-        if not Fraction(1, 2) <= mu_bar < 1:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not Fraction(1, 2) <= self.mu_bar < 1:
             raise ValueError("mu_bar must lie in [1/2, 1)")
-        if q_min > q_max:
+        if self.q_min > self.q_max:
             raise ValueError("q_min must not exceed q_max")
-        if u_left[-1] != q_min:
+        if self.u_left[-1] != self.q_min:
             raise ValueError("u_left must sit at q_min")
 
 
@@ -137,14 +120,8 @@ class SvmInstance(FrozenRecord):
         stretch: Optional[StretchFactor] = None,
         calibration: Optional[Calibration] = None,
     ):
-        _set = object.__setattr__
-        _set(self, "plus_points", plus_points)
-        _set(self, "plus_labels", plus_labels)
-        _set(self, "minus_points", minus_points)
-        _set(self, "params", params)
-        _set(self, "stretch", stretch)
-        _set(self, "calibration", calibration)
-        _set(self, "_table", None)
+        super().__init__(plus_points, plus_labels, minus_points, params, stretch, calibration)
+        object.__setattr__(self, "_table", None)
 
     @property
     def dim(self) -> int:

@@ -25,6 +25,9 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of an immutable record."""
 
 
+_set = object.__setattr__
+
+
 class FrozenRecord:
     """Immutable record whose equality, hash and repr read the fields named in `_fields`.
 
@@ -34,15 +37,40 @@ class FrozenRecord:
     is `Name(field=value, ...)`, and any assignment or deletion raises
     FrozenInstanceError. Copies and pickles rebuild a record from its fields.
 
+    The constructor binds the fields by position or keyword as the generated
+    `__init__` did, with a TypeError naming the class for a missing, surplus,
+    repeated or unknown field. A subclass declares `__slots__` and `_fields`,
+    and normalises, defaults or validates around one `super().__init__` call.
+
     The package's records are written by hand rather than as dataclasses. The
     decorator compiles each class's generated methods at every import, and
     `dataclasses` imports `inspect`: about a fifth of each command's start-up.
-    Each subclass declares `__slots__` and `_fields` and writes an `__init__`
-    that sets its attributes through `object.__setattr__`.
     """
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        # the package passes every field by position: one zip, no keyword handling
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value in `_fields` order, from a call's positional and keyword arguments."""
+        cls, fields, rest = self.__class__.__qualname__, self._fields, self._fields[len(args):]
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} fields but {len(args)} were given")
+        for name in kwargs:
+            if name not in rest:
+                problem = "multiple values for" if name in fields else "an unexpected"
+                raise TypeError(f"{cls}() got {problem} field {name!r}")
+        missing = [name for name in rest if name not in kwargs]
+        if missing:
+            raise TypeError(f"{cls}() missing field(s): {', '.join(missing)}")
+        return args + tuple([kwargs[name] for name in rest])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

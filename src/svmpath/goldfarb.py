@@ -46,10 +46,7 @@ class GoldfarbParams(FrozenRecord):
 
     def __init__(self, dim: int, eps: Fraction = Fraction(1, 3), gamma: Fraction = Fraction(1, 16)):
         eps, gamma = Fraction(eps), Fraction(gamma)
-        _set = object.__setattr__
-        _set(self, "dim", dim)
-        _set(self, "eps", eps)
-        _set(self, "gamma", gamma)
+        super().__init__(dim, eps, gamma)
         if not isinstance(dim, int) or dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
         if not 0 < gamma:
@@ -61,7 +58,7 @@ class GoldfarbParams(FrozenRecord):
             )
         if not eps < Fraction(1, 2):
             raise ValueError(f"parameter constraint violated: eps < 1/2 (eps = {eps})")
-        _set(self, "_hash", hash((dim, eps, gamma)))
+        object.__setattr__(self, "_hash", hash((dim, eps, gamma)))
 
     def __hash__(self):
         return self._hash
@@ -71,12 +68,6 @@ class DualVertex(FrozenRecord):
     """Vertex w of the dual cube; the inequality w . x <= 1 carves facet (k, s)."""
 
     __slots__ = _fields = ("k", "s", "coords")
-
-    def __init__(self, k: int, s: int, coords: Vec):
-        _set = object.__setattr__
-        _set(self, "k", k)
-        _set(self, "s", s)
-        _set(self, "coords", coords)
 
 
 def sign_vectors(dim: int) -> Iterator[SignVec]:

@@ -101,8 +101,7 @@ class ReducedHullQP(FrozenRecord):
     def __init__(self, table: PointTable, mu: Fraction):
         if type(mu) is not Fraction:
             mu = Fraction(mu)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "mu", mu)
+        super().__init__(table, mu)
         m, e = mu.numerator, mu.denominator
         for cls in (table.plus_points, table.minus_points):
             # 1/n <= m/e <= 1 over integers, e > 0
@@ -169,13 +168,6 @@ class KktCertificate(FrozenRecord):
     """
 
     __slots__ = _fields = ("sigma", "mu", "pair", "facet_multiplier")
-
-    def __init__(self, sigma: tuple, mu: Fraction, pair: OptimalPair, facet_multiplier: Fraction):
-        _set = object.__setattr__
-        _set(self, "sigma", sigma)
-        _set(self, "mu", mu)
-        _set(self, "pair", pair)
-        _set(self, "facet_multiplier", facet_multiplier)
 
 
 def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPair]):

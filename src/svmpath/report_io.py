@@ -136,12 +136,15 @@ def sweep_report_csv(report: SweepReport, precision: int = 12) -> str:
     return "\n".join(lines) + "\n"
 
 
-def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str:
+SVG_SIZE, SVG_DIGITS = 800, 12  # side of the view box, significant digits of a coordinate
+
+
+def shadow_svg(params: GoldfarbParams) -> str:
     """SVG 1.1 drawing of the shadow polygon, vertex count in the title.
 
     Drawn from the Gray-code shadow ring, den times the projections: the drawing
     is fitted to the view box, so it is the same under any positive scale.
-    Coordinates are rendered as decimals with `digits` significant digits;
+    Coordinates are rendered as decimals with SVG_DIGITS significant digits;
     this is display only, the polygon itself is computed exactly.
     """
     ring = shadow_polygon(params)
@@ -150,10 +153,10 @@ def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y)
     margin = Fraction(1, 20)
-    scale = Fraction(size) / (span * (1 + 2 * margin))
+    scale = Fraction(SVG_SIZE) / (span * (1 + 2 * margin))
 
     def fmt(x: Fraction) -> str:
-        return format(x.numerator / x.denominator, f".{digits}g")
+        return format(x.numerator / x.denominator, f".{SVG_DIGITS}g")
 
     pts = []
     for v in ring:
@@ -163,7 +166,7 @@ def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str
     title = f"shadow polygon, d={params.dim}: {len(ring)} vertices"
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
         f"  <title>{title}</title>\n"
         f'  <polygon points="{" ".join(pts)}" '
         f'fill="none" stroke="black" stroke-width="1"/>\n'
@@ -171,5 +174,5 @@ def shadow_svg(params: GoldfarbParams, size: int = 800, digits: int = 12) -> str
     )
 
 
-def write_shadow_svg(params: GoldfarbParams, path, **kwargs) -> None:
-    Path(path).write_text(shadow_svg(params, **kwargs), encoding="utf-8")
+def write_shadow_svg(params: GoldfarbParams, path) -> None:
+    Path(path).write_text(shadow_svg(params), encoding="utf-8")

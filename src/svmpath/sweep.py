@@ -53,20 +53,11 @@ class SweepMismatchError(VerificationFailure):
 
 
 class SweepRecord(FrozenRecord):
-    """One solved value: mu, labeled support sets, objective, and the pair."""
+    """One solved value: mu, labeled support sets, and the pair, which holds the objective."""
 
-    __slots__ = _fields = ("mu", "support_plus", "support_minus", "objective", "pair")
+    __slots__ = _fields = ("mu", "support_plus", "support_minus", "pair")
 
-    def __init__(
-        self, mu: Fraction, support_plus: frozenset, support_minus: frozenset,
-        objective: Fraction, pair: OptimalPair,
-    ):
-        _set = object.__setattr__
-        _set(self, "mu", mu)
-        _set(self, "support_plus", support_plus)
-        _set(self, "support_minus", support_minus)
-        _set(self, "objective", objective)
-        _set(self, "pair", pair)
+    objective = property(lambda self: self.pair.objective)
 
     @property
     def support(self) -> tuple:
@@ -77,15 +68,6 @@ class SweepReport(FrozenRecord):
     """Records ordered by decreasing mu with bend and distinct-set counts."""
 
     __slots__ = _fields = ("records", "bend_count", "distinct_support_sets", "lower_bound")
-
-    def __init__(
-        self, records: tuple, bend_count: int, distinct_support_sets: int, lower_bound: int
-    ):
-        _set = object.__setattr__
-        _set(self, "records", records)
-        _set(self, "bend_count", bend_count)
-        _set(self, "distinct_support_sets", distinct_support_sets)
-        _set(self, "lower_bound", lower_bound)
 
 
 def _solve_record(
@@ -110,7 +92,7 @@ def _record(instance: SvmInstance, mu: Fraction, pair: OptimalPair, labels: dict
             frozenset([MINUS_LABELS[i] for i in minus]),
         )
     plus, minus = labels[support]
-    return SweepRecord(mu, plus, minus, pair.objective, pair)
+    return SweepRecord(mu, plus, minus, pair)
 
 
 def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:

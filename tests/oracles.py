@@ -475,10 +475,6 @@ def is_extreme_point(p, others) -> bool:
 class CubeVertex(FrozenRecord):
     __slots__ = _fields = ("sigma", "coords")
 
-    def __init__(self, sigma, coords: Vec):
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "coords", coords)
-
 
 def cube_bound(params, x) -> Fraction:
     """z_k = |x_k| at every vertex whose first k-1 coordinates are x, k = len(x) + 1.
@@ -536,7 +532,7 @@ class Polygon2(FrozenRecord):
 
     def __init__(self, vertices: tuple):
         vs = tuple(Vec(v) for v in vertices)
-        object.__setattr__(self, "vertices", vs)
+        super().__init__(vs)
         if len(vs) < 3:
             raise ValueError("polygon needs at least three vertices")
         if len(set(vs)) != len(vs):

@@ -277,18 +277,20 @@ class TestSweepReports:
         assert doc == {"num": "-5", "den": "7"}
 
 
+def _pair(objective: F) -> OptimalPair:
+    return OptimalPair((F(1),), (F(1, 2), F(1, 2)), objective)
+
+
 def _empty_support_report():
-    pair = OptimalPair((F(1),), (F(1, 2), F(1, 2)), F(0))
     records = (
-        SweepRecord(F(1), frozenset(), frozenset({"left"}), F(0), pair),
-        SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset(), F(-1, 3), pair),
+        SweepRecord(F(1), frozenset(), frozenset({"left"}), _pair(F(0))),
+        SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset(), _pair(F(-1, 3))),
     )
     return SweepReport(records, 1, 2, 0)
 
 
 def _equal_support_report():
     # equal supports held by distinct frozensets, and a record with no label at all
-    pair = OptimalPair((F(1),), (F(1, 2), F(1, 2)), F(0))
     supports = [
         (frozenset({(1, -1), (2, 1)}), frozenset({"left", "right"})),
         (frozenset({(2, 1), (1, -1)}), frozenset({"right", "left"})),
@@ -296,7 +298,7 @@ def _equal_support_report():
         (frozenset({(2, 1), (1, -1)}), frozenset({"left", "right"})),
     ]
     records = tuple(
-        SweepRecord(F(4 - k, 4), plus, minus, F(-k, 3), pair) for k, (plus, minus) in enumerate(supports)
+        SweepRecord(F(4 - k, 4), plus, minus, _pair(F(-k, 3))) for k, (plus, minus) in enumerate(supports)
     )
     return SweepReport(records, 2, 2, 0)
 
@@ -357,7 +359,7 @@ class TestReportWriter:
         # lists, by str: both exports sort by str of the list form
         pair = _empty_support_report().records[0].pair
         support = frozenset({(1, 2), (1, 23)})
-        records = tuple(SweepRecord(F(k, 2), support, frozenset({"left"}), F(0), pair) for k in (2, 1))
+        records = tuple(SweepRecord(F(k, 2), support, frozenset({"left"}), pair) for k in (2, 1))
         report = SweepReport(records, 0, 1, 0)
         rows = sweep_report_csv(report).splitlines()[2:]
         assert [row.split(",")[2] for row in rows] == ["[1; 23] [1; 2]"] * 2
@@ -384,7 +386,12 @@ class TestShadowSvg:
         assert len(polygon.attrib["points"].split()) == count
 
     def test_coordinates_are_decimal_display(self):
-        svg = shadow_svg(GoldfarbParams(2), digits=6)
-        assert "/" not in ET.fromstring(svg).find(
-            "{http://www.w3.org/2000/svg}polygon"
-        ).attrib["points"]
+        # the exact corners 400/11 and 8400/11 on an 800 view box, cut to 12 digits
+        root = ET.fromstring(shadow_svg(GoldfarbParams(2)))
+        assert root.attrib["viewBox"] == "0 0 800 800"
+        points = root.find("{http://www.w3.org/2000/svg}polygon").attrib["points"]
+        assert "/" not in points
+        assert points == (
+            "36.3636363636,763.636363636 763.636363636,521.212121212 "
+            "763.636363636,278.787878788 36.3636363636,36.3636363636"
+        )

@@ -1,8 +1,10 @@
 """Value semantics of the package's immutable records, and what importing it costs.
 
-Every record compares, hashes, prints, copies and refuses assignment as the
-frozen dataclass of its fields did; the reprs pinned below are the ones that
-dataclass printed. The oracles' `Polygon2` is built on the same
+Every record binds its fields, refuses a call short of a field or with a
+surplus, repeated or unknown one, compares, hashes, prints, copies and refuses
+assignment as the frozen dataclass of its fields did; the reprs pinned below
+are the ones that dataclass printed. `SweepRecord` has four fields, its
+objective being its pair's. The oracles' `Polygon2` is built on the same
 `FrozenRecord` and has its sample here too. A pair read off a piece, which
 builds its coefficients on first read, does all of that as the pair of
 every field given eagerly. Importing the package or its command
@@ -78,7 +80,7 @@ def test_verify_loads_neither_sweep_nor_report_io(tmp_path):
 
 TABLE = PointTable([Vec([1, 0]), Vec([2, 1])], [Vec([0, F(1, 2)]), Vec([1, 1])])
 PAIR = OptimalPair((F(1), F(0)), (F(1),), F(5, 4))
-RECORD = SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset({"left"}), F(5, 4), PAIR)
+RECORD = SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset({"left"}), PAIR)
 # the piece of TABLE with plus point 0 and minus point 1 at mu, on [1/2, 5/7]
 PIECE = Piece.build(TABLE, ((), (0, 3)))
 PIECE_PAIR = OptimalPair((F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), F(25, 36))
@@ -96,7 +98,7 @@ PAIR_REPR = (
 )
 RECORD_REPR = (
     "SweepRecord(mu=Fraction(3, 4), support_plus=frozenset({(1, -1)}), "
-    f"support_minus=frozenset({{'left'}}), objective=Fraction(5, 4), pair={PAIR_REPR})"
+    f"support_minus=frozenset({{'left'}}), pair={PAIR_REPR})"
 )
 CALIBRATION_REPR = (
     "Calibration(mu_bar=Fraction(1, 2), q_min=Fraction(-3, 1), q_max=Fraction(-1, 1), "
@@ -298,7 +300,33 @@ class TestConstruction:
         record, _ = sample
         values = [getattr(record, f) for f in record._fields]
         by_keyword = type(record)(**{f: getattr(record, f) for f in record._fields})
-        assert type(record)(*values) == by_keyword == record
+        mixed = type(record)(values[0], **dict(zip(record._fields[1:], values[1:])))
+        assert type(record)(*values) == by_keyword == mixed == record
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cls, fields, values: cls(),
+            lambda cls, fields, values: cls(**dict(zip(fields[1:], values[1:]))),
+            lambda cls, fields, values: cls(*values, values[0]),
+            lambda cls, fields, values: cls(*values, **{fields[0]: values[0]}),
+            lambda cls, fields, values: cls(values[0], **{fields[0]: values[0]}),
+            lambda cls, fields, values: cls(*values, unknown=values[0]),
+        ],
+        ids=["missing", "missing_by_keyword", "surplus", "repeated", "repeated_short", "unknown"],
+    )
+    def test_refuses_what_the_dataclass_refused(self, sample, call):
+        # every record's first field has no default
+        record, _ = sample
+        cls = type(record)
+        values = tuple(getattr(record, f) for f in record._fields)
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            call(cls, record._fields, values)
+
+    def test_sweep_record_reads_its_objective_off_its_pair(self):
+        assert "objective" not in SweepRecord._fields
+        assert RECORD.objective is RECORD.pair.objective
+        assert SweepRecord(F(1), frozenset(), frozenset(), PIECE_PAIR).objective is PIECE_PAIR.objective
 
     def test_defaults(self):
         params = GoldfarbParams(4)
