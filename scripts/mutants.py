@@ -38,13 +38,24 @@ each field comes by position: `record-binds-short` drops that branch's
 length check, so a call short of a field would build a record without it;
 the tests of the calls a record refuses kill it.
 
-A certificate compares the optimum's free plus coefficients with the
-candidate's integer weights A over den, by cross-multiplication, and no
-points: `certificate-ignores-weights` drops that comparison. The points it leaves out are checked by a test that sums
-the optimum's coefficients times the points and compares them with the
-Fraction construction's p and q in `tests/oracles.py`. No module builds p:
+A certificate substitutes the candidate's coefficients and tests each
+condition the piece of its working set would: five mutants drop or loosen
+one each, and each is killed by the certificate test whose candidate fails
+that condition alone. `certificate-without-stationarity` drops the equal
+support gradients (a weight moved between two support points).
+`certificate-bound-side-not-strict` accepts a point at 0 whose gradient
+meets the multiplier (a copy of a support point).
+`certificate-without-independence` drops the triangular check of the
+support points (a copy labelled as one more facet; the `verify` test of a
+support point moved onto another's axis is run too).
+`certificate-left-side-dropped` accepts left's gradient meeting right's
+(right moved onto left). `certificate-weight-above-mu` drops the weights'
+bounds (mu lowered under the largest weight, the line points moved to keep
+q). No module builds p:
 the integer rows X0 and X1 of `_unstretched_pair` fix its weights, and
-`pair-p-misbuilt` flips a sign in X0; only that test is run against it.
+`pair-p-misbuilt` flips a sign in X0; only the test that sums the
+certificate's coefficients times the points and compares them with the
+Fraction construction's p and q in `tests/oracles.py` is run against it.
 
 `strictness-not-strict` lets a zero weight pass `facet_strictness_check`, so
 a point on two facets would count as strictly inside all but its own; the
@@ -54,12 +65,11 @@ the sigma-facet would pass; the tests comparing the check with the Fraction
 oracle kill it. `exponent-accepted` lets `parse_rational` read exponent
 notation, which the token tests refuse.
 
-`gap-sign-flipped` flips the sign of the gaps of the coefficients at mu in
-`Piece._measure`. Only the duality-gap tests, which share no code with the
-pieces, are run against it. They kill it by their walk's coverage of
-[51/100, 1] and by their certificates: with the flip, the loop's answer at
-51/100 lies on no piece, so the walk is empty, and no certificate's piece
-covers its mu. The gap itself stays 0 on every piece the mutant still
+`gap-sign-flipped` leaves the gaps of the coefficients at mu in
+`Piece._measure` unnegated. Only the duality-gap tests, which share no code
+with the pieces, are run against it. They kill it by their walk's coverage
+of [51/100, 1]: with the flip, the loop's answer at 51/100 lies on no piece,
+so the walk is empty. The gap itself stays 0 on every piece the mutant still
 accepts.
 
 Equivalent mutants, which no test can kill, stay off the list, with the
@@ -88,8 +98,16 @@ FOOTPRINT_TESTS = (
 FRESH_FAILURE_TESTS = (
     "tests/test_cli.py::TestGenRefuses::test_unit_stretch_without_the_solver_loaded",
 )
-WEIGHT_TESTS = ("tests/test_qp.py::TestCertificates::test_perturbed_weight_breaks_stationarity",)
-POINT_TESTS = ("tests/test_qp.py::TestCertificates::test_optimum_points_are_the_constructed_pair",)
+CERTIFICATE = "tests/test_qp.py::TestCertificates::"
+STATIONARITY_TESTS = (CERTIFICATE + "test_perturbed_weight_breaks_stationarity",)
+BOUND_SIDE_TESTS = (CERTIFICATE + "test_duplicated_vertex_breaks_uniqueness",)
+INDEPENDENCE_TESTS = (
+    CERTIFICATE + "test_split_weight_leaves_no_piece",
+    "tests/test_cli.py::TestVerify::test_uniqueness_failure_names_sigma_and_mu",
+)
+LEFT_SIDE_TESTS = (CERTIFICATE + "test_coincident_line_points_break_uniqueness",)
+WEIGHT_BOUND_TESTS = (CERTIFICATE + "test_weight_above_mu_is_refused",)
+POINT_TESTS = (CERTIFICATE + "test_optimum_points_are_the_constructed_pair",)
 STRICTNESS_TESTS = ("tests/test_construct.py::TestFacetStrictness",)
 GAP_TESTS = ("tests/test_qp.py::TestDualityGap",)
 RECORD_TESTS = ("tests/test_records.py::TestConstruction::test_refuses_what_the_dataclass_refused",)
@@ -198,12 +216,39 @@ MUTANTS = (
         FRESH_FAILURE_TESTS,
     ),
     (
-        "certificate-ignores-weights",
+        "certificate-without-stationarity",
         "qp.py",
-        "if i < n_plus and (P * e + Q * m) * den != weight[i] * C * e:\n"
-        "            raise CertificateError(f\"candidate differs from the optimum of its piece for {where}\")",
-        "pass",
-        WEIGHT_TESTS,
+        "if sum(A) != den or any(G[:free]):",
+        "if sum(A) != den:",
+        STATIONARITY_TESTS,
+    ),
+    (
+        "certificate-bound-side-not-strict",
+        "qp.py",
+        "all(g > 0 for g in G[free:-1])",
+        "all(g >= 0 for g in G[free:-1])",
+        BOUND_SIDE_TESTS,
+    ),
+    (
+        "certificate-without-independence",
+        "qp.py",
+        "if not all(k < len(row) and row[k] and not any(row[k + 1:]) for k, row in enumerate(rows)):",
+        "if False:",
+        INDEPENDENCE_TESTS,
+    ),
+    (
+        "certificate-left-side-dropped",
+        "qp.py",
+        " and G[-1] < 0):",
+        "):",
+        LEFT_SIDE_TESTS,
+    ),
+    (
+        "certificate-weight-above-mu",
+        "qp.py",
+        "inside = all(0 < a and a * e <= m * den for a in A)",
+        "inside = True",
+        WEIGHT_BOUND_TESTS,
     ),
     (
         "pair-p-misbuilt",
@@ -222,8 +267,8 @@ MUTANTS = (
     (
         "gap-sign-flipped",
         "qp.py",
-        "((self.at_lo, 1), (self.at_hi, -1))",
-        "((self.at_lo, 1), (self.at_hi, 1))",
+        "A += G0[:lo] + [-g for g in G0[lo:]]\n        B += G1[:lo] + [-g for g in G1[lo:]]",
+        "A += G0\n        B += G1",
         GAP_TESTS,
     ),
     (

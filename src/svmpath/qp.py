@@ -52,13 +52,13 @@ takes is its warm start: it walks the chain from the piece a start was read
 off (`Piece.walk`), and where the chain stops the loop runs from the start's
 coefficients.
 
-The piece is also the one optimality certificate. A constructed breakpoint
-is certified without running the loop: `build_kkt_certificate` builds the
-piece of the construction's working set and accepts the construction only
-when that piece covers the breakpoint's mu and its optimum there puts the
-construction's integer weights on the sigma-facet points.
-`certify_construction` certifies every breakpoint of a constructed instance
-in one pass that keeps nothing from one sigma to the next.
+The piece's conditions are also the one optimality certificate. A
+constructed breakpoint brings its coefficients, so `build_kkt_certificate`
+substitutes them, with no loop and no elimination: it tests what
+`Piece.optimum` accepts on the construction's working set, with `_measure`'s
+gap helper (`_gaps`), and the free points' triangular zero pattern for their
+independence. `certify_construction` certifies every breakpoint of a
+constructed instance in one pass that keeps nothing from one sigma to the next.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ class OptimalPair(FrozenRecord):
 class KktCertificate(FrozenRecord):
     """A constructed pair proven the unique optimum of its instance at mu.
 
-    `facet_multiplier` is -2 lam_+, with lam_+ the piece's plus-class
-    multiplier s_r . w (half the objective's gradient): the multiplier of the
+    `facet_multiplier` is -2 lam_+, with lam_+ the plus-class multiplier
+    s_r . w (half the objective's gradient): the multiplier of the
     sigma-facet when p is read as the projection of q onto that facet.
     """
 
@@ -210,16 +210,13 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     integers. Every s_k . w is one integer dot product over a positive
     denominator.
 
-    The loop returns only when the step is zero and no bound multiplier has
-    the wrong sign, decided exactly at that iterate: these are the KKT
-    conditions. The multiplier test reads the gradients s_k . w, half the
-    objective's 2 s_k . w; a positive factor changes no comparison, so the
-    class multiplier, every sign and the lowest-index tie-break are those of
-    the true gradients. Where the piece of the loop's working set covers mu,
-    the loop's optimum is read off it, the same pair, so that the next solve
-    walks on from that piece: the only place a walk starts. Elsewhere the
-    loop's pair carries no piece, and only there is its objective summed
-    from the coefficients (`_finish`).
+    The loop returns only at the KKT conditions: a zero step and no bound
+    multiplier of the wrong sign, decided exactly on the gradients s_k . w,
+    half the objective's, which changes no sign and no tie-break. Where the
+    piece of its working set covers mu, its optimum is read off that piece,
+    the same pair, so the next solve walks on from there: the only place a
+    walk starts. Elsewhere the pair carries no piece, and its objective is
+    summed from the coefficients (`_finish`).
     """
     table, mu = qp.table, qp.mu
     if start is not None and start.piece is not None and start.piece.table is table:
@@ -299,7 +296,7 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
         if drop is None:
             piece = Piece.build(table, working_set(x, mu))
             pair = piece.optimum(qp) if piece is not None else None
-            return pair if pair is not None else _finish(table, x)
+            return pair if pair is not None else _finish(table, x, W, den_w)
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
@@ -330,11 +327,25 @@ def _normal_equations(table: PointTable, free_by_class, sums) -> tuple:
     return directions, scales, diffs, normal, rhs
 
 
-def _finish(table: PointTable, x) -> OptimalPair:
-    """The pair at coefficients x with ||p - q||^2 from the integer points."""
-    n_plus = len(table.plus_points)
-    W, den_w = table.cleared_sum(enumerate(x))
-    objective = Fraction(sum(c * c for c in W), den_w * den_w)
+def _gaps(table: PointTable, refs, indices, sums) -> tuple:
+    """(R, G) per S in `sums`: nums[r] . S for each class's reference r in `refs` = (r+, r-), and
+    dens[r] (nums[k] . S) - dens[k] (nums[r] . S) for each k in `indices`, r its class's. For
+    w = S / den, these are s_r . w and s_k . w - s_r . w times dens[r] den and dens[k] dens[r] den.
+    """
+    nums, dens, n_plus = table.nums, table.dens, len(table.plus_points)
+    (rp, rm), R, G = refs, [], []
+    for S in sums:
+        Rp, Rm = sum(map(mul, nums[rp], S)), sum(map(mul, nums[rm], S))
+        R.append((Rp, Rm))
+        # the class chosen inline, with no tuple per index: the inner loop of every piece build
+        G.append([dens[rm] * sum(map(mul, nums[k], S)) - dens[k] * Rm if k >= n_plus
+                  else dens[rp] * sum(map(mul, nums[k], S)) - dens[k] * Rp for k in indices])
+    return R, G
+
+
+def _finish(table: PointTable, x, W, den_w) -> OptimalPair:
+    """The pair at coefficients x, with ||p - q||^2 from their integer sum w = W / den_w."""
+    n_plus, objective = len(table.plus_points), Fraction(sum(map(mul, W, W)), den_w * den_w)
     return OptimalPair(tuple(x[:n_plus]), tuple(x[n_plus:]), objective)
 
 
@@ -448,33 +459,25 @@ class Piece:
         multiple of mu, both are over det e0, so each condition is
         a + b nu >= 0 (closed) or > 0 (open) with integers a and b.
         """
-        table, free, n_plus = self.table, self.free, len(self.table.plus_points)
-        nums, dens = table.nums, table.dens
+        table, free = self.table, self.free
         den0, den1 = det * e0, det * e1
         # x_i = (P e1 + Q e0 mu) / (det e0 e1)
         self.alphas = tuple([(P[i] * e1, Q[i] * e0, den0 * e1) for i in free])
-        # lam = s_r . w = R0 / (dens[r] den0) + mu R1 / (dens[r] den1) with R = nums[r] . W;
-        # the gap s_k . w - lam times the positive dens[k] dens[r] den0 is
-        # (dens[r] N0 - dens[k] R0) + nu (dens[r] N1 - dens[k] R1), N = nums[k] . W
-        self._lams = lams = tuple([
-            (sum(map(mul, nums[r], W0)), dens[r] * den0, sum(map(mul, nums[r], W1)), dens[r] * den1)
-            for r in refs
+        # lam = s_r . w = R0 / (dens[r] den0) + mu R1 / (dens[r] den1), and the gap
+        # s_k . w - lam times the positive dens[k] dens[r] den0 is G0 + nu G1 (`_gaps`)
+        bound = (*self.at_lo, *self.at_hi)
+        (R0, R1), (G0, G1) = _gaps(table, refs, bound, (W0, W1))
+        self._lams = tuple([
+            (r0, table.dens[r] * den0, r1, table.dens[r] * den1) for r, r0, r1 in zip(refs, R0, R1)
         ])
         # the conditions a + b nu, in order: per free coefficient x_i >= 0 and
         # mu - x_i = (-P + (det e1 - Q) nu) / (det e0) >= 0, both closed, then
         # the open gaps of the coefficients at 0 and, negated, of those at mu
         A = [a for i in free for a in (P[i], -P[i])]
         B = [b for i in free for b in (Q[i], den1 - Q[i])]
-        closed = len(A)
-        bound = (*self.at_lo, *self.at_hi)
-        for indices, sign in ((self.at_lo, 1), (self.at_hi, -1)):
-            # the side's sign and each class's constants, hoisted out of the loop
-            consts = [(sign * dens[r], sign * l[0], sign * l[2]) for r, l in zip(refs, lams)]
-            for k in indices:
-                dr, R0, R1 = consts[k >= n_plus]
-                row, dk = nums[k], dens[k]
-                A.append(dr * sum(map(mul, row, W0)) - dk * R0)
-                B.append(dr * sum(map(mul, row, W1)) - dk * R1)
+        closed, lo = len(A), len(self.at_lo)
+        A += G0[:lo] + [-g for g in G0[lo:]]
+        B += G1[:lo] + [-g for g in G1[lo:]]
         lo_n = lo_d = hi_n = hi_d = 0  # nu as numerator over positive denominator; 0 if none
         lo_closed, hi_closed, events = True, True, []
         for j, b in enumerate(B):
@@ -530,14 +533,10 @@ class Piece:
     def optimum(self, qp: ReducedHullQP) -> Optional[OptimalPair]:
         """The unique optimum of qp if it lies on this piece, else None.
 
-        Accepted only when every free coefficient lies in [0, mu], every
-        coefficient at 0 has a gradient s_k . w strictly above its class
-        multiplier and every coefficient at mu one strictly below it, which is
-        where qp.mu lies in the interval. These are the KKT conditions, so the
-        pair is optimal; the strict gradients pin every bound coefficient in
-        any optimum, and the nonsingular normal equations leave the free ones
-        no direction that keeps w and the class sums. So it is the only
-        optimum, the one the loop returns.
+        Accepted only where qp.mu lies in the interval: every free
+        coefficient in [0, mu], and every bound coefficient's gradient s_k . w
+        strictly on its side of its class multiplier. There the pair is the
+        unique optimum, the one the loop returns (see the module docstring).
 
         The objective is one Fraction of integer numerators, computed here.
         The pair's coefficients (`coefficients`) are built only when first
@@ -650,47 +649,48 @@ def build_kkt_certificate(
 ) -> KktCertificate:
     """Prove sigma's constructed pair the unique optimum of the instance at its mu.
 
-    The candidate is sigma, q_d of its q on the construction line, and its
-    integer weights (A, den) over the plus points labeled (k, sigma_k), as
-    `construct._weights` reads them. At mu = mu_of_q(q_last) it puts A_k / den
-    on those points and (mu, 1 - mu) on (left, right). Its piece is that of
-    the construction's working set: the other plus points at 0, left at mu,
-    and the support points and right free. Right stays free even at mu = 1,
-    where its weight is 0, so that the minus class keeps a free coefficient.
-    The candidate is certified when the piece exists, covers mu, and its
-    optimum there, the unique optimum of the instance QP (`Piece.optimum`),
-    has the candidate's plus coefficients: each free one, (P e + Q m) / (C e)
-    at mu = m / e, equals its A_k / den by integer cross-multiplication.
-    Otherwise CertificateError names sigma and mu.
-
-    The minus coefficients are not compared: on this working set they are
-    (mu, 1 - mu) at every mu, since left is pinned at mu and right, the
-    class's only free coefficient, takes what the class sum leaves. Nor are
-    p and q, which these coefficients fix and no module builds: the tests
-    check the sums of the coefficients times the points against the Fraction
-    construction of the test oracles.
+    The candidate puts the `construct._weights` A_k / den on the plus points
+    labeled (k, sigma_k) and (mu, 1 - mu) on (left, right), mu = mu_of_q(q_last).
+    Substituted into one integer w = p - q, its gaps (`_gaps`) must pass what
+    `Piece.optimum` accepts on the construction's working set: the weights sum
+    to den and lie in (0, mu]; each support gradient equals the first's, lam_+;
+    every point at 0 has its gradient strictly above its class multiplier, and
+    left, at mu, strictly below right's. Right is free even at weight 0 (mu = 1),
+    and 1 - mu <= mu as mu >= mu_bar >= 1/2. For uniqueness the support points
+    must be independent: the one labeled k is nonzero at coordinate k and zero
+    after it, as columns an upper-triangular matrix with a nonzero diagonal,
+    which `goldfarb.facet_weights` solves. These O(d^2) zero tests on the
+    instance's own points keep the check sound on any instance. A failure
+    raises CertificateError naming sigma and mu: "no piece" for dependent
+    points, "differs" for the sum or stationarity, "does not cover" for a
+    bound or a strict side.
     """
     A, den = weights
     mu = mu_of_q(q_last, instance.calibration)
-    n_plus = len(instance.plus_points)
+    table, left = instance.table, len(instance.plus_points)
     index = {label: i for i, label in enumerate(instance.plus_labels)}
-    weight = {index[(k, s)]: a for k, (s, a) in enumerate(zip(sigma, A), start=1)}
+    support = [index[(k, s)] for k, s in enumerate(sigma, start=1)]
     where = f"sigma={sigma} at mu={mu}"
-    at_lo = tuple(i for i in range(n_plus) if not weight.get(i))
-    piece = Piece.build(instance.table, (at_lo, (n_plus,)))
-    if piece is None:
+    rows = [table.nums[i] for i in support]
+    if not all(k < len(row) and row[k] and not any(row[k + 1:]) for k, row in enumerate(rows)):
         raise CertificateError(f"no piece on the working set of {where}")
-    if not piece.covers(mu):
+    x = [Fraction(0)] * len(table.nums)
+    for i, a in zip(support, A):
+        x[i] = Fraction(a, den)
+    x[left], x[left + 1] = mu, 1 - mu
+    W, den_w = table.cleared_sum(enumerate(x))
+    # the points at 0; right is free even at weight 0
+    at_lo = [i for i, v in enumerate(x) if not v and i != left + 1]
+    (R,), (G,) = _gaps(table, (support[0], left + 1), support[1:] + at_lo + [left], (W,))
+    free, m, e = len(support) - 1, mu.numerator, mu.denominator
+    if sum(A) != den or any(G[:free]):
+        raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
+    inside = all(0 < a and a * e <= m * den for a in A)
+    if not (inside and all(g > 0 for g in G[free:-1]) and G[-1] < 0):
         raise CertificateError(f"piece of the working set does not cover {where}")
-    m, e = mu.numerator, mu.denominator
-    for i, (P, Q, C) in zip(piece.free, piece.alphas):
-        if i < n_plus and (P * e + Q * m) * den != weight[i] * C * e:
-            raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
-    optimum = piece.optimum(ReducedHullQP.from_instance(instance, mu))
-    # lam_+ = R0 / D0 + mu R1 / D1, the plus class's multiplier, as one Fraction
-    R0, D0, R1, D1 = piece._lams[0]
-    lam_plus = Fraction(R0 * D1 * e + m * R1 * D0, D0 * D1 * e)
-    return KktCertificate(tuple(sigma), mu, optimum, -2 * lam_plus)
+    # -2 lam_+, with lam_+ = R+ / (dens[r] den_w)
+    facet_multiplier = Fraction(-2 * R[0], table.dens[support[0]] * den_w)
+    return KktCertificate(tuple(sigma), mu, _finish(table, x, W, den_w), facet_multiplier)
 
 
 def certify_construction(instance: SvmInstance) -> Iterator[tuple]:
@@ -700,7 +700,7 @@ def certify_construction(instance: SvmInstance) -> Iterator[tuple]:
     each sigma's candidate is read off `_weights`, which raises
     StrictnessError naming the sigma, and q_d = Qd / g of `_unstretched_pair`,
     and certified by `build_kkt_certificate`. Nothing is kept between sigmas,
-    so a caller that drops each certificate holds one piece at a time.
+    so a caller that drops each certificate holds one at a time.
     """
     params, s = instance.params, instance.stretch
     for sigma in admissible_sign_vectors(params.dim):

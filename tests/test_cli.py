@@ -158,6 +158,17 @@ class TestVerify:
         assert doc["certificates"] == 4
         assert len(doc["sigmas"]) == 4
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_joined_summaries_are_the_json_document(self, tmp_path, capsys, d):
+        # each sigma's summary is kept as its JSON text; the joined texts are
+        # byte for byte what json.dumps writes for the whole document
+        out = tmp_path / "d.inst"
+        run(["gen", "--d", str(d), "--out", str(out)], capsys)
+        code, stdout, _ = run(["verify", str(out)], capsys)
+        assert code == 0
+        assert stdout == json.dumps(json.loads(stdout)) + "\n"
+        assert json.loads(stdout)["certificates"] == 2 ** d // 4
+
     def test_streams_without_the_constructions(self, tmp_path, capsys):
         # each sigma is certified from its integer weights and dropped: the
         # cached tuple of every pair and decomposition is never built
@@ -192,8 +203,15 @@ class TestVerify:
     def test_uniqueness_failure_names_sigma_and_mu(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "d3.inst"
         run(["gen", "--d", "3", "--out", str(out)], capsys)
-        # dependent free points leave the working set without a piece
-        monkeypatch.setattr(qp.Piece, "build", classmethod(lambda cls, table, working: None))
+        # the support point (2, +1) moved onto the x_1 axis, beside (1, -1):
+        # dependent free points leave the working set without a piece. The
+        # file is certified as it stands, not as its header regenerates it
+        lines = out.read_text().splitlines()
+        idx = [i for i, line in enumerate(lines) if line.startswith("+1 ")][facet_order(3).index((2, 1))]
+        assert lines[idx] == "+1 10000/1 3/2 0/1"
+        lines[idx] = "+1 10000/1 0/1 0/1"
+        out.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "regenerate", lambda instance: instance)
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 1
         doc = json.loads(stdout)

@@ -34,6 +34,7 @@ from oracles import (
     vec_add,
     vec_sub,
 )
+from svmpath import geometry
 from svmpath import qp as qp_module
 from svmpath.construct import (
     StretchFactor,
@@ -592,8 +593,8 @@ class TestWalk:
             ends.append(tuple(x))
             return working(x, mu)
 
-        def counted(table, x):
-            finished.append(finish(table, x))
+        def counted(*args):
+            finished.append(finish(*args))
             return finished[-1]
 
         monkeypatch.setattr(qp_module, "working_set", ended)
@@ -1013,6 +1014,37 @@ class TestCertificates:
             )
             assert pair_points(qp, cert.pair) == (p, q)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
+    def test_equals_the_piece_of_its_working_set(self, d, eps, gamma):
+        # the substitution accepts what the piece of the construction's
+        # working set proves: that piece exists, covers mu, and its optimum
+        # and plus multiplier are the certificate's
+        instance = build_instance(GoldfarbParams(d, eps, gamma), DEFAULT_STRETCH)
+        n_plus = len(instance.plus_points)
+        for cert, _weights in certify_construction(instance):
+            support = {instance.plus_labels.index((k, s)) for k, s in enumerate(cert.sigma, start=1)}
+            at_lo = tuple(i for i in range(n_plus) if i not in support)
+            piece = Piece.build(instance.table, (at_lo, (n_plus,)))
+            assert piece is not None and piece.covers(cert.mu)
+            optimum = piece.optimum(ReducedHullQP.from_instance(instance, cert.mu))
+            assert optimum.alpha_plus == cert.pair.alpha_plus
+            assert optimum.alpha_minus == cert.pair.alpha_minus
+            assert optimum.objective == cert.pair.objective
+            R0, D0, R1, D1 = piece._lams[0]
+            assert -2 * (F(R0, D0) + cert.mu * F(R1, D1)) == cert.facet_multiplier
+
+    def test_runs_no_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an elimination ran")
+
+        instance = build_instance(default_params(5), DEFAULT_STRETCH)
+        for name in ("solve_linear_system", "solve_linear_systems", "solve_linear_system_general"):
+            monkeypatch.setattr(geometry, name, refuse)
+            monkeypatch.setattr(qp_module, name, refuse)
+        monkeypatch.setattr(Piece, "build", classmethod(refuse))
+        assert len(list(certify_construction(instance))) == 8
+
     def test_perturbed_weight_breaks_stationarity(self, params4, instance4):
         # half of one support weight moves to another: over 2 den the half
         # stays an integer, the sum stays 1 and the working set is the same,
@@ -1052,6 +1084,40 @@ class TestCertificates:
         # its gradient falls below the plus multiplier, so the piece covers no mu
         with pytest.raises(CertificateError, match="does not cover sigma="):
             build_kkt_certificate(extra, sigma, q_last, weights)
+
+    def test_weight_above_mu_is_refused(self, params4, instance4):
+        # the line points moved to q - 1 and q + 1 and mu_bar lowered to 1/2
+        # keep sigma's q, and so w and every gradient, at mu = 1/2: the
+        # candidate is stationary with its strict sides, but its largest
+        # weight exceeds the cap
+        calib = instance4.calibration
+        sigma, q_last, (A, den) = next(
+            c for c in (candidate(params4, sigma) for sigma in SIGMAS4) if c[1] == calib.q_max
+        )
+        assert 2 * max(A) > den
+        moved = replace(
+            instance4,
+            minus_points=(line_point(4, q_last - 1), line_point(4, q_last + 1)),
+            calibration=replace(calib, mu_bar=F(1, 2)),
+        )
+        with pytest.raises(CertificateError, match=r"does not cover sigma=.* at mu=1/2$"):
+            build_kkt_certificate(moved, sigma, q_last, (A, den))
+
+    def test_coincident_line_points_break_uniqueness(self, params4, instance4):
+        # right moved onto left: at mu = 1, where right's weight is 0, the
+        # candidate stays optimal, but right can take over part of left's
+        # weight, so left's gradient is not strictly below right's
+        calib = instance4.calibration
+        sigma, q_last, weights = next(
+            c for c in (candidate(params4, sigma) for sigma in SIGMAS4) if c[1] == calib.q_min
+        )
+        pair = build_kkt_certificate(instance4, sigma, q_last, weights).pair
+        left = instance4.minus_points[0]
+        twin = replace(instance4, minus_points=(left, left))
+        qp = ReducedHullQP.from_instance(twin, F(1))
+        assert kkt_check_reference(qp, pair) and not unique_optimum_reference(qp, pair)
+        with pytest.raises(CertificateError, match=r"does not cover sigma=.* at mu=1$"):
+            build_kkt_certificate(twin, sigma, q_last, weights)
 
     def test_duplicated_vertex_breaks_uniqueness(self, params4, instance4):
         # a copy of a support point can take over part of its weight
