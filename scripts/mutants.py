@@ -27,11 +27,13 @@ and the shadow ring pass (where it keeps each admissible support) have
 mutants of their own, killed by `tests/test_construct.py` and
 `tests/test_goldfarb.py`.
 
-Three mutants guard what a fresh process loads and how it fails, which
+Four mutants guard what a fresh process loads and how it fails, which
 only a test in a fresh interpreter can see: `cli-imports-qp` imports the
 solver with the command line, `verify-imports-sweep` has `verify` import the
-sweep again, and `strictness-not-a-failure` takes `StrictnessError` out of
-the `VerificationFailure` base that `main` catches.
+sweep again, `verify-imports-qp` has it import from the solver's module
+`qp` again (the certificate that `qp` re-exports, so `verify` still
+succeeds), and `strictness-not-a-failure` takes `StrictnessError` out of the
+`VerificationFailure` base that `main` catches.
 
 Every record binds its fields in `FrozenRecord.__init__`, by one zip when
 each field comes by position: `record-binds-short` drops that branch's
@@ -204,8 +206,15 @@ MUTANTS = (
     (
         "verify-imports-sweep",
         "cli.py",
-        "    from .qp import CertificateError, certify_construction\n",
-        "    from .qp import CertificateError, certify_construction\n    from .sweep import SweepMismatchError\n",
+        "    from .kkt import CertificateError, certify_construction\n",
+        "    from .kkt import CertificateError, certify_construction\n    from .sweep import SweepMismatchError\n",
+        FOOTPRINT_TESTS,
+    ),
+    (
+        "verify-imports-qp",
+        "cli.py",
+        "    from .kkt import CertificateError, certify_construction\n",
+        "    from .kkt import CertificateError, certify_construction\n    from .qp import build_kkt_certificate\n",
         FOOTPRINT_TESTS,
     ),
     (
@@ -217,35 +226,35 @@ MUTANTS = (
     ),
     (
         "certificate-without-stationarity",
-        "qp.py",
+        "kkt.py",
         "if sum(A) != den or any(G[:free]):",
         "if sum(A) != den:",
         STATIONARITY_TESTS,
     ),
     (
         "certificate-bound-side-not-strict",
-        "qp.py",
+        "kkt.py",
         "all(g > 0 for g in G[free:-1])",
         "all(g >= 0 for g in G[free:-1])",
         BOUND_SIDE_TESTS,
     ),
     (
         "certificate-without-independence",
-        "qp.py",
+        "kkt.py",
         "if not all(k < len(row) and row[k] and not any(row[k + 1:]) for k, row in enumerate(rows)):",
         "if False:",
         INDEPENDENCE_TESTS,
     ),
     (
         "certificate-left-side-dropped",
-        "qp.py",
+        "kkt.py",
         " and G[-1] < 0):",
         "):",
         LEFT_SIDE_TESTS,
     ),
     (
         "certificate-weight-above-mu",
-        "qp.py",
+        "kkt.py",
         "inside = all(0 < a and a * e <= m * den for a in A)",
         "inside = True",
         WEIGHT_BOUND_TESTS,

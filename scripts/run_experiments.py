@@ -5,7 +5,7 @@ For each dimension d the script reads the stretch threshold 1/t* (printed
 as L* = sqrt(1/t*) and the bit length of 1/t*) and the stretch factor L
 chosen past it, certifies every constructed breakpoint as the unique optimum
 of the instance at its mu in the one pass `svmpath verify` makes
-(`qp.certify_construction`), counts the distinct support sets of those
+(`kkt.certify_construction`), counts the distinct support sets of those
 optima, then runs the discrete grid sweep and reports bend counts against
 the 2^d/4 lower bound. Everything runs in exact
 rational arithmetic; the full range up to d = 8 takes 0.7 s (2-core x86-64
@@ -28,7 +28,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from svmpath.construct import build_instance, choose_stretch, stretch_threshold
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.instance_io import write_instance
-from svmpath.qp import certify_construction, support_set
+from svmpath.kkt import certify_construction
+from svmpath.qp import support_set
 from svmpath.report_io import write_shadow_svg, write_sweep_report
 from svmpath.sweep import sweep_refined
 

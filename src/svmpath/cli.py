@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 verification failure, 2 input error.
 
 Importing this module loads only what `gen` and `gen-arc` use: `construct`,
-`goldfarb`, `geometry` and `instance_io`. `verify` imports `qp` and `json`
-when it runs, `sweep` also `sweep` and `report_io`, `shadow-svg` only
-`report_io` and `json`. Two names of those modules stay names of this module,
+`goldfarb`, `geometry` and `instance_io`. `verify` imports `kkt` when it
+runs, and `json` only to report a failure: it writes each sigma's summary by
+one `%`-template, byte for byte what `json.dumps` writes. `sweep` imports
+`kkt`, `qp`, `sweep`, `report_io` and `json`, `shadow-svg` only `report_io`
+and `json`. Two names of those modules stay names of this module,
 as forwarders that import their module on first call: `sweep_refined` and
 `write_sweep_report`. `sweep` calls them through this module's globals, so a
 wrapper or test patch set on `cli` still sees each call.
@@ -78,7 +80,7 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
 # Forwarders that load their module on first call; see the module docstring.
 # perfbench/tracer.py reads the first two by name; no command calls them.
 def build_kkt_certificate(instance, sigma, q_last, weights):
-    from .qp import build_kkt_certificate
+    from .kkt import build_kkt_certificate
     return build_kkt_certificate(instance, sigma, q_last, weights)
 
 
@@ -131,10 +133,23 @@ def cmd_gen_arc(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    import json
+# one sigma's summary as `json.dumps` writes it, with each rational's numerator and denominator
+_SUMMARY = (
+    '{"sigma": "%s", "mu": {"num": "%d", "den": "%d"}, '
+    '"facet_multiplier": {"num": "%d", "den": "%d"}, "objective": {"num": "%d", "den": "%d"}, '
+    '"support": [%s], "max_weight": {"num": "%d", "den": "%d"}}'
+)
 
-    from .qp import CertificateError, certify_construction
+
+def _verify_failure(error: str) -> int:
+    import json  # only a failing verify loads it
+
+    print(json.dumps({"ok": False, "error": error}))
+    return EXIT_VERIFY
+
+
+def cmd_verify(args) -> int:
+    from .kkt import CertificateError, certify_construction
 
     instance = read_instance(args.instance)
     if instance.params is None:
@@ -146,26 +161,25 @@ def cmd_verify(args) -> int:
 
     fresh = regenerate(instance)
     if fresh != instance:
-        print(json.dumps({"ok": False, "error": "instance differs from its header parameters"}))
-        return EXIT_VERIFY
+        return _verify_failure("instance differs from its header parameters")
 
     # each sigma's summary as its JSON text: the joined texts are json.dumps of the whole
     texts = []
     try:
         for cert, (A, den) in certify_construction(instance):
-            texts.append(json.dumps(
-                {
-                    "sigma": "".join("+" if s == 1 else "-" for s in cert.sigma),
-                    "mu": rational_json(cert.mu),
-                    "facet_multiplier": rational_json(cert.facet_multiplier),
-                    "objective": rational_json(cert.pair.objective),
-                    "support": [[k, s] for k, s in enumerate(cert.sigma, start=1)],
-                    "max_weight": rational_json(Fraction(max(A), den)),
-                }
+            mu, facet, objective, top = (
+                cert.mu, cert.facet_multiplier, cert.pair.objective, Fraction(max(A), den)
+            )
+            texts.append(_SUMMARY % (
+                "".join("+" if s == 1 else "-" for s in cert.sigma),
+                mu.numerator, mu.denominator,
+                facet.numerator, facet.denominator,
+                objective.numerator, objective.denominator,
+                ", ".join(f"[{k}, {s}]" for k, s in enumerate(cert.sigma, start=1)),
+                top.numerator, top.denominator,
             ))
     except (CertificateError, StrictnessError) as exc:
-        print(json.dumps({"ok": False, "error": str(exc)}))
-        return EXIT_VERIFY
+        return _verify_failure(str(exc))
     print(f'{{"ok": true, "certificates": {len(texts)}, "sigmas": [{", ".join(texts)}]}}')
     return EXIT_OK
 

@@ -35,8 +35,8 @@ from typing import Iterable, Optional, Sequence
 
 from .construct import MINUS_LABELS, SvmInstance
 from .geometry import FrozenRecord, VerificationFailure
+from .kkt import OptimalPair
 from .qp import (
-    OptimalPair,
     ReducedHullQP,
     SolverStalledError,
     solve_reduced_distance,

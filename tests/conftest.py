@@ -49,7 +49,7 @@ def default_params(dim: int) -> GoldfarbParams:
 
 
 def candidate(params: GoldfarbParams, sigma: tuple, s: StretchFactor = DEFAULT_STRETCH) -> tuple:
-    """(sigma, q_d, (A, den)): sigma's integer candidate, the arguments of `qp.build_kkt_certificate`."""
+    """(sigma, q_d, (A, den)): sigma's integer candidate, the arguments of `kkt.build_kkt_certificate`."""
     *_, g, Qd = construct._unstretched_pair(params, sigma)[0]
     return sigma, Fraction(Qd, g), construct._weights(params, sigma, s)
 

@@ -69,10 +69,10 @@ from svmpath.goldfarb import (
     shadow_certificate,
     sign_vectors,
 )
+from svmpath.kkt import OptimalPair
 from svmpath.qp import (
     AT_HI,
     AT_LO,
-    OptimalPair,
     ReducedHullQP,
     SolverStalledError,
     solve_reduced_distance,

@@ -32,7 +32,8 @@ from svmpath.construct import (
 )
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams, _shadow_data, dual_vertices, shadow_polygon
-from svmpath.qp import ReducedHullQP, certify_construction, solve_reduced_distance, support_set
+from svmpath.kkt import certify_construction
+from svmpath.qp import ReducedHullQP, solve_reduced_distance, support_set
 from svmpath.sweep import path_pieces, sweep_constructed, sweep_refined
 
 DIMS = range(3, 9)

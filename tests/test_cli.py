@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fresh_cli, fresh_python
-from svmpath import cli, construct, goldfarb, qp, report_io, sweep
+from svmpath import cli, construct, goldfarb, kkt, qp, report_io, sweep
 from svmpath.cli import main
 from svmpath.construct import (
     Calibration,
@@ -158,16 +158,37 @@ class TestVerify:
         assert doc["certificates"] == 4
         assert len(doc["sigmas"]) == 4
 
-    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("d", [2, 4, 7, 9])
     def test_joined_summaries_are_the_json_document(self, tmp_path, capsys, d):
-        # each sigma's summary is kept as its JSON text; the joined texts are
-        # byte for byte what json.dumps writes for the whole document
+        # each sigma's summary is one template filled with its JSON values; the
+        # joined texts are byte for byte what json.dumps writes for the whole
+        # document, with numerators of up to 47 digits at d = 9
         out = tmp_path / "d.inst"
-        run(["gen", "--d", str(d), "--out", str(out)], capsys)
+        run(["gen", "--d", str(d), "--stretch", "auto", "--out", str(out)], capsys)
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 0
         assert stdout == json.dumps(json.loads(stdout)) + "\n"
         assert json.loads(stdout)["certificates"] == 2 ** d // 4
+
+    def test_summary_template_writes_negative_rationals(self, tmp_path, capsys, monkeypatch):
+        # no constructed instance has a negative mu, multiplier or weight, so
+        # one forged certificate puts a sign before each of the template's numbers
+        out = tmp_path / "d3.inst"
+        run(["gen", "--d", "3", "--out", str(out)], capsys)
+        pair = kkt.OptimalPair((), (), F(-7, 3))
+        forged = kkt.KktCertificate((-1, 1, -1), F(-2, 5), pair, F(-123456789012345678901, 2))
+        monkeypatch.setattr(kkt, "certify_construction", lambda instance: iter([(forged, ((-9, -4), 6))]))
+        code, stdout, _ = run(["verify", str(out)], capsys)
+        assert code == 0
+        assert stdout == json.dumps(json.loads(stdout)) + "\n"
+        assert json.loads(stdout)["sigmas"] == [{
+            "sigma": "-+-",
+            "mu": {"num": "-2", "den": "5"},
+            "facet_multiplier": {"num": "-123456789012345678901", "den": "2"},
+            "objective": {"num": "-7", "den": "3"},
+            "support": [[1, -1], [2, 1], [3, -1]],
+            "max_weight": {"num": "-2", "den": "3"},
+        }]
 
     def test_streams_without_the_constructions(self, tmp_path, capsys):
         # each sigma is certified from its integer weights and dropped: the
@@ -190,7 +211,8 @@ class TestVerify:
         out.write_text("\n".join(lines) + "\n")
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 1
-        assert json.loads(stdout)["ok"] is False
+        assert json.loads(stdout) == {"ok": False, "error": "instance differs from its header parameters"}
+        assert stdout == json.dumps(json.loads(stdout)) + "\n"
 
     def test_header_stretch_too_small(self, tmp_path, capsys):
         out = tmp_path / "d3.inst"
@@ -217,6 +239,7 @@ class TestVerify:
         doc = json.loads(stdout)
         assert doc["ok"] is False
         assert "no piece on the working set of sigma=(-1, 1, 1) at mu=1" == doc["error"]
+        assert stdout == json.dumps(doc) + "\n"
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, stderr = run(["verify", str(tmp_path / "nope.inst")], capsys)
@@ -233,8 +256,8 @@ class TestVerify:
 def refuse_construction(monkeypatch) -> None:
     """Make building, regenerating or certifying any constructed instance fail the test.
 
-    These are the names `gen` and `verify` call: the command line's, and the
-    solver's one pass over the sigmas, which `verify` imports when it runs.
+    These are the names `gen` and `verify` call: the command line's, and
+    `kkt`'s one pass over the sigmas, which `verify` imports when it runs.
     """
 
     def refuse(*args, **kwargs):
@@ -242,7 +265,7 @@ def refuse_construction(monkeypatch) -> None:
 
     for name in ("build_instance", "choose_stretch", "regenerate"):
         monkeypatch.setattr(cli, name, refuse)
-    monkeypatch.setattr(qp, "certify_construction", refuse)
+    monkeypatch.setattr(kkt, "certify_construction", refuse)
 
 
 def header_only_instance(d: int) -> str:
@@ -803,7 +826,7 @@ class TestMain:
             StrictnessError,
             ShadowPropertyError,
             qp.SolverStalledError,
-            qp.CertificateError,
+            kkt.CertificateError,
             sweep.SweepMismatchError,
         ],
         ids=lambda error: error.__name__,

@@ -22,7 +22,7 @@ from svmpath.instance_io import (
     serialize_instance,
     write_instance,
 )
-from svmpath.qp import OptimalPair
+from svmpath.kkt import OptimalPair
 from svmpath.report_io import (
     shadow_svg,
     sweep_report_csv,

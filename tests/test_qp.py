@@ -48,15 +48,12 @@ from svmpath.construct import (
 )
 from svmpath.geometry import PointTable, Vec
 from svmpath.goldfarb import GoldfarbParams, admissible_sign_vectors
+from svmpath.kkt import CertificateError, OptimalPair, build_kkt_certificate, certify_construction
 from svmpath.qp import (
     AT_HI,
     AT_LO,
-    CertificateError,
-    OptimalPair,
     Piece,
     ReducedHullQP,
-    build_kkt_certificate,
-    certify_construction,
     nu_from_mu,
     solve_reduced_distance,
     support_set,

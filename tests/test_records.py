@@ -34,7 +34,8 @@ from svmpath.construct import (
 from svmpath.geometry import FrozenInstanceError, PointTable, Vec
 from svmpath.goldfarb import DualVertex, GoldfarbParams
 from svmpath.instance_io import write_instance
-from svmpath.qp import KktCertificate, OptimalPair, Piece, ReducedHullQP
+from svmpath.kkt import KktCertificate, OptimalPair
+from svmpath.qp import Piece, ReducedHullQP
 from svmpath.sweep import SweepRecord, SweepReport
 
 
@@ -68,14 +69,16 @@ def test_command_loads_only_its_own_modules(tmp_path, argv, unused):
 
 
 def test_verify_loads_neither_sweep_nor_report_io(tmp_path):
-    # verify takes no --out, so it is not a case of the test above
+    # verify takes no --out, so it is not a case of the test above; a
+    # successful verify loads the certificate (kkt) but not the solver, and
+    # writes its document without json
     inst = tmp_path / "d4.inst"
     write_instance(build_instance(GoldfarbParams(4), StretchFactor(20000)), inst)
-    proc = fresh_cli("verify", str(inst), loaded=("svmpath.sweep", "svmpath.report_io"))
+    proc = fresh_cli("verify", str(inst), loaded=SOLVER + REPORTS + ("svmpath.kkt",))
     assert proc.returncode == 0, proc.stderr
     first, last = proc.stdout.splitlines()
     assert json.loads(first)["ok"] is True and json.loads(first)["certificates"] == 4
-    assert last == "[]"
+    assert last == "['svmpath.kkt']"
 
 
 TABLE = PointTable([Vec([1, 0]), Vec([2, 1])], [Vec([0, F(1, 2)]), Vec([1, 1])])

@@ -15,7 +15,8 @@ from svmpath.construct import (
 )
 from svmpath.geometry import Vec
 from svmpath.goldfarb import GoldfarbParams
-from svmpath.qp import Piece, ReducedHullQP, certify_construction, support_set
+from svmpath.kkt import certify_construction
+from svmpath.qp import Piece, ReducedHullQP, support_set
 from svmpath import qp as qp_module
 from svmpath import sweep as sweep_module
 from svmpath.report_io import sweep_report_csv, write_sweep_report
