@@ -74,6 +74,13 @@ of [51/100, 1]: with the flip, the loop's answer at 51/100 lies on no piece,
 so the walk is empty. The gap itself stays 0 on every piece the mutant still
 accepts.
 
+The one elimination lives in `qp` and takes integers only.
+`step-without-det` drops the determinant from the loop's step, so each step
+is det times too long; the walk's tests, which compare the loop with the
+Fraction loop of `tests/oracles.py`, kill it. `elimination-takes-fractions`
+drops the guard that refuses a non-integer entry, so a Fraction or float
+system is no longer refused; the elimination's tests kill it.
+
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
 ey, bx, by)`, gives the same support: n = |f|_1 (e_y, -e_x) + |e|_1 (f_y,
@@ -114,6 +121,7 @@ STRICTNESS_TESTS = ("tests/test_construct.py::TestFacetStrictness",)
 GAP_TESTS = ("tests/test_qp.py::TestDualityGap",)
 RECORD_TESTS = ("tests/test_records.py::TestConstruction::test_refuses_what_the_dataclass_refused",)
 TOKEN_TESTS = ("tests/test_io.py::TestRationalTokens",)
+ELIMINATION_TESTS = ("tests/test_qp.py::TestSolveLinearSystem",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -300,6 +308,21 @@ MUTANTS = (
         'if "e" in token or "E" in token:',
         "if False:",
         TOKEN_TESTS,
+    ),
+    (
+        "step-without-det",
+        "qp.py",
+        "t = Fraction(c * y, det * den_w)",
+        "t = Fraction(c * y, den_w)",
+        WALK_TESTS,
+    ),
+    (
+        "elimination-takes-fractions",
+        "qp.py",
+        '    if any(type(x) is not int for row in M for x in row):\n'
+        '        raise TypeError("the elimination takes integer entries only")\n',
+        "",
+        ELIMINATION_TESTS,
     ),
 )
 

@@ -77,6 +77,21 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
     return False
 
 
+def _refuse_same_file(command: str, *paths) -> bool:
+    """True, after one stderr line naming both, if two of the (name, path) pairs name one file.
+
+    So no output overwrites the input or the other output; a None path was not given.
+    """
+    seen = {}
+    for name, path in paths:
+        if path is not None:
+            other = seen.setdefault(Path(path).resolve(), name)
+            if other != name:
+                print(f"{command}: {other} and {name} are the same file {path}", file=sys.stderr)
+                return True
+    return False
+
+
 # Forwarders that load their module on first call; see the module docstring.
 # perfbench/tracer.py reads the first two by name; no command calls them.
 def build_kkt_certificate(instance, sigma, q_last, weights):
@@ -204,7 +219,10 @@ def cmd_sweep(args) -> int:
         print(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "
               f"--mu-hi {args.mu_hi}", file=sys.stderr)
         return EXIT_INPUT
-    if _refuse_unwritable("sweep", ("--out", args.out), ("--csv", args.csv)):
+    outputs = ("--out", args.out), ("--csv", args.csv)
+    if _refuse_same_file("sweep", ("instance", args.instance), *outputs):
+        return EXIT_INPUT
+    if _refuse_unwritable("sweep", *outputs):
         return EXIT_INPUT
     instance = read_instance(args.instance)
     report = sweep_refined(instance, mu_lo, mu_hi, steps, refine)

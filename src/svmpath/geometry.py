@@ -1,24 +1,21 @@
-"""Exact rational vectors, point tables and linear systems.
+"""Exact rational vectors, point tables and the package's immutable records.
 
 Nothing here ever rounds, and every comparison is exact. A `Vec` holds
-`fractions.Fraction`s, a `PointTable` integer numerators over per-point
-denominators, and the one fraction-free elimination solves linear systems as
-integers over one positive determinant (`solve_linear_systems`).
+`fractions.Fraction`s, and a `PointTable` integer numerators over per-point
+denominators. No linear system is solved here: the one elimination is the
+solver's (`qp.solve_linear_systems`), so the commands that never solve one
+do not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class VerificationFailure(Exception):
     """A construction, certificate or sweep check failed: the command exits 1."""
-
-
-class SingularMatrixError(Exception):
-    """The linear system has no unique solution."""
 
 
 class FrozenInstanceError(AttributeError):
@@ -123,19 +120,6 @@ class Vec(tuple):
         return Vec(f * a for a in self)
 
 
-def _integer_rows(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
-    """Row-scale [A | B] to integers; scaling rows preserves the solution set. Integer rows stay."""
-    rows = []
-    for row, rhs in zip(A, B, strict=True):
-        entries = [*row, *rhs]
-        if any(type(x) is not int for x in entries):
-            entries = [x if type(x) is Fraction else Fraction(x) for x in entries]
-            den = lcm(*[x.denominator for x in entries])
-            entries = [x.numerator * (den // x.denominator) for x in entries]
-        rows.append(entries)
-    return rows
-
-
 def common_denominator(rows: Iterable[Sequence]) -> tuple:
     """(den, integer rows) with rows[i][j] == ints[i][j] / den exactly.
 
@@ -185,99 +169,3 @@ class PointTable:
             for c, a in enumerate(row):
                 S[c] += f * a
         return S, den
-
-
-def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> Vec:
-    """Exact solution of a square system Ax = b.
-
-    Fraction-free (Bareiss) elimination over integers after row scaling, with
-    integer back-substitution. Raises SingularMatrixError instead of ever
-    returning an inexact or arbitrary vector.
-    """
-    (y,), det = solve_linear_systems(A, [b])
-    return Vec([Fraction(v, det) for v in y])
-
-
-def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
-    """(Y, det): the exact solutions of Ax = b for each b in `columns`, over one denominator.
-
-    One elimination serves every column, as in `solve_linear_system`, and
-    its integer result is returned as it is: Y[k][j] / det is entry j of the
-    solution for columns[k], with the integer det > 0. Raises
-    SingularMatrixError naming the first column without a pivot.
-    """
-    M, pivots = _echelon(A, columns)
-    n = len(A)
-    if len(pivots) < n:
-        col = next(c for c in range(n) if c not in pivots)
-        raise SingularMatrixError(f"no pivot in column {col}")
-    return _back_substitute(M, pivots, range(n, n + len(columns)))
-
-
-def solve_linear_system_general(A: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
-    """A solution of a square, possibly singular system Ax = b, or None when it has none.
-
-    The elimination of `solve_linear_system`, skipping each column without a
-    pivot: the solution is zero in those columns. It depends only on the
-    pivot columns, the first columns independent of those before them, so it
-    is the particular solution of the reduced row echelon form with its free
-    variables at zero.
-    """
-    M, pivots = _echelon(A, [b])
-    n = len(A)
-    if any(M[r][n] for r in range(len(pivots), n)):
-        return None
-    (y,), det = _back_substitute(M, pivots, [n])
-    return Vec([Fraction(v, det) for v in y])
-
-
-def _echelon(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
-    """(M, pivots): the fraction-free echelon form of the square A beside `columns`.
-
-    Bareiss elimination (Math. Comp. 22, 1968) with row swaps on [A | columns]
-    row-scaled to integers. Pivot r stands in row r and column pivots[r]; a
-    column with no nonzero entry below the pivots found so far gets none and
-    is skipped. Each entry is a minor of the scaled matrix, so every division
-    is exact.
-    """
-    n = len(A)
-    if any(len(row) != n for row in A) or any(len(b) != n for b in columns):
-        raise ValueError("system must be square")
-    M = _integer_rows(A, list(zip(*columns)))
-    width, pivots, prev = n + len(columns), [], 1
-    for col in range(n):
-        r = len(pivots)
-        piv = next((i for i in range(r, n) if M[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-        mc, pv = M[r], M[r][col]
-        for i in range(r + 1, n):
-            mi, f = M[i], M[i][col]
-            for c in range(col, width):
-                mi[c] = (pv * mi[c] - f * mc[c]) // prev
-        prev = pv
-        pivots.append(col)
-    return M, pivots
-
-
-def _back_substitute(M: list, pivots: list, columns: Iterable) -> tuple:
-    """(Y, det): for each column k of an `_echelon` form, y with y / det its solution.
-
-    Each y is zero off the pivot columns. Back-substitutes y = det * x over
-    the pivot rows, with det > 0 the last pivot's absolute value, the
-    determinant of the pivot rows and columns up to sign. y is an integer
-    vector by Cramer's rule on them, so every division is exact.
-    """
-    n = len(M)
-    det = abs(M[len(pivots) - 1][pivots[-1]]) if pivots else 1
-    out = []
-    for k in columns:
-        y = [0] * n
-        for r in range(len(pivots) - 1, -1, -1):
-            row, p = M[r], pivots[r]
-            s = det * row[k] - sum(row[c] * y[c] for c in range(p + 1, n))
-            y[p] = s // row[p]
-        out.append(y)
-    return tuple(out), det

@@ -15,12 +15,12 @@ set, which the problem carries: `ReducedHullQP` is the table and mu, and an
 shares it. The table holds the signed points s (the minus class negated) as
 integer numerators over per-point denominators. The loop and `Piece` build
 a subproblem's normal equations in integers in one place
-(`_normal_equations`) and solve them by the one fraction-free elimination of
-`geometry`; a flat subproblem of the loop takes the solution that is zero
-off the pivot columns. The multiplier test compares s_k . w, with w = p - q,
-half the true gradient 2 s_k . w. A positive factor changes no sign and no
-comparison, so every step, pivot and tie-break is the one the exact
-gradients give.
+(`_normal_equations`) and solve them by the package's one fraction-free
+elimination, which lives here and takes integers only (`solve_linear_systems`);
+a flat subproblem of the loop takes the solution that is zero off the pivot
+columns. The multiplier test compares s_k . w, with w = p - q, half the true
+gradient 2 s_k . w. A positive factor changes no sign and no comparison, so
+every step, pivot and tie-break is the one the exact gradients give.
 
 Along a sweep most solves need no loop. With the working set fixed (the
 coefficients at 0, those at mu, and the free rest) the subproblem's normal
@@ -63,17 +63,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .geometry import (
-    FrozenRecord,
-    PointTable,
-    SingularMatrixError,
-    VerificationFailure,
-    solve_linear_system,
-    solve_linear_system_general,
-    solve_linear_systems,
-)
+from .geometry import FrozenRecord, PointTable, VerificationFailure
 from .kkt import (
     OptimalPair,
     _finish,
@@ -196,16 +188,16 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
         delta = {}
         if directions:
             try:
-                step = solve_linear_system(normal, rhs)
+                step, det = solve_linear_system(normal, rhs)
             except SingularMatrixError:
                 # flat subproblem: normal equations stay consistent; take the
                 # solution with free parameters at zero
-                step = solve_linear_system_general(normal, rhs)
+                step, det = solve_linear_system_general(normal, rhs)
             delta = dict.fromkeys([k for pair in directions for k in pair], Fraction(0))
             for (i, r), c, y in zip(directions, scales, step):
                 if y:
-                    # the step along s_i - s_r, with y = den_w t / c
-                    t = Fraction(c * y.numerator, y.denominator * den_w)
+                    # the step along s_i - s_r, with y / det = den_w t / c
+                    t = Fraction(c * y, det * den_w)
                     delta[i] += t
                     delta[r] -= t
 
@@ -275,6 +267,105 @@ def _normal_equations(table: PointTable, free_by_class, sums) -> tuple:
             normal[a][b] = normal[b][a] = sum(map(mul, u, diffs[b]))
     rhs = [[-sum(map(mul, u, S)) for u in diffs] for S in sums]
     return directions, scales, diffs, normal, rhs
+
+
+class SingularMatrixError(Exception):
+    """The linear system has no unique solution."""
+
+
+def solve_linear_system(A: Sequence[Sequence], b: Sequence) -> tuple:
+    """(y, det): the exact solution y / det of a square integer system Ax = b, det > 0.
+
+    Raises SingularMatrixError instead of ever returning an inexact or arbitrary vector.
+    """
+    (y,), det = solve_linear_systems(A, [b])
+    return y, det
+
+
+def solve_linear_systems(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
+    """(Y, det): the exact solutions of Ax = b for each b in `columns`, over one denominator.
+
+    One elimination serves every column, as in `solve_linear_system`: Y[k][j]
+    / det is entry j of the solution for columns[k], with the integer det > 0.
+    Raises SingularMatrixError naming the first column without a pivot.
+    """
+    M, pivots = _echelon(A, columns)
+    n = len(A)
+    if len(pivots) < n:
+        col = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"no pivot in column {col}")
+    return _back_substitute(M, pivots, range(n, n + len(columns)))
+
+
+def solve_linear_system_general(A: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
+    """(y, det) with y / det a solution of a square, possibly singular integer system Ax = b.
+
+    None when it has none. The elimination of `solve_linear_system`, skipping
+    each column without a pivot: the solution is zero in those columns. It
+    depends only on the pivot columns, the first columns independent of those
+    before them, so it is the particular solution of the reduced row echelon
+    form with its free variables at zero.
+    """
+    M, pivots = _echelon(A, [b])
+    n = len(A)
+    if any(M[r][n] for r in range(len(pivots), n)):
+        return None
+    (y,), det = _back_substitute(M, pivots, [n])
+    return y, det
+
+
+def _echelon(A: Sequence[Sequence], columns: Sequence[Sequence]) -> tuple:
+    """(M, pivots): the fraction-free echelon form of the square integer A beside `columns`.
+
+    Bareiss elimination (Math. Comp. 22, 1968) with row swaps on [A | columns].
+    Pivot r stands in row r and column pivots[r]; a column with no nonzero
+    entry below the pivots found so far gets none and is skipped. Each entry
+    is a minor of [A | columns], so every division is exact. Raises TypeError
+    for an entry that is not an int: the division would not be exact.
+    """
+    n = len(A)
+    if any(len(row) != n for row in A) or any(len(b) != n for b in columns):
+        raise ValueError("system must be square")
+    M = [[*row, *rhs] for row, rhs in zip(A, zip(*columns), strict=True)]
+    if any(type(x) is not int for row in M for x in row):
+        raise TypeError("the elimination takes integer entries only")
+    width, pivots, prev = n + len(columns), [], 1
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if M[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+        mc, pv = M[r], M[r][col]
+        for i in range(r + 1, n):
+            mi, f = M[i], M[i][col]
+            for c in range(col, width):
+                mi[c] = (pv * mi[c] - f * mc[c]) // prev
+        prev = pv
+        pivots.append(col)
+    return M, pivots
+
+
+def _back_substitute(M: list, pivots: list, columns: Iterable) -> tuple:
+    """(Y, det): for each column k of an `_echelon` form, y with y / det its solution.
+
+    Each y is zero off the pivot columns. Back-substitutes y = det * x over
+    the pivot rows, with det > 0 the last pivot's absolute value, the
+    determinant of the pivot rows and columns up to sign. y is an integer
+    vector by Cramer's rule on them, so every division is exact.
+    """
+    n = len(M)
+    det = abs(M[len(pivots) - 1][pivots[-1]]) if pivots else 1
+    out = []
+    for k in columns:
+        y = [0] * n
+        for r in range(len(pivots) - 1, -1, -1):
+            row, p = M[r], pivots[r]
+            s = det * row[k] - sum(row[c] * y[c] for c in range(p + 1, n))
+            y[p] = s // row[p]
+        out.append(y)
+    return tuple(out), det
 
 
 def working_set(x, mu) -> tuple:

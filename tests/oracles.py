@@ -59,7 +59,7 @@ from svmpath.construct import (
     line_point,
     stretch,
 )
-from svmpath.geometry import FrozenRecord, SingularMatrixError, Vec, common_denominator
+from svmpath.geometry import FrozenRecord, Vec, common_denominator
 from svmpath.goldfarb import (
     ShadowPropertyError,
     _integer_bands,
@@ -74,6 +74,7 @@ from svmpath.qp import (
     AT_HI,
     AT_LO,
     ReducedHullQP,
+    SingularMatrixError,
     SolverStalledError,
     solve_reduced_distance,
 )

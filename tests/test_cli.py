@@ -468,6 +468,34 @@ class TestSweepCommand:
             assert stderr.count("\n") == 1 and f"{flag} {bad}" in stderr
             assert list(tmp_path.iterdir()) == [inst]
 
+    @pytest.mark.parametrize(
+        "out, csv, names",
+        [
+            ("arc.inst", "r.csv", ("instance", "--out")),
+            ("r.json", "./arc.inst", ("instance", "--csv")),
+            ("r.json", "./r.json", ("--out", "--csv")),
+        ],
+        ids=["out-onto-instance", "csv-onto-instance", "csv-onto-out"],
+    )
+    def test_output_onto_another_file_refused(self, tmp_path, capsys, monkeypatch, out, csv, names):
+        def refuse(*args, **kwargs):
+            raise AssertionError("read or swept before checking the output paths")
+
+        inst = tmp_path / "arc.inst"
+        run(["gen-arc", "--n-plus", "6", "--out", str(inst)], capsys)
+        (tmp_path / "r.json").write_text("an earlier report\n", encoding="utf-8")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(cli, "read_instance", refuse)
+        monkeypatch.setattr(cli, "sweep_refined", refuse)
+        # "./" spells the same file another way
+        code, _, stderr = run(
+            ["sweep", str(inst), "--out", f"{tmp_path}/{out}", "--csv", f"{tmp_path}/{csv}"], capsys
+        )
+        assert code == 2
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert all(name in stderr for name in names)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_bad_range_is_input_error(self, tmp_path, capsys):
         inst = tmp_path / "d3.inst"
         run(["gen", "--d", "3", "--out", str(inst)], capsys)

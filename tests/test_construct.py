@@ -21,6 +21,7 @@ from oracles import (
     point_weights,
     reduced_hull_segment,
     shadow_point,
+    solve_linear_system,
     strictness_check,
     vec_add,
     vec_sub,
@@ -44,7 +45,7 @@ from svmpath.construct import (
     stretch_threshold,
     support_decomposition,
 )
-from svmpath.geometry import Vec, solve_linear_system
+from svmpath.geometry import Vec
 from svmpath.goldfarb import (
     GoldfarbParams,
     admissible_sign_vectors,

@@ -1,10 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from oracles import (
     DegenerateHullError,
     build_p_stretched_reference,
@@ -20,156 +19,13 @@ from oracles import (
     zero,
 )
 from svmpath.construct import stretch
-from svmpath.geometry import (
-    SingularMatrixError,
-    Vec,
-    solve_linear_system,
-    solve_linear_system_general,
-    solve_linear_systems,
-)
+from svmpath.geometry import Vec
 
 small_rational = st.fractions(min_value=-8, max_value=8, max_denominator=12)
-
-# The solver properties draw nested lists of fractions through st.data().
-# Shrinking and explaining a failure there ran for minutes, so a broken solver
-# showed as a stalled run; they report the first failing system as drawn.
-solver_settings = settings(phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 def vec_strategy(dim):
     return st.lists(small_rational, min_size=dim, max_size=dim).map(Vec)
-
-
-class TestSolveLinearSystem:
-    def test_identity(self):
-        A = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert solve_linear_system(A, Vec((F(1, 2), F(-2), F(0)))) == Vec((F(1, 2), F(-2), F(0)))
-
-    def test_diagonal(self):
-        assert solve_linear_system([[2, 0], [0, 4]], (1, 1)) == Vec((F(1, 2), F(1, 4)))
-
-    def test_rank_deficient_signals_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear_system([[1, 1], [1, 1]], (1, 0))
-
-    def test_singular_error_names_first_column_without_pivot(self):
-        with pytest.raises(SingularMatrixError, match="no pivot in column 1"):
-            solve_linear_system([[1, 2, 0], [2, 4, 0], [0, 0, 1]], (1, 2, 3))
-
-    def test_empty_system(self):
-        assert solve_linear_system([], ()) == Vec(())
-
-    def test_row_swap_and_negative_determinant(self):
-        # the pivot search swaps the rows, and the determinant that scales the
-        # integer back-substitution is negative
-        assert solve_linear_system([[0, -3], [2, 1]], (1, 1)) == Vec((F(2, 3), F(-1, 3)))
-
-    @settings(solver_settings, max_examples=60)
-    @given(st.integers(1, 5), st.data())
-    def test_residual_is_exactly_zero(self, n, data):
-        A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n))
-        b = data.draw(st.lists(small_rational, min_size=n, max_size=n))
-        try:
-            x = solve_linear_system(A, b)
-        except SingularMatrixError:
-            return
-        for row, rhs in zip(A, b):
-            assert sum((a * v for a, v in zip(row, x)), F(0)) == rhs
-
-    @settings(solver_settings, max_examples=40)
-    @given(st.integers(2, 4), st.data())
-    def test_duplicated_row_is_singular(self, n, data):
-        A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n))
-        A[-1] = list(A[0])
-        with pytest.raises(SingularMatrixError):
-            solve_linear_system(A, [F(0)] * (n - 1) + [F(1)])
-
-
-class TestSolveLinearSystems:
-    @settings(solver_settings, max_examples=60)
-    @given(st.integers(1, 5), st.data())
-    def test_every_column_solved_exactly(self, n, data):
-        A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n))
-        columns = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=1, max_size=3))
-        try:
-            numerators, det = solve_linear_systems(A, columns)
-        except SingularMatrixError:
-            with pytest.raises(SingularMatrixError):
-                solve_linear_system(A, columns[0])
-            return
-        # integer solutions over one positive determinant
-        assert type(det) is int and det > 0
-        assert all(type(v) is int for y in numerators for v in y)
-        assert len(numerators) == len(columns)
-        for y, b in zip(numerators, columns):
-            x = [F(v, det) for v in y]
-            for row, rhs in zip(A, b):
-                assert sum((a * v for a, v in zip(row, x)), F(0)) == rhs
-
-    def test_wrong_column_length_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            solve_linear_systems([[1, 0], [0, 1]], [(1, 2), (1, 2, 3)])
-
-
-class TestSolveGeneral:
-    # the library's flat-subproblem solve against the Fraction RREF in tests/oracles.py
-
-    def test_zero_column_row_swap_and_negative_pivot(self):
-        # column 0 has no pivot, column 1 pivots on -2 after a row swap, and
-        # column 2 repeats column 1 times -2: the solution is zero off column 1
-        A = [[0, 0, 0], [0, -2, 4], [0, 1, -2]]
-        assert solve_linear_system_general(A, [0, 2, -1]) == Vec((0, -1, 0))
-        assert solve_linear_system_general(A, [1, 2, -1]) is None
-
-    def test_inconsistent_returns_none(self):
-        assert solve_linear_system_general([[1, 1], [1, 1]], [1, 0]) is None
-
-    def test_rectangular_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            solve_linear_system_general([[1, 1]], [1])
-
-    @settings(solver_settings, max_examples=60)
-    @given(st.integers(1, 5), st.integers(0, 5), st.data())
-    def test_matches_reference_particular_solution(self, n, rank, data):
-        # A = U V has rank at most `rank`; zeroed rows of U force row swaps and
-        # zeroed columns of A have no pivot. Each A is solved for a consistent
-        # right-hand side A x and for a free one, mostly inconsistent.
-        rank = min(rank, n)
-        U = data.draw(st.lists(st.lists(small_rational, min_size=rank, max_size=rank), min_size=n, max_size=n))
-        V = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=rank, max_size=rank))
-        for i in data.draw(st.sets(st.integers(0, n - 1))):
-            U[i] = [F(0)] * rank
-        A = [[sum((u[k] * V[k][j] for k in range(rank)), F(0)) for j in range(n)] for u in U]
-        for j in data.draw(st.sets(st.integers(0, n - 1))):
-            for row in A:
-                row[j] = F(0)
-        x = data.draw(st.lists(small_rational, min_size=n, max_size=n))
-        consistent = [sum((a * v for a, v in zip(row, x)), F(0)) for row in A]
-        for b in (consistent, data.draw(st.lists(small_rational, min_size=n, max_size=n))):
-            reference = oracles.solve_rref(A, b)
-            got = solve_linear_system_general(A, b)
-            assert got == (None if reference is None else Vec(reference[0]))
-
-    def test_underdetermined_particular_and_nullspace(self):
-        # the rectangular solve with a nullspace basis is the oracle's alone
-        sol = oracles.solve_rref([[1, 1]], [1])
-        assert sol is not None
-        particular, basis = sol
-        assert sum(particular) == 1
-        assert len(basis) == 1
-
-    @settings(max_examples=40)
-    @given(st.integers(1, 4), st.integers(1, 4), st.data())
-    def test_solutions_satisfy_system(self, m, n, data):
-        A = data.draw(st.lists(st.lists(small_rational, min_size=n, max_size=n), min_size=m, max_size=m))
-        b = data.draw(st.lists(small_rational, min_size=m, max_size=m))
-        sol = oracles.solve_rref(A, b)
-        if sol is None:
-            return
-        particular, basis = sol
-        for vec in [particular] + [[p + nv for p, nv in zip(particular, nb)] for nb in basis]:
-            for row, rhs in zip(A, b):
-                assert sum((a * v for a, v in zip(row, vec)), F(0)) == rhs
 
 
 class TestProjection:

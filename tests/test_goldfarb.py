@@ -21,6 +21,7 @@ from oracles import (
     shadow_certificate_oracle,
     shadow_certificate_reference,
     shadow_point,
+    solve_linear_system,
     three_vertex_certificate,
     unit,
     vec_add,
@@ -28,7 +29,7 @@ from oracles import (
 )
 from svmpath import goldfarb
 from svmpath.construct import StretchFactor, support_decomposition
-from svmpath.geometry import Vec, common_denominator, solve_linear_system
+from svmpath.geometry import Vec, common_denominator
 from svmpath.goldfarb import (
     GoldfarbParams,
     ShadowPropertyError,
