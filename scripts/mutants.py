@@ -65,7 +65,22 @@ strictness tests' points tight on another facet kill it.
 `strictness-sum-dropped` drops the check's `sum(W) == den`, so a point off
 the sigma-facet would pass; the tests comparing the check with the Fraction
 oracle kill it. `exponent-accepted` lets `parse_rational` read exponent
-notation, which the token tests refuse.
+notation, which the token tests refuse. `_read` refuses a token with `_` or
+a non-ASCII character, which `Fraction` and `int` would read (`1_000`, and
+digits of any script): `read-accepts-underscore` and `read-accepts-non-ascii`
+drop one half each, and the rational and integer token tests kill them. The
+instance parser refuses a header key its kind does not have and a key given
+twice: `header-accepts-unknown-key` and `header-accepts-repeated-key` drop
+one check each, and the instance file tests kill them.
+
+A command refuses an input by raising `Refused`, which `main` alone prints as
+it stands and maps to exit 2. `refusal-exits-1` maps it to exit 1, and
+`refusal-prefixed` prints it behind `input error: `; the `d` cap tests, which
+pin the exit code and the exact stderr line, kill both. `verify` regenerates
+the instance inside the `try` that turns a `VerificationFailure` into its
+JSON object; `verify-regenerates-outside` moves the regeneration before it,
+so a header that does not regenerate ends on stderr again, and the `verify`
+tests of a tampered point and of a header stretch too small kill it.
 
 `gap-sign-flipped` leaves the gaps of the coefficients at mu in
 `Piece._measure` unnegated. Only the duality-gap tests, which share no code
@@ -121,6 +136,13 @@ STRICTNESS_TESTS = ("tests/test_construct.py::TestFacetStrictness",)
 GAP_TESTS = ("tests/test_qp.py::TestDualityGap",)
 RECORD_TESTS = ("tests/test_records.py::TestConstruction::test_refuses_what_the_dataclass_refused",)
 TOKEN_TESTS = ("tests/test_io.py::TestRationalTokens",)
+DIGIT_TESTS = ("tests/test_io.py::TestRationalTokens", "tests/test_io.py::TestIntegerTokens")
+HEADER_TESTS = ("tests/test_io.py::TestInstanceFiles",)
+REFUSAL_TESTS = ("tests/test_cli.py::TestDimCap",)
+REGENERATION_TESTS = (
+    "tests/test_cli.py::TestVerify::test_tampered_coordinate_fails",
+    "tests/test_cli.py::TestVerify::test_header_stretch_too_small",
+)
 ELIMINATION_TESTS = ("tests/test_qp.py::TestSolveLinearSystem",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
@@ -214,15 +236,15 @@ MUTANTS = (
     (
         "verify-imports-sweep",
         "cli.py",
-        "    from .kkt import CertificateError, certify_construction\n",
-        "    from .kkt import CertificateError, certify_construction\n    from .sweep import SweepMismatchError\n",
+        "    from .kkt import certify_construction\n",
+        "    from .kkt import certify_construction\n    from .sweep import SweepMismatchError\n",
         FOOTPRINT_TESTS,
     ),
     (
         "verify-imports-qp",
         "cli.py",
-        "    from .kkt import CertificateError, certify_construction\n",
-        "    from .kkt import CertificateError, certify_construction\n    from .qp import build_kkt_certificate\n",
+        "    from .kkt import certify_construction\n",
+        "    from .kkt import certify_construction\n    from .qp import build_kkt_certificate\n",
         FOOTPRINT_TESTS,
     ),
     (
@@ -308,6 +330,59 @@ MUTANTS = (
         'if "e" in token or "E" in token:',
         "if False:",
         TOKEN_TESTS,
+    ),
+    (
+        "read-accepts-underscore",
+        "instance_io.py",
+        'if "_" in token or not token.isascii():',
+        "if not token.isascii():",
+        DIGIT_TESTS,
+    ),
+    (
+        "read-accepts-non-ascii",
+        "instance_io.py",
+        'if "_" in token or not token.isascii():',
+        'if "_" in token:',
+        DIGIT_TESTS,
+    ),
+    (
+        "header-accepts-unknown-key",
+        "instance_io.py",
+        "if key not in HEADER_KEYS[kind]:",
+        "if False:",
+        HEADER_TESTS,
+    ),
+    (
+        "header-accepts-repeated-key",
+        "instance_io.py",
+        "if tokens[0] in header:",
+        "if False:",
+        HEADER_TESTS,
+    ),
+    (
+        "refusal-exits-1",
+        "cli.py",
+        "print(exc, file=sys.stderr)\n        return EXIT_INPUT",
+        "print(exc, file=sys.stderr)\n        return EXIT_VERIFY",
+        REFUSAL_TESTS,
+    ),
+    (
+        "refusal-prefixed",
+        "cli.py",
+        "print(exc, file=sys.stderr)",
+        'print(f"input error: {exc}", file=sys.stderr)',
+        REFUSAL_TESTS,
+    ),
+    (
+        "verify-regenerates-outside",
+        "cli.py",
+        "    try:\n"
+        "        if regenerate(instance) != instance:\n"
+        "            raise VerificationFailure(\"instance differs from its header parameters\")\n",
+        "    if regenerate(instance) != instance:\n"
+        "        raise VerificationFailure(\"instance differs from its header parameters\")\n"
+        "    try:\n",
+        REGENERATION_TESTS,
     ),
     (
         "step-without-det",

@@ -1,6 +1,11 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error. A command
+fails by raising: `Refused` for an input it refuses before any work, an input
+error (`InstanceFormatError`, `OSError`, `ValueError`), or a
+`VerificationFailure`. `main` alone turns each into its exit code and one
+stderr line. `verify` catches every `VerificationFailure` of its own,
+regeneration's included, and prints it as one JSON object on stdout.
 
 Importing this module loads only what `gen` and `gen-arc` use: `construct`,
 `goldfarb`, `geometry` and `instance_io`. `verify` imports `kkt` when it
@@ -22,7 +27,6 @@ from pathlib import Path
 
 from .construct import (
     StretchFactor,
-    StrictnessError,
     admissible_constructions,  # perfbench/tracer.py reads it by name; no command calls it
     build_instance,
     choose_stretch,
@@ -46,6 +50,10 @@ EXIT_INPUT = 2
 MAX_DIM = 16  # of gen and verify; verify keeps no certificate: 6.7-7.2 s and 127 MB at d = 16
 
 
+class Refused(Exception):
+    """An input a command refuses before any work; `main` prints it as it stands."""
+
+
 def _flag(flag: str, token: str, parse=parse_rational):
     """The flag's token read by `parse`; a bad token is an input error naming the flag."""
     try:
@@ -58,8 +66,8 @@ def _params_from_args(d: int, args) -> GoldfarbParams:
     return GoldfarbParams(d, _flag("--eps", args.eps), _flag("--gamma", args.gamma))
 
 
-def _refuse_unwritable(command: str, *outputs) -> bool:
-    """True, after one stderr line naming the flag, if an output cannot be written.
+def _refuse_unwritable(command: str, *outputs) -> None:
+    """Raise Refused, naming the flag, if an output cannot be written.
 
     `outputs` are (flag, path) pairs, a None path meaning the flag was not
     given. Each command checks its outputs first, so a path that names a
@@ -69,16 +77,13 @@ def _refuse_unwritable(command: str, *outputs) -> bool:
         if path is None:
             continue
         if Path(path).is_dir():
-            print(f"{command}: {flag} {path} is a directory", file=sys.stderr)
-            return True
+            raise Refused(f"{command}: {flag} {path} is a directory")
         if not Path(path).parent.is_dir():
-            print(f"{command}: {flag} {path}: parent directory does not exist", file=sys.stderr)
-            return True
-    return False
+            raise Refused(f"{command}: {flag} {path}: parent directory does not exist")
 
 
-def _refuse_same_file(command: str, *paths) -> bool:
-    """True, after one stderr line naming both, if two of the (name, path) pairs name one file.
+def _refuse_same_file(command: str, *paths) -> None:
+    """Raise Refused, naming both, if two of the (name, path) pairs name one file.
 
     So no output overwrites the input or the other output; a None path was not given.
     """
@@ -87,9 +92,7 @@ def _refuse_same_file(command: str, *paths) -> bool:
         if path is not None:
             other = seen.setdefault(Path(path).resolve(), name)
             if other != name:
-                print(f"{command}: {other} and {name} are the same file {path}", file=sys.stderr)
-                return True
-    return False
+                raise Refused(f"{command}: {other} and {name} are the same file {path}")
 
 
 # Forwarders that load their module on first call; see the module docstring.
@@ -115,16 +118,13 @@ def write_sweep_report(report, path, meta=None):
 
 
 def cmd_gen(args) -> int:
-    if _refuse_unwritable("gen", ("--out", args.out)):
-        return EXIT_INPUT
+    _refuse_unwritable("gen", ("--out", args.out))
     d = _flag("--d", args.d, parse_integer)
     if d > MAX_DIM:
-        print(f"gen: 2^(d-2) breakpoints; --d is capped at {MAX_DIM}", file=sys.stderr)
-        return EXIT_INPUT
+        raise Refused(f"gen: 2^(d-2) breakpoints; --d is capped at {MAX_DIM}")
     params = _params_from_args(d, args)
     if params.dim < 2:
-        print("gen: need --d >= 2 to place the two-point class", file=sys.stderr)
-        return EXIT_INPUT
+        raise Refused("gen: need --d >= 2 to place the two-point class")
     if params.dim == 2:
         print("warning: d=2 yields a single breakpoint; the path bound is trivial", file=sys.stderr)
     if args.stretch == "auto":
@@ -140,8 +140,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gen_arc(args) -> int:
-    if _refuse_unwritable("gen-arc", ("--out", args.out)):
-        return EXIT_INPUT
+    _refuse_unwritable("gen-arc", ("--out", args.out))
     instance = generate_2d_arc_instance(_flag("--n-plus", args.n_plus, parse_integer))
     write_instance(instance, args.out)
     print(f"wrote {args.out}: n={instance.n_points} points (2D arc demo)")
@@ -156,31 +155,20 @@ _SUMMARY = (
 )
 
 
-def _verify_failure(error: str) -> int:
-    import json  # only a failing verify loads it
-
-    print(json.dumps({"ok": False, "error": error}))
-    return EXIT_VERIFY
-
-
 def cmd_verify(args) -> int:
-    from .kkt import CertificateError, certify_construction
+    from .kkt import certify_construction
 
     instance = read_instance(args.instance)
     if instance.params is None:
-        print("verify: only constructed instances carry certificates", file=sys.stderr)
-        return EXIT_INPUT
+        raise Refused("verify: only constructed instances carry certificates")
     if instance.params.dim > MAX_DIM:
-        print(f"verify: header d {instance.params.dim}; d is capped at {MAX_DIM}", file=sys.stderr)
-        return EXIT_INPUT
-
-    fresh = regenerate(instance)
-    if fresh != instance:
-        return _verify_failure("instance differs from its header parameters")
+        raise Refused(f"verify: header d {instance.params.dim}; d is capped at {MAX_DIM}")
 
     # each sigma's summary as its JSON text: the joined texts are json.dumps of the whole
     texts = []
     try:
+        if regenerate(instance) != instance:
+            raise VerificationFailure("instance differs from its header parameters")
         for cert, (A, den) in certify_construction(instance):
             mu, facet, objective, top = (
                 cert.mu, cert.facet_multiplier, cert.pair.objective, Fraction(max(A), den)
@@ -193,8 +181,11 @@ def cmd_verify(args) -> int:
                 ", ".join(f"[{k}, {s}]" for k, s in enumerate(cert.sigma, start=1)),
                 top.numerator, top.denominator,
             ))
-    except (CertificateError, StrictnessError) as exc:
-        return _verify_failure(str(exc))
+    except VerificationFailure as exc:
+        import json  # only a failing verify loads it
+
+        print(json.dumps({"ok": False, "error": str(exc)}))
+        return EXIT_VERIFY
     print(f'{{"ok": true, "certificates": {len(texts)}, "sigmas": [{", ".join(texts)}]}}')
     return EXIT_OK
 
@@ -211,19 +202,15 @@ def cmd_sweep(args) -> int:
     ):
         counts.append(_flag(flag, token, parse_integer))
         if counts[-1] < least:
-            print(f"sweep: {flag} must be >= {least}, got {counts[-1]}", file=sys.stderr)
-            return EXIT_INPUT
+            raise Refused(f"sweep: {flag} must be >= {least}, got {counts[-1]}")
     steps, refine, precision = counts
     mu_lo, mu_hi = _flag("--mu-lo", args.mu_lo), _flag("--mu-hi", args.mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
-        print(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "
-              f"--mu-hi {args.mu_hi}", file=sys.stderr)
-        return EXIT_INPUT
+        raise Refused(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "
+                      f"--mu-hi {args.mu_hi}")
     outputs = ("--out", args.out), ("--csv", args.csv)
-    if _refuse_same_file("sweep", ("instance", args.instance), *outputs):
-        return EXIT_INPUT
-    if _refuse_unwritable("sweep", *outputs):
-        return EXIT_INPUT
+    _refuse_same_file("sweep", ("instance", args.instance), *outputs)
+    _refuse_unwritable("sweep", *outputs)
     instance = read_instance(args.instance)
     report = sweep_refined(instance, mu_lo, mu_hi, steps, refine)
     meta = {
@@ -246,12 +233,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_shadow_svg(args) -> int:
-    if _refuse_unwritable("shadow-svg", ("--out", args.out)):
-        return EXIT_INPUT
+    _refuse_unwritable("shadow-svg", ("--out", args.out))
     params = _params_from_args(_flag("--d", args.d, parse_integer), args)
     if params.dim > 12:
-        print("shadow-svg: 2^d ring vertices; --d is capped at 12", file=sys.stderr)
-        return EXIT_INPUT
+        raise Refused("shadow-svg: 2^d ring vertices; --d is capped at 12")
     from .report_io import write_shadow_svg
 
     write_shadow_svg(params, args.out)
@@ -312,6 +297,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except Refused as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
     except (InstanceFormatError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -228,8 +228,9 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
             if free:
                 lam = grad[free[0]]
             else:
-                highs = [grad[i] for i in cls if working.get(i) == AT_HI]
-                lam = max(highs) if highs else min(grad[i] for i in cls)
+                # bound coefficients sit exactly at 0 or mu and each step keeps the
+                # class sum at 1, so a class with none free has one at mu
+                lam = max(grad[i] for i in cls if working[i] == AT_HI)
             for i in cls:
                 if i in working:
                     wrong = grad[i] < lam if working[i] == AT_LO else lam < grad[i]

@@ -220,7 +220,12 @@ class TestVerify:
         text = out.read_text()
         assert "\nL 20000/1\n" in text
         out.write_text(text.replace("\nL 20000/1\n", "\nL 1/1\n"))
-        assert_one_line_failure(run(["verify", str(out)], capsys), "sigma=", "L=1")
+        # the header does not regenerate: its failure is one JSON object, as every check's
+        code, stdout, stderr = run(["verify", str(out)], capsys)
+        assert code == 1 and stderr == ""
+        doc = json.loads(stdout)
+        assert stdout == json.dumps(doc) + "\n"
+        assert doc == {"ok": False, "error": "facet strictness fails for sigma=(-1, 1, 1) at L=1"}
 
     def test_uniqueness_failure_names_sigma_and_mu(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "d3.inst"

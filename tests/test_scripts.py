@@ -16,6 +16,9 @@ def test_run_experiments_up_to_d4():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split()[0] for line in lines[1:-1]] == ["d=3:", "d=4:"]
+    # the grid sweep visits every certified support set at d = 3 and 4
+    assert "  certified sets visited=2/2  " in lines[1]
+    assert "  certified sets visited=4/4  " in lines[2]
     assert lines[-1] == "all bend counts exceed the lower bound"
 
 
