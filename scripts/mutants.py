@@ -96,11 +96,24 @@ Fraction loop of `tests/oracles.py`, kill it. `elimination-takes-fractions`
 drops the guard that refuses a non-integer entry, so a Fraction or float
 system is no longer refused; the elimination's tests kill it.
 
+The breakpoints are indexed by the admissible sign vectors, which are built
+directly, each a head followed by (1, 1): `admissible-suffix-as-prefix` puts
+the (1, 1) in front, which leaves their number and `d = 2` alone, and the
+test comparing them with the filtered sign vectors of `tests/oracles.py`
+kills it. `stretch-square-may-equal` lets `choose_stretch` stop at a factor
+whose square equals the threshold, where a weight is 0; the test of a
+factor at the threshold kills it. `refine-past-depth-zero` bisects once
+more at depth 0, which the refinement test at depth 0 sees.
+`json-labels-unsorted-by-str` sorts the JSON labels as lists, not by their
+text as the CSV does; the test that both exports list a support alike kills
+it.
+
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
 ey, bx, by)`, gives the same support: n = |f|_1 (e_y, -e_x) + |e|_1 (f_y,
 -f_x) is symmetric in e and f. `ring-support-misplaced` keys it to the next
-vertex instead.
+vertex instead. Sorting the JSON labels by `repr` in place of `str` changes
+nothing, as the two agree on lists and ints.
 """
 
 import os
@@ -144,6 +157,10 @@ REGENERATION_TESTS = (
     "tests/test_cli.py::TestVerify::test_header_stretch_too_small",
 )
 ELIMINATION_TESTS = ("tests/test_qp.py::TestSolveLinearSystem",)
+ADMISSIBLE_TESTS = ("tests/test_goldfarb.py::TestAdmissibleSignVectors",)
+STRETCH_TESTS = ("tests/test_construct.py::TestChooseStretch",)
+REFINE_TESTS = ("tests/test_sweep.py::TestRefine",)
+LABEL_ORDER_TESTS = ("tests/test_io.py::TestReportWriter::test_csv_and_json_share_one_label_order",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -398,6 +415,34 @@ MUTANTS = (
         '        raise TypeError("the elimination takes integer entries only")\n',
         "",
         ELIMINATION_TESTS,
+    ),
+    (
+        "admissible-suffix-as-prefix",
+        "goldfarb.py",
+        "head + (1, 1) for head",
+        "(1, 1) + head for head",
+        ADMISSIBLE_TESTS,
+    ),
+    (
+        "stretch-square-may-equal",
+        "construct.py",
+        "while factor * factor <= threshold:",
+        "while factor * factor < threshold:",
+        STRETCH_TESTS,
+    ),
+    (
+        "refine-past-depth-zero",
+        "sweep.py",
+        "if depth <= 0 or",
+        "if depth < 0 or",
+        REFINE_TESTS,
+    ),
+    (
+        "json-labels-unsorted-by-str",
+        "report_io.py",
+        "sorted((_label_json(l) for l in support_plus), key=str)",
+        "sorted(_label_json(l) for l in support_plus)",
+        LABEL_ORDER_TESTS,
     ),
 )
 

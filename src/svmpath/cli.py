@@ -204,6 +204,8 @@ def cmd_sweep(args) -> int:
         if counts[-1] < least:
             raise Refused(f"sweep: {flag} must be >= {least}, got {counts[-1]}")
     steps, refine, precision = counts
+    if precision > 2 ** 31 - 1:  # the most digits `format` takes
+        raise Refused(f"sweep: --precision must be <= {2 ** 31 - 1}, got {precision}")
     mu_lo, mu_hi = _flag("--mu-lo", args.mu_lo), _flag("--mu-hi", args.mu_hi)
     if not Fraction(1, 2) <= mu_lo < mu_hi <= 1:
         raise Refused(f"sweep: need 1/2 <= --mu-lo < --mu-hi <= 1, got --mu-lo {args.mu_lo} "

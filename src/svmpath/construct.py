@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 from .geometry import FrozenRecord, PointTable, Vec, VerificationFailure
 from .goldfarb import (
@@ -148,12 +148,16 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     The shadow point a = (0, ..., 0, N1 / S, N2 / S) of `shadow_certificate`
     moves along v(0) = stretch(v_sigma, 0) to the line,
     q = a - v(0) slack / ||v(0)||^2 with q[-2] = 2, so q = (0, ..., 0, 2, q_d)
-    for q_d = a_d - (a_(d-1) - 2) v_d / v_(d-1), and slack = 1 - v(0) . q < 0
-    since a_(d-1) <= 1. Here v = V / D is
+    for q_d = a_d - (a_(d-1) - 2) v_d / v_(d-1), and slack = 1 - v(0) . q
+    = (a_(d-1) - 2) ||v(0)||^2 / v_(d-1). Here v = V / D is
     `vertex_row`'s integer row, S1 = sum of V_k^2 over k <= d-2 and
     S2 = V_(d-1)^2 + V_d^2. Over g = S V_(d-1), q_d = Qd / g for
     Qd = N2 V_(d-1) - (N1 - 2 S) V_d, and slack D = H / g; the three are then
     divided by their gcd, which leaves them canonical since g > 0.
+    No sign needs a check: V_(d-1) > 0, as `shadow_certificate` refuses a
+    sigma_(d-1) = -1 and `_vertex` a bound z_k <= 0, so g > 0; and H < 0, as
+    a_(d-1) <= 1 / rhs_(d-1) < 2 for a in the polar of the cube, which holds
+    (0, ..., 0, rhs_(d-1), 0), and every rhs exceeds 1/2.
 
     The facet weights of p are affine in t = 1/L^2: with X0 = (0, ..., 0,
     2 g S2 + H V_(d-1), Qd S2 + H V_d) and X1 = (H V_1, ..., H V_(d-2),
@@ -162,13 +166,9 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     """
     N1, N2, S = shadow_certificate(params, sigma)
     V, D = vertex_row(params, sigma)
-    if V[-2] <= 0:
-        raise ValueError(f"vertex must have positive second-to-last coordinate at sigma={sigma}")
     g = S * V[-2]
     Qd = N2 * V[-2] - (N1 - 2 * S) * V[-1]
     H = g * (D - 2 * V[-2]) - Qd * V[-1]
-    if H >= 0:
-        raise ValueError(f"slack must be negative at sigma={sigma}")
     c = gcd(g, H, Qd)
     g, H, Qd = g // c, H // c, Qd // c
     S1, S2 = sum([v * v for v in V[:-2]]), V[-2] * V[-2] + V[-1] * V[-1]
@@ -179,10 +179,8 @@ def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
 
 # No command calls it; perfbench/tracer.py reads it by name and the tests compare with it.
 def build_pair(params: GoldfarbParams, sigma: SignVec) -> ConstructedPair:
-    """The breakpoint pair of one admissible sigma: its q, which no stretch changes."""
+    """The breakpoint pair of one admissible sigma (`shadow_certificate` refuses any other): its q."""
     sigma = tuple(sigma)
-    if sigma[-2] != 1 or sigma[-1] != 1:
-        raise ValueError("pair construction needs the last two signs to be +1")
     *_, g, Qd = _unstretched_pair(params, sigma)[0]
     return ConstructedPair(sigma, line_point(params.dim, Fraction(Qd, g)))
 
@@ -201,7 +199,7 @@ def facet_strictness_check(weights: tuple) -> bool:
     and strict at every other tau; and if some alpha_k <= 0, the neighbour
     that flips only sign k has p' . v_tau >= sum(alpha). So the check is
     sum(alpha) == 1 and all(alpha > 0), in O(d): with den > 0, sum(W) == den
-    and all(W > 0). `_weights` checks each sigma so, for the calibration pass.
+    and all(W > 0). `_weights` checks each sigma so, for `breakpoints`.
     """
     W, den = weights
     return sum(W) == den and all(w > 0 for w in W)
@@ -263,19 +261,27 @@ def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
     )
 
 
-def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
-    """The full 2d + 2 point instance, calibrated in one integer pass over the admissible sigmas.
+def breakpoints(params: GoldfarbParams, s: StretchFactor) -> Iterator[tuple]:
+    """(sigma, A, den, Qd, g) per admissible sigma, lexicographically: its `_weights` and q_d = Qd / g.
 
-    It builds no pair. In lexicographic order it reads each sigma's
-    `_weights` A over den (raising at the first sigma that fails) and
-    q_d = Qd / g, and keeps the extreme q_d and, as mu_bar, the largest weight
-    or 1/2, cross-multiplying over the positive den and g. u_left sits at q_min,
-    u_right at q_min + span / (1 - mu_bar), span = q_max - q_min (1 at dim 2).
+    The one pass that `build_instance` and `kkt.certify_construction` share; den, g > 0.
     """
-    mu, lo, hi = (1, 2), None, None
     for sigma in admissible_sign_vectors(params.dim):
         A, den = _weights(params, sigma, s)
         *_, g, Qd = _unstretched_pair(params, sigma)[0]
+        yield sigma, A, den, Qd, g
+
+
+def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
+    """The full 2d + 2 point instance, calibrated in one integer pass over the admissible sigmas.
+
+    It builds no pair. Over `breakpoints` it keeps the extreme q_d and, as
+    mu_bar, the largest weight or 1/2, cross-multiplying over the positive den
+    and g. u_left sits at q_min, u_right at q_min + span / (1 - mu_bar),
+    span = q_max - q_min (1 at dim 2).
+    """
+    mu, lo, hi = (1, 2), None, None
+    for _sigma, A, den, Qd, g in breakpoints(params, s):
         if max(A) * mu[1] > mu[0] * den:
             mu = (max(A), den)
         if lo is None or Qd * lo[1] < lo[0] * g:

@@ -70,18 +70,11 @@ class DualVertex(FrozenRecord):
     __slots__ = _fields = ("k", "s", "coords")
 
 
-def sign_vectors(dim: int) -> Iterator[SignVec]:
-    """All of {-1, +1}^dim in lexicographic order (-1 before +1)."""
-    return product((-1, 1), repeat=dim)
-
-
 def admissible_sign_vectors(dim: int) -> Iterator[SignVec]:
-    """Sign vectors whose last two entries are +1; these index the breakpoints."""
+    """Each head over {-1, +1}^(dim-2), in lexicographic order, then (1, 1): the breakpoints' sigmas."""
     if dim < 2:
         raise ValueError("admissible sign vectors need dim >= 2")
-    for sigma in sign_vectors(dim):
-        if sigma[-2] == 1 and sigma[-1] == 1:
-            yield sigma
+    return (head + (1, 1) for head in product((-1, 1), repeat=dim - 2))
 
 
 def facet_order(dim: int) -> tuple:
@@ -305,6 +298,11 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> tuple:
     tight at v_sigma and below 1 at both ring neighbours, and so at every
     other vertex, in the cone they span. Only an admissible sigma has its
     support kept; any other raises ValueError, naming it.
+
+    S = n . pt > 0 needs no check: every rhs_k > 0 puts the origin strictly
+    inside the cube and so inside its shadow, strictly left of each edge of the
+    counterclockwise ring, where each edge's outward normal is positive on its
+    points; n sums two of them with positive weights.
     """
     den, supports = _shadow_data(params)
     sigma = tuple(sigma)
@@ -312,6 +310,4 @@ def shadow_certificate(params: GoldfarbParams, sigma: SignVec) -> tuple:
     if support is None:
         raise ValueError(f"sigma={sigma} is not an admissible sign vector of length {params.dim}")
     nx, ny, scale = support
-    if scale <= 0:
-        raise ShadowPropertyError(f"support scale must be positive (origin interior) at sigma={sigma}")
     return den * nx, den * ny, scale

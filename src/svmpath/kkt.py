@@ -13,8 +13,8 @@ substitutes them, with no loop and no elimination: it tests what
 `Piece.optimum` accepts on the construction's working set, with `_gaps`, and
 the free points' triangular zero pattern for their independence.
 `certify_construction` certifies every breakpoint of a constructed instance
-in one pass that keeps nothing from one sigma to the next. `verify` loads
-this module and not the solver.
+over `construct.breakpoints`, keeping nothing from one sigma to the next.
+`verify` loads this module and not the solver.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .construct import SvmInstance, _unstretched_pair, _weights, mu_of_q
+from .construct import SvmInstance, breakpoints, mu_of_q
 from .geometry import FrozenRecord, PointTable, VerificationFailure
-from .goldfarb import admissible_sign_vectors
 
 if TYPE_CHECKING:  # annotations only, so verify does not load the solver
     from .qp import Piece
@@ -109,7 +108,7 @@ def build_kkt_certificate(
 ) -> KktCertificate:
     """Prove sigma's constructed pair the unique optimum of the instance at its mu.
 
-    The candidate puts the `construct._weights` A_k / den on the plus points
+    The candidate puts the `construct.breakpoints` weights A_k / den on the plus points
     labeled (k, sigma_k) and (mu, 1 - mu) on (left, right), mu = mu_of_q(q_last).
     Substituted into one integer w = p - q, its gaps (`_gaps`) must pass what
     `Piece.optimum` accepts on the construction's working set: the weights sum
@@ -156,14 +155,8 @@ def build_kkt_certificate(
 def certify_construction(instance: SvmInstance) -> Iterator[tuple]:
     """(certificate, weights (A, den)) of each admissible sigma of a constructed instance.
 
-    One pass in lexicographic order, as `construct.build_instance` calibrates:
-    each sigma's candidate is read off `_weights`, which raises
-    StrictnessError naming the sigma, and q_d = Qd / g of `_unstretched_pair`,
-    and certified by `build_kkt_certificate`. Nothing is kept between sigmas,
-    so a caller that drops each certificate holds one at a time.
+    Each of `construct.breakpoints`, which raises StrictnessError at a sigma that fails, is
+    certified by `build_kkt_certificate`; none is kept, so a caller that drops each holds one.
     """
-    params, s = instance.params, instance.stretch
-    for sigma in admissible_sign_vectors(params.dim):
-        weights = _weights(params, sigma, s)
-        *_, g, Qd = _unstretched_pair(params, sigma)[0]
-        yield build_kkt_certificate(instance, sigma, Fraction(Qd, g), weights), weights
+    for sigma, A, den, Qd, g in breakpoints(instance.params, instance.stretch):
+        yield build_kkt_certificate(instance, sigma, Fraction(Qd, g), (A, den)), (A, den)

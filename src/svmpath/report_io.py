@@ -114,7 +114,13 @@ def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> N
 
 
 def _approx(x: Fraction, precision: int) -> str:
-    return format(x.numerator / x.denominator, f".{precision}g")
+    """x as `format`'s 'g' writes its float; beyond float range, in decimal, to at most 17 digits."""
+    try:
+        return format(x.numerator / x.denominator, f".{precision}g")
+    except OverflowError:  # rounded half to even, to no more digits than tell two floats apart
+        from decimal import MAX_EMAX, Context, Decimal
+        context = Context(prec=max(1, min(precision, 17)), Emax=MAX_EMAX)
+        return format(context.divide(Decimal(x.numerator), x.denominator).normalize(context), "e")
 
 
 def _csv_labels(support_plus, support_minus) -> str:
@@ -154,15 +160,11 @@ def shadow_svg(params: GoldfarbParams) -> str:
     span = max(hi_x - lo_x, hi_y - lo_y)
     margin = Fraction(1, 20)
     scale = Fraction(SVG_SIZE) / (span * (1 + 2 * margin))
-
-    def fmt(x: Fraction) -> str:
-        return format(x.numerator / x.denominator, f".{SVG_DIGITS}g")
-
     pts = []
     for v in ring:
         sx = (v[0] - lo_x + span * margin) * scale
         sy = (hi_y - v[1] + span * margin) * scale  # flip: SVG y grows downward
-        pts.append(f"{fmt(sx)},{fmt(sy)}")
+        pts.append(f"{_approx(sx, SVG_DIGITS)},{_approx(sy, SVG_DIGITS)}")
     title = f"shadow polygon, d={params.dim}: {len(ring)} vertices"
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

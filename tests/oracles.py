@@ -67,7 +67,6 @@ from svmpath.goldfarb import (
     _vertex,
     facet_weights,
     shadow_certificate,
-    sign_vectors,
 )
 from svmpath.kkt import OptimalPair
 from svmpath.qp import (
@@ -475,6 +474,15 @@ def is_extreme_point(p, others) -> bool:
 
 class CubeVertex(FrozenRecord):
     __slots__ = _fields = ("sigma", "coords")
+
+
+def sign_vectors(dim: int):
+    """All of {-1, +1}^dim in lexicographic order (-1 before +1).
+
+    Filtered to those ending (1, 1), the library's `admissible_sign_vectors`,
+    which builds only those.
+    """
+    return product((-1, 1), repeat=dim)
 
 
 def cube_bound(params, x) -> Fraction:

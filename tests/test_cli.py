@@ -105,18 +105,16 @@ class TestGenRefuses:
         assert not out.exists()
 
     def test_shadow_property_failure(self, tmp_path, capsys, monkeypatch):
-        # a forged ring pass whose support of the first sigma has scale 0,
-        # so the origin would not lie inside the shadow
-        params = GoldfarbParams(3, F(3, 10), F(1, 21))
-        den, supports = goldfarb._shadow_data(params)
-        forged = {**supports, (-1, 1, 1): supports[-1, 1, 1][:2] + (0,)}
-        monkeypatch.setattr(goldfarb, "_shadow_data", lambda params: (den, forged))
+        # a forged Gray-code ring walked backwards, clockwise, so it turns
+        # right at its second point, (1, -1, 1)
+        ring = goldfarb._gray_ring
+        monkeypatch.setattr(goldfarb, "_gray_ring", lambda params: reversed(list(ring(params))))
         out = tmp_path / "d3.inst"
         # parameters no other test uses, so no cached construction hides the failure
         result = run(
             ["gen", "--d", "3", "--eps", "3/10", "--gamma", "1/21", "--out", str(out)], capsys
         )
-        assert_one_line_failure(result, "support scale must be positive", "sigma=(-1, 1, 1)")
+        assert_one_line_failure(result, "does not turn left", "sigma=(1, -1, 1)")
         assert not out.exists()
 
     def test_calibration_failure(self, tmp_path, capsys, monkeypatch):
@@ -409,7 +407,9 @@ class TestSweepCommand:
         )
         assert_one_line_failure(result, "no optimum", "mu = 9/10")
 
-    def test_negative_precision_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+    # below 0, and above 2147483647, the most digits `format` takes
+    @pytest.mark.parametrize("precision", ["-1", "2147483648"])
+    def test_precision_out_of_range_refused_before_solving(self, tmp_path, capsys, monkeypatch, precision):
         def refuse(*args, **kwargs):
             raise AssertionError("swept before checking --precision")
 
@@ -418,12 +418,27 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "sweep_refined", refuse)
         report, csv = tmp_path / "r.json", tmp_path / "r.csv"
         code, _, stderr = run(
-            ["sweep", str(inst), "--out", str(report), "--csv", str(csv), "--precision", "-1"],
+            ["sweep", str(inst), "--out", str(report), "--csv", str(csv), "--precision", precision],
             capsys,
         )
         assert code == 2
-        assert stderr.count("\n") == 1 and "--precision" in stderr
+        assert stderr.count("\n") == 1 and "--precision" in stderr and precision in stderr
         assert not report.exists() and not csv.exists()
+
+    def test_objective_beyond_float_range_written_to_csv(self, tmp_path, capsys):
+        # both line points moved 10^399 out, so every objective is about 10^798, past any float
+        inst = tmp_path / "far.inst"
+        run(["gen-arc", "--n-plus", "8", "--out", str(inst)], capsys)
+        text = inst.read_text()
+        inst.write_text(text.replace("\n-1 2/1 ", f"\n-1 1{'0' * 399}/1 "))
+        assert inst.read_text().count(f"-1 1{'0' * 399}/1 ") == 2
+        report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        proc = fresh_cli("sweep", str(inst), "--mu-lo", "1/2", "--steps", "4",
+                         "--out", str(report), "--csv", str(csv))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(report.read_text())["records"]
+        rows = csv.read_text().splitlines()[2:]
+        assert rows and all(row.split(",")[1] == "1e+798" for row in rows)
 
     @pytest.mark.parametrize(
         "flag, value",

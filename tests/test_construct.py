@@ -51,7 +51,6 @@ from svmpath.goldfarb import (
     admissible_sign_vectors,
     dual_vertices,
     facet_weights,
-    vertex_row,
 )
 
 small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=10)
@@ -178,31 +177,6 @@ class TestBuildQ:
     def test_wrong_sign_vector_rejected(self, params4):
         with pytest.raises(ValueError):
             build_pair(params4, (1, 1, -1, 1))
-
-    @pytest.mark.parametrize("a_second_last", [F(2), F(3)])
-    def test_nonnegative_slack_rejected(self, params4, monkeypatch, a_second_last):
-        # a shadow point tight at v with a_(d-1) >= 2 puts q's line at or
-        # before it, so the slack (a_(d-1) - 2) ||v(0)||^2 / v_(d-1) is not negative
-        # the forged support is (N1, N2, S) with a = (N1 / S, N2 / S)
-        sigma = (1, 1, 1, 1)
-        v = cube_vertex(params4, sigma).coords
-        a_last = (1 - a_second_last * v[2]) / v[3]
-        S = a_second_last.denominator * a_last.denominator
-        forged = (int(a_second_last * S), int(a_last * S), S)
-        monkeypatch.setattr(construct, "shadow_certificate", lambda params, sigma: forged)
-        with pytest.raises(ValueError, match=r"^slack must be negative at sigma=\(1, 1, 1, 1\)$"):
-            construct._unstretched_pair.__wrapped__(params4, sigma)
-
-    def test_nonpositive_vertex_coordinate_rejected(self, params4, monkeypatch):
-        # a forged vertex row with v_(d-1) < 0 leaves q's line without a meeting point
-        def negated(params, sigma):
-            V, D = vertex_row(params, sigma)
-            return [-v for v in V], D
-
-        monkeypatch.setattr(construct, "vertex_row", negated)
-        message = r"^vertex must have positive second-to-last coordinate at sigma=\(-1, 1, 1, 1\)$"
-        with pytest.raises(ValueError, match=message):
-            construct._unstretched_pair.__wrapped__(params4, (-1, 1, 1, 1))
 
 
 class TestBuildPStretched:

@@ -21,13 +21,13 @@ from oracles import (
     shadow_certificate_oracle,
     shadow_certificate_reference,
     shadow_point,
+    sign_vectors,
     solve_linear_system,
     three_vertex_certificate,
     unit,
     vec_add,
     zero,
 )
-from svmpath import goldfarb
 from svmpath.construct import StretchFactor, support_decomposition
 from svmpath.geometry import Vec, common_denominator
 from svmpath.goldfarb import (
@@ -45,7 +45,6 @@ from svmpath.goldfarb import (
     facet_weights,
     shadow_certificate,
     shadow_polygon,
-    sign_vectors,
     vertex_row,
 )
 
@@ -92,6 +91,19 @@ class TestParams:
         for params in cases:
             assert hash(params) == hash((params.dim, params.eps, params.gamma))
         assert hash(GoldfarbParams(4, "1/3")) == hash(GoldfarbParams(4))
+
+
+class TestAdmissibleSignVectors:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_the_filtered_sign_vectors_in_their_order(self, d):
+        # built directly, they are the sign vectors ending (1, 1), in lexicographic order
+        expected = [sigma for sigma in sign_vectors(d) if sigma[-2:] == (1, 1)]
+        assert list(admissible_sign_vectors(d)) == expected
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_dim_below_two_refused_at_the_call(self, d):
+        with pytest.raises(ValueError, match=r"^admissible sign vectors need dim >= 2$"):
+            admissible_sign_vectors(d)
 
 
 class TestCubeInequalities:
@@ -519,17 +531,6 @@ class TestShadowCertificateCheck:
             N1, N2, S = shadow_certificate(params, sigma)
             assert all(type(c) is int for c in (N1, N2, S))
             assert (N1, N2, S) == (den * nx, den * ny, scale) and S > 0
-
-    @pytest.mark.parametrize("scale", [0, -3])
-    def test_nonpositive_support_scale_names_sigma(self, monkeypatch, scale):
-        # a forged ring pass whose support for sigma puts the origin outside
-        params, sigma = default_params(4), (-1, 1, 1, 1)
-        den, supports = _shadow_data(params)
-        forged = {**supports, sigma: (1, 1, scale)}
-        monkeypatch.setattr(goldfarb, "_shadow_data", lambda params: (den, forged))
-        message = r"^support scale must be positive \(origin interior\) at sigma=\(-1, 1, 1, 1\)$"
-        with pytest.raises(ShadowPropertyError, match=message):
-            shadow_certificate(params, sigma)
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_ring_pass_keeps_each_admissible_support_in_ring_order(self, d):

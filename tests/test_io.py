@@ -24,6 +24,7 @@ from svmpath.instance_io import (
 )
 from svmpath.kkt import OptimalPair
 from svmpath.report_io import (
+    _approx,
     shadow_svg,
     sweep_report_csv,
     write_sweep_report,
@@ -271,6 +272,14 @@ class TestSweepReports:
         assert lines[0].startswith("# approximate")
         assert lines[1].split(",")[-1] == "precision"
         assert all(line.split(",")[-1] == "9" for line in lines[2:])
+
+    @pytest.mark.parametrize("precision", [0, 1, 2, 12, 17, 30])
+    def test_value_beyond_float_range_rounds_as_format_does(self, precision):
+        # f 10^400 has the float f's decimal digits, its exponent 400 higher, and keeps
+        # at most 17 of them; from 1e17 up, `format`'s 'g' writes f in exponent notation
+        for f in (1e17, -2.5e17, 2.5e18, 3.5e18, 1e20 / 3, 1e23, 1.23456789125e208, -6.02214076e23):
+            mantissa, exponent = format(f, f".{min(precision, 17)}g").split("e")
+            assert _approx(F(f) * 10 ** 400, precision) == f"{mantissa}e+{int(exponent) + 400}"
 
     def test_rational_json_strings(self):
         doc = rational_json(F(-5, 7))
