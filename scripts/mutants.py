@@ -108,6 +108,27 @@ more at depth 0, which the refinement test at depth 0 sees.
 text as the CSV does; the test that both exports list a support alike kills
 it.
 
+A sweep record is one read-off, and each of its parts has a mutant.
+`objective-drops-e-squared` drops the e^2 from the denominator of
+`Piece.optimum`'s objective, which the solver tests comparing objectives
+with the enumeration oracle kill; `objective-not-reduced` keeps the piece's
+objective coefficients unreduced, which only the lowest-terms test sees.
+`support-interior-ignores-ends` answers the prebuilt support at the ends of
+the interval too, where a free coefficient vanishes alone, and
+`support-keeps-identically-zero` keeps a free coefficient that is zero on
+the whole piece in that support; the read-off tests kill both, the second by
+their hand-built piece with such a coefficient. `uncovered-start-never-walks`
+sends a start whose piece does not cover mu to the loop, and the walk tests
+that count the loop's runs kill it. `mu-range-unchecked` drops
+`ReducedHullQP`'s range check, which now binds its fields itself.
+`midpoint-not-halved` drops the bisection midpoint's halving. The label
+template has two: `label-items-not-indented` lays a nested list's items out
+at its own depth, and `label-string-unescaped` writes a string label between
+quotes without escaping it; the writer's byte test, whose labels include
+escaped strings and nested tuples, kills both. `approx-subnormal-as-float`
+writes a value below float's normal range through its float again, which
+the tests of `_approx` on such values kill.
+
 Equivalent mutants, which no test can kill, stay off the list, with the
 reason here. Swapping the ring support's two edges, `_support(fx, fy, ex,
 ey, bx, by)`, gives the same support: n = |f|_1 (e_y, -e_x) + |e|_1 (f_y,
@@ -161,6 +182,12 @@ ADMISSIBLE_TESTS = ("tests/test_goldfarb.py::TestAdmissibleSignVectors",)
 STRETCH_TESTS = ("tests/test_construct.py::TestChooseStretch",)
 REFINE_TESTS = ("tests/test_sweep.py::TestRefine",)
 LABEL_ORDER_TESTS = ("tests/test_io.py::TestReportWriter::test_csv_and_json_share_one_label_order",)
+READ_OFF_TESTS = ("tests/test_qp.py::TestPieceReadOff",)
+SOLVER_TESTS = ("tests/test_qp.py::TestSolver",)
+START_TESTS = ("tests/test_qp.py::TestWalk",)
+MU_RANGE_TESTS = ("tests/test_qp.py::TestSolver::test_mu_out_of_range_rejected",)
+LAYOUT_TESTS = ("tests/test_io.py::TestReportWriter::test_text_equals_json_dumps",)
+APPROX_TESTS = ("tests/test_io.py::TestSweepReports::test_value_below_normal_float_range_keeps_its_digits",)
 
 # (name, module under src/svmpath, snippet, replacement, test files)
 MUTANTS = (
@@ -443,6 +470,76 @@ MUTANTS = (
         "sorted((_label_json(l) for l in support_plus), key=str)",
         "sorted(_label_json(l) for l in support_plus)",
         LABEL_ORDER_TESTS,
+    ),
+    (
+        "objective-drops-e-squared",
+        "qp.py",
+        "C * m * m, D * e * e)",
+        "C * m * m, D)",
+        SOLVER_TESTS,
+    ),
+    (
+        "objective-not-reduced",
+        "qp.py",
+        "g = gcd(A, B, C, D)",
+        "g = 1",
+        READ_OFF_TESTS,
+    ),
+    (
+        "support-interior-ignores-ends",
+        "qp.py",
+        "if (lo is None or m * lo[1] != lo[0] * e) and (hi is None or hi[0] * e != m * hi[1]):",
+        "if True:",
+        READ_OFF_TESTS,
+    ),
+    (
+        "support-keeps-identically-zero",
+        "qp.py",
+        "kept = [*at_hi, *[i for i in free if P[i] or Q[i]]]",
+        "kept = [*at_hi, *free]",
+        READ_OFF_TESTS,
+    ),
+    (
+        "uncovered-start-never-walks",
+        "qp.py",
+        "        if pair is None:\n            for piece in start.piece.walk(mu):",
+        "        if pair is None:\n            for piece in ():",
+        START_TESTS,
+    ),
+    (
+        "mu-range-unchecked",
+        "qp.py",
+        "if not (e <= len(cls) * m and m <= e):",
+        "if False:",
+        MU_RANGE_TESTS,
+    ),
+    (
+        "midpoint-not-halved",
+        "sweep.py",
+        "mid = Fraction(a * d + c * b, 2 * b * d)",
+        "mid = Fraction(a * d + c * b, b * d)",
+        REFINE_TESTS,
+    ),
+    (
+        "label-items-not-indented",
+        "report_io.py",
+        "_laid_out(v, depth + 1) for v in value",
+        "_laid_out(v, depth) for v in value",
+        LAYOUT_TESTS,
+    ),
+    (
+        "label-string-unescaped",
+        "report_io.py",
+        "return _encode_str(value)",
+        "return '\"' + value + '\"'",
+        LAYOUT_TESTS,
+    ),
+    (
+        "approx-subnormal-as-float",
+        "report_io.py",
+        "(not x or abs(f) >= _FLOAT_MIN)",
+        "True",
+        APPROX_TESTS,
     ),
 )
 

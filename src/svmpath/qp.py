@@ -35,12 +35,17 @@ only optimum: every optimum has the same w = p - q, so the strict gradients
 hold the bound coefficients at their bounds in all of them, and the
 nonsingular normal equations leave the free ones no other solution. The loop
 returns an optimum, so it would return the same coefficients, and the same
-pair. A piece keeps its coefficients as integers: at a given mu its objective
-is one Fraction, and so is each free alpha, built on first read. A pair read
-off a piece keeps its piece, and `support_set` reads its support off the piece
-(`Piece.support`): the coefficients at mu and the free ones whose numerator
-does not vanish. A pair is its coefficients and its objective: the points
-p and q they weight are not built, since no command reads them.
+pair. A piece keeps its coefficients as integers, and its objective as
+lowest-terms integers reduced once, when it is built: at a given mu its
+objective is one Fraction of a few small products, and each free alpha one
+Fraction, built on first read. A pair read off a piece keeps its piece, and
+`support_set` reads its support off the piece (`Piece.support`): strictly
+inside the interval the support built with the piece, and at an end the
+coefficients at mu and the free ones whose numerator does not vanish. So a
+record read off the piece its warm start was read off costs one interval
+test, one Fraction and one comparison of mu with the ends. A pair is its
+coefficients and its objective: the points p and q they weight are not
+built, since no command reads them.
 
 At its upper event a piece pivots one coefficient and builds its
 `successor` once, so the pieces of a point set form one chain, the exact
@@ -48,9 +53,9 @@ path, walked from piece to piece as SVMpath walks its breakpoints (Hastie,
 Rosset, Tibshirani & Zhu, JMLR 5, 2004). Every walk starts in the solver:
 where the loop answers, `solve_reduced_distance` reads its optimum off the
 piece of its working set, if that piece covers mu. The only hint the solver
-takes is its warm start: it walks the chain from the piece a start was read
-off (`Piece.walk`), and where the chain stops the loop runs from the start's
-coefficients.
+takes is its warm start: the piece a start was read off answers where it
+covers mu, and otherwise the solver walks the chain from it (`Piece.walk`);
+where the chain stops the loop runs from the start's coefficients.
 
 The piece's conditions are also the one optimality certificate, which
 `kkt` holds with the pair (`OptimalPair`) and the helpers the loop and the
@@ -61,7 +66,7 @@ this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -76,6 +81,7 @@ from .kkt import (
 AT_LO, AT_HI = 0, 1
 # a piece's successor before its first `successor()` call
 _UNWALKED = object()
+_set = object.__setattr__
 
 
 class SolverStalledError(VerificationFailure):
@@ -90,7 +96,9 @@ class ReducedHullQP(FrozenRecord):
     def __init__(self, table: PointTable, mu: Fraction):
         if type(mu) is not Fraction:
             mu = Fraction(mu)
-        super().__init__(table, mu)
+        # both fields by position: bound here, without `FrozenRecord`'s generic binding
+        _set(self, "table", table)
+        _set(self, "mu", mu)
         m, e = mu.numerator, mu.denominator
         for cls in (table.plus_points, table.minus_points):
             # 1/n <= m/e <= 1 over integers, e > 0
@@ -137,12 +145,13 @@ def _initial_point(qp: ReducedHullQP, classes, n: int, start: Optional[OptimalPa
 def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = None) -> OptimalPair:
     """Exact global optimum of the reduced-hull distance problem.
 
-    A `start` read off a piece of this point set walks first (`Piece.walk`):
-    from its piece, while this mu lies at or above a piece's upper end and
-    outside it, to that piece's `successor`. The first piece that covers mu
-    answers, only with the unique optimum (see `Piece.optimum`), which is the
-    pair the loop would return from any start. A start read off another
-    point set's piece does not walk.
+    A `start` read off a piece of this point set answers from that piece
+    where it covers mu. Otherwise it walks first (`Piece.walk`): from its
+    piece, while this mu lies at or above a piece's upper end and outside it,
+    to that piece's `successor`. The first piece that covers mu answers, only
+    with the unique optimum (see `Piece.optimum`), which is the pair the loop
+    would return from any start. A start read off another point set's piece
+    does not walk.
 
     Otherwise the loop runs. `start` may carry coefficients from a
     neighbouring solve (warm start); they are used only when exactly
@@ -162,9 +171,12 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     """
     table, mu = qp.table, qp.mu
     if start is not None and start.piece is not None and start.piece.table is table:
-        for piece in start.piece.walk(mu):
-            pass
-        pair = piece.optimum(qp)
+        # most starts lie on the piece that covers mu: no walk is built for them
+        pair = start.piece.optimum(qp)
+        if pair is None:
+            for piece in start.piece.walk(mu):
+                pass
+            pair = piece.optimum(qp)
         if pair is not None:
             return pair
     n, n_plus = len(table.nums), len(qp.plus_points)
@@ -412,8 +424,9 @@ class Piece:
     only free bounds bind there. `events` lists the conditions that bind at
     hi, as (index, new state): a free coefficient reaching 0 or mu becomes
     AT_LO or AT_HI, a bound coefficient whose gradient meets its multiplier
-    becomes free (None). The objective (quadratic) is kept as integer
-    coefficients of mu.
+    becomes free (None). The objective (quadratic) is kept as lowest-terms
+    integers (A, B, C, D), reduced once here: at mu = m / e it is
+    (A e^2 + B m e + C m^2) / (D e^2), with D > 0 (`optimum`).
     """
 
     __slots__ = (
@@ -462,10 +475,12 @@ class Piece:
         W1 = [det * c + sum(map(mul, Y1, col)) for c, col in zip(C1, cols)]
         piece = cls()
         piece.table, piece.at_lo, piece.at_hi, piece.free = table, tuple(at_lo), tuple(at_hi), free
-        # the support wherever no free coefficient vanishes, split by class
+        # the support strictly inside the interval (see `support`): the coefficients
+        # at mu and the free ones not identically zero, split by class
+        kept = [*at_hi, *[i for i in free if P[i] or Q[i]]]
         piece._support = (
-            frozenset([i for i in (*at_hi, *free) if i < n_plus]),
-            frozenset([i - n_plus for i in (*at_hi, *free) if i >= n_plus]),
+            frozenset([i for i in kept if i < n_plus]),
+            frozenset([i - n_plus for i in kept if i >= n_plus]),
         )
         piece._measure(refs, P, Q, W0, W1, det, e0, e1)
         piece._successor = _UNWALKED
@@ -531,9 +546,12 @@ class Piece:
             None if end is None else (end.numerator, end.denominator) for end in (self.lo, self.hi)
         )
         self.lo_closed, self.hi_closed = lo_closed, hi_closed
-        # ||w||^2 = (a den1^2 + b den0 den1 mu + c den0^2 mu^2) / (den0 den1)^2
+        # ||w||^2 = (a den1^2 + b den0 den1 mu + c den0^2 mu^2) / (den0 den1)^2, which at
+        # mu = m / e is (A e^2 + B m e + C m^2) / (D e^2): reduced once, here
         a, b, c = sum(map(mul, W0, W0)), 2 * sum(map(mul, W0, W1)), sum(map(mul, W1, W1))
-        self.objective = (a, b, c, den0, den1)
+        A, B, C, D = a * den1 * den1, b * den0 * den1, c * den0 * den0, (den0 * den1) ** 2
+        g = gcd(A, B, C, D)
+        self.objective = (A // g, B // g, C // g, D // g)
 
     def covers(self, mu) -> bool:
         """Whether mu lies in the piece's interval, where `optimum` answers."""
@@ -558,9 +576,11 @@ class Piece:
         strictly on its side of its class multiplier. There the pair is the
         unique optimum, the one the loop returns (see the module docstring).
 
-        The objective is one Fraction of integer numerators, computed here.
-        The pair's coefficients (`coefficients`) are built only when first
-        read; a sweep reads the support off the piece (`support`) instead.
+        The objective is one Fraction, built here from the piece's
+        lowest-terms coefficients (A, B, C, D) and mu = m / e: (A e^2 + B m e
+        + C m^2) / (D e^2). The pair's coefficients (`coefficients`) are built
+        only when first read; a sweep reads the support off the piece
+        (`support`) instead.
         """
         if qp.table is not self.table:
             raise ValueError("piece belongs to another point set")
@@ -568,10 +588,8 @@ class Piece:
         if not self.covers(mu):
             return None
         m, e = mu.numerator, mu.denominator
-        a, b, c, d0, d1 = self.objective
-        objective = Fraction(
-            (a * d1 * d1 * e + b * d0 * d1 * m) * e + c * d0 * d0 * m * m, (d0 * d1 * e) ** 2
-        )
+        A, B, C, D = self.objective
+        objective = Fraction((A * e + B * m) * e + C * m * m, D * e * e)
         return OptimalPair(None, None, objective, piece=self, mu=mu)
 
     def coefficients(self, mu: Fraction) -> tuple:
@@ -595,12 +613,19 @@ class Piece:
 
         Every coefficient at mu is positive. The free ones lie in [0, mu] over
         the positive C e, so a free one is zero exactly where its numerator
-        A e + B m vanishes: at an end of the interval where its AT_LO condition
-        binds, such as right's at mu = 1 on the construction's working set, or
-        on the whole piece when A = B = 0. The support where none vanishes is
-        built once, with the piece.
+        A e + B m vanishes. That numerator is affine in mu and >= 0 on the
+        interval, so it vanishes at a point strictly inside the interval only
+        if it vanishes on all of it, A = B = 0. The support strictly inside
+        the interval, without the free coefficients that are identically
+        zero, is built once, with the piece, and answers every mu there. At an
+        end a free coefficient can vanish alone, where its AT_LO condition
+        binds, such as right's at mu = 1 on the construction's working set, so
+        there each numerator is tested.
         """
         m, e = mu.numerator, mu.denominator
+        lo, hi = self._ends
+        if (lo is None or m * lo[1] != lo[0] * e) and (hi is None or hi[0] * e != m * hi[1]):
+            return self._support
         vanished = [i for i, (A, B, _C) in zip(self.free, self.alphas) if not A * e + B * m]
         if not vanished:
             return self._support

@@ -8,22 +8,28 @@ explicitly marked as such, carrying its precision in every row.
 and a newline, for a document of fixed shape. With `indent` set, the
 standard library encodes in pure Python, one generator per container, which
 took most of the time of writing a 737-record report. So each record is one
-`%`-template with its rationals' numerators and denominators, and only the
-other top-level values and the label lists go through `json.dumps`, indented
+`%`-template with its rationals' numerators and denominators, and each
+label list is laid out by a template too (`_laid_out`), with its strings
+through the C string encoder of `json.encoder`. Only the other top-level
+values, and a label of any other type, go through `json.dumps`, indented
 deeper by adding spaces after each newline: `json.dumps` escapes a newline
 in a string, so each newline it writes is layout. A sweep's records hold few
 distinct support sets, so both exports sort and lay out each set's labels
-once (`_per_support`).
+once (`_per_support`): a record costs one template fill.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .goldfarb import GoldfarbParams, shadow_polygon
+
+_FLOAT_MIN = sys.float_info.min  # the least positive normal float
 
 if TYPE_CHECKING:  # annotations only, so shadow-svg loads neither sweep nor qp
     from .sweep import SweepReport
@@ -55,10 +61,32 @@ def _dumped(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+def _laid_out(value, depth: int) -> str:
+    """A label or a list of them as `_dumped` writes it, by template for ints, strings and lists.
+
+    A list's items stand one level deeper, each on its own line, and its
+    closing bracket on a line at its own depth; an empty one is `[]`. A
+    string goes through the encoder `json.dumps` uses, and anything else
+    (a bool, a float) through `_dumped`.
+    """
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is not list and kind is not tuple:
+        return _dumped(value, depth)
+    if not value:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = ("," + inner).join([_laid_out(v, depth + 1) for v in value])
+    return "[" + inner + items + "\n" + "  " * depth + "]"
+
+
 def _json_labels(support_plus, support_minus) -> tuple:
     """Both label lists of a support, sorted and laid out at a record's depth."""
     plus = sorted((_label_json(l) for l in support_plus), key=str)
-    return _dumped(plus, 3), _dumped(sorted(support_minus), 3)
+    return _laid_out(plus, 3), _laid_out(sorted(support_minus), 3)
 
 
 _RECORD = """
@@ -114,13 +142,21 @@ def write_sweep_report(report: SweepReport, path, meta: dict | None = None) -> N
 
 
 def _approx(x: Fraction, precision: int) -> str:
-    """x as `format`'s 'g' writes its float; beyond float range, in decimal, to at most 17 digits."""
+    """x as `format`'s 'g' writes its float; outside float's normal range, in decimal, to at most 17 digits.
+
+    A nonzero x whose float would overflow, or would be 0 or subnormal and so
+    keep fewer digits than a normal float, is divided in `decimal` instead.
+    """
     try:
-        return format(x.numerator / x.denominator, f".{precision}g")
-    except OverflowError:  # rounded half to even, to no more digits than tell two floats apart
-        from decimal import MAX_EMAX, Context, Decimal
-        context = Context(prec=max(1, min(precision, 17)), Emax=MAX_EMAX)
-        return format(context.divide(Decimal(x.numerator), x.denominator).normalize(context), "e")
+        f = x.numerator / x.denominator
+    except OverflowError:
+        f = None
+    if f is not None and (not x or abs(f) >= _FLOAT_MIN):
+        return format(f, f".{precision}g")
+    # rounded half to even, to no more digits than tell two floats apart
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+    context = Context(prec=max(1, min(precision, 17)), Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return format(context.divide(Decimal(x.numerator), x.denominator).normalize(context), "e")
 
 
 def _csv_labels(support_plus, support_minus) -> str:

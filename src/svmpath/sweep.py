@@ -22,9 +22,12 @@ each record is the one the loop alone gives.
 A record read off a piece costs the pieces its walk passes, the interval
 test, its objective and its support (`qp.support_set`, which reads it off the
 piece); the pair builds its coefficients only when read, which a sweep does
-only to warm-start the loop. Each distinct index support is labeled once per
-grid and once per refinement, and the records that share a labeling share its
-frozensets.
+only to warm-start the loop. Most records lie on their warm start's own
+piece, and cost one interval test, one objective Fraction of small products
+and, strictly inside the piece, its prebuilt support (`qp.Piece.optimum`,
+`qp.Piece.support`), besides the record itself and a bisection midpoint's
+one Fraction. Each distinct index support is labeled once per grid and once
+per refinement, and the records that share a labeling share its frozensets.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def _solve_record(
     instance: SvmInstance, mu: Fraction, warm: Optional[OptimalPair], labels: dict
 ) -> SweepRecord:
     """The record at mu, solved from `warm`; `labels` keeps each index support's labels."""
-    qp = ReducedHullQP.from_instance(instance, mu)
+    qp = ReducedHullQP(instance.table, mu)
     try:
         pair = solve_reduced_distance(qp, start=warm)
     except SolverStalledError as exc:
@@ -168,7 +171,9 @@ def _refine(instance, mu_a, rec_a, mu_b, rec_b, depth, out, labels) -> None:
         mu_a, rec_a, mu_b, rec_b, depth = stack.pop()
         if depth <= 0 or rec_a.support == rec_b.support:
             continue
-        mid = (mu_a + mu_b) / 2
+        # a / b + c / d halved, one Fraction of integer cross-products
+        a, b, c, d = mu_a.numerator, mu_a.denominator, mu_b.numerator, mu_b.denominator
+        mid = Fraction(a * d + c * b, 2 * b * d)
         rec = _solve_record(instance, mid, rec_a.pair, labels)
         out.append(rec)
         stack.append((mid, rec, mu_b, rec_b, depth - 1))

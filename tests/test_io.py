@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -281,6 +282,23 @@ class TestSweepReports:
             mantissa, exponent = format(f, f".{min(precision, 17)}g").split("e")
             assert _approx(F(f) * 10 ** 400, precision) == f"{mantissa}e+{int(exponent) + 400}"
 
+    @pytest.mark.parametrize(
+        "x, text",
+        [(F(1, 10**400), "1e-400"), (F(-1, 10**400), "-1e-400"), (F(3, 10**320), "3e-320"),
+         (F(sys.float_info.min) / 2, "1.11253692925e-308")],
+    )
+    def test_value_below_normal_float_range_keeps_its_digits(self, x, text):
+        # a float of 0 or a subnormal would lose them: "0", "-0" and "2.99996660155e-320"
+        assert _approx(x, 12) == text
+
+    @pytest.mark.parametrize("precision", [1, 12, 17])
+    def test_value_at_or_above_the_least_normal_float_is_written_as_its_float(self, precision):
+        least = sys.float_info.min
+        for f in (least, -least, least * (1 + 2**-52), 1e-300, 0.0, 1.0):
+            assert _approx(F(f), precision) == format(f, f".{precision}g")
+        # the float of a value just under it rounds up to the least normal float
+        assert _approx(F(least) * (1 - F(1, 10**30)), precision) == format(least, f".{precision}g")
+
     def test_rational_json_strings(self):
         doc = rational_json(F(-5, 7))
         assert doc == {"num": "-5", "den": "7"}
@@ -294,6 +312,18 @@ def _empty_support_report():
     records = (
         SweepRecord(F(1), frozenset(), frozenset({"left"}), _pair(F(0))),
         SweepRecord(F(3, 4), frozenset({(1, -1)}), frozenset(), _pair(F(-1, 3))),
+    )
+    return SweepReport(records, 1, 2, 0)
+
+
+def _odd_label_report():
+    # labels the sweeps never make: escaped strings, a bool, a float, None, a
+    # wide int and nested tuples, each laid out as json.dumps does
+    plus = frozenset({-3, 10**30, (1, -1), (2, (3, (4,))), (), 'q"\u00e9\n', True, 0.5, None})
+    minus = frozenset({"left", "r\\ight\u2028"})
+    records = (
+        SweepRecord(F(1), plus, minus, _pair(F(2, 3))),
+        SweepRecord(F(3, 4), frozenset({(5,), "x"}), frozenset(), _pair(F(1, 3))),
     )
     return SweepReport(records, 1, 2, 0)
 
@@ -326,6 +356,7 @@ class TestReportWriter:
         ),
         "empty_support": _empty_support_report,
         "equal_supports": _equal_support_report,
+        "odd_labels": _odd_label_report,
         "no_records": lambda: SweepReport((), 0, 0, 0),
     }
     METAS = {

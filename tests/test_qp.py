@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -62,7 +63,7 @@ from svmpath.qp import (
     support_set,
     working_set,
 )
-from svmpath.sweep import grid_values, path_pieces, sweep_grid
+from svmpath.sweep import grid_values, path_pieces, sweep_grid, sweep_refined
 
 
 # sha256 of the walks' (at_lo, at_hi, lo, hi, events) over [51/100, 1]
@@ -931,9 +932,9 @@ class TestTableMatchesFractionReference:
 
 
 def piece_objective(piece, mu) -> F:
-    """||w||^2 at mu from the piece's integer objective coefficients."""
-    a, b, c, d0, d1 = piece.objective
-    return F(a, d0 * d0) + F(b, d0 * d1) * mu + F(c, d1 * d1) * mu * mu
+    """||w||^2 at mu from the piece's integer objective coefficients (A + B mu + C mu^2) / D."""
+    A, B, C, D = piece.objective
+    return (A + B * mu + C * mu * mu) / D
 
 
 def chain_digest(pieces) -> str:
@@ -1051,6 +1052,68 @@ class TestPieceFractions:
             if name == "__new__" and path.endswith("fractions.py")
         )
         assert working and made <= 2 * len(working)
+
+
+def vanishing_support(piece, mu) -> tuple:
+    """The support of the piece's coefficients at mu, each coefficient tested."""
+    plus, minus = piece.coefficients(mu)
+    return (
+        frozenset(i for i, a in enumerate(plus) if a > 0),
+        frozenset(i for i, a in enumerate(minus) if a > 0),
+    )
+
+
+# the sweeps at the command line's defaults, (instance, mu_lo) by name
+SWEPT = {
+    **{f"d{d}": (lambda d=d: build_instance(default_params(d), DEFAULT_STRETCH), F(1, 2))
+       for d in (3, 4, 5, 6)},
+    "arc20": (lambda: generate_2d_arc_instance(20), F(1, 2)),
+}
+
+
+@pytest.fixture(scope="module", params=list(SWEPT))
+def swept(request) -> tuple:
+    """(records, pieces) of a sweep at 512 steps and depth 6, the pieces its pairs carry."""
+    make, mu_lo = SWEPT[request.param]
+    records = sweep_refined(make(), mu_lo, F(1), 512, 6).records
+    pieces = {id(r.pair.piece): r.pair.piece for r in records if r.pair.piece is not None}
+    return records, tuple(pieces.values())
+
+
+class TestPieceReadOff:
+    """What a record reads off its piece: the objective's coefficients and the support."""
+
+    def test_objective_coefficients_in_lowest_terms(self, swept):
+        _records, pieces = swept
+        assert pieces
+        for piece in pieces:
+            A, B, C, D = piece.objective
+            assert gcd(A, B, C, D) == 1 and D > 0
+
+    def test_support_at_every_record_and_both_ends(self, swept):
+        records, pieces = swept
+        read_off = [r for r in records if r.pair.piece is not None]
+        assert len(read_off) > len(records) // 2
+        for r in read_off:
+            assert support_set(r.pair) == vanishing_support(r.pair.piece, r.mu)
+        ends = [(piece, end) for piece in pieces for end in (piece.lo, piece.hi) if end is not None]
+        assert ends
+        for piece, end in ends:
+            assert piece.support(end) == vanishing_support(piece, end)
+
+    def test_free_coefficient_identically_zero_stays_out_of_the_support(self):
+        # the free plus point (3, 3, 1) sits one unit above the free (3, 3, 0),
+        # and w stays in the plane z = 0: stationarity holds with its coefficient
+        # 0 at every mu, so it is in no support, inside the interval or at an end
+        table = PointTable([(-2, 1, 0), (3, 3, 0), (3, 3, 1)], [(3, -3, 0), (-1, -3, 0)])
+        piece = Piece.build(table, ((), (0, 4)))
+        assert (piece.lo, piece.hi, piece.free) == (F(1, 2), F(1), (1, 2, 3))
+        assert piece.alphas[1][:2] == (0, 0)
+        for mu in (F(1, 2), F(3, 4), F(9, 10), F(1)):
+            loop = solve_reduced_distance(ReducedHullQP(table, mu))
+            assert piece.support(mu) == vanishing_support(piece, mu) == support_set(loop)
+            assert 2 not in piece.support(mu)[0]
+            assert piece.optimum(ReducedHullQP(table, mu)).objective == loop.objective
 
 
 class TestSupportSet:
