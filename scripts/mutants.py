@@ -21,11 +21,27 @@ last piece, through `Piece.optimum`, which answers None where the piece does
 not cover mu: that `covers` test is the read-off's, and
 `optimum-without-covers` removes it.
 
-The calibration pass of `build_instance` (its running extremes and the
-strictness check of `_weights`, which it shares with `support_decomposition`)
-and the shadow ring pass (where it keeps each admissible support) have
-mutants of their own, killed by `tests/test_construct.py` and
-`tests/test_goldfarb.py`.
+`build_instance` reads the calibration off the two ends of the Gray code:
+`calibration-reads-wrong-end` swaps sigma_lo and sigma_hi, and
+`calibration-mu-bar-off-lo` takes mu_bar from sigma_lo's weights; the
+calibration tests of `tests/test_construct.py` kill both. Where sigma_hi's
+weights put mu_bar at 1 or above, the stretch fails, and `check_stretch`
+names its first failing sigma: `calibration-end-unchecked` drops that, so a
+header `L 1/1` ends as an input error, which the `verify` test of a header
+stretch too small kills. The strictness
+check of `_weights` and the shadow ring pass (where it keeps each
+admissible support) have mutants of their own, killed by
+`tests/test_construct.py` and `tests/test_goldfarb.py`. Each command makes
+each sigma's `_unstretched_pair` once: `breakpoints-computes-twice` makes it
+again for `_weights`, which the per-command counts of `TestOnePass` kill.
+`gen-stretch-unchecked` drops the strictness pass of `gen --stretch L`, so
+`gen --d 9` writes a file at a factor an interior sigma fails. A breakpoint
+whose q_d lies outside the header's [q_min, q_max] fails its certificate:
+`verify-q-range-as-input-error` drops that check, so `mu_of_q`'s ValueError
+exits 2 again, and the `verify` test of a forged q_d kills it.
+`calibration-mu-bar-running-minimum` and `calibration-q-extremes-swapped`
+are retired with the running extremes of the calibration pass they
+mutated: no pass over the sigmas calibrates any more.
 
 Four mutants guard what a fresh process loads and how it fails, which
 only a test in a fresh interpreter can see: `cli-imports-qp` imports the
@@ -177,6 +193,9 @@ REGENERATION_TESTS = (
     "tests/test_cli.py::TestVerify::test_tampered_coordinate_fails",
     "tests/test_cli.py::TestVerify::test_header_stretch_too_small",
 )
+ONE_PASS_TESTS = ("tests/test_cli.py::TestOnePass",)
+GEN_REFUSAL_TESTS = ("tests/test_cli.py::TestGenRefuses::test_default_stretch_too_small_at_d9",)
+Q_RANGE_TESTS = ("tests/test_cli.py::TestVerify::test_q_outside_the_header_range_is_a_certificate_failure",)
 ELIMINATION_TESTS = ("tests/test_qp.py::TestSolveLinearSystem",)
 ADMISSIBLE_TESTS = ("tests/test_goldfarb.py::TestAdmissibleSignVectors",)
 STRETCH_TESTS = ("tests/test_construct.py::TestChooseStretch",)
@@ -234,23 +253,51 @@ MUTANTS = (
         WALK_TESTS,
     ),
     (
-        "calibration-mu-bar-running-minimum",
+        "calibration-reads-wrong-end",
         "construct.py",
-        "if max(A) * mu[1] > mu[0] * den:",
-        "if max(A) * mu[1] < mu[0] * den:",
+        "lo, hi = _unstretched_pair(params, sigma_lo), _unstretched_pair(params, sigma_hi)",
+        "lo, hi = _unstretched_pair(params, sigma_hi), _unstretched_pair(params, sigma_lo)",
         CONSTRUCT_TESTS,
     ),
     (
-        "calibration-q-extremes-swapped",
+        "calibration-mu-bar-off-lo",
         "construct.py",
-        "Qd * lo[1] < lo[0] * g:\n            lo = (Qd, g)\n        if hi is None or Qd * hi[1] > hi[0] * g:",
-        "Qd * lo[1] > lo[0] * g:\n            lo = (Qd, g)\n        if hi is None or Qd * hi[1] < hi[0] * g:",
+        "A, den = _weights(hi, s)",
+        "A, den = _weights(lo, s)",
         CONSTRUCT_TESTS,
+    ),
+    (
+        "calibration-end-unchecked",
+        "construct.py",
+        "    if max(A) >= den:",
+        "    if False:",
+        REGENERATION_TESTS,
+    ),
+    (
+        "breakpoints-computes-twice",
+        "construct.py",
+        "yield (sigma, *_weights(pair, s, sigma), Qd, g)",
+        "yield (sigma, *_weights(_unstretched_pair(params, sigma), s, sigma), Qd, g)",
+        ONE_PASS_TESTS,
+    ),
+    (
+        "gen-stretch-unchecked",
+        "cli.py",
+        "        check_stretch(params, stretch_factor)\n",
+        "",
+        GEN_REFUSAL_TESTS,
+    ),
+    (
+        "verify-q-range-as-input-error",
+        "kkt.py",
+        "if not instance.calibration.q_min <= q_last <= instance.calibration.q_max:",
+        "if False:",
+        Q_RANGE_TESTS,
     ),
     (
         "weights-without-strictness",
         "construct.py",
-        "if not facet_strictness_check((A, den)):\n"
+        "if sigma is not None and not facet_strictness_check((A, den)):\n"
         "        raise StrictnessError(f\"facet strictness fails for sigma={sigma} at L={s.factor}\")\n"
         "    return A, den",
         "return A, den",
@@ -422,8 +469,10 @@ MUTANTS = (
         "cli.py",
         "    try:\n"
         "        if regenerate(instance) != instance:\n"
+        "            check_stretch(instance.params, instance.stretch)  # a stretch that fails names its sigma\n"
         "            raise VerificationFailure(\"instance differs from its header parameters\")\n",
         "    if regenerate(instance) != instance:\n"
+        "        check_stretch(instance.params, instance.stretch)\n"
         "        raise VerificationFailure(\"instance differs from its header parameters\")\n"
         "    try:\n",
         REGENERATION_TESTS,

@@ -5,15 +5,14 @@ produces a point q_sigma on the vertical line {x : x_1 = ... = x_{d-2} = 0,
 x_{d-1} = 2} and its projection p_sigma onto the sigma-facet of the stretched
 dual cube, held as its weights over that facet's d vertices. From the shadow
 ring's integer support of sigma to q_sigma and those weights, every step is
-in integers. Two extra points on that line, calibrated in one integer pass
-over the sigmas, turn the family into a single SVM instance whose path visits
-every pair.
+in integers, and each command makes them once per sigma, in its one pass. Two
+extra points on that line, calibrated off two sigmas, turn the family into a
+single SVM instance whose path visits every pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterator, Optional
 
@@ -30,7 +29,7 @@ from .goldfarb import (
 
 
 class CalibrationError(VerificationFailure):
-    """q_min == q_max across several pairs, contradicting their distinctness."""
+    """q_min == q_max at two distinct pairs, contradicting their distinctness."""
 
 
 class StrictnessError(VerificationFailure):
@@ -141,7 +140,6 @@ class SvmInstance(FrozenRecord):
 MINUS_LABELS = ("left", "right")
 
 
-@lru_cache(maxsize=None)
 def _unstretched_pair(params: GoldfarbParams, sigma: SignVec) -> tuple:
     """((S1, S2, g, Qd), (U, W, top)): the part of a pair that no stretch changes.
 
@@ -205,16 +203,17 @@ def facet_strictness_check(weights: tuple) -> bool:
     return sum(W) == den and all(w > 0 for w in W)
 
 
-def _weights(params: GoldfarbParams, sigma: SignVec, s: StretchFactor) -> tuple:
-    """(A, den): sigma's weights at L = n / m, n^2 U + m^2 W over den = g (m^2 S1 + n^2 S2) top.
+def _weights(pair: tuple, s: StretchFactor, sigma: Optional[SignVec] = None) -> tuple:
+    """(A, den): the pair's weights at L = n / m, n^2 U + m^2 W over den = g (m^2 S1 + n^2 S2) top.
 
-    StrictnessError is raised unless they pass `facet_strictness_check`.
+    `pair` is sigma's `_unstretched_pair`. Given sigma, StrictnessError names it unless they pass
+    `facet_strictness_check`; `build_instance` reads sigma_hi's unchecked.
     """
-    (S1, S2, g, _), (U, W, top) = _unstretched_pair(params, sigma)
+    (S1, S2, g, _), (U, W, top) = pair
     nn, mm = s.factor.numerator ** 2, s.factor.denominator ** 2
     A = [nn * u + mm * w for u, w in zip(U, W)]
     den = g * (mm * S1 + nn * S2) * top
-    if not facet_strictness_check((A, den)):
+    if sigma is not None and not facet_strictness_check((A, den)):
         raise StrictnessError(f"facet strictness fails for sigma={sigma} at L={s.factor}")
     return A, den
 
@@ -230,7 +229,7 @@ def support_decomposition(sigma: SignVec, params: GoldfarbParams, s: StretchFact
     its own (`facet_strictness_check`). The largest, mu_sigma, is below 1.
     """
     sigma = tuple(sigma)
-    A, den = _weights(params, sigma, s)
+    A, den = _weights(_unstretched_pair(params, sigma), s, sigma)
     alphas = tuple([Fraction(a, den) for a in A])
     return SupportDecomposition(sigma, alphas, alphas[A.index(max(A))])
 
@@ -249,7 +248,6 @@ def mu_of_q(q_last: Fraction, calib: Calibration) -> Fraction:
 
 
 # No command calls it; perfbench/tracer.py reads it by name and the tests compare with it.
-@lru_cache(maxsize=None)
 def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
     """(pair, decomposition) for every admissible sigma, lexicographic order.
 
@@ -264,34 +262,39 @@ def admissible_constructions(params: GoldfarbParams, s: StretchFactor) -> tuple:
 def breakpoints(params: GoldfarbParams, s: StretchFactor) -> Iterator[tuple]:
     """(sigma, A, den, Qd, g) per admissible sigma, lexicographically: its `_weights` and q_d = Qd / g.
 
-    The one pass that `build_instance` and `kkt.certify_construction` share; den, g > 0.
+    The pass of `kkt.certify_construction` and `check_stretch`; it keeps no sigma. den, g > 0.
     """
     for sigma in admissible_sign_vectors(params.dim):
-        A, den = _weights(params, sigma, s)
-        *_, g, Qd = _unstretched_pair(params, sigma)[0]
-        yield sigma, A, den, Qd, g
+        (*_, g, Qd), _ = pair = _unstretched_pair(params, sigma)
+        yield (sigma, *_weights(pair, s, sigma), Qd, g)
+
+
+def check_stretch(params: GoldfarbParams, s: StretchFactor) -> None:
+    """Raise StrictnessError, naming the lexicographically first sigma that fails at s, if any does."""
+    for _ in breakpoints(params, s):
+        pass
 
 
 def build_instance(params: GoldfarbParams, s: StretchFactor) -> SvmInstance:
-    """The full 2d + 2 point instance, calibrated in one integer pass over the admissible sigmas.
+    """The full 2d + 2 point instance, calibrated off the two ends of the Gray code.
 
-    It builds no pair. Over `breakpoints` it keeps the extreme q_d and, as
-    mu_bar, the largest weight or 1/2, cross-multiplying over the positive den
-    and g. u_left sits at q_min, u_right at q_min + span / (1 - mu_bar),
-    span = q_max - q_min (1 at dim 2).
+    q_min is q_d of sigma_lo = (-1, ..., -1, 1, 1), and q_max and mu_bar (its largest weight, or 1/2)
+    are sigma_hi's, (-1, ..., -1, 1, 1, 1): their heads end the shadow ring's reflected Gray code.
+    That these are the extremes over all sigmas is measured against the Fraction calibration, not
+    proven; `verify` refuses a q_d outside [q_min, q_max], and each command checks strictness in its
+    own pass. u_left sits at q_min, u_right at q_min + (q_max - q_min or 1 at dim 2) / (1 - mu_bar).
     """
-    mu, lo, hi = (1, 2), None, None
-    for _sigma, A, den, Qd, g in breakpoints(params, s):
-        if max(A) * mu[1] > mu[0] * den:
-            mu = (max(A), den)
-        if lo is None or Qd * lo[1] < lo[0] * g:
-            lo = (Qd, g)
-        if hi is None or Qd * hi[1] > hi[0] * g:
-            hi = (Qd, g)
-    mu_bar, q_min, q_max = Fraction(*mu), Fraction(*lo), Fraction(*hi)
-    if q_min == q_max and params.dim > 2:
+    d, sigma_lo = params.dim, next(admissible_sign_vectors(params.dim))
+    sigma_hi = sigma_lo[:-3] + (1, 1, 1)[-d:]  # sigma_lo at dim 2
+    lo, hi = _unstretched_pair(params, sigma_lo), _unstretched_pair(params, sigma_hi)
+    A, den = _weights(hi, s)
+    if max(A) >= den:  # then mu_bar >= 1 and sigma_hi fails at s: name the first sigma that does
+        check_stretch(params, s)
+    q_min, q_max = (Fraction(Qd, g) for (*_, g, Qd), _ in (lo, hi))
+    mu_bar = max(Fraction(1, 2), Fraction(max(A), den))
+    if q_min == q_max and d > 2:
         raise CalibrationError("all q positions coincide across distinct pairs")
-    span, d = (q_max - q_min) if q_max > q_min else Fraction(1), params.dim
+    span = (q_max - q_min) if q_max > q_min else Fraction(1)
     u_left, u_right = line_point(d, q_min), line_point(d, q_min + span / (1 - mu_bar))
     calib, duals = Calibration(mu_bar, q_min, q_max, u_left, u_right), dual_vertices(params)
     plus_points = tuple(stretch(w.coords, s.factor) for w in duals)

@@ -189,7 +189,7 @@ def read_instance(path) -> SvmInstance:
 
 
 def regenerate(instance: SvmInstance) -> SvmInstance:
-    """Rebuild the instance from its own header data (tamper detection)."""
+    """Rebuild the instance from its header (tamper detection); `build_instance` reads two sigmas."""
     if instance.params is not None:
         return build_instance(instance.params, instance.stretch)
     return generate_2d_arc_instance(len(instance.plus_points))

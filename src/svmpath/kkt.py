@@ -20,6 +20,7 @@ over `construct.breakpoints`, keeping nothing from one sigma to the next.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -109,9 +110,9 @@ def build_kkt_certificate(
     """Prove sigma's constructed pair the unique optimum of the instance at its mu.
 
     The candidate puts the `construct.breakpoints` weights A_k / den on the plus points
-    labeled (k, sigma_k) and (mu, 1 - mu) on (left, right), mu = mu_of_q(q_last).
-    Substituted into one integer w = p - q, its gaps (`_gaps`) must pass what
-    `Piece.optimum` accepts on the construction's working set: the weights sum
+    labeled (k, sigma_k) and (mu, 1 - mu) on (left, right), mu = mu_of_q(q_last) for
+    q_last in [q_min, q_max]. Summed in integers into w = p - q, its gaps (`_gaps`) must
+    pass what `Piece.optimum` accepts on the construction's working set: the weights sum
     to den and lie in (0, mu]; each support gradient equals the first's, lam_+;
     every point at 0 has its gradient strictly above its class multiplier, and
     left, at mu, strictly below right's. Right is free even at weight 0 (mu = 1),
@@ -122,9 +123,11 @@ def build_kkt_certificate(
     instance's own points keep the check sound on any instance. A failure
     raises CertificateError naming sigma and mu: "no piece" for dependent
     points, "differs" for the sum or stationarity, "does not cover" for a
-    bound or a strict side.
+    bound or a strict side; and naming sigma and q_d for a q_d out of range.
     """
     A, den = weights
+    if not instance.calibration.q_min <= q_last <= instance.calibration.q_max:
+        raise CertificateError(f"q_d {q_last} of sigma={sigma} lies outside the header's [q_min, q_max]")
     mu = mu_of_q(q_last, instance.calibration)
     table, left = instance.table, len(instance.plus_points)
     index = {label: i for i, label in enumerate(instance.plus_labels)}
@@ -133,15 +136,18 @@ def build_kkt_certificate(
     rows = [table.nums[i] for i in support]
     if not all(k < len(row) and row[k] and not any(row[k + 1:]) for k, row in enumerate(rows)):
         raise CertificateError(f"no piece on the working set of {where}")
-    x = [Fraction(0)] * len(table.nums)
+    # w = p - q in integers: the plus weights over den / h and the minus ones over e, both over c
+    free, m, e, h = len(support) - 1, mu.numerator, mu.denominator, gcd(den, *A)
+    c = lcm(den // h, e)
+    W, den_w = table.cleared_sum([(i, a // h * (c * h // den)) for i, a in zip(support, A)]
+                                 + [(left, m * (c // e)), (left + 1, (e - m) * (c // e))])
+    den_w *= c
+    x = [Fraction(0)] * left + [mu, 1 - mu]
     for i, a in zip(support, A):
         x[i] = Fraction(a, den)
-    x[left], x[left + 1] = mu, 1 - mu
-    W, den_w = table.cleared_sum(enumerate(x))
     # the points at 0; right is free even at weight 0
     at_lo = [i for i, v in enumerate(x) if not v and i != left + 1]
     (R,), (G,) = _gaps(table, (support[0], left + 1), support[1:] + at_lo + [left], (W,))
-    free, m, e = len(support) - 1, mu.numerator, mu.denominator
     if sum(A) != den or any(G[:free]):
         raise CertificateError(f"candidate differs from the optimum of its piece for {where}")
     inside = all(0 < a and a * e <= m * den for a in A)

@@ -50,8 +50,9 @@ def default_params(dim: int) -> GoldfarbParams:
 
 def candidate(params: GoldfarbParams, sigma: tuple, s: StretchFactor = DEFAULT_STRETCH) -> tuple:
     """(sigma, q_d, (A, den)): sigma's integer candidate, the arguments of `kkt.build_kkt_certificate`."""
-    *_, g, Qd = construct._unstretched_pair(params, sigma)[0]
-    return sigma, Fraction(Qd, g), construct._weights(params, sigma, s)
+    pair = construct._unstretched_pair(params, sigma)
+    *_, g, Qd = pair[0]
+    return sigma, Fraction(Qd, g), construct._weights(pair, s, sigma)
 
 
 def spread(items) -> list:

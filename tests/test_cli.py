@@ -118,8 +118,8 @@ class TestGenRefuses:
         assert not out.exists()
 
     def test_calibration_failure(self, tmp_path, capsys, monkeypatch):
-        # every sigma reads the first one's integers, so the calibration pass
-        # finds all q positions equal
+        # every sigma reads the first one's integers, so the calibration
+        # finds its two ends' q positions equal
         unstretched = construct._unstretched_pair
         monkeypatch.setattr(
             construct, "_unstretched_pair", lambda params, sigma: unstretched(params, (-1, -1, 1, 1))
@@ -188,15 +188,19 @@ class TestVerify:
             "max_weight": {"num": "-2", "den": "3"},
         }]
 
-    def test_streams_without_the_constructions(self, tmp_path, capsys):
+    def test_streams_without_the_constructions(self, tmp_path, capsys, monkeypatch):
         # each sigma is certified from its integer weights and dropped: the
-        # cached tuple of every pair and decomposition is never built
+        # tuple of every Fraction pair and decomposition is never built
         out = tmp_path / "d4.inst"
         run(["gen", "--d", "4", "--out", str(out)], capsys)
-        construct.admissible_constructions.cache_clear()
+
+        def refused(*args):
+            raise AssertionError("verify built a Fraction pair")
+
+        for name in ("admissible_constructions", "build_pair", "support_decomposition"):
+            monkeypatch.setattr(construct, name, refused)
         code, stdout, _ = run(["verify", str(out)], capsys)
         assert code == 0 and json.loads(stdout)["certificates"] == 4
-        assert construct.admissible_constructions.cache_info().currsize == 0
 
     def test_tampered_coordinate_fails(self, tmp_path, capsys):
         out = tmp_path / "d3.inst"
@@ -244,6 +248,26 @@ class TestVerify:
         assert "no piece on the working set of sigma=(-1, 1, 1) at mu=1" == doc["error"]
         assert stdout == json.dumps(doc) + "\n"
 
+    def test_q_outside_the_header_range_is_a_certificate_failure(self, tmp_path, capsys, monkeypatch):
+        # an interior sigma's q_d forged just above q_max: the file still
+        # regenerates off the two ends, and certifying that sigma fails by
+        # name, with exit 1 and one JSON object, not as an input error
+        out = tmp_path / "d4.inst"
+        run(["gen", "--d", "4", "--out", str(out)], capsys)
+        q_max, unstretched = read_instance(out).calibration.q_max, construct._unstretched_pair
+        (_, _, g, _), _ = unstretched(GoldfarbParams(4), (1, -1, 1, 1))
+        Qd = q_max.numerator * g // q_max.denominator + 1  # the least Qd / g above q_max
+
+        def forged(params, sigma):
+            (S1, S2, g, real), rest = unstretched(params, sigma)
+            return (S1, S2, g, Qd if sigma == (1, -1, 1, 1) else real), rest
+
+        monkeypatch.setattr(construct, "_unstretched_pair", forged)
+        code, stdout, stderr = run(["verify", str(out)], capsys)
+        assert code == 1 and stderr == ""
+        error = f"q_d {F(Qd, g)} of sigma=(1, -1, 1, 1) lies outside the header's [q_min, q_max]"
+        assert stdout == json.dumps({"ok": False, "error": error}) + "\n"
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code, _, stderr = run(["verify", str(tmp_path / "nope.inst")], capsys)
         assert code == 2
@@ -254,6 +278,27 @@ class TestVerify:
         run(["gen-arc", "--n-plus", "6", "--out", str(out)], capsys)
         code, _, _ = run(["verify", str(out)], capsys)
         assert code == 2
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("command", ["gen --stretch auto", "gen --stretch 20000", "verify"])
+    def test_each_sigma_once_and_the_two_ends(self, tmp_path, capsys, monkeypatch, command):
+        # no sigma's integers are kept, so each command makes each sigma's once
+        # in its one pass, and the calibration those of sigma_lo and sigma_hi
+        out = tmp_path / "d6.inst"
+        run(["gen", "--d", "6", "--out", str(out)], capsys)
+        made, unstretched = [], construct._unstretched_pair
+
+        def counted(params, sigma):
+            made.append(sigma)
+            return unstretched(params, sigma)
+
+        monkeypatch.setattr(construct, "_unstretched_pair", counted)
+        given = [str(out)] if command == "verify" else ["--d", "6", "--out", str(tmp_path / "again.inst")]
+        assert run([*command.split(), *given], capsys)[0] == 0
+        ends = [(-1, -1, -1, -1, 1, 1), (-1, -1, -1, 1, 1, 1)]
+        assert len(made) == 16 + 2
+        assert sorted(made) == sorted([*goldfarb.admissible_sign_vectors(6), *ends])
 
 
 def refuse_construction(monkeypatch) -> None:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import isqrt
 
@@ -34,8 +35,10 @@ from svmpath.construct import (
     StretchFactor,
     StrictnessError,
     admissible_constructions,
+    breakpoints,
     build_instance,
     build_pair,
+    check_stretch,
     choose_stretch,
     facet_strictness_check,
     generate_2d_arc_instance,
@@ -355,10 +358,12 @@ class TestSupportDecomposition:
         with pytest.raises(StrictnessError, match=r"^facet strictness fails for sigma=\([-, 1]+\) at L=20000$"):
             admissible_constructions(default_params(9), DEFAULT_STRETCH)
 
-    def test_two_facet_solves_per_sigma_per_params(self, monkeypatch):
+    def test_two_facet_solves_per_sigma_per_pass(self, monkeypatch):
         # the weights at every stretch are affine in 1/L^2, with both parts
-        # from one banded solve each per admissible sigma: no stretch factor,
-        # passing or failing, and no threshold costs another solve
+        # from one banded solve each per sigma: each pass over the sigmas
+        # solves each once, and the calibration solves its two ends only.
+        # Nothing is cached, so a second pass solves again (the commands'
+        # counts are tests/test_cli.py's TestOnePass)
         solved = []
 
         def counted(params, sigma, X):
@@ -366,16 +371,20 @@ class TestSupportDecomposition:
             return facet_weights(params, sigma, X)
 
         monkeypatch.setattr(construct, "facet_weights", counted)
-        # parameters no other test uses, so no cached construction hides a solve
-        params = GoldfarbParams(5, F(3, 10), F(1, 23))
-        admissible_constructions(params, DEFAULT_STRETCH)
-        assert solved == [sigma for sigma in admissible_sign_vectors(5) for _ in range(2)]
+        params, each = GoldfarbParams(5, F(3, 10), F(1, 23)), list(admissible_sign_vectors(5))
+        passes = (
+            lambda: list(breakpoints(params, DEFAULT_STRETCH)),
+            lambda: check_stretch(params, DEFAULT_STRETCH),
+            lambda: choose_stretch(params),
+            lambda: choose_stretch(params),
+        )
+        for one_pass in passes:
+            del solved[:]
+            one_pass()
+            assert solved == [sigma for sigma in each for _ in range(2)]
         del solved[:]
-        with pytest.raises(StrictnessError):
-            admissible_constructions(params, StretchFactor(1))
-        admissible_constructions(params, StretchFactor(F(40001, 3)))
-        choose_stretch(params)
-        assert solved == []
+        build_instance(params, DEFAULT_STRETCH)
+        assert solved == [each[0]] * 2 + [(-1, -1, 1, 1, 1)] * 2
 
     def test_weights_witness_reduced_hull_membership(self, constructions4, instance4):
         # every breakpoint point lies in the capped hull at its own mu value:
@@ -468,29 +477,42 @@ class TestCalibration:
         assert calib.u_right[-1] - calib.u_left[-1] == 1 / (1 - calib.mu_bar)
         assert mu_of_q(calib.q_min, calib) == 1
 
+    @staticmethod
+    def assert_calibration_is_the_reference(params, s):
+        # the same calibration as the Fraction one of every pair and
+        # decomposition, or the same first failure of the commands' pass
+        try:
+            cons = admissible_constructions(params, s)
+        except StrictnessError as failed:
+            with pytest.raises(StrictnessError) as also:
+                check_stretch(params, s)
+            assert str(also.value) == str(failed)
+            return
+        expected = calibrate([c[0] for c in cons], [c[1] for c in cons])
+        assert build_instance(params, s).calibration == expected
+
     @pytest.mark.parametrize("eps,gamma", REFERENCE_PARAMS)
     @pytest.mark.parametrize("d", range(2, 11))
     def test_integer_pass_equals_the_fraction_reference(self, d, eps, gamma):
-        # build_instance's one integer pass against the Fraction calibration
-        # of every pair and decomposition, at the chosen stretch, at half of
-        # it and at 1: the same calibration, or the same first failure
+        # the two ends' calibration at the chosen stretch, at half of it and at 1
         params = GoldfarbParams(d, eps, gamma)
         chosen = choose_stretch(params).factor
         for factor in (chosen, chosen / 2, 1):
-            s = StretchFactor(factor)
-            try:
-                cons = admissible_constructions(params, s)
-            except StrictnessError as failed:
-                with pytest.raises(StrictnessError) as also:
-                    build_instance(params, s)
-                assert str(also.value) == str(failed)
-                continue
-            expected = calibrate([c[0] for c in cons], [c[1] for c in cons])
-            assert build_instance(params, s).calibration == expected
+            self.assert_calibration_is_the_reference(params, StretchFactor(factor))
+
+    def test_random_parameters_and_stretches_equal_the_fraction_reference(self):
+        # a seeded sample inside 0 < 4 gamma < eps < 1/2, at the chosen stretch
+        # and at an explicit factor up to twice it, which fails about a third of the time
+        rng = random.Random(37)
+        for _ in range(150):
+            eps = F(rng.randint(1, 999), 2000)
+            params = GoldfarbParams(rng.randint(3, 9), eps, eps * F(rng.randint(1, 999), 4000))
+            chosen = choose_stretch(params).factor
+            for factor in (chosen, F(rng.randint(1, 2 * int(chosen)), 10 ** rng.randint(0, 3))):
+                self.assert_calibration_is_the_reference(params, StretchFactor(factor))
 
     def test_gen_builds_no_pair(self, monkeypatch):
-        # the calibration reads the cached integers only; parameters no other
-        # test uses, so nothing is cached before
+        # the calibration reads the integers of its two sigmas only
         def refused(*args):
             raise AssertionError("build_instance built a Fraction pair")
 
