@@ -101,9 +101,22 @@ tests of a tampered point and of a header stretch too small kill it.
 `gap-sign-flipped` leaves the gaps of the coefficients at mu in
 `Piece._measure` unnegated. Only the duality-gap tests, which share no code
 with the pieces, are run against it. They kill it by their walk's coverage
-of [51/100, 1]: with the flip, the loop's answer at 51/100 lies on no piece,
-so the walk is empty. The gap itself stays 0 on every piece the mutant still
+of [51/100, 1]: with the flip, the piece of the loop's answer at 51/100
+misses mu, so the solve returns no pair. The gap itself stays 0 on every piece the mutant still
 accepts.
+
+The loop decides its bound multipliers by the signs of `kkt._gaps`, and its
+answer's piece is that of the working set the gaps prove.
+`answer-binds-zero-gaps` binds every coefficient the loop bound, gap 0 or
+not, the rule before the proved working set: at a capped reference or a
+zero-gap bound its piece misses mu. `loop-lo-gap-sign-flipped` negates the
+gaps of the coefficients at 0 in the loop's test, and
+`class-sum-reference-first-capped` takes a class's first capped coefficient,
+not the one with the largest s_h . w, as the reference of a class with none
+free, which frees the larger ones one iteration at a time. The walk tests,
+whose cold solves compare each answer with the Fraction loop of
+`tests/oracles.py` and its working set with the strictly complementary one
+of the Fraction gradients, kill all three.
 
 The one elimination lives in `qp` and takes integers only.
 `step-without-det` drops the determinant from the loop's step, so each step
@@ -476,6 +489,28 @@ MUTANTS = (
         "        raise VerificationFailure(\"instance differs from its header parameters\")\n"
         "    try:\n",
         REGENERATION_TESTS,
+    ),
+    (
+        "answer-binds-zero-gaps",
+        "qp.py",
+        "if side > 0]",
+        "if side >= 0]",
+        START_TESTS,
+    ),
+    (
+        "loop-lo-gap-sign-flipped",
+        "qp.py",
+        "g if working[k] == AT_LO else -g",
+        "-g if working[k] == AT_LO else -g",
+        START_TESTS,
+    ),
+    (
+        "class-sum-reference-first-capped",
+        "qp.py",
+        "max([h for h in cls if working[h] == AT_HI],\n"
+        "                                     key=lambda h: Fraction(sum(map(mul, table.nums[h], W)), table.dens[h]))",
+        "[h for h in cls if working[h] == AT_HI][0]",
+        START_TESTS,
     ),
     (
         "step-without-det",

@@ -2,10 +2,10 @@
 
 A pair is the dual coefficients of the two classes and its exact objective
 ||p - q||^2 (`OptimalPair`). The solver of `qp` returns one, and so does a
-`qp.Piece` where it covers mu. This module holds what a pair and a piece's
-conditions share: the gap helper `_gaps`, which states the KKT conditions as
-integer dot products on a `PointTable`, and `_finish`, which builds a pair
-from its coefficients and their integer sum w = p - q.
+`qp.Piece` where it covers mu. This module holds what a pair, the loop and a
+piece's conditions share: the gap helper `_gaps`, which states the KKT
+conditions as integer dot products on a `PointTable`, and `_finish`, which
+builds a pair from its coefficients and their integer sum w = p - q.
 
 The piece's conditions are also the one optimality certificate. A
 constructed breakpoint brings its coefficients, so `build_kkt_certificate`
@@ -145,8 +145,8 @@ def build_kkt_certificate(
     x = [Fraction(0)] * left + [mu, 1 - mu]
     for i, a in zip(support, A):
         x[i] = Fraction(a, den)
-    # the points at 0; right is free even at weight 0
-    at_lo = [i for i, v in enumerate(x) if not v and i != left + 1]
+    # the plus points at 0 are those off the support; right is free even at weight 0
+    at_lo = sorted(set(range(left)).difference(support))
     (R,), (G,) = _gaps(table, (support[0], left + 1), support[1:] + at_lo + [left], (W,))
     if sum(A) != den or any(G[:free]):
         raise CertificateError(f"candidate differs from the optimum of its piece for {where}")

@@ -18,9 +18,10 @@ a subproblem's normal equations in integers in one place
 (`_normal_equations`) and solve them by the package's one fraction-free
 elimination, which lives here and takes integers only (`solve_linear_systems`);
 a flat subproblem of the loop takes the solution that is zero off the pivot
-columns. The multiplier test compares s_k . w, with w = p - q, half the true
-gradient 2 s_k . w. A positive factor changes no sign and no comparison, so
-every step, pivot and tie-break is the one the exact gradients give.
+columns. The multiplier test reads the signs of `kkt._gaps`, s_k . w - s_r . w
+for w = p - q and r the class's reference times a positive factor, as the
+pieces and the certificate do: every step, pivot and tie-break is the one the
+exact gradients 2 s_k . w give.
 
 Along a sweep most solves need no loop. With the working set fixed (the
 coefficients at 0, those at mu, and the free rest) the subproblem's normal
@@ -52,10 +53,11 @@ At its upper event a piece pivots one coefficient and builds its
 path, walked from piece to piece as SVMpath walks its breakpoints (Hastie,
 Rosset, Tibshirani & Zhu, JMLR 5, 2004). Every walk starts in the solver:
 where the loop answers, `solve_reduced_distance` reads its optimum off the
-piece of its working set, if that piece covers mu. The only hint the solver
-takes is its warm start: the piece a start was read off answers where it
-covers mu, and otherwise the solver walks the chain from it (`Piece.walk`);
-where the chain stops the loop runs from the start's coefficients.
+piece of the working set its gaps prove, which covers mu wherever it exists.
+The only hint the solver takes is its warm start: the piece a start was read
+off answers where it covers mu, and otherwise the solver walks the chain from
+it (`Piece.walk`); where the chain stops the loop runs from the start's
+coefficients.
 
 The piece's conditions are also the one optimality certificate, which
 `kkt` holds with the pair (`OptimalPair`) and the helpers the loop and the
@@ -162,12 +164,13 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
     denominator.
 
     The loop returns only at the KKT conditions: a zero step and no bound
-    multiplier of the wrong sign, decided exactly on the gradients s_k . w,
-    half the objective's, which changes no sign and no tie-break. Where the
-    piece of its working set covers mu, its optimum is read off that piece,
-    the same pair, so the next solve walks on from there: the only place a
-    walk starts. Elsewhere the pair carries no piece, and its objective is
-    summed from the coefficients (`_finish`).
+    multiplier of the wrong sign, by the signs of `_gaps` against each class's
+    reference, its first free coefficient or else its capped one with the
+    largest s_h . w; the lowest index of a wrong sign is freed. The answer
+    binds only the coefficients whose gap is strictly on its side, so its
+    piece covers mu wherever its normal equations are nonsingular, and the
+    optimum read off it is where the next solve's walk starts. Elsewhere
+    `_finish` sums the objective of a pair with no piece.
     """
     table, mu = qp.table, qp.mu
     if start is not None and start.piece is not None and start.piece.table is table:
@@ -233,25 +236,23 @@ def solve_reduced_distance(qp: ReducedHullQP, start: Optional[OptimalPair] = Non
                 working[blocker[0]] = blocker[1]
             continue
 
-        # subproblem optimum reached: check bound multipliers exactly
-        grad = [Fraction(sum(map(mul, table.nums[k], W)), table.dens[k] * den_w) for k in range(n)]
-        drop = None
-        for cls, free in zip(classes, free_by_class):
-            if free:
-                lam = grad[free[0]]
-            else:
-                # bound coefficients sit exactly at 0 or mu and each step keeps the
-                # class sum at 1, so a class with none free has one at mu
-                lam = max(grad[i] for i in cls if working[i] == AT_HI)
-            for i in cls:
-                if i in working:
-                    wrong = grad[i] < lam if working[i] == AT_LO else lam < grad[i]
-                    if wrong and (drop is None or i < drop):
-                        drop = i
+        # subproblem optimum reached: the bound gaps against each class's reference;
+        # each step keeps a class sum at 1, so a class with none free has one at mu
+        refs = [
+            free[0] if free else max([h for h in cls if working[h] == AT_HI],
+                                     key=lambda h: Fraction(sum(map(mul, table.nums[h], W)), table.dens[h]))
+            for cls, free in zip(classes, free_by_class)
+        ]
+        bound = sorted(working)
+        (_R,), (G,) = _gaps(table, refs, bound, (W,))
+        # > 0 where the bound holds strictly, < 0 where its multiplier has the wrong sign
+        sides = [g if working[k] == AT_LO else -g for k, g in zip(bound, G)]
+        drop = next((k for k, side in zip(bound, sides) if side < 0), None)
         if drop is None:
-            piece = Piece.build(table, working_set(x, mu))
-            pair = piece.optimum(qp) if piece is not None else None
-            return pair if pair is not None else _finish(table, x, W, den_w)
+            strict = [k for k, side in zip(bound, sides) if side > 0]
+            at_lo, at_hi = (tuple(k for k in strict if working[k] == s) for s in (AT_LO, AT_HI))
+            piece = Piece.build(table, (at_lo, at_hi))
+            return _finish(table, x, W, den_w) if piece is None else piece.optimum(qp)
         del working[drop]
 
     raise SolverStalledError(f"no optimum after {cap} iterations")
@@ -379,17 +380,6 @@ def _back_substitute(M: list, pivots: list, columns: Iterable) -> tuple:
             y[p] = s // row[p]
         out.append(y)
     return tuple(out), det
-
-
-def working_set(x, mu) -> tuple:
-    """(indices at 0, indices at mu) of the coefficients x, plus class first."""
-    at_lo, at_hi = [], []
-    for i, a in enumerate(x):
-        if not a:
-            at_lo.append(i)
-        elif a == mu:
-            at_hi.append(i)
-    return tuple(at_lo), tuple(at_hi)
 
 
 class Piece:

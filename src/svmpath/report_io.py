@@ -145,7 +145,9 @@ def _approx(x: Fraction, precision: int) -> str:
     """x as `format`'s 'g' writes its float; outside float's normal range, in decimal, to at most 17 digits.
 
     A nonzero x whose float would overflow, or would be 0 or subnormal and so
-    keep fewer digits than a normal float, is divided in `decimal` instead.
+    keep fewer digits than a normal float, is rounded in `decimal` instead,
+    from floor(|x| 10^k) of prec + 2 or more digits and a sticky digit for its
+    remainder, which round as the exact quotient does, with no full-width division.
     """
     try:
         f = x.numerator / x.denominator
@@ -156,7 +158,12 @@ def _approx(x: Fraction, precision: int) -> str:
     # rounded half to even, to no more digits than tell two floats apart
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
     context = Context(prec=max(1, min(precision, 17)), Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return format(context.divide(Decimal(x.numerator), x.denominator).normalize(context), "e")
+    n, d = abs(x.numerator), x.denominator
+    # |x| > 2^(e - 1), e the bit lengths' difference, and 10^k is 5^k shifted
+    k = context.prec + 3 - int((n.bit_length() - d.bit_length() - 1) * 0.30103)
+    q, r = divmod(n * 5**k << k, d) if k >= 0 else divmod(n, d * 5**-k << -k)
+    digits = (10 * q + (r > 0)) * (-1 if x.numerator < 0 else 1)
+    return format(Decimal(digits).scaleb(-k - 1, context).normalize(context), "e")
 
 
 def _csv_labels(support_plus, support_minus) -> str:

@@ -15,9 +15,9 @@ record's mu, and a piece answers only with the unique optimum. The chain
 stops at a tied event, at a working set without a piece, or where the next
 interval does not start at the event; there the loop runs from the same warm
 start, so at a non-unique optimum the record is still the loop's. Where the
-loop answers, the solver reads its optimum off the piece of its working set,
-if that piece covers mu, and the next record walks on from there. Either way
-each record is the one the loop alone gives.
+loop answers, the solver reads its optimum off the piece of the working set
+its gaps prove, which covers mu wherever it exists, and the next record walks
+on from there. Either way each record is the one the loop alone gives.
 
 A record read off a piece costs the pieces its walk passes, the interval
 test, its objective and its support (`qp.support_set`, which reads it off the
@@ -102,7 +102,8 @@ def path_pieces(instance: SvmInstance, mu_lo, mu_hi) -> tuple:
     """The pieces of one walk from the solver's optimum at mu_lo up to mu_hi, in increasing mu.
 
     They cover [mu_lo, mu_hi] unless the walk stopped (see `qp.Piece.successor`),
-    and are empty when the optimum at mu_lo lies on no piece of its working set.
+    and are empty only when the working set the loop proves at mu_lo has singular
+    normal equations: its free points' differences are dependent, as on a flat face.
     """
     piece = solve_reduced_distance(ReducedHullQP.from_instance(instance, mu_lo)).piece
     return () if piece is None else tuple(piece.walk(Fraction(mu_hi)))

@@ -47,6 +47,7 @@ product and squared norm of Fraction vectors, which `Vec` leaves out since no
 command runs them, and the support of a pair's coefficients.
 """
 
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -267,6 +268,21 @@ def _initial_point(qp, classes, n: int, start):
         if remainder > 0:
             x[cls[k]] = remainder
     return x
+
+
+def working_set(x, mu) -> tuple:
+    """(indices at 0, indices at mu) of the coefficients x, plus class first.
+
+    Read off the values alone: a coefficient the loop keeps free at 0 or mu,
+    and one whose bound holds with a zero gap, count as bound here.
+    """
+    at_lo, at_hi = [], []
+    for i, a in enumerate(x):
+        if not a:
+            at_lo.append(i)
+        elif a == mu:
+            at_hi.append(i)
+    return tuple(at_lo), tuple(at_hi)
 
 
 def loop_start(pair: OptimalPair) -> OptimalPair:
@@ -1065,6 +1081,17 @@ def piece_reference(table, working):
         w0=w0,
         w1=w1,
     )
+
+
+def approx_decimal_reference(x, precision: int) -> str:
+    """Reference for `report_io._approx` outside float's normal range: one full-width `decimal` division.
+
+    The exact quotient, rounded half to even to at most 17 digits and
+    written in exponent notation; its cost grows with the square of the
+    digits of a huge denominator.
+    """
+    context = Context(prec=max(1, min(precision, 17)), Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return format(context.divide(Decimal(x.numerator), x.denominator).normalize(context), "e")
 
 
 def sweep_report_json(report, meta=None) -> dict:

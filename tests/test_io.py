@@ -1,13 +1,16 @@
 import json
 import re
 import sys
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import DEFAULT_STRETCH, default_params
-from oracles import rational_from_json, sweep_report_json
+from oracles import approx_decimal_reference, rational_from_json, sweep_report_json
 from svmpath.cli import main
 from svmpath.construct import build_instance, generate_2d_arc_instance
 from svmpath.goldfarb import GoldfarbParams
@@ -290,6 +293,22 @@ class TestSweepReports:
     def test_value_below_normal_float_range_keeps_its_digits(self, x, text):
         # a float of 0 or a subnormal would lose them: "0", "-0" and "2.99996660155e-320"
         assert _approx(x, 12) == text
+
+    @given(
+        st.integers(1, 10**30), st.integers(1, 10**30), st.integers(340, 2000),
+        st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.booleans(), st.integers(0, 30),
+    )
+    def test_decimal_path_equals_one_full_width_division(self, a, b, e, sign, side, tie, precision):
+        # a tie puts a digit 5 and nothing after it below the leading digits of a
+        x = F(2 * a + 1, 2 * 10 ** (b % 25)) if tie else F(a, b)
+        x = sign * x * F(10) ** (side * e)
+        assert _approx(x, precision) == approx_decimal_reference(x, precision)
+
+    def test_million_digit_denominator_is_fast(self):
+        x = F(1, 10 ** (10**6))
+        start = time.process_time()
+        assert _approx(x, 12) == "1e-1000000"
+        assert time.process_time() - start < 1
 
     @pytest.mark.parametrize("precision", [1, 12, 17])
     def test_value_at_or_above_the_least_normal_float_is_written_as_its_float(self, precision):

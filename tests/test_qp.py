@@ -34,6 +34,7 @@ from oracles import (
     unique_optimum_reference,
     vec_add,
     vec_sub,
+    working_set,
 )
 from svmpath import qp as qp_module
 from svmpath.construct import (
@@ -61,7 +62,6 @@ from svmpath.qp import (
     solve_linear_systems,
     solve_reduced_distance,
     support_set,
-    working_set,
 )
 from svmpath.sweep import grid_values, path_pieces, sweep_grid, sweep_refined
 
@@ -754,21 +754,21 @@ class TestWalk:
 
     @staticmethod
     def count_loops(monkeypatch) -> tuple:
-        """From now on, the coefficients each loop run ends at, and each pair `_finish` builds."""
-        ends, finished = [], []
-        working, finish = qp_module.working_set, qp_module._finish
+        """From now on, the problem of each loop run (`_initial_point`), and each pair `_finish` builds."""
+        starts, finished = [], []
+        initial, finish = qp_module._initial_point, qp_module._finish
 
-        def ended(x, mu):
-            ends.append(tuple(x))
-            return working(x, mu)
+        def started(qp, *args):
+            starts.append(qp)
+            return initial(qp, *args)
 
         def counted(*args):
             finished.append(finish(*args))
             return finished[-1]
 
-        monkeypatch.setattr(qp_module, "working_set", ended)
+        monkeypatch.setattr(qp_module, "_initial_point", started)
         monkeypatch.setattr(qp_module, "_finish", counted)
-        return ends, finished
+        return starts, finished
 
     def test_start_off_another_point_set_runs_the_loop(self, instance4, monkeypatch):
         arc = generate_2d_arc_instance(8)
@@ -792,33 +792,82 @@ class TestWalk:
         assert len(loops) == 1 and pair.piece.table is own and pair == start
 
     def test_loop_answer_carries_the_piece_that_covers_mu(self, monkeypatch):
-        # cold solves on the tiny instances and at mu_lo on the constructions
+        # cold solves on the tiny instances and at 51/100 and 1/2 on the constructions
+        constructions = [build_instance(default_params(d), DEFAULT_STRETCH) for d in range(3, 9)]
         qps = small_instances(200) + [
-            ReducedHullQP.from_instance(build_instance(default_params(d), DEFAULT_STRETCH), F(51, 100))
-            for d in range(3, 9)
+            ReducedHullQP.from_instance(instance, mu)
+            for mu in (F(51, 100), F(1, 2)) for instance in constructions
         ]
-        ends, finished = self.count_loops(monkeypatch)
-        kinds = set()
+        loops, finished = self.count_loops(monkeypatch)
+        builds = self.count_builds(monkeypatch)
+        kinds, carried = set(), 0
         for qp in qps:
-            ends.clear()
-            finished.clear()
+            for calls in (loops, finished, builds):
+                calls.clear()
             answer = solve_reduced_distance(qp)
-            (x,) = ends
-            piece = Piece.build(qp.table, working_set(x, qp.mu))
-            covered = piece is not None and piece.covers(qp.mu)
-            kinds.add("none" if piece is None else "covers" if covered else "misses")
-            # a piece exactly when the working set's piece covers mu, and its
-            # optimum is the loop's; only where none answers does `_finish` run
-            assert (answer.piece is not None) == covered
-            assert answer.alpha_plus + answer.alpha_minus == x
+            assert answer == solve_reduced_distance_oracle(qp)
             assert answer.objective == norm_sq(vec_sub(*pair_points(qp, answer)))
-            if covered:
-                assert (answer.piece.at_lo, answer.piece.at_hi) == (piece.at_lo, piece.at_hi)
+            # a cold solve walks no chain: the one build is of the working set the
+            # loop proved, which is strictly complementary at the answer
+            (working,) = builds
+            assert len(loops) == 1 and proves_strictly(qp, answer, working)
+            piece = Piece.build(qp.table, working)
+            kinds.add("none" if piece is None else "covers")
+            # a piece exactly when that working set's normal equations are
+            # nonsingular, and then it covers mu and its optimum is the answer;
+            # only where none exists does `_finish` run
+            assert (answer.piece is not None) == (piece is not None)
+            if piece is None:
+                assert len(finished) == 1 and answer is finished[0]
+            else:
+                assert piece.covers(qp.mu)
+                assert (answer.piece.at_lo, answer.piece.at_hi) == working
                 assert answer.piece.table is qp.table and answer.mu == qp.mu
                 assert finished == []
-            else:
-                assert len(finished) == 1 and answer is finished[0]
-        assert kinds == {"none", "covers", "misses"}
+                carried += 1
+        assert kinds == {"none", "covers"}
+        # 160 of the 212 answers carry a piece
+        assert (len(qps), carried) == (212, 160)
+
+    @pytest.mark.parametrize("mu", [F(1, 2), F(3, 4)])
+    def test_zero_gap_coefficients_stay_free(self, monkeypatch, mu):
+        # the point set of `TestPieceReadOff`'s identically zero coefficient: the
+        # loop ends with plus point 2 bound at 0 with gap 0 (at 1/2 every
+        # coefficient is bound, both classes' references at mu), so its answer
+        # frees it and reads the optimum off the piece that covers [1/2, 1]
+        table = PointTable([(-2, 1, 0), (3, 3, 0), (3, 3, 1)], [(3, -3, 0), (-1, -3, 0)])
+        qp = ReducedHullQP(table, mu)
+        _loops, finished = self.count_loops(monkeypatch)
+        answer = solve_reduced_distance(qp)
+        assert finished == [] and (answer.piece.at_lo, answer.piece.at_hi) == ((), (0, 4))
+        assert (answer.piece.lo, answer.piece.hi) == (F(1, 2), F(1))
+        assert answer == solve_reduced_distance_oracle(qp)
+
+
+def proves_strictly(qp, pair, working) -> bool:
+    """Whether `working` = (at_lo, at_hi) is the strictly complementary working set of the optimum `pair`.
+
+    From the Fraction gradients of `multiplier_ranges_reference`: both tuples
+    are sorted, in each class the free coefficients share one gradient lam, and
+    each coefficient in at_lo is 0 with its gradient strictly above lam, each
+    in at_hi mu with its gradient strictly below.
+    """
+    at_lo, at_hi = working
+    if list(at_lo) != sorted(at_lo) or list(at_hi) != sorted(at_hi):
+        return False
+    x = pair.alpha_plus + pair.alpha_minus
+    grads = [g for _signed, class_grads, _lo, _hi in multiplier_ranges_reference(qp, pair) for g in class_grads]
+    n_plus = len(qp.plus_points)
+    for cls in (range(n_plus), range(n_plus, len(x))):
+        free = [k for k in cls if k not in at_lo and k not in at_hi]
+        if not free or any(grads[k] != grads[free[0]] for k in free):
+            return False
+        lam = grads[free[0]]
+        if any(x[k] != 0 or grads[k] <= lam for k in cls if k in at_lo):
+            return False
+        if any(x[k] != qp.mu or grads[k] >= lam for k in cls if k in at_hi):
+            return False
+    return True
 
 
 def signed_vecs(table) -> list:

@@ -10,10 +10,11 @@ from svmpath.construct import (
     SvmInstance,
     admissible_constructions,
     build_instance,
+    choose_stretch,
     generate_2d_arc_instance,
     mu_of_q,
 )
-from svmpath.geometry import Vec
+from svmpath.geometry import PointTable, Vec
 from svmpath.goldfarb import GoldfarbParams
 from svmpath.kkt import certify_construction
 from svmpath.qp import Piece, ReducedHullQP, support_set
@@ -241,7 +242,7 @@ class TestPiecesMatchTheLoop:
         return counts
 
     def check(self, instance, tally, steps, depth):
-        walk = path_pieces(instance, grid_values(F(1, 2), F(1), steps)[1], F(1))
+        walk = path_pieces(instance, F(1, 2), F(1))
         tally.update(loops=0, built=0)
         report = sweep_refined(instance, F(1, 2), F(1), steps, depth)
         loops, built = tally["loops"], tally["built"]
@@ -249,12 +250,12 @@ class TestPiecesMatchTheLoop:
         # every pair's coefficients, built on first read from a piece's
         # integers, are the loop's
         assert report == oracle
-        # the loop solves the two lowest grid points: at mu = 1/2 both minus
-        # coefficients sit at mu, so no piece exists there, and the walk
-        # starts from the second; every other record is read off the
-        # successor chain, whose pieces are each built once
-        assert loops == 2
-        assert built == 1 + len(walk)
+        # the loop solves the lowest grid point alone: at mu = 1/2 both minus
+        # coefficients sit at mu, the capped reference with gap 0 is freed,
+        # and the walk starts from the piece of that working set; every other
+        # record is read off the successor chain, whose pieces are each built once
+        assert loops == 1
+        assert built == len(walk)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     @pytest.mark.parametrize("eps, gamma", [(F(1, 3), F(1, 16)), (F(3, 8), F(1, 15))])
@@ -283,11 +284,11 @@ class TestPiecesMatchTheLoop:
             records += len(report.records)
         assert swept == 68
         # repeated and dependent points stop walks, so the loop runs more often
-        # than twice per sweep: for 311 of the 756 records, against 136 for two each
-        assert (records, loops) == (756, 311)
+        # than once per sweep: for 253 of the 756 records, against 68 for one each
+        assert (records, loops) == (756, 253)
 
     def test_walk_restarts_above_a_tie(self, tally):
-        # the walk from the second grid point ends at a tie at mu = 2/3; above
+        # the walk from the lowest grid point ends at a tie at mu = 2/3; above
         # it the hulls meet (objective 0), the optimum is not unique, and every
         # record there runs the loop from its warm start
         instance = SvmInstance(
@@ -298,8 +299,18 @@ class TestPiecesMatchTheLoop:
         report = sweep_refined(instance, F(1, 2), F(1), 32, 4)
         loops = tally["loops"]
         assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 32, 4)
-        solved = [r for r in report.records if r.mu > F(2, 3) or r.mu <= F(16, 31)]
-        assert loops == len(solved) == 25
+        solved = [r for r in report.records if r.mu > F(2, 3) or r.mu == F(1, 2)]
+        assert loops == len(solved) == 24
+
+    def test_zero_gap_point_set_runs_the_loop_once(self, tally):
+        # a free plus coefficient identically zero on the piece that covers
+        # [1/2, 1]: the loop's answer at 1/2 frees it, so every other record of
+        # a sweep at the command line's defaults is read off that piece's chain
+        table = PointTable([(-2, 1, 0), (3, 3, 0), (3, 3, 1)], [(3, -3, 0), (-1, -3, 0)])
+        instance = SvmInstance(table.plus_points, (0, 1, 2), table.minus_points)
+        report = sweep_refined(instance, F(1, 2), F(1), 512, 6)
+        assert (len(report.records), tally["loops"]) == (518, 1)
+        assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 512, 6)
 
     @pytest.mark.parametrize(
         "make",
@@ -330,5 +341,34 @@ class TestPiecesMatchTheLoop:
         report = sweep_refined(instance, F(1, 2), F(1), 128, 6)
         loops = tally["loops"]
         assert report == sweep_refined_oracle(instance, F(1, 2), F(1), 128, 6)
-        # more loop solves than the two lowest grid points of an unbroken walk
+        # more loop solves than the lowest grid point of an unbroken walk: the
+        # loop answers there and at records in and just above the blocked piece
         assert loops > 2
+
+
+class TestChainFromOneHalf:
+    """The walk from mu = 1/2, where both minus coefficients sit at the cap, covers [1/2, 1]."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    def test_constructed(self, d):
+        params = default_params(d)
+        instance = build_instance(params, choose_stretch(params))
+        pieces = path_pieces(instance, F(1, 2), F(1))
+        assert (len(pieces), pieces[0].lo, pieces[-1].hi) == (2 ** d - 2, F(1, 2), F(1))
+        assert pieces[0].covers(F(1, 2)) and pieces[-1].covers(F(1))
+        for piece, nxt in zip(pieces, pieces[1:]):
+            assert piece.hi == nxt.lo
+        # interior supports, read off each piece once it is built
+        supports = [piece.support((piece.lo + piece.hi) / 2) for piece in pieces]
+        assert sum(a != b for a, b in zip(supports, supports[1:])) == 2 ** d - 4
+        assert len(set(supports)) == 2 ** (d - 1) - 1
+        # each certificate's pair is the optimum of the piece that covers its mu
+        for cert, _weights in certify_construction(instance):
+            qp = ReducedHullQP.from_instance(instance, cert.mu)
+            (piece, *_) = [p for p in pieces if p.covers(cert.mu)]
+            assert piece.optimum(qp) == cert.pair
+
+    @pytest.mark.parametrize("n_plus", [20, 60])
+    def test_arc_reaches_one(self, n_plus):
+        pieces = path_pieces(generate_2d_arc_instance(n_plus), F(1, 2), F(1))
+        assert pieces and pieces[0].lo <= F(1, 2) and pieces[-1].covers(F(1))
